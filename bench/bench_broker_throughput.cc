@@ -1,27 +1,20 @@
-// E21/E25: broker tier throughput. Three tiers under the same per-node
+// E21/E25: broker tier throughput. Two tiers under the same per-node
 // service rate R (token bucket, 1 s burst) and the same saturating
 // producer load:
 //
 //   single-aggregator  the one-chain baseline, pinned at R
-//   broker-unbatched   4 partitions, record-at-a-time produce: the token
-//                      bucket charges uncompressed record bytes, so the
-//                      tier saturates at ~4R
 //   broker-batched     4 partitions, frame-and-compress-once produce: the
 //                      bucket charges compressed bytes on the wire, so the
-//                      same 4 nodes accept ~compression-ratio more payload
+//                      4 nodes accept ~4R x the compression ratio of payload
 //
 // The bench measures intake MB/s (uncompressed payload accepted) over the
 // load window, allocations per produced entry (alloc_hooks), wire-bytes
-// ratio and batch fan-in, drains every tier through the log mover, and
-// checks the delivery-audit identity at quiescence. A separate light-load
-// phase runs the batched and unbatched paths on the same seed below
-// saturation and requires the landed warehouse hour to be byte-identical.
-// Exits nonzero when an audit breaks, the broker fails to drain, the
-// batched tier misses its 3x floor over record-at-a-time, or the
-// warehouse bytes diverge.
+// ratio and batch fan-in, drains both tiers through the log mover, and
+// checks the delivery-audit identity at quiescence. Exits nonzero when an
+// audit breaks, the broker fails to drain, or the batched tier misses its
+// 6x intake floor over the single chain.
 
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "alloc_hooks.h"
@@ -42,7 +35,7 @@ constexpr TimeMs kWindow = 120 * kMillisPerSecond;
 constexpr int kPayloadBytes = 500;
 constexpr int kEntriesPerTick = 220;  // every 100 ms -> ~1.1 MB/s offered
 
-enum class Tier { kAggregator, kBrokerUnbatched, kBrokerBatched };
+enum class Tier { kAggregator, kBrokerBatched };
 
 struct TierResult {
   uint64_t intake_bytes = 0;  // uncompressed payload accepted in-window
@@ -69,7 +62,6 @@ scribe::ScribeOptions TierScribeOptions(Tier tier) {
   // can far exceed the 1 s token burst of uncompressed admission.
   sopts.daemon_max_batch_bytes =
       tier == Tier::kBrokerBatched ? 256 * 1024 : 32 * 1024;
-  sopts.broker_batched_produce = tier == Tier::kBrokerBatched;
   if (tier == Tier::kAggregator) {
     sopts.aggregator_service_bytes_per_sec = kServiceBytesPerSec;
   }
@@ -116,7 +108,7 @@ TierResult RunTier(const char* name, Tier tier, uint64_t seed) {
     });
   }
 
-  const bool brokered = tier != Tier::kAggregator;
+  const bool brokered = tier == Tier::kBrokerBatched;
   TierResult result;
   // Snapshot intake at the end of the load window: every tier keeps
   // draining its daemon queues afterwards, which is recovery, not
@@ -168,51 +160,6 @@ TierResult RunTier(const char* name, Tier tier, uint64_t seed) {
   return result;
 }
 
-// Light-load identity run: well under every tier's capacity, so the
-// batched and unbatched paths accept the same records and the landed
-// warehouse hour must be byte-identical.
-std::map<std::string, std::string> RunIdentityTier(bool batched,
-                                                   uint64_t seed,
-                                                   bool* audit_ok) {
-  Simulator sim(kBenchDay);
-  scribe::ScribeOptions sopts =
-      TierScribeOptions(batched ? Tier::kBrokerBatched
-                                : Tier::kBrokerUnbatched);
-  scribe::LogMoverOptions mopts;
-  mopts.run_interval_ms = kMillisPerMinute;
-  mopts.grace_ms = kMillisPerMinute;
-  scribe::ScribeCluster cluster(
-      &sim, TierTopology(Tier::kBrokerUnbatched), sopts, mopts, seed);
-  if (!cluster.Start().ok()) std::abort();
-
-  static const char* kCategories[] = {"clicks", "search", "timeline", "ads"};
-  int seq = 0;
-  for (TimeMs t = 0; t < 60 * kMillisPerSecond; t += 100) {
-    sim.At(kBenchDay + t, [&cluster, &seq]() {
-      for (int i = 0; i < 40; ++i, ++seq) {
-        cluster.Log(0, scribe::LogEntry{kCategories[seq % 4],
-                                        "e" + std::to_string(seq) +
-                                            std::string(kPayloadBytes, 'b')});
-      }
-    });
-  }
-  sim.RunUntil(kBenchDay + kMillisPerHour + 5 * kMillisPerMinute);
-
-  obs::DeliveryAudit audit(&cluster);
-  *audit_ok = audit.Check().ok() && audit.Snapshot().InFlight() == 0;
-
-  std::map<std::string, std::string> files;
-  auto listed = cluster.warehouse()->ListRecursive("/logs");
-  if (!listed.ok()) std::abort();
-  for (const auto& f : *listed) {
-    if (f.is_dir) continue;
-    auto body = cluster.warehouse()->ReadFile(f.path);
-    if (!body.ok()) std::abort();
-    files[f.path] = std::move(*body);
-  }
-  return files;
-}
-
 }  // namespace
 }  // namespace unilog
 
@@ -229,18 +176,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(seed));
 
   TierResult baseline = RunTier("single-aggregator", Tier::kAggregator, seed);
-  TierResult unbatched =
-      RunTier("broker-unbatched", Tier::kBrokerUnbatched, seed);
   TierResult batched = RunTier("broker-batched", Tier::kBrokerBatched, seed);
 
-  double partition_speedup =
-      baseline.intake_mb_per_sec > 0
-          ? unbatched.intake_mb_per_sec / baseline.intake_mb_per_sec
-          : 0;
-  double batch_speedup =
-      unbatched.intake_mb_per_sec > 0
-          ? batched.intake_mb_per_sec / unbatched.intake_mb_per_sec
-          : 0;
+  double speedup = baseline.intake_mb_per_sec > 0
+                       ? batched.intake_mb_per_sec / baseline.intake_mb_per_sec
+                       : 0;
   std::printf(
       "\nbroker-batched consume throughput (drain phase, normalized to the "
       "load window): %.3f MB/s\n",
@@ -248,30 +188,16 @@ int main(int argc, char** argv) {
   std::printf("broker-batched produce->consume p99 latency: %.0f ms "
               "(hourly move barrier dominates)\n",
               batched.p99_e2e_ms);
-  std::printf("partition speedup (4 partitions vs single chain): %.2fx "
-              "(target >=2x)\n",
-              partition_speedup);
-  std::printf("batch speedup (compressed batches vs record-at-a-time, same "
-              "nodes): %.2fx (target >=3x)\n",
-              batch_speedup);
+  std::printf("intake speedup (4 batched partitions vs single chain): %.2fx "
+              "(target >=6x)\n",
+              speedup);
 
-  // Below saturation the two broker paths must land the same warehouse
-  // bytes: batching changes how payloads travel, never what lands.
-  bool id_unbatched_ok = false, id_batched_ok = false;
-  auto id_unbatched = RunIdentityTier(false, seed, &id_unbatched_ok);
-  auto id_batched = RunIdentityTier(true, seed, &id_batched_ok);
-  bool identity_ok = id_unbatched_ok && id_batched_ok &&
-                     id_unbatched == id_batched && !id_unbatched.empty();
-  std::printf("warehouse byte-identity (light load, %zu parts): %s\n",
-              id_unbatched.size(), identity_ok ? "identical" : "DIVERGED");
-
-  bool ok = baseline.audit_ok && unbatched.audit_ok && batched.audit_ok &&
-            partition_speedup >= 2.0 && batch_speedup >= 3.0 &&
+  bool ok = baseline.audit_ok && batched.audit_ok && speedup >= 6.0 &&
             batched.stats.messages_in_warehouse > 0 &&
-            batched.audit.in_flight_broker == 0 && identity_ok;
+            batched.audit.in_flight_broker == 0;
   std::printf(
-      "contract (audits balanced, broker drained, >=2x partitions, >=3x "
-      "batching, warehouse bytes identical): %s\n",
+      "contract (audits balanced, broker drained, >=6x intake over the "
+      "single chain): %s\n",
       ok ? "MET" : "MISSED");
   if (!ok) {
     std::fprintf(stderr, "CONTRACT VIOLATED — reproduce with --seed=%llu\n",
@@ -285,29 +211,20 @@ int main(int argc, char** argv) {
               Json::Number(static_cast<double>(kWindow) / 1e3));
   section.Set("baseline_intake_mb_per_sec",
               Json::Number(baseline.intake_mb_per_sec));
-  section.Set("broker_unbatched_intake_mb_per_sec",
-              Json::Number(unbatched.intake_mb_per_sec));
   section.Set("broker_batched_intake_mb_per_sec",
               Json::Number(batched.intake_mb_per_sec));
   section.Set("broker_consume_mb_per_sec",
               Json::Number(batched.consume_mb_per_sec));
   section.Set("broker_p99_e2e_ms", Json::Number(batched.p99_e2e_ms));
-  section.Set("partition_speedup", Json::Number(partition_speedup));
-  section.Set("batch_speedup", Json::Number(batch_speedup));
-  section.Set("wire_bytes_ratio_unbatched",
-              Json::Number(unbatched.wire_bytes_ratio));
+  section.Set("batched_speedup", Json::Number(speedup));
   section.Set("wire_bytes_ratio_batched",
               Json::Number(batched.wire_bytes_ratio));
   section.Set("batch_entries_per_produce",
               Json::Number(batched.batch_entries_per_produce));
-  section.Set("allocs_per_entry_unbatched",
-              Json::Number(unbatched.allocs_per_entry));
   section.Set("allocs_per_entry_batched",
               Json::Number(batched.allocs_per_entry));
   section.Set("baseline_audit_balanced", Json::Bool(baseline.audit_ok));
-  section.Set("broker_audit_balanced",
-              Json::Bool(unbatched.audit_ok && batched.audit_ok));
-  section.Set("warehouse_identity_ok", Json::Bool(identity_ok));
+  section.Set("broker_audit_balanced", Json::Bool(batched.audit_ok));
   section.Set("contract_met", Json::Bool(ok));
   Status js = bench::MergeBenchJsonSection("BENCH_broker.json",
                                            "broker_throughput", section);

@@ -478,112 +478,12 @@ Status BrokerNode::AdmitProduce(Replica* r, uint64_t wire_cost,
     // Bounded in-flight window: backpressure instead of drop-oldest. The
     // producer keeps its queue and retries after backoff; consumers
     // draining the partition (triggering trims) reopen the window. The
-    // window is measured in uncompressed terms on both paths.
+    // window is measured in uncompressed terms, whatever the wire size.
     throttled_backpressure_->Increment();
     return Status::Unavailable("partition in-flight window full");
   }
   if (options_.node_service_bytes_per_sec > 0) {
     tokens_ -= static_cast<double>(wire_cost);
-  }
-  return Status::OK();
-}
-
-Status BrokerNode::Produce(const std::string& category, int partition,
-                           const std::string& producer,
-                           const std::vector<ProduceItem>& items,
-                           ProduceAck* ack) {
-  if (ack != nullptr) *ack = ProduceAck{};
-  if (!alive_) return Status::Unavailable("broker down: " + id_);
-  Replica* r = FindReplica(category, partition);
-  if (r == nullptr || !r->leader) {
-    not_leader_rejects_->Increment();
-    return Status::FailedPrecondition(id_ + " does not lead " + category +
-                                      "/" + std::to_string(partition));
-  }
-  if (items.empty()) return Status::OK();
-
-  uint64_t cost = 0;
-  for (const ProduceItem& item : items) cost += item.payload.size();
-  std::vector<BrokerNode*> peers;
-  UNILOG_RETURN_NOT_OK(AdmitProduce(r, cost, &peers));
-
-  uint64_t acked_wm = 0;
-  if (auto it = r->producer_acked.find(producer);
-      it != r->producer_acked.end()) {
-    acked_wm = it->second;
-  }
-  uint64_t appended_wm = acked_wm;
-  if (auto it = r->producer_appended.find(producer);
-      it != r->producer_appended.end()) {
-    appended_wm = std::max(appended_wm, it->second);
-  }
-
-  uint64_t first_appended_offset = 0;
-  bool any_appended = false;
-  uint64_t newly_acked = 0;
-  uint64_t newly_acked_bytes = 0;
-  uint64_t dups = 0;
-  uint64_t max_seq = acked_wm;
-  for (const ProduceItem& item : items) {
-    if (item.seq <= acked_wm) {
-      // Already acknowledged in a previous call: a crash-retry resend.
-      // Dedup on (producer, seq) keeps delivery exactly-once.
-      ++dups;
-      continue;
-    }
-    ++newly_acked;
-    newly_acked_bytes += item.payload.size();
-    max_seq = std::max(max_seq, item.seq);
-    if (item.seq <= appended_wm) {
-      // Appended before a lost ack: the payload is already in the log, so
-      // this resend is deduped too — it just gets acknowledged now.
-      ++dups;
-      continue;
-    }
-    const Batch& b = r->log.Append(producer, item.seq, sim_->Now(),
-                                   item.logged_at, item.payload);
-    if (!any_appended) {
-      any_appended = true;
-      first_appended_offset = b.base_offset;
-    }
-  }
-  if (max_seq > appended_wm) r->producer_appended[producer] = max_seq;
-
-  if (options_.acks == kAcksAll && any_appended) {
-    ReplicateToPeers(r, peers);
-  }
-  PublishEndOffset(r);
-  produce_batch_entries_->Observe(static_cast<double>(items.size()));
-  wire_bytes_produced_->Increment(cost);
-
-  if (inject_ack_loss_once_) {
-    inject_ack_loss_once_ = false;
-    // The append (and replication) happened but the ack never reaches the
-    // producer. Pin the acked watermark below the new records so consumers
-    // cannot see them until the resend resolves their fate.
-    if (any_appended) {
-      auto [it, inserted] =
-          r->unacked_min_offset.emplace(producer, first_appended_offset);
-      if (!inserted) it->second = std::min(it->second, first_appended_offset);
-    }
-    zk_->SetData(session_, StatePath(dc_, category, partition),
-                 std::to_string(AckedWatermark(*r)));
-    UpdateGauges();
-    return Status::Unavailable("ack lost (injected)");
-  }
-
-  r->producer_acked[producer] = max_seq;
-  r->unacked_min_offset.erase(producer);
-  produced_->Increment(newly_acked);
-  bytes_produced_->Increment(newly_acked_bytes);
-  duplicates_->Increment(dups);
-  produce_calls_->Increment();
-  zk_->SetData(session_, StatePath(dc_, category, partition),
-               std::to_string(AckedWatermark(*r)));
-  UpdateGauges();
-  if (ack != nullptr) {
-    ack->accepted = newly_acked;
-    ack->deduped = dups;
   }
   return Status::OK();
 }
@@ -669,6 +569,9 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
 
   if (inject_ack_loss_once_) {
     inject_ack_loss_once_ = false;
+    // The append (and replication) happened but the ack never reaches the
+    // producer. Pin the acked watermark below the new records so consumers
+    // cannot see them until the resend resolves their fate.
     if (any_appended) {
       auto [it, inserted] =
           r->unacked_min_offset.emplace(producer, first_appended_offset);

@@ -51,13 +51,6 @@ struct BrokerOptions {
   uint64_t node_service_bytes_per_sec = 0;
 };
 
-/// One entry of a produce request.
-struct ProduceItem {
-  uint64_t seq = 0;  // per-producer, assigned at Log() time, starts at 1
-  TimeMs logged_at = 0;
-  std::string payload;
-};
-
 struct ProduceAck {
   uint64_t accepted = 0;  // acknowledged for the first time by this call
   uint64_t deduped = 0;   // resends of already-acknowledged entries
@@ -69,7 +62,8 @@ struct ProduceAck {
 /// once at the producer when `compressed`. The broker stores, replicates,
 /// and serves the body opaquely; `record_sizes` carries the per-record
 /// uncompressed payload sizes the broker needs for dedup trims and
-/// uncompressed-byte accounting without ever touching the blob.
+/// uncompressed-byte accounting without ever touching the blob. Seqs are
+/// per-producer, assigned at Log() time, and start at 1.
 struct ProduceBatchRequest {
   uint64_t first_seq = 0;
   uint32_t count = 0;
@@ -123,7 +117,7 @@ struct BrokerNodeStats {
   uint64_t entries_replicated = 0;
   uint64_t wire_bytes_replicated = 0;
   uint64_t replication_rounds = 0;  // group-commit rounds (leader side)
-  uint64_t produce_calls = 0;       // successful Produce/ProduceBatch calls
+  uint64_t produce_calls = 0;       // successful ProduceBatch calls
   uint64_t entries_lost_failover = 0;
   uint64_t elections_won = 0;
   uint64_t throttled_backpressure = 0;
@@ -186,20 +180,16 @@ class BrokerNode {
 
   bool IsLeader(const std::string& category, int partition) const;
 
-  /// Leader-only. Appends new (producer, seq) entries, dedups resends,
-  /// applies the ack level, and reports acceptance. Unavailable =
-  /// backpressure or not enough in-sync replicas (retry later, leadership
-  /// unchanged); FailedPrecondition = wrong node (rediscover the leader).
-  Status Produce(const std::string& category, int partition,
-                 const std::string& producer,
-                 const std::vector<ProduceItem>& items, ProduceAck* ack);
-
-  /// Leader-only batched produce — the hot path. The framed (and normally
-  /// compressed) body is appended as ONE batch entry covering the dense
-  /// offset range; a resend partially overlapping already-appended seqs is
-  /// head-trimmed in metadata (never decompressed, split, or
-  /// double-appended). Same status contract as Produce. Rate-limit cost is
-  /// the wire size of `body` — the batched path's throughput lever.
+  /// Leader-only produce. The framed (and normally compressed) body is
+  /// appended as ONE batch entry covering the dense offset range; resends
+  /// of already-acknowledged (producer, seq) entries are deduped, and a
+  /// resend partially overlapping already-appended seqs is head-trimmed in
+  /// metadata (never decompressed, split, or double-appended). Applies the
+  /// ack level and reports acceptance. Unavailable = backpressure or not
+  /// enough in-sync replicas (retry later, leadership unchanged);
+  /// FailedPrecondition = wrong node (rediscover the leader). Rate-limit
+  /// cost is the wire size of `body` — the throughput lever. A single
+  /// record is a count-1 uncompressed batch.
   Status ProduceBatch(const std::string& category, int partition,
                       const std::string& producer, ProduceBatchRequest req,
                       ProduceAck* ack);
@@ -235,8 +225,8 @@ class BrokerNode {
   /// peer's group-commit replication window.
   uint64_t MirrorEndOffset(const std::string& category, int partition) const;
 
-  /// Chaos hook: the next Produce appends and replicates normally but the
-  /// acknowledgement is "lost" (Unavailable), leaving the producer to
+  /// Chaos hook: the next ProduceBatch appends and replicates normally but
+  /// the acknowledgement is "lost" (Unavailable), leaving the producer to
   /// resend — exercises (producer, seq) idempotence.
   void InjectAckLossOnce() { inject_ack_loss_once_ = true; }
 
@@ -269,7 +259,7 @@ class BrokerNode {
   /// peer lacks — in one MirrorBatches round, so a produce's replication
   /// round also drains the queue a lagging follower built up.
   void ReplicateToPeers(Replica* r, const std::vector<BrokerNode*>& peers);
-  /// Shared produce admission: insync check (acks=all), token-bucket rate
+  /// Produce admission: insync check (acks=all), token-bucket rate
   /// limit on `wire_cost`, and the bounded in-flight window (uncompressed
   /// terms). Charges tokens only on admission.
   Status AdmitProduce(Replica* r, uint64_t wire_cost,

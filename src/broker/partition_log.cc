@@ -108,24 +108,6 @@ const Batch& PartitionLog::AppendBatch(Batch b) {
   return batches_.back();
 }
 
-const Batch& PartitionLog::Append(std::string producer, uint64_t seq,
-                                  TimeMs appended_at, TimeMs logged_at,
-                                  std::string payload) {
-  Batch b;
-  b.count = 1;
-  b.producer = std::move(producer);
-  b.first_seq = seq;
-  b.min_appended_at = appended_at;
-  b.max_appended_at = appended_at;
-  b.record_sizes = {static_cast<uint32_t>(payload.size())};
-  b.payload_bytes = payload.size();
-  std::string body;
-  AppendBatchFrame(&body, logged_at, payload);
-  b.body = std::make_shared<const std::string>(std::move(body));
-  b.compressed = false;
-  return AppendBatch(std::move(b));
-}
-
 bool PartitionLog::AppendMirror(Batch b) {
   if (b.base_offset < next_offset_) return false;
   next_offset_ = b.end_offset();

@@ -126,11 +126,6 @@ class PartitionLog {
   /// Returns the stored entry.
   const Batch& AppendBatch(Batch b);
 
-  /// Convenience leader append of a single uncompressed record as a
-  /// count-1 batch — the record-at-a-time baseline path.
-  const Batch& Append(std::string producer, uint64_t seq, TimeMs appended_at,
-                      TimeMs logged_at, std::string payload);
-
   /// Replication path: stores `b` under its existing base offset. Accepts
   /// only batches starting at or past the local end (mirroring the leader,
   /// gaps included); returns false for ranges already covered locally.

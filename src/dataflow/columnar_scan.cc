@@ -45,18 +45,6 @@ Value ColumnValue(const events::ClientEvent& ev, EventColumn col) {
   return Value();
 }
 
-/// Projects one event into a relation row under a visible-column list.
-Row ProjectEvent(
-    const events::ClientEvent& event,
-    const std::vector<std::pair<std::string, EventColumn>>& visible) {
-  Row row;
-  row.reserve(visible.size());
-  for (const auto& [name, source] : visible) {
-    row.push_back(ColumnValue(event, source));
-  }
-  return row;
-}
-
 ColumnPtr MakeInt64Column(std::vector<int64_t> v) {
   auto col = std::make_shared<ColumnData>();
   col->kind = ColumnKind::kInt64;
@@ -408,7 +396,6 @@ bool ColumnarEventScan::PushFilter(const std::string& column,
       } else {
         return false;
       }
-      cache_.reset();
       batch_cache_.reset();
       return true;
     }
@@ -421,14 +408,12 @@ bool ColumnarEventScan::PushFilter(const std::string& column,
       } else {
         return false;
       }
-      cache_.reset();
       batch_cache_.reset();
       return true;
     }
     case EventColumn::kUserId: {
       if (!literal.is_int() || op != "==") return false;
       intersect(spec_.user_ids, literal.int_value());
-      cache_.reset();
       batch_cache_.reset();
       return true;
     }
@@ -449,7 +434,6 @@ bool ColumnarEventScan::PushProject(const std::vector<std::string>& cols,
   }
   visible_ = std::move(next);
   SyncColumnMask();
-  cache_.reset();
   batch_cache_.reset();
   return true;
 }
@@ -471,20 +455,15 @@ Result<std::vector<ColumnarEventScan::ScanUnit>> ColumnarEventScan::PlanUnits(
   return units;
 }
 
-Status ColumnarEventScan::ScanUnitEvents(
-    const ScanUnit& unit, const columnar::ScanSpec& spec,
-    const columnar::RowMatcher& legacy_matcher,
+Status ColumnarEventScan::ScanLegacyFile(
+    const LoadedFile& file, const columnar::RowMatcher& matcher,
     std::vector<events::ClientEvent>* events, columnar::ScanStats* stats) {
-  if (unit.is_columnar) {
-    columnar::RcFileReader reader(unit.file->body);
-    return reader.ScanGroup(unit.group, spec, events, stats);
-  }
   // Legacy framed-compressed part: no zone maps, so the whole file is
   // one always-scanned group filtered row-wise.
   stats->groups_total++;
   stats->groups_scanned++;
-  stats->bytes_decompressed += unit.file->body.size();
-  UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(unit.file->body));
+  stats->bytes_decompressed += file.body.size();
+  UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(file.body));
   events::ClientEventReader reader(body);
   events::ClientEvent ev;
   while (true) {
@@ -492,7 +471,7 @@ Status ColumnarEventScan::ScanUnitEvents(
     if (st.IsNotFound()) break;
     UNILOG_RETURN_NOT_OK(st);
     stats->rows_scanned++;
-    if (legacy_matcher.Matches(ev)) {
+    if (matcher.Matches(ev)) {
       stats->rows_returned++;
       events->push_back(ev);
     } else {
@@ -503,148 +482,8 @@ Status ColumnarEventScan::ScanUnitEvents(
 }
 
 Result<Relation> ColumnarEventScan::Materialize(exec::Executor* exec) {
-  if (cache_.has_value()) return *cache_;
-
-  // Units carry their own reader state, so bodies share nothing but the
-  // immutable file set and the spec.
-  UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units, PlanUnits(*files_));
-
-  columnar::RowMatcher legacy_matcher(spec_);
-  std::vector<std::vector<Row>> row_slots(units.size());
-  std::vector<columnar::ScanStats> stat_slots(units.size());
-
-  auto run_unit = [&](size_t i) -> Status {
-    std::vector<events::ClientEvent> events;
-    UNILOG_RETURN_NOT_OK(ScanUnitEvents(units[i], spec_, legacy_matcher,
-                                        &events, &stat_slots[i]));
-    std::vector<Row>& rows = row_slots[i];
-    rows.reserve(events.size());
-    for (const auto& event : events) {
-      rows.push_back(ProjectEvent(event, visible_));
-    }
-    return Status::OK();
-  };
-
-  if (exec != nullptr) {
-    UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
-        "columnar_scan", UnitWeights(units), morsel_options_,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            UNILOG_RETURN_NOT_OK(run_unit(i));
-          }
-          return Status::OK();
-        }));
-  } else {
-    for (size_t i = 0; i < units.size(); ++i) {
-      UNILOG_RETURN_NOT_OK(run_unit(i));
-    }
-  }
-
-  // In-order merge: unit order is file order (sorted listing) x group
-  // order, which matches what a serial scan of the same files yields.
-  last_stats_ = columnar::ScanStats();
-  std::vector<Row> merged;
-  size_t total = 0;
-  for (const auto& slot : row_slots) total += slot.size();
-  merged.reserve(total);
-  for (size_t i = 0; i < units.size(); ++i) {
-    last_stats_.MergeFrom(stat_slots[i]);
-    for (auto& row : row_slots[i]) {
-      merged.push_back(std::move(row));
-    }
-  }
-  columnar::ReportScanStats(last_stats_, metrics_, source_);
-
-  UNILOG_ASSIGN_OR_RETURN(Relation rel,
-                          Relation::FromRows(column_names_, std::move(merged)));
-  cache_ = rel;
-  return rel;
-}
-
-Result<std::vector<Relation>> ColumnarEventScan::MaterializeShared(
-    const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
-    exec::Executor* exec, columnar::ScanStats* stats_out) {
-  if (members.empty()) return std::vector<Relation>{};
-  for (const auto& member : members) {
-    if (member == nullptr || member->files_ != members[0]->files_) {
-      return Status::InvalidArgument(
-          "shared scan members must be clones of one opened scan");
-    }
-  }
-
-  std::vector<columnar::ScanSpec> specs;
-  specs.reserve(members.size());
-  for (const auto& member : members) specs.push_back(member->spec_);
-  const columnar::ScanSpec merged_spec = MergeScanSpecs(specs);
-
-  UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units,
-                          PlanUnits(*members[0]->files_));
-
-  // Residual matchers re-tighten the union rows per member; compiled once,
-  // shared read-only across scan units.
-  std::vector<columnar::RowMatcher> residual;
-  residual.reserve(members.size());
-  for (const auto& member : members) residual.emplace_back(member->spec_);
-  columnar::RowMatcher merged_matcher(merged_spec);
-
-  // row_slots[m][u]: member m's rows from unit u, merged in unit order so
-  // each member's output is byte-identical to its independent scan.
-  std::vector<std::vector<std::vector<Row>>> row_slots(
-      members.size(), std::vector<std::vector<Row>>(units.size()));
-  std::vector<columnar::ScanStats> stat_slots(units.size());
-
-  auto run_unit = [&](size_t u) -> Status {
-    std::vector<events::ClientEvent> events;
-    UNILOG_RETURN_NOT_OK(ScanUnitEvents(units[u], merged_spec, merged_matcher,
-                                        &events, &stat_slots[u]));
-    for (size_t m = 0; m < members.size(); ++m) {
-      std::vector<Row>& rows = row_slots[m][u];
-      for (const auto& event : events) {
-        if (!residual[m].Matches(event)) continue;
-        rows.push_back(ProjectEvent(event, members[m]->visible_));
-      }
-    }
-    return Status::OK();
-  };
-
-  if (exec != nullptr) {
-    UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
-        "shared_scan", UnitWeights(units), members[0]->morsel_options_,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t u = begin; u < end; ++u) {
-            UNILOG_RETURN_NOT_OK(run_unit(u));
-          }
-          return Status::OK();
-        }));
-  } else {
-    for (size_t u = 0; u < units.size(); ++u) {
-      UNILOG_RETURN_NOT_OK(run_unit(u));
-    }
-  }
-
-  columnar::ScanStats total;
-  for (const auto& stats : stat_slots) total.MergeFrom(stats);
-  columnar::ReportScanStats(total, members[0]->metrics_, members[0]->source_);
-  if (stats_out != nullptr) stats_out->MergeFrom(total);
-
-  std::vector<Relation> out;
-  out.reserve(members.size());
-  for (size_t m = 0; m < members.size(); ++m) {
-    std::vector<Row> merged;
-    size_t n = 0;
-    for (const auto& slot : row_slots[m]) n += slot.size();
-    merged.reserve(n);
-    for (auto& slot : row_slots[m]) {
-      for (auto& row : slot) merged.push_back(std::move(row));
-    }
-    UNILOG_ASSIGN_OR_RETURN(
-        Relation rel,
-        Relation::FromRows(members[m]->column_names_, std::move(merged)));
-    members[m]->last_stats_ = total;
-    members[m]->cache_ = rel;
-    out.push_back(std::move(rel));
-  }
-  return out;
+  UNILOG_ASSIGN_OR_RETURN(BatchRelation batches, MaterializeBatches(exec));
+  return batches.ToRelation();
 }
 
 Result<BatchRelation> ColumnarEventScan::MaterializeBatches(
@@ -667,7 +506,7 @@ Result<BatchRelation> ColumnarEventScan::MaterializeBatches(
       batch_slots[i] = source.BatchFor(visible_);
     } else {
       std::vector<events::ClientEvent> events;
-      UNILOG_RETURN_NOT_OK(ScanUnitEvents(units[i], spec_, legacy_matcher,
+      UNILOG_RETURN_NOT_OK(ScanLegacyFile(*units[i].file, legacy_matcher,
                                           &events, &stat_slots[i]));
       batch_slots[i] = BatchFromEvents(events, visible_);
     }
@@ -693,8 +532,8 @@ Result<BatchRelation> ColumnarEventScan::MaterializeBatches(
   for (const auto& stats : stat_slots) last_stats_.MergeFrom(stats);
   columnar::ReportScanStats(last_stats_, metrics_, source_);
 
-  // Unit order is file order (sorted listing) x group order — the same
-  // merge the row path does, so ToRelation() is byte-identical to it.
+  // Unit order is file order (sorted listing) x group order, which
+  // matches what a serial scan of the same files yields.
   std::vector<ColumnBatch> batches;
   batches.reserve(batch_slots.size());
   for (ColumnBatch& b : batch_slots) {
@@ -765,9 +604,8 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
       }
     } else {
       std::vector<events::ClientEvent> events;
-      UNILOG_RETURN_NOT_OK(ScanUnitEvents(units[u], merged_spec,
-                                          merged_matcher, &events,
-                                          &stat_slots[u]));
+      UNILOG_RETURN_NOT_OK(ScanLegacyFile(*units[u].file, merged_matcher,
+                                          &events, &stat_slots[u]));
       for (size_t m = 0; m < members.size(); ++m) {
         std::vector<events::ClientEvent> kept;
         kept.reserve(events.size());

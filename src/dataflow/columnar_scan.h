@@ -84,44 +84,35 @@ class ColumnarEventScan : public PushdownScan {
   /// Materialize yields an empty relation.
   static std::shared_ptr<ColumnarEventScan> PlanOnly();
 
-  /// One union scan fanned out to many per-workflow outputs — the Oink
-  /// shared-scan fast path. Every member must be a Clone() of the same
-  /// opened scan (they share one immutable file set); the files are
-  /// scanned once with the MergeScanSpecs union of the member specs, and
-  /// each row fans out through each member's residual RowMatcher and
-  /// projection. Output i is byte-identical to members[i]->Materialize on
-  /// the same files, at any thread count (scan units and residual filters
-  /// run on `exec`; slots merge in unit order). The union scan's
-  /// accounting lands in `stats_out` (may be null) and in each member's
-  /// last_stats(); members' caches are filled so later Materialize calls
-  /// are free.
-  static Result<std::vector<Relation>> MaterializeShared(
-      const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
-      exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);
-
   const std::vector<std::string>& columns() const override;
   std::shared_ptr<PushdownScan> Clone() const override;
   bool PushFilter(const std::string& column, const std::string& op,
                   const Value& literal) override;
   bool PushProject(const std::vector<std::string>& cols,
                    const std::vector<std::string>& names) override;
+  /// MaterializeBatches(exec) boxed into a row Relation — the form Pig
+  /// and the UDFs consume. One decode path feeds both engines.
   Result<Relation> Materialize(exec::Executor* exec) override;
 
-  /// Materialize's vectorized twin: the same rows and columns, as typed
-  /// column batches (one per scan unit, merged in unit order) —
-  /// `MaterializeBatches(e)->ToRelation()` is byte-identical to
-  /// `Materialize(e)` at any thread count. RCFile v2 group dictionaries
-  /// pass through as dictionary columns: event-name/initiator strings are
-  /// materialized once per distinct value per group, never per row.
+  /// Runs the scan (or returns the cached result of a previous run) as
+  /// typed column batches, one per scan unit, merged in unit order, so
+  /// the output is byte-identical at any thread count. RCFile v2 group
+  /// dictionaries pass through as dictionary columns: event-name/initiator
+  /// strings are materialized once per distinct value per group, never
+  /// per row.
   Result<BatchRelation> MaterializeBatches(exec::Executor* exec);
 
-  /// The shared-scan fast path in batch form: units are decoded once
-  /// under the union spec, each member re-tightens with its residual
-  /// predicates as a selection vector over *shared* column arrays (no
-  /// per-member copy), then projects its visible columns. Output i
-  /// converted ToRelation() is byte-identical to members[i]->Materialize
-  /// on the same files. Fills members' batch caches, not their row
-  /// caches.
+  /// One union scan fanned out to many per-workflow outputs — the Oink
+  /// shared-scan fast path. Every member must be a Clone() of the same
+  /// opened scan (they share one immutable file set). Units are decoded
+  /// once under the MergeScanSpecs union of the member specs; each member
+  /// re-tightens with its residual predicates as a selection vector over
+  /// *shared* column arrays (no per-member copy), then projects its
+  /// visible columns. Output i is byte-identical to
+  /// members[i]->MaterializeBatches on the same files, at any thread
+  /// count. The union scan's accounting lands in `stats_out` (may be
+  /// null) and in each member's last_stats(); members' batch caches are
+  /// filled so later Materialize calls decode nothing.
   static Result<std::vector<BatchRelation>> MaterializeSharedBatches(
       const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
       exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);
@@ -179,12 +170,10 @@ class ColumnarEventScan : public PushdownScan {
   static Result<std::vector<ScanUnit>> PlanUnits(
       const std::vector<LoadedFile>& files);
 
-  /// Scans one unit under `spec` into `events`, accounting into `stats`.
-  /// `legacy_matcher` must be a RowMatcher over the same spec (compiled
-  /// once per scan; used for the row-wise legacy-file path).
-  static Status ScanUnitEvents(const ScanUnit& unit,
-                               const columnar::ScanSpec& spec,
-                               const columnar::RowMatcher& legacy_matcher,
+  /// Decodes a legacy framed-compressed file and keeps the events
+  /// `matcher` admits, accounting into `stats`.
+  static Status ScanLegacyFile(const LoadedFile& file,
+                               const columnar::RowMatcher& matcher,
                                std::vector<events::ClientEvent>* events,
                                columnar::ScanStats* stats);
 
@@ -200,7 +189,6 @@ class ColumnarEventScan : public PushdownScan {
   std::vector<std::string> column_names_;
   columnar::ScanSpec spec_;
   exec::MorselOptions morsel_options_;
-  std::optional<Relation> cache_;
   std::optional<BatchRelation> batch_cache_;
   columnar::ScanStats last_stats_;
 };

@@ -42,16 +42,6 @@ bool IsResidualOp(const std::string& op) {
          op == ">=";
 }
 
-bool EvalClause(const dataflow::Value& v, const std::string& op,
-                const dataflow::Value& lit) {
-  if (op == "==") return v == lit;
-  if (op == "!=") return !(v == lit);
-  if (op == "<") return v < lit;
-  if (op == "<=") return !(lit < v);
-  if (op == ">") return lit < v;
-  return !(v < lit);  // >=
-}
-
 }  // namespace
 
 WorkflowEngine::WorkflowEngine(hdfs::MiniHdfs* fs, OinkOptions options,
@@ -201,30 +191,6 @@ std::shared_ptr<dataflow::ColumnarEventScan> WorkflowEngine::BuildScan(
   return scan;
 }
 
-Result<dataflow::Relation> WorkflowEngine::FinishPlan(
-    const Planned& plan, dataflow::Relation rel) const {
-  for (const auto& clause : plan.residuals) {
-    UNILOG_ASSIGN_OR_RETURN(size_t idx, rel.ColumnIndex(clause.column));
-    rel = rel.Filter(
-        [&clause, idx](const dataflow::Row& row) {
-          return EvalClause(row[idx], clause.op, clause.literal);
-        },
-        exec_);
-  }
-  if (!plan.projection_pushed && !plan.spec.project_cols.empty()) {
-    UNILOG_ASSIGN_OR_RETURN(dataflow::Relation projected,
-                            rel.Project(plan.spec.project_cols, exec_));
-    UNILOG_ASSIGN_OR_RETURN(
-        rel, dataflow::Relation::FromRows(
-                 plan.spec.project_names,
-                 std::vector<dataflow::Row>(projected.rows())));
-  }
-  if (plan.spec.stage) {
-    UNILOG_ASSIGN_OR_RETURN(rel, plan.spec.stage(rel));
-  }
-  return rel;
-}
-
 Result<dataflow::Relation> WorkflowEngine::FinishPlanBatch(
     const Planned& plan, dataflow::BatchRelation batch,
     const dataflow::TableStats& stats,
@@ -232,7 +198,7 @@ Result<dataflow::Relation> WorkflowEngine::FinishPlanBatch(
   for (const auto& clause : plan.residuals) {
     filters.push_back({clause.column, clause.op, clause.literal});
   }
-  if (options_.enable_planner && filters.size() > 1) {
+  if (filters.size() > 1) {
     filters = dataflow::OrderFilters(stats, std::move(filters));
   }
   if (!filters.empty()) {
@@ -362,24 +328,21 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     UNILOG_ASSIGN_OR_RETURN(
         auto base, dataflow::ColumnarEventScan::Open(fs_, dir, metrics_));
 
-    const bool batch_mode = options_.use_batch_engine;
     const bool shared =
         options_.enable_shared_scans && pending.size() >= 2;
     // Planner statistics are header-only (v2 zone maps + dictionaries,
     // nothing decompressed), collected once per directory.
-    dataflow::TableStats table_stats;
-    if (batch_mode && options_.enable_planner) {
-      const dataflow::TableStatsCache::CacheStats before = stats_cache_.stats();
-      UNILOG_ASSIGN_OR_RETURN(table_stats, base->Stats(&stats_cache_));
-      const dataflow::TableStatsCache::CacheStats after = stats_cache_.stats();
-      const uint64_t hits = (after.stat_hits - before.stat_hits) +
-                            (after.content_hits - before.content_hits);
-      const uint64_t misses = after.misses - before.misses;
-      last_tick_.stats_cache_hits += hits;
-      last_tick_.stats_cache_misses += misses;
-      stats_cache_hits_->Increment(hits);
-      stats_cache_misses_->Increment(misses);
-    }
+    const dataflow::TableStatsCache::CacheStats before = stats_cache_.stats();
+    UNILOG_ASSIGN_OR_RETURN(dataflow::TableStats table_stats,
+                            base->Stats(&stats_cache_));
+    const dataflow::TableStatsCache::CacheStats after = stats_cache_.stats();
+    const uint64_t hits = (after.stat_hits - before.stat_hits) +
+                          (after.content_hits - before.content_hits);
+    const uint64_t misses = after.misses - before.misses;
+    last_tick_.stats_cache_hits += hits;
+    last_tick_.stats_cache_misses += misses;
+    stats_cache_hits_->Increment(hits);
+    stats_cache_misses_->Increment(misses);
 
     std::vector<std::shared_ptr<dataflow::ColumnarEventScan>> scans;
     scans.reserve(pending.size());
@@ -389,8 +352,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
         pending.size());
     for (size_t pi = 0; pi < pending.size(); ++pi) {
       const Planned& plan = workflows_[pending[pi].members[0]];
-      if (batch_mode && options_.enable_planner && !shared &&
-          !plan.projection_pushed && !plan.spec.filters.empty()) {
+      if (!shared && !plan.projection_pushed && !plan.spec.filters.empty()) {
         // Cost the pushdown the scan would do (the clauses PushFilter
         // absorbs, mirrored against a plan-only probe) against decoding
         // everything and filtering in the batch kernel. Eager is only
@@ -441,24 +403,20 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
       scans.push_back(BuildScan(base, plan));
     }
 
-    std::vector<dataflow::Relation> scanned;
-    std::vector<dataflow::BatchRelation> scanned_batches;
+    std::vector<dataflow::BatchRelation> scanned;
     std::vector<uint64_t> costs(pending.size(), 0);
     columnar::ScanStats scan_stats;
     if (shared) {
-      if (batch_mode) {
-        UNILOG_ASSIGN_OR_RETURN(
-            scanned_batches, dataflow::ColumnarEventScan::
-                                 MaterializeSharedBatches(scans, exec_,
-                                                          &scan_stats));
-      } else {
-        UNILOG_ASSIGN_OR_RETURN(
-            scanned, dataflow::ColumnarEventScan::MaterializeShared(
-                         scans, exec_, &scan_stats));
+      UNILOG_ASSIGN_OR_RETURN(
+          scanned, dataflow::ColumnarEventScan::MaterializeSharedBatches(
+                       scans, exec_, &scan_stats));
+      // The union scan's bytes are shared work: split them evenly across
+      // the plans, the first `total % n` taking one extra byte each, so
+      // warm bytes_saved over all of them sums to exactly the total.
+      const uint64_t total = scan_stats.bytes_decompressed;
+      for (size_t i = 0; i < costs.size(); ++i) {
+        costs[i] = total / costs.size() + (i < total % costs.size() ? 1 : 0);
       }
-      // The union scan's bytes are shared work: attribute an even split to
-      // each plan, so warm bytes_saved over all of them sums to the total.
-      for (auto& c : costs) c = scan_stats.bytes_decompressed / costs.size();
       last_tick_.shared_scan_groups++;
       last_tick_.shared_scan_fanout += scans.size();
       shared_scans_->Increment();
@@ -471,15 +429,9 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
       }
     } else {
       for (size_t i = 0; i < scans.size(); ++i) {
-        if (batch_mode) {
-          UNILOG_ASSIGN_OR_RETURN(dataflow::BatchRelation rel,
-                                  scans[i]->MaterializeBatches(exec_));
-          scanned_batches.push_back(std::move(rel));
-        } else {
-          UNILOG_ASSIGN_OR_RETURN(dataflow::Relation rel,
-                                  scans[i]->Materialize(exec_));
-          scanned.push_back(std::move(rel));
-        }
+        UNILOG_ASSIGN_OR_RETURN(dataflow::BatchRelation rel,
+                                scans[i]->MaterializeBatches(exec_));
+        scanned.push_back(std::move(rel));
         costs[i] = scans[i]->last_stats().bytes_decompressed;
         scan_stats.MergeFrom(scans[i]->last_stats());
       }
@@ -490,14 +442,10 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     for (size_t pi = 0; pi < pending.size(); ++pi) {
       Pending& p = pending[pi];
       const Planned& plan = workflows_[p.members[0]];
-      dataflow::Relation rel;
-      if (batch_mode) {
-        UNILOG_ASSIGN_OR_RETURN(
-            rel, FinishPlanBatch(plan, std::move(scanned_batches[pi]),
-                                 table_stats, std::move(eager_filters[pi])));
-      } else {
-        UNILOG_ASSIGN_OR_RETURN(rel, FinishPlan(plan, std::move(scanned[pi])));
-      }
+      UNILOG_ASSIGN_OR_RETURN(
+          dataflow::Relation rel,
+          FinishPlanBatch(plan, std::move(scanned[pi]), table_stats,
+                          std::move(eager_filters[pi])));
       std::string serialized = dataflow::SerializeRelation(rel);
       if (p.verify_against.has_value()) {
         if (serialized != *p.verify_against) {

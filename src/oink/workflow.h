@@ -24,8 +24,8 @@ namespace unilog::oink {
 /// One FILTER clause of a workflow plan: `column op literal`. Clauses the
 /// columnar scan can absorb (timestamp ranges, event-name / user-id
 /// equality, event-name globs) are pushed into the ScanSpec; the rest run
-/// as residual row filters after the scan, identically on the shared-scan
-/// and independent paths.
+/// as residual batch filters after the scan, identically on the
+/// shared-scan and independent paths.
 struct FilterClause {
   std::string column;
   std::string op;  // == != < <= > >= matches
@@ -67,16 +67,6 @@ struct OinkOptions {
   bool verify_cache = false;
   /// Record an EXPLAIN-style trace of every tick in explain_log().
   bool explain = false;
-  /// Execute miss-path plans on the vectorized batch engine (columnar
-  /// scan batches + batch Filter/ProjectAs) instead of the row engine.
-  /// Results are byte-identical either way; cache keys do not depend on
-  /// the execution engine.
-  bool use_batch_engine = true;
-  /// Cost-based planning over header-only v2 stats: order conjunctive
-  /// residual filters most-selective-first and choose pushdown-vs-eager
-  /// scans. Pure execution strategy — never changes results, canonical
-  /// plans, or cache keys.
-  bool enable_planner = true;
   uint64_t cache_byte_budget = 64ull * 1024 * 1024;
   std::string cache_root = "/warehouse/_cache";
 };
@@ -172,16 +162,12 @@ class WorkflowEngine {
       const std::shared_ptr<dataflow::ColumnarEventScan>& base,
       const Planned& plan) const;
 
-  /// Residual filters + late projection + stage, shared by the cold path
-  /// and verify_cache recomputation.
-  Result<dataflow::Relation> FinishPlan(const Planned& plan,
-                                        dataflow::Relation rel) const;
-
-  /// FinishPlan's vectorized twin: `filters` (eager-scan clauses, usually
-  /// empty) plus the plan's residuals run through the batch Filter kernel
-  /// — planner-ordered by estimated selectivity when enable_planner —
-  /// then late projection via ProjectAs before the boxed stage. Output is
-  /// byte-identical to FinishPlan over the same scan rows.
+  /// The miss path's tail, shared by the cold path and verify_cache
+  /// recomputation: `filters` (eager-scan clauses, usually empty) plus the
+  /// plan's residuals run through the batch Filter kernel, ordered
+  /// most-selective-first by the planner, then late projection via
+  /// ProjectAs before the boxed stage. Filter order is pure execution
+  /// strategy: it never changes results, canonical plans, or cache keys.
   Result<dataflow::Relation> FinishPlanBatch(
       const Planned& plan, dataflow::BatchRelation batch,
       const dataflow::TableStats& stats,

@@ -52,11 +52,6 @@ struct ScribeOptions {
   /// with one second of burst); 0 = unlimited. Models the single-chain
   /// bound the broker bench compares against.
   uint64_t aggregator_service_bytes_per_sec = 0;
-  /// Daemon (broker mode): frame-and-compress each per-category produce
-  /// batch once and ship it as an opaque blob the broker stores,
-  /// replicates, and serves whole (decoded only at warehouse landing).
-  /// false = the record-at-a-time baseline path.
-  bool broker_batched_produce = true;
 };
 
 /// The ZooKeeper registry path for a datacenter's aggregators.

@@ -220,26 +220,8 @@ bool ScribeDaemon::FlushToBroker() {
 
     std::vector<size_t> taken;
     broker::ProduceAck ack;
-    Status st;
-    if (options_.broker_batched_produce) {
-      st = ProduceCategoryBatch(leader, category, partition, indices, &taken,
-                                &ack);
-    } else {
-      std::vector<broker::ProduceItem> items;
-      uint64_t bytes = 0;
-      for (size_t i : indices) {
-        const Queued& q = queue_[i];
-        bytes += q.entry.message.size();
-        if (options_.daemon_max_batch_bytes > 0 && !items.empty() &&
-            bytes > options_.daemon_max_batch_bytes) {
-          break;
-        }
-        items.push_back(
-            broker::ProduceItem{q.seq, q.logged_at, q.entry.message});
-        taken.push_back(i);
-      }
-      st = leader->Produce(category, partition, host_, items, &ack);
-    }
+    Status st =
+        ProduceCategoryBatch(leader, category, partition, indices, &taken, &ack);
     if (st.ok()) {
       for (size_t i : taken) acked[i] = true;
       sent += taken.size();

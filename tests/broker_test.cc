@@ -1,6 +1,6 @@
 // Tests for the partitioned replicated commit log under Scribe: the
 // batch-granular PartitionLog storage unit, BrokerNode produce/dedup/
-// backpressure (record-at-a-time and compressed-batch paths), zk leader
+// backpressure (single records ride as count-1 batches), zk leader
 // election, and the chaos suite — leader kill mid-produce, session expiry
 // during election, acks=all with a replica down — each asserting the
 // delivery audit stays balanced at quiescence and consumer-group offsets
@@ -72,12 +72,11 @@ Batch MakeBatch(std::string producer, uint64_t first_seq,
   return b;
 }
 
-// Frames + compresses a produce batch exactly as ScribeDaemon does.
-Status ProduceBatchOf(BrokerNode* leader, const std::string& category,
-                      int partition, const std::string& producer,
-                      uint64_t first_seq,
-                      const std::vector<std::string>& payloads,
-                      TimeMs logged_at, ProduceAck* ack) {
+// Frames a produce request the way ScribeDaemon does: compressed once,
+// or left uncompressed for plain record streams.
+ProduceBatchRequest BatchRequest(uint64_t first_seq,
+                                 const std::vector<std::string>& payloads,
+                                 TimeMs logged_at, bool compressed = true) {
   ProduceBatchRequest req;
   req.first_seq = first_seq;
   req.count = static_cast<uint32_t>(payloads.size());
@@ -86,9 +85,19 @@ Status ProduceBatchOf(BrokerNode* leader, const std::string& category,
     AppendBatchFrame(&body, logged_at, p);
     req.record_sizes.push_back(static_cast<uint32_t>(p.size()));
   }
-  req.body = Lz::Compress(body);
-  req.compressed = true;
-  return leader->ProduceBatch(category, partition, producer, std::move(req),
+  req.body = compressed ? Lz::Compress(body) : std::move(body);
+  req.compressed = compressed;
+  return req;
+}
+
+// Frames + compresses a produce batch exactly as ScribeDaemon does.
+Status ProduceBatchOf(BrokerNode* leader, const std::string& category,
+                      int partition, const std::string& producer,
+                      uint64_t first_seq,
+                      const std::vector<std::string>& payloads,
+                      TimeMs logged_at, ProduceAck* ack) {
+  return leader->ProduceBatch(category, partition, producer,
+                              BatchRequest(first_seq, payloads, logged_at),
                               ack);
 }
 
@@ -97,9 +106,10 @@ Status ProduceBatchOf(BrokerNode* leader, const std::string& category,
 
 TEST(PartitionLogTest, AppendAssignsDenseOffsets) {
   PartitionLog log;
-  EXPECT_EQ(log.Append("h1", 1, kT0, kT0, "a").base_offset, 0u);
-  EXPECT_EQ(log.Append("h1", 2, kT0, kT0, "bb").base_offset, 1u);
-  EXPECT_EQ(log.Append("h2", 1, kT0, kT0, "ccc").base_offset, 2u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h1", 1, {"a"}, kT0)).base_offset, 0u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h1", 2, {"bb"}, kT0)).base_offset, 1u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h2", 1, {"ccc"}, kT0)).base_offset,
+            2u);
   EXPECT_EQ(log.end_offset(), 3u);
   EXPECT_EQ(log.begin_offset(), 0u);
   EXPECT_EQ(log.entry_count(), 3u);
@@ -129,7 +139,9 @@ TEST(PartitionLogTest, AppendBatchCoversDenseRange) {
 
 TEST(PartitionLogTest, TrimRaisesBeginAndNeverLowers) {
   PartitionLog log;
-  for (int i = 0; i < 5; ++i) log.Append("h", i + 1, kT0, kT0, "xy");
+  for (int i = 0; i < 5; ++i) {
+    log.AppendBatch(MakeBatch("h", i + 1, {"xy"}, kT0));
+  }
   log.TrimTo(3);
   EXPECT_EQ(log.begin_offset(), 3u);
   EXPECT_EQ(log.entry_count(), 2u);
@@ -175,9 +187,9 @@ TEST(PartitionLogTest, RetentionNeverSplitsABatch) {
 
 TEST(PartitionLogTest, ReadFromStopsAtTimestampLimit) {
   PartitionLog log;
-  log.Append("h", 1, kT0, kT0, "a");
-  log.Append("h", 2, kT0 + 10, kT0, "b");
-  log.Append("h", 3, kT0 + 20, kT0, "c");
+  log.AppendBatch(MakeBatch("h", 1, {"a"}, kT0));
+  log.AppendBatch(MakeBatch("h", 2, {"b"}, kT0 + 10));
+  log.AppendBatch(MakeBatch("h", 3, {"c"}, kT0 + 20));
   auto read = log.ReadFrom(0, log.end_offset(), kT0 + 20);
   EXPECT_EQ(read.record_count, 2u);
   // next_offset marks the first excluded record so consumption resumes
@@ -232,10 +244,10 @@ TEST(PartitionLogTest, HourBoundaryMidBatchSlicesWithoutDecompressingTail) {
 
 TEST(PartitionLogTest, AdvanceToOpensExplicitGap) {
   PartitionLog log;
-  log.Append("h", 1, kT0, kT0, "a");
+  log.AppendBatch(MakeBatch("h", 1, {"a"}, kT0));
   log.AdvanceTo(10);  // entries 1..9 died with the old leader
   EXPECT_EQ(log.end_offset(), 10u);
-  EXPECT_EQ(log.Append("h", 2, kT0, kT0, "b").base_offset, 10u);
+  EXPECT_EQ(log.AppendBatch(MakeBatch("h", 2, {"b"}, kT0)).base_offset, 10u);
   // Reading across the gap skips to the next retained record.
   auto read = log.ReadFrom(0, log.end_offset(), kFarFuture);
   std::vector<Record> records = Flatten(read);
@@ -246,7 +258,7 @@ TEST(PartitionLogTest, AdvanceToOpensExplicitGap) {
 
 TEST(PartitionLogTest, MirrorRejectsCoveredRangesAndTracksWatermarks) {
   PartitionLog log;
-  log.Append("h", 1, kT0, kT0, "a");
+  log.AppendBatch(MakeBatch("h", 1, {"a"}, kT0));
   Batch dup = MakeBatch("h", 1, {"zz"}, kT0);
   dup.base_offset = 0;
   EXPECT_FALSE(log.AppendMirror(dup));  // already covered locally
@@ -285,15 +297,17 @@ struct FleetHarness {
     return fleet->FindLeader(category, partition);
   }
 
+  // One record as a count-1 uncompressed batch.
   Status ProduceOne(const std::string& category, int partition,
                     const std::string& producer, uint64_t seq,
                     const std::string& payload, ProduceAck* ack = nullptr) {
     ProduceAck local;
-    std::vector<ProduceItem> items{ProduceItem{seq, sim.Now(), payload}};
     BrokerNode* leader = Leader(category, partition);
     if (leader == nullptr) return Status::Unavailable("leaderless");
-    return leader->Produce(category, partition, producer, items,
-                           ack != nullptr ? ack : &local);
+    return leader->ProduceBatch(
+        category, partition, producer,
+        BatchRequest(seq, {payload}, sim.Now(), /*compressed=*/false),
+        ack != nullptr ? ack : &local);
   }
 };
 
@@ -317,18 +331,18 @@ TEST(BrokerNodeTest, ProduceDedupsOnProducerSeq) {
   ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
 
   ProduceAck ack;
-  std::vector<ProduceItem> batch{ProduceItem{1, kT0, "a"},
-                                 ProduceItem{2, kT0, "b"},
-                                 ProduceItem{3, kT0, "c"}};
+  auto batch = [] {
+    return BatchRequest(1, {"a", "b", "c"}, kT0, /*compressed=*/false);
+  };
   BrokerNode* leader = h.Leader("clicks", 0);
   ASSERT_NE(leader, nullptr);
-  ASSERT_TRUE(leader->Produce("clicks", 0, "host1", batch, &ack).ok());
+  ASSERT_TRUE(leader->ProduceBatch("clicks", 0, "host1", batch(), &ack).ok());
   EXPECT_EQ(ack.accepted, 3u);
   EXPECT_EQ(ack.deduped, 0u);
 
   // A crash-retry resend of the same (producer, seq) batch must not
   // re-append or re-count: entries_sent can never inflate past logged.
-  ASSERT_TRUE(leader->Produce("clicks", 0, "host1", batch, &ack).ok());
+  ASSERT_TRUE(leader->ProduceBatch("clicks", 0, "host1", batch(), &ack).ok());
   EXPECT_EQ(ack.accepted, 0u);
   EXPECT_EQ(ack.deduped, 3u);
   const BrokerNodeStats stats = leader->stats();
@@ -954,25 +968,27 @@ TEST(BrokerChaosTest, AcksAllWithReplicaDownLosesNoAckedEntry) {
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 }
 
-// Property: across seeded crash/ack-loss schedules — on the batched AND
-// the record-at-a-time produce path — a daemon's entries_sent (unique
+// Property: across seeded crash/ack-loss schedules — with whole-queue
+// batches AND with batches capped at two records, whose retries straddle
+// batch boundaries far more often — a daemon's entries_sent (unique
 // acknowledged sends) never exceeds its entries_logged: resends are deduped
 // on (producer, seq), batch overlap included, so crash-retry cannot inflate
 // delivery.
 TEST(BrokerPropertyTest, CrashRetryNeverInflatesSentPastLogged) {
   struct SweepCase {
     uint64_t seed;
-    bool batched;
+    uint64_t max_batch_bytes;  // 0 = whole queue per flush
   };
-  for (const SweepCase sweep : {SweepCase{1, true}, SweepCase{2, true},
-                                SweepCase{3, true}, SweepCase{1, false}}) {
+  // Workload messages are 9 bytes, so a 20-byte cap ships two per batch.
+  for (const SweepCase sweep : {SweepCase{1, 0}, SweepCase{2, 0},
+                                SweepCase{3, 0}, SweepCase{1, 20}}) {
     const uint64_t seed = sweep.seed;
     Simulator sim(kT0);
     BrokerOptions options;
     options.num_partitions = 4;
     options.replication_factor = 2;
     scribe::ScribeOptions scribe_options;
-    scribe_options.broker_batched_produce = sweep.batched;
+    scribe_options.daemon_max_batch_bytes = sweep.max_batch_bytes;
     scribe::LogMoverOptions mover_options;
     scribe::ScribeCluster cluster(&sim, BrokerTopology(3, options),
                                   scribe_options, mover_options, seed);
@@ -1021,7 +1037,7 @@ TEST(BrokerPropertyTest, CrashRetryNeverInflatesSentPastLogged) {
     obs::DeliveryAudit audit(&cluster);
     const obs::DeliverySnapshot snap = audit.Snapshot();
     EXPECT_TRUE(snap.Balanced())
-        << "seed " << seed << (sweep.batched ? " batched" : " unbatched")
+        << "seed " << seed << " max_batch_bytes " << sweep.max_batch_bytes
         << ": " << snap.ToString();
     EXPECT_EQ(snap.in_flight_broker, 0u)
         << "seed " << seed << ": " << snap.ToString();

@@ -15,6 +15,7 @@
 #include "dataflow/relation_serde.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
+#include "scan_oracle.h"
 #include "scribe/message.h"
 
 namespace unilog::dataflow {
@@ -512,7 +513,8 @@ TEST(HiddenWarehousePathTest, AnyUnderscoreComponentBelowDirHides) {
 
 // ---------------------------------------------------------------------------
 // Shared scans: one union scan fanned out per member must be
-// byte-identical to independent scans, at any thread count.
+// byte-identical to each member's row-engine reference scan, at any
+// thread count.
 
 class SharedScanTest : public ::testing::Test {
  protected:
@@ -571,13 +573,13 @@ class SharedScanTest : public ::testing::Test {
 };
 
 TEST_F(SharedScanTest, SharedEqualsIndependentAtEveryThreadCount) {
-  // Reference: independent materialization, serial.
+  // Reference: each member's plan evaluated by the row engine.
   auto base = ColumnarEventScan::Open(&fs_, kDir);
   ASSERT_TRUE(base.ok());
   std::vector<std::string> want;
   for (auto& member : MakeMembers(*base)) {
-    auto rel = member->Materialize(nullptr);
-    ASSERT_TRUE(rel.ok());
+    auto rel = scan_oracle::ReferenceMaterialize(fs_, kDir, *member);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
     want.push_back(SerializeRelation(*rel));
   }
   ASSERT_EQ(want.size(), 3u);
@@ -593,19 +595,24 @@ TEST_F(SharedScanTest, SharedEqualsIndependentAtEveryThreadCount) {
       executor = std::make_unique<exec::Executor>(eo);
     }
     columnar::ScanStats stats;
-    auto rels =
-        ColumnarEventScan::MaterializeShared(members, executor.get(), &stats);
-    ASSERT_TRUE(rels.ok()) << rels.status().ToString();
-    ASSERT_EQ(rels->size(), 3u);
-    for (size_t i = 0; i < rels->size(); ++i) {
-      EXPECT_EQ(SerializeRelation((*rels)[i]), want[i])
+    auto batches = ColumnarEventScan::MaterializeSharedBatches(
+        members, executor.get(), &stats);
+    ASSERT_TRUE(batches.ok()) << batches.status().ToString();
+    ASSERT_EQ(batches->size(), 3u);
+    for (size_t i = 0; i < batches->size(); ++i) {
+      auto rel = (*batches)[i].ToRelation();
+      ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+      EXPECT_EQ(SerializeRelation(*rel), want[i])
           << "threads=" << threads << " member=" << i;
     }
     EXPECT_GT(stats.bytes_decompressed, 0u);
-    // Members' caches were filled: re-materializing is free and identical.
+    // Members' caches were filled: re-materializing decodes nothing and is
+    // identical.
     auto again = members[0]->Materialize(nullptr);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(SerializeRelation(*again), want[0]);
+    EXPECT_EQ(members[0]->last_stats().bytes_decompressed,
+              stats.bytes_decompressed);
   }
 }
 
@@ -623,7 +630,8 @@ TEST_F(SharedScanTest, SharedScanDecompressesLessThanIndependentScans) {
   auto members = MakeMembers(*fresh);
   columnar::ScanStats stats;
   ASSERT_TRUE(
-      ColumnarEventScan::MaterializeShared(members, nullptr, &stats).ok());
+      ColumnarEventScan::MaterializeSharedBatches(members, nullptr, &stats)
+          .ok());
   EXPECT_LT(stats.bytes_decompressed, independent);
 }
 
@@ -633,15 +641,27 @@ TEST_F(SharedScanTest, MembersMustShareOneOpenedScan) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   auto clone_a = std::static_pointer_cast<ColumnarEventScan>((*a)->Clone());
-  EXPECT_TRUE(ColumnarEventScan::MaterializeShared({*a, *b}, nullptr)
+  EXPECT_TRUE(ColumnarEventScan::MaterializeSharedBatches({*a, *b}, nullptr)
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(
-      ColumnarEventScan::MaterializeShared({*a, clone_a}, nullptr).ok());
+      ColumnarEventScan::MaterializeSharedBatches({*a, clone_a}, nullptr)
+          .ok());
+  EXPECT_TRUE(ColumnarEventScan::MaterializeSharedBatches({*a, nullptr},
+                                                          nullptr)
+                  .status()
+                  .IsInvalidArgument());
   // Degenerate cases: empty and singleton member lists.
-  auto none = ColumnarEventScan::MaterializeShared({}, nullptr);
+  auto none = ColumnarEventScan::MaterializeSharedBatches({}, nullptr);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
+  auto single = ColumnarEventScan::MaterializeSharedBatches({*a}, nullptr);
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ(single->size(), 1u);
+  auto want = scan_oracle::ReferenceMaterialize(fs_, kDir, **a);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(SerializeRelation((*single)[0].ToRelation().value()),
+            SerializeRelation(*want));
 }
 
 // ---------------------------------------------------------------------------

@@ -425,9 +425,11 @@ TEST(LegacyTest, DispatchByCategory) {
 }
 
 // Property sweep: every format recovers user_id and action exactly for a
-// range of users/actions.
+// range of users/actions. The action is a std::string, not a const char*, so
+// the printed parameter (and hence the discovered ctest name) is the text
+// itself rather than a pointer that changes with address randomisation.
 class LegacyFormatSweep
-    : public ::testing::TestWithParam<std::tuple<int64_t, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int64_t, std::string>> {};
 
 TEST_P(LegacyFormatSweep, AllFormatsRecoverIdentity) {
   auto [uid, action] = GetParam();
@@ -456,7 +458,9 @@ INSTANTIATE_TEST_SUITE_P(
     UsersAndActions, LegacyFormatSweep,
     ::testing::Combine(::testing::Values(int64_t{0}, int64_t{1},
                                          int64_t{999999999999}),
-                       ::testing::Values("impression", "click", "follow")));
+                       ::testing::Values(std::string("impression"),
+                                         std::string("click"),
+                                         std::string("follow"))));
 
 }  // namespace
 }  // namespace unilog::events

@@ -564,6 +564,26 @@ TEST_F(WorkflowEngineTest, SharedScanMatchesIndependentAndScansLess) {
   }
 }
 
+TEST_F(WorkflowEngineTest, SharedScanColdCostsSumToScanBytes) {
+  WriteHour(0);
+  WorkflowEngine engine(&fs_);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.AddWorkflow(Window("early", 0, 20)).ok());
+  ASSERT_TRUE(engine.AddWorkflow(Window("late", 25, 45)).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  ASSERT_EQ(engine.last_tick().shared_scan_fanout, 3u);
+  const uint64_t cold = engine.last_tick().scan_bytes_decompressed;
+  // The union scan's bytes do not divide evenly among the three plans, so
+  // a split that dropped the remainder would come up short below.
+  ASSERT_NE(cold % 3, 0u) << "fixture no longer exercises the remainder";
+
+  // Warm: every plan hits, and the cold costs they carry add back up to
+  // exactly the bytes the shared scan decompressed.
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_hits, 3u);
+  EXPECT_EQ(engine.last_tick().bytes_saved, cold);
+}
+
 TEST_F(WorkflowEngineTest, VerifyCacheModePassesOnHonestCache) {
   WriteHour(0);
   OinkOptions options;

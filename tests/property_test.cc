@@ -29,6 +29,7 @@
 #include "hdfs/mini_hdfs.h"
 #include "sessions/dictionary.h"
 #include "sessions/sessionizer.h"
+#include "scan_oracle.h"
 #include "thrift/compact_protocol.h"
 #include "thrift/value.h"
 
@@ -1328,8 +1329,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedPipelinePropertyTest,
 
 // ---------------------------------------------------------------------------
 // Morsel-driven scans: the byte-weighted work-stealing scheduler must
-// reproduce the serial scan byte-for-byte on random warehouses at any
-// thread count and any morsel granularity, rows and batches alike.
+// reproduce the row-engine reference scan byte-for-byte on random
+// warehouses serially, at any thread count and any morsel granularity,
+// rows and batches alike.
 
 class MorselScanPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -1367,11 +1369,14 @@ TEST_P(MorselScanPropertyTest, ParallelScanIsByteIdenticalAtAnyMorselSize) {
       ASSERT_TRUE(base->PushFilter("event_name", "matches",
                                    dataflow::Value::Str("web:*")));
     }
+    auto reference = scan_oracle::ReferenceMaterialize(fs, dir, *base);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    const std::string want = dataflow::SerializeRelation(*reference);
     auto serial_rel =
         std::static_pointer_cast<dataflow::ColumnarEventScan>(base->Clone())
             ->Materialize(nullptr);
     ASSERT_TRUE(serial_rel.ok());
-    const std::string want = dataflow::SerializeRelation(*serial_rel);
+    EXPECT_EQ(dataflow::SerializeRelation(*serial_rel), want);
 
     for (int threads : {2, 8}) {
       for (uint64_t morsel_bytes :
@@ -1408,8 +1413,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MorselScanPropertyTest,
 // ---------------------------------------------------------------------------
 // Planner neutrality: permuting a workflow's filter clauses never changes
 // its canonical plan (so fingerprint-keyed cache entries written under one
-// ordering HIT under any other) nor its answers, with the planner on or
-// off.
+// ordering HIT under any other) nor its answers, which match a row-engine
+// evaluation of the same clauses over the whole part.
 
 class PlannerReorderPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
@@ -1459,15 +1464,33 @@ TEST_P(PlannerReorderPropertyTest, FilterPermutationsShareFingerprintAndHits) {
     EXPECT_EQ(b.last_tick().scan_bytes_decompressed, 0u);
     EXPECT_EQ(dataflow::SerializeRelation(b.ResultFor("wf").value()), want);
 
-    // Planner off, cache off, row engine: same bytes.
+    // Cache off: the permutation recomputed cold gives the same bytes.
     oink::OinkOptions raw;
     raw.enable_cache = false;
-    raw.enable_planner = false;
-    raw.use_batch_engine = rng.Uniform(2) == 0;
     oink::WorkflowEngine c(&fs, raw);
     ASSERT_TRUE(c.AddWorkflow(permuted).ok());
     ASSERT_TRUE(c.RunTick(0).ok());
     EXPECT_EQ(dataflow::SerializeRelation(c.ResultFor("wf").value()), want);
+
+    // Row-engine reference: decode the part whole, run every clause as a
+    // row filter in the permuted order, then project and stage.
+    auto all = scan_oracle::ReadAllEvents(fs, dir);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    dataflow::Relation ref = scan_oracle::EventRelation(*all).value();
+    for (const auto& clause : permuted.filters) {
+      size_t idx = ref.ColumnIndex(clause.column).value();
+      ref = ref.Filter([&clause, idx](const dataflow::Row& row) {
+        return dataflow::EvalFilterOp(row[idx], clause.op, clause.literal);
+      });
+    }
+    if (!permuted.project_cols.empty()) {
+      ref = scan_oracle::ProjectAs(ref, permuted.project_cols,
+                                   permuted.project_names)
+                .value();
+    }
+    if (permuted.stage) ref = permuted.stage(ref).value();
+    EXPECT_EQ(dataflow::SerializeRelation(ref), want)
+        << "seed=" << GetParam() << " iter=" << iter;
   }
 }
 

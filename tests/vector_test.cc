@@ -1,8 +1,9 @@
 // The vectorized batch engine's contract: every kernel is byte-compatible
 // with the row engine (SerializeRelation equality, including bit-identical
 // double SUMs and join key semantics), parallel output equals serial at
-// any thread count, the columnar scan's batch path equals Materialize, and
-// the cost-based planner's decisions are deterministic and answer-neutral.
+// any thread count, the columnar scan's batches equal a row-engine
+// reference scan (scan_oracle.h), and the cost-based planner's decisions
+// are deterministic and answer-neutral.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "events/client_event.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
+#include "scan_oracle.h"
 
 namespace unilog {
 namespace {
@@ -494,6 +496,14 @@ std::unique_ptr<hdfs::MiniHdfs> ScanWarehouse(uint64_t seed, int64_t base_ts,
 
 constexpr int64_t kScanBase = 1345507200000;
 
+/// The row-engine reference for `scan` over ScanWarehouse's directory.
+Relation Reference(const hdfs::MiniHdfs& fs,
+                   const dataflow::ColumnarEventScan& scan) {
+  auto rel = scan_oracle::ReferenceMaterialize(fs, "/events", scan);
+  EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+  return rel.ok() ? *rel : Relation();
+}
+
 TEST(ScanBatchTest, MaterializeBatchesEqualsMaterialize) {
   auto fs = ScanWarehouse(41, kScanBase, 220);
   for (bool push : {false, true}) {
@@ -504,14 +514,16 @@ TEST(ScanBatchTest, MaterializeBatchesEqualsMaterialize) {
       ASSERT_TRUE(scan->PushFilter(
           "timestamp", "<", Value::Int(kScanBase + 1800000)));
     }
-    auto rows = scan->Materialize(nullptr).value();
+    const std::string want = Bytes(Reference(*fs, *scan));
+    EXPECT_EQ(Bytes(scan->Materialize(nullptr).value()), want)
+        << "push=" << push;
     for (int threads : {1, 2, 8}) {
       auto scan2 =
           std::static_pointer_cast<dataflow::ColumnarEventScan>(scan->Clone());
       exec::Executor executor = MakeExecutor(threads);
       auto batches = scan2->MaterializeBatches(&executor);
       ASSERT_TRUE(batches.ok()) << batches.status().ToString();
-      EXPECT_EQ(BatchBytes(*batches), Bytes(rows))
+      EXPECT_EQ(BatchBytes(*batches), want)
           << "threads=" << threads << " push=" << push;
     }
   }
@@ -521,7 +533,7 @@ TEST(ScanBatchTest, ProjectedScanCarriesDictionariesThrough) {
   auto fs = ScanWarehouse(43, kScanBase, 150);
   auto scan = dataflow::ColumnarEventScan::Open(fs.get(), "/events").value();
   ASSERT_TRUE(scan->PushProject({"event_name", "user_id"}, {"name", "uid"}));
-  auto rows = scan->Materialize(nullptr).value();
+  Relation rows = Reference(*fs, *scan);
   auto batches = scan->MaterializeBatches(nullptr).value();
   EXPECT_EQ(BatchBytes(batches), Bytes(rows));
   // The event-name column of every v2-sourced batch must be
@@ -559,9 +571,7 @@ TEST(ScanBatchTest, SharedBatchesEqualPerMemberMaterialize) {
 
   std::vector<std::string> want;
   for (auto& m : {clicks, early, everything}) {
-    auto solo = std::static_pointer_cast<dataflow::ColumnarEventScan>(
-        m->Clone());
-    want.push_back(Bytes(solo->Materialize(nullptr).value()));
+    want.push_back(Bytes(Reference(*fs, *m)));
   }
   for (int threads : {1, 2, 8}) {
     std::vector<std::shared_ptr<dataflow::ColumnarEventScan>> members;
