@@ -205,15 +205,21 @@ std::string IngestBaselineRep(const IngestWorkload& w) {
   std::string sink;
   std::string body;
   uint64_t body_bytes = 0;
+  // A compressor constructed per part allocates its hash-chain state
+  // fresh, as the seed path did.
+  auto compress_fresh = [](const std::string& part) {
+    Lz::Compressor fresh;
+    return fresh.Compress(part);
+  };
   for (const std::string& m : merged) {
     scribe::AppendFramed(&body, m);
     body_bytes = body.size();
     if (body_bytes >= kIngestTargetPartBytes) {
-      sink += Lz::CompressReference(body);
+      sink += compress_fresh(body);
       body = std::string();  // fresh buffer, as the seed path allocated
     }
   }
-  if (!body.empty()) sink += Lz::CompressReference(body);
+  if (!body.empty()) sink += compress_fresh(body);
   return sink;
 }
 

@@ -8,6 +8,7 @@
 #include "bench_common.h"
 #include "common/compress.h"
 #include "common/rng.h"
+#include "lz_corpus.h"
 #include "sessions/session_sequence.h"
 
 namespace unilog {
@@ -44,13 +45,13 @@ Row RunOnce(int extra_detail_pairs, uint64_t seed) {
   return row;
 }
 
-// Micro-assert for the pooled-compressor refactor: the state-reusing
-// Lz::Compressor must emit byte-identical blocks to a fresh-state
-// compressor on every input shape this bench's corpus exercises —
-// including inputs that straddle the 64 KiB window and a reuse sequence
-// of decreasing sizes (the stale-state hazard). Returns false on any
-// divergence; main exits nonzero so CI catches a silent codec change.
-bool PooledCompressorMatchesReference() {
+// Micro-assert for the pooled compressor: the state-reusing
+// Lz::Compressor must emit byte-identical blocks to a Compressor
+// constructed fresh for each input, on every input shape this bench's
+// corpus exercises — including inputs that straddle the 64 KiB window and
+// a reuse sequence of decreasing sizes (the stale-state hazard). Returns
+// false on any divergence; main exits nonzero so CI catches it.
+bool PooledCompressorMatchesFresh() {
   Rng rng(2012);
   std::vector<std::string> corpus;
   corpus.emplace_back();                  // empty
@@ -84,11 +85,13 @@ bool PooledCompressorMatchesReference() {
   std::string pooled;
   for (size_t i = 0; i < corpus.size(); ++i) {
     compressor.CompressTo(corpus[i], &pooled);
-    std::string reference = Lz::CompressReference(corpus[i]);
+    Lz::Compressor fresh;
+    std::string reference = fresh.Compress(corpus[i]);
     if (pooled != reference) {
       std::fprintf(stderr,
-                   "FAIL: pooled Lz output diverges from reference on "
-                   "corpus[%zu] (%zu bytes): %zu vs %zu compressed bytes\n",
+                   "FAIL: pooled Lz output diverges from a fresh compressor "
+                   "on corpus[%zu] (%zu bytes): %zu vs %zu compressed "
+                   "bytes\n",
                    i, corpus[i].size(), pooled.size(), reference.size());
       return false;
     }
@@ -100,7 +103,52 @@ bool PooledCompressorMatchesReference() {
     }
   }
   std::printf("pooled-compressor check: %zu corpus inputs byte-identical "
-              "to fresh-state reference\n\n", corpus.size());
+              "to a fresh compressor\n", corpus.size());
+  return true;
+}
+
+// The compressed golden corpus must hash to the digest recorded from the
+// byte-at-a-time compressor: any changed compressed byte fails the bench.
+bool GoldenDigestMatches() {
+  const std::vector<std::string> corpus = lz_corpus::GoldenCorpus();
+  const uint64_t digest = lz_corpus::CorpusDigest(
+      corpus, [](std::string_view in) { return Lz::Compress(in); });
+  const bool ok = digest == lz_corpus::kGoldenDigest;
+  std::printf("golden corpus: %zu inputs, digest %016llx (%s %016llx)\n",
+              corpus.size(), static_cast<unsigned long long>(digest),
+              ok ? "matches" : "FAIL: expected",
+              static_cast<unsigned long long>(lz_corpus::kGoldenDigest));
+  return ok;
+}
+
+// Codec throughput on a seeded framed hour (seed 42, 400 users): best of
+// five compress and decompress passes. Returns false if the block does not
+// round-trip.
+bool FramedHourThroughput() {
+  const std::string hour = lz_corpus::FramedHour(42, 400);
+  Lz::Compressor compressor;
+  std::string block;
+  double compress_ms = 0, decompress_ms = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    bench::WallTimer compress_timer;
+    compressor.CompressTo(hour, &block);
+    const double c = compress_timer.ElapsedMs();
+    bench::WallTimer decompress_timer;
+    auto back = Lz::Decompress(block);
+    const double d = decompress_timer.ElapsedMs();
+    if (!back.ok() || *back != hour) {
+      std::fprintf(stderr, "FAIL: framed hour does not round-trip\n");
+      return false;
+    }
+    if (rep == 0 || c < compress_ms) compress_ms = c;
+    if (rep == 0 || d < decompress_ms) decompress_ms = d;
+  }
+  const double mb = static_cast<double>(hour.size()) / 1e6;
+  std::printf("framed hour (seed 42, 400 users): %s -> %s, compress %.1f "
+              "MB/s, decompress %.1f MB/s\n\n",
+              HumanBytes(hour.size()).c_str(),
+              HumanBytes(block.size()).c_str(), mb / (compress_ms / 1e3),
+              mb / (decompress_ms / 1e3));
   return true;
 }
 
@@ -111,7 +159,10 @@ int main() {
   using namespace unilog;
   std::printf("=== E5 / §4.2: session sequences vs raw client event logs "
               "(compressed bytes on disk) ===\n");
-  if (!PooledCompressorMatchesReference()) return 1;
+  if (!PooledCompressorMatchesFresh() || !GoldenDigestMatches() ||
+      !FramedHourThroughput()) {
+    return 1;
+  }
   std::printf("paper: sequences are ~50x smaller than the raw logs.\n\n");
   std::printf("%13s %14s %14s %9s %10s %10s\n", "detail_pairs", "raw_logs",
               "sequences", "ratio", "events", "sessions");

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
+#include <limits>
 
 #include "common/coding.h"
 
@@ -18,10 +20,43 @@ std::atomic<uint64_t> g_decompress_calls{0};
 constexpr size_t kHashBits = 16;
 constexpr size_t kHashSize = 1u << kHashBits;
 
-uint32_t Hash4(const char* p) {
+// Largest up-front reservation a decoder makes from a block's declared
+// length; a hostile header must not drive a huge allocation.
+constexpr uint64_t kMaxReserve = 1u << 20;
+
+uint32_t Load32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kHashBits);
+  return v;
+}
+
+uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+uint32_t Hash4(const char* p) {
+  return (Load32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of `a` and `b`, at most `limit`: eight bytes
+// per step, the first differing byte found from the XOR's trailing zeros.
+size_t MatchLength(const char* a, const char* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + (std::countr_zero(diff) >> 3);
+      } else {
+        return len + (std::countl_zero(diff) >> 3);
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 void EmitLiterals(std::string* out, std::string_view input, size_t begin,
@@ -32,6 +67,81 @@ void EmitLiterals(std::string* out, std::string_view input, size_t begin,
   out->append(input.data() + begin, end - begin);
 }
 
+// Reads one varint from [*p, end), advancing *p. False when truncated or
+// longer than ten bytes.
+bool ReadVarint(const char** p, const char* end, uint64_t* v) {
+  uint64_t result = 0;
+  for (int shift = 0; shift <= 63 && *p < end; shift += 7) {
+    uint8_t byte = static_cast<uint8_t>(*(*p)++);
+    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      *v = result;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Appends `len` bytes copied from `dist` bytes back in *out. A match that
+// overlaps its own output (dist < len) repeats its first `dist` bytes;
+// copying chunks that double in size keeps every source range behind the
+// write position, so each chunk is one non-overlapping copy.
+void AppendMatch(std::string* out, size_t dist, size_t len) {
+  const size_t src = out->size() - dist;
+  // No reallocation below, so the source pointers stay valid.
+  if (out->capacity() < out->size() + len) out->reserve(out->size() + len);
+  while (len > 0) {
+    const size_t chunk = std::min(len, out->size() - src);
+    out->append(out->data() + src, chunk);
+    len -= chunk;
+  }
+}
+
+// The token decoder both decompressors share. Decodes whole tokens from
+// the front of *rest onto *out until out holds at least `target` bytes or
+// *rest is empty, and drops what it decoded from *rest. Every token is
+// checked against the bytes already decoded and against the room left
+// under `expected` before any of its bytes is written, so a hostile block
+// fails with Corruption instead of allocating.
+Status DecodeTokens(std::string_view* rest, uint64_t expected, size_t target,
+                    std::string* out) {
+  const char* p = rest->data();
+  const char* const end = p + rest->size();
+  while (out->size() < target && p < end) {
+    const char tag = *p++;
+    uint64_t len = 0;
+    if (tag == '\x00') {
+      if (!ReadVarint(&p, end, &len)) {
+        return Status::Corruption("lz: truncated literal length");
+      }
+      if (len > static_cast<uint64_t>(end - p)) {
+        return Status::Corruption("lz: truncated literal");
+      }
+      if (len > expected - out->size()) {
+        return Status::Corruption("lz: length mismatch");
+      }
+      out->append(p, len);
+      p += len;
+    } else if (tag == '\x01') {
+      uint64_t dist = 0;
+      if (!ReadVarint(&p, end, &dist) || !ReadVarint(&p, end, &len)) {
+        return Status::Corruption("lz: truncated match");
+      }
+      if (dist == 0 || dist > out->size()) {
+        return Status::Corruption("lz: bad match distance");
+      }
+      if (len > expected - out->size()) {
+        return Status::Corruption("lz: length mismatch");
+      }
+      AppendMatch(out, dist, len);
+    } else {
+      return Status::Corruption("lz: bad token tag");
+    }
+    *rest = std::string_view(p, end - p);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
@@ -40,46 +150,60 @@ void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
   PutVarint64(out, input.size());
   if (input.empty()) return;
 
-  if (head_.empty()) head_.assign(kHashSize, 0);
-  if (++epoch_ == 0) {
-    // The 32-bit epoch wrapped: entries tagged with the old epoch 0 would
-    // read as live again, so hard-reset once every 2^32 calls.
-    std::fill(head_.begin(), head_.end(), 0);
-    epoch_ = 1;
+  const char* const src = input.data();
+  const size_t n = input.size();
+  if (head_.empty()) {
+    head_.assign(kHashSize, 0);
+    prev_.assign(kWindow, 0);
   }
-  if (prev_.size() < input.size()) prev_.resize(input.size());
-  const uint64_t epoch_tag = static_cast<uint64_t>(epoch_) << 32;
-
-  // head entry for hash h: most recent position with hash h (+1, 0 =
-  // empty). Entries from earlier epochs (earlier inputs) are empty.
-  auto head_get = [&](uint32_t h) -> uint32_t {
-    uint64_t e = head_[h];
-    return (e >> 32) == epoch_ ? static_cast<uint32_t>(e) : 0;
-  };
-  auto head_set = [&](uint32_t h, uint32_t pos_plus_1) {
-    head_[h] = epoch_tag | pos_plus_1;
-  };
+  if (n > std::numeric_limits<uint32_t>::max() - base_) {
+    // base_ + n would wrap: restart the table from zero.
+    std::fill(head_.begin(), head_.end(), 0);
+    base_ = 0;
+  }
+  const uint32_t base = base_;
+  // Every entry this call writes is at most base + n, which is <= the next
+  // call's base, so the next call reads them all as stale.
+  base_ += static_cast<uint32_t>(n);
+  // head[h]: the most recent position with hash h; prev[pos & kPrevMask]:
+  // the position before pos in its chain. Both hold base + pos + 1, and an
+  // entry <= base (written by an earlier call) ends the chain. A walk from
+  // i only reads links of positions within kWindow of i, and no position
+  // kWindow or more past those is inserted yet, so the kWindow-entry ring
+  // still holds every link it reads.
+  constexpr size_t kPrevMask = kWindow - 1;
+  static_assert((kWindow & kPrevMask) == 0, "kWindow must be a power of 2");
+  uint32_t* const head = head_.data();
+  uint32_t* const prev = prev_.data();
 
   size_t literal_start = 0;
   size_t i = 0;
-  while (i + kMinMatch <= input.size()) {
-    uint32_t h = Hash4(input.data() + i);
+  while (i + kMinMatch <= n) {
+    uint32_t h = Hash4(src + i);
+    const size_t max_len = n - i;
     size_t best_len = 0;
     size_t best_dist = 0;
-    uint32_t cand = head_get(h);
+    // A candidate can only beat best_len if it agrees on every byte up to
+    // offset best_len (and on the first kMinMatch bytes before any match
+    // is found), so the four bytes ending at `probe` must agree first. A
+    // rejected candidate still counts as a chain step.
+    size_t probe = kMinMatch - 1;
+    uint32_t cand = head[h];
     int steps = 0;
-    while (cand != 0 && steps < kMaxChainSteps) {
-      size_t pos = cand - 1;
+    while (cand > base && steps < kMaxChainSteps) {
+      size_t pos = cand - base - 1;
       if (i - pos > kWindow) break;
-      // Extend the match.
-      size_t len = 0;
-      size_t max_len = input.size() - i;
-      while (len < max_len && input[pos + len] == input[i + len]) ++len;
-      if (len >= kMinMatch && len > best_len) {
-        best_len = len;
-        best_dist = i - pos;
+      if (Load32(src + pos + probe - 3) == Load32(src + i + probe - 3)) {
+        size_t len = MatchLength(src + pos, src + i, max_len);
+        if (len >= kMinMatch && len > best_len) {
+          best_len = len;
+          best_dist = i - pos;
+          // Nothing beats a match that runs to the end of the input.
+          if (len == max_len) break;
+          probe = len;
+        }
       }
-      cand = prev_[pos];
+      cand = prev[pos & kPrevMask];
       ++steps;
     }
 
@@ -91,25 +215,22 @@ void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
       // Insert hash entries for the skipped region (sparsely for speed).
       size_t match_end = i + best_len;
       size_t insert_end =
-          match_end + kMinMatch <= input.size() ? match_end
-                                                : (input.size() >= kMinMatch
-                                                       ? input.size() - kMinMatch + 1
-                                                       : 0);
+          match_end + kMinMatch <= n ? match_end : n - kMinMatch + 1;
       size_t step = best_len > 64 ? 4 : 1;
       for (size_t j = i; j < insert_end; j += step) {
-        uint32_t hj = Hash4(input.data() + j);
-        prev_[j] = head_get(hj);
-        head_set(hj, static_cast<uint32_t>(j + 1));
+        uint32_t hj = Hash4(src + j);
+        prev[j & kPrevMask] = head[hj];
+        head[hj] = base + static_cast<uint32_t>(j + 1);
       }
       i = match_end;
       literal_start = i;
     } else {
-      prev_[i] = head_get(h);
-      head_set(h, static_cast<uint32_t>(i + 1));
+      prev[i & kPrevMask] = head[h];
+      head[h] = base + static_cast<uint32_t>(i + 1);
       ++i;
     }
   }
-  EmitLiterals(out, input, literal_start, input.size());
+  EmitLiterals(out, input, literal_start, n);
 }
 
 std::string Lz::Compressor::Compress(std::string_view input) {
@@ -127,41 +248,16 @@ std::string Lz::Compress(std::string_view input) {
   return Pooled().Compress(input);
 }
 
-std::string Lz::CompressReference(std::string_view input) {
-  Compressor fresh;
-  return fresh.Compress(input);
-}
-
 Result<std::string> Lz::Decompress(std::string_view block) {
   g_decompress_calls.fetch_add(1, std::memory_order_relaxed);
   Decoder dec(block);
   uint64_t expected_len;
   UNILOG_RETURN_NOT_OK(dec.GetVarint64(&expected_len));
   std::string out;
-  out.reserve(expected_len);
-  while (!dec.AtEnd()) {
-    std::string_view tag;
-    UNILOG_RETURN_NOT_OK(dec.GetBytes(1, &tag));
-    if (tag[0] == '\x00') {
-      std::string_view lit;
-      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&lit));
-      out.append(lit.data(), lit.size());
-    } else if (tag[0] == '\x01') {
-      uint64_t dist, len;
-      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&dist));
-      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&len));
-      if (dist == 0 || dist > out.size()) {
-        return Status::Corruption("lz: bad match distance");
-      }
-      size_t src = out.size() - dist;
-      // Byte-by-byte copy: matches may overlap their own output.
-      for (uint64_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);
-      }
-    } else {
-      return Status::Corruption("lz: bad token tag");
-    }
-  }
+  out.reserve(static_cast<size_t>(std::min(expected_len, kMaxReserve)));
+  std::string_view rest = block.substr(dec.position());
+  UNILOG_RETURN_NOT_OK(DecodeTokens(&rest, expected_len,
+                                    std::numeric_limits<size_t>::max(), &out));
   if (out.size() != expected_len) {
     return Status::Corruption("lz: length mismatch");
   }
@@ -177,57 +273,17 @@ Lz::IncrementalDecompressor::IncrementalDecompressor(std::string_view block) {
     return;
   }
   rest_ = block.substr(dec.position());
-  // Cap the reservation: a corrupt header must not drive a huge allocation.
-  out_.reserve(static_cast<size_t>(
-      std::min<uint64_t>(expected_, 1u << 20)));
+  out_.reserve(static_cast<size_t>(std::min(expected_, kMaxReserve)));
 }
 
 Status Lz::IncrementalDecompressor::DecodeUntil(size_t target) {
   if (!status_.ok()) return status_;
-  while (out_.size() < target) {
-    if (rest_.empty()) {
-      // True end of block: only an error if the length header disagrees.
-      if (out_.size() != expected_) {
-        status_ = Status::Corruption("lz: truncated block");
-        return status_;
-      }
-      return Status::OK();
-    }
-    Decoder dec(rest_);
-    std::string_view tag;
-    status_ = dec.GetBytes(1, &tag);
-    if (!status_.ok()) return status_;
-    if (tag[0] == '\x00') {
-      std::string_view lit;
-      status_ = dec.GetLengthPrefixed(&lit);
-      if (!status_.ok()) return status_;
-      out_.append(lit.data(), lit.size());
-    } else if (tag[0] == '\x01') {
-      uint64_t dist, len;
-      status_ = dec.GetVarint64(&dist);
-      if (!status_.ok()) return status_;
-      status_ = dec.GetVarint64(&len);
-      if (!status_.ok()) return status_;
-      if (dist == 0 || dist > out_.size()) {
-        status_ = Status::Corruption("lz: bad match distance");
-        return status_;
-      }
-      size_t src = out_.size() - dist;
-      // Byte-by-byte copy: matches may overlap their own output.
-      for (uint64_t k = 0; k < len; ++k) {
-        out_.push_back(out_[src + k]);
-      }
-    } else {
-      status_ = Status::Corruption("lz: bad token tag");
-      return status_;
-    }
-    if (out_.size() > expected_) {
-      status_ = Status::Corruption("lz: length mismatch");
-      return status_;
-    }
-    rest_ = rest_.substr(dec.position());
+  status_ = DecodeTokens(&rest_, expected_, target, &out_);
+  if (status_.ok() && out_.size() < target && out_.size() != expected_) {
+    // True end of block short of the length header.
+    status_ = Status::Corruption("lz: truncated block");
   }
-  return Status::OK();
+  return status_;
 }
 
 uint64_t Lz::CompressCallCount() {

@@ -29,13 +29,13 @@ class Lz {
   static constexpr int kMaxChainSteps = 32;
 
   /// Reusable compression state: the 64K-entry hash head table and the
-  /// per-position chain array, both kept across calls so the ingest hot
-  /// path (one Compress per staged file / per roll) stops paying two
-  /// vector allocations — 256 KiB of head table plus 4 bytes per input
-  /// byte — per call. Head entries are epoch-tagged, so reuse needs no
-  /// per-call clear either; output is byte-identical to a fresh-state
-  /// compressor on every input (asserted by tests and
-  /// bench_sequence_compression).
+  /// window-sized chain ring, 256 KiB each, kept across calls so the
+  /// ingest hot path (one Compress per staged file / per roll) allocates
+  /// nothing per call and holds the same memory whatever the input size.
+  /// Entries are offset by a per-call base, so reuse needs no per-call
+  /// clear either. Output depends only on the input: every block is
+  /// byte-identical to a fresh compressor's, and to the frozen
+  /// byte-at-a-time reference in tests/lz_reference.h.
   ///
   /// Not thread-safe; one Compressor per thread. Lz::Pooled() hands out a
   /// thread-local instance.
@@ -55,33 +55,29 @@ class Lz {
     std::string Compress(std::string_view input);
 
    private:
-    // head_[h] = (epoch << 32) | (pos + 1). An entry whose epoch differs
-    // from epoch_ is logically empty, which resets the table per call
-    // without touching its 512 KiB.
-    std::vector<uint64_t> head_;
-    // prev_[i]: previous chain position for i (+1). Entries are written at
-    // insertion before they can be read through a chain, so stale values
-    // from earlier inputs are never observed.
+    // head_[h]: most recent position with hash h; prev_[pos % kWindow]:
+    // the position before pos in its chain. Both hold base + pos + 1,
+    // where base_ is the total size of the inputs since the last reset. An
+    // entry <= the current call's base was written by an earlier call and
+    // ends the chain, which resets both tables per call without touching
+    // them.
+    std::vector<uint32_t> head_;
     std::vector<uint32_t> prev_;
-    uint32_t epoch_ = 0;
+    uint32_t base_ = 0;
   };
 
   /// Compresses `input` using a thread-local pooled Compressor, so every
-  /// existing call site gets state reuse for free. Output is byte-identical
-  /// to CompressReference.
+  /// existing call site gets state reuse for free.
   static std::string Compress(std::string_view input);
 
   /// The thread-local pooled Compressor (for callers that also want the
   /// CompressTo output-buffer reuse, e.g. the log mover's workers).
   static Compressor& Pooled();
 
-  /// Fresh-state reference: allocates and discards the hash-chain state on
-  /// every call, the pre-pooling behavior. Kept as the equivalence baseline
-  /// for tests and the ingest benches' before/after comparison.
-  static std::string CompressReference(std::string_view input);
-
   /// Decompresses a block produced by Compress. Returns Corruption on
-  /// malformed input.
+  /// malformed input, including a token that would run past the block's
+  /// declared length. Beyond a 1 MiB reservation, memory grows with the
+  /// bytes actually decoded, never with the declared length alone.
   static Result<std::string> Decompress(std::string_view block);
 
   /// Cursor-style decompressor that decodes a block token by token, on

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/utf8.h"
+#include "lz_reference.h"
 
 namespace unilog {
 namespace {
@@ -511,9 +513,8 @@ TEST(LzTest, CorruptedBlockDetected) {
 }
 
 TEST(LzTest, PooledCompressorMatchesReference) {
-  // The pooled (state-reusing) compressor must emit byte-identical blocks
-  // to a fresh-state compressor on every input shape: repetitive, random,
-  // runs, and empty.
+  // The pooled (state-reusing) compressor must emit the frozen reference's
+  // bytes on every input shape: repetitive, random, runs, and empty.
   Rng rng(37);
   std::vector<std::string> inputs;
   inputs.emplace_back();
@@ -534,8 +535,8 @@ TEST(LzTest, PooledCompressorMatchesReference) {
   std::string out;
   for (const std::string& data : inputs) {
     compressor.CompressTo(data, &out);
-    EXPECT_EQ(out, Lz::CompressReference(data)) << "size=" << data.size();
-    EXPECT_EQ(Lz::Compress(data), Lz::CompressReference(data));
+    EXPECT_EQ(out, lz_reference::Compress(data)) << "size=" << data.size();
+    EXPECT_EQ(Lz::Compress(data), lz_reference::Compress(data));
   }
 }
 
@@ -552,7 +553,7 @@ TEST(LzTest, WindowStraddlingMatchesRoundTrip) {
     data.append(17, 'z');
     data += phrase;
     std::string pooled = Lz::Compress(data);
-    EXPECT_EQ(pooled, Lz::CompressReference(data)) << "gap=" << gap;
+    EXPECT_EQ(pooled, lz_reference::Compress(data)) << "gap=" << gap;
     auto back = Lz::Decompress(pooled);
     ASSERT_TRUE(back.ok()) << "gap=" << gap;
     EXPECT_EQ(*back, data) << "gap=" << gap;
@@ -578,7 +579,7 @@ TEST(LzTest, CompressorReuseAcrossDecreasingSizes) {
     }
     data.resize(size);
     compressor.CompressTo(data, &out);
-    ASSERT_EQ(out, Lz::CompressReference(data)) << "size=" << size;
+    ASSERT_EQ(out, lz_reference::Compress(data)) << "size=" << size;
     auto back = Lz::Decompress(out);
     ASSERT_TRUE(back.ok()) << "size=" << size;
     EXPECT_EQ(*back, data) << "size=" << size;
@@ -597,7 +598,59 @@ TEST(LzTest, CompressToReusesCapacity) {
   const size_t cap = out.capacity();
   compressor.CompressTo("tiny tiny tiny tiny", &out);
   EXPECT_GE(out.capacity(), cap);  // capacity retained, not reallocated
-  EXPECT_EQ(out, Lz::CompressReference("tiny tiny tiny tiny"));
+  EXPECT_EQ(out, lz_reference::Compress("tiny tiny tiny tiny"));
+}
+
+// Decodes `block` with both decoders; each must fail with Corruption.
+void ExpectBothDecodersReject(const std::string& block) {
+  auto whole = Lz::Decompress(block);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_TRUE(whole.status().IsCorruption()) << whole.status().ToString();
+  Lz::IncrementalDecompressor inc(block);
+  Status st = inc.DecodeUntil(std::numeric_limits<size_t>::max());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_LE(inc.output().capacity(), size_t{1} << 20);
+}
+
+TEST(LzTest, HostileDeclaredLengthIsCorruptionNotAllocation) {
+  // A 7-byte block declaring 2^48 bytes with no tokens, and one declaring
+  // 2^63 whose only token is an empty literal: reserving the declared
+  // length threw before any token was read.
+  std::string huge;
+  PutVarint64(&huge, uint64_t{1} << 48);
+  ASSERT_EQ(huge.size(), 7u);
+  ExpectBothDecodersReject(huge);
+  std::string huger;
+  PutVarint64(&huger, uint64_t{1} << 63);
+  huger.push_back('\x00');  // literal of length 0
+  huger.push_back('\x00');
+  ExpectBothDecodersReject(huger);
+}
+
+TEST(LzTest, HostileMatchLengthIsCorruptionNotAllocation) {
+  // 13 bytes declaring 8: a 3-byte literal, then dist=1 len=2^34. Expanding
+  // the match before checking it allocated until the process aborted.
+  std::string block;
+  PutVarint64(&block, 8);
+  block.push_back('\x00');
+  PutVarint64(&block, 3);
+  block += "abc";
+  block.push_back('\x01');
+  PutVarint64(&block, 1);
+  PutVarint64(&block, uint64_t{1} << 34);
+  ASSERT_EQ(block.size(), 13u);
+  ExpectBothDecodersReject(block);
+}
+
+TEST(LzTest, TokenPastDeclaredLengthIsRejectedBeforeWriting) {
+  // A literal one byte longer than the declared length fails the same way
+  // as an oversized match, in both decoders.
+  std::string block;
+  PutVarint64(&block, 3);
+  block.push_back('\x00');
+  PutVarint64(&block, 4);
+  block += "abcd";
+  ExpectBothDecodersReject(block);
 }
 
 TEST(LzTest, MixedContentRoundTrip) {

@@ -5,6 +5,9 @@
 // engine's determinism shows up as a golden mismatch in ctest.
 //
 // Regenerate with: UNILOG_UPDATE_GOLDEN=1 ./golden_test
+//
+// The Lz golden digest is a constant in bench/lz_corpus.h and is never
+// regenerated: a compressed byte that changes is a format change.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +16,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analytics/summary.h"
 #include "analytics/udfs.h"
 #include "bench_common.h"
+#include "common/compress.h"
 #include "exec/executor.h"
+#include "lz_corpus.h"
+#include "lz_reference.h"
 
 #ifndef UNILOG_GOLDEN_DIR
 #error "UNILOG_GOLDEN_DIR must be defined by the build"
@@ -112,6 +120,26 @@ TEST(GoldenTest, EventCountingParallelMatchesGolden) {
   opts.threads = 8;
   exec::Executor executor(opts);
   CompareOrUpdate("event_counting", EventCountingReport(&executor));
+}
+
+TEST(GoldenTest, LzCompressedCorpusDigest) {
+  // The compressed bytes of the seeded golden corpus: the pooled
+  // compressor, a single reused compressor and the frozen reference all
+  // hash to the digest recorded before the word-wise rewrite.
+  const std::vector<std::string> corpus = lz_corpus::GoldenCorpus();
+  EXPECT_EQ(lz_corpus::CorpusDigest(
+                corpus, [](std::string_view in) { return Lz::Compress(in); }),
+            lz_corpus::kGoldenDigest);
+  Lz::Compressor reused;
+  EXPECT_EQ(lz_corpus::CorpusDigest(
+                corpus,
+                [&](std::string_view in) { return reused.Compress(in); }),
+            lz_corpus::kGoldenDigest);
+  EXPECT_EQ(lz_corpus::CorpusDigest(corpus,
+                                    [](std::string_view in) {
+                                      return lz_reference::Compress(in);
+                                    }),
+            lz_corpus::kGoldenDigest);
 }
 
 }  // namespace

@@ -29,9 +29,12 @@
 #include "hdfs/mini_hdfs.h"
 #include "sessions/dictionary.h"
 #include "sessions/sessionizer.h"
+#include "lz_corpus.h"
+#include "lz_reference.h"
 #include "scan_oracle.h"
 #include "thrift/compact_protocol.h"
 #include "thrift/value.h"
+#include "workload/generator.h"
 
 namespace unilog {
 namespace {
@@ -110,8 +113,8 @@ std::string WindowBoundaryBuffer(Rng& rng) {
 
 TEST_P(LzPropertyTest, PooledMatchesReferenceAndRoundTrips) {
   // One reused Compressor across every buffer in the sweep: pooled output
-  // must equal fresh-state output and round-trip, regardless of the size
-  // sequence the compressor sees.
+  // must equal the frozen reference's and round-trip, regardless of the
+  // size sequence the compressor sees.
   Rng rng(GetParam() * 7919 + 1);
   Lz::Compressor compressor;
   std::string pooled;
@@ -119,12 +122,230 @@ TEST_P(LzPropertyTest, PooledMatchesReferenceAndRoundTrips) {
     std::string data =
         rng.Bernoulli(0.5) ? RandomBuffer(rng) : WindowBoundaryBuffer(rng);
     compressor.CompressTo(data, &pooled);
-    ASSERT_EQ(pooled, Lz::CompressReference(data))
+    ASSERT_EQ(pooled, lz_reference::Compress(data))
         << "seed=" << GetParam() << " iter=" << iter
         << " size=" << data.size();
     auto back = Lz::Decompress(pooled);
     ASSERT_TRUE(back.ok()) << "seed=" << GetParam() << " iter=" << iter;
     ASSERT_EQ(*back, data) << "seed=" << GetParam() << " iter=" << iter;
+  }
+}
+
+// Compresses `data` with the pooled compressor, checks the block against
+// the frozen reference, and round-trips it.
+void ExpectReferenceBytes(const std::string& data, const std::string& what) {
+  std::string block = Lz::Compress(data);
+  ASSERT_EQ(block, lz_reference::Compress(data))
+      << what << " size=" << data.size();
+  auto back = Lz::Decompress(block);
+  ASSERT_TRUE(back.ok()) << what;
+  ASSERT_EQ(*back, data) << what;
+}
+
+TEST_P(LzPropertyTest, RunsOfOneByteMatchReference) {
+  // Saturated chains: every candidate matches as far as the run goes. Runs
+  // that end the input end their matches there; the others stop one byte
+  // short of a different tail.
+  Rng rng(GetParam() * 31 + 7);
+  for (int iter = 0; iter < 16; ++iter) {
+    std::string data = lz_corpus::RandomBytes(rng, rng.Uniform(8));
+    data.append(1 + rng.Uniform(iter < 8 ? 100 : 6000),
+                static_cast<char>(rng.Uniform(256)));
+    if (iter % 2 == 1) data += lz_corpus::RandomBytes(rng, 1 + rng.Uniform(8));
+    ExpectReferenceBytes(data, "iter=" + std::to_string(iter));
+  }
+}
+
+TEST_P(LzPropertyTest, TinyInputsMatchReference) {
+  // 0-16 bytes: every length the word-wise match loop leaves to its
+  // byte-wise tail, over alphabets that force matches and ones that don't.
+  Rng rng(GetParam() * 37 + 11);
+  for (size_t n = 0; n <= 16; ++n) {
+    for (uint64_t alphabet : {1, 2, 3, 256}) {
+      ExpectReferenceBytes(lz_corpus::RandomBytes(rng, n, alphabet),
+                           "n=" + std::to_string(n) +
+                               " alphabet=" + std::to_string(alphabet));
+    }
+  }
+}
+
+TEST_P(LzPropertyTest, MatchesEndingAtInputEndMatchReference) {
+  // The input ends with a copy (or a prefix of a copy) of an earlier
+  // phrase, so the best match runs exactly to the end of the input.
+  Rng rng(GetParam() * 41 + 13);
+  for (int iter = 0; iter < 24; ++iter) {
+    std::string phrase = lz_corpus::RandomBytes(rng, 4 + rng.Uniform(40),
+                                                1 + rng.Uniform(4));
+    std::string data = lz_corpus::RandomBytes(rng, rng.Uniform(30));
+    for (uint64_t r = 1 + rng.Uniform(3); r > 0; --r) {
+      data += phrase;
+      data += lz_corpus::RandomBytes(rng, rng.Uniform(20), 8);
+    }
+    data += phrase.substr(0, 4 + rng.Uniform(phrase.size() - 3));
+    ExpectReferenceBytes(data, "iter=" + std::to_string(iter));
+  }
+}
+
+TEST_P(LzPropertyTest, WindowEdgeDistancesMatchReference) {
+  // A phrase repeated at distances kWindow - 1, kWindow and kWindow + 1:
+  // the first two are in reach, the last is not.
+  Rng rng(GetParam() * 43 + 17);
+  const std::string phrase = lz_corpus::RandomBytes(rng, 8 + rng.Uniform(24));
+  for (size_t dist : {Lz::kWindow - 1, Lz::kWindow, Lz::kWindow + 1}) {
+    std::string data = phrase;
+    data += lz_corpus::RandomBytes(rng, dist - phrase.size(),
+                                   1 + rng.Uniform(3));
+    data += phrase;
+    data += lz_corpus::RandomBytes(rng, rng.Uniform(16));
+    ExpectReferenceBytes(data, "dist=" + std::to_string(dist));
+  }
+}
+
+TEST_P(LzPropertyTest, AlphabetSweepMatchesReference) {
+  // Alphabets of 1 to 256 symbols move the balance between chain length,
+  // match length and literal runs.
+  Rng rng(GetParam() * 47 + 19);
+  for (uint64_t alphabet : {1, 2, 3, 4, 5, 8, 16, 32, 64, 128, 200, 255, 256}) {
+    ExpectReferenceBytes(
+        lz_corpus::RandomBytes(rng, 1000 + rng.Uniform(4000), alphabet),
+        "alphabet=" + std::to_string(alphabet));
+  }
+}
+
+// The compressed column blobs of every row group of an RCFile v2 body, in
+// file order: magic, then per group the header (row count, zone map,
+// dictionaries), its two checksums and kEventColumns length-prefixed blobs.
+Status RcFileColumnBlobs(std::string_view body,
+                         std::vector<std::string_view>* blobs) {
+  Decoder dec(body);
+  UNILOG_RETURN_NOT_OK(dec.Skip(4));  // "RCF2"
+  while (!dec.AtEnd()) {
+    uint64_t count = 0, value = 0;
+    int64_t bound = 0;
+    uint32_t checksum = 0;
+    std::string_view bytes;
+    UNILOG_RETURN_NOT_OK(dec.GetVarint64(&count));  // rows
+    for (int k = 0; k < 4; ++k) {
+      UNILOG_RETURN_NOT_OK(dec.GetSignedVarint64(&bound));
+    }
+    UNILOG_RETURN_NOT_OK(dec.GetVarint64(&count));  // event names
+    for (uint64_t k = 0; k < count; ++k) {
+      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&bytes));
+    }
+    UNILOG_RETURN_NOT_OK(dec.GetVarint64(&count));  // initiators
+    for (uint64_t k = 0; k < count; ++k) {
+      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&value));
+    }
+    UNILOG_RETURN_NOT_OK(dec.GetVarint32(&checksum));
+    UNILOG_RETURN_NOT_OK(dec.GetVarint32(&checksum));
+    for (int c = 0; c < columnar::kEventColumns; ++c) {
+      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&bytes));
+      blobs->push_back(bytes);
+    }
+  }
+  return Status::OK();
+}
+
+TEST_P(LzPropertyTest, WorkloadBlocksMatchReference) {
+  // What the warehouse actually compresses: a framed hour of serialized
+  // client events, and the column blobs RcFileWriter builds from them.
+  const uint64_t seed = GetParam();
+  ExpectReferenceBytes(lz_corpus::FramedHour(seed, 40), "framed hour");
+
+  workload::WorkloadOptions options;
+  options.seed = seed;
+  options.num_users = 40;
+  options.start = MakeDate(2012, 8, 21);
+  options.duration = kMillisPerHour;
+  workload::WorkloadGenerator generator(options);
+  std::string body;
+  columnar::RcFileWriter writer(&body, /*rows_per_group=*/256);
+  Status added;
+  ASSERT_TRUE(generator
+                  .Generate([&](const events::ClientEvent& ev) {
+                    if (added.ok()) added = writer.Add(ev);
+                  })
+                  .ok());
+  ASSERT_TRUE(added.ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  std::vector<std::string_view> blobs;
+  ASSERT_TRUE(RcFileColumnBlobs(body, &blobs).ok());
+  ASSERT_GE(blobs.size(), 2u * columnar::kEventColumns);
+  for (size_t b = 0; b < blobs.size(); ++b) {
+    auto column = Lz::Decompress(blobs[b]);
+    ASSERT_TRUE(column.ok()) << "blob " << b;
+    ASSERT_EQ(lz_reference::Compress(*column), blobs[b]) << "blob " << b;
+  }
+}
+
+// A hand-built block of literals and matches, many of them overlapping
+// their own output (dist 1, dist len - 1), with the expected output
+// decoded one byte at a time.
+std::string OverlappingMatchBlock(Rng& rng, std::string* expected) {
+  std::string tokens;
+  expected->clear();
+  for (int t = 0; t < 40; ++t) {
+    if (expected->empty() || rng.Bernoulli(0.25)) {
+      std::string lit = lz_corpus::RandomBytes(rng, 1 + rng.Uniform(12));
+      tokens.push_back('\x00');
+      PutLengthPrefixed(&tokens, lit);
+      *expected += lit;
+      continue;
+    }
+    size_t len = 1 + rng.Uniform(300);
+    size_t dist = 0;
+    switch (rng.Uniform(3)) {
+      case 0:
+        dist = 1;
+        break;
+      case 1:  // overlaps all but one byte of its own source
+        len = 2 + rng.Uniform(expected->size());
+        dist = len - 1;
+        break;
+      default:
+        dist = 1 + rng.Uniform(expected->size());
+    }
+    tokens.push_back('\x01');
+    PutVarint64(&tokens, dist);
+    PutVarint64(&tokens, len);
+    for (size_t k = 0; k < len; ++k) {
+      expected->push_back((*expected)[expected->size() - dist]);
+    }
+  }
+  std::string block;
+  PutVarint64(&block, expected->size());
+  return block + tokens;
+}
+
+TEST_P(LzPropertyTest, IncrementalMatchesWholeDecodeAtRandomTargets) {
+  // Decompress and IncrementalDecompressor share one token decoder; at
+  // any sequence of DecodeUntil targets the incremental output must be a
+  // prefix of the whole decode that covers the target.
+  Rng rng(GetParam() * 53 + 23);
+  for (int iter = 0; iter < 12; ++iter) {
+    std::string expected;
+    std::string block;
+    if (iter % 2 == 0) {
+      block = OverlappingMatchBlock(rng, &expected);
+    } else {
+      expected = RandomBuffer(rng);
+      block = Lz::Compress(expected);
+    }
+    auto whole = Lz::Decompress(block);
+    ASSERT_TRUE(whole.ok()) << "iter=" << iter;
+    ASSERT_EQ(*whole, expected) << "iter=" << iter;
+
+    Lz::IncrementalDecompressor inc(block);
+    size_t target = 0;
+    while (!inc.done()) {
+      target += rng.Uniform(expected.size() / 4 + 2);
+      ASSERT_TRUE(inc.DecodeUntil(target).ok()) << "iter=" << iter;
+      const std::string& out = inc.output();
+      ASSERT_GE(out.size(), std::min(target, expected.size()));
+      ASSERT_EQ(out, expected.substr(0, out.size())) << "iter=" << iter;
+    }
+    ASSERT_TRUE(inc.DecodeUntil(expected.size() + 1).ok());
+    EXPECT_EQ(inc.output(), expected) << "iter=" << iter;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "events/client_event.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
+#include "lz_reference.h"
 #include "scribe/aggregator.h"
 #include "scribe/buffer_pool.h"
 #include "scribe/cluster.h"
@@ -971,7 +972,7 @@ TEST_F(AggregatorTest, OverflowDuringOutageDoesNotCorruptPooledRolls) {
   ASSERT_TRUE(body.ok());
   std::vector<std::string> survivors = {std::string(30, 'b'),
                                         std::string(30, 'c')};
-  EXPECT_EQ(*body, Lz::CompressReference(FrameMessages(survivors)));
+  EXPECT_EQ(*body, lz_reference::Compress(FrameMessages(survivors)));
   auto raw = Lz::Decompress(*body);
   ASSERT_TRUE(raw.ok());
   auto msgs = UnframeMessages(*raw);
