@@ -95,8 +95,11 @@ bool RunPushdownSection(const std::vector<events::ClientEvent>& all) {
   {
     columnar::RcFileReader reader(body);
     std::vector<events::ClientEvent> everything;
-    if (!reader.ReadAll(columnar::kAllColumns, &everything).ok()) return false;
-    baseline_bytes = reader.bytes_touched();
+    columnar::ScanStats full;
+    if (!reader.Scan(columnar::ScanSpec(), &everything, &full).ok()) {
+      return false;
+    }
+    baseline_bytes = full.bytes_decompressed;
     events::EventPattern pattern("*:click");
     std::vector<events::ClientEvent> selected;
     for (const auto& ev : everything) {
@@ -290,15 +293,18 @@ int main(int argc, char** argv) {
     rcfile.disk_bytes = body.size();
     rcfile.map_tasks = blocks(rcfile.disk_bytes);
     rcfile.needs_group_by = true;  // layout is still arrival-ordered
-    columnar::RcFileReader reader(body);
-    if (!reader
-             .ForEachEventName([&](std::string_view name) {
-               if (query.Matches(name)) ++rcfile.answer;
-             })
-             .ok()) {
+    // The names-only query decompresses just the event-name column.
+    columnar::ScanSpec names_only;
+    names_only.columns = columnar::ColumnBit(columnar::EventColumn::kEventName);
+    columnar::ScanStats stats;
+    std::vector<events::ClientEvent> names;
+    if (!columnar::RcFileReader(body).Scan(names_only, &names, &stats).ok()) {
       return 1;
     }
-    rcfile.touched_bytes = reader.bytes_touched();
+    for (const auto& ev : names) {
+      if (query.Matches(ev.event_name)) ++rcfile.answer;
+    }
+    rcfile.touched_bytes = stats.bytes_decompressed;
   }
 
   // ---- Layout D: session sequences. -------------------------------------

@@ -3,11 +3,9 @@
 #include <memory>
 
 #include "analytics/udfs.h"
-#include "columnar/rcfile.h"
 #include "common/compress.h"
 #include "common/utf8.h"
 #include "dataflow/columnar_scan.h"
-#include "events/client_event.h"
 #include "sessions/dictionary.h"
 #include "sessions/session_sequence.h"
 
@@ -46,8 +44,7 @@ Result<Relation> LoadSequences(std::shared_ptr<Stdlib> lib,
   Relation rel({"user_id", "session_id", "ip", "sequence", "duration"});
   UNILOG_ASSIGN_OR_RETURN(auto files, lib->warehouse->ListRecursive(path));
   for (const auto& file : files) {
-    size_t slash = file.path.rfind('/');
-    if (file.path[slash + 1] == '_') continue;
+    if (hdfs::IsHiddenWarehousePath(path, file.path)) continue;
     UNILOG_ASSIGN_OR_RETURN(std::string blob,
                             lib->warehouse->ReadFile(file.path));
     UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(blob));
@@ -66,47 +63,6 @@ Result<Relation> LoadSequences(std::shared_ptr<Stdlib> lib,
   return rel;
 }
 
-Status AppendEventRow(const events::ClientEvent& ev, Relation* rel) {
-  return rel->AddRow({Value::Str(events::EventInitiatorName(ev.initiator)),
-                      Value::Str(ev.event_name), Value::Int(ev.user_id),
-                      Value::Str(ev.session_id), Value::Str(ev.ip),
-                      Value::Int(ev.timestamp)});
-}
-
-Result<Relation> LoadClientEvents(std::shared_ptr<Stdlib> lib,
-                                  const std::string& path) {
-  Relation rel({"initiator", "event_name", "user_id", "session_id", "ip",
-                "timestamp"});
-  UNILOG_ASSIGN_OR_RETURN(auto files, lib->warehouse->ListRecursive(path));
-  for (const auto& file : files) {
-    size_t slash = file.path.rfind('/');
-    if (file.path[slash + 1] == '_') continue;
-    UNILOG_ASSIGN_OR_RETURN(std::string blob,
-                            lib->warehouse->ReadFile(file.path));
-    // A warehoused hour may hold columnar (RCFile) or legacy
-    // framed-compressed parts; sniff per file so mixed directories work.
-    if (columnar::IsRcFile(blob)) {
-      columnar::RcFileReader reader(blob);
-      std::vector<events::ClientEvent> events;
-      UNILOG_RETURN_NOT_OK(reader.ReadAll(columnar::kAllColumns, &events));
-      for (const auto& ev : events) {
-        UNILOG_RETURN_NOT_OK(AppendEventRow(ev, &rel));
-      }
-      continue;
-    }
-    UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(blob));
-    events::ClientEventReader reader(body);
-    events::ClientEvent ev;
-    while (true) {
-      Status st = reader.Next(&ev);
-      if (st.IsNotFound()) break;
-      UNILOG_RETURN_NOT_OK(st);
-      UNILOG_RETURN_NOT_OK(AppendEventRow(ev, &rel));
-    }
-  }
-  return rel;
-}
-
 }  // namespace
 
 void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
@@ -119,13 +75,8 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
       [lib](const std::string& path, const std::vector<std::string>&) {
         return LoadSequences(lib, path);
       });
-  pig->RegisterLoader(
-      "ClientEventsLoader",
-      [lib](const std::string& path, const std::vector<std::string>&) {
-        return LoadClientEvents(lib, path);
-      });
   pig->RegisterScanLoader(
-      "ColumnarEventsLoader",
+      "ClientEventsLoader",
       [lib, metrics](const std::string& path, const std::vector<std::string>&)
           -> Result<std::shared_ptr<dataflow::PushdownScan>> {
         UNILOG_ASSIGN_OR_RETURN(

@@ -19,13 +19,12 @@ namespace unilog::analytics {
 ///       the partition's dictionary for the UDFs below.
 ///   ClientEventsLoader()      — LOAD any /logs/<category>/... directory;
 ///       columns {initiator, event_name, user_id, session_id, ip,
-///       timestamp}; reads legacy framed-compressed and columnar (RCFile
-///       v2) part files alike, sniffing the format per file.
-///   ColumnarEventsLoader()    — same directories and columns, but binds a
-///       deferred pushdown scan: an immediately-following FILTER/FOREACH
-///       is fused into the scan (zone-map group skipping, dictionary
-///       pruning, column projection) and rows materialize only at the
-///       first non-fusible consumer.
+///       timestamp}; layout-agnostic: columnar (RCFile v2) and legacy
+///       framed-compressed part files are read alike, sniffed per file.
+///       Binds a deferred dataflow::ColumnarEventScan: an
+///       immediately-following FILTER/FOREACH is fused into the scan
+///       (zone-map group skipping, dictionary pruning, column projection)
+///       and rows materialize only at the first non-fusible consumer.
 ///
 /// UDF factories (usable via DEFINE or directly):
 ///   CountClientEvents('pattern')        — matching events in a sequence.

@@ -62,19 +62,21 @@ Status ReadGroupHeader(Decoder* dec, int version, GroupHeader* hdr) {
   if (names > hdr->row_count) {
     return Status::Corruption("rcfile: dictionary larger than row group");
   }
-  hdr->name_dict.resize(names);
+  // Dictionaries grow entry by entry as they parse, never from the claimed
+  // counts, so a hostile count costs no more than the bytes behind it.
   for (uint64_t i = 0; i < names; ++i) {
-    UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&hdr->name_dict[i]));
+    std::string_view name;
+    UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&name));
+    hdr->name_dict.push_back(name);
   }
   uint64_t inits = 0;
   UNILOG_RETURN_NOT_OK(dec->GetVarint64(&inits));
   if (inits > 4) return Status::Corruption("rcfile: bad initiator dictionary");
-  hdr->init_dict.resize(inits);
   for (uint64_t i = 0; i < inits; ++i) {
     uint64_t v = 0;
     UNILOG_RETURN_NOT_OK(dec->GetVarint64(&v));
     if (v > 3) return Status::Corruption("rcfile: bad initiator");
-    hdr->init_dict[i] = static_cast<events::EventInitiator>(v);
+    hdr->init_dict.push_back(static_cast<events::EventInitiator>(v));
   }
   // The uncompressed header (zone map + dictionaries) is checksummed: a
   // flipped dictionary byte must fail loudly, not read back as a
@@ -99,30 +101,6 @@ Status SkipBlobs(Decoder* dec) {
   }
   return Status::OK();
 }
-
-/// A ScanSpec with its glob patterns compiled once per scan.
-struct CompiledSpec {
-  explicit CompiledSpec(const ScanSpec& s) : spec(&s) {
-    patterns.reserve(s.event_name_patterns.size());
-    for (const auto& p : s.event_name_patterns) {
-      patterns.emplace_back(p);
-    }
-  }
-
-  bool NameMatches(std::string_view name) const {
-    if (spec->event_names.has_value() &&
-        spec->event_names->count(std::string(name)) == 0) {
-      return false;
-    }
-    for (const auto& p : patterns) {
-      if (!p.Matches(name)) return false;
-    }
-    return true;
-  }
-
-  const ScanSpec* spec;
-  std::vector<events::EventPattern> patterns;
-};
 
 /// Per-group scratch: each needed column is decompressed at most once.
 struct GroupBlobs {
@@ -165,108 +143,10 @@ Status DecodeInt64Column(std::string_view blob, uint64_t row_count,
   return Status::OK();
 }
 
-/// Decodes one column, assigning values only into the selected rows.
-/// `out` rows for this group start at `out_base`; the k-th selected row
-/// maps to (*out)[out_base + k]. Unselected values are parsed (the stream
-/// is sequential) but never copied or allocated.
-Status DecodeColumnSelected(std::string_view blob, EventColumn column,
-                            const GroupHeader& hdr, int version,
-                            const std::vector<uint8_t>& sel,
-                            std::vector<events::ClientEvent>* out,
-                            size_t out_base) {
-  Decoder dec(blob);
-  size_t k = out_base;
-  for (uint64_t r = 0; r < hdr.row_count; ++r) {
-    const bool keep = sel[r] != 0;
-    events::ClientEvent* ev = keep ? &(*out)[k++] : nullptr;
-    switch (column) {
-      case EventColumn::kInitiator: {
-        uint64_t v = 0;
-        UNILOG_RETURN_NOT_OK(dec.GetVarint64(&v));
-        if (version >= 2) {
-          if (v >= hdr.init_dict.size()) {
-            return Status::Corruption("rcfile: initiator id out of range");
-          }
-          if (keep) ev->initiator = hdr.init_dict[v];
-        } else {
-          if (v > 3) return Status::Corruption("rcfile: bad initiator");
-          if (keep) ev->initiator = static_cast<events::EventInitiator>(v);
-        }
-        break;
-      }
-      case EventColumn::kEventName: {
-        if (version >= 2) {
-          uint32_t id = 0;
-          UNILOG_RETURN_NOT_OK(dec.GetVarint32(&id));
-          if (id >= hdr.name_dict.size()) {
-            return Status::Corruption("rcfile: event-name id out of range");
-          }
-          if (keep) {
-            ev->event_name.assign(hdr.name_dict[id].data(),
-                                  hdr.name_dict[id].size());
-          }
-        } else {
-          std::string_view sv;
-          UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&sv));
-          if (keep) ev->event_name.assign(sv.data(), sv.size());
-        }
-        break;
-      }
-      case EventColumn::kUserId: {
-        int64_t v = 0;
-        UNILOG_RETURN_NOT_OK(dec.GetSignedVarint64(&v));
-        if (keep) ev->user_id = v;
-        break;
-      }
-      case EventColumn::kSessionId: {
-        std::string_view sv;
-        UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&sv));
-        if (keep) ev->session_id.assign(sv.data(), sv.size());
-        break;
-      }
-      case EventColumn::kIp: {
-        std::string_view sv;
-        UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&sv));
-        if (keep) ev->ip.assign(sv.data(), sv.size());
-        break;
-      }
-      case EventColumn::kTimestamp: {
-        int64_t v = 0;
-        UNILOG_RETURN_NOT_OK(dec.GetSignedVarint64(&v));
-        if (keep) ev->timestamp = v;
-        break;
-      }
-      case EventColumn::kDetails: {
-        uint64_t n = 0;
-        UNILOG_RETURN_NOT_OK(dec.GetVarint64(&n));
-        if (n > dec.remaining() / 2) {
-          return Status::Corruption("rcfile: bad details count");
-        }
-        if (keep) {
-          ev->details.clear();
-          ev->details.reserve(n);
-        }
-        for (uint64_t i = 0; i < n; ++i) {
-          std::string_view dk, dv;
-          UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&dk));
-          UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&dv));
-          if (keep) {
-            ev->details.emplace_back(std::string(dk), std::string(dv));
-          }
-        }
-        break;
-      }
-    }
-  }
-  if (!dec.AtEnd()) return Status::Corruption("rcfile: column overrun");
-  return Status::OK();
-}
-
-/// The selection half of a group scan, shared by the event and columnar
-/// materializers: header, group-level skips, blob section + checksum, and
-/// the per-row selection bitmap from encoded/cheap columns. Columns
-/// decoded for predicates stay cached in `name_ids` / `ts_vals` /
-/// `uid_vals` so the materializer never decodes them twice.
+/// The selection half of a group scan: header, group-level skips, blob
+/// section + checksum, and the per-row selection bitmap from encoded/cheap
+/// columns. Columns decoded for predicates stay cached in `name_ids` /
+/// `ts_vals` / `uid_vals` so the column decoder never decodes them twice.
 struct GroupSelection {
   GroupHeader hdr;
   bool skipped = false;
@@ -277,9 +157,9 @@ struct GroupSelection {
   size_t selected = 0;
 };
 
-Status SelectGroupRows(Decoder* dec, int version, const CompiledSpec& compiled,
-                       GroupSelection* g, ScanStats* stats) {
-  const ScanSpec& spec = *compiled.spec;
+Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
+                       const RowMatcher& matcher, GroupSelection* g,
+                       ScanStats* stats) {
   GroupHeader& hdr = g->hdr;
   UNILOG_RETURN_NOT_OK(ReadGroupHeader(dec, version, &hdr));
   ++stats->groups_total;
@@ -299,11 +179,11 @@ Status SelectGroupRows(Decoder* dec, int version, const CompiledSpec& compiled,
       if (it == spec.user_ids->end() || *it > hdr.max_uid) skip = true;
     }
     bool dict_skip = false;
-    if (!skip && compiled.spec->has_name_predicate()) {
+    if (!skip && spec.has_name_predicate()) {
       name_flags.resize(hdr.name_dict.size());
       bool any = false;
       for (size_t i = 0; i < hdr.name_dict.size(); ++i) {
-        name_flags[i] = compiled.NameMatches(hdr.name_dict[i]) ? 1 : 0;
+        name_flags[i] = matcher.NameMatches(hdr.name_dict[i]) ? 1 : 0;
         any = any || name_flags[i] != 0;
       }
       if (!any) skip = dict_skip = true;
@@ -328,13 +208,26 @@ Status SelectGroupRows(Decoder* dec, int version, const CompiledSpec& compiled,
           hdr.blobs_checksum) {
     return Status::Corruption("rcfile: row-group blob checksum mismatch");
   }
+  // Every column encoding spends at least one byte per row, so a column
+  // that decompresses to fewer bytes than the claimed row count is
+  // corrupt. Its size is the Lz block's leading varint (Decompress holds
+  // the block to it), so this runs before anything is sized from the
+  // claimed count and before any blob is decompressed.
+  for (std::string_view blob : blobs.compressed) {
+    Decoder lz(blob);
+    uint64_t decompressed_size = 0;
+    UNILOG_RETURN_NOT_OK(lz.GetVarint64(&decompressed_size));
+    if (decompressed_size < hdr.row_count) {
+      return Status::Corruption("rcfile: column shorter than its row count");
+    }
+  }
   ++stats->groups_scanned;
   stats->rows_scanned += hdr.row_count;
 
   // Row selection on encoded / cheap columns, before materialization.
   std::vector<uint8_t>& sel = g->sel;
   sel.assign(hdr.row_count, 1);
-  if (compiled.spec->has_name_predicate()) {
+  if (spec.has_name_predicate()) {
     UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kEventName, stats));
     std::string_view blob =
         blobs.decompressed[static_cast<int>(EventColumn::kEventName)];
@@ -351,7 +244,7 @@ Status SelectGroupRows(Decoder* dec, int version, const CompiledSpec& compiled,
       for (uint64_t r = 0; r < hdr.row_count; ++r) {
         std::string_view name;
         UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&name));
-        if (!compiled.NameMatches(name)) sel[r] = 0;
+        if (!matcher.NameMatches(name)) sel[r] = 0;
       }
       if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
     }
@@ -390,65 +283,16 @@ Status SelectGroupRows(Decoder* dec, int version, const CompiledSpec& compiled,
   return Status::OK();
 }
 
-/// Scans one group at the decoder's position, leaving the decoder past it.
-Status ScanOneGroup(Decoder* dec, int version, const CompiledSpec& compiled,
-                    std::vector<events::ClientEvent>* out, ScanStats* stats) {
-  const ScanSpec& spec = *compiled.spec;
-  GroupSelection g;
-  UNILOG_RETURN_NOT_OK(SelectGroupRows(dec, version, compiled, &g, stats));
-  if (g.skipped) return Status::OK();
-  const GroupHeader& hdr = g.hdr;
-
-  const size_t out_base = out->size();
-  out->resize(out_base + g.selected);
-  if (g.selected == 0) return Status::OK();
-
-  for (int c = 0; c < kEventColumns; ++c) {
-    if ((spec.columns & (1u << c)) == 0) continue;
-    auto column = static_cast<EventColumn>(c);
-    // Columns already decoded for predicates are assigned from the cache.
-    if (column == EventColumn::kTimestamp && !g.ts_vals.empty()) {
-      size_t k = out_base;
-      for (uint64_t r = 0; r < hdr.row_count; ++r) {
-        if (g.sel[r]) (*out)[k++].timestamp = g.ts_vals[r];
-      }
-      continue;
-    }
-    if (column == EventColumn::kUserId && !g.uid_vals.empty()) {
-      size_t k = out_base;
-      for (uint64_t r = 0; r < hdr.row_count; ++r) {
-        if (g.sel[r]) (*out)[k++].user_id = g.uid_vals[r];
-      }
-      continue;
-    }
-    if (column == EventColumn::kEventName && !g.name_ids.empty()) {
-      size_t k = out_base;
-      for (uint64_t r = 0; r < hdr.row_count; ++r) {
-        if (g.sel[r]) {
-          const std::string_view name = hdr.name_dict[g.name_ids[r]];
-          (*out)[k++].event_name.assign(name.data(), name.size());
-        }
-      }
-      continue;
-    }
-    UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-    UNILOG_RETURN_NOT_OK(
-        DecodeColumnSelected(g.blobs.decompressed[c], column, hdr, version,
-                             g.sel, out, out_base));
-  }
-  return Status::OK();
-}
-
-/// The columnar twin of ScanOneGroup: identical selection and accounting,
-/// but the selected rows land in typed arrays and the dictionary-encoded
-/// columns stay encoded (codes + a materialized-once dictionary).
-Status ScanOneGroupColumnar(Decoder* dec, int version,
-                            const CompiledSpec& compiled,
+/// Scans one group at the decoder's position, leaving the decoder past it:
+/// SelectGroupRows, then the selected rows' masked columns land in typed
+/// arrays, the dictionary-encoded columns staying encoded (codes + a
+/// materialized-once dictionary). The only code that decodes column blobs.
+Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
+                            const RowMatcher& matcher,
                             RcFileReader::ColumnarGroup* out,
                             ScanStats* stats) {
-  const ScanSpec& spec = *compiled.spec;
   GroupSelection g;
-  UNILOG_RETURN_NOT_OK(SelectGroupRows(dec, version, compiled, &g, stats));
+  UNILOG_RETURN_NOT_OK(SelectGroupRows(dec, version, spec, matcher, &g, stats));
   out->rows = g.selected;
   if (g.skipped || g.selected == 0) return Status::OK();
   const GroupHeader& hdr = g.hdr;
@@ -493,10 +337,7 @@ Status ScanOneGroupColumnar(Decoder* dec, int version,
         auto dict = std::make_shared<std::vector<std::string>>();
         out->init_codes.reserve(g.selected);
         if (version >= 2) {
-          dict->reserve(hdr.init_dict.size());
-          for (events::EventInitiator init : hdr.init_dict) {
-            dict->emplace_back(events::EventInitiatorName(init));
-          }
+          out->init_values = hdr.init_dict;
           for (uint64_t r = 0; r < hdr.row_count; ++r) {
             uint64_t v = 0;
             UNILOG_RETURN_NOT_OK(col.GetVarint64(&v));
@@ -515,14 +356,18 @@ Status ScanOneGroupColumnar(Decoder* dec, int version,
             if (v > 3) return Status::Corruption("rcfile: bad initiator");
             if (!g.sel[r]) continue;
             if (code_of[v] == ~0u) {
-              code_of[v] = static_cast<uint32_t>(dict->size());
-              dict->emplace_back(events::EventInitiatorName(
-                  static_cast<events::EventInitiator>(v)));
+              code_of[v] = static_cast<uint32_t>(out->init_values.size());
+              out->init_values.push_back(
+                  static_cast<events::EventInitiator>(v));
             }
             out->init_codes.push_back(code_of[v]);
           }
         }
         if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
+        dict->reserve(out->init_values.size());
+        for (events::EventInitiator init : out->init_values) {
+          dict->emplace_back(events::EventInitiatorName(init));
+        }
         out->init_dict = std::move(dict);
         break;
       }
@@ -566,11 +411,67 @@ Status ScanOneGroupColumnar(Decoder* dec, int version,
         if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
         break;
       }
-      case EventColumn::kDetails:
-        // Key-value pairs have no typed-array representation; the
-        // relational layer never exposes the column.
+      case EventColumn::kDetails: {
+        UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
+        Decoder col(g.blobs.decompressed[c]);
+        out->details.reserve(g.selected);
+        for (uint64_t r = 0; r < hdr.row_count; ++r) {
+          uint64_t n = 0;
+          UNILOG_RETURN_NOT_OK(col.GetVarint64(&n));
+          // Each pair spends at least two length-prefix bytes.
+          if (n > col.remaining() / 2) {
+            return Status::Corruption("rcfile: bad details count");
+          }
+          std::vector<std::pair<std::string, std::string>> pairs;
+          if (g.sel[r]) pairs.reserve(n);
+          for (uint64_t i = 0; i < n; ++i) {
+            std::string_view k, v;
+            UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&k));
+            UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&v));
+            if (g.sel[r]) pairs.emplace_back(k, v);
+          }
+          if (g.sel[r]) out->details.push_back(std::move(pairs));
+        }
+        if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
         break;
+      }
     }
+  }
+  return Status::OK();
+}
+
+/// Appends a scanned group's rows to `out` as events — the event view of
+/// ScanOneGroupColumnar's arrays. Fields outside `mask` keep defaults.
+void AppendEvents(RcFileReader::ColumnarGroup* g, ColumnMask mask,
+                  std::vector<events::ClientEvent>* out) {
+  auto has = [mask](EventColumn c) { return (mask & ColumnBit(c)) != 0; };
+  const size_t base = out->size();
+  out->resize(base + g->rows);
+  for (size_t i = 0; i < g->rows; ++i) {
+    events::ClientEvent& ev = (*out)[base + i];
+    if (has(EventColumn::kInitiator)) {
+      ev.initiator = g->init_values[g->init_codes[i]];
+    }
+    if (has(EventColumn::kEventName)) {
+      if (g->name_dict != nullptr) {
+        ev.event_name = (*g->name_dict)[g->name_codes[i]];
+      } else {
+        ev.event_name = std::move(g->name_strs[i]);
+      }
+    }
+    if (has(EventColumn::kUserId)) ev.user_id = g->user_ids[i];
+    if (has(EventColumn::kSessionId)) {
+      ev.session_id = std::move(g->session_ids[i]);
+    }
+    if (has(EventColumn::kIp)) ev.ip = std::move(g->ips[i]);
+    if (has(EventColumn::kTimestamp)) ev.timestamp = g->timestamps[i];
+    if (has(EventColumn::kDetails)) ev.details = std::move(g->details[i]);
+  }
+}
+
+Status CheckColumns(const ScanSpec& spec) {
+  if ((spec.columns & ~kAllColumns) != 0) {
+    return Status::InvalidArgument("rcfile: column mask has unknown bits");
   }
   return Status::OK();
 }
@@ -669,14 +570,18 @@ bool RowMatcher::Matches(const events::ClientEvent& event) const {
   if (spec_->max_timestamp && event.timestamp > *spec_->max_timestamp) {
     return false;
   }
-  if (spec_->event_names && !spec_->event_names->count(event.event_name)) {
+  if (spec_->user_ids && !spec_->user_ids->count(event.user_id)) {
+    return false;
+  }
+  return NameMatches(event.event_name);
+}
+
+bool RowMatcher::NameMatches(std::string_view name) const {
+  if (spec_->event_names && !spec_->event_names->count(std::string(name))) {
     return false;
   }
   for (const auto& pattern : patterns_) {
-    if (!pattern.Matches(event.event_name)) return false;
-  }
-  if (spec_->user_ids && !spec_->user_ids->count(event.user_id)) {
-    return false;
+    if (!pattern.Matches(name)) return false;
   }
   return true;
 }
@@ -804,7 +709,7 @@ RcFileReader::RcFileReader(std::string_view data) : data_(data) {
 }
 
 Status RcFileReader::ReadAll(ColumnMask mask,
-                             std::vector<events::ClientEvent>* out) {
+                             std::vector<events::ClientEvent>* out) const {
   ScanSpec spec;
   spec.columns = mask;
   return Scan(spec, out, nullptr);
@@ -812,48 +717,11 @@ Status RcFileReader::ReadAll(ColumnMask mask,
 
 Status RcFileReader::Scan(const ScanSpec& spec,
                           std::vector<events::ClientEvent>* out,
-                          ScanStats* stats) {
-  if ((spec.columns & ~kAllColumns) != 0) {
-    return Status::InvalidArgument("rcfile: column mask has unknown bits");
-  }
-  CompiledSpec compiled(spec);
-  ScanStats local;
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(body_offset_));
-  while (!dec.AtEnd()) {
-    UNILOG_RETURN_NOT_OK(ScanOneGroup(&dec, version_, compiled, out, &local));
-  }
-  bytes_touched_ += local.bytes_decompressed;
-  if (stats != nullptr) stats->MergeFrom(local);
-  return Status::OK();
-}
-
-Status RcFileReader::ForEachEventName(
-    const std::function<void(std::string_view)>& fn) {
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(body_offset_));
-  while (!dec.AtEnd()) {
-    GroupHeader hdr;
-    UNILOG_RETURN_NOT_OK(ReadGroupHeader(&dec, version_, &hdr));
-    for (int c = 0; c < kEventColumns; ++c) {
-      std::string_view compressed;
-      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&compressed));
-      if (static_cast<EventColumn>(c) != EventColumn::kEventName) continue;
-      bytes_touched_ += compressed.size();
-      UNILOG_ASSIGN_OR_RETURN(std::string column, Lz::Decompress(compressed));
-      if (version_ >= 2) {
-        std::vector<uint32_t> ids;
-        UNILOG_RETURN_NOT_OK(DecodeNameIds(column, hdr, &ids));
-        for (uint32_t id : ids) fn(hdr.name_dict[id]);
-      } else {
-        Decoder col(column);
-        for (uint64_t r = 0; r < hdr.row_count; ++r) {
-          std::string_view name;
-          UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&name));
-          fn(name);
-        }
-      }
-    }
+                          ScanStats* stats) const {
+  UNILOG_RETURN_NOT_OK(CheckColumns(spec));
+  UNILOG_ASSIGN_OR_RETURN(std::vector<RowGroupHandle> groups, IndexGroups());
+  for (const RowGroupHandle& group : groups) {
+    UNILOG_RETURN_NOT_OK(ScanGroup(group, spec, out, stats));
   }
   return Status::OK();
 }
@@ -880,15 +748,9 @@ Status RcFileReader::ScanGroup(const RowGroupHandle& group,
                                const ScanSpec& spec,
                                std::vector<events::ClientEvent>* out,
                                ScanStats* stats) const {
-  if ((spec.columns & ~kAllColumns) != 0) {
-    return Status::InvalidArgument("rcfile: column mask has unknown bits");
-  }
-  CompiledSpec compiled(spec);
-  ScanStats local;
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(group.offset));
-  UNILOG_RETURN_NOT_OK(ScanOneGroup(&dec, version_, compiled, out, &local));
-  if (stats != nullptr) stats->MergeFrom(local);
+  ColumnarGroup g;
+  UNILOG_RETURN_NOT_OK(ScanGroupColumnar(group, spec, &g, stats));
+  AppendEvents(&g, spec.columns, out);
   return Status::OK();
 }
 
@@ -896,15 +758,13 @@ Status RcFileReader::ScanGroupColumnar(const RowGroupHandle& group,
                                        const ScanSpec& spec,
                                        ColumnarGroup* out,
                                        ScanStats* stats) const {
-  if ((spec.columns & ~kAllColumns) != 0) {
-    return Status::InvalidArgument("rcfile: column mask has unknown bits");
-  }
-  CompiledSpec compiled(spec);
+  UNILOG_RETURN_NOT_OK(CheckColumns(spec));
+  RowMatcher matcher(spec);
   ScanStats local;
   Decoder dec(data_);
   UNILOG_RETURN_NOT_OK(dec.Skip(group.offset));
   UNILOG_RETURN_NOT_OK(
-      ScanOneGroupColumnar(&dec, version_, compiled, out, &local));
+      ScanOneGroupColumnar(&dec, version_, spec, matcher, out, &local));
   if (stats != nullptr) stats->MergeFrom(local);
   return Status::OK();
 }
@@ -967,22 +827,6 @@ Result<uint64_t> RcFileReader::ContentFingerprint() const {
     mix(hdr.blobs_checksum);
   }
   return h;
-}
-
-Result<uint64_t> RcFileReader::TotalColumnBytes() const {
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(body_offset_));
-  uint64_t total = 0;
-  while (!dec.AtEnd()) {
-    GroupHeader hdr;
-    UNILOG_RETURN_NOT_OK(ReadGroupHeader(&dec, version_, &hdr));
-    for (int c = 0; c < kEventColumns; ++c) {
-      std::string_view compressed;
-      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&compressed));
-      total += compressed.size();
-    }
-  }
-  return total;
 }
 
 }  // namespace unilog::columnar

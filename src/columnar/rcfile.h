@@ -2,12 +2,12 @@
 #define UNILOG_COLUMNAR_RCFILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -130,16 +130,19 @@ struct ScanStats {
 void ReportScanStats(const ScanStats& stats, obs::MetricsRegistry* metrics,
                      const std::string& source);
 
-/// Row-wise evaluation of a ScanSpec's predicates against a fully decoded
-/// event, with the glob patterns compiled once at construction. This is
-/// the reference semantics the columnar fast path must agree with: legacy
-/// (framed) parts are filtered with it directly, and shared scans use it
-/// as the per-workflow residual filter over union-scanned rows. Borrows
-/// `spec`; the spec must outlive the matcher.
+/// Evaluation of a ScanSpec's predicates, with the glob patterns compiled
+/// once at construction. Every scan path selects through it: RCFile
+/// groups test dictionary entries (or v1 row names) with NameMatches,
+/// legacy (framed) parts are filtered row-wise with Matches, and shared
+/// scans use it as the per-workflow residual filter over union-scanned
+/// rows. Borrows `spec`; the spec must outlive the matcher.
 class RowMatcher {
  public:
   explicit RowMatcher(const ScanSpec& spec);
   bool Matches(const events::ClientEvent& event) const;
+  /// The spec's event-name predicates alone: allowlist membership and
+  /// every glob.
+  bool NameMatches(std::string_view name) const;
 
  private:
   const ScanSpec* spec_;
@@ -197,15 +200,15 @@ class RcFileReader {
   /// Reads every row, populating only the fields whose columns are in
   /// `mask` (other fields keep their default values). Appends to `out`.
   /// Masks with bits outside the known columns are InvalidArgument.
-  Status ReadAll(ColumnMask mask, std::vector<events::ClientEvent>* out);
+  Status ReadAll(ColumnMask mask, std::vector<events::ClientEvent>* out) const;
 
   /// Predicate + projection scan. Appends the selected rows, in file
-  /// order, to `out`; accumulates accounting into `stats` when non-null.
+  /// order, to `out`; accumulates accounting into `stats` when non-null
+  /// (`bytes_decompressed` is the projection saving RCFile exists for).
+  /// Every group goes through ScanGroupColumnar and is then unpacked into
+  /// events, so there is one column decoder under every read.
   Status Scan(const ScanSpec& spec, std::vector<events::ClientEvent>* out,
-              ScanStats* stats = nullptr);
-
-  /// Visits only the event-name column (the histogram/counting fast path).
-  Status ForEachEventName(const std::function<void(std::string_view)>& fn);
+              ScanStats* stats = nullptr) const;
 
   /// A row group's position, for group-parallel scans. `byte_length` (the
   /// group's full extent: header plus compressed blobs) is the byte
@@ -228,10 +231,10 @@ class RcFileReader {
                    ScanStats* stats) const;
 
   /// One scanned row group as typed column arrays — the zero-boxing
-  /// output the vectorized dataflow engine consumes. Only the columns in
-  /// the ScanSpec mask are populated (kDetails is not representable and
-  /// its bit is ignored); each vector holds one entry per *selected* row,
-  /// in file order. Event names and initiators stay dictionary-encoded
+  /// output the vectorized dataflow engine consumes, and the form every
+  /// event read is unpacked from. Only the columns in the ScanSpec mask
+  /// are populated; each vector holds one entry per *selected* row, in
+  /// file order. Event names and initiators stay dictionary-encoded
   /// (codes plus a shared dictionary of the distinct strings), so a v2
   /// group's strings are materialized once per distinct value, never per
   /// row; v1 groups fall back to per-row name strings in `name_strs`.
@@ -240,18 +243,22 @@ class RcFileReader {
     std::vector<uint32_t> name_codes;
     std::shared_ptr<const std::vector<std::string>> name_dict;
     std::vector<std::string> name_strs;  // v1 only (no dictionary)
-    /// Initiator display names (EventInitiatorName), <= 4 entries.
+    /// Initiator display names (EventInitiatorName), <= 4 entries, and
+    /// the same entries as enum values.
     std::vector<uint32_t> init_codes;
     std::shared_ptr<const std::vector<std::string>> init_dict;
+    std::vector<events::EventInitiator> init_values;
     std::vector<int64_t> user_ids;
     std::vector<int64_t> timestamps;
     std::vector<std::string> session_ids;
     std::vector<std::string> ips;
+    /// Key-value pairs per row; the relational scans never request them.
+    std::vector<std::vector<std::pair<std::string, std::string>>> details;
   };
 
-  /// ScanGroup with columnar output: selects exactly the same rows with
-  /// the same accounting, but never materializes a ClientEvent.
-  /// Thread-safe like ScanGroup.
+  /// The one group decoder: selects the group's rows (zone-map and
+  /// dictionary skips, encoded-id pruning) and decodes the masked columns
+  /// of the selected rows into typed arrays. Thread-safe like ScanGroup.
   Status ScanGroupColumnar(const RowGroupHandle& group, const ScanSpec& spec,
                            ColumnarGroup* out, ScanStats* stats) const;
 
@@ -284,17 +291,10 @@ class RcFileReader {
   /// callers fall back to size+mtime), Corruption on malformed files.
   Result<uint64_t> ContentFingerprint() const;
 
-  /// Compressed bytes actually decompressed by (non-const) calls so far —
-  /// the projection savings RCFile exists to provide.
-  uint64_t bytes_touched() const { return bytes_touched_; }
-  /// Total compressed column bytes in the file.
-  Result<uint64_t> TotalColumnBytes() const;
-
  private:
   std::string_view data_;
   int version_ = 1;
   size_t body_offset_ = 0;
-  uint64_t bytes_touched_ = 0;
 };
 
 }  // namespace unilog::columnar

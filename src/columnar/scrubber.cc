@@ -6,24 +6,6 @@
 
 namespace unilog::columnar {
 
-namespace {
-
-// True when any path component below the `root` prefix starts with '_'
-// (the warehouse hidden convention — markers, caches, prior quarantines).
-bool HiddenUnder(const std::string& root, const std::string& path) {
-  size_t start = root.size();
-  if (start < path.size() && path[start] == '/') ++start;
-  while (start < path.size()) {
-    if (path[start] == '_') return true;
-    size_t slash = path.find('/', start);
-    if (slash == std::string::npos) break;
-    start = slash + 1;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::string ScrubReport::ToString() const {
   return "checked=" + std::to_string(files_checked) +
          " skipped=" + std::to_string(files_skipped) +
@@ -37,7 +19,7 @@ Result<ScrubReport> ScrubColumnarDir(hdfs::MiniHdfs* fs,
   ScrubReport report;
   UNILOG_ASSIGN_OR_RETURN(auto files, fs->ListRecursive(root));
   for (const auto& file : files) {
-    if (HiddenUnder(root, file.path)) {
+    if (hdfs::IsHiddenWarehousePath(root, file.path)) {
       ++report.files_skipped;
       continue;
     }

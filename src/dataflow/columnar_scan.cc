@@ -140,29 +140,13 @@ ColumnBatch BatchFromEvents(
   return ColumnBatch(std::move(cols), events.size());
 }
 
-/// CompiledSpec-equivalent name check for the batch residual path (the
-/// rcfile one is file-local): allowlist membership plus every glob.
-bool NameMatchesSpec(const columnar::ScanSpec& spec,
-                     const std::vector<events::EventPattern>& patterns,
-                     std::string_view name) {
-  if (spec.event_names.has_value() &&
-      spec.event_names->count(std::string(name)) == 0) {
-    return false;
-  }
-  for (const auto& p : patterns) {
-    if (!p.Matches(name)) return false;
-  }
-  return true;
-}
-
 /// RowMatcher::Matches over typed group columns: selects the rows of
-/// [0, rows) the member spec admits. Dictionary name columns evaluate
-/// the name predicate once per dictionary entry; rows that predicate
-/// rejects are counted into `dict_pruned` (their strings were never
-/// touched).
+/// [0, rows) that `spec` (compiled as `matcher`) admits. Dictionary name
+/// columns evaluate the name predicate once per dictionary entry; rows
+/// that predicate rejects are counted into `dict_pruned` (their strings
+/// were never touched).
 std::vector<uint32_t> ResidualSelect(
-    const columnar::ScanSpec& spec,
-    const std::vector<events::EventPattern>& patterns,
+    const columnar::ScanSpec& spec, const columnar::RowMatcher& matcher,
     GroupColumnSource* source, uint64_t* dict_pruned) {
   const size_t rows = source->rows();
   std::vector<uint8_t> keep(rows, 1);
@@ -182,7 +166,7 @@ std::vector<uint32_t> ResidualSelect(
     if (names.kind == ColumnKind::kDict) {
       std::vector<uint8_t> verdict(names.dict->size());
       for (size_t d = 0; d < names.dict->size(); ++d) {
-        verdict[d] = NameMatchesSpec(spec, patterns, (*names.dict)[d]) ? 1 : 0;
+        verdict[d] = matcher.NameMatches((*names.dict)[d]) ? 1 : 0;
       }
       for (size_t r = 0; r < rows; ++r) {
         if (verdict[names.codes[r]] == 0) {
@@ -192,7 +176,7 @@ std::vector<uint32_t> ResidualSelect(
       }
     } else {
       for (size_t r = 0; r < rows; ++r) {
-        if (!NameMatchesSpec(spec, patterns, names.str[r])) keep[r] = 0;
+        if (!matcher.NameMatches(names.str[r])) keep[r] = 0;
       }
     }
   }
@@ -272,23 +256,6 @@ Result<TableStats> FileTableStats(const std::string& body) {
 }
 
 }  // namespace
-
-bool IsHiddenWarehousePath(const std::string& dir, const std::string& path) {
-  // Listings hand back absolute paths under `dir`; anything else is
-  // checked whole (defensive — never out of bounds).
-  size_t start = path.compare(0, dir.size(), dir) == 0 ? dir.size() : 0;
-  while (start < path.size()) {
-    if (path[start] == '/') {
-      ++start;
-      continue;
-    }
-    if (path[start] == '_') return true;
-    size_t slash = path.find('/', start);
-    if (slash == std::string::npos) break;
-    start = slash + 1;
-  }
-  return false;
-}
 
 Result<std::shared_ptr<ColumnarEventScan>> ColumnarEventScan::Open(
     const hdfs::MiniHdfs* fs, const std::string& dir,
@@ -565,15 +532,6 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
   UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units,
                           PlanUnits(*members[0]->files_));
 
-  // Per-member glob patterns compiled once, shared read-only by units.
-  std::vector<std::vector<events::EventPattern>> member_patterns(
-      members.size());
-  for (size_t m = 0; m < members.size(); ++m) {
-    member_patterns[m].reserve(members[m]->spec_.event_name_patterns.size());
-    for (const auto& p : members[m]->spec_.event_name_patterns) {
-      member_patterns[m].emplace_back(p);
-    }
-  }
   std::vector<columnar::RowMatcher> residual;
   residual.reserve(members.size());
   for (const auto& member : members) residual.emplace_back(member->spec_);
@@ -596,7 +554,7 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
       for (size_t m = 0; m < members.size(); ++m) {
         ColumnBatch b = source.BatchFor(members[m]->visible_);
         if (members[m]->spec_.has_predicates()) {
-          b.SetSelection(ResidualSelect(members[m]->spec_, member_patterns[m],
+          b.SetSelection(ResidualSelect(members[m]->spec_, residual[m],
                                         &source,
                                         &stat_slots[u].dict_domain_rows_pruned));
         }

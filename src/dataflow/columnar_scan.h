@@ -17,13 +17,7 @@
 
 namespace unilog::dataflow {
 
-/// True when any path component of `path` below the `dir` prefix starts
-/// with '_' — the warehouse convention for metadata and cache subtrees
-/// (_SUCCESS-style markers, /warehouse/_cache artifacts). Scans and the
-/// Oink input manifests both ignore hidden paths, so cached intermediate
-/// results written next to the data can never feed back into a scan, an
-/// input fingerprint, or delivery accounting.
-bool IsHiddenWarehousePath(const std::string& dir, const std::string& path);
+using hdfs::IsHiddenWarehousePath;
 
 /// A deferred table scan the Pig layer can push work into. LOAD with a
 /// scan loader binds one of these instead of materializing a Relation;

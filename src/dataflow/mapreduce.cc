@@ -85,8 +85,7 @@ InputFormat InputFormat::WithFileFilter(
 Status MapReduceJob::AddInputDir(const std::string& dir) {
   UNILOG_ASSIGN_OR_RETURN(auto files, fs_->ListRecursive(dir));
   for (const auto& file : files) {
-    size_t slash = file.path.rfind('/');
-    if (file.path[slash + 1] == '_') continue;  // _SUCCESS, _dictionary, ...
+    if (hdfs::IsHiddenWarehousePath(dir, file.path)) continue;
     inputs_.push_back(file.path);
   }
   return Status::OK();

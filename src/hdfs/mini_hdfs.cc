@@ -425,4 +425,21 @@ uint64_t MiniHdfs::total_blocks() const {
   return blocks;
 }
 
+bool IsHiddenWarehousePath(const std::string& dir, const std::string& path) {
+  // Listings hand back absolute paths under `dir`; anything else is
+  // checked whole (defensive — never out of bounds).
+  size_t start = path.compare(0, dir.size(), dir) == 0 ? dir.size() : 0;
+  while (start < path.size()) {
+    if (path[start] == '/') {
+      ++start;
+      continue;
+    }
+    if (path[start] == '_') return true;
+    size_t slash = path.find('/', start);
+    if (slash == std::string::npos) break;
+    start = slash + 1;
+  }
+  return false;
+}
+
 }  // namespace unilog::hdfs

@@ -213,6 +213,16 @@ class MiniHdfs {
   obs::Gauge* datanodes_down_gauge_;
 };
 
+/// True when any path component of `path` below the `dir` prefix starts
+/// with '_' — the warehouse convention for metadata and cache subtrees
+/// (_SUCCESS-style markers, _dictionary files, /warehouse/_cache
+/// artifacts, _quarantined parts). Every reader of a listing (MapReduce
+/// inputs, scans, Pig loaders, Oink manifests, the scrubber) skips hidden
+/// paths, so cached intermediate results written next to the data never
+/// feed back into a job, a scan, an input fingerprint, or delivery
+/// accounting.
+bool IsHiddenWarehousePath(const std::string& dir, const std::string& path);
+
 }  // namespace unilog::hdfs
 
 #endif  // UNILOG_HDFS_MINI_HDFS_H_

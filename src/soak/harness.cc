@@ -14,12 +14,6 @@ namespace unilog::soak {
 
 namespace {
 
-// Any '_'-prefixed path component marks a hidden warehouse path (markers,
-// caches, quarantined parts).
-bool HiddenWarehousePath(const std::string& path) {
-  return path.find("/_") != std::string::npos;
-}
-
 // Mutable state the chaos corrupt-part events share; lives in Run()'s
 // frame for the whole simulation.
 struct CorruptState {
@@ -38,7 +32,9 @@ void TryCorruptPart(Simulator* sim, hdfs::MiniHdfs* warehouse,
   std::vector<hdfs::FileStatus> candidates;
   if (files.ok()) {
     for (const auto& f : *files) {
-      if (!HiddenWarehousePath(f.path) && f.size > 8) candidates.push_back(f);
+      if (!hdfs::IsHiddenWarehousePath("/logs", f.path) && f.size > 8) {
+        candidates.push_back(f);
+      }
     }
   }
   if (candidates.empty()) {
@@ -63,7 +59,9 @@ void TryInjectLoss(Simulator* sim, scribe::ScribeCluster* cluster,
     auto files = cluster->staging(dc)->ListRecursive("/staging");
     if (!files.ok()) continue;
     for (const auto& f : *files) {
-      if (HiddenWarehousePath(f.path) || f.size == 0) continue;
+      if (hdfs::IsHiddenWarehousePath("/staging", f.path) || f.size == 0) {
+        continue;
+      }
       if (cluster->staging(dc)->Delete(f.path).ok()) {
         *injected = true;
         return;

@@ -10,6 +10,8 @@
 
 #include "columnar/rcfile.h"
 #include "columnar/scrubber.h"
+#include "common/coding.h"
+#include "common/compress.h"
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
@@ -44,6 +46,15 @@ std::string WriteAll(const std::vector<events::ClientEvent>& events,
   for (const auto& ev : events) writer.Add(ev);
   writer.Finish();
   return body;
+}
+
+// Compressed bytes of every column blob in the file, from the headers.
+uint64_t TotalBlobBytes(const RcFileReader& reader) {
+  auto groups = reader.CollectGroupStats();
+  EXPECT_TRUE(groups.ok());
+  uint64_t total = 0;
+  for (const auto& group : *groups) total += group.blob_bytes;
+  return total;
 }
 
 TEST(RcFileTest, FullRoundTrip) {
@@ -81,33 +92,38 @@ TEST(RcFileTest, ProjectionPopulatesOnlyRequestedColumns) {
 TEST(RcFileTest, ProjectionTouchesFewerBytes) {
   auto events = MakeEvents(500);
   std::string body = WriteAll(events, 128);
+  RcFileReader reader(body);
 
-  RcFileReader full(body);
-  std::vector<events::ClientEvent> out_full;
-  ASSERT_TRUE(full.ReadAll(kAllColumns, &out_full).ok());
+  std::vector<events::ClientEvent> out;
+  ScanStats full;
+  ASSERT_TRUE(reader.Scan(ScanSpec(), &out, &full).ok());
 
-  RcFileReader narrow(body);
-  std::vector<events::ClientEvent> out_narrow;
-  ASSERT_TRUE(
-      narrow.ReadAll(ColumnBit(EventColumn::kEventName), &out_narrow).ok());
+  ScanSpec names_only;
+  names_only.columns = ColumnBit(EventColumn::kEventName);
+  ScanStats narrow;
+  ASSERT_TRUE(reader.Scan(names_only, &out, &narrow).ok());
 
-  EXPECT_LT(narrow.bytes_touched(), full.bytes_touched() / 2);
-  EXPECT_EQ(full.bytes_touched(), full.TotalColumnBytes().value());
+  EXPECT_LT(narrow.bytes_decompressed, full.bytes_decompressed / 2);
+  EXPECT_EQ(full.bytes_decompressed, TotalBlobBytes(reader));
 }
 
-TEST(RcFileTest, ForEachEventNameMatchesRows) {
+TEST(RcFileTest, NameOnlyScanMatchesRows) {
   auto events = MakeEvents(77);
-  std::string body = WriteAll(events, 25);
-  RcFileReader reader(body);
-  std::vector<std::string> names;
-  ASSERT_TRUE(reader
-                  .ForEachEventName([&](std::string_view name) {
-                    names.emplace_back(name);
-                  })
-                  .ok());
-  ASSERT_EQ(names.size(), events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(names[i], events[i].event_name);
+  for (int version : {1, 2}) {
+    std::string body;
+    RcFileWriter writer(&body, RcFileWriterOptions{25, version});
+    for (const auto& ev : events) ASSERT_TRUE(writer.Add(ev).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    ScanSpec names_only;
+    names_only.columns = ColumnBit(EventColumn::kEventName);
+    std::vector<events::ClientEvent> got;
+    ASSERT_TRUE(RcFileReader(body).Scan(names_only, &got).ok());
+    ASSERT_EQ(got.size(), events.size()) << "v" << version;
+    for (size_t i = 0; i < events.size(); ++i) {
+      events::ClientEvent want;
+      want.event_name = events[i].event_name;
+      EXPECT_EQ(got[i], want) << "v" << version << " row " << i;
+    }
   }
 }
 
@@ -183,6 +199,39 @@ TEST(RcFileTest, V1FormatRoundTrip) {
   ASSERT_EQ(back.size(), events.size());
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(back[i], events[i]) << i;
+  }
+}
+
+// Pins the column decoder: every column, read alone, round-trips in both
+// format versions (details included) and leaves every other field at its
+// default.
+TEST(RcFileTest, EveryColumnRoundTripsAloneInBothVersions) {
+  auto events = MakeEvents(45);
+  for (int version : {1, 2}) {
+    std::string body;
+    RcFileWriter writer(&body, RcFileWriterOptions{16, version});
+    for (const auto& ev : events) ASSERT_TRUE(writer.Add(ev).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    for (int c = 0; c < kEventColumns; ++c) {
+      std::vector<events::ClientEvent> got;
+      ASSERT_TRUE(RcFileReader(body).ReadAll(1u << c, &got).ok());
+      ASSERT_EQ(got.size(), events.size());
+      for (size_t i = 0; i < events.size(); ++i) {
+        events::ClientEvent want;
+        const events::ClientEvent& e = events[i];
+        switch (static_cast<EventColumn>(c)) {
+          case EventColumn::kInitiator: want.initiator = e.initiator; break;
+          case EventColumn::kEventName: want.event_name = e.event_name; break;
+          case EventColumn::kUserId: want.user_id = e.user_id; break;
+          case EventColumn::kSessionId: want.session_id = e.session_id; break;
+          case EventColumn::kIp: want.ip = e.ip; break;
+          case EventColumn::kTimestamp: want.timestamp = e.timestamp; break;
+          case EventColumn::kDetails: want.details = e.details; break;
+        }
+        EXPECT_EQ(got[i], want) << "v" << version << " column " << c
+                                << " row " << i;
+      }
+    }
   }
 }
 
@@ -287,7 +336,7 @@ TEST(RcFileTest, ZoneMapSkipsGroupsOnTimestampRange) {
   EXPECT_EQ(stats.groups_scanned + stats.groups_skipped, stats.groups_total);
   EXPECT_EQ(stats.rows_returned, want.size());
   EXPECT_EQ(stats.rows_pruned + stats.rows_returned, events.size());
-  EXPECT_LT(stats.bytes_decompressed, reader.TotalColumnBytes().value());
+  EXPECT_LT(stats.bytes_decompressed, TotalBlobBytes(reader));
 }
 
 TEST(RcFileTest, ZoneMapSkipsGroupsOnUserIds) {
@@ -436,6 +485,162 @@ TEST(RcFileTest, ReportScanStatsIncrementsCounters) {
   EXPECT_EQ(metrics.CounterTotal("columnar.rows_pruned"), 180u);
   EXPECT_EQ(metrics.CounterTotal("columnar.rows_returned"), 20u);
   ReportScanStats(stats, nullptr, "x");  // null registry is a no-op
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: every reader entry point answers damaged bytes —
+// truncations, byte flips, row-count and dictionary bombs — with a
+// Status, never a crash, and never sizes memory from a claimed count.
+
+uint32_t TestFnv1a(std::string_view data) {
+  uint32_t h = 2166136261u;
+  for (unsigned char c : data) {
+    h ^= c;
+    h *= 16777619u;
+  }
+  return h;
+}
+
+// Runs `body` through IndexGroups, ScanGroupColumnar (plain and with
+// predicates), Scan, CollectGroupStats and ContentFingerprint. Returns
+// whether the full Scan succeeded.
+bool DriveEveryReader(std::string_view body) {
+  RcFileReader reader(body);
+  ScanSpec narrow;
+  narrow.columns = ColumnBit(EventColumn::kInitiator);
+  narrow.event_name_patterns.push_back("web:*");
+  narrow.min_timestamp = 1345507210000;
+  narrow.user_ids = std::set<int64_t>{1001, 1004};
+  if (auto groups = reader.IndexGroups(); groups.ok()) {
+    for (const auto& group : *groups) {
+      for (const ScanSpec& spec : {ScanSpec(), narrow}) {
+        RcFileReader::ColumnarGroup cg;
+        ScanStats stats;
+        (void)reader.ScanGroupColumnar(group, spec, &cg, &stats);
+      }
+    }
+  }
+  (void)reader.CollectGroupStats();
+  (void)reader.ContentFingerprint();
+  std::vector<events::ClientEvent> out;
+  (void)reader.Scan(narrow, &out);
+  out.clear();
+  return reader.Scan(ScanSpec(), &out).ok();
+}
+
+std::string WriteVersion(const std::vector<events::ClientEvent>& events,
+                         int version) {
+  std::string body;
+  RcFileWriter writer(&body, RcFileWriterOptions{16, version});
+  for (const auto& ev : events) EXPECT_TRUE(writer.Add(ev).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return body;
+}
+
+TEST(RcFileHostileTest, EveryTruncationFailsUnlessOnAGroupBoundary) {
+  auto events = MakeEvents(40);
+  for (int version : {1, 2}) {
+    std::string body = WriteVersion(events, version);
+    std::set<size_t> boundaries = {0, body.size()};
+    if (version == 2) boundaries.insert(4);  // the bare magic: no groups
+    auto groups = RcFileReader(body).IndexGroups();
+    ASSERT_TRUE(groups.ok());
+    for (const auto& g : *groups) boundaries.insert(g.offset);
+    for (size_t cut = 0; cut <= body.size(); ++cut) {
+      bool ok = DriveEveryReader(std::string_view(body).substr(0, cut));
+      EXPECT_EQ(ok, boundaries.count(cut) > 0)
+          << "v" << version << " cut=" << cut;
+    }
+  }
+}
+
+TEST(RcFileHostileTest, SeededByteFlipsNeverCrash) {
+  auto events = MakeEvents(40);
+  Rng rng(20120821);
+  for (int version : {1, 2}) {
+    const std::string body = WriteVersion(events, version);
+    for (int trial = 0; trial < 400; ++trial) {
+      std::string garbled = body;
+      const size_t pos = rng.Uniform(garbled.size());
+      garbled[pos] ^= static_cast<char>(1 + rng.Uniform(255));
+      const bool ok = DriveEveryReader(garbled);
+      // Past the magic, the v2 header and blob checksums catch any single
+      // flipped byte; v1 has no checksums and may decode to other data.
+      if (version == 2 && pos >= 4) {
+        EXPECT_FALSE(ok) << "pos=" << pos;
+      }
+    }
+  }
+}
+
+// A group claiming kMaxRowsPerGroup rows over empty column blobs.
+std::string V1RowCountBomb() {
+  std::string body;
+  PutVarint64(&body, kMaxRowsPerGroup);
+  for (int c = 0; c < kEventColumns; ++c) {
+    PutLengthPrefixed(&body, Lz::Compress(""));
+  }
+  return body;
+}
+
+// The same bomb as a v2 group whose FNV checksums are recomputed, so only
+// the row count betrays it.
+std::string V2RowCountBomb() {
+  std::string header;
+  PutVarint64(&header, kMaxRowsPerGroup);
+  for (int i = 0; i < 4; ++i) PutSignedVarint64(&header, 0);
+  PutVarint64(&header, 1);  // one event name
+  PutLengthPrefixed(&header, "web:e");
+  PutVarint64(&header, 1);  // one initiator
+  PutVarint64(&header, 0);
+  std::string blobs;
+  for (int c = 0; c < kEventColumns; ++c) {
+    PutLengthPrefixed(&blobs, Lz::Compress(""));
+  }
+  std::string body = "RCF2" + header;
+  PutVarint32(&body, TestFnv1a(header));
+  PutVarint32(&body, TestFnv1a(blobs));
+  return body + blobs;
+}
+
+TEST(RcFileHostileTest, RowCountBombsAreCorruptionBeforeAnyAllocation) {
+  for (const std::string& body : {V1RowCountBomb(), V2RowCountBomb()}) {
+    ASSERT_LT(body.size(), 64u);
+    RcFileReader reader(body);
+    auto groups = reader.IndexGroups();
+    ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+    ASSERT_EQ(groups->size(), 1u);
+    EXPECT_EQ((*groups)[0].row_count, kMaxRowsPerGroup);
+    for (ColumnMask mask : {kAllColumns, ColumnMask{0}}) {
+      ScanSpec spec;
+      spec.columns = mask;
+      std::vector<events::ClientEvent> out;
+      Status st = reader.Scan(spec, &out);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_TRUE(out.empty());
+      RcFileReader::ColumnarGroup cg;
+      st = reader.ScanGroupColumnar((*groups)[0], spec, &cg, nullptr);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_EQ(cg.rows, 0u);
+    }
+  }
+}
+
+TEST(RcFileHostileTest, DictionaryCountBombIsCorruption) {
+  // A v2 header claiming as many dictionary entries as rows, with almost
+  // no bytes behind the claim.
+  std::string body = "RCF2";
+  PutVarint64(&body, kMaxRowsPerGroup);
+  for (int i = 0; i < 4; ++i) PutSignedVarint64(&body, 0);
+  PutVarint64(&body, kMaxRowsPerGroup);
+  PutLengthPrefixed(&body, "web:e");
+  RcFileReader reader(body);
+  EXPECT_TRUE(reader.IndexGroups().status().IsCorruption());
+  EXPECT_TRUE(reader.CollectGroupStats().status().IsCorruption());
+  EXPECT_TRUE(reader.ContentFingerprint().status().IsCorruption());
+  std::vector<events::ClientEvent> out;
+  EXPECT_TRUE(reader.Scan(ScanSpec(), &out).IsCorruption());
+  EXPECT_FALSE(DriveEveryReader(body));
 }
 
 // ---------------------------------------------------------------------------

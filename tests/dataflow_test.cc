@@ -135,6 +135,25 @@ TEST_F(MapReduceTest, SkipsUnderscoreFiles) {
   EXPECT_EQ(job.input_file_count(), 1u);
 }
 
+TEST_F(MapReduceTest, SkipsFilesUnderHiddenDirectories) {
+  // A cache subtree next to the data is hidden as a whole: the rule scans
+  // and Oink manifests apply (IsHiddenWarehousePath), not a check of the
+  // file name alone.
+  WriteFramedCompressed("/in/part-0", {"a"});
+  WriteFramedCompressed("/in/_cache/part-0", {"cached"});
+  MapReduceJob job(fs_.get(), model_);
+  ASSERT_TRUE(job.AddInputDir("/in").ok());
+  EXPECT_EQ(job.input_file_count(), 1u);
+  job.set_map([](const std::string& record, Emitter* e) {
+    e->Emit(record, "");
+    return Status::OK();
+  });
+  auto out = job.Run();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ((*out)[0].first, "a");
+}
+
 TEST_F(MapReduceTest, MapTasksScaleWithBlocks) {
   // One big file spanning many 256-byte blocks.
   std::vector<std::string> many(200, "some-message-payload");

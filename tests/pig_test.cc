@@ -14,6 +14,7 @@
 #include "events/client_event.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
+#include "scan_oracle.h"
 #include "sessions/dictionary.h"
 #include "sessions/session_sequence.h"
 
@@ -311,9 +312,10 @@ TEST_F(PigStdlibTest, ClientEventsLoaderReadsRawLogs) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar pushdown fusion: LOAD ... USING ColumnarEventsLoader() defers
-// the scan; FILTER/FOREACH fuse into it; results must equal the eager
-// ClientEventsLoader pipeline on the same directory.
+// Columnar pushdown fusion: LOAD ... USING ClientEventsLoader() defers
+// the scan; FILTER/FOREACH fuse into it; results must equal an eager
+// loader built from the scan oracle (every part decoded whole, no
+// pushdown) running the same statements on the same directory.
 
 class PigFusionTest : public ::testing::Test {
  protected:
@@ -347,6 +349,14 @@ class PigFusionTest : public ::testing::Test {
         warehouse_.WriteFile(dir + "/part-00001", Lz::Compress(legacy_body))
             .ok());
     analytics::InstallPigStdlib(&pig_, &warehouse_, &metrics_);
+    pig_.RegisterLoader(
+        "EagerEventsLoader",
+        [this](const std::string& path,
+               const std::vector<std::string>&) -> Result<Relation> {
+          UNILOG_ASSIGN_OR_RETURN(auto events,
+                                  scan_oracle::ReadAllEvents(warehouse_, path));
+          return scan_oracle::EventRelation(events);
+        });
   }
 
   // Runs a script and returns the captured DUMP/DESCRIBE lines.
@@ -358,13 +368,13 @@ class PigFusionTest : public ::testing::Test {
   }
 
   // The same statement tail run through both loaders must dump the same
-  // lines (`$L` is the loader name).
+  // lines.
   void ExpectFusedMatchesEager(const std::string& tail) {
     const std::string dir = "/logs/client_events/2012/08/21/00";
     auto fused = RunAndCapture(
-        "ev = load '" + dir + "' using ColumnarEventsLoader();" + tail);
-    auto eager = RunAndCapture(
         "ev = load '" + dir + "' using ClientEventsLoader();" + tail);
+    auto eager = RunAndCapture(
+        "ev = load '" + dir + "' using EagerEventsLoader();" + tail);
     EXPECT_FALSE(eager.empty());
     EXPECT_EQ(fused, eager);
   }
@@ -416,7 +426,7 @@ TEST_F(PigFusionTest, NonFusiblePredicateFallsBackCorrectly) {
 TEST_F(PigFusionTest, FilterDoesNotMutateLoadedAlias) {
   const std::string dir = "/logs/client_events/2012/08/21/00";
   auto out = RunAndCapture(
-      "ev = load '" + dir + "' using ColumnarEventsLoader();" +
+      "ev = load '" + dir + "' using ClientEventsLoader();" +
       "c = filter ev by event_name == 'nope:never'; dump c; dump ev;");
   // The filtered alias is empty but `ev` still dumps all 60 rows: the
   // FILTER tightened a clone, not the original scan.
@@ -426,7 +436,7 @@ TEST_F(PigFusionTest, FilterDoesNotMutateLoadedAlias) {
 TEST_F(PigFusionTest, DescribeShowsDeferredScan) {
   const std::string dir = "/logs/client_events/2012/08/21/00";
   auto out = RunAndCapture("ev = load '" + dir +
-                           "' using ColumnarEventsLoader(); describe ev;");
+                           "' using ClientEventsLoader(); describe ev;");
   ASSERT_EQ(out.size(), 1u);
   EXPECT_NE(out[0].find("(columnar scan)"), std::string::npos) << out[0];
   EXPECT_NE(out[0].find("event_name"), std::string::npos) << out[0];

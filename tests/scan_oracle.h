@@ -1,12 +1,17 @@
 #ifndef UNILOG_TESTS_SCAN_ORACLE_H_
 #define UNILOG_TESTS_SCAN_ORACLE_H_
 
-// Row-engine reference for ColumnarEventScan, independent of its batch
-// decode path: every part is decoded whole (RcFileReader::Scan for RCFile
-// parts, the framed reader for legacy parts), filtered event by event with
-// RowMatcher, and shaped through the row Relation engine. Scan tests
-// compare against this, so none of them checks the batch path against
-// itself.
+// Row-engine reference for ColumnarEventScan. Every part is decoded whole
+// (RcFileReader::ReadAll for RCFile parts, the framed reader for legacy
+// parts), filtered event by event with RowMatcher::Matches, and shaped
+// through the row Relation engine. It shares the RCFile column decoder with
+// the scan under test: ReadAll unpacks the same ScanGroupColumnar arrays
+// into events. What it stays independent of is everything the scan adds on
+// top — pushdown (zone-map and dictionary skips, encoded-id pruning),
+// shared-scan residual selection, and batch assembly — so no scan test
+// checks those against themselves. The decoder itself is pinned by the
+// writer round-trip tests in columnar_test.cc (v1 and v2, every column
+// alone and together, details included).
 
 #include <string>
 #include <utility>
@@ -43,9 +48,8 @@ inline Result<std::vector<events::ClientEvent>> ReadAllEvents(
     }
     UNILOG_ASSIGN_OR_RETURN(std::string body, fs.ReadFile(entry.path));
     if (columnar::IsRcFile(body)) {
-      columnar::RcFileReader reader(body);
-      columnar::ScanSpec everything;
-      UNILOG_RETURN_NOT_OK(reader.Scan(everything, &out, nullptr));
+      UNILOG_RETURN_NOT_OK(
+          columnar::RcFileReader(body).ReadAll(columnar::kAllColumns, &out));
       continue;
     }
     UNILOG_ASSIGN_OR_RETURN(std::string framed, Lz::Decompress(body));
