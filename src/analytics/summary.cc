@@ -38,7 +38,7 @@ namespace {
 
 /// Partial accumulation over one chunk of sequences. Counters and an
 /// integer-valued duration sum only, so merging chunk partials in chunk
-/// order reproduces the serial scan exactly.
+/// order gives the same summary at any chunk count.
 struct SummaryPartial {
   uint64_t sessions = 0;
   uint64_t events = 0;
@@ -73,37 +73,32 @@ Status SummarizeOne(const sessions::SessionSequence& seq,
 Result<DailySummary> Summarize(
     const std::vector<sessions::SessionSequence>& seqs,
     const sessions::EventDictionary& dict, exec::Executor* exec) {
-  SummaryPartial total;
-  if (exec == nullptr || !exec->parallel()) {
-    for (const auto& seq : seqs) {
-      UNILOG_RETURN_NOT_OK(SummarizeOne(seq, dict, &total));
-    }
-  } else {
-    // ParallelForChunked gives each chunk a private partial; the first
-    // failing index (by position) wins, matching the serial early-return.
-    std::vector<SummaryPartial> partials(exec->ChunksFor(seqs.size()));
-    std::vector<Status> chunk_status(partials.size(), Status::OK());
-    exec->ParallelForChunked(
-        "summarize", seqs.size(), [&](size_t chunk, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            Status s = SummarizeOne(seqs[i], dict, &partials[chunk]);
-            if (!s.ok()) {
-              chunk_status[chunk] = std::move(s);
-              return;
-            }
+  // ParallelForChunked gives each chunk a private partial; the first
+  // failing index (by position) wins, as in a front-to-back scan.
+  exec = exec::OrInline(exec);
+  std::vector<SummaryPartial> partials(exec->ChunksFor(seqs.size()));
+  std::vector<Status> chunk_status(partials.size(), Status::OK());
+  exec->ParallelForChunked(
+      "summarize", seqs.size(), [&](size_t chunk, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          Status s = SummarizeOne(seqs[i], dict, &partials[chunk]);
+          if (!s.ok()) {
+            chunk_status[chunk] = std::move(s);
+            return;
           }
-        });
-    for (auto& s : chunk_status) {
-      UNILOG_RETURN_NOT_OK(std::move(s));
-    }
-    for (auto& p : partials) {
-      total.sessions += p.sessions;
-      total.events += p.events;
-      total.users.insert(p.users.begin(), p.users.end());
-      total.total_duration += p.total_duration;
-      for (const auto& [k, n] : p.by_client) total.by_client[k] += n;
-      for (const auto& [k, n] : p.by_bucket) total.by_bucket[k] += n;
-    }
+        }
+      });
+  for (auto& s : chunk_status) {
+    UNILOG_RETURN_NOT_OK(std::move(s));
+  }
+  SummaryPartial total;
+  for (auto& p : partials) {
+    total.sessions += p.sessions;
+    total.events += p.events;
+    total.users.insert(p.users.begin(), p.users.end());
+    total.total_duration += p.total_duration;
+    for (const auto& [k, n] : p.by_client) total.by_client[k] += n;
+    for (const auto& [k, n] : p.by_bucket) total.by_bucket[k] += n;
   }
   DailySummary out;
   out.sessions = total.sessions;

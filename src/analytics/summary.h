@@ -47,10 +47,10 @@ struct DailySummary {
 /// recovered from the first event's name (its client component) via the
 /// dictionary — names alone suffice, which is the point of §4.
 ///
-/// With a parallel executor, sequences are scanned in chunks whose partial
-/// summaries merge in chunk order. Every accumulator is either a counter
-/// or an integer-valued duration sum (exact in double), so the result is
-/// identical to the serial scan at any thread count.
+/// Sequences are scanned in chunks (one when `exec` runs inline) whose
+/// partial summaries merge in chunk order. Every accumulator is either a
+/// counter or an integer-valued duration sum (exact in double), so the
+/// result is identical at any thread count.
 Result<DailySummary> Summarize(
     const std::vector<sessions::SessionSequence>& seqs,
     const sessions::EventDictionary& dict, exec::Executor* exec = nullptr);

@@ -27,11 +27,7 @@ uint64_t CountClientEvents::Count(const sessions::SessionSequence& seq) const {
 uint64_t CountClientEvents::TotalCount(
     const std::vector<sessions::SessionSequence>& seqs,
     exec::Executor* exec) const {
-  if (exec == nullptr || !exec->parallel()) {
-    uint64_t total = 0;
-    for (const auto& seq : seqs) total += Count(seq);
-    return total;
-  }
+  exec = exec::OrInline(exec);
   std::vector<uint64_t> partials(exec->ChunksFor(seqs.size()), 0);
   exec->ParallelForChunked(
       "count-events", seqs.size(), [&](size_t chunk, size_t begin, size_t end) {
@@ -84,14 +80,8 @@ size_t Funnel::StagesCompleted(const sessions::SessionSequence& seq) const {
 std::vector<uint64_t> Funnel::StageCounts(
     const std::vector<sessions::SessionSequence>& seqs,
     exec::Executor* exec) const {
+  exec = exec::OrInline(exec);
   std::vector<uint64_t> counts(stages_.size(), 0);
-  if (exec == nullptr || !exec->parallel()) {
-    for (const auto& seq : seqs) {
-      size_t completed = StagesCompleted(seq);
-      for (size_t i = 0; i < completed; ++i) ++counts[i];
-    }
-    return counts;
-  }
   std::vector<std::vector<uint64_t>> partials(
       exec->ChunksFor(seqs.size()), std::vector<uint64_t>(stages_.size(), 0));
   exec->ParallelForChunked(
@@ -138,21 +128,18 @@ RateReport ComputeRate(const std::vector<sessions::SessionSequence>& seqs,
     if (imp > 0) ++report->sessions_with_impression;
     if (act > 0) ++report->sessions_with_action;
   };
+  exec = exec::OrInline(exec);
+  std::vector<RateReport> partials(exec->ChunksFor(seqs.size()));
+  exec->ParallelForChunked(
+      "rate", seqs.size(), [&](size_t chunk, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) scan_one(seqs[i], &partials[chunk]);
+      });
   RateReport report;
-  if (exec == nullptr || !exec->parallel()) {
-    for (const auto& seq : seqs) scan_one(seq, &report);
-  } else {
-    std::vector<RateReport> partials(exec->ChunksFor(seqs.size()));
-    exec->ParallelForChunked(
-        "rate", seqs.size(), [&](size_t chunk, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) scan_one(seqs[i], &partials[chunk]);
-        });
-    for (const auto& p : partials) {
-      report.impressions += p.impressions;
-      report.actions += p.actions;
-      report.sessions_with_impression += p.sessions_with_impression;
-      report.sessions_with_action += p.sessions_with_action;
-    }
+  for (const auto& p : partials) {
+    report.impressions += p.impressions;
+    report.actions += p.actions;
+    report.sessions_with_impression += p.sessions_with_impression;
+    report.sessions_with_action += p.sessions_with_action;
   }
   report.rate = report.impressions == 0
                     ? 0.0

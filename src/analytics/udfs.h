@@ -34,9 +34,9 @@ class CountClientEvents {
   /// instance").
   bool ContainsAny(const sessions::SessionSequence& seq) const;
 
-  /// Day-level SUM over all sessions. With a parallel executor, chunk
-  /// partial sums merge in chunk order — integer counters, so the total is
-  /// identical to the serial scan at any thread count. Count() is const
+  /// Day-level SUM over all sessions. Chunk partial sums merge in chunk
+  /// order — integer counters, so the total is identical at any thread
+  /// count. Count() is const
   /// and reentrant, as UDFs must be under the exec engine.
   uint64_t TotalCount(const std::vector<sessions::SessionSequence>& seqs,
                       exec::Executor* exec = nullptr) const;
@@ -66,8 +66,8 @@ class Funnel {
   size_t StagesCompleted(std::string_view sequence_utf8) const;
 
   /// Aggregates over a day: result[i] = sessions that completed stage i
-  /// (the "(0, 490123) (1, 297071) ..." output of §5.3). With a parallel
-  /// executor, per-chunk stage vectors sum element-wise — exact.
+  /// (the "(0, 490123) (1, 297071) ..." output of §5.3). Per-chunk stage
+  /// vectors sum element-wise — exact at any thread count.
   std::vector<uint64_t> StageCounts(
       const std::vector<sessions::SessionSequence>& seqs,
       exec::Executor* exec = nullptr) const;
@@ -93,7 +93,7 @@ struct RateReport {
 
 /// Computes CTR/FTR-style rates over session sequences: total matching
 /// impressions, total matching actions, and the ratio. Integer counters,
-/// so the parallel scan is exact at any thread count.
+/// so the chunked scan is exact at any thread count.
 RateReport ComputeRate(const std::vector<sessions::SessionSequence>& seqs,
                        const sessions::EventDictionary& dict,
                        const events::EventPattern& impression_pattern,

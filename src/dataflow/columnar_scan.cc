@@ -480,20 +480,14 @@ Result<BatchRelation> ColumnarEventScan::MaterializeBatches(
     return Status::OK();
   };
 
-  if (exec != nullptr) {
-    UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
-        "columnar_scan_batch", UnitWeights(units), morsel_options_,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            UNILOG_RETURN_NOT_OK(run_unit(i));
-          }
-          return Status::OK();
-        }));
-  } else {
-    for (size_t i = 0; i < units.size(); ++i) {
-      UNILOG_RETURN_NOT_OK(run_unit(i));
-    }
-  }
+  UNILOG_RETURN_NOT_OK(exec::OrInline(exec)->ParallelForMorsels(
+      "columnar_scan_batch", UnitWeights(units), morsel_options_,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          UNILOG_RETURN_NOT_OK(run_unit(i));
+        }
+        return Status::OK();
+      }));
 
   last_stats_ = columnar::ScanStats();
   for (const auto& stats : stat_slots) last_stats_.MergeFrom(stats);
@@ -576,20 +570,14 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
     return Status::OK();
   };
 
-  if (exec != nullptr) {
-    UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
-        "shared_scan_batch", UnitWeights(units), members[0]->morsel_options_,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t u = begin; u < end; ++u) {
-            UNILOG_RETURN_NOT_OK(run_unit(u));
-          }
-          return Status::OK();
-        }));
-  } else {
-    for (size_t u = 0; u < units.size(); ++u) {
-      UNILOG_RETURN_NOT_OK(run_unit(u));
-    }
-  }
+  UNILOG_RETURN_NOT_OK(exec::OrInline(exec)->ParallelForMorsels(
+      "shared_scan_batch", UnitWeights(units), members[0]->morsel_options_,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t u = begin; u < end; ++u) {
+          UNILOG_RETURN_NOT_OK(run_unit(u));
+        }
+        return Status::OK();
+      }));
 
   columnar::ScanStats total;
   for (const auto& stats : stat_slots) total.MergeFrom(stats);

@@ -99,20 +99,6 @@ void MapReduceJob::set_map_with_state(
   merge_state_ = std::move(merge);
 }
 
-std::map<std::string, std::vector<std::string>> StableShuffle(
-    std::vector<Emitter>* per_task, uint64_t* bytes_shuffled) {
-  std::map<std::string, std::vector<std::string>> groups;
-  for (Emitter& task : *per_task) {
-    for (auto& [key, value] : task.mutable_pairs()) {
-      if (bytes_shuffled != nullptr) {
-        *bytes_shuffled += key.size() + value.size();
-      }
-      groups[std::move(key)].push_back(std::move(value));
-    }
-  }
-  return groups;
-}
-
 Result<std::vector<std::string>> MapReduceJob::SplitBody(
     std::string_view body) const {
   auto decoded = format_.decode(body);
@@ -129,94 +115,17 @@ Status MapReduceJob::QuarantineInput(const std::string& path) {
   return Status::OK();
 }
 
+// Map tasks fan out one per accepted input file, the shuffle merge is
+// stable and input-order-preserving, and reduce groups run concurrently
+// with outputs concatenated in key order. Every phase writes only to
+// per-task slots, so the output is byte-identical at any thread count.
 Result<std::vector<std::pair<std::string, std::string>>> MapReduceJob::Run() {
   if (!map_ && !map_with_state_) {
     return Status::FailedPrecondition("no map function");
   }
   stats_ = JobStats{};
-  if (exec_ != nullptr && exec_->parallel()) return RunParallel();
-  return RunSerial();
-}
+  exec::Executor* exec = exec::OrInline(exec_);
 
-// The historical single-threaded engine, kept as its own code path:
-// threads=1 must execute exactly what it always has.
-Result<std::vector<std::pair<std::string, std::string>>>
-MapReduceJob::RunSerial() {
-  // ----- Map phase: one task per HDFS block of each accepted input file.
-  Emitter map_out;
-  for (const auto& path : inputs_) {
-    if (format_.accept_file && !format_.accept_file(path)) {
-      continue;  // predicate push-down skipped this file entirely
-    }
-    UNILOG_ASSIGN_OR_RETURN(auto st, fs_->Stat(path));
-    stats_.map_tasks += st.block_count;
-    stats_.bytes_scanned += st.size;
-    UNILOG_ASSIGN_OR_RETURN(std::string body, fs_->ReadFile(path));
-    auto records_or = SplitBody(body);
-    if (!records_or.ok()) {
-      if (quarantine_fs_ != nullptr && records_or.status().IsCorruption()) {
-        UNILOG_RETURN_NOT_OK(QuarantineInput(path));
-        continue;
-      }
-      return records_or.status();
-    }
-    const std::vector<std::string>& records = *records_or;
-    std::unique_ptr<TaskLocal> state;
-    if (map_with_state_) state = create_state_();
-    for (const auto& record : records) {
-      ++stats_.records_read;
-      if (map_with_state_) {
-        UNILOG_RETURN_NOT_OK(map_with_state_(record, &map_out, state.get()));
-      } else {
-        UNILOG_RETURN_NOT_OK(map_(record, &map_out));
-      }
-    }
-    if (state != nullptr) merge_state_(state.get());
-  }
-  stats_.records_emitted = map_out.pairs().size();
-
-  std::vector<std::pair<std::string, std::string>> output;
-  if (!reduce_) {
-    // Map-only job: outputs are the map emissions, sorted for determinism.
-    output = std::move(map_out.mutable_pairs());
-    std::stable_sort(
-        output.begin(), output.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    stats_.records_output = output.size();
-    stats_.modeled_ms = ModelWallTimeMs(cost_model_, stats_);
-    return output;
-  }
-
-  // ----- Shuffle: group by key (sorted map = the sort/merge phase).
-  std::map<std::string, std::vector<std::string>> groups;
-  for (auto& [key, value] : map_out.mutable_pairs()) {
-    stats_.bytes_shuffled += key.size() + value.size();
-    groups[std::move(key)].push_back(std::move(value));
-  }
-  stats_.reduce_tasks =
-      std::min<uint64_t>(num_reducers_, std::max<size_t>(1, groups.size()));
-
-  // ----- Reduce phase.
-  Emitter reduce_out;
-  for (const auto& [key, values] : groups) {
-    UNILOG_RETURN_NOT_OK(reduce_(key, values, &reduce_out));
-  }
-  output = std::move(reduce_out.mutable_pairs());
-  std::stable_sort(
-      output.begin(), output.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  stats_.records_output = output.size();
-  stats_.modeled_ms = ModelWallTimeMs(cost_model_, stats_);
-  return output;
-}
-
-// The unilog::exec engine: map tasks fan out one per accepted input file,
-// the shuffle merge is stable and input-order-preserving, and reduce
-// groups run concurrently with outputs concatenated in key order. Every
-// phase writes only to per-task slots, so the final output is
-// byte-identical to RunSerial() at any thread count.
-Result<std::vector<std::pair<std::string, std::string>>>
-MapReduceJob::RunParallel() {
   // ----- Plan: accept-filter, stat and read bodies on the calling thread
   // (MiniHdfs access stays single-threaded; decode/map is the hot part).
   std::vector<std::string> bodies;
@@ -244,7 +153,7 @@ MapReduceJob::RunParallel() {
     for (auto& state : task_state) state = create_state_();
   }
   UNILOG_RETURN_NOT_OK(
-      exec_->ParallelForStatus("map", num_tasks, [&](size_t i) -> Status {
+      exec->ParallelForStatus("map", num_tasks, [&](size_t i) -> Status {
         auto records_or = SplitBody(bodies[i]);
         if (!records_or.ok()) {
           if (quarantine_fs_ != nullptr &&
@@ -278,8 +187,8 @@ MapReduceJob::RunParallel() {
 
   std::vector<std::pair<std::string, std::string>> output;
   if (!reduce_) {
-    // Map-only: concatenate per-task emissions in input order — identical
-    // to the serial engine's single-emitter stream — then sort stably.
+    // Map-only: concatenate per-task emissions in input order, then sort
+    // stably.
     for (Emitter& task : task_out) {
       for (auto& pair : task.mutable_pairs()) output.push_back(std::move(pair));
     }
@@ -292,19 +201,19 @@ MapReduceJob::RunParallel() {
   }
 
   // ----- Shuffle: hash-partition keys so partitions group concurrently.
-  // Each partition scans the task emitters in input order, so per-key
-  // value order matches StableShuffle (and therefore the serial engine);
-  // each key lives in exactly one partition, so the partition count never
-  // affects the result.
-  size_t num_parts = static_cast<size_t>(exec_->threads()) * 2;
+  // Each partition scans the task emitters in input order, so every key's
+  // values stay in (task, emission) order; each key lives in exactly one
+  // partition, so the partition count never affects the result. One
+  // partition (inline) groups without hashing.
+  const size_t num_parts = exec->Shards();
   std::vector<std::map<std::string, std::vector<std::string>>> parts(
       num_parts);
   std::vector<uint64_t> part_bytes(num_parts, 0);
-  exec_->ParallelFor("shuffle", num_parts, [&](size_t p) {
+  exec->ParallelFor("shuffle", num_parts, [&](size_t p) {
     std::hash<std::string_view> hasher;
     for (Emitter& task : task_out) {
       for (auto& [key, value] : task.mutable_pairs()) {
-        if (hasher(key) % num_parts != p) continue;
+        if (num_parts > 1 && hasher(key) % num_parts != p) continue;
         part_bytes[p] += key.size() + value.size();
         parts[p][key].push_back(std::move(value));
       }
@@ -325,11 +234,14 @@ MapReduceJob::RunParallel() {
   for (const auto& part : parts) {
     for (const auto& [key, values] : part) groups.emplace_back(&key, &values);
   }
-  std::sort(groups.begin(), groups.end(),
-            [](const Group& a, const Group& b) { return *a.first < *b.first; });
+  if (num_parts > 1) {
+    std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+      return *a.first < *b.first;
+    });
+  }
   std::vector<Emitter> reduce_out(groups.size());
   UNILOG_RETURN_NOT_OK(
-      exec_->ParallelForStatus("reduce", groups.size(), [&](size_t g) {
+      exec->ParallelForStatus("reduce", groups.size(), [&](size_t g) {
         return reduce_(*groups[g].first, *groups[g].second, &reduce_out[g]);
       }));
   for (Emitter& group : reduce_out) {

@@ -68,14 +68,6 @@ class Emitter {
   std::vector<std::pair<std::string, std::string>> pairs_;
 };
 
-/// The shuffle of the unilog::exec engine: groups per-task emissions with
-/// a stable, input-order-preserving merge. For every key, values appear in
-/// (task index, emission order) — exactly the order the serial engine
-/// produces by concatenating task outputs before grouping. Consumes the
-/// emitters' pairs. Exposed for the determinism/property test suite.
-std::map<std::string, std::vector<std::string>> StableShuffle(
-    std::vector<Emitter>* per_task, uint64_t* bytes_shuffled);
-
 /// Base class for per-map-task by-product state (histograms, rollups):
 /// jobs whose map function accumulates outside the emitter subclass this,
 /// so every map task mutates private state and Run() merges the pieces in
@@ -90,13 +82,13 @@ struct TaskLocal {
 /// scans, and shuffles — the same bookkeeping a Hadoop jobtracker would
 /// see from the paper's Pig scripts.
 ///
-/// With an exec::Executor attached (set_executor), map tasks fan out one
-/// per input file, the shuffle merge preserves input order, and reduce
-/// groups run concurrently with outputs emitted in key order — so the
-/// final output is byte-identical to the serial engine at any thread
-/// count. Map/reduce functions must then be safe to call from multiple
-/// threads at once (each task receives a private Emitter; shared
-/// accumulation goes through the TaskLocal machinery).
+/// Map tasks run one per input file on the attached exec::Executor
+/// (set_executor), the shuffle merge preserves input order, and reduce
+/// groups run as tasks with outputs emitted in key order — so the final
+/// output is byte-identical at any thread count. With a parallel executor
+/// map/reduce functions must be safe to call from multiple threads at
+/// once (each task receives a private Emitter; shared accumulation goes
+/// through the TaskLocal machinery).
 class MapReduceJob {
  public:
   /// Map function: one input record → zero or more (key, value) pairs.
@@ -133,8 +125,8 @@ class MapReduceJob {
   /// are the final outputs.
   void set_reduce(ReduceFn reduce) { reduce_ = std::move(reduce); }
   void set_num_reducers(uint64_t n) { num_reducers_ = n; }
-  /// Attaches the parallel execution engine; nullptr (the default) or a
-  /// serial executor keeps the historical single-threaded code path.
+  /// Attaches the execution engine the tasks run on; nullptr (the
+  /// default) runs them inline on the calling thread (exec::OrInline).
   void set_executor(exec::Executor* exec) { exec_ = exec; }
   /// Tolerates corrupt inputs: an input whose decode/split fails with a
   /// Corruption status (e.g. an RCFile v2 part with a bad block checksum)
@@ -151,8 +143,6 @@ class MapReduceJob {
   const JobStats& stats() const { return stats_; }
 
  private:
-  Result<std::vector<std::pair<std::string, std::string>>> RunSerial();
-  Result<std::vector<std::pair<std::string, std::string>>> RunParallel();
   Result<std::vector<std::string>> SplitBody(std::string_view body) const;
   Status QuarantineInput(const std::string& path);
 

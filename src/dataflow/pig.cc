@@ -733,20 +733,11 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
       }
       return Status::OK();
     };
-    if (exec_ == nullptr || !exec_->parallel()) {
-      out.data = Relation(out_cols);
-      for (const Row& row : rel.data.rows()) {
-        Row out_row;
-        UNILOG_RETURN_NOT_OK(generate_one(row, &out_row));
-        UNILOG_RETURN_NOT_OK(out.data.AddRow(std::move(out_row)));
-      }
-      return out;
-    }
-    // Parallel FOREACH: each row writes its own output slot; row order is
-    // preserved by construction.
+    // Each row writes its own output slot; row order is preserved by
+    // construction.
     const std::vector<Row>& in_rows = rel.data.rows();
     std::vector<Row> out_rows(in_rows.size());
-    UNILOG_RETURN_NOT_OK(exec_->ParallelForStatus(
+    UNILOG_RETURN_NOT_OK(exec::OrInline(exec_)->ParallelForStatus(
         "foreach", in_rows.size(),
         [&](size_t i) { return generate_one(in_rows[i], &out_rows[i]); }));
     UNILOG_ASSIGN_OR_RETURN(out.data,

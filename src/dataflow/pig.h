@@ -62,8 +62,8 @@ class PigInterpreter {
   /// Attaches the unilog::exec engine: FILTER, row-level FOREACH, grouped
   /// FOREACH (GroupBy) and JOIN then fan rows out across worker threads,
   /// with outputs merged deterministically — script output is
-  /// byte-identical to the serial interpreter at any thread count.
-  /// Registered UDFs must be safe to call concurrently.
+  /// byte-identical at any thread count. nullptr (the default) runs every
+  /// operator inline. Registered UDFs must be safe to call concurrently.
   void set_executor(exec::Executor* exec) { exec_ = exec; }
 
   /// Registers a loader usable in LOAD ... USING <name>(...).

@@ -72,15 +72,7 @@ Result<Value> Relation::Get(const Row& row, const std::string& column) const {
 
 Relation Relation::Filter(const Predicate& predicate,
                           exec::Executor* exec) const {
-  Relation out(columns_);
-  if (exec == nullptr || !exec->parallel()) {
-    for (const auto& row : rows_) {
-      if (predicate(row)) out.rows_.push_back(row);
-    }
-    return out;
-  }
-  // Chunked fan-out; concatenating per-chunk survivors in chunk order
-  // reproduces the serial row order exactly.
+  exec = exec::OrInline(exec);
   std::vector<std::vector<Row>> kept(exec->ChunksFor(rows_.size()));
   exec->ParallelForChunked(
       "filter", rows_.size(), [&](size_t chunk, size_t begin, size_t end) {
@@ -88,9 +80,8 @@ Relation Relation::Filter(const Predicate& predicate,
           if (predicate(rows_[i])) kept[chunk].push_back(rows_[i]);
         }
       });
-  for (auto& chunk : kept) {
-    for (auto& row : chunk) out.rows_.push_back(std::move(row));
-  }
+  Relation out(columns_);
+  out.rows_ = exec::ConcatChunks(&kept);
   return out;
 }
 
@@ -103,22 +94,14 @@ Result<Relation> Relation::Project(const std::vector<std::string>& cols,
   }
   Relation out(cols);
   out.rows_.resize(rows_.size());
-  auto project_one = [&](size_t i) {
-    Row projected;
-    projected.reserve(indices.size());
-    for (size_t idx : indices) projected.push_back(rows_[i][idx]);
-    out.rows_[i] = std::move(projected);
-  };
-  if (exec == nullptr || !exec->parallel()) {
-    for (size_t i = 0; i < rows_.size(); ++i) project_one(i);
-  } else {
-    exec->ParallelForChunked("project", rows_.size(),
-                             [&](size_t, size_t begin, size_t end) {
-                               for (size_t i = begin; i < end; ++i) {
-                                 project_one(i);
-                               }
-                             });
-  }
+  exec::OrInline(exec)->ParallelForChunked(
+      "project", rows_.size(), [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          Row& projected = out.rows_[i];
+          projected.reserve(indices.size());
+          for (size_t idx : indices) projected.push_back(rows_[i][idx]);
+        }
+      });
   return out;
 }
 
@@ -132,21 +115,14 @@ Result<Relation> Relation::WithColumn(const std::string& name,
   cols.push_back(name);
   Relation out(cols);
   out.rows_.resize(rows_.size());
-  auto extend_one = [&](size_t i) {
-    Row extended = rows_[i];
-    extended.push_back(fn(rows_[i]));
-    out.rows_[i] = std::move(extended);
-  };
-  if (exec == nullptr || !exec->parallel()) {
-    for (size_t i = 0; i < rows_.size(); ++i) extend_one(i);
-  } else {
-    exec->ParallelForChunked("with_column", rows_.size(),
-                             [&](size_t, size_t begin, size_t end) {
-                               for (size_t i = begin; i < end; ++i) {
-                                 extend_one(i);
-                               }
-                             });
-  }
+  exec::OrInline(exec)->ParallelForChunked(
+      "with_column", rows_.size(), [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          Row extended = rows_[i];
+          extended.push_back(fn(rows_[i]));
+          out.rows_[i] = std::move(extended);
+        }
+      });
   return out;
 }
 
@@ -263,45 +239,32 @@ Result<Relation> Relation::GroupBy(const std::vector<std::string>& keys,
   for (const auto& agg : aggs) out_cols.push_back(agg.as);
   Relation out(out_cols);
 
-  if (exec == nullptr || !exec->parallel()) {
-    // Serial engine: one ordered map, rows accumulated in row order.
-    std::map<Row, std::vector<AggState>> groups;
-    for (const auto& row : rows_) {
-      Row key;
-      key.reserve(key_idx.size());
-      for (size_t idx : key_idx) key.push_back(row[idx]);
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) it->second.resize(aggs.size());
-      UNILOG_RETURN_NOT_OK(Accumulate(aggs, agg_idx, row, &it->second));
-    }
-    for (const auto& [key, states] : groups) {
-      out.rows_.push_back(FinalizeGroup(aggs, key, states));
-    }
-    return out;
+  // Hash-partition rows by group key so every group is owned by exactly
+  // one shard. Each shard scans the rows in original order, so per-group
+  // accumulation order — and therefore even floating-point SUM — is the
+  // same at any shard count. One shard (inline) accumulates every row
+  // into one ordered map without hashing.
+  exec = exec::OrInline(exec);
+  const size_t num_shards = exec->Shards();
+  std::vector<uint32_t> shard_of;
+  if (num_shards > 1) {
+    shard_of.resize(rows_.size());
+    exec->ParallelForChunked(
+        "groupby-hash", rows_.size(), [&](size_t, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            Row key;
+            key.reserve(key_idx.size());
+            for (size_t idx : key_idx) key.push_back(rows_[i][idx]);
+            shard_of[i] = static_cast<uint32_t>(HashKey(key) % num_shards);
+          }
+        });
   }
-
-  // Parallel engine: hash-partition rows by group key so every group is
-  // owned by exactly one shard. Each shard scans the rows in original
-  // order, so per-group accumulation order — and therefore even
-  // floating-point SUM — is bit-identical to the serial engine. The shard
-  // count only affects scheduling: the merge walks groups in key order.
-  size_t num_shards = static_cast<size_t>(exec->threads()) * 2;
-  std::vector<uint32_t> shard_of(rows_.size());
-  exec->ParallelForChunked(
-      "groupby-hash", rows_.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          Row key;
-          key.reserve(key_idx.size());
-          for (size_t idx : key_idx) key.push_back(rows_[i][idx]);
-          shard_of[i] = static_cast<uint32_t>(HashKey(key) % num_shards);
-        }
-      });
   std::vector<std::map<Row, std::vector<AggState>>> shards(num_shards);
   UNILOG_RETURN_NOT_OK(
       exec->ParallelForStatus("groupby-agg", num_shards, [&](size_t s) {
         auto& groups = shards[s];
         for (size_t i = 0; i < rows_.size(); ++i) {
-          if (shard_of[i] != s) continue;
+          if (num_shards > 1 && shard_of[i] != s) continue;
           const Row& row = rows_[i];
           Row key;
           key.reserve(key_idx.size());
@@ -313,15 +276,19 @@ Result<Relation> Relation::GroupBy(const std::vector<std::string>& keys,
         return Status::OK();
       }));
 
-  // Merge: every group lives in one shard; emit in global key order.
+  // Merge: every group lives in one shard; emit in global key order (a
+  // single shard's map already is).
   using GroupRef = std::pair<const Row*, const std::vector<AggState>*>;
   std::vector<GroupRef> refs;
   for (const auto& shard : shards) {
     for (const auto& [key, states] : shard) refs.emplace_back(&key, &states);
   }
-  std::sort(refs.begin(), refs.end(), [](const GroupRef& a, const GroupRef& b) {
-    return *a.first < *b.first;
-  });
+  if (num_shards > 1) {
+    std::sort(refs.begin(), refs.end(),
+              [](const GroupRef& a, const GroupRef& b) {
+                return *a.first < *b.first;
+              });
+  }
   out.rows_.resize(refs.size());
   exec->ParallelForChunked(
       "groupby-finalize", refs.size(), [&](size_t, size_t begin, size_t end) {
@@ -365,54 +332,45 @@ Result<Relation> Relation::Join(const Relation& right,
       sink->push_back(std::move(joined));
     }
   };
-  if (exec == nullptr || !exec->parallel()) {
-    for (const auto& row : rows_) probe_one(row, &out.rows_);
-    return out;
-  }
-  // Parallel probe: per-chunk outputs concatenated in probe-row order.
+  // Per-chunk probe outputs concatenated in probe-row order.
+  exec = exec::OrInline(exec);
   std::vector<std::vector<Row>> chunks(exec->ChunksFor(rows_.size()));
   exec->ParallelForChunked(
       "join-probe", rows_.size(), [&](size_t chunk, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) probe_one(rows_[i], &chunks[chunk]);
       });
-  for (auto& chunk : chunks) {
-    for (auto& row : chunk) out.rows_.push_back(std::move(row));
-  }
+  out.rows_ = exec::ConcatChunks(&chunks);
   return out;
 }
 
 Relation Relation::Distinct(exec::Executor* exec) const {
-  Relation out(columns_);
-  if (exec == nullptr || !exec->parallel()) {
-    std::set<Row> seen;
-    for (const auto& row : rows_) {
-      if (seen.insert(row).second) out.rows_.push_back(row);
-    }
-    return out;
+  // Hash-partition rows so every distinct row is owned by exactly one
+  // shard; each shard records the index of the row's first occurrence.
+  // Emitting survivors by ascending first index keeps first-occurrence
+  // order, whatever the shard count. One shard dedups without hashing.
+  exec = exec::OrInline(exec);
+  const size_t num_shards = exec->Shards();
+  std::vector<uint32_t> shard_of;
+  if (num_shards > 1) {
+    shard_of.resize(rows_.size());
+    exec->ParallelForChunked(
+        "distinct-hash", rows_.size(), [&](size_t, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            shard_of[i] = static_cast<uint32_t>(HashKey(rows_[i]) % num_shards);
+          }
+        });
   }
-  // Parallel engine: hash-partition rows so every distinct row is owned
-  // by exactly one shard; each shard records the index of the row's first
-  // occurrence. Emitting survivors by ascending first index reproduces
-  // the serial first-occurrence order, whatever the shard count.
-  const size_t num_shards = static_cast<size_t>(exec->threads()) * 2;
-  std::vector<uint32_t> shard_of(rows_.size());
-  exec->ParallelForChunked(
-      "distinct-hash", rows_.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          shard_of[i] = static_cast<uint32_t>(HashKey(rows_[i]) % num_shards);
-        }
-      });
   std::vector<std::vector<size_t>> firsts(num_shards);
   exec->ParallelFor("distinct-dedup", num_shards, [&](size_t s) {
     std::set<Row> seen;
     for (size_t i = 0; i < rows_.size(); ++i) {
-      if (shard_of[i] != s) continue;
+      if (num_shards > 1 && shard_of[i] != s) continue;
       if (seen.insert(rows_[i]).second) firsts[s].push_back(i);
     }
   });
-  std::vector<size_t> order;
-  for (const auto& f : firsts) order.insert(order.end(), f.begin(), f.end());
-  std::sort(order.begin(), order.end());
+  std::vector<size_t> order = exec::ConcatChunks(&firsts);
+  if (num_shards > 1) std::sort(order.begin(), order.end());
+  Relation out(columns_);
   out.rows_.reserve(order.size());
   for (size_t i : order) out.rows_.push_back(rows_[i]);
   return out;
@@ -421,18 +379,10 @@ Relation Relation::Distinct(exec::Executor* exec) const {
 Result<Relation> Relation::OrderBy(const std::string& column, bool descending,
                                    exec::Executor* exec) const {
   UNILOG_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(column));
-  if (exec == nullptr || !exec->parallel()) {
-    Relation out = *this;
-    std::stable_sort(out.rows_.begin(), out.rows_.end(),
-                     [idx, descending](const Row& a, const Row& b) {
-                       if (descending) return b[idx] < a[idx];
-                       return a[idx] < b[idx];
-                     });
-    return out;
-  }
-  // Parallel engine: sort per-chunk index ranges under the (sort key,
-  // original index) total order — the exact order stable_sort produces —
-  // then k-way merge the chunks. Identical output at any thread count.
+  // Sort per-chunk index ranges under the (sort key, original index)
+  // total order — the exact order stable_sort produces — then k-way merge
+  // the chunks. Identical output at any thread count.
+  exec = exec::OrInline(exec);
   auto less = [this, idx, descending](size_t a, size_t b) {
     const Value& va = rows_[a][idx];
     const Value& vb = rows_[b][idx];

@@ -66,12 +66,13 @@ struct Aggregate {
 /// and Status-checked, so a misspelled column is an error, not garbage
 /// output — one of §3.1's complaints about the legacy world.
 ///
-/// Operators accept an optional exec::Executor. With a parallel executor,
-/// rows fan out across worker threads and results are merged in row (or
-/// key) order, so output is byte-identical to the serial path at any
-/// thread count — including floating-point aggregates, because per-group
-/// accumulation order is preserved, never reassociated. Caller-supplied
-/// predicates/functions must then be reentrant.
+/// Operators accept an optional exec::Executor (nullptr runs inline; see
+/// exec::OrInline) and have one body at every thread count: rows fan out
+/// across the executor's workers and results are merged in row (or key)
+/// order, so output is byte-identical at any thread count — including
+/// floating-point aggregates, because per-group accumulation order is
+/// preserved, never reassociated. Caller-supplied predicates/functions
+/// must be reentrant when the executor is parallel.
 class Relation {
  public:
   Relation() = default;
@@ -113,9 +114,10 @@ class Relation {
                               exec::Executor* exec = nullptr) const;
 
   /// Groups by key columns and applies aggregates. Output columns: keys
-  /// then aggregate outputs. Output sorted by key. Parallel grouping
-  /// hash-partitions rows by key, so each group is accumulated by exactly
-  /// one task in original row order (SUM stays bit-identical).
+  /// then aggregate outputs. Output sorted by key. Grouping hash-partitions
+  /// rows into exec::Executor::Shards() shards by key, so each group is
+  /// accumulated by exactly one task in original row order (SUM stays
+  /// bit-identical at any shard count).
   Result<Relation> GroupBy(const std::vector<std::string>& keys,
                            const std::vector<Aggregate>& aggs,
                            exec::Executor* exec = nullptr) const;
@@ -127,15 +129,15 @@ class Relation {
                         const std::string& right_col,
                         exec::Executor* exec = nullptr) const;
 
-  /// Distinct full rows, keeping the first occurrence of each. Parallel
-  /// dedup hash-partitions rows so each distinct row is owned by one
-  /// shard; survivors merge by first-occurrence index, so the output is
-  /// identical to the serial pass at any thread count.
+  /// Distinct full rows, keeping the first occurrence of each. Dedup
+  /// hash-partitions rows so each distinct row is owned by one shard;
+  /// survivors merge by first-occurrence index, so the output is the
+  /// same at any thread count.
   Relation Distinct(exec::Executor* exec = nullptr) const;
 
-  /// Sorts by one column (stable). Parallel sort orders chunks under the
-  /// (key, original index) total order and k-way merges them — the exact
-  /// stable_sort output at any thread count.
+  /// Sorts by one column (stable). Chunks are sorted under the (key,
+  /// original index) total order and k-way merged — the exact stable_sort
+  /// output at any thread count.
   Result<Relation> OrderBy(const std::string& column, bool descending,
                            exec::Executor* exec = nullptr) const;
 

@@ -893,7 +893,7 @@ void AccumulateColumnar(const std::vector<AggAccess>& acc,
 Result<Relation> MergeAndFinalize(const std::vector<Aggregate>& aggs,
                                   const std::vector<std::string>& out_cols,
                                   const std::vector<GroupSet>& shards,
-                                  exec::Executor* exec, bool parallel) {
+                                  exec::Executor* exec) {
   struct GroupRef {
     const Row* key = nullptr;
     const std::vector<AggState>* states = nullptr;
@@ -908,19 +908,13 @@ Result<Relation> MergeAndFinalize(const std::vector<Aggregate>& aggs,
             [](const GroupRef& a, const GroupRef& b) { return *a.key < *b.key; });
 
   std::vector<Row> out_rows(refs.size());
-  auto finalize_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out_rows[i] = FinalizeGroup(aggs, *refs[i].key, *refs[i].states);
-    }
-  };
-  if (parallel) {
-    exec->ParallelForChunked("batch_groupby_finalize", refs.size(),
-                             [&](size_t, size_t begin, size_t end) {
-                               finalize_range(begin, end);
-                             });
-  } else {
-    finalize_range(0, refs.size());
-  }
+  exec->ParallelForChunked(
+      "batch_groupby_finalize", refs.size(),
+      [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          out_rows[i] = FinalizeGroup(aggs, *refs[i].key, *refs[i].states);
+        }
+      });
   return Relation::FromRows(out_cols, std::move(out_rows));
 }
 
@@ -1127,26 +1121,20 @@ Result<BatchRelation> BatchRelation::Filter(
     b.SetSelection(std::move(kept));
     return Status::OK();
   };
-  if (exec != nullptr && exec->parallel()) {
-    // Byte-weighted morsels: a skewed batch (one huge row group) gets its
-    // own morsel while small groups coalesce, and idle threads steal.
-    std::vector<uint64_t> weights(out.batches_.size());
-    for (size_t bi = 0; bi < weights.size(); ++bi) {
-      weights[bi] = out.batches_[bi].byte_size();
-    }
-    UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
-        "batch_filter", weights, morsels,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t bi = begin; bi < end; ++bi) {
-            UNILOG_RETURN_NOT_OK(filter_batch(bi));
-          }
-          return Status::OK();
-        }));
-  } else {
-    for (size_t bi = 0; bi < out.batches_.size(); ++bi) {
-      UNILOG_RETURN_NOT_OK(filter_batch(bi));
-    }
+  // Byte-weighted morsels: a skewed batch (one huge row group) gets its
+  // own morsel while small groups coalesce, and idle threads steal.
+  std::vector<uint64_t> weights(out.batches_.size());
+  for (size_t bi = 0; bi < weights.size(); ++bi) {
+    weights[bi] = out.batches_[bi].byte_size();
   }
+  UNILOG_RETURN_NOT_OK(exec::OrInline(exec)->ParallelForMorsels(
+      "batch_filter", weights, morsels,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t bi = begin; bi < end; ++bi) {
+          UNILOG_RETURN_NOT_OK(filter_batch(bi));
+        }
+        return Status::OK();
+      }));
   if (stats != nullptr) {
     for (const KernelStats& ks : slots) stats->MergeFrom(ks);
   }
@@ -1210,11 +1198,8 @@ Result<BatchRelation> BatchRelation::WithColumn(
     dense.AppendColumn(ColumnBatch::BuildColumn(vals));
     out.batches_[bi] = std::move(dense);
   };
-  if (exec != nullptr && exec->parallel()) {
-    exec->ParallelFor("batch_with_column", batches_.size(), extend_batch);
-  } else {
-    for (size_t bi = 0; bi < batches_.size(); ++bi) extend_batch(bi);
-  }
+  exec::OrInline(exec)->ParallelFor("batch_with_column", batches_.size(),
+                                    extend_batch);
   return out;
 }
 
@@ -1235,7 +1220,7 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
   std::vector<std::string> out_cols = keys;
   for (const auto& agg : aggs) out_cols.push_back(agg.as);
 
-  const bool parallel = exec != nullptr && exec->parallel();
+  exec = exec::OrInline(exec);
 
   // Fast path: when every key column is dictionary-encoded, a row's group
   // within a batch is fully determined by its dictionary code, so group
@@ -1259,16 +1244,11 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
       std::vector<KeyColumnPlan> plans = PlanKeyColumns(batches_[bi], key_idx);
       frag[bi] = std::move(plans[0].dict_frags);
     };
-    if (parallel) {
-      exec->ParallelFor("batch_groupby_frags", batches_.size(), build_frags);
-    } else {
-      for (size_t bi = 0; bi < batches_.size(); ++bi) build_frags(bi);
-    }
+    exec->ParallelFor("batch_groupby_frags", batches_.size(), build_frags);
   }
 
-  // Encoded keys for every selected row, precomputed per batch (parallel
-  // when an executor is attached; writes go to per-batch slots). Skipped
-  // entirely on the dict fast path.
+  // Encoded keys for every selected row, precomputed per batch (writes go
+  // to per-batch slots). Skipped entirely on the dict fast path.
   std::vector<std::vector<std::string>> enc(batches_.size());
   auto encode_batch = [&](size_t bi) {
     const ColumnBatch& b = batches_[bi];
@@ -1282,11 +1262,7 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
     }
   };
   if (!dict_keys) {
-    if (parallel) {
-      exec->ParallelFor("batch_groupby_encode", batches_.size(), encode_batch);
-    } else {
-      for (size_t bi = 0; bi < batches_.size(); ++bi) encode_batch(bi);
-    }
+    exec->ParallelFor("batch_groupby_encode", batches_.size(), encode_batch);
   }
 
   // Aggregate access plans, resolved once per batch so the per-row hot
@@ -1296,8 +1272,9 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
     acc[bi] = PlanAggAccess(aggs, agg_idx, batches_[bi]);
   }
 
-  // Walks one batch's rows for one shard (`s`; kAllShards serially), using
-  // a per-(shard, batch) code→group cache on the dict fast path.
+  // Walks one batch's rows for one shard (`s`; kAllShards when there is
+  // only one), using a per-(shard, batch) code→group cache on the dict
+  // fast path.
   constexpr uint32_t kAllShards = ~0u;
   auto accumulate_batch_dict = [&](GroupSet* gs, size_t bi, uint32_t s,
                                    const std::vector<uint32_t>* shard_of_code)
@@ -1326,30 +1303,17 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
     return AccumulateRow(acc[bi], raw, &gs->states[g]);
   };
 
-  std::vector<GroupSet> shards;
-  if (!parallel) {
-    shards.resize(1);
-    for (size_t bi = 0; bi < batches_.size(); ++bi) {
-      if (dict_keys) {
-        UNILOG_RETURN_NOT_OK(
-            accumulate_batch_dict(&shards[0], bi, kAllShards, nullptr));
-        continue;
-      }
-      const size_t n = batches_[bi].selected_rows();
-      for (size_t k = 0; k < n; ++k) {
-        UNILOG_RETURN_NOT_OK(accumulate_into(&shards[0], bi, k));
-      }
-    }
-  } else {
-    // Hash-partition rows by encoded key so each group is owned by one
-    // shard; every shard walks rows in global order, so per-group
-    // accumulation order — and bit-exact double SUM — matches serial.
-    const size_t num_shards = static_cast<size_t>(exec->threads()) * 2;
-    shards.resize(num_shards);
-    if (dict_keys) {
-      // Shard assignment per dictionary entry, not per row; Fnv1a64 of the
-      // entry's fragment equals the slow path's per-row key hash.
-      std::vector<std::vector<uint32_t>> shard_of_code(batches_.size());
+  // Hash-partition rows by encoded key so each group is owned by one
+  // shard; every shard walks rows in global order, so per-group
+  // accumulation order — and bit-exact double SUM — is the same at any
+  // shard count. One shard (inline) walks every row without hashing.
+  const size_t num_shards = exec->Shards();
+  std::vector<GroupSet> shards(num_shards);
+  if (dict_keys) {
+    // Shard assignment per dictionary entry, not per row; Fnv1a64 of the
+    // entry's fragment equals the slow path's per-row key hash.
+    std::vector<std::vector<uint32_t>> shard_of_code(batches_.size());
+    if (num_shards > 1) {
       exec->ParallelFor("batch_groupby_hash", batches_.size(), [&](size_t bi) {
         shard_of_code[bi].resize(frag[bi].size());
         for (size_t e = 0; e < frag[bi].size(); ++e) {
@@ -1357,17 +1321,20 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
               static_cast<uint32_t>(Fnv1a64(frag[bi][e]) % num_shards);
         }
       });
-      UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
-          "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
-            for (size_t bi = 0; bi < batches_.size(); ++bi) {
-              UNILOG_RETURN_NOT_OK(accumulate_batch_dict(
-                  &shards[s], bi, static_cast<uint32_t>(s),
-                  &shard_of_code[bi]));
-            }
-            return Status::OK();
-          }));
-    } else {
-      std::vector<std::vector<uint32_t>> shard_of(batches_.size());
+    }
+    UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
+        "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
+          const uint32_t shard =
+              num_shards > 1 ? static_cast<uint32_t>(s) : kAllShards;
+          for (size_t bi = 0; bi < batches_.size(); ++bi) {
+            UNILOG_RETURN_NOT_OK(accumulate_batch_dict(&shards[s], bi, shard,
+                                                       &shard_of_code[bi]));
+          }
+          return Status::OK();
+        }));
+  } else {
+    std::vector<std::vector<uint32_t>> shard_of(batches_.size());
+    if (num_shards > 1) {
       exec->ParallelFor("batch_groupby_hash", batches_.size(), [&](size_t bi) {
         shard_of[bi].resize(enc[bi].size());
         for (size_t k = 0; k < enc[bi].size(); ++k) {
@@ -1375,30 +1342,32 @@ Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
               static_cast<uint32_t>(Fnv1a64(enc[bi][k]) % num_shards);
         }
       });
-      UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
-          "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
-            for (size_t bi = 0; bi < batches_.size(); ++bi) {
-              const size_t n = enc[bi].size();
-              for (size_t k = 0; k < n; ++k) {
-                if (shard_of[bi][k] != s) continue;
-                UNILOG_RETURN_NOT_OK(accumulate_into(&shards[s], bi, k));
-              }
-            }
-            return Status::OK();
-          }));
     }
+    UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
+        "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
+          for (size_t bi = 0; bi < batches_.size(); ++bi) {
+            const size_t n = enc[bi].size();
+            for (size_t k = 0; k < n; ++k) {
+              if (num_shards > 1 && shard_of[bi][k] != s) continue;
+              UNILOG_RETURN_NOT_OK(accumulate_into(&shards[s], bi, k));
+            }
+          }
+          return Status::OK();
+        }));
   }
 
-  return MergeAndFinalize(aggs, out_cols, shards, exec, parallel);
+  return MergeAndFinalize(aggs, out_cols, shards, exec);
 }
 
 Result<Relation> BatchRelation::FilterGroupBy(
     const std::vector<FilterExpr>& exprs, const std::vector<std::string>& keys,
     const std::vector<Aggregate>& aggs, exec::Executor* exec,
     KernelStats* stats, const exec::MorselOptions& morsels) const {
+  // Inline runs keep the fused pipeline below: a different algorithm, not
+  // a serial copy, measured by bench_vectorized_exec's 10x-vs-row floor.
   if (exec != nullptr && exec->parallel()) {
-    // Parallel: morsel-scheduled Filter, then the sharded GroupBy (each
-    // shard walks rows in global order, so double SUMs stay bit-exact).
+    // Morsel-scheduled Filter, then the sharded GroupBy (each shard walks
+    // rows in global order, so double SUMs stay bit-exact).
     UNILOG_ASSIGN_OR_RETURN(BatchRelation filtered,
                             Filter(exprs, exec, stats, morsels));
     return filtered.GroupBy(keys, aggs, exec);
@@ -1484,7 +1453,7 @@ Result<Relation> BatchRelation::FilterGroupBy(
     }
   }
   if (stats != nullptr) stats->MergeFrom(local);
-  return MergeAndFinalize(aggs, out_cols, shards, exec, false);
+  return MergeAndFinalize(aggs, out_cols, shards, exec::OrInline(nullptr));
 }
 
 Result<BatchRelation> BatchRelation::Join(const BatchRelation& right,
@@ -1516,29 +1485,22 @@ Result<BatchRelation> BatchRelation::Join(const BatchRelation& right,
     for (size_t r = 0; r < right_keys.size(); ++r) {
       table[right_keys[r]].push_back(static_cast<uint32_t>(r));
     }
-    auto probe_range = [&](size_t begin, size_t end,
-                           std::vector<std::pair<uint32_t, uint32_t>>* sink) {
-      for (size_t l = begin; l < end; ++l) {
-        auto it = table.find(left_keys[l]);
-        if (it == table.end()) continue;
-        for (uint32_t r : it->second) {
-          sink->push_back({static_cast<uint32_t>(l), r});
-        }
-      }
-    };
-    if (exec != nullptr && exec->parallel()) {
-      std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunks(
-          exec->ChunksFor(left_locs.size()));
-      exec->ParallelForChunked("batch_join_probe", left_locs.size(),
-                               [&](size_t chunk, size_t begin, size_t end) {
-                                 probe_range(begin, end, &chunks[chunk]);
-                               });
-      for (auto& chunk : chunks) {
-        pairs.insert(pairs.end(), chunk.begin(), chunk.end());
-      }
-    } else {
-      probe_range(0, left_locs.size(), &pairs);
-    }
+    // Per-chunk probe outputs concatenated in left-row order.
+    exec = exec::OrInline(exec);
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunks(
+        exec->ChunksFor(left_locs.size()));
+    exec->ParallelForChunked(
+        "batch_join_probe", left_locs.size(),
+        [&](size_t chunk, size_t begin, size_t end) {
+          for (size_t l = begin; l < end; ++l) {
+            auto it = table.find(left_keys[l]);
+            if (it == table.end()) continue;
+            for (uint32_t r : it->second) {
+              chunks[chunk].push_back({static_cast<uint32_t>(l), r});
+            }
+          }
+        });
+    pairs = exec::ConcatChunks(&chunks);
   } else {
     std::unordered_map<std::string, std::vector<uint32_t>> table;
     for (size_t l = 0; l < left_keys.size(); ++l) {

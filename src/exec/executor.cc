@@ -124,7 +124,7 @@ void Executor::ParallelFor(const char* stage, size_t n,
                            const std::function<void(size_t)>& body) {
   if (n == 0) return;
   auto start = std::chrono::steady_clock::now();
-  if (!parallel() || InParallelContext()) {
+  if (RunsInline()) {
     // Serial engine, or a nested region (from a pool worker or from the
     // calling thread's own task body): inline, in index order.
     for (size_t i = 0; i < n; ++i) body(i);
@@ -139,14 +139,22 @@ void Executor::ParallelFor(const char* stage, size_t n,
   Record(stage, n, ms);
 }
 
+bool Executor::RunsInline() const {
+  return !parallel() || InParallelContext();
+}
+
 size_t Executor::ChunksFor(size_t n) const {
   if (n == 0) return 0;
-  if (!parallel() || InParallelContext()) return 1;
+  if (RunsInline()) return 1;
   // Oversubscribe ~4 chunks per thread so dynamic claiming absorbs skew.
   size_t target = static_cast<size_t>(options_.threads) * 4;
   size_t min_chunk = std::max<size_t>(1, options_.min_items_per_chunk);
   size_t chunk_size = std::max(min_chunk, (n + target - 1) / target);
   return (n + chunk_size - 1) / chunk_size;
+}
+
+size_t Executor::Shards() const {
+  return RunsInline() ? 1 : static_cast<size_t>(options_.threads) * 2;
 }
 
 void Executor::ParallelForChunked(
@@ -166,7 +174,7 @@ void Executor::ParallelForChunked(
 Status Executor::ParallelForStatus(const char* stage, size_t n,
                                    const std::function<Status(size_t)>& body) {
   if (n == 0) return Status::OK();
-  if (!parallel() || InParallelContext()) {
+  if (RunsInline()) {
     auto start = std::chrono::steady_clock::now();
     Status status = Status::OK();
     size_t ran = 0;
@@ -221,7 +229,7 @@ Status Executor::ParallelForMorsels(
   local.morsels = morsels;
 
   Status result = Status::OK();
-  if (!parallel() || InParallelContext()) {
+  if (RunsInline()) {
     auto start = std::chrono::steady_clock::now();
     size_t ran = 0;
     for (size_t m = 0; m < morsels; ++m) {
@@ -294,6 +302,12 @@ Status Executor::ParallelForMorsels(
 MorselStats Executor::morsel_totals() const {
   std::lock_guard<std::mutex> lock(morsel_mu_);
   return morsel_totals_;
+}
+
+Executor* OrInline(Executor* exec) {
+  if (exec != nullptr) return exec;
+  static Executor inline_executor;
+  return &inline_executor;
 }
 
 }  // namespace unilog::exec

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,9 +20,10 @@ class MetricsRegistry;
 namespace unilog::exec {
 
 /// Execution configuration for the dataflow layer. `threads <= 1` selects
-/// the serial engine: every ParallelFor runs inline on the calling thread
-/// in index order, with no pool, no locks, and no worker threads — the
-/// exact pre-engine code path.
+/// the inline engine: every region runs on the calling thread in index
+/// order, with no pool, no locks, and no worker threads. Operators have
+/// one body at every thread count; inline execution is that body run with
+/// one chunk and one shard (see Executor::Shards).
 struct ExecOptions {
   int threads = 1;
   /// Floor on items per chunk for the chunked variants, so tiny inputs do
@@ -135,9 +137,19 @@ class Executor {
                    const std::function<void(size_t)>& body);
 
   /// Number of contiguous chunks ParallelForChunked splits n items into.
-  /// 1 in serial mode. Chunk boundaries depend only on n and the options,
-  /// never on scheduling, so chunk-indexed results are deterministic.
+  /// 1 when regions run inline. Chunk boundaries depend only on n and the
+  /// options, never on scheduling, so chunk-indexed results are
+  /// deterministic.
   size_t ChunksFor(size_t n) const;
+
+  /// How many ways a hash-partitioning operator (GroupBy, Distinct, the
+  /// MapReduce shuffle) splits its input: 1 when regions run inline (the
+  /// serial engine, or a region nested inside another), 2 x threads
+  /// otherwise. With one shard an operator neither hashes keys nor
+  /// rescans rows per shard: it is the serial algorithm. Every key is
+  /// owned by exactly one shard and merged in key order, so the count
+  /// never shows up in the output.
+  size_t Shards() const;
 
   /// Splits [0, n) into ChunksFor(n) contiguous chunks and runs
   /// body(chunk_index, begin, end) for each.
@@ -182,6 +194,9 @@ class Executor {
   MorselStats morsel_totals() const;
 
  private:
+  /// True when regions run on the calling thread: no pool, or a region
+  /// nested inside another.
+  bool RunsInline() const;
   void Record(const char* stage, size_t tasks, double elapsed_ms);
 
   ExecOptions options_;
@@ -190,6 +205,27 @@ class Executor {
   mutable std::mutex morsel_mu_;
   MorselStats morsel_totals_;  // guarded by morsel_mu_
 };
+
+/// Concatenates per-chunk outputs (e.g. from ParallelForChunked) in chunk
+/// order, moving the elements; chunk order is input order.
+template <typename T>
+std::vector<T> ConcatChunks(std::vector<std::vector<T>>* chunks) {
+  std::vector<T> out;
+  if (chunks->empty()) return out;
+  out = std::move((*chunks)[0]);
+  for (size_t c = 1; c < chunks->size(); ++c) {
+    for (T& item : (*chunks)[c]) out.push_back(std::move(item));
+  }
+  return out;
+}
+
+/// The executor an operator runs on: `exec` itself, or for nullptr one
+/// process-wide inline executor (threads = 1). This is the only place a
+/// null executor is given a meaning; operators resolve their argument
+/// here and keep a single body. The shared instance owns no pool and no
+/// metrics registry, so any number of threads may run regions on it at
+/// once; never attach metrics to it.
+Executor* OrInline(Executor* exec);
 
 }  // namespace unilog::exec
 

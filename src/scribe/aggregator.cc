@@ -199,13 +199,8 @@ bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   // to the old fresh-string path.
   BufferPool::Lease body = pool_.Acquire();
   for (const auto& m : buffer->messages) AppendFramed(body.get(), m);
-  BufferPool::Lease compressed;
-  const std::string* file_bytes = body.get();
-  if (options_.compress) {
-    compressed = pool_.Acquire();
-    compressor_.CompressTo(*body, compressed.get());
-    file_bytes = compressed.get();
-  }
+  BufferPool::Lease compressed = pool_.Acquire();
+  compressor_.CompressTo(*body, compressed.get());
 
   // File names are id-seq. Built with std::string concatenation: ids of
   // any length stay unique (a fixed snprintf buffer used to silently
@@ -214,7 +209,7 @@ bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   if (seq.size() < 6) seq.insert(0, 6 - seq.size(), '0');
   std::string path = "/staging/" + category + "/" + HourPartitionPath(hour) +
                      "/" + id_ + "-" + seq;
-  Status st = staging_->WriteFile(path, *file_bytes);
+  Status st = staging_->WriteFile(path, *compressed);
   pool_.PublishMetrics(metrics_, pool_labels_);
   if (!st.ok()) {
     hdfs_write_failures_->Increment();
@@ -223,8 +218,8 @@ bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   ++file_seq_;
   entries_staged_->Increment(buffer->messages.size());
   files_written_->Increment();
-  bytes_written_->Increment(file_bytes->size());
-  staging_file_bytes_->Observe(static_cast<double>(file_bytes->size()));
+  bytes_written_->Increment(compressed->size());
+  staging_file_bytes_->Observe(static_cast<double>(compressed->size()));
   buffered_bytes_ -= buffer->bytes;
   return true;
 }

@@ -32,8 +32,6 @@ struct ScribeOptions {
   /// messages are dropped (counted). The paper's "local disk" buffer is
   /// finite too — a prolonged outage must not grow memory without bound.
   uint64_t aggregator_buffer_limit_bytes = 256 * 1024 * 1024;
-  /// Aggregator: compress file bodies written to staging.
-  bool compress = true;
   /// Daemon: flush queued entries to the aggregator this often.
   TimeMs daemon_flush_interval_ms = 1 * kMillisPerSecond;
   /// Daemon: buffer at most this many bytes while no aggregator is

@@ -54,7 +54,8 @@ LogMover::LogMover(Simulator* sim, std::vector<DatacenterHandle> datacenters,
     : sim_(sim),
       datacenters_(std::move(datacenters)),
       warehouse_(warehouse),
-      options_(options) {
+      options_(options),
+      exec_(exec::OrInline(options.executor)) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>(sim_);
     metrics = owned_metrics_.get();
@@ -78,23 +79,10 @@ LogMover::LogMover(Simulator* sim, std::vector<DatacenterHandle> datacenters,
       metrics->GetCounter("mover.columnar_parse_fallbacks");
   broker_batches_decoded_ =
       metrics->GetCounter("mover.broker_batches_decoded");
-  ingest_files_unstaged_parallel_ =
-      metrics->GetCounter("scribe.ingest.files_unstaged_parallel");
-  ingest_parts_built_parallel_ =
-      metrics->GetCounter("scribe.ingest.parts_built_parallel");
   warehouse_file_bytes_ = metrics->GetHistogram("mover.warehouse_file_bytes");
   broker_e2e_latency_ = metrics->GetHistogram("broker.e2e_latency_ms");
   hour_slide_latency_ =
       metrics->GetHistogram("mover.hour_slide_latency_ms");
-}
-
-void LogMover::RunStage(const char* stage, size_t n,
-                        const std::function<void(size_t)>& body) {
-  if (options_.executor != nullptr) {
-    options_.executor->ParallelFor(stage, n, body);
-  } else {
-    for (size_t i = 0; i < n; ++i) body(i);
-  }
 }
 
 LogMoverStats LogMover::stats() const {
@@ -267,12 +255,12 @@ Status LogMover::MoveCategoryHour(
 
   // 0b. Decode the fetched batches — warehouse landing is the one place
   //     the delivery path decompresses, so it rides the same exec fan-out
-  //     as the per-file unstage. Slots are per-index; the serial merge
-  //     below walks them in fetch order, keeping the merged hour
-  //     byte-identical to a serial decode.
+  //     as the per-file unstage. Slots are per-index; the merge below
+  //     walks them in fetch order, so the merged hour is byte-identical
+  //     at any thread count.
   std::vector<std::vector<broker::Record>> decoded(fetched.size());
   std::vector<uint8_t> decode_failed(fetched.size(), 0);
-  RunStage("mover.decode_batches", fetched.size(), [&](size_t i) {
+  exec_->ParallelFor("mover.decode_batches", fetched.size(), [&](size_t i) {
     auto n = broker::DecodeBatch(fetched[i].batch, &decoded[i]);
     if (!n.ok()) decode_failed[i] = 1;
   });
@@ -324,8 +312,8 @@ Status LogMover::MoveCategoryHour(
     // 2. Sanity-check (decompress + unframe) every file, fanned out across
     //    exec workers: each slot is written only by its own index, and the
     //    merge below walks slots in input order, so the merged message list
-    //    is identical to the serial per-file loop. Ordering within an hour
-    //    is unspecified (§2: "the ordering of messages within each file is
+    //    is the same at any thread count. Ordering within an hour is
+    //    unspecified (§2: "the ordering of messages within each file is
     //    unspecified"), so concatenation per datacenter/file order is
     //    faithful.
     struct FileSlot {
@@ -333,7 +321,7 @@ Status LogMover::MoveCategoryHour(
       std::vector<std::string> messages;
     };
     std::vector<FileSlot> slots(staged_bodies.size());
-    RunStage("mover.unstage", staged_bodies.size(), [&](size_t i) {
+    exec_->ParallelFor("mover.unstage", staged_bodies.size(), [&](size_t i) {
       auto raw = Lz::Decompress(staged_bodies[i]);
       if (!raw.ok()) {
         slots[i].corrupt = true;  // corrupt file: skipped, not fatal
@@ -346,9 +334,6 @@ Status LogMover::MoveCategoryHour(
       }
       slots[i].messages = std::move(*messages);
     });
-    if (options_.executor != nullptr && options_.executor->parallel()) {
-      ingest_files_unstaged_parallel_->Increment(staged_bodies.size());
-    }
 
     std::vector<std::string> merged;  // message payloads
     for (auto& slot : slots) {
@@ -449,33 +434,25 @@ Status LogMover::CommitMergedHour(const std::string& category, TimeMs hour,
     }
     UNILOG_RETURN_NOT_OK(flush_columnar());
     if (!fallback.empty()) {
-      UNILOG_RETURN_NOT_OK(
-          write_part(options_.compress ? Lz::Compress(fallback) : fallback));
+      UNILOG_RETURN_NOT_OK(write_part(Lz::Compress(fallback)));
     }
   } else {
-    // Plan the part boundaries from message sizes alone (the same greedy
-    // cut the serial flush loop made), then frame + compress every part in
-    // exec workers using pooled buffers and the per-thread pooled
-    // compressor. Parts are committed in part order below, so the staged
-    // bytes match the serial path at any thread count.
+    // Plan the part boundaries from message sizes alone (a greedy cut at
+    // target_file_bytes), then frame + compress every part in exec
+    // workers using pooled buffers and the per-thread pooled compressor.
+    // Parts are committed in part order below, so the staged bytes are
+    // the same at any thread count.
     std::vector<size_t> part_ends =
         PlanFramedParts(merged, options_.target_file_bytes);
     std::vector<BufferPool::Lease> parts(part_ends.size());
-    RunStage("mover.build_parts", part_ends.size(), [&](size_t p) {
+    exec_->ParallelFor("mover.build_parts", part_ends.size(), [&](size_t p) {
       size_t begin = p == 0 ? 0 : part_ends[p - 1];
       BufferPool::Lease framed = pool_.Acquire();
       AppendFramedRange(framed.get(), merged, begin, part_ends[p]);
-      if (options_.compress) {
-        BufferPool::Lease out = pool_.Acquire();
-        Lz::Pooled().CompressTo(*framed, out.get());
-        parts[p] = std::move(out);
-      } else {
-        parts[p] = std::move(framed);
-      }
+      BufferPool::Lease out = pool_.Acquire();
+      Lz::Pooled().CompressTo(*framed, out.get());
+      parts[p] = std::move(out);
     });
-    if (options_.executor != nullptr && options_.executor->parallel()) {
-      ingest_parts_built_parallel_->Increment(part_ends.size());
-    }
     for (auto& part : parts) {
       UNILOG_RETURN_NOT_OK(write_part(*part));
       part.Release();

@@ -30,8 +30,6 @@ struct LogMoverOptions {
   /// ("merging many small files into a few big ones", §2). Measured on the
   /// uncompressed framed body.
   uint64_t target_file_bytes = 8 * 1024 * 1024;
-  /// Compress warehouse files.
-  bool compress = true;
   /// Categories whose moved hours get an Elephant Twin event-name index
   /// built alongside the data ("building any necessary indexes", §2).
   /// Entries must contain compact-Thrift client events.
@@ -42,16 +40,18 @@ struct LogMoverOptions {
   /// client events; a message that fails to parse is preserved in a
   /// framed-compressed sidecar part (readers sniff per file), so delivery
   /// accounting is unchanged. Columnar parts carry their own per-column
-  /// compression, so `compress` does not apply to them; the etwin index is
-  /// skipped for these categories (zone maps + dictionaries subsume it).
+  /// compression; the etwin index is skipped for these categories (zone
+  /// maps + dictionaries subsume it).
   std::set<std::string> columnar_categories;
-  /// When non-null, the mover fans its CPU-bound stages — per-staged-file
-  /// decompress+unframe and per-part frame+compress — out across this
-  /// engine's workers. All HDFS I/O and all obs counters stay on the
+  /// The engine the mover's CPU-bound stages run on — per-batch decode,
+  /// per-staged-file decompress+unframe and per-part frame+compress, as
+  /// the exec stages mover.decode_batches, mover.unstage and
+  /// mover.build_parts. All HDFS I/O and all obs counters stay on the
   /// calling thread, merges and part writes are committed in stable input
   /// order, and part boundaries are planned from message sizes alone, so
   /// the staged warehouse bytes are byte-identical at any thread count.
-  /// Borrowed; must outlive the mover. nullptr = the serial path.
+  /// Borrowed; must outlive the mover. nullptr runs the stages inline
+  /// (exec::OrInline).
   exec::Executor* executor = nullptr;
   /// Consumer group under which the mover commits its broker offsets in zk.
   /// Restarting the mover resumes exactly where the group left off, so the
@@ -168,12 +168,6 @@ class LogMover {
   Status CommitMergedHour(const std::string& category, TimeMs hour,
                           const std::vector<std::string>& merged);
 
-  /// Runs body(i) for i in [0, n): on the executor's workers when one is
-  /// configured, inline otherwise. Bodies must write only to per-index
-  /// slots (the determinism contract of unilog::exec).
-  void RunStage(const char* stage, size_t n,
-                const std::function<void(size_t)>& body);
-
   /// Deletes staged files for `category`/`hour` in every datacenter,
   /// counting the dropped files and messages as late-data loss.
   Status DropLateStaging(const std::string& category, TimeMs hour);
@@ -187,6 +181,8 @@ class LogMover {
   std::vector<DatacenterHandle> datacenters_;
   hdfs::MiniHdfs* warehouse_;
   LogMoverOptions options_;
+  // The CPU-bound stages run on this: options_.executor, or inline.
+  exec::Executor* exec_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -206,10 +202,6 @@ class LogMover {
   obs::Counter* columnar_files_written_;
   obs::Counter* columnar_parse_fallbacks_;
   obs::Counter* broker_batches_decoded_;
-  // scribe.ingest.*: work items handed to exec workers (0 on the serial
-  // path); the pool_* family is published from the buffer pool.
-  obs::Counter* ingest_files_unstaged_parallel_;
-  obs::Counter* ingest_parts_built_parallel_;
   obs::Histogram* warehouse_file_bytes_;
   // Log()-to-warehouse-ingest latency for broker-consumed records.
   obs::Histogram* broker_e2e_latency_;

@@ -14,8 +14,7 @@ void Sessionizer::Add(const events::ClientEvent& event) {
 namespace {
 
 /// Sorts one group's events by timestamp and splits at inactivity gaps,
-/// appending the resulting sessions to *out. Shared by the serial and
-/// parallel Build paths so they are the same computation per group.
+/// appending the resulting sessions to *out.
 template <typename Key, typename Pending>
 void BuildGroup(const Key& key, const std::vector<Pending>& pending,
                 TimeMs inactivity_gap_ms, std::vector<Session>* out) {
@@ -53,32 +52,22 @@ void BuildGroup(const Key& key, const std::vector<Pending>& pending,
 
 }  // namespace
 
-std::vector<Session> Sessionizer::Build() const {
-  std::vector<Session> sessions;
-  for (const auto& [key, pending] : groups_) {
-    BuildGroup(key, pending, options_.inactivity_gap_ms, &sessions);
-  }
-  return sessions;
-}
-
 std::vector<Session> Sessionizer::Build(exec::Executor* exec) const {
-  if (exec == nullptr || !exec->parallel()) return Build();
-  // One task per (user_id, session_id) group, each writing a private slot;
-  // concatenating slots in key order reproduces the serial loop exactly.
+  exec = exec::OrInline(exec);
   std::vector<const std::pair<const GroupKey, std::vector<PendingEvent>>*>
       group_ptrs;
   group_ptrs.reserve(groups_.size());
   for (const auto& entry : groups_) group_ptrs.push_back(&entry);
-  std::vector<std::vector<Session>> slots(group_ptrs.size());
-  exec->ParallelFor("sessionize", group_ptrs.size(), [&](size_t g) {
-    BuildGroup(group_ptrs[g]->first, group_ptrs[g]->second,
-               options_.inactivity_gap_ms, &slots[g]);
-  });
-  std::vector<Session> sessions;
-  for (auto& slot : slots) {
-    for (auto& session : slot) sessions.push_back(std::move(session));
-  }
-  return sessions;
+  std::vector<std::vector<Session>> chunks(exec->ChunksFor(group_ptrs.size()));
+  exec->ParallelForChunked(
+      "sessionize", group_ptrs.size(),
+      [&](size_t chunk, size_t begin, size_t end) {
+        for (size_t g = begin; g < end; ++g) {
+          BuildGroup(group_ptrs[g]->first, group_ptrs[g]->second,
+                     options_.inactivity_gap_ms, &chunks[chunk]);
+        }
+      });
+  return exec::ConcatChunks(&chunks);
 }
 
 }  // namespace unilog::sessions

@@ -53,13 +53,10 @@ class Sessionizer {
   /// Builds all sessions: per group, sorts by timestamp and splits at
   /// inactivity gaps. Sessions are ordered by (user_id, session_id, start).
   /// Leaves the accumulated state intact (Build may be called repeatedly).
-  std::vector<Session> Build() const;
-
-  /// Like Build(), but the per-group sort/split fans out across the
-  /// executor's worker threads; groups are written to per-group slots and
-  /// concatenated in key order, so the result is byte-identical to the
-  /// serial Build() at any thread count.
-  std::vector<Session> Build(exec::Executor* exec) const;
+  /// The per-group sort/split runs in contiguous chunks of groups on
+  /// `exec` (nullptr runs inline); chunks are concatenated in key order,
+  /// so the result is byte-identical at any thread count.
+  std::vector<Session> Build(exec::Executor* exec = nullptr) const;
 
  private:
   struct GroupKey {

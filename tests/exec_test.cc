@@ -19,6 +19,8 @@
 #include "dataflow/mapreduce.h"
 #include "dataflow/pig.h"
 #include "dataflow/relation.h"
+#include "dataflow/relation_serde.h"
+#include "dataflow/vector_engine.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
@@ -177,6 +179,64 @@ TEST(ExecutorTest, RecordsPerStageMetrics) {
   EXPECT_EQ(metrics.GetCounter("exec_regions", labels)->value(), 2u);
   EXPECT_EQ(metrics.GetHistogram("exec_region_ms", labels)->count(), 2u);
   EXPECT_EQ(metrics.GetGauge("exec_threads")->value(), 2);
+}
+
+TEST(ExecutorTest, ShardsAreOneInlineAndTwicePerThreadOtherwise) {
+  EXPECT_EQ(MakeExecutor(1).Shards(), 1u);
+  exec::Executor par = MakeExecutor(4);
+  EXPECT_EQ(par.Shards(), 8u);
+  // A region nested inside another runs inline, so it does not split.
+  std::vector<size_t> nested(4, 0);
+  par.ParallelFor("outer", nested.size(),
+                  [&](size_t i) { nested[i] = par.Shards(); });
+  EXPECT_EQ(nested, (std::vector<size_t>(4, 1)));
+}
+
+TEST(ExecutorTest, NullResolvesToOneSharedInlineExecutor) {
+  exec::Executor* shared = exec::OrInline(nullptr);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(exec::OrInline(nullptr), shared);
+  EXPECT_FALSE(shared->parallel());
+  EXPECT_EQ(shared->Shards(), 1u);
+  exec::Executor par = MakeExecutor(2);
+  EXPECT_EQ(exec::OrInline(&par), &par);
+}
+
+// Pool workers running null-executor operators all share the one inline
+// executor at once; every call must still produce the serial bytes.
+TEST(ExecutorTest, SharedInlineExecutorServesConcurrentOperators) {
+  dataflow::Relation rel({"k", "x", "tag"});
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(rel.AddRow({dataflow::Value::Int(i % 13),
+                            dataflow::Value::Real(i * 0.37 - 50.0),
+                            dataflow::Value::Str("t" + std::to_string(i % 5))})
+                    .ok());
+  }
+  const std::vector<dataflow::Aggregate> aggs{
+      {dataflow::Aggregate::Op::kCount, "", "n"},
+      {dataflow::Aggregate::Op::kSum, "x", "total"},
+      {dataflow::Aggregate::Op::kCountDistinct, "tag", "tags"}};
+  auto batch = dataflow::BatchRelation::FromRelation(rel, 64);
+  ASSERT_TRUE(batch.ok());
+  auto run_all = [&]() {
+    std::string out;
+    out += dataflow::SerializeRelation(rel.GroupBy({"k"}, aggs).value());
+    out += dataflow::SerializeRelation(
+        rel.Project({"k", "tag"}).value().Distinct());
+    out += dataflow::SerializeRelation(rel.OrderBy("tag", true).value());
+    out += dataflow::SerializeRelation(
+        rel.Filter([](const dataflow::Row& r) { return r[0].int_value() > 6; }));
+    out += dataflow::SerializeRelation(batch->GroupBy({"tag"}, aggs).value());
+    return out;
+  };
+  const std::string want = run_all();
+  exec::Executor pool = MakeExecutor(4);
+  std::vector<std::string> got(32);
+  pool.ParallelFor("concurrent-inline", got.size(),
+                   [&](size_t i) { got[i] = run_all(); });
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Fnv1a(got[i]), Fnv1a(want)) << "task " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include "sessions/sessionizer.h"
 #include "lz_corpus.h"
 #include "lz_reference.h"
+#include "relation_oracle.h"
 #include "scan_oracle.h"
 #include "thrift/compact_protocol.h"
 #include "thrift/value.h"
@@ -588,9 +589,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DictionaryPropertyTest,
                          ::testing::Values(9u, 99u, 999u));
 
 // ---------------------------------------------------------------------------
-// StableShuffle: the exec engine's grouped merge must equal the serial
-// engine's concatenate-then-group reference on random emitter sets, and
-// per-key value order must be (task index, emission order).
+// StableShuffle: the frozen shuffle oracle (relation_oracle.h) must equal
+// a concatenate-then-group reference on random emitter sets, and per-key
+// value order must be (task index, emission order) — the order the
+// MapReduce sweeps below hold every thread count to.
 
 class StableShufflePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -614,8 +616,8 @@ TEST_P(StableShufflePropertyTest, MatchesSerialReferenceAndPreservesOrder) {
   for (int iter = 0; iter < 20; ++iter) {
     std::vector<dataflow::Emitter> tasks = RandomEmitters(rng);
 
-    // Reference: exactly what the serial engine does — concatenate all
-    // task pairs in task order, group into an ordered map.
+    // Reference: concatenate all task pairs in task order, group into an
+    // ordered map.
     std::map<std::string, std::vector<std::string>> reference;
     uint64_t reference_bytes = 0;
     for (const auto& task : tasks) {
@@ -627,7 +629,7 @@ TEST_P(StableShufflePropertyTest, MatchesSerialReferenceAndPreservesOrder) {
 
     std::vector<dataflow::Emitter> consumed = tasks;  // StableShuffle consumes
     uint64_t bytes = 0;
-    auto groups = dataflow::StableShuffle(&consumed, &bytes);
+    auto groups = relation_oracle::StableShuffle(&consumed, &bytes);
 
     EXPECT_EQ(groups, reference) << "seed=" << GetParam() << " iter=" << iter;
     EXPECT_EQ(bytes, reference_bytes);
@@ -695,8 +697,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EmitterIsolationPropertyTest,
                          ::testing::Values(7u, 77u, 777u));
 
 // ---------------------------------------------------------------------------
-// MapReduce: on random warehouses and random-ish jobs, the parallel engine
-// must reproduce the serial engine byte for byte.
+// MapReduce: on random warehouses and random-ish jobs, runs at 2 and 5
+// threads must reproduce the inline (no executor) run byte for byte.
 
 class MapReducePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -833,6 +835,182 @@ TEST_P(RelationPropertyTest, OperatorsMatchSerialAtAnyThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RelationPropertyTest,
                          ::testing::Values(6u, 66u, 666u));
+
+// ---------------------------------------------------------------------------
+// Oracle sweeps: every hash-partitioned operator, at threads {1, 2, 8} and
+// with no executor at all, against the frozen single-threaded bodies in
+// relation_oracle.h — Relation and BatchRelation GroupBy (bit-exact double
+// SUM), Relation Distinct and OrderBy, and MapReduce with and without a
+// reducer.
+
+class OracleSweepPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// nullptr (the shared inline executor), then executors at 1, 2 and 8
+/// threads with small chunks so even short inputs split.
+std::vector<std::unique_ptr<exec::Executor>> SweepExecutors() {
+  std::vector<std::unique_ptr<exec::Executor>> out;
+  out.push_back(nullptr);
+  for (int threads : {1, 2, 8}) {
+    exec::ExecOptions opts;
+    opts.threads = threads;
+    opts.min_items_per_chunk = 4;
+    out.push_back(std::make_unique<exec::Executor>(opts));
+  }
+  return out;
+}
+
+std::string SweepLabel(const exec::Executor* executor) {
+  return executor == nullptr ? "no executor"
+                             : "threads=" + std::to_string(executor->threads());
+}
+
+/// Random relation with duplicate rows, mixed-type keys and doubles whose
+/// sums depend on accumulation order.
+dataflow::Relation RandomOracleRelation(Rng& rng, size_t rows) {
+  dataflow::Relation rel({"k", "x", "tag", "v"});
+  for (size_t i = 0; i < rows; ++i) {
+    dataflow::Value key =
+        rng.Uniform(3) == 0
+            ? dataflow::Value::Str("s" + std::to_string(rng.Uniform(5)))
+            : dataflow::Value::Int(static_cast<int64_t>(rng.Uniform(7)));
+    EXPECT_TRUE(
+        rel.AddRow({key,
+                    dataflow::Value::Real(rng.NextDouble() * 1e6 - 5e5 +
+                                          rng.NextDouble() * 1e-6),
+                    dataflow::Value::Str("t" + std::to_string(rng.Uniform(3))),
+                    dataflow::Value::Int(static_cast<int64_t>(rng.Uniform(4)))})
+            .ok());
+  }
+  return rel;
+}
+
+TEST_P(OracleSweepPropertyTest, RelationOperatorsMatchFrozenSerialBodies) {
+  Rng rng(GetParam());
+  const std::vector<dataflow::Aggregate> aggs{
+      {dataflow::Aggregate::Op::kCount, "", "n"},
+      {dataflow::Aggregate::Op::kSum, "x", "total"},
+      {dataflow::Aggregate::Op::kMin, "x", "lo"},
+      {dataflow::Aggregate::Op::kMax, "tag", "hi"},
+      {dataflow::Aggregate::Op::kCountDistinct, "v", "vs"}};
+  auto executors = SweepExecutors();
+  for (int iter = 0; iter < 6; ++iter) {
+    size_t rows = rng.Uniform(5) == 0 ? 0 : 1 + rng.Uniform(400);
+    dataflow::Relation rel = RandomOracleRelation(rng, rows);
+    // Narrow projections make Distinct see real duplicates.
+    dataflow::Relation narrow = rel.Project({"k", "tag", "v"}).value();
+    const std::vector<std::string> keys =
+        iter % 2 == 0 ? std::vector<std::string>{"k"}
+                      : std::vector<std::string>{"tag", "k"};
+    const std::string want_group = dataflow::SerializeRelation(
+        relation_oracle::GroupBy(rel, keys, aggs).value());
+    const std::string want_distinct =
+        dataflow::SerializeRelation(relation_oracle::Distinct(narrow));
+    const bool descending = rng.Uniform(2) == 0;
+    const std::string want_order = dataflow::SerializeRelation(
+        relation_oracle::OrderBy(rel, "v", descending).value());
+    auto batch =
+        dataflow::BatchRelation::FromRelation(rel, 1 + rng.Uniform(64));
+    ASSERT_TRUE(batch.ok());
+
+    for (const auto& executor : executors) {
+      const std::string label = "seed=" + std::to_string(GetParam()) +
+                                " iter=" + std::to_string(iter) + " " +
+                                SweepLabel(executor.get());
+      EXPECT_EQ(dataflow::SerializeRelation(
+                    rel.GroupBy(keys, aggs, executor.get()).value()),
+                want_group)
+          << label;
+      EXPECT_EQ(dataflow::SerializeRelation(
+                    batch->GroupBy(keys, aggs, executor.get()).value()),
+                want_group)
+          << label;
+      EXPECT_EQ(dataflow::SerializeRelation(narrow.Distinct(executor.get())),
+                want_distinct)
+          << label;
+      EXPECT_EQ(dataflow::SerializeRelation(
+                    rel.OrderBy("v", descending, executor.get()).value()),
+                want_order)
+          << label;
+    }
+  }
+}
+
+TEST_P(OracleSweepPropertyTest, GroupBySumErrorMatchesOracle) {
+  Rng rng(GetParam());
+  dataflow::Relation rel = RandomOracleRelation(rng, 1 + rng.Uniform(200));
+  const std::vector<dataflow::Aggregate> aggs{
+      {dataflow::Aggregate::Op::kSum, "tag", "bad"}};
+  auto want = relation_oracle::GroupBy(rel, {"k"}, aggs);
+  ASSERT_FALSE(want.ok());
+  for (const auto& executor : SweepExecutors()) {
+    auto got = rel.GroupBy({"k"}, aggs, executor.get());
+    ASSERT_FALSE(got.ok()) << SweepLabel(executor.get());
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+  }
+}
+
+TEST_P(OracleSweepPropertyTest, MapReduceMatchesFrozenShuffle) {
+  Rng rng(GetParam());
+  auto map_fn = [](const std::string& record,
+                   dataflow::Emitter* emitter) -> Status {
+    size_t space = record.find(' ');
+    emitter->Emit(record.substr(0, space), record.substr(space + 1));
+    return Status::OK();
+  };
+  const dataflow::MapReduceJob::ReduceFn reduce_fn =
+      [](const std::string& key, const std::vector<std::string>& values,
+         dataflow::Emitter* emitter) -> Status {
+    std::string joined;
+    for (const auto& v : values) joined += v + "|";
+    emitter->Emit(key, joined);
+    if (values.size() > 2) emitter->Emit(key, "many");
+    return Status::OK();
+  };
+  auto executors = SweepExecutors();
+  for (int iter = 0; iter < 4; ++iter) {
+    hdfs::MiniHdfs fs;
+    std::vector<dataflow::Emitter> per_file;
+    const size_t num_files = 1 + rng.Uniform(9);
+    const uint64_t key_space = 1 + rng.Uniform(15);
+    for (size_t f = 0; f < num_files; ++f) {
+      std::string body;
+      dataflow::Emitter emitted;
+      const size_t records = rng.Uniform(80);
+      for (size_t r = 0; r < records; ++r) {
+        std::string record = "k" + std::to_string(rng.Uniform(key_space)) +
+                             " f" + std::to_string(f) + "r" +
+                             std::to_string(r);
+        ASSERT_TRUE(map_fn(record, &emitted).ok());
+        PutVarint64(&body, record.size());
+        body += record;
+      }
+      per_file.push_back(std::move(emitted));
+      // One-letter names keep the sorted listing (input order) = file order.
+      ASSERT_TRUE(fs.WriteFile("/in/f" + std::string(1, 'a' + f), body).ok());
+    }
+    for (bool with_reduce : {false, true}) {
+      auto want = relation_oracle::MapReduce(
+          per_file, with_reduce ? reduce_fn : nullptr);
+      ASSERT_TRUE(want.ok());
+      for (const auto& executor : executors) {
+        dataflow::MapReduceJob job(&fs, dataflow::JobCostModel{});
+        job.set_executor(executor.get());
+        job.set_input_format(dataflow::InputFormat::Framed());
+        ASSERT_TRUE(job.AddInputDir("/in").ok());
+        job.set_map(map_fn);
+        if (with_reduce) job.set_reduce(reduce_fn);
+        auto got = job.Run();
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, *want)
+            << "seed=" << GetParam() << " iter=" << iter
+            << " reduce=" << with_reduce << " " << SweepLabel(executor.get());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweepPropertyTest,
+                         ::testing::Values(8u, 88u, 888u, 8888u));
 
 // ---------------------------------------------------------------------------
 // Columnar scan pushdown: on random events (empty details, multi-byte

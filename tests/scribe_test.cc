@@ -106,7 +106,6 @@ class AggregatorTest : public ::testing::Test {
   AggregatorTest()
       : sim_(kT0), zk_(&sim_), staging_(&sim_), options_() {
     options_.roll_interval_ms = 10 * kMillisPerSecond;
-    options_.compress = true;
   }
 
   Simulator sim_;
@@ -1073,6 +1072,7 @@ TEST_F(LogMoverTest, ParallelMoverCountsWorkItems) {
   std::vector<Aggregator*> none;
   obs::MetricsRegistry metrics(&sim);
   exec::Executor executor(exec::ExecOptions{.threads = 3});
+  executor.set_metrics(&metrics);
   LogMoverOptions mopts;
   mopts.run_interval_ms = kMillisPerMinute;
   mopts.grace_ms = kMillisPerMinute;
@@ -1085,11 +1085,14 @@ TEST_F(LogMoverTest, ParallelMoverCountsWorkItems) {
   mover.Start(kT0);
   sim.RunUntil(kT0 + kMillisPerHour + 3 * kMillisPerMinute);
 
-  // Both parallel stages saw work (the corrupt file still counts as an
-  // unstage item; parts were planned from 24 good files).
-  EXPECT_EQ(metrics.CounterTotal("scribe.ingest.files_unstaged_parallel"),
-            25u);
-  EXPECT_GT(metrics.CounterTotal("scribe.ingest.parts_built_parallel"), 1u);
+  // Both fanned-out stages saw work, counted by the executor's own
+  // per-stage series (the corrupt file still counts as an unstage task;
+  // parts were planned from 24 good files).
+  auto tasks = [&](const char* stage) {
+    return metrics.GetCounter("exec_tasks", {{"stage", stage}})->value();
+  };
+  EXPECT_EQ(tasks("mover.unstage"), 25u);
+  EXPECT_GT(tasks("mover.build_parts"), 1u);
   EXPECT_GT(metrics.CounterTotal("scribe.ingest.pool_hits"), 0u);
 }
 
