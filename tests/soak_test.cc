@@ -8,7 +8,9 @@
 #include <set>
 #include <string>
 
+#include "broker/broker.h"
 #include "scribe/cluster.h"
+#include "sim/simulator.h"
 #include "soak/chaos.h"
 #include "soak/harness.h"
 #include "soak/slo.h"
@@ -125,6 +127,44 @@ TEST(SoakHarnessTest, SameSeedReproducesTheIdenticalRun) {
   EXPECT_EQ(first->events_logged, second->events_logged);
   EXPECT_EQ(first->chaos_events, second->chaos_events);
   EXPECT_EQ(first->audit.warehoused, second->audit.warehoused);
+}
+
+// A cross-version pin: the seed-42 report (counts, audit identity, SLO
+// observations) hashed with FNV-1a. SameSeedReproducesTheIdenticalRun only
+// compares a binary with itself; this catches a change that moves any
+// simulated event's time or order, because such a change moves the report.
+TEST(SoakHarnessTest, SeedFortyTwoReportIsPinned) {
+  auto result = SoakHarness(SmallOptions()).Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string report = result->ToString();
+  EXPECT_EQ(broker::StableHash(report), 0xbe6eb5df543cca59ull) << report;
+}
+
+// An idle fleet shaped like the log_to_query bench (8 daemons, 4 brokers,
+// 4 partitions, RF 2) processes exactly its periodic timers for 72 hours:
+// each daemon's 1 s flush, each broker's 500 ms replica fetch, and one
+// candidates-watch delivery per partition at topic creation. Any timer
+// added, removed or moved to a different phase changes the count.
+TEST(SoakHarnessTest, IdleFleetRunsOnlyItsPeriodicTimers) {
+  constexpr int64_t kSeconds = 72 * 3600;
+  Simulator sim(0);
+  scribe::ClusterTopology topo;
+  topo.datacenters = {"dc1"};
+  topo.daemons_per_dc = 8;
+  topo.brokers_per_dc = 4;
+  topo.broker_options.num_partitions = 4;
+  topo.broker_options.replication_factor = 2;
+  topo.broker_options.acks = broker::kAcksAll;
+  scribe::LogMoverOptions mover;
+  mover.run_interval_ms = 3650 * kMillisPerDay;  // outside the window
+  scribe::ScribeCluster cluster(&sim, topo, scribe::ScribeOptions{}, mover,
+                                42);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.fleet(0)->EnsureTopic("client_event").ok());
+  sim.RunUntil(kSeconds * kMillisPerSecond);
+  EXPECT_EQ(sim.EventsProcessed(), 4147204u);
+  EXPECT_EQ(sim.EventsProcessed(),
+            static_cast<uint64_t>((8 * 1 + 4 * 2) * kSeconds + 4));
 }
 
 TEST(SoakHarnessTest, InjectedUnrecoveredLossFailsTheRun) {
