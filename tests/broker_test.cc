@@ -1153,5 +1153,83 @@ TEST(BrokerChaosTest, SessionExpiryStormAtScaleConvergesBounded) {
                 static_cast<uint64_t>(1 + expiries));
 }
 
+// ---------------------------------------------------------------------------
+// Follower fetch ticks
+
+// One observable change of a follower replica: when (ms after kT0) its
+// mirrored end offset or retained entry count moved, and to what.
+struct MirrorChange {
+  TimeMs at = 0;
+  uint64_t end = 0;
+  uint64_t entries = 0;
+  bool operator==(const MirrorChange&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const MirrorChange& c) {
+  return os << "{" << c.at << ", " << c.end << ", " << c.entries << "}";
+}
+
+TEST(BrokerFetchTest, LaggingAcksOneFollowerMirrorsAndTrimsOnItsTicks) {
+  BrokerOptions options;
+  options.num_partitions = 1;
+  options.replication_factor = 2;
+  options.acks = kAcksLeader;
+  options.replica_fetch_interval_ms = 500;
+  FleetHarness h(2, options);
+  ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
+  BrokerNode* leader = h.Leader("clicks", 0);
+  ASSERT_NE(leader, nullptr);
+  BrokerNode* follower =
+      h.fleet->node(0) == leader ? h.fleet->node(1) : h.fleet->node(0);
+
+  uint64_t seq = 0;
+  auto produce_at = [&](TimeMs at) {
+    h.sim.At(kT0 + at, [&] {
+      ++seq;
+      EXPECT_TRUE(h.ProduceOne("clicks", 0, "host1", seq, "p").ok());
+    });
+  };
+  produce_at(100);
+  produce_at(600);
+  produce_at(700);
+  h.sim.At(kT0 + 1200, [&] { leader->NoteConsumedTo("clicks", 0, 2); });
+  // The follower falls behind: down across two produces and a trim, then
+  // restarted empty on a tick phase of its own.
+  h.sim.At(kT0 + 1600, [&] { follower->Crash(); });
+  produce_at(1700);
+  produce_at(2300);
+  h.sim.At(kT0 + 2400, [&] { leader->NoteConsumedTo("clicks", 0, 4); });
+  h.sim.At(kT0 + 2650, [&] { ASSERT_TRUE(follower->Start().ok()); });
+  produce_at(3300);
+  h.sim.At(kT0 + 3900, [&] { leader->NoteConsumedTo("clicks", 0, 6); });
+
+  std::vector<MirrorChange> changes;
+  MirrorChange last;
+  while (h.sim.PendingEvents() > 0 && h.sim.Now() < kT0 + 5000) {
+    h.sim.Step();
+    const uint64_t end = follower->alive()
+                             ? follower->MirrorEndOffset("clicks", 0)
+                             : 0;
+    MirrorChange now{h.sim.Now() - kT0, end, follower->stats().log_entries};
+    if (now.end != last.end || now.entries != last.entries) {
+      changes.push_back(now);
+    }
+    last = now;
+  }
+  // Every change lands on a fetch tick (every 500 ms from the start, and
+  // from the restart at 2650): the first tick after each produce mirrors
+  // it, and the first tick after each leader trim mirrors the trim.
+  const std::vector<MirrorChange> expected = {
+      {500, 1, 1},   // produce @100
+      {1000, 3, 3},  // produces @600, @700
+      {1500, 3, 1},  // leader trim to 2 @1200
+      {1600, 0, 0},  // crash
+      {3150, 5, 1},  // first tick after restart: [4, 5) past the trim to 4
+      {3650, 6, 2},  // produce @3300
+      {4150, 6, 0},  // leader trim to 6 @3900
+  };
+  EXPECT_EQ(changes, expected);
+}
+
 }  // namespace
 }  // namespace unilog::broker
