@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
 
 namespace unilog::broker {
 
@@ -76,40 +77,46 @@ Status EnsurePersistent(zk::ZooKeeper* zk, zk::SessionId session,
   return Status::OK();
 }
 
+// The election of ElectLeader over the candidate znodes under `dir`,
+// reading names and data in place. Writes the winner's id into `*winner`
+// (reusing its buffer) and returns true, or returns false when no
+// candidate is registered.
+bool ElectAmong(const zk::ZooKeeper& zk, std::string_view dir,
+                std::string* winner) {
+  bool found = false;
+  std::string_view best_id;
+  std::string_view best_seq;
+  uint64_t best_end = 0;
+  Status visited = zk.VisitChildren(
+      dir, [&](std::string_view name, const std::string& data) {
+        // Candidate names are "m-<id>-<10-digit zk sequence>".
+        if (name.size() < 13 || !name.starts_with("m-")) return;
+        std::string_view seq = name.substr(name.size() - 10);
+        uint64_t end = ParseUint(data);
+        // Winner: most complete log first (no acked data sacrificed when a
+        // caught-up replica is available), then earliest registration.
+        if (!found || end > best_end || (end == best_end && seq < best_seq)) {
+          found = true;
+          best_id = name.substr(2, name.size() - 13);
+          best_seq = seq;
+          best_end = end;
+        }
+      });
+  if (!visited.ok() || !found) return false;
+  winner->assign(best_id);
+  return true;
+}
+
 }  // namespace
 
 Result<std::string> ElectLeader(const zk::ZooKeeper& zk, const std::string& dc,
                                 const std::string& category, int partition) {
-  std::string dir = CandidatesPath(dc, category, partition);
-  auto children = zk.GetChildren(dir);
-  if (!children.ok()) return children.status();
-  bool found = false;
-  std::string best_id;
-  std::string best_seq;
-  uint64_t best_end = 0;
-  for (const std::string& name : *children) {
-    // Candidate names are "m-<id>-<10-digit zk sequence>".
-    if (name.size() < 13 || name.rfind("m-", 0) != 0) continue;
-    std::string seq = name.substr(name.size() - 10);
-    std::string id = name.substr(2, name.size() - 13);
-    uint64_t end = 0;
-    if (auto data = zk.GetData(dir + "/" + name); data.ok()) {
-      end = ParseUint(*data);
-    }
-    // Winner: most complete log first (no acked data sacrificed when a
-    // caught-up replica is available), then earliest registration.
-    if (!found || end > best_end || (end == best_end && seq < best_seq)) {
-      found = true;
-      best_id = std::move(id);
-      best_seq = std::move(seq);
-      best_end = end;
-    }
-  }
-  if (!found) {
+  std::string winner;
+  if (!ElectAmong(zk, CandidatesPath(dc, category, partition), &winner)) {
     return Status::NotFound("no candidates for " + category + "/" +
                             std::to_string(partition));
   }
-  return best_id;
+  return winner;
 }
 
 uint64_t MaxCommittedOffset(const zk::ZooKeeper& zk, const std::string& dc,
@@ -270,6 +277,7 @@ Status BrokerNode::AdoptReplica(const std::string& category, int partition) {
   Replica& r = replicas_[PartitionKey{category, partition}];
   r.category = category;
   r.partition = partition;
+  r.candidates_dir = CandidatesPath(dc_, category, partition);
   if (!r.candidate_path.empty() && zk_->Exists(r.candidate_path)) {
     return Status::OK();  // already campaigning
   }
@@ -307,10 +315,9 @@ uint64_t BrokerNode::AckedWatermark(const Replica& r) const {
 }
 
 Status BrokerNode::RegisterCandidate(Replica* r) {
-  std::string dir = CandidatesPath(dc_, r->category, r->partition);
-  UNILOG_RETURN_NOT_OK(EnsurePersistent(zk_, session_, dir));
+  UNILOG_RETURN_NOT_OK(EnsurePersistent(zk_, session_, r->candidates_dir));
   auto created =
-      zk_->Create(session_, dir + "/m-" + id_ + "-",
+      zk_->Create(session_, r->candidates_dir + "/m-" + id_ + "-",
                   std::to_string(r->log.end_offset()),
                   zk::CreateMode::kEphemeralSequential);
   if (!created.ok()) return created.status();
@@ -645,9 +652,14 @@ void BrokerNode::ScheduleReplicaFetch() {
 void BrokerNode::FetchFromLeaders() {
   for (auto& [key, r] : replicas_) {
     if (r.leader) continue;
-    auto winner = ElectLeader(*zk_, dc_, key.first, key.second);
-    if (!winner.ok() || *winner == id_ || !resolve_) continue;
-    BrokerNode* leader = resolve_(*winner);
+    ElectionMemo& memo = r.fetch_election;
+    const uint64_t stamp = zk_->ChildStamp(r.candidates_dir);
+    if (stamp != memo.stamp) {
+      memo.stamp = stamp;
+      memo.elected = ElectAmong(*zk_, r.candidates_dir, &memo.winner);
+    }
+    if (!memo.elected || memo.winner == id_ || !resolve_) continue;
+    BrokerNode* leader = resolve_(memo.winner);
     if (leader == nullptr || !leader->alive()) continue;
     uint64_t trim_to = 0;
     auto fetched = leader->ReplicaFetch(key.first, key.second,
@@ -696,6 +708,12 @@ void BrokerNode::UpdateGauges() {
   retained_compressed_gauge_->Set(static_cast<int64_t>(stored));
   retained_uncompressed_gauge_->Set(static_cast<int64_t>(bytes));
   partitions_led_gauge_->Set(led);
+}
+
+const BrokerNode::ElectionMemo* BrokerNode::fetch_election(
+    const std::string& category, int partition) const {
+  const Replica* r = FindReplica(category, partition);
+  return r == nullptr ? nullptr : &r->fetch_election;
 }
 
 BrokerNodeStats BrokerNode::stats() const {

@@ -232,13 +232,32 @@ class BrokerNode {
 
   BrokerNodeStats stats() const;
 
+  /// What a follower replica's fetch tick last elected from its
+  /// candidates directory. ElectLeader is a pure function of that
+  /// directory's children, so the tick re-runs it only when the
+  /// directory's zk child stamp has moved since `stamp`; otherwise this
+  /// memo is exactly what it would return. The initial {0, none} is exact
+  /// too: stamp 0 means the directory does not exist.
+  struct ElectionMemo {
+    uint64_t stamp = 0;
+    bool elected = false;  // false: no candidate registered
+    std::string winner;
+  };
+
+  /// The fetch-tick election memo of (category, partition), or nullptr
+  /// when this node hosts no replica of it.
+  const ElectionMemo* fetch_election(const std::string& category,
+                                     int partition) const;
+
  private:
   struct Replica {
     std::string category;
     int partition = 0;
     PartitionLog log;
     bool leader = false;
+    std::string candidates_dir;  // CandidatesPath() of this partition
     std::string candidate_path;  // empty = not currently registered
+    ElectionMemo fetch_election;
     // Idempotence tables (leader-maintained, rebuilt on election):
     // highest seq acknowledged / appended per producer.
     std::map<std::string, uint64_t> producer_acked;

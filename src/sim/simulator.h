@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -15,9 +14,20 @@ namespace unilog {
 /// ZooKeeper sessions) schedule callbacks on a shared virtual clock; the
 /// simulator executes them in (time, insertion-order) order, so a given
 /// seed always produces the exact same run.
+///
+/// Pending events live in two heaps with the same (time, seq) order: the
+/// near heap takes events due less than kNearHorizonMs ahead of the clock
+/// when they are scheduled, the far heap everything later. Each step runs
+/// the earlier of the two tops, so the order is exactly that of one heap,
+/// while periodic timers (a few hundred ms to a second ahead) sift only
+/// through the other near-term events, not through input scheduled hours
+/// or days ahead.
 class Simulator {
  public:
   using Callback = std::function<void()>;
+
+  /// Events due less than this far ahead of Now() go to the near heap.
+  static constexpr TimeMs kNearHorizonMs = 10 * kMillisPerSecond;
 
   explicit Simulator(TimeMs start_time = 0)
       : now_(start_time) {}
@@ -44,7 +54,7 @@ class Simulator {
   /// Executes at most `n` more events.
   void Step(uint64_t n = 1);
 
-  size_t PendingEvents() const { return queue_.size(); }
+  size_t PendingEvents() const { return near_.size() + far_.size(); }
   uint64_t EventsProcessed() const { return events_processed_; }
 
  private:
@@ -60,10 +70,15 @@ class Simulator {
     }
   };
 
+  /// Runs the earliest pending event if it is due at or before `limit`;
+  /// false when there is none.
+  bool RunNext(TimeMs limit);
+
   TimeMs now_;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<Event> near_;  // heaps under EventLater
+  std::vector<Event> far_;
 };
 
 }  // namespace unilog

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/strings.h"
-
 namespace unilog::zk {
 
 const char* WatchEventName(WatchEvent ev) {
@@ -22,7 +20,7 @@ const char* WatchEventName(WatchEvent ev) {
 
 ZooKeeper::ZooKeeper(Simulator* sim, obs::MetricsRegistry* metrics)
     : sim_(sim) {
-  nodes_["/"] = Znode{};
+  nodes_["/"].child_stamp = ++last_stamp_;
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>(sim_);
     metrics = owned_metrics_.get();
@@ -82,6 +80,11 @@ std::string ZooKeeper::ParentOf(const std::string& path) {
   return path.substr(0, pos);
 }
 
+uint64_t ZooKeeper::ChildStamp(std::string_view path) const {
+  auto it = nodes_.find(path);
+  return it == nodes_.end() ? 0 : it->second.child_stamp;
+}
+
 Result<std::string> ZooKeeper::Create(SessionId session,
                                       const std::string& path,
                                       const std::string& data,
@@ -123,7 +126,11 @@ Result<std::string> ZooKeeper::Create(SessionId session,
     node.ephemeral_owner = session;
     session_ephemerals_[session].insert(actual);
   }
+  node.parent = &pit->second;
+  // A fresh stamp for the new node: a re-created path never repeats one.
+  node.child_stamp = ++last_stamp_;
   nodes_[actual] = std::move(node);
+  pit->second.child_stamp = ++last_stamp_;
   znodes_created_->Increment();
 
   FireWatches(&exists_watchers_, &pending_exists_, actual,
@@ -137,14 +144,14 @@ Status ZooKeeper::DeleteInternal(const std::string& path) {
   auto it = nodes_.find(path);
   if (it == nodes_.end()) return Status::NotFound("no such znode: " + path);
 
-  // Check for children: any key strictly between path+"/" and path+"/\xff".
-  std::string prefix = path == "/" ? "/" : path + "/";
-  auto child = nodes_.upper_bound(prefix);
-  if (child != nodes_.end() && StartsWith(child->first, prefix)) {
+  const DescendantsOf below = Below(path);
+  auto child = nodes_.upper_bound(below);
+  if (child != nodes_.end() && IsBelow(child->first, below)) {
     return Status::FailedPrecondition("znode has children: " + path);
   }
 
   SessionId owner = it->second.ephemeral_owner;
+  it->second.parent->child_stamp = ++last_stamp_;
   nodes_.erase(it);
   znodes_deleted_->Increment();
   if (owner != 0) {
@@ -182,6 +189,9 @@ Status ZooKeeper::SetData(SessionId session, const std::string& path,
   if (it == nodes_.end()) return Status::NotFound("no such znode: " + path);
   it->second.data = data;
   ++it->second.version;
+  if (it->second.parent != nullptr) {
+    it->second.parent->child_stamp = ++last_stamp_;
+  }
   FireWatches(&data_watchers_, &pending_data_, path, WatchEvent::kDataChanged);
   return Status::OK();
 }
@@ -189,16 +199,11 @@ Status ZooKeeper::SetData(SessionId session, const std::string& path,
 Result<std::vector<std::string>> ZooKeeper::GetChildren(
     const std::string& path) const {
   UNILOG_RETURN_NOT_OK(ValidatePath(path));
-  if (!nodes_.count(path)) return Status::NotFound("no such znode: " + path);
-  std::string prefix = path == "/" ? "/" : path + "/";
   std::vector<std::string> children;
-  for (auto it = nodes_.upper_bound(prefix);
-       it != nodes_.end() && StartsWith(it->first, prefix); ++it) {
-    std::string rest = it->first.substr(prefix.size());
-    if (rest.find('/') == std::string::npos) {
-      children.push_back(rest);
-    }
-  }
+  UNILOG_RETURN_NOT_OK(VisitChildren(
+      path, [&](std::string_view name, const std::string&) {
+        children.emplace_back(name);
+      }));
   return children;
 }
 
@@ -212,8 +217,9 @@ Result<ZnodeStat> ZooKeeper::Stat(const std::string& path) const {
   ZnodeStat stat;
   stat.version = it->second.version;
   stat.ephemeral_owner = it->second.ephemeral_owner;
-  auto children = GetChildren(path);
-  stat.num_children = children.ok() ? children->size() : 0;
+  (void)VisitChildren(path, [&](std::string_view, const std::string&) {
+    ++stat.num_children;
+  });
   return stat;
 }
 

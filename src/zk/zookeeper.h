@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -102,6 +103,21 @@ class ZooKeeper {
   /// Lists direct children (names, not full paths), sorted.
   Result<std::vector<std::string>> GetChildren(const std::string& path) const;
 
+  /// Calls `visit(name, data)` for every direct child of `path`, in name
+  /// order, without copying either (`name` is a std::string_view, `data` a
+  /// const std::string&; both are valid only during the call).
+  /// NotFound when `path` does not exist.
+  template <typename Visit>
+  Status VisitChildren(std::string_view path, Visit&& visit) const;
+
+  /// A stamp of the direct children of `path`. It moves whenever a child
+  /// is created, deleted (an ephemeral one at session close or expiry
+  /// included) or has its data set, and it never takes a value it had
+  /// before, also across a delete and re-create of `path`: anything
+  /// computed from the children's names and data alone is unchanged while
+  /// the stamp is. 0 when `path` does not exist.
+  uint64_t ChildStamp(std::string_view path) const;
+
   bool Exists(const std::string& path) const;
   Result<ZnodeStat> Stat(const std::string& path) const;
 
@@ -138,7 +154,40 @@ class ZooKeeper {
     SessionId ephemeral_owner = 0;
     int64_t version = 0;
     uint64_t seq_counter = 0;  // for sequential children
+    uint64_t child_stamp = 0;  // see ChildStamp()
+    // Never dangles: a znode with children cannot be deleted. Null for
+    // the root.
+    Znode* parent = nullptr;
   };
+
+  /// Stands for `dir + "/"` in path order without building it, so the
+  /// first descendant of `dir` is one tree lookup (upper_bound: the root's
+  /// own key "/" equals it). `dir` is empty for the root.
+  struct DescendantsOf {
+    std::string_view dir;
+
+    // Three-way comparison of `path` with `dir + "/"`.
+    static int Compare(std::string_view path, std::string_view dir) {
+      if (int c = path.substr(0, dir.size()).compare(dir); c != 0) return c;
+      if (path.size() == dir.size()) return -1;
+      const unsigned char next = path[dir.size()];
+      if (next != '/') return next < '/' ? -1 : 1;
+      return path.size() == dir.size() + 1 ? 0 : 1;
+    }
+    friend bool operator<(const std::string& path, DescendantsOf d) {
+      return Compare(path, d.dir) < 0;
+    }
+    friend bool operator<(DescendantsOf d, const std::string& path) {
+      return Compare(path, d.dir) > 0;
+    }
+  };
+  static DescendantsOf Below(std::string_view path) {
+    return DescendantsOf{path == "/" ? std::string_view() : path};
+  }
+  static bool IsBelow(std::string_view path, DescendantsOf d) {
+    return path.size() > d.dir.size() + 1 && path.starts_with(d.dir) &&
+           path[d.dir.size()] == '/';
+  }
 
   static Status ValidatePath(const std::string& path);
   static std::string ParentOf(const std::string& path);
@@ -162,7 +211,10 @@ class ZooKeeper {
   Status DeleteInternal(const std::string& path);
 
   Simulator* sim_;
-  std::map<std::string, Znode> nodes_;  // sorted: enables child scans
+  // Sorted, with heterogeneous lookup: enables child scans by
+  // DescendantsOf and lookups by std::string_view.
+  std::map<std::string, Znode, std::less<>> nodes_;
+  uint64_t last_stamp_ = 0;
   std::map<SessionId, std::set<std::string>> session_ephemerals_;
   std::set<SessionId> live_sessions_;
   SessionId next_session_ = 1;
@@ -182,6 +234,22 @@ class ZooKeeper {
   PendingTable pending_children_;
   PendingTable pending_data_;
 };
+
+template <typename Visit>
+Status ZooKeeper::VisitChildren(std::string_view path, Visit&& visit) const {
+  if (nodes_.find(path) == nodes_.end()) {
+    return Status::NotFound("no such znode: " + std::string(path));
+  }
+  const DescendantsOf below = Below(path);
+  for (auto it = nodes_.upper_bound(below);
+       it != nodes_.end() && IsBelow(it->first, below); ++it) {
+    std::string_view name = std::string_view(it->first).substr(
+        below.dir.size() + 1);
+    if (name.find('/') != std::string_view::npos) continue;  // grandchild
+    visit(name, it->second.data);
+  }
+  return Status::OK();
+}
 
 }  // namespace unilog::zk
 

@@ -1231,5 +1231,104 @@ TEST(BrokerFetchTest, LaggingAcksOneFollowerMirrorsAndTrimsOnItsTicks) {
   EXPECT_EQ(changes, expected);
 }
 
+// Whenever a follower's fetch-tick memo claims to be current (its stamp
+// equals the candidates directory's), it equals a fresh ElectLeader; and
+// once the churn stops, every follower's next ticks bring it current.
+TEST(BrokerFetchTest, ElectionMemoEqualsAFreshElectionUnderChurn) {
+  constexpr int kNodes = 4;
+  constexpr int kPartitions = 3;
+  for (int acks : {kAcksLeader, kAcksAll}) {
+    SCOPED_TRACE(acks == kAcksAll ? "acks=all" : "acks=1");
+    BrokerOptions options;
+    options.num_partitions = kPartitions;
+    options.replication_factor = 3;
+    options.acks = acks;
+    options.replica_fetch_interval_ms = 500;
+    FleetHarness h(kNodes, options);
+    ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
+
+    Rng rng(acks == kAcksAll ? 2026 : 1729);
+    std::map<int, uint64_t> seqs;  // producer id -> last seq sent
+    constexpr TimeMs kChurn = 60 * kMillisPerSecond;
+    for (int i = 0; i < 400; ++i) {
+      const TimeMs at = kT0 + static_cast<TimeMs>(rng.Uniform(kChurn));
+      const size_t node = rng.Uniform(kNodes);
+      const int partition = static_cast<int>(rng.Uniform(kPartitions));
+      switch (rng.Uniform(8)) {
+        case 0:
+          h.sim.At(at, [&h, node] { h.fleet->node(node)->Crash(); });
+          break;
+        case 1:
+          h.sim.At(at, [&h, node] { (void)h.fleet->node(node)->Start(); });
+          break;
+        case 2:
+          h.sim.At(at,
+                   [&h, node] { (void)h.fleet->node(node)->ExpireSession(); });
+          break;
+        default: {
+          const int producer = static_cast<int>(node) * 10 + partition;
+          h.sim.At(at, [&h, &seqs, producer, partition] {
+            const uint64_t seq = ++seqs[producer];
+            (void)h.ProduceOne("clicks", partition,
+                               "host" + std::to_string(producer), seq, "p");
+          });
+        }
+      }
+    }
+    // Every node alive at the end, so each partition has followers.
+    for (int n = 0; n < kNodes; ++n) {
+      h.sim.At(kT0 + kChurn, [&h, n] { (void)h.fleet->node(n)->Start(); });
+    }
+
+    // Checks every live follower replica; returns how many memos were
+    // current (and so compared), collecting the distinct elections seen.
+    std::set<std::pair<int, uint64_t>> elections;  // (node, stamp)
+    auto check = [&]() -> int {
+      int current = 0;
+      for (int n = 0; n < kNodes; ++n) {
+        BrokerNode* node = h.fleet->node(n);
+        for (int p = 0; p < kPartitions; ++p) {
+          const BrokerNode::ElectionMemo* memo =
+              node->fetch_election("clicks", p);
+          if (!node->alive() || memo == nullptr ||
+              node->IsLeader("clicks", p)) {
+            continue;
+          }
+          if (memo->stamp != h.zk.ChildStamp(CandidatesPath("dc1", "clicks",
+                                                            p))) {
+            continue;
+          }
+          ++current;
+          elections.emplace(n, memo->stamp);
+          auto fresh = ElectLeader(h.zk, "dc1", "clicks", p);
+          EXPECT_EQ(memo->elected, fresh.ok()) << "t=" << h.sim.Now() - kT0;
+          if (fresh.ok()) {
+            EXPECT_EQ(memo->winner, *fresh) << "t=" << h.sim.Now() - kT0;
+          }
+        }
+      }
+      return current;
+    };
+
+    while (h.sim.Now() < kT0 + kChurn + 2 * kMillisPerSecond) {
+      h.sim.Step();
+      check();
+    }
+    EXPECT_GT(elections.size(), 50u);  // not vacuous
+    // Quiet for two seconds: every follower's tick has caught up.
+    int followers = 0;
+    for (int n = 0; n < kNodes; ++n) {
+      for (int p = 0; p < kPartitions; ++p) {
+        if (!h.fleet->node(n)->IsLeader("clicks", p) &&
+            h.fleet->node(n)->fetch_election("clicks", p) != nullptr) {
+          ++followers;
+        }
+      }
+    }
+    EXPECT_EQ(check(), followers);
+    EXPECT_EQ(followers, kPartitions * 2);
+  }
+}
+
 }  // namespace
 }  // namespace unilog::broker

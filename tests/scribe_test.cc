@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -13,6 +16,7 @@
 
 #include "columnar/rcfile.h"
 #include "common/compress.h"
+#include "common/rng.h"
 #include "common/sim_time.h"
 #include "events/client_event.h"
 #include "exec/executor.h"
@@ -78,6 +82,177 @@ TEST(SimulatorTest, CallbacksCanScheduleMore) {
   sim.Run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.Now(), 50);
+}
+
+// The order oracle: one flat list, the earliest (time, seq) runs next.
+class ReferenceSimulator {
+ public:
+  explicit ReferenceSimulator(TimeMs start) : now_(start) {}
+
+  TimeMs Now() const { return now_; }
+  void At(TimeMs t, std::function<void()> cb) {
+    events_.push_back(Event{std::max(t, now_), next_seq_++, std::move(cb)});
+  }
+  void After(TimeMs delay, std::function<void()> cb) {
+    At(now_ + delay, std::move(cb));
+  }
+  void Run() {
+    while (RunNext(std::numeric_limits<TimeMs>::max())) {
+    }
+  }
+  void RunUntil(TimeMs t) {
+    while (RunNext(t)) {
+    }
+    now_ = std::max(now_, t);
+  }
+  void Step(uint64_t n) {
+    while (n-- > 0 && RunNext(std::numeric_limits<TimeMs>::max())) {
+    }
+  }
+  size_t PendingEvents() const { return events_.size(); }
+  uint64_t EventsProcessed() const { return processed_; }
+
+ private:
+  struct Event {
+    TimeMs time;
+    uint64_t seq;
+    std::function<void()> cb;
+  };
+  bool RunNext(TimeMs limit) {
+    auto next = std::min_element(
+        events_.begin(), events_.end(), [](const Event& a, const Event& b) {
+          return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+        });
+    if (next == events_.end() || next->time > limit) return false;
+    Event ev = std::move(*next);
+    events_.erase(next);
+    now_ = ev.time;
+    ++processed_;
+    ev.cb();
+    return true;
+  }
+
+  TimeMs now_;
+  uint64_t next_seq_ = 0;
+  uint64_t processed_ = 0;
+  std::vector<Event> events_;
+};
+
+// A delay drawn to stress the near/far split: same-ms ties, nested
+// After(0), both sides of the horizon, far beyond it, and the past.
+TimeMs OracleDelay(Rng* rng) {
+  constexpr TimeMs kH = Simulator::kNearHorizonMs;
+  switch (rng->Uniform(9)) {
+    case 0:
+      return 0;
+    case 1:
+      return kH - 1;
+    case 2:
+      return kH;
+    case 3:
+      return kH + 1;
+    case 4:
+      return static_cast<TimeMs>(rng->Uniform(3 * kH));
+    case 5:
+      return static_cast<TimeMs>(rng->Uniform(40));  // dense ties
+    case 6:
+      return 5 * kH + static_cast<TimeMs>(rng->Uniform(kH));
+    case 7:
+      return -static_cast<TimeMs>(1 + rng->Uniform(kH));  // clamped
+    default:
+      return kH / 2;
+  }
+}
+
+// Drives `sim` through a seeded schedule and returns what it observed:
+// the id of every executed event, in order, then after every top-level call
+// the clock, the pending count and the processed count. Each event's own
+// children come from a generator seeded by its id, so a run whose order
+// diverges also diverges in what it schedules.
+template <typename Sim>
+std::vector<int64_t> DriveOracleSchedule(Sim* sim, uint64_t seed) {
+  std::vector<int64_t> trace;
+  int next_id = 0;
+  std::function<void(TimeMs, bool)> schedule = [&](TimeMs delay,
+                                                   bool absolute) {
+    const int id = next_id++;
+    auto cb = [&, id] {
+      trace.push_back(id);
+      Rng rng(seed * 1000003 + static_cast<uint64_t>(id));
+      if (next_id > 4000) return;
+      for (uint64_t c = rng.Uniform(3); c > 0; --c) {
+        schedule(OracleDelay(&rng), rng.Bernoulli(0.3));
+      }
+    };
+    if (absolute) {
+      sim->At(sim->Now() + delay, cb);
+    } else {
+      sim->After(delay, cb);
+    }
+  };
+  Rng ops(seed);
+  for (int i = 0; i < 200; ++i) {
+    schedule(OracleDelay(&ops), ops.Bernoulli(0.5));
+  }
+  for (int op = 0; op < 300 && sim->PendingEvents() > 0; ++op) {
+    switch (ops.Uniform(4)) {
+      case 0:
+        sim->Step(1 + ops.Uniform(8));
+        break;
+      case 1:
+        sim->RunUntil(sim->Now() + OracleDelay(&ops));
+        break;
+      case 2:
+        schedule(OracleDelay(&ops), ops.Bernoulli(0.5));
+        break;
+      default:
+        sim->RunUntil(sim->Now() + 2 * Simulator::kNearHorizonMs);
+        break;
+    }
+    trace.push_back(-1);  // a top-level call ended
+    trace.push_back(sim->Now());
+    trace.push_back(static_cast<int64_t>(sim->PendingEvents()));
+    trace.push_back(static_cast<int64_t>(sim->EventsProcessed()));
+  }
+  sim->Run();
+  trace.push_back(-2);
+  trace.push_back(sim->Now());
+  trace.push_back(static_cast<int64_t>(sim->PendingEvents()));
+  trace.push_back(static_cast<int64_t>(sim->EventsProcessed()));
+  return trace;
+}
+
+TEST(SimulatorTest, OrderMatchesTheSortedReferenceOnRandomSchedules) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    Simulator sim(kT0);
+    ReferenceSimulator reference(kT0);
+    const std::vector<int64_t> got = DriveOracleSchedule(&sim, seed);
+    const std::vector<int64_t> want = DriveOracleSchedule(&reference, seed);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(sim.PendingEvents(), 0u);
+    EXPECT_GT(sim.EventsProcessed(), 200u) << "seed " << seed;
+  }
+}
+
+TEST(SimulatorTest, FarEventsInterleaveWithNearOnesByTimeThenSeq) {
+  constexpr TimeMs kH = Simulator::kNearHorizonMs;
+  Simulator sim(0);
+  std::vector<int> order;
+  // Scheduled at 0, 2H ahead: the far heap. By the time the clock is
+  // within the horizon of it, same-time and earlier events land in the
+  // near heap; the far event still runs by (time, seq).
+  sim.At(2 * kH, [&] { order.push_back(1); });
+  sim.At(kH + 1, [&] {
+    order.push_back(0);
+    sim.At(2 * kH, [&] { order.push_back(2); });      // near, same ms, later
+    sim.At(2 * kH - 1, [&] { order.push_back(-1); });  // near, earlier
+  });
+  sim.RunUntil(kH + 1);
+  EXPECT_EQ(sim.PendingEvents(), 3u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2}));
+  EXPECT_EQ(sim.EventsProcessed(), 4u);
+  EXPECT_EQ(sim.Now(), 2 * kH);
 }
 
 // ---------------------------------------------------------------------------

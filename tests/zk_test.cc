@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -120,6 +122,110 @@ TEST(ZooKeeperTest, EphemeralNodesDieWithSession) {
   EXPECT_FALSE(zk.Exists("/aggregators/agg1"));
   // Persistent parent survives.
   EXPECT_TRUE(zk.Exists("/aggregators"));
+}
+
+TEST(ZooKeeperTest, ChildStampMovesOnEveryChildMutationAndNeverRepeats) {
+  ZooKeeper zk;
+  SessionId admin = zk.CreateSession();
+  SessionId owner = zk.CreateSession();
+  EXPECT_EQ(zk.ChildStamp("/dir"), 0u);  // no such directory
+  ASSERT_TRUE(zk.Create(admin, "/dir", "", CreateMode::kPersistent).ok());
+  ASSERT_TRUE(zk.Create(admin, "/other", "", CreateMode::kPersistent).ok());
+
+  std::set<uint64_t> seen = {0};
+  uint64_t stamp = zk.ChildStamp("/dir");
+  // True when the stamp moved to a value it never had before.
+  auto moved = [&] {
+    const uint64_t now = zk.ChildStamp("/dir");
+    const bool fresh = now != stamp && seen.insert(now).second;
+    stamp = now;
+    return fresh;
+  };
+  auto held = [&] { return zk.ChildStamp("/dir") == stamp; };
+  EXPECT_NE(stamp, 0u);
+  seen.insert(stamp);
+
+  auto candidate =
+      zk.Create(owner, "/dir/m-", "0", CreateMode::kEphemeralSequential);
+  ASSERT_TRUE(candidate.ok());
+  EXPECT_TRUE(moved());  // child create
+  ASSERT_TRUE(zk.SetData(owner, *candidate, "7").ok());
+  EXPECT_TRUE(moved());  // child SetData
+  ASSERT_TRUE(zk.SetData(owner, *candidate, "7").ok());
+  EXPECT_TRUE(moved());  // even to the same bytes (the version moves)
+  ASSERT_TRUE(zk.Create(admin, "/dir/p", "", CreateMode::kPersistent).ok());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(zk.Delete(admin, "/dir/p").ok());
+  EXPECT_TRUE(moved());  // child delete
+
+  // Reads never move it.
+  EXPECT_TRUE(zk.GetChildren("/dir").ok());
+  EXPECT_TRUE(zk.GetData(*candidate).ok());
+  EXPECT_TRUE(zk.Stat("/dir").ok());
+  EXPECT_TRUE(zk.Exists(*candidate));
+  EXPECT_TRUE(zk.VisitChildren("/dir", [](std::string_view,
+                                          const std::string&) {}).ok());
+  EXPECT_TRUE(held());
+
+  // Neither do mutations outside its children: the directory's own data,
+  // a sibling's children, or a grandchild.
+  ASSERT_TRUE(zk.SetData(admin, "/dir", "meta").ok());
+  ASSERT_TRUE(zk.Create(admin, "/other/x", "", CreateMode::kPersistent).ok());
+  ASSERT_TRUE(zk.SetData(admin, "/other/x", "1").ok());
+  ASSERT_TRUE(zk.Create(admin, "/dir/p", "", CreateMode::kPersistent).ok());
+  EXPECT_TRUE(moved());
+  ASSERT_TRUE(zk.Create(admin, "/dir/p/q", "", CreateMode::kPersistent).ok());
+  ASSERT_TRUE(zk.SetData(admin, "/dir/p/q", "2").ok());
+  EXPECT_TRUE(held());
+  ASSERT_TRUE(zk.Delete(admin, "/dir/p/q").ok());
+  ASSERT_TRUE(zk.Delete(admin, "/dir/p").ok());
+  EXPECT_TRUE(moved());
+
+  // Session close (a crash or an expiry) deletes the ephemeral child.
+  ASSERT_TRUE(zk.Create(owner, "/other/e", "", CreateMode::kEphemeral).ok());
+  EXPECT_TRUE(held());
+  ASSERT_TRUE(zk.CloseSession(owner).ok());
+  EXPECT_FALSE(zk.Exists(*candidate));
+  EXPECT_TRUE(moved());
+
+  // Delete and re-create: 0 while it is gone, then a value never seen.
+  ASSERT_TRUE(zk.Delete(admin, "/dir").ok());
+  EXPECT_EQ(zk.ChildStamp("/dir"), 0u);
+  const uint64_t highest = *seen.rbegin();
+  ASSERT_TRUE(zk.Create(admin, "/dir", "", CreateMode::kPersistent).ok());
+  EXPECT_TRUE(moved());
+  EXPECT_GT(stamp, highest);
+}
+
+TEST(ZooKeeperTest, VisitChildrenSeesDirectChildrenInPlace) {
+  ZooKeeper zk;
+  SessionId s = zk.CreateSession();
+  for (const char* path : {"/a", "/a-b", "/a.c", "/a/x", "/a/x/deep", "/a/y",
+                           "/a0", "/b"}) {
+    ASSERT_TRUE(zk.Create(s, path, std::string(path) + "!",
+                          CreateMode::kPersistent)
+                    .ok());
+  }
+  std::vector<std::string> seen;
+  ASSERT_TRUE(zk.VisitChildren("/a", [&](std::string_view name,
+                                         const std::string& data) {
+                    seen.push_back(std::string(name) + "=" + data);
+                  }).ok());
+  // Siblings sorting just before ("/a-b", "/a.c") and after ("/a0") the
+  // "/a/" range stay out, as does the grandchild.
+  EXPECT_EQ(seen, (std::vector<std::string>{"x=/a/x!", "y=/a/y!"}));
+  seen.clear();
+  ASSERT_TRUE(zk.VisitChildren("/", [&](std::string_view name,
+                                        const std::string&) {
+                    seen.emplace_back(name);
+                  }).ok());
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "a-b", "a.c", "a0", "b"}));
+  EXPECT_TRUE(zk.VisitChildren("/missing", [](std::string_view,
+                                              const std::string&) {})
+                  .IsNotFound());
+  EXPECT_EQ(zk.Stat("/a")->num_children, 2u);
+  EXPECT_TRUE(zk.Delete(s, "/a-b").ok());  // no children, despite "/a-b/"
+  EXPECT_TRUE(zk.Delete(s, "/a").IsFailedPrecondition());
 }
 
 TEST(ZooKeeperTest, EphemeralCannotHaveChildren) {
