@@ -275,9 +275,16 @@ Status BrokerNode::ExpireSession() {
 Status BrokerNode::AdoptReplica(const std::string& category, int partition) {
   if (!alive_) return Status::FailedPrecondition("broker down: " + id_);
   Replica& r = replicas_[PartitionKey{category, partition}];
-  r.category = category;
-  r.partition = partition;
-  r.candidates_dir = CandidatesPath(dc_, category, partition);
+  if (r.candidates_dir.empty()) {
+    r.category = category;
+    r.partition = partition;
+    r.candidates_dir = CandidatesPath(dc_, category, partition);
+    r.state_path = StatePath(dc_, category, partition);
+    for (const std::string& peer_id : AssignedReplicas(
+             fleet_ids_, category, partition, options_.replication_factor)) {
+      if (peer_id != id_ && resolve_) r.peers.push_back({resolve_(peer_id)});
+    }
+  }
   if (!r.candidate_path.empty() && zk_->Exists(r.candidate_path)) {
     return Status::OK();  // already campaigning
   }
@@ -294,14 +301,27 @@ bool BrokerNode::IsLeader(const std::string& category, int partition) const {
 
 BrokerNode::Replica* BrokerNode::FindReplica(const std::string& category,
                                              int partition) {
-  auto it = replicas_.find(PartitionKey{category, partition});
+  auto it =
+      replicas_.find(std::pair<std::string_view, int>(category, partition));
   return it == replicas_.end() ? nullptr : &it->second;
 }
 
 const BrokerNode::Replica* BrokerNode::FindReplica(const std::string& category,
                                                    int partition) const {
-  auto it = replicas_.find(PartitionKey{category, partition});
+  auto it =
+      replicas_.find(std::pair<std::string_view, int>(category, partition));
   return it == replicas_.end() ? nullptr : &it->second;
+}
+
+BrokerNode::Replica* BrokerNode::LinkedReplica(PeerLink* link,
+                                               const Replica& r) const {
+  BrokerNode* node = link->node;
+  if (node == nullptr || !node->alive_) return nullptr;
+  if (link->replica == nullptr || link->incarnation != node->incarnation_) {
+    link->incarnation = node->incarnation_;
+    link->replica = node->FindReplica(r.category, r.partition);
+  }
+  return link->replica;
 }
 
 uint64_t BrokerNode::AckedWatermark(const Replica& r) const {
@@ -365,8 +385,7 @@ void BrokerNode::RecomputeLeader(const std::string& category, int partition) {
 
 void BrokerNode::BecomeLeader(Replica* r) {
   uint64_t w_state = 0;
-  if (auto data = zk_->GetData(StatePath(dc_, r->category, r->partition));
-      data.ok()) {
+  if (auto data = zk_->GetData(r->state_path); data.ok()) {
     w_state = ParseUint(*data);
   }
   uint64_t local_end = r->log.end_offset();
@@ -397,42 +416,24 @@ void BrokerNode::BecomeLeader(Replica* r) {
   }
   r->leader = true;
   elections_->Increment();
-  zk_->SetData(session_, StatePath(dc_, r->category, r->partition),
-               std::to_string(AckedWatermark(*r)));
+  zk_->SetData(session_, r->state_path, std::to_string(AckedWatermark(*r)));
   PublishEndOffset(r);
   UpdateGauges();
 }
 
-std::vector<BrokerNode*> BrokerNode::LivePeers(const std::string& category,
-                                               int partition) const {
-  std::vector<BrokerNode*> peers;
-  if (!resolve_) return peers;
-  for (const std::string& peer_id : AssignedReplicas(
-           fleet_ids_, category, partition, options_.replication_factor)) {
-    if (peer_id == id_) continue;
-    BrokerNode* node = resolve_(peer_id);
-    if (node != nullptr && node->alive()) peers.push_back(node);
-  }
-  return peers;
-}
-
-bool BrokerNode::MirrorBatches(const std::string& category, int partition,
-                               const std::vector<Batch>& batches) {
-  if (!alive_) return false;
-  Replica* r = FindReplica(category, partition);
-  if (r == nullptr) return false;
+void BrokerNode::MirrorBatches(Replica* r, std::vector<Batch>* batches) {
   uint64_t mirrored = 0;
-  for (const Batch& b : batches) {
+  for (Batch& b : *batches) {
     // Ranges already covered locally are resend overlap; AppendMirror
     // rejects them and keeps the mirror gap-honest.
-    if (r->log.AppendMirror(b)) mirrored += b.count;
+    const uint32_t count = b.count;
+    if (r->log.AppendMirror(std::move(b))) mirrored += count;
   }
   if (mirrored > 0) {
     replicated_->Increment(mirrored);
     PublishEndOffset(r);
     UpdateGauges();
   }
-  return true;
 }
 
 uint64_t BrokerNode::MirrorEndOffset(const std::string& category,
@@ -443,32 +444,30 @@ uint64_t BrokerNode::MirrorEndOffset(const std::string& category,
   return r->log.end_offset();
 }
 
-void BrokerNode::ReplicateToPeers(Replica* r,
-                                  const std::vector<BrokerNode*>& peers) {
+void BrokerNode::ReplicateToPeers(Replica* r) {
   const uint64_t end = r->log.end_offset();
-  for (BrokerNode* peer : peers) {
-    uint64_t peer_end = peer->MirrorEndOffset(r->category, r->partition);
-    if (peer_end == std::numeric_limits<uint64_t>::max() || peer_end >= end) {
-      continue;
-    }
+  for (PeerLink& link : r->peers) {
+    Replica* peer = LinkedReplica(&link, *r);
+    if (peer == nullptr || peer->log.end_offset() >= end) continue;
     // Group commit: one round carries every batch the peer is missing —
     // the batch just appended plus whatever queued up while the peer
     // lagged — as shared-blob metadata, no payload copies.
-    auto window = r->log.ReadFrom(peer_end, end,
-                                  std::numeric_limits<TimeMs>::max());
-    if (window.batches.empty()) continue;
-    if (peer->MirrorBatches(r->category, r->partition, window.batches)) {
-      replication_rounds_->Increment();
-      wire_bytes_replicated_->Increment(window.stored_bytes);
-    }
+    r->log.ReadInto(peer->log.end_offset(), end,
+                    std::numeric_limits<TimeMs>::max(), &replication_window_);
+    if (replication_window_.batches.empty()) continue;
+    link.node->MirrorBatches(peer, &replication_window_.batches);
+    replication_rounds_->Increment();
+    wire_bytes_replicated_->Increment(replication_window_.stored_bytes);
   }
 }
 
-Status BrokerNode::AdmitProduce(Replica* r, uint64_t wire_cost,
-                                std::vector<BrokerNode*>* peers) {
+Status BrokerNode::AdmitProduce(Replica* r, uint64_t wire_cost) {
   if (options_.acks == kAcksAll) {
-    *peers = LivePeers(r->category, r->partition);
-    if (1 + static_cast<int>(peers->size()) < options_.min_insync_replicas) {
+    int live = 1;  // the leader itself
+    for (const PeerLink& link : r->peers) {
+      if (link.node != nullptr && link.node->alive_) ++live;
+    }
+    if (live < options_.min_insync_replicas) {
       insufficient_replicas_->Increment();
       return Status::Unavailable("not enough in-sync replicas for " +
                                  r->category);
@@ -512,8 +511,7 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
   }
 
   const uint64_t cost = req.body.size();  // wire bytes: the compressed blob
-  std::vector<BrokerNode*> peers;
-  UNILOG_RETURN_NOT_OK(AdmitProduce(r, cost, &peers));
+  UNILOG_RETURN_NOT_OK(AdmitProduce(r, cost));
 
   uint64_t acked_wm = 0;
   if (auto it = r->producer_acked.find(producer);
@@ -557,8 +555,13 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
     b.max_appended_at = b.min_appended_at;
     b.skip_frames = static_cast<uint32_t>(skip_n);
     b.compressed = req.compressed;
-    b.record_sizes.assign(req.record_sizes.begin() + skip_n,
-                          req.record_sizes.end());
+    // The request's size index and body become the stored entry's own.
+    if (skip_n == 0) {
+      b.record_sizes = std::move(req.record_sizes);
+    } else {
+      b.record_sizes.assign(req.record_sizes.begin() + skip_n,
+                            req.record_sizes.end());
+    }
     for (uint32_t sz : b.record_sizes) b.payload_bytes += sz;
     b.body = std::make_shared<const std::string>(std::move(req.body));
     const Batch& stored = r->log.AppendBatch(std::move(b));
@@ -567,9 +570,7 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
   }
   if (last > appended_wm) r->producer_appended[producer] = last;
 
-  if (options_.acks == kAcksAll && any_appended) {
-    ReplicateToPeers(r, peers);
-  }
+  if (options_.acks == kAcksAll && any_appended) ReplicateToPeers(r);
   PublishEndOffset(r);
   produce_batch_entries_->Observe(static_cast<double>(req.count));
   wire_bytes_produced_->Increment(cost);
@@ -584,8 +585,7 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
           r->unacked_min_offset.emplace(producer, first_appended_offset);
       if (!inserted) it->second = std::min(it->second, first_appended_offset);
     }
-    zk_->SetData(session_, StatePath(dc_, category, partition),
-                 std::to_string(AckedWatermark(*r)));
+    zk_->SetData(session_, r->state_path, std::to_string(AckedWatermark(*r)));
     UpdateGauges();
     return Status::Unavailable("ack lost (injected)");
   }
@@ -596,8 +596,7 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
   bytes_produced_->Increment(newly_acked_bytes);
   duplicates_->Increment(dups);
   produce_calls_->Increment();
-  zk_->SetData(session_, StatePath(dc_, category, partition),
-               std::to_string(AckedWatermark(*r)));
+  zk_->SetData(session_, r->state_path, std::to_string(AckedWatermark(*r)));
   UpdateGauges();
   if (ack != nullptr) {
     ack->accepted = newly_acked;
@@ -650,6 +649,7 @@ void BrokerNode::ScheduleReplicaFetch() {
 }
 
 void BrokerNode::FetchFromLeaders() {
+  bool fetched_any = false;
   for (auto& [key, r] : replicas_) {
     if (r.leader) continue;
     ElectionMemo& memo = r.fetch_election;
@@ -657,13 +657,23 @@ void BrokerNode::FetchFromLeaders() {
     if (stamp != memo.stamp) {
       memo.stamp = stamp;
       memo.elected = ElectAmong(*zk_, r.candidates_dir, &memo.winner);
+      memo.leader = memo.elected && memo.winner != id_ && resolve_
+                        ? resolve_(memo.winner)
+                        : nullptr;
+      r.fetch_leader = {memo.leader};
     }
-    if (!memo.elected || memo.winner == id_ || !resolve_) continue;
-    BrokerNode* leader = resolve_(memo.winner);
-    if (leader == nullptr || !leader->alive()) continue;
+    const Replica* from = LinkedReplica(&r.fetch_leader, r);
+    if (from == nullptr) continue;
+    // Caught up: nothing to mirror and nothing to trim, so the tick
+    // changes nothing and reads nothing.
+    if (from->log.end_offset() == r.log.end_offset() &&
+        r.log.begin_offset() >= from->log.begin_offset()) {
+      continue;
+    }
+    fetched_any = true;
     uint64_t trim_to = 0;
-    auto fetched = leader->ReplicaFetch(key.first, key.second,
-                                        r.log.end_offset(), &trim_to);
+    auto fetched = memo.leader->ReplicaFetch(key.first, key.second,
+                                             r.log.end_offset(), &trim_to);
     if (!fetched.ok()) continue;
     uint64_t mirrored = 0;
     uint64_t mirrored_wire = 0;
@@ -681,7 +691,9 @@ void BrokerNode::FetchFromLeaders() {
       PublishEndOffset(&r);
     }
   }
-  UpdateGauges();
+  // Every other path that changes a log updates the gauges itself, so a
+  // tick that fetched nothing leaves them as they are.
+  if (fetched_any) UpdateGauges();
 }
 
 void BrokerNode::RefillTokens() {

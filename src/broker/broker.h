@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -213,16 +214,8 @@ class BrokerNode {
   void NoteConsumedTo(const std::string& category, int partition,
                       uint64_t offset);
 
-  /// Follower-side mirror of whole batch entries (leader push on acks=all
-  /// and periodic catch-up both land here). Batches whose range is already
-  /// covered locally are skipped; blobs are shared, never copied or
-  /// decompressed. Returns false when this node cannot take the write.
-  bool MirrorBatches(const std::string& category, int partition,
-                     const std::vector<Batch>& batches);
-
   /// The local end offset of a hosted replica, or UINT64_MAX when this
-  /// node does not host (category, partition). Leaders use it to size each
-  /// peer's group-commit replication window.
+  /// node is down or does not host (category, partition).
   uint64_t MirrorEndOffset(const std::string& category, int partition) const;
 
   /// Chaos hook: the next ProduceBatch appends and replicates normally but
@@ -242,6 +235,10 @@ class BrokerNode {
     uint64_t stamp = 0;
     bool elected = false;  // false: no candidate registered
     std::string winner;
+    /// The winner's node, resolved with the election; nullptr when no
+    /// candidate is registered or this node won. Nodes outlive every
+    /// election, so the pointer is exact for as long as the stamp is.
+    BrokerNode* leader = nullptr;
   };
 
   /// The fetch-tick election memo of (category, partition), or nullptr
@@ -250,6 +247,18 @@ class BrokerNode {
                                      int partition) const;
 
  private:
+  struct Replica;
+
+  /// A peer node and its replica of the same partition. The replica
+  /// pointer is only good while the peer's incarnation equals
+  /// `incarnation`: Crash() clears the peer's replicas, and a restart
+  /// adopts new ones.
+  struct PeerLink {
+    BrokerNode* node = nullptr;
+    uint64_t incarnation = 0;
+    Replica* replica = nullptr;
+  };
+
   struct Replica {
     std::string category;
     int partition = 0;
@@ -257,6 +266,11 @@ class BrokerNode {
     bool leader = false;
     std::string candidates_dir;  // CandidatesPath() of this partition
     std::string candidate_path;  // empty = not currently registered
+    std::string state_path;      // StatePath() of this partition
+    // The other assigned replicas, in assignment order, and the replica
+    // of the fetch tick's elected leader.
+    std::vector<PeerLink> peers;
+    PeerLink fetch_leader;
     ElectionMemo fetch_election;
     // Idempotence tables (leader-maintained, rebuilt on election):
     // highest seq acknowledged / appended per producer.
@@ -268,23 +282,38 @@ class BrokerNode {
     std::map<std::string, uint64_t> unacked_min_offset;
   };
   using PartitionKey = std::pair<std::string, int>;
+  // Orders keys as std::pair does and looks them up by std::string_view,
+  // so a produce or fetch finds its replica without copying the category.
+  struct PartitionKeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const int c = std::string_view(a.first).compare(b.first);
+      return c < 0 || (c == 0 && a.second < b.second);
+    }
+  };
 
   Replica* FindReplica(const std::string& category, int partition);
   const Replica* FindReplica(const std::string& category,
                              int partition) const;
   uint64_t AckedWatermark(const Replica& r) const;
-  /// Leader-side group commit: for every peer, ships EVERYTHING the peer
-  /// is missing — the just-appended batch plus any earlier batches the
-  /// peer lacks — in one MirrorBatches round, so a produce's replication
+  /// Leader-side group commit: for every live peer, ships EVERYTHING the
+  /// peer is missing — the just-appended batch plus any earlier batches
+  /// the peer lacks — in one mirror round, so a produce's replication
   /// round also drains the queue a lagging follower built up.
-  void ReplicateToPeers(Replica* r, const std::vector<BrokerNode*>& peers);
+  void ReplicateToPeers(Replica* r);
+  /// Follower side of a replication round: appends whole batch entries
+  /// (moved out of `batches`) whose range is not yet covered locally.
+  /// Blobs are shared, never copied or decompressed.
+  void MirrorBatches(Replica* r, std::vector<Batch>* batches);
   /// Produce admission: insync check (acks=all), token-bucket rate
   /// limit on `wire_cost`, and the bounded in-flight window (uncompressed
   /// terms). Charges tokens only on admission.
-  Status AdmitProduce(Replica* r, uint64_t wire_cost,
-                      std::vector<BrokerNode*>* peers);
-  std::vector<BrokerNode*> LivePeers(const std::string& category,
-                                     int partition) const;
+  Status AdmitProduce(Replica* r, uint64_t wire_cost);
+  /// `link`'s replica of `r`'s partition, re-resolved when the linked
+  /// node's incarnation has moved; nullptr when the node is down or hosts
+  /// no such replica.
+  Replica* LinkedReplica(PeerLink* link, const Replica& r) const;
   Status RegisterCandidate(Replica* r);
   void PublishEndOffset(Replica* r);
   void WatchCandidates(std::string category, int partition);
@@ -310,7 +339,9 @@ class BrokerNode {
   uint64_t incarnation_ = 0;
   bool inject_ack_loss_once_ = false;
 
-  std::map<PartitionKey, Replica> replicas_;
+  std::map<PartitionKey, Replica, PartitionKeyLess> replicas_;
+  // The window of one replication round, kept for its capacity.
+  PartitionLog::ReadResult replication_window_;
 
   double tokens_ = 0;
   TimeMs last_refill_ = 0;

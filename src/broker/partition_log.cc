@@ -1,6 +1,7 @@
 #include "broker/partition_log.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -147,10 +148,11 @@ void PartitionLog::Clear() {
   record_count_ = 0;
 }
 
-Batch PartitionLog::Slice(const Batch& b, uint64_t from, uint32_t take) {
-  Batch s = b;  // shares the body
+void PartitionLog::AppendSlice(const Batch& b, uint64_t from, uint32_t take,
+                               std::vector<Batch>* out) {
+  Batch& s = out->emplace_back(b);  // shares the body
   const uint32_t drop = static_cast<uint32_t>(from - b.base_offset);
-  if (drop == 0 && take == b.count) return s;
+  if (drop == 0 && take == b.count) return;
   s.base_offset = from;
   s.skip_frames = b.skip_frames + drop;
   s.first_seq = b.first_seq + drop;
@@ -166,22 +168,42 @@ Batch PartitionLog::Slice(const Batch& b, uint64_t from, uint32_t take) {
     s.max_appended_at = *std::max_element(s.record_times.begin(),
                                           s.record_times.end());
   }
-  return s;
 }
 
 PartitionLog::ReadResult PartitionLog::ReadFrom(uint64_t from,
                                                 uint64_t limit_offset,
                                                 TimeMs ts_limit) const {
   ReadResult out;
+  ReadInto(from, limit_offset, ts_limit, &out);
+  return out;
+}
+
+void PartitionLog::ReadInto(uint64_t from, uint64_t limit_offset,
+                            TimeMs ts_limit, ReadResult* result) const {
+  ReadResult& out = *result;
+  out.batches.clear();
+  out.record_count = 0;
+  out.stored_bytes = 0;
   out.next_offset = std::max(from, begin_);
-  auto it = std::lower_bound(
-      batches_.begin(), batches_.end(), from,
-      [](const Batch& b, uint64_t off) { return b.end_offset() <= off; });
+  // The first batch ending past `from`. Replication and catch-up reads
+  // start at or near the tail, so try the last batch before searching.
+  auto it = batches_.end();
+  if (!batches_.empty() && batches_.back().end_offset() > from) {
+    --it;
+    if (it != batches_.begin() && std::prev(it)->end_offset() > from) {
+      it = std::lower_bound(
+          batches_.begin(), it, from,
+          [](const Batch& b, uint64_t off) { return b.end_offset() <= off; });
+    }
+  }
+  // At most every batch from here on is read.
+  out.batches.reserve(static_cast<size_t>(batches_.end() - it));
   for (; it != batches_.end() && it->base_offset < limit_offset; ++it) {
     const uint64_t start = std::max(from, it->base_offset);
     const uint32_t idx0 = static_cast<uint32_t>(start - it->base_offset);
-    uint32_t take = static_cast<uint32_t>(
-        std::min<uint64_t>(it->end_offset(), limit_offset) - start);
+    const uint64_t stop = std::min(it->end_offset(), limit_offset);
+    // `from` at or past limit_offset reads nothing.
+    uint32_t take = start < stop ? static_cast<uint32_t>(stop - start) : 0;
     bool ts_stopped = false;
     if (it->min_appended_at >= ts_limit) {
       // Zone map: the whole batch is at or past the boundary.
@@ -196,13 +218,12 @@ PartitionLog::ReadResult PartitionLog::ReadFrom(uint64_t from,
       ts_stopped = true;
     }
     if (take > 0) {
-      Batch s = Slice(*it, start, take);
+      AppendSlice(*it, start, take, &out.batches);
       out.record_count += take;
-      out.stored_bytes += s.stored_bytes();
+      out.stored_bytes += it->stored_bytes();
       out.next_offset = start + take;
-      out.batches.push_back(std::move(s));
     }
-    if (ts_stopped) return out;  // hour boundary: stop here
+    if (ts_stopped) return;  // hour boundary: stop here
   }
   // Drained every retained record below the limit; gaps between the last
   // batch and the limit hold nothing, so resume from the limit itself.
@@ -210,7 +231,6 @@ PartitionLog::ReadResult PartitionLog::ReadFrom(uint64_t from,
     out.next_offset =
         std::max(out.next_offset, std::min(limit_offset, next_offset_));
   }
-  return out;
 }
 
 std::map<std::string, uint64_t> PartitionLog::ProducerHighWatermarks(

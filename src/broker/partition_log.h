@@ -166,6 +166,9 @@ class PartitionLog {
   /// cut by their per-record times without touching the blob).
   ReadResult ReadFrom(uint64_t from, uint64_t limit_offset,
                       TimeMs ts_limit) const;
+  /// ReadFrom into `out`, reusing the capacity of its batch vector.
+  void ReadInto(uint64_t from, uint64_t limit_offset, TimeMs ts_limit,
+                ReadResult* out) const;
 
   /// Highest seq per producer over retained records with offset below
   /// `below` — a newly elected leader rebuilds its idempotence tables from
@@ -175,9 +178,11 @@ class PartitionLog {
   const std::deque<Batch>& batches() const { return batches_; }
 
  private:
-  /// A view of `b` starting at offset `from` (>= b.base_offset) covering
-  /// `take` records. Shares the body; adjusts metadata only.
-  static Batch Slice(const Batch& b, uint64_t from, uint32_t take);
+  /// Appends to `out` a view of `b` starting at offset `from` (>=
+  /// b.base_offset) covering `take` records. Shares the body; adjusts
+  /// metadata only.
+  static void AppendSlice(const Batch& b, uint64_t from, uint32_t take,
+                          std::vector<Batch>* out);
 
   std::deque<Batch> batches_;  // ascending base offsets; may contain gaps
   uint64_t next_offset_ = 0;

@@ -50,8 +50,13 @@ void ScribeDaemon::Start() {
 
 void ScribeDaemon::Log(LogEntry entry) {
   queue_bytes_ += entry.message.size();
-  const uint64_t seq = ++next_seq_[entry.category];
-  queue_.push_back(Queued{std::move(entry), seq, sim_->Now()});
+  auto it = categories_.find(entry.category);
+  if (it == categories_.end()) {
+    it = categories_.emplace(entry.category, Category{}).first;
+  }
+  Category* cat = &it->second;
+  const uint64_t seq = ++cat->next_seq;
+  queue_.push_back(Queued{std::move(entry), seq, sim_->Now(), cat});
   entries_logged_->Increment();
   // Bounded local buffer: drop the oldest entries past the limit (counted
   // — E1 reports these as the overload-loss channel).
@@ -160,78 +165,77 @@ broker::BrokerNode* ScribeDaemon::DiscoverLeader(const std::string& category,
   return fleet_->FindLeader(category, partition);
 }
 
-Status ScribeDaemon::ProduceCategoryBatch(broker::BrokerNode* leader,
-                                          const std::string& category,
-                                          int partition,
-                                          const std::vector<size_t>& indices,
-                                          std::vector<size_t>* taken,
-                                          broker::ProduceAck* ack) {
-  BufferPool::Lease body = pool_.Acquire();
-  broker::ProduceBatchRequest req;
+Result<size_t> ScribeDaemon::ProduceCategoryBatch(const std::string& name,
+                                                  Category* cat) {
+  size_t take = 0;
   uint64_t bytes = 0;
-  for (size_t i : indices) {
-    const Queued& q = queue_[i];
-    bytes += q.entry.message.size();
-    if (options_.daemon_max_batch_bytes > 0 && !taken->empty() &&
+  for (size_t i : cat->pending) {
+    bytes += queue_[i].entry.message.size();
+    if (options_.daemon_max_batch_bytes > 0 && take > 0 &&
         bytes > options_.daemon_max_batch_bytes) {
       break;
     }
-    if (taken->empty()) req.first_seq = q.seq;
-    broker::AppendBatchFrame(body.get(), q.logged_at, q.entry.message);
-    req.record_sizes.push_back(
-        static_cast<uint32_t>(q.entry.message.size()));
-    taken->push_back(i);
+    ++take;
   }
-  req.count = static_cast<uint32_t>(taken->size());
+  broker::ProduceBatchRequest req;
+  req.first_seq = queue_[cat->pending[0]].seq;
+  req.count = static_cast<uint32_t>(take);
+  req.record_sizes.reserve(take);
+  frame_.clear();
+  for (size_t k = 0; k < take; ++k) {
+    const Queued& q = queue_[cat->pending[k]];
+    broker::AppendBatchFrame(&frame_, q.logged_at, q.entry.message);
+    req.record_sizes.push_back(static_cast<uint32_t>(q.entry.message.size()));
+  }
   req.compressed = true;
   // The once-per-path compression: the blob stays opaque through append,
-  // replication, and fetch, and is decoded only at warehouse landing.
-  Lz::Pooled().CompressTo(*body, &req.body);
-  return leader->ProduceBatch(category, partition, host_, std::move(req),
-                              ack);
+  // replication, and fetch, and is decoded only at warehouse landing. A
+  // block outgrows its input only by a few bytes of framing, so one
+  // reservation holds it.
+  req.body.reserve(frame_.size() + frame_.size() / 16 + 16);
+  Lz::Pooled().CompressTo(frame_, &req.body);
+  broker::ProduceAck ack;
+  UNILOG_RETURN_NOT_OK(cat->leader->ProduceBatch(name, cat->partition, host_,
+                                                 std::move(req), &ack));
+  for (size_t k = 0; k < take; ++k) queue_[cat->pending[k]].acked = true;
+  return take;
 }
 
 bool ScribeDaemon::FlushToBroker() {
   // Group queued entries by category, preserving queue order within each
   // group (offsets within a partition then mirror Log() order).
-  std::map<std::string, std::vector<size_t>> by_category;
   for (size_t i = 0; i < queue_.size(); ++i) {
-    by_category[queue_[i].entry.category].push_back(i);
+    queue_[i].category->pending.push_back(i);
   }
 
-  std::vector<bool> acked(queue_.size(), false);
   bool all_ok = true;
   uint64_t sent = 0;
-  for (const auto& [category, indices] : by_category) {
-    int partition = fleet_->PartitionFor(host_, category);
-    broker::BrokerNode* leader = nullptr;
-    if (auto it = leader_cache_.find(category); it != leader_cache_.end()) {
-      leader = it->second;
-    }
+  for (auto& [name, cat] : categories_) {
+    if (cat.pending.empty()) continue;
+    if (cat.partition < 0) cat.partition = fleet_->PartitionFor(host_, name);
+    broker::BrokerNode* leader = cat.leader;
     if (leader == nullptr || !leader->alive() ||
-        !leader->IsLeader(category, partition)) {
-      leader = DiscoverLeader(category, partition);
+        !leader->IsLeader(name, cat.partition)) {
+      leader = DiscoverLeader(name, cat.partition);
       if (leader == nullptr) {
         all_ok = false;
+        cat.pending.clear();
         continue;
       }
-      leader_cache_[category] = leader;
+      cat.leader = leader;
     }
-
-    std::vector<size_t> taken;
-    broker::ProduceAck ack;
-    Status st =
-        ProduceCategoryBatch(leader, category, partition, indices, &taken, &ack);
-    if (st.ok()) {
-      for (size_t i : taken) acked[i] = true;
-      sent += taken.size();
+    Result<size_t> taken = ProduceCategoryBatch(name, &cat);
+    cat.pending.clear();
+    if (taken.ok()) {
+      sent += *taken;
       continue;
     }
     all_ok = false;
     send_failures_->Increment();
+    const Status& st = taken.status();
     if (st.IsFailedPrecondition() || !leader->alive()) {
       // Wrong/dead leader: rediscover next flush.
-      leader_cache_.erase(category);
+      cat.leader = nullptr;
     } else if (st.IsUnavailable()) {
       // Backpressure (in-flight window, rate, or in-sync replicas):
       // leadership is fine — keep the cache, keep the queue, back off.
@@ -243,16 +247,13 @@ bool ScribeDaemon::FlushToBroker() {
     entries_sent_->Increment(sent);
     batch_entries_->Observe(static_cast<double>(sent));
     // Drop exactly the acknowledged entries; unacked ones keep their seqs
-    // and positions so a retry is dedupable downstream.
-    std::deque<Queued> remaining;
-    uint64_t remaining_bytes = 0;
-    for (size_t i = 0; i < queue_.size(); ++i) {
-      if (acked[i]) continue;
-      remaining_bytes += queue_[i].entry.message.size();
-      remaining.push_back(std::move(queue_[i]));
+    // and order so a retry is dedupable downstream.
+    for (const Queued& q : queue_) {
+      if (q.acked) queue_bytes_ -= q.entry.message.size();
     }
-    queue_ = std::move(remaining);
-    queue_bytes_ = remaining_bytes;
+    queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                                [](const Queued& q) { return q.acked; }),
+                 queue_.end());
   }
   return all_ok;
 }

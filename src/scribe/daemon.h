@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "broker/fleet.h"
+#include "common/result.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/status.h"
@@ -79,6 +80,23 @@ class ScribeDaemon {
   const std::string& host() const { return host_; }
 
  private:
+  /// Per-category state: the (host, category) stream's seq counter, its
+  /// broker route, and the queue positions a broker flush is producing.
+  struct Category {
+    // Each (host, category) stream gets dense seqs, which is what lets a
+    // produce batch carry its idempotence metadata as just (first_seq,
+    // count). All of a category's entries route to one partition, so
+    // density survives partitioning; drop-oldest and ack-removal both
+    // erase per-category prefixes, preserving it in the queue too.
+    uint64_t next_seq = 0;
+    int partition = -1;  // PartitionFor(host, category); -1 until needed
+    // Cached partition leader; invalidated on rejection/death.
+    broker::BrokerNode* leader = nullptr;
+    // This flush's queue indices of the category, in queue order; the
+    // vector keeps its capacity from flush to flush.
+    std::vector<size_t> pending;
+  };
+
   /// A queued entry plus the per-daemon sequence number assigned at Log()
   /// time. Sequence numbers travel with every send so downstream dedup can
   /// make crash-retry idempotent.
@@ -86,6 +104,8 @@ class ScribeDaemon {
     LogEntry entry;
     uint64_t seq = 0;
     TimeMs logged_at = 0;
+    Category* category = nullptr;  // the entry's categories_ node
+    bool acked = false;            // set by a broker flush
   };
 
   void ScheduleFlush();
@@ -93,15 +113,14 @@ class ScribeDaemon {
   Aggregator* Discover();
   bool FlushToAggregator();
   bool FlushToBroker();
-  /// Batched produce for one category run: frames the queued entries into
-  /// a pooled body buffer, compresses the body ONCE with the pooled Lz
-  /// state, and ships the blob via ProduceBatch. The compression done here
-  /// is the only compression the payload sees until warehouse landing.
-  Status ProduceCategoryBatch(broker::BrokerNode* leader,
-                              const std::string& category, int partition,
-                              const std::vector<size_t>& indices,
-                              std::vector<size_t>* taken,
-                              broker::ProduceAck* ack);
+  /// Batched produce for one category's pending entries: frames them
+  /// (up to daemon_max_batch_bytes) into the reused frame buffer,
+  /// compresses the frames ONCE with the pooled Lz state straight into the
+  /// request body — which the leader keeps as the stored batch's shared
+  /// blob — and ships it via ProduceBatch. The compression done here is
+  /// the only compression the payload sees until warehouse landing.
+  /// Marks the acknowledged entries and returns how many there are.
+  Result<size_t> ProduceCategoryBatch(const std::string& name, Category* cat);
   broker::BrokerNode* DiscoverLeader(const std::string& category,
                                      int partition);
   /// Capped exponential backoff with deterministic (Rng-seeded) jitter:
@@ -131,24 +150,16 @@ class ScribeDaemon {
   bool started_ = false;
   Aggregator* current_ = nullptr;
   broker::BrokerFleet* fleet_ = nullptr;
-  // Cached partition leader per category; invalidated on rejection/death.
-  std::map<std::string, broker::BrokerNode*> leader_cache_;
   // Send batch assembled from queue_ each flush; member so its capacity is
   // reused across the once-per-second flush timer.
   std::vector<LogEntry> batch_;
-  // Pooled body buffers for batched broker produce: the framed body is
-  // assembled in a lease, compressed once, and the lease returns its grown
-  // capacity for the next flush.
-  BufferPool pool_;
+  // The framed (uncompressed) body of a broker produce, reused.
+  std::string frame_;
   std::deque<Queued> queue_;
   uint64_t queue_bytes_ = 0;
-  // Per-category sequence counters: each (host, category) stream gets
-  // dense seqs, which is what lets a produce batch carry its idempotence
-  // metadata as just (first_seq, count). All of a category's entries
-  // route to one partition, so density survives partitioning; drop-oldest
-  // and ack-removal both erase per-category prefixes, preserving it in
-  // the queue too.
-  std::map<std::string, uint64_t> next_seq_;
+  // Nodes are stable, so queued entries point at theirs; a broker flush
+  // walks it in name order, the order it produces categories in.
+  std::map<std::string, Category, std::less<>> categories_;
   TimeMs backoff_until_ = 0;
   int fail_streak_ = 0;
 };

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +24,7 @@
 #include "common/compress.h"
 #include "common/rng.h"
 #include "obs/delivery_audit.h"
+#include "partition_log_reference.h"
 #include "scribe/cluster.h"
 #include "scribe/log_mover.h"
 #include "sim/simulator.h"
@@ -274,6 +276,94 @@ TEST(PartitionLogTest, MirrorRejectsCoveredRangesAndTracksWatermarks) {
   EXPECT_TRUE(log.AppendMirror(run));
   EXPECT_EQ(log.ProducerHighWatermarks(8)["h"], 11u);
   EXPECT_EQ(log.ProducerHighWatermarks(9)["h"], 12u);
+}
+
+// Renders every field ReadFrom sets, so a mismatch prints both sides.
+std::string Describe(const PartitionLog::ReadResult& read) {
+  std::string out = "next=" + std::to_string(read.next_offset) +
+                    " records=" + std::to_string(read.record_count) +
+                    " stored=" + std::to_string(read.stored_bytes);
+  for (const Batch& b : read.batches) {
+    out += " [base=" + std::to_string(b.base_offset) +
+           " count=" + std::to_string(b.count) + " producer=" + b.producer +
+           " seq=" + std::to_string(b.first_seq) +
+           " skip=" + std::to_string(b.skip_frames) +
+           " t=" + std::to_string(b.min_appended_at) + ".." +
+           std::to_string(b.max_appended_at) +
+           " payload=" + std::to_string(b.payload_bytes) + " sizes=";
+    for (uint32_t sz : b.record_sizes) out += std::to_string(sz) + ",";
+    out += " times=";
+    for (TimeMs t : b.record_times) out += std::to_string(t) + ",";
+    out += b.compressed ? " z" : " raw";
+    out += " body=" + std::to_string(reinterpret_cast<uintptr_t>(
+                          b.body.get())) + "]";
+  }
+  return out;
+}
+
+// ReadFrom checks the tail batch before it binary-searches; a linear scan
+// over every retained batch must agree on every field, for every start
+// offset, across gaps, mirrors, trims and per-record times.
+TEST(PartitionLogTest, ReadFromMatchesLinearReference) {
+  Rng rng(17);
+  for (int trial = 0; trial < 60; ++trial) {
+    PartitionLog log;
+    TimeMs now = kT0;
+    uint64_t seq = 0;
+    const int ops = 1 + static_cast<int>(rng.Uniform(24));
+    for (int op = 0; op < ops; ++op) {
+      now += static_cast<TimeMs>(rng.Uniform(3));
+      const uint64_t kind = rng.Uniform(10);
+      if (kind == 0) {
+        log.AdvanceTo(log.end_offset() + rng.Uniform(4));
+        continue;
+      }
+      if (kind == 1) {
+        log.TrimTo(rng.Uniform(log.end_offset() + 2));
+        continue;
+      }
+      const size_t n = 1 + rng.Uniform(4);
+      std::vector<std::string> payloads;
+      std::vector<TimeMs> times;
+      const bool per_record = rng.Uniform(2) == 0;
+      for (size_t i = 0; i < n; ++i) {
+        payloads.push_back(std::string(1 + rng.Uniform(5), 'a' + i));
+        if (per_record) times.push_back(now + static_cast<TimeMs>(i));
+      }
+      Batch b = MakeBatch("h" + std::to_string(rng.Uniform(3)), seq + 1,
+                          payloads, now, times, rng.Uniform(2) == 0);
+      seq += n;
+      if (kind <= 4) {
+        // Mirrored: at the end, past a leader gap, or a covered resend.
+        const uint64_t end = log.end_offset();
+        b.base_offset = rng.Uniform(4) == 0 && end > 0
+                            ? rng.Uniform(end)
+                            : end + rng.Uniform(3);
+        log.AppendMirror(std::move(b));
+      } else {
+        log.AppendBatch(std::move(b));
+      }
+    }
+
+    const uint64_t end = log.end_offset();
+    for (uint64_t from = 0; from <= end + 2; ++from) {
+      const uint64_t limits[] = {end,      end + 5,  from,
+                                 from + 1, from + 3, rng.Uniform(end + 3)};
+      const TimeMs ts_limits[] = {kFarFuture, kT0, kT0 + 1,
+                                  now,        now + 1,
+                                  kT0 + static_cast<TimeMs>(
+                                            rng.Uniform(now - kT0 + 2))};
+      for (uint64_t limit : limits) {
+        for (TimeMs ts : ts_limits) {
+          const std::string got = Describe(log.ReadFrom(from, limit, ts));
+          const std::string want =
+              Describe(testing::ReferenceReadFrom(log, from, limit, ts));
+          ASSERT_EQ(got, want) << "trial " << trial << " from=" << from
+                               << " limit=" << limit << " ts=" << ts - kT0;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1328,6 +1418,170 @@ TEST(BrokerFetchTest, ElectionMemoEqualsAFreshElectionUnderChurn) {
     EXPECT_EQ(check(), followers);
     EXPECT_EQ(followers, kPartitions * 2);
   }
+}
+
+// Everything a fetch tick could touch that is visible from outside: every
+// metric the brokers report (the registry's report without its time
+// stamp) and every znode's data, version and child stamp.
+std::string FleetState(FleetHarness& h) {
+  std::string out = h.metrics.TextReport();
+  out.erase(0, out.find('\n') + 1);
+  std::vector<std::string> stack = {"/"};
+  while (!stack.empty()) {
+    const std::string path = stack.back();
+    stack.pop_back();
+    auto stat = h.zk.Stat(path);
+    auto data = h.zk.GetData(path);
+    EXPECT_TRUE(stat.ok() && data.ok()) << path;
+    if (!stat.ok() || !data.ok()) continue;
+    out += path + " data=" + *data + " version=" +
+           std::to_string(stat->version) +
+           " stamp=" + std::to_string(h.zk.ChildStamp(path)) + "\n";
+    auto children = h.zk.GetChildren(path);
+    EXPECT_TRUE(children.ok()) << path;
+    if (!children.ok()) continue;
+    for (const std::string& child : *children) {
+      stack.push_back(path == "/" ? "/" + child : path + "/" + child);
+    }
+  }
+  return out;
+}
+
+// A caught-up follower's fetch tick changes nothing observable; and after
+// leader crashes, restarts and session expiries, every follower's memo
+// resolves the node a fresh election names.
+TEST(BrokerFetchTest, CaughtUpFollowerTickChangesNothing) {
+  constexpr int kNodes = 3;
+  constexpr int kPartitions = 2;
+  constexpr int kTicks = 20;
+  BrokerOptions options;
+  options.num_partitions = kPartitions;
+  options.replication_factor = 2;
+  options.acks = kAcksAll;
+  options.replica_fetch_interval_ms = 500;
+  FleetHarness h(kNodes, options);
+  ASSERT_TRUE(h.fleet->EnsureTopic("clicks").ok());
+
+  // One producer per partition; a produce to a leaderless partition
+  // (mid-failover) is simply retried with the same seq next time.
+  std::vector<uint64_t> seqs(kPartitions, 0);
+  auto produce = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      for (int p = 0; p < kPartitions; ++p) {
+        if (h.ProduceOne("clicks", p, "host" + std::to_string(p),
+                         seqs[p] + 1, "p")
+                .ok()) {
+          ++seqs[p];
+        }
+      }
+    }
+  };
+  // Checks that every live follower's current memo names (and resolves)
+  // what a fresh election names. Returns how many were current.
+  auto check_memos = [&]() -> int {
+    int followers = 0;
+    for (int n = 0; n < kNodes; ++n) {
+      BrokerNode* node = h.fleet->node(n);
+      for (int p = 0; p < kPartitions; ++p) {
+        const BrokerNode::ElectionMemo* memo =
+            node->fetch_election("clicks", p);
+        if (!node->alive() || memo == nullptr ||
+            node->IsLeader("clicks", p)) {
+          continue;
+        }
+        // A follower's own catch-up publishes its end offset, so its memo
+        // is current only from its next tick on.
+        if (memo->stamp !=
+            h.zk.ChildStamp(CandidatesPath("dc1", "clicks", p))) {
+          continue;
+        }
+        ++followers;
+        auto fresh = ElectLeader(h.zk, "dc1", "clicks", p);
+        EXPECT_TRUE(fresh.ok());
+        if (!fresh.ok()) continue;
+        EXPECT_EQ(memo->winner, *fresh);
+        EXPECT_EQ(memo->leader,
+                  *fresh == node->id() ? nullptr : h.fleet->FindNode(*fresh));
+      }
+    }
+    return followers;
+  };
+
+  // Quiesce: records on every partition, a consumer trim, and two seconds
+  // of ticks for the followers to mirror and trim.
+  produce(5);
+  for (int p = 0; p < kPartitions; ++p) {
+    h.Leader("clicks", p)->NoteConsumedTo("clicks", p, 2);
+  }
+  h.sim.RunUntil(h.sim.Now() + 2 * kMillisPerSecond);
+  EXPECT_EQ(check_memos(), kPartitions);
+
+  const std::string before = FleetState(h);
+  const uint64_t events = h.sim.EventsProcessed();
+  h.sim.RunUntil(h.sim.Now() + kTicks * options.replica_fetch_interval_ms);
+  EXPECT_GE(h.sim.EventsProcessed() - events,
+            static_cast<uint64_t>(kTicks * kNodes));
+  EXPECT_EQ(FleetState(h), before);
+  EXPECT_EQ(check_memos(), kPartitions);
+
+  // Churn between ticks; each step ends with two ticks of every node.
+  // Roles are looked up when a step runs: an expiry can hand partition 0
+  // to its follower.
+  auto leader = [&] { return h.Leader("clicks", 0); };
+  auto follower = [&]() -> BrokerNode* {
+    for (int n = 0; n < kNodes; ++n) {
+      BrokerNode* node = h.fleet->node(n);
+      if (node->alive() && node != leader() &&
+          node->fetch_election("clicks", 0) != nullptr) {
+        return node;
+      }
+    }
+    return nullptr;
+  };
+  BrokerNode* down = nullptr;
+  auto crash = [&](BrokerNode* node) {
+    ASSERT_NE(node, nullptr);
+    down = node;
+    node->Crash();
+  };
+  auto restart = [&] {
+    ASSERT_NE(down, nullptr);
+    ASSERT_TRUE(down->Start().ok());
+  };
+  auto expire = [&](BrokerNode* node) {
+    ASSERT_NE(node, nullptr);
+    ASSERT_TRUE(node->ExpireSession().ok());
+  };
+  const std::vector<std::function<void()>> steps = {
+      [&] { crash(leader()); },
+      [&] { produce(2); },
+      restart,
+      [&] { produce(3); },
+      [&] { expire(leader()); },
+      [&] { produce(2); },
+      [&] { crash(follower()); },
+      [&] { produce(2); },
+      restart,
+      // The leader's link to the restarted follower's replica is stale.
+      [&] { produce(2); },
+      [&] { expire(follower()); },
+      [&] { produce(1); },
+  };
+  int compared = 0;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    steps[i]();
+    h.sim.RunUntil(h.sim.Now() + 2 * options.replica_fetch_interval_ms);
+    compared += check_memos();
+  }
+  EXPECT_GT(compared, 0);
+
+  // Caught up again: ticks are once more no-ops.
+  h.sim.RunUntil(h.sim.Now() + 2 * kMillisPerSecond);
+  EXPECT_EQ(check_memos(), kPartitions);
+  const std::string settled = FleetState(h);
+  h.sim.RunUntil(h.sim.Now() + kTicks * options.replica_fetch_interval_ms);
+  EXPECT_EQ(FleetState(h), settled);
 }
 
 }  // namespace
