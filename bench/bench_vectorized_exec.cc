@@ -5,8 +5,10 @@
 //   FILTER event_name matches "web:*" AND timestamp in [T, T+18h)
 //   GROUP BY event_name: count, sum(user_id), count-distinct(session)
 //
-// — is executed three ways: the row engine (boxed Values, row-at-a-time),
-// the unfused batch engine (Filter then GroupBy over selection vectors),
+// — is executed three ways: the row path (a row Relation::Filter per
+// conjunct over boxed Values, then Relation::GroupBy, which converts with
+// BatchRelation::FromRelation and runs the batch GroupBy kernel), the
+// unfused batch engine (Filter then GroupBy over selection vectors),
 // and the fused late-materialization pipeline (FilterGroupBy: dictionary-
 // domain predicates on int32 codes, one pass per batch straight into the
 // aggregation table, strings only touched at group-key emission). All

@@ -59,45 +59,6 @@ uint64_t ColumnBatch::byte_size() const {
   return bytes;
 }
 
-ColumnBatch ColumnBatch::Compact() const {
-  if (!has_sel_) return *this;
-  std::vector<ColumnPtr> cols;
-  cols.reserve(cols_.size());
-  for (const ColumnPtr& src : cols_) {
-    auto dst = std::make_shared<ColumnData>();
-    dst->kind = src->kind;
-    switch (src->kind) {
-      case ColumnKind::kInt64:
-        dst->i64.reserve(sel_.size());
-        for (uint32_t r : sel_) dst->i64.push_back(src->i64[r]);
-        break;
-      case ColumnKind::kDouble:
-        dst->f64.reserve(sel_.size());
-        for (uint32_t r : sel_) dst->f64.push_back(src->f64[r]);
-        break;
-      case ColumnKind::kBool:
-        dst->b1.reserve(sel_.size());
-        for (uint32_t r : sel_) dst->b1.push_back(src->b1[r]);
-        break;
-      case ColumnKind::kString:
-        dst->str.reserve(sel_.size());
-        for (uint32_t r : sel_) dst->str.push_back(src->str[r]);
-        break;
-      case ColumnKind::kDict:
-        dst->dict = src->dict;
-        dst->codes.reserve(sel_.size());
-        for (uint32_t r : sel_) dst->codes.push_back(src->codes[r]);
-        break;
-      case ColumnKind::kValue:
-        dst->vals.reserve(sel_.size());
-        for (uint32_t r : sel_) dst->vals.push_back(src->vals[r]);
-        break;
-    }
-    cols.push_back(std::move(dst));
-  }
-  return ColumnBatch(std::move(cols), sel_.size());
-}
-
 ColumnPtr ColumnBatch::BuildColumn(const std::vector<Value>& vals) {
   auto col = std::make_shared<ColumnData>();
   bool all_int = true, all_real = true, all_bool = true, all_str = true;

@@ -85,17 +85,10 @@ class ColumnBatch {
 
   /// Replaces the column set (same raw row count / selection).
   void SetColumns(std::vector<ColumnPtr> cols) { cols_ = std::move(cols); }
-  /// Appends a column; the batch must be dense (no selection), since a
-  /// freshly built column has one entry per physical row.
-  void AppendColumn(ColumnPtr col) { cols_.push_back(std::move(col)); }
 
   /// Approximate heap footprint: selection vector plus every column's
   /// byte_size().
   uint64_t byte_size() const;
-
-  /// Dense copy applying the selection. Dictionary columns keep their
-  /// dictionary (codes are gathered, entries are not re-materialized).
-  ColumnBatch Compact() const;
 
   /// Builds a typed column from boxed values: uniformly-typed inputs get
   /// flat arrays, all-string inputs get a first-appearance dictionary

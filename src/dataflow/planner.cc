@@ -255,8 +255,4 @@ ScanPlan PlanScan(const TableStats& stats,
   return plan;
 }
 
-JoinBuildSide ChooseBuildSide(uint64_t left_rows, uint64_t right_rows) {
-  return left_rows < right_rows ? JoinBuildSide::kLeft : JoinBuildSide::kRight;
-}
-
 }  // namespace unilog::dataflow

@@ -122,10 +122,6 @@ ScanPlan PlanScan(const TableStats& stats,
                   const std::vector<FilterExpr>& clauses,
                   const JobCostModel& model);
 
-/// Hash-join build side: build the smaller input, ties keep the row
-/// engine's traditional right build.
-JoinBuildSide ChooseBuildSide(uint64_t left_rows, uint64_t right_rows);
-
 }  // namespace unilog::dataflow
 
 #endif  // UNILOG_DATAFLOW_PLANNER_H_

@@ -1,10 +1,10 @@
 #include "dataflow/relation.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
-#include <unordered_map>
+
+#include "dataflow/vector_engine.h"
 
 namespace unilog::dataflow {
 
@@ -128,91 +128,13 @@ Result<Relation> Relation::WithColumn(const std::string& name,
 
 namespace {
 
-struct AggState {
-  uint64_t count = 0;
-  double sum = 0;
-  bool has_minmax = false;
-  Value min, max;
-  std::set<std::string> distinct;
-};
-
-Status Accumulate(const std::vector<Aggregate>& aggs,
-                  const std::vector<size_t>& agg_idx, const Row& row,
-                  std::vector<AggState>* states) {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    AggState& st = (*states)[i];
-    switch (aggs[i].op) {
-      case Aggregate::Op::kCount:
-        ++st.count;
-        break;
-      case Aggregate::Op::kSum: {
-        // §3.1 "error, not garbage": AsNumber() would quietly turn a
-        // string or bool into 0 and corrupt the sum.
-        const Value& v = row[agg_idx[i]];
-        if (v.is_int()) {
-          st.sum += static_cast<double>(v.int_value());
-        } else if (v.is_real()) {
-          st.sum += v.real_value();
-        } else {
-          return Status::InvalidArgument(
-              "SUM over non-numeric value in column '" + aggs[i].column +
-              "'");
-        }
-        break;
-      }
-      case Aggregate::Op::kMin:
-      case Aggregate::Op::kMax: {
-        const Value& v = row[agg_idx[i]];
-        if (!st.has_minmax) {
-          st.min = st.max = v;
-          st.has_minmax = true;
-        } else {
-          if (v < st.min) st.min = v;
-          if (st.max < v) st.max = v;
-        }
-        break;
-      }
-      case Aggregate::Op::kCountDistinct:
-        st.distinct.insert(row[agg_idx[i]].ToString());
-        break;
-    }
-  }
-  return Status::OK();
-}
-
-Row FinalizeGroup(const std::vector<Aggregate>& aggs, const Row& key,
-                  const std::vector<AggState>& states) {
-  Row row = key;
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    const AggState& st = states[i];
-    switch (aggs[i].op) {
-      case Aggregate::Op::kCount:
-        row.push_back(Value::Int(static_cast<int64_t>(st.count)));
-        break;
-      case Aggregate::Op::kSum:
-        row.push_back(Value::Real(st.sum));
-        break;
-      case Aggregate::Op::kMin:
-        row.push_back(st.min);
-        break;
-      case Aggregate::Op::kMax:
-        row.push_back(st.max);
-        break;
-      case Aggregate::Op::kCountDistinct:
-        row.push_back(Value::Int(static_cast<int64_t>(st.distinct.size())));
-        break;
-    }
-  }
-  return row;
-}
-
-/// Position-independent hash of a group key, used only to assign groups to
-/// shards — the merge is by key order, so the shard assignment never shows
-/// up in the output.
-size_t HashKey(const Row& key) {
+/// Position-independent hash of a row, used only to assign rows to
+/// Distinct's shards — survivors merge by first-occurrence index, so the
+/// shard assignment never shows up in the output.
+size_t HashKey(const Row& row) {
   std::hash<std::string> hasher;
   size_t h = 0;
-  for (const Value& v : key) {
+  for (const Value& v : row) {
     h = h * 1099511628211ull + hasher(v.ToString()) + v.is_str();
   }
   return h;
@@ -223,124 +145,23 @@ size_t HashKey(const Row& key) {
 Result<Relation> Relation::GroupBy(const std::vector<std::string>& keys,
                                    const std::vector<Aggregate>& aggs,
                                    exec::Executor* exec) const {
-  std::vector<size_t> key_idx;
-  for (const auto& k : keys) {
-    UNILOG_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(k));
-    key_idx.push_back(idx);
-  }
-  std::vector<size_t> agg_idx(aggs.size(), 0);
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].op != Aggregate::Op::kCount) {
-      UNILOG_ASSIGN_OR_RETURN(agg_idx[i], ColumnIndex(aggs[i].column));
-    }
-  }
-
-  std::vector<std::string> out_cols = keys;
-  for (const auto& agg : aggs) out_cols.push_back(agg.as);
-  Relation out(out_cols);
-
-  // Hash-partition rows by group key so every group is owned by exactly
-  // one shard. Each shard scans the rows in original order, so per-group
-  // accumulation order — and therefore even floating-point SUM — is the
-  // same at any shard count. One shard (inline) accumulates every row
-  // into one ordered map without hashing.
-  exec = exec::OrInline(exec);
-  const size_t num_shards = exec->Shards();
-  std::vector<uint32_t> shard_of;
-  if (num_shards > 1) {
-    shard_of.resize(rows_.size());
-    exec->ParallelForChunked(
-        "groupby-hash", rows_.size(), [&](size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            Row key;
-            key.reserve(key_idx.size());
-            for (size_t idx : key_idx) key.push_back(rows_[i][idx]);
-            shard_of[i] = static_cast<uint32_t>(HashKey(key) % num_shards);
-          }
-        });
-  }
-  std::vector<std::map<Row, std::vector<AggState>>> shards(num_shards);
-  UNILOG_RETURN_NOT_OK(
-      exec->ParallelForStatus("groupby-agg", num_shards, [&](size_t s) {
-        auto& groups = shards[s];
-        for (size_t i = 0; i < rows_.size(); ++i) {
-          if (num_shards > 1 && shard_of[i] != s) continue;
-          const Row& row = rows_[i];
-          Row key;
-          key.reserve(key_idx.size());
-          for (size_t idx : key_idx) key.push_back(row[idx]);
-          auto [it, inserted] = groups.try_emplace(std::move(key));
-          if (inserted) it->second.resize(aggs.size());
-          UNILOG_RETURN_NOT_OK(Accumulate(aggs, agg_idx, row, &it->second));
-        }
-        return Status::OK();
-      }));
-
-  // Merge: every group lives in one shard; emit in global key order (a
-  // single shard's map already is).
-  using GroupRef = std::pair<const Row*, const std::vector<AggState>*>;
-  std::vector<GroupRef> refs;
-  for (const auto& shard : shards) {
-    for (const auto& [key, states] : shard) refs.emplace_back(&key, &states);
-  }
-  if (num_shards > 1) {
-    std::sort(refs.begin(), refs.end(),
-              [](const GroupRef& a, const GroupRef& b) {
-                return *a.first < *b.first;
-              });
-  }
-  out.rows_.resize(refs.size());
-  exec->ParallelForChunked(
-      "groupby-finalize", refs.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          out.rows_[i] = FinalizeGroup(aggs, *refs[i].first, *refs[i].second);
-        }
-      });
-  return out;
+  UNILOG_ASSIGN_OR_RETURN(BatchRelation batch,
+                          BatchRelation::FromRelation(*this));
+  return batch.GroupBy(keys, aggs, exec);
 }
 
 Result<Relation> Relation::Join(const Relation& right,
                                 const std::string& left_col,
                                 const std::string& right_col,
                                 exec::Executor* exec) const {
-  UNILOG_ASSIGN_OR_RETURN(size_t li, ColumnIndex(left_col));
-  UNILOG_ASSIGN_OR_RETURN(size_t ri, right.ColumnIndex(right_col));
-
-  // Build hash table on the right side.
-  std::unordered_map<std::string, std::vector<const Row*>> table;
-  for (const auto& row : right.rows_) {
-    table[row[ri].ToString() + "\x01" +
-          std::to_string(row[ri].is_str())].push_back(&row);
-  }
-
-  std::vector<std::string> out_cols = columns_;
-  for (size_t i = 0; i < right.columns_.size(); ++i) {
-    if (i == ri) continue;
-    out_cols.push_back(right.columns_[i]);
-  }
-  Relation out(out_cols);
-  auto probe_one = [&](const Row& row, std::vector<Row>* sink) {
-    auto it = table.find(row[li].ToString() + "\x01" +
-                         std::to_string(row[li].is_str()));
-    if (it == table.end()) return;
-    for (const Row* rrow : it->second) {
-      Row joined = row;
-      for (size_t i = 0; i < rrow->size(); ++i) {
-        if (i == ri) continue;
-        joined.push_back((*rrow)[i]);
-      }
-      sink->push_back(std::move(joined));
-    }
-  };
-  // Per-chunk probe outputs concatenated in probe-row order.
-  exec = exec::OrInline(exec);
-  std::vector<std::vector<Row>> chunks(exec->ChunksFor(rows_.size()));
-  exec->ParallelForChunked(
-      "join-probe", rows_.size(), [&](size_t chunk, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) probe_one(rows_[i], &chunks[chunk]);
-      });
-  out.rows_ = exec::ConcatChunks(&chunks);
-  return out;
+  UNILOG_ASSIGN_OR_RETURN(BatchRelation left_batch,
+                          BatchRelation::FromRelation(*this));
+  UNILOG_ASSIGN_OR_RETURN(BatchRelation right_batch,
+                          BatchRelation::FromRelation(right));
+  UNILOG_ASSIGN_OR_RETURN(
+      BatchRelation joined,
+      left_batch.Join(right_batch, left_col, right_col, exec));
+  return joined.ToRelation();
 }
 
 Relation Relation::Distinct(exec::Executor* exec) const {

@@ -71,8 +71,10 @@ struct Aggregate {
 /// across the executor's workers and results are merged in row (or key)
 /// order, so output is byte-identical at any thread count — including
 /// floating-point aggregates, because per-group accumulation order is
-/// preserved, never reassociated. Caller-supplied predicates/functions
-/// must be reentrant when the executor is parallel.
+/// preserved, never reassociated. GroupBy and Join convert to a
+/// BatchRelation and run its kernels, the only hash aggregation and hash
+/// join; the other operators work on rows. Caller-supplied
+/// predicates/functions must be reentrant when the executor is parallel.
 class Relation {
  public:
   Relation() = default;
@@ -113,18 +115,16 @@ class Relation {
                               std::function<Value(const Row&)> fn,
                               exec::Executor* exec = nullptr) const;
 
-  /// Groups by key columns and applies aggregates. Output columns: keys
-  /// then aggregate outputs. Output sorted by key. Grouping hash-partitions
-  /// rows into exec::Executor::Shards() shards by key, so each group is
-  /// accumulated by exactly one task in original row order (SUM stays
-  /// bit-identical at any shard count).
+  /// Groups by key columns and applies aggregates: BatchRelation::GroupBy
+  /// over FromRelation(*this). Output columns: keys then aggregate
+  /// outputs, sorted by key.
   Result<Relation> GroupBy(const std::vector<std::string>& keys,
                            const std::vector<Aggregate>& aggs,
                            exec::Executor* exec = nullptr) const;
 
-  /// Inner hash join on left_col == right_col. Output columns: all left
-  /// columns then all right columns except the join column. The build side
-  /// is sequential; probes fan out with outputs merged in probe-row order.
+  /// Inner hash join on left_col == right_col: BatchRelation::Join over
+  /// both sides' FromRelation, boxed back into rows. Output columns: all
+  /// left columns then all right columns except the join column.
   Result<Relation> Join(const Relation& right, const std::string& left_col,
                         const std::string& right_col,
                         exec::Executor* exec = nullptr) const;

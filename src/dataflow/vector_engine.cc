@@ -1,13 +1,13 @@
 #include "dataflow/vector_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <forward_list>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "events/event_name.h"
 
@@ -402,7 +402,50 @@ void RunProgramColumnar(const BatchFilterProgram& prog, const ColumnBatch& b,
   sel->resize(live);
 }
 
-// --- GroupBy internals (mirroring relation.cc exactly) ---
+// --- GroupBy internals ---
+
+void AppendFixed64(std::string* buf, uint64_t v) {
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (i * 8));
+  buf->append(b, 8);
+}
+
+/// String-key encoding, identical to AppendEncodedValue(Value::Str(s))
+/// without boxing the string into a Value first.
+void AppendEncodedString(std::string* buf, const std::string& s) {
+  buf->push_back('\x02');
+  AppendFixed64(buf, s.size());
+  buf->append(s);
+}
+
+/// Appends one key value's canonical encoding: a type tag byte followed
+/// by a fixed-width or length-prefixed payload. Two values encode
+/// identically iff they are equivalent under the Value total order —
+/// GroupBy's group identity and COUNT DISTINCT's value identity (note
+/// -0.0 is canonicalized to 0.0: the order treats them as one value).
+void AppendEncodedValue(std::string* buf, const Value& v) {
+  if (v.is_int()) {
+    buf->push_back('\x00');
+    AppendFixed64(buf, static_cast<uint64_t>(v.int_value()));
+    return;
+  }
+  if (v.is_real()) {
+    double d = v.real_value();
+    if (d == 0.0) d = 0.0;  // collapse -0.0 and 0.0 into one key
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(d));
+    std::memcpy(&bits, &d, sizeof(bits));
+    buf->push_back('\x01');
+    AppendFixed64(buf, bits);
+    return;
+  }
+  if (v.is_str()) {
+    AppendEncodedString(buf, v.str_value());
+    return;
+  }
+  buf->push_back('\x03');
+  buf->push_back(v.bool_value() ? '\x01' : '\x00');
+}
 
 /// Open-addressing set of string views with cached hashes — the
 /// COUNT DISTINCT accumulator. Equality is plain byte equality (the same
@@ -502,23 +545,44 @@ struct AggState {
   double sum = 0;
   bool has_minmax = false;
   Value min, max;
-  // Distinct values as views: kString/kDict rows point straight into the
-  // (shared_ptr-owned, hence stable) column storage — no string is copied
-  // for a value already seen. Rendered values (numbers, bools via the
-  // static literals, kValue fallbacks) are owned by `owned`, a forward
-  // list so node addresses (hence views) stay valid as it grows or the
-  // state moves — and an unused accumulator never allocates. Only size()
-  // is read at finalize, which equals the old std::set<std::string> count.
-  DistinctSet distinct;
+  // COUNT DISTINCT under GroupBy's key identity. Strings are keyed by
+  // their bytes in `distinct_strs`, as views straight into the
+  // (shared_ptr-owned, hence stable) column storage — no string is
+  // copied, ever. Every other value is keyed by its AppendEncodedValue
+  // bytes in `distinct_keys`, owned by `owned` (a forward list, so node
+  // addresses, hence views, stay valid as it grows or the state moves,
+  // and an unused accumulator never allocates). Two sets, so no string
+  // can collide with a number's encoding; the count is their sum.
+  DistinctSet distinct_strs;
+  DistinctSet distinct_keys;
   std::forward_list<std::string> owned;
 };
 
-/// Inserts a rendered (non-column-backed) distinct value, taking
-/// ownership only when it is new.
-void InsertDistinctOwned(AggState* st, std::string&& s) {
-  if (st->distinct.contains(std::string_view(s))) return;
-  st->owned.push_front(std::move(s));
-  st->distinct.insert(std::string_view(st->owned.front()));
+/// Adds raw row `row` of `col` to the group's COUNT DISTINCT sets.
+void InsertDistinct(AggState* st, const ColumnData& col, size_t row) {
+  const std::string* str = nullptr;
+  switch (col.kind) {
+    case ColumnKind::kString:
+      str = &col.str[row];
+      break;
+    case ColumnKind::kDict:
+      str = &(*col.dict)[col.codes[row]];
+      break;
+    case ColumnKind::kValue:
+      if (col.vals[row].is_str()) str = &col.vals[row].str_value();
+      break;
+    default:
+      break;
+  }
+  if (str != nullptr) {
+    st->distinct_strs.insert(std::string_view(*str));
+    return;
+  }
+  std::string key;
+  AppendEncodedValue(&key, col.ValueAt(row));
+  if (st->distinct_keys.contains(std::string_view(key))) return;
+  st->owned.push_front(std::move(key));
+  st->distinct_keys.insert(std::string_view(st->owned.front()));
 }
 
 /// Per-(batch, aggregate) access plan: the op and the raw column pointer
@@ -594,33 +658,9 @@ Status AccumulateRow(const std::vector<AggAccess>& acc, size_t row,
         }
         break;
       }
-      case Aggregate::Op::kCountDistinct: {
-        // Same strings Value::ToString would produce. Column-backed
-        // strings go in as views (late materialization: no copy, ever);
-        // other kinds render only when the value is new.
-        switch (a.kind) {
-          case ColumnKind::kString:
-            st.distinct.insert(std::string_view(a.col->str[row]));
-            break;
-          case ColumnKind::kDict:
-            st.distinct.insert(
-                std::string_view((*a.col->dict)[a.col->codes[row]]));
-            break;
-          case ColumnKind::kInt64:
-            InsertDistinctOwned(&st, std::to_string(a.col->i64[row]));
-            break;
-          case ColumnKind::kBool: {
-            static const std::string kTrue = "true", kFalse = "false";
-            st.distinct.insert(
-                std::string_view(a.col->b1[row] ? kTrue : kFalse));
-            break;
-          }
-          default:
-            InsertDistinctOwned(&st, a.col->ValueAt(row).ToString());
-            break;
-        }
+      case Aggregate::Op::kCountDistinct:
+        InsertDistinct(&st, *a.col, row);
         break;
-      }
     }
   }
   return Status::OK();
@@ -645,54 +685,12 @@ Row FinalizeGroup(const std::vector<Aggregate>& aggs, const Row& key,
         row.push_back(st.max);
         break;
       case Aggregate::Op::kCountDistinct:
-        row.push_back(Value::Int(static_cast<int64_t>(st.distinct.size())));
+        row.push_back(Value::Int(static_cast<int64_t>(
+            st.distinct_strs.size() + st.distinct_keys.size())));
         break;
     }
   }
   return row;
-}
-
-void AppendFixed64(std::string* buf, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (i * 8));
-  buf->append(b, 8);
-}
-
-/// String-key encoding, identical to AppendEncodedValue(Value::Str(s))
-/// without boxing the string into a Value first.
-void AppendEncodedString(std::string* buf, const std::string& s) {
-  buf->push_back('\x02');
-  AppendFixed64(buf, s.size());
-  buf->append(s);
-}
-
-/// Appends one key value's canonical encoding: a type tag byte followed
-/// by a fixed-width or length-prefixed payload. Two values encode
-/// identically iff they are equivalent under the Value total order the
-/// row engine groups by (note -0.0 is canonicalized to 0.0: the order
-/// treats them as one group).
-void AppendEncodedValue(std::string* buf, const Value& v) {
-  if (v.is_int()) {
-    buf->push_back('\x00');
-    AppendFixed64(buf, static_cast<uint64_t>(v.int_value()));
-    return;
-  }
-  if (v.is_real()) {
-    double d = v.real_value();
-    if (d == 0.0) d = 0.0;  // collapse -0.0 and 0.0 into one key
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    buf->push_back('\x01');
-    AppendFixed64(buf, bits);
-    return;
-  }
-  if (v.is_str()) {
-    AppendEncodedString(buf, v.str_value());
-    return;
-  }
-  buf->push_back('\x03');
-  buf->push_back(v.bool_value() ? '\x01' : '\x00');
 }
 
 /// Per-(batch, key-column) encoding plan: dictionary columns precompute
@@ -842,46 +840,8 @@ void AccumulateColumnar(const std::vector<AggAccess>& acc,
         }
         break;
       case Aggregate::Op::kCountDistinct:
-        switch (a.kind) {
-          case ColumnKind::kString: {
-            const std::string* col = a.col->str.data();
-            for (size_t j = 0; j < m; ++j) {
-              states[g_of[j]][i].distinct.insert(std::string_view(col[sel[j]]));
-            }
-            break;
-          }
-          case ColumnKind::kDict: {
-            const std::vector<std::string>& dict = *a.col->dict;
-            const uint32_t* codes = a.col->codes.data();
-            for (size_t j = 0; j < m; ++j) {
-              states[g_of[j]][i].distinct.insert(
-                  std::string_view(dict[codes[sel[j]]]));
-            }
-            break;
-          }
-          case ColumnKind::kInt64: {
-            const int64_t* col = a.col->i64.data();
-            for (size_t j = 0; j < m; ++j) {
-              InsertDistinctOwned(&states[g_of[j]][i],
-                                  std::to_string(col[sel[j]]));
-            }
-            break;
-          }
-          case ColumnKind::kBool: {
-            static const std::string kTrue = "true", kFalse = "false";
-            const uint8_t* col = a.col->b1.data();
-            for (size_t j = 0; j < m; ++j) {
-              states[g_of[j]][i].distinct.insert(
-                  std::string_view(col[sel[j]] ? kTrue : kFalse));
-            }
-            break;
-          }
-          default:
-            for (size_t j = 0; j < m; ++j) {
-              InsertDistinctOwned(&states[g_of[j]][i],
-                                  a.col->ValueAt(sel[j]).ToString());
-            }
-            break;
+        for (size_t j = 0; j < m; ++j) {
+          InsertDistinct(&states[g_of[j]][i], *a.col, sel[j]);
         }
         break;
     }
@@ -889,7 +849,7 @@ void AccumulateColumnar(const std::vector<AggAccess>& acc,
 }
 
 /// Merge + finalize: every group lives in exactly one shard; emit in
-/// global key order, the ordering the row engine's std::map produces.
+/// global key order (the Value order on key rows).
 Result<Relation> MergeAndFinalize(const std::vector<Aggregate>& aggs,
                                   const std::vector<std::string>& out_cols,
                                   const std::vector<GroupSet>& shards,
@@ -918,10 +878,20 @@ Result<Relation> MergeAndFinalize(const std::vector<Aggregate>& aggs,
   return Relation::FromRows(out_cols, std::move(out_rows));
 }
 
-/// Join key with Relation::Join's exact semantics: ToString() plus a
-/// string/non-string tag, so Int(1) and Real(1) hash-match.
-std::string JoinKeyOf(const Value& v) {
-  return v.ToString() + "\x01" + std::to_string(v.is_str());
+/// Appends `v`'s join key. Numbers key by exact value: a real that is an
+/// integer in int64 range keys as that int (so Int(1) matches Real(1.0)
+/// and Int(1000000) matches Real(1e6)), any other real by its canonical
+/// bits. Strings and bools key by type and value.
+void AppendJoinKey(std::string* buf, const Value& v) {
+  if (v.is_real()) {
+    const double d = v.real_value();
+    if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+      buf->push_back('\x00');
+      AppendFixed64(buf, static_cast<uint64_t>(static_cast<int64_t>(d)));
+      return;
+    }
+  }
+  AppendEncodedValue(buf, v);
 }
 
 /// (batch, raw row) coordinates of every selected row, in batch order.
@@ -946,7 +916,7 @@ std::vector<RowLoc> BuildLocs(const std::vector<ColumnBatch>& batches) {
   return locs;
 }
 
-/// Join keys for every selected row, dictionary entries stringified once.
+/// Join keys for every selected row, dictionary entries encoded once.
 std::vector<std::string> BuildJoinKeys(const std::vector<ColumnBatch>& batches,
                                        size_t col_idx,
                                        const std::vector<RowLoc>& locs) {
@@ -957,7 +927,9 @@ std::vector<std::string> BuildJoinKeys(const std::vector<ColumnBatch>& batches,
     if (col.kind != ColumnKind::kDict) continue;
     dict_keys[bi].reserve(col.dict->size());
     for (const std::string& entry : *col.dict) {
-      dict_keys[bi].push_back(JoinKeyOf(Value::Str(entry)));
+      std::string key;
+      AppendEncodedString(&key, entry);
+      dict_keys[bi].push_back(std::move(key));
     }
   }
   std::vector<std::string> keys;
@@ -967,7 +939,9 @@ std::vector<std::string> BuildJoinKeys(const std::vector<ColumnBatch>& batches,
     if (col.kind == ColumnKind::kDict) {
       keys.push_back(dict_keys[loc.batch][col.codes[loc.row]]);
     } else {
-      keys.push_back(JoinKeyOf(col.ValueAt(loc.row)));
+      std::string key;
+      AppendJoinKey(&key, col.ValueAt(loc.row));
+      keys.push_back(std::move(key));
     }
   }
   return keys;
@@ -1141,11 +1115,6 @@ Result<BatchRelation> BatchRelation::Filter(
   return out;
 }
 
-Result<BatchRelation> BatchRelation::Project(
-    const std::vector<std::string>& cols, exec::Executor* exec) const {
-  return ProjectAs(cols, cols, exec);
-}
-
 Result<BatchRelation> BatchRelation::ProjectAs(
     const std::vector<std::string>& cols,
     const std::vector<std::string>& names, exec::Executor*) const {
@@ -1171,35 +1140,6 @@ Result<BatchRelation> BatchRelation::ProjectAs(
     }
     out.batches_.push_back(std::move(nb));
   }
-  return out;
-}
-
-Result<BatchRelation> BatchRelation::WithColumn(
-    const std::string& name, std::function<Value(const Row&)> fn,
-    exec::Executor* exec) const {
-  if (ColumnIndex(name).ok()) {
-    return Status::AlreadyExists("column exists: " + name);
-  }
-  BatchRelation out;
-  out.columns_ = columns_;
-  out.columns_.push_back(name);
-  out.batches_.resize(batches_.size());
-  auto extend_batch = [&](size_t bi) {
-    ColumnBatch dense = batches_[bi].Compact();
-    const size_t n = dense.raw_rows();
-    std::vector<Value> vals(n);
-    Row row(dense.num_cols());
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < dense.num_cols(); ++c) {
-        row[c] = dense.col(c)->ValueAt(r);
-      }
-      vals[r] = fn(row);
-    }
-    dense.AppendColumn(ColumnBatch::BuildColumn(vals));
-    out.batches_[bi] = std::move(dense);
-  };
-  exec::OrInline(exec)->ParallelFor("batch_with_column", batches_.size(),
-                                    extend_batch);
   return out;
 }
 
@@ -1446,7 +1386,7 @@ Result<Relation> BatchRelation::FilterGroupBy(
       AccumulateColumnar(acc, sel, g_of, &gs);
     } else {
       // A SUM that can fail keeps the row-major walk so the first error
-      // raised is the row engine's (same row, same aggregate order).
+      // raised is GroupBy's (same row, same aggregate order).
       for (size_t j = 0; j < sel.size(); ++j) {
         UNILOG_RETURN_NOT_OK(AccumulateRow(acc, sel[j], &gs.states[g_of[j]]));
       }
@@ -1459,8 +1399,7 @@ Result<Relation> BatchRelation::FilterGroupBy(
 Result<BatchRelation> BatchRelation::Join(const BatchRelation& right,
                                           const std::string& left_col,
                                           const std::string& right_col,
-                                          exec::Executor* exec,
-                                          JoinBuildSide side) const {
+                                          exec::Executor* exec) const {
   UNILOG_ASSIGN_OR_RETURN(size_t li, ColumnIndex(left_col));
   UNILOG_ASSIGN_OR_RETURN(size_t ri, right.ColumnIndex(right_col));
 
@@ -1471,56 +1410,30 @@ Result<BatchRelation> BatchRelation::Join(const BatchRelation& right,
   const std::vector<std::string> right_keys =
       BuildJoinKeys(right.batches_, ri, right_locs);
 
-  if (side == JoinBuildSide::kAuto) {
-    // Build the smaller input; ties keep the row engine's right build.
-    side = left_locs.size() < right_locs.size() ? JoinBuildSide::kLeft
-                                                : JoinBuildSide::kRight;
+  // Build on the right side; probes fan out, and per-chunk outputs are
+  // concatenated in left-row order. Matching (left ordinal, right
+  // ordinal) pairs come out left-row-major, right matches in right input
+  // order.
+  std::unordered_map<std::string, std::vector<uint32_t>> table;
+  for (size_t r = 0; r < right_keys.size(); ++r) {
+    table[right_keys[r]].push_back(static_cast<uint32_t>(r));
   }
-
-  // Matching (left ordinal, right ordinal) pairs in the row engine's
-  // output order: left-row-major, right matches in right input order.
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  if (side == JoinBuildSide::kRight) {
-    std::unordered_map<std::string, std::vector<uint32_t>> table;
-    for (size_t r = 0; r < right_keys.size(); ++r) {
-      table[right_keys[r]].push_back(static_cast<uint32_t>(r));
-    }
-    // Per-chunk probe outputs concatenated in left-row order.
-    exec = exec::OrInline(exec);
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunks(
-        exec->ChunksFor(left_locs.size()));
-    exec->ParallelForChunked(
-        "batch_join_probe", left_locs.size(),
-        [&](size_t chunk, size_t begin, size_t end) {
-          for (size_t l = begin; l < end; ++l) {
-            auto it = table.find(left_keys[l]);
-            if (it == table.end()) continue;
-            for (uint32_t r : it->second) {
-              chunks[chunk].push_back({static_cast<uint32_t>(l), r});
-            }
+  exec = exec::OrInline(exec);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunks(
+      exec->ChunksFor(left_locs.size()));
+  exec->ParallelForChunked(
+      "batch_join_probe", left_locs.size(),
+      [&](size_t chunk, size_t begin, size_t end) {
+        for (size_t l = begin; l < end; ++l) {
+          auto it = table.find(left_keys[l]);
+          if (it == table.end()) continue;
+          for (uint32_t r : it->second) {
+            chunks[chunk].push_back({static_cast<uint32_t>(l), r});
           }
-        });
-    pairs = exec::ConcatChunks(&chunks);
-  } else {
-    std::unordered_map<std::string, std::vector<uint32_t>> table;
-    for (size_t l = 0; l < left_keys.size(); ++l) {
-      table[left_keys[l]].push_back(static_cast<uint32_t>(l));
-    }
-    // Probing with the right side yields pairs in right-major order;
-    // a stable sort by left ordinal restores the output order while
-    // keeping right matches in input order.
-    for (size_t r = 0; r < right_keys.size(); ++r) {
-      auto it = table.find(right_keys[r]);
-      if (it == table.end()) continue;
-      for (uint32_t l : it->second) {
-        pairs.push_back({l, static_cast<uint32_t>(r)});
-      }
-    }
-    std::stable_sort(pairs.begin(), pairs.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-  }
+        }
+      });
+  const std::vector<std::pair<uint32_t, uint32_t>> pairs =
+      exec::ConcatChunks(&chunks);
 
   std::vector<std::string> out_cols = columns_;
   for (size_t c = 0; c < right.columns_.size(); ++c) {

@@ -1,7 +1,6 @@
 #ifndef UNILOG_DATAFLOW_VECTOR_ENGINE_H_
 #define UNILOG_DATAFLOW_VECTOR_ENGINE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,11 +27,6 @@ struct FilterExpr {
 /// clause evaluation the Oink workflow engine applies to residual filters.
 bool EvalFilterOp(const Value& v, const std::string& op, const Value& literal);
 
-/// Which side of a hash join is built into the table. The output is
-/// byte-identical either way (probe order is restored when building on
-/// the left); the planner picks the smaller side.
-enum class JoinBuildSide { kAuto, kLeft, kRight };
-
 /// Accounting the batch kernels accumulate when a caller passes a sink.
 struct KernelStats {
   /// Rows cut at a dictionary-domain step: the predicate was evaluated
@@ -46,15 +40,14 @@ struct KernelStats {
   void MergeFrom(const KernelStats& other);
 };
 
-/// A relation stored as typed column batches — the vectorized twin of
-/// Relation. Every kernel is byte-compatible with the row engine: for any
-/// BatchRelation b built from Relation r, kernel(b).ToRelation() equals
-/// the same row-engine operator applied to r, byte-for-byte under
-/// SerializeRelation — including floating-point aggregates (per-group
-/// accumulation stays in original row order) and the join key semantics
-/// (Int(1) and Real(1) hash-match, exactly as Relation::Join). Kernels
-/// accept the same exec::Executor contract: parallel output is identical
-/// to serial at any thread count.
+/// A relation stored as typed column batches. GroupBy and Join here are
+/// the only hash aggregation and hash join: Relation::GroupBy and
+/// Relation::Join convert with FromRelation and run these kernels. Filter
+/// and ProjectAs select exactly the rows and columns the row operators
+/// would. Per-group accumulation stays in original row order, so
+/// floating-point aggregates are bit-exact, and kernels follow the
+/// exec::Executor contract: parallel output is identical to serial at any
+/// thread count.
 class BatchRelation {
  public:
   BatchRelation() = default;
@@ -97,26 +90,19 @@ class BatchRelation {
                                KernelStats* stats = nullptr,
                                const exec::MorselOptions& morsels = {}) const;
 
-  /// Keeps the named columns in order; O(1) per column per batch.
-  Result<BatchRelation> Project(const std::vector<std::string>& cols,
-                                exec::Executor* exec = nullptr) const;
-
-  /// Project + rename (the Oink late-projection shape).
+  /// Keeps the named columns in order under new names (the Oink
+  /// late-projection shape); O(1) per column per batch.
   Result<BatchRelation> ProjectAs(const std::vector<std::string>& cols,
                                   const std::vector<std::string>& names,
                                   exec::Executor* exec = nullptr) const;
 
-  /// Adds a computed column; `fn` sees the boxed row, as in the row
-  /// engine. Batches are compacted first so the new column is dense.
-  Result<BatchRelation> WithColumn(const std::string& name,
-                                   std::function<Value(const Row&)> fn,
-                                   exec::Executor* exec = nullptr) const;
-
   /// Hash aggregation on encoded keys. Output columns: keys then
-  /// aggregate outputs, sorted by key (Value order) — identical to
-  /// Relation::GroupBy, including Status failure of SUM over non-numeric
-  /// values and bit-identical double SUMs (each group accumulates in
-  /// original row order, serial or parallel).
+  /// aggregate outputs, sorted by key (Value order). Groups and COUNT
+  /// DISTINCT values share one identity: type and value, with -0.0 equal
+  /// to 0.0 (so Int(1), Real(1.0) and Str("1") are three values). SUM
+  /// over a non-numeric value is a Status failure, not garbage, and
+  /// double SUMs are bit-identical at any thread count (each group
+  /// accumulates in original row order, serial or parallel).
   Result<Relation> GroupBy(const std::vector<std::string>& keys,
                            const std::vector<Aggregate>& aggs,
                            exec::Executor* exec = nullptr) const;
@@ -138,14 +124,16 @@ class BatchRelation {
                                  KernelStats* stats = nullptr,
                                  const exec::MorselOptions& morsels = {}) const;
 
-  /// Inner hash join on left_col == right_col with Relation::Join's exact
-  /// key semantics and output order (left-row-major, right rows in input
-  /// order). `side` picks the build side; kAuto builds the smaller input.
+  /// Inner hash join on left_col == right_col. Output columns: all left
+  /// columns then all right columns except the join column; output order
+  /// is left-row-major, right matches in right input order. The right
+  /// side is built into the table; probes fan out over `exec`. Numbers
+  /// join by exact value (Int(1) matches Real(1.0), Real(0.1234567) does
+  /// not match Real(0.1234568)); strings and bools by type and value.
   Result<BatchRelation> Join(const BatchRelation& right,
                              const std::string& left_col,
                              const std::string& right_col,
-                             exec::Executor* exec = nullptr,
-                             JoinBuildSide side = JoinBuildSide::kAuto) const;
+                             exec::Executor* exec = nullptr) const;
 
  private:
   std::vector<std::string> columns_;

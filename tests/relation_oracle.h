@@ -2,19 +2,24 @@
 #define UNILOG_TESTS_RELATION_ORACLE_H_
 
 // Single-threaded reference bodies for the hash-partitioned operators.
-// Relation::GroupBy, Relation::Distinct, Relation::OrderBy and the
+// GroupBy and Join (BatchRelation's kernels, which Relation::GroupBy and
+// Relation::Join run), Relation::Distinct, Relation::OrderBy and the
 // MapReduce shuffle each have one body that runs on an exec::Executor at
 // every thread count. These are the plain loops those bodies replaced —
-// one ordered map, one seen-set, one stable_sort, one
-// concatenate-then-group shuffle — frozen here (as lz_reference.h freezes
-// the old codec) so the property suites check every thread count against
-// an answer the engine did not compute.
+// one ordered map, one row-at-a-time hash join, one seen-set, one
+// stable_sort, one concatenate-then-group shuffle — frozen here (as
+// lz_reference.h freezes the old codec) so the property suites check
+// every thread count and batch layout against an answer the engine did
+// not compute.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,7 +40,9 @@ struct AggState {
   double sum = 0;
   bool has_minmax = false;
   Value min, max;
-  std::set<std::string> distinct;
+  // COUNT DISTINCT under the group-key identity: the Value order, where
+  // types never compare equal and -0.0 is equivalent to 0.0.
+  std::set<Value> distinct;
 };
 
 inline Status Accumulate(const std::vector<Aggregate>& aggs,
@@ -73,7 +80,7 @@ inline Status Accumulate(const std::vector<Aggregate>& aggs,
         break;
       }
       case Aggregate::Op::kCountDistinct:
-        st.distinct.insert(row[agg_idx[i]].ToString());
+        st.distinct.insert(row[agg_idx[i]]);
         break;
     }
   }
@@ -104,6 +111,25 @@ inline Row FinalizeGroup(const std::vector<Aggregate>& aggs, const Row& key,
     }
   }
   return row;
+}
+
+/// Join key: an integral real in int64 range keys as that integer (so
+/// Int(1) matches Real(1.0)), any other real by its bits (-0.0 is
+/// integral, so it keys as 0), strings and bools by type and value.
+inline std::string JoinKey(const Value& v) {
+  if (v.is_int()) return "n" + std::to_string(v.int_value());
+  if (v.is_real()) {
+    const double d = v.real_value();
+    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+        d == std::trunc(d)) {
+      return "n" + std::to_string(static_cast<int64_t>(d));
+    }
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return "r" + std::to_string(bits);
+  }
+  if (v.is_bool()) return v.bool_value() ? "b1" : "b0";
+  return "s" + v.str_value();
 }
 
 }  // namespace internal
@@ -141,6 +167,39 @@ inline Result<dataflow::Relation> GroupBy(
   std::vector<dataflow::Row> rows;
   for (const auto& [key, states] : groups) {
     rows.push_back(internal::FinalizeGroup(aggs, key, states));
+  }
+  return dataflow::Relation::FromRows(out_cols, std::move(rows));
+}
+
+/// Inner hash join as the row engine ran it: build a table over the right
+/// rows, probe it with each left row in order. Output columns: left
+/// columns then right columns minus the join column; rows left-major,
+/// right matches in right input order.
+inline Result<dataflow::Relation> Join(const dataflow::Relation& left,
+                                       const dataflow::Relation& right,
+                                       const std::string& left_col,
+                                       const std::string& right_col) {
+  UNILOG_ASSIGN_OR_RETURN(size_t li, left.ColumnIndex(left_col));
+  UNILOG_ASSIGN_OR_RETURN(size_t ri, right.ColumnIndex(right_col));
+  std::unordered_map<std::string, std::vector<const dataflow::Row*>> table;
+  for (const auto& row : right.rows()) {
+    table[internal::JoinKey(row[ri])].push_back(&row);
+  }
+  std::vector<std::string> out_cols = left.columns();
+  for (size_t i = 0; i < right.columns().size(); ++i) {
+    if (i != ri) out_cols.push_back(right.columns()[i]);
+  }
+  std::vector<dataflow::Row> rows;
+  for (const auto& row : left.rows()) {
+    auto it = table.find(internal::JoinKey(row[li]));
+    if (it == table.end()) continue;
+    for (const dataflow::Row* rrow : it->second) {
+      dataflow::Row joined = row;
+      for (size_t i = 0; i < rrow->size(); ++i) {
+        if (i != ri) joined.push_back((*rrow)[i]);
+      }
+      rows.push_back(std::move(joined));
+    }
   }
   return dataflow::Relation::FromRows(out_cols, std::move(rows));
 }

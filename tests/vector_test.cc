@@ -1,13 +1,16 @@
-// The vectorized batch engine's contract: every kernel is byte-compatible
-// with the row engine (SerializeRelation equality, including bit-identical
-// double SUMs and join key semantics), parallel output equals serial at
-// any thread count, the columnar scan's batches equal a row-engine
-// reference scan (scan_oracle.h), and the cost-based planner's decisions
-// are deterministic and answer-neutral.
+// The vectorized batch engine's contract: Filter and ProjectAs agree with
+// the row operators, GroupBy and Join (the only hash aggregation and hash
+// join; Relation's delegate to them) equal the frozen row bodies in
+// relation_oracle.h (SerializeRelation equality, including bit-identical
+// double SUMs and the join key), parallel output equals serial at any
+// thread count, the columnar scan's batches equal a row-engine reference
+// scan (scan_oracle.h), and the cost-based planner's decisions are
+// deterministic and answer-neutral.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,6 +29,7 @@
 #include "events/client_event.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
+#include "relation_oracle.h"
 #include "scan_oracle.h"
 
 namespace unilog {
@@ -181,16 +185,12 @@ TEST(VectorKernelTest, FilterStacksOnExistingSelection) {
   EXPECT_EQ(BatchBytes(second), want);
 }
 
-TEST(VectorKernelTest, ProjectAndWithColumnMatchRowEngine) {
+TEST(VectorKernelTest, ProjectAsMatchesRowEngine) {
   Relation rel = MixedRelation(150, 17);
   auto batch = BatchRelation::FromRelation(rel, 50).value();
   // Project through a selection so gather paths are exercised.
   auto filtered = batch.Filter({{"grp", ">", Value::Int(1)}}).value();
   Relation row_filtered = RowFilter(rel, {{"grp", ">", Value::Int(1)}});
-
-  auto projected = filtered.Project({"tag", "score"}).value();
-  EXPECT_EQ(BatchBytes(projected),
-            Bytes(row_filtered.Project({"tag", "score"}).value()));
 
   auto renamed = filtered.ProjectAs({"tag", "score"}, {"t", "s"}).value();
   auto row_renamed =
@@ -200,18 +200,8 @@ TEST(VectorKernelTest, ProjectAndWithColumnMatchRowEngine) {
               row_filtered.Project({"tag", "score"}).value().rows()))
           .value();
   EXPECT_EQ(BatchBytes(renamed), Bytes(row_renamed));
-
-  auto fn = [](const Row& row) {
-    return Value::Real(row[2].AsNumber() * 2 + row[1].AsNumber());
-  };
-  auto with = filtered.WithColumn("derived", fn).value();
-  EXPECT_EQ(BatchBytes(with),
-            Bytes(row_filtered.WithColumn("derived", fn).value()));
-  for (int threads : {2, 8}) {
-    exec::Executor executor = MakeExecutor(threads);
-    auto par = filtered.WithColumn("derived", fn, &executor).value();
-    EXPECT_EQ(BatchBytes(par), BatchBytes(with)) << "threads=" << threads;
-  }
+  EXPECT_FALSE(filtered.ProjectAs({"tag"}, {"t", "s"}).ok());
+  EXPECT_FALSE(filtered.ProjectAs({"nope"}, {"n"}).ok());
 }
 
 TEST(VectorKernelTest, GroupByMatchesRowEngineBitForBit) {
@@ -225,15 +215,19 @@ TEST(VectorKernelTest, GroupByMatchesRowEngineBitForBit) {
   for (const auto& keys :
        std::vector<std::vector<std::string>>{{"grp"}, {"grp", "tag"},
                                              {"score"}, {"flag", "grp"}}) {
-    std::string want = Bytes(rel.GroupBy(keys, aggs).value());
+    std::string want =
+        Bytes(relation_oracle::GroupBy(rel, keys, aggs).value());
     auto got = batch.GroupBy(keys, aggs);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(Bytes(*got), want);
+    EXPECT_EQ(Bytes(rel.GroupBy(keys, aggs).value()), want);
     for (int threads : {2, 8}) {
       exec::Executor executor = MakeExecutor(threads);
       auto par = batch.GroupBy(keys, aggs, &executor);
       ASSERT_TRUE(par.ok());
       EXPECT_EQ(Bytes(*par), want) << "threads=" << threads;
+      EXPECT_EQ(Bytes(rel.GroupBy(keys, aggs, &executor).value()), want)
+          << "threads=" << threads;
     }
   }
 }
@@ -247,7 +241,7 @@ TEST(VectorKernelTest, GroupByThroughSelectionMatchesRowEngine) {
   std::vector<Aggregate> aggs{{Aggregate::Op::kSum, "score", "total"},
                               {Aggregate::Op::kCount, "", "n"}};
   EXPECT_EQ(Bytes(batch.GroupBy({"grp"}, aggs).value()),
-            Bytes(row.GroupBy({"grp"}, aggs).value()));
+            Bytes(relation_oracle::GroupBy(row, {"grp"}, aggs).value()));
 }
 
 TEST(VectorKernelTest, SumOverNonNumericIsErrorNotGarbage) {
@@ -256,26 +250,30 @@ TEST(VectorKernelTest, SumOverNonNumericIsErrorNotGarbage) {
   ASSERT_TRUE(rel.AddRow({Value::Int(1), Value::Str("nope")}).ok());
   std::vector<Aggregate> aggs{{Aggregate::Op::kSum, "s", "total"}};
 
-  auto row = rel.GroupBy({"k"}, aggs);
-  ASSERT_FALSE(row.ok());
-  EXPECT_TRUE(row.status().IsInvalidArgument()) << row.status().ToString();
+  auto want = relation_oracle::GroupBy(rel, {"k"}, aggs);
+  ASSERT_FALSE(want.ok());
+  EXPECT_TRUE(want.status().IsInvalidArgument()) << want.status().ToString();
 
   auto batch = BatchRelation::FromRelation(rel).value().GroupBy({"k"}, aggs);
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsInvalidArgument());
-  // Same diagnostic either engine.
-  EXPECT_EQ(batch.status().ToString(), row.status().ToString());
+  // Same diagnostic as the frozen row body.
+  EXPECT_EQ(batch.status().ToString(), want.status().ToString());
 
-  // The parallel row path surfaces the same error (not a crash, not 0).
+  // Relation::GroupBy, serial and parallel, surfaces the same error (not a
+  // crash, not 0).
+  EXPECT_EQ(rel.GroupBy({"k"}, aggs).status().ToString(),
+            want.status().ToString());
   exec::Executor executor = MakeExecutor(4);
   auto par = rel.GroupBy({"k"}, aggs, &executor);
   ASSERT_FALSE(par.ok());
-  EXPECT_TRUE(par.status().IsInvalidArgument());
+  EXPECT_EQ(par.status().ToString(), want.status().ToString());
 
   // Bools are not numbers either (the old AsNumber folded them to 0/1).
   Relation bools({"k", "b"});
   ASSERT_TRUE(bools.AddRow({Value::Int(1), Value::Bool(true)}).ok());
   std::vector<Aggregate> bool_sum{{Aggregate::Op::kSum, "b", "total"}};
+  EXPECT_FALSE(relation_oracle::GroupBy(bools, {"k"}, bool_sum).ok());
   EXPECT_FALSE(bools.GroupBy({"k"}, bool_sum).ok());
   EXPECT_FALSE(BatchRelation::FromRelation(bools)
                    .value()
@@ -299,8 +297,8 @@ TEST(VectorKernelTest, FusedFilterGroupByMatchesUnfused) {
   for (const auto& exprs : cases) {
     for (const auto& keys :
          std::vector<std::vector<std::string>>{{"tag"}, {"grp", "flag"}}) {
-      std::string want =
-          Bytes(RowFilter(rel, exprs).GroupBy(keys, aggs).value());
+      std::string want = Bytes(
+          relation_oracle::GroupBy(RowFilter(rel, exprs), keys, aggs).value());
       EXPECT_EQ(Bytes(batch.Filter(exprs)
                           .value()
                           .GroupBy(keys, aggs)
@@ -323,7 +321,7 @@ TEST(VectorKernelTest, FusedSumOverNonNumericFailsLikeRowEngine) {
   Relation rel({"k", "s"});
   ASSERT_TRUE(rel.AddRow({Value::Int(1), Value::Str("oops")}).ok());
   std::vector<Aggregate> aggs{{Aggregate::Op::kSum, "s", "total"}};
-  auto row = rel.GroupBy({"k"}, aggs);
+  auto row = relation_oracle::GroupBy(rel, {"k"}, aggs);
   ASSERT_FALSE(row.ok());
   auto fused = BatchRelation::FromRelation(rel).value().FilterGroupBy(
       {{"k", ">=", Value::Int(0)}}, {"k"}, aggs);
@@ -386,8 +384,8 @@ TEST(VectorKernelTest, JoinMatchesRowEngineIncludingMixedNumericKeys) {
   Relation right({"k", "b"});
   Rng rng(29);
   for (int i = 0; i < 120; ++i) {
-    // Mix Int and Real keys: Relation::Join hash-matches Int(1) with
-    // Real(1), and the batch engine must reproduce that exactly.
+    // Mix Int and Real keys: Int(1) joins Real(1.0), as the frozen row
+    // body does.
     Value key = rng.Uniform(2) == 0
                     ? Value::Int(static_cast<int64_t>(rng.Uniform(10)))
                     : Value::Real(static_cast<double>(rng.Uniform(10)));
@@ -399,21 +397,94 @@ TEST(VectorKernelTest, JoinMatchesRowEngineIncludingMixedNumericKeys) {
                     : Value::Real(static_cast<double>(rng.Uniform(10)));
     ASSERT_TRUE(right.AddRow({key, Value::Str("r" + std::to_string(i))}).ok());
   }
-  std::string want = Bytes(left.Join(right, "k", "k").value());
+  std::string want =
+      Bytes(relation_oracle::Join(left, right, "k", "k").value());
 
   auto bl = BatchRelation::FromRelation(left, 32).value();
   auto br = BatchRelation::FromRelation(right, 16).value();
-  for (auto side : {dataflow::JoinBuildSide::kAuto,
-                    dataflow::JoinBuildSide::kLeft,
-                    dataflow::JoinBuildSide::kRight}) {
-    auto joined = bl.Join(br, "k", "k", nullptr, side);
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    EXPECT_EQ(BatchBytes(*joined), want);
-    for (int threads : {2, 8}) {
-      exec::Executor executor = MakeExecutor(threads);
-      auto par = bl.Join(br, "k", "k", &executor, side);
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(BatchBytes(*par), want) << "threads=" << threads;
+  auto joined = bl.Join(br, "k", "k");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(BatchBytes(*joined), want);
+  EXPECT_EQ(Bytes(left.Join(right, "k", "k").value()), want);
+  for (int threads : {2, 8}) {
+    exec::Executor executor = MakeExecutor(threads);
+    auto par = bl.Join(br, "k", "k", &executor);
+    ASSERT_TRUE(par.ok());
+    EXPECT_EQ(BatchBytes(*par), want) << "threads=" << threads;
+    EXPECT_EQ(Bytes(left.Join(right, "k", "k", &executor).value()), want)
+        << "threads=" << threads;
+  }
+}
+
+TEST(VectorKernelTest, JoinKeysNumbersByExactValue) {
+  // Each pair: (left key, right key, whether they join).
+  const struct {
+    Value left, right;
+    bool match;
+  } cases[] = {
+      {Value::Int(1), Value::Real(1.0), true},
+      {Value::Int(1000000), Value::Real(1e6), true},
+      {Value::Real(0.1234567), Value::Real(0.1234568), false},
+      {Value::Real(-0.0), Value::Int(0), true},
+      {Value::Real(0.5), Value::Real(0.5), true},
+      {Value::Int(1), Value::Str("1"), false},
+      {Value::Int(1), Value::Bool(true), false},
+      {Value::Str("true"), Value::Bool(true), false},
+      {Value::Real(9.3e18), Value::Int(INT64_MAX), false},  // out of range
+  };
+  for (const auto& c : cases) {
+    Relation left({"k", "a"});
+    Relation right({"k", "b"});
+    ASSERT_TRUE(left.AddRow({c.left, Value::Int(1)}).ok());
+    ASSERT_TRUE(right.AddRow({c.right, Value::Int(2)}).ok());
+    auto joined = left.Join(right, "k", "k");
+    ASSERT_TRUE(joined.ok());
+    EXPECT_EQ(joined->size(), c.match ? 1u : 0u)
+        << c.left.ToString() << " vs " << c.right.ToString();
+    EXPECT_EQ(
+        relation_oracle::Join(left, right, "k", "k").value().size(),
+        joined->size());
+  }
+}
+
+TEST(VectorKernelTest, CountDistinctUsesGroupKeyIdentity) {
+  // Each case: the values of one group's column, and how many are
+  // distinct under GroupBy's (type, value) identity.
+  const struct {
+    std::vector<Value> vals;
+    int64_t distinct;
+  } cases[] = {
+      // ToString keeps 6 significant digits; the identity does not.
+      {{Value::Real(0.1234567), Value::Real(0.1234568)}, 2},
+      {{Value::Real(1000003.0), Value::Real(1000004.0)}, 2},
+      // Types never compare equal.
+      {{Value::Int(1), Value::Str("1")}, 2},
+      {{Value::Int(1), Value::Real(1.0)}, 2},
+      {{Value::Bool(true), Value::Str("true")}, 2},
+      // -0.0 is 0.0.
+      {{Value::Real(-0.0), Value::Real(0.0)}, 1},
+      {{Value::Int(7), Value::Int(7), Value::Str("a"), Value::Str("a")}, 2},
+      // In two-row batches "a" sits in a dictionary column, then in a
+      // mixed one: one value either way.
+      {{Value::Str("a"), Value::Str("a"), Value::Int(1), Value::Str("a")}, 2},
+  };
+  for (const auto& c : cases) {
+    Relation rel({"g", "v"});
+    for (const Value& v : c.vals) {
+      ASSERT_TRUE(rel.AddRow({Value::Int(0), v}).ok());
+    }
+    std::vector<Aggregate> aggs{{Aggregate::Op::kCountDistinct, "v", "n"}};
+    const std::string want = Bytes(
+        Relation::FromRows({"g", "n"}, {{Value::Int(0), Value::Int(c.distinct)}})
+            .value());
+    EXPECT_EQ(Bytes(relation_oracle::GroupBy(rel, {"g"}, aggs).value()), want);
+    // Small batches put the values in different column kinds, so the
+    // identity must hold across kinds too.
+    for (size_t batch_rows : {1ul, 2ul, 1024ul}) {
+      auto batch = BatchRelation::FromRelation(rel, batch_rows).value();
+      EXPECT_EQ(Bytes(batch.GroupBy({"g"}, aggs).value()), want)
+          << c.vals[0].ToString() << " batch_rows=" << batch_rows;
+      EXPECT_EQ(Bytes(batch.FilterGroupBy({}, {"g"}, aggs).value()), want);
     }
   }
 }
@@ -551,7 +622,8 @@ TEST(ScanBatchTest, ProjectedScanCarriesDictionariesThrough) {
   std::vector<Aggregate> aggs{{Aggregate::Op::kCount, "", "n"}};
   EXPECT_EQ(
       Bytes(batches.Filter(pred).value().GroupBy({"name"}, aggs).value()),
-      Bytes(RowFilter(rows, pred).GroupBy({"name"}, aggs).value()));
+      Bytes(relation_oracle::GroupBy(RowFilter(rows, pred), {"name"}, aggs)
+                .value()));
 }
 
 TEST(ScanBatchTest, SharedBatchesEqualPerMemberMaterialize) {
@@ -697,16 +769,6 @@ TEST(PlannerTest, PlanScanPushdownVsEager) {
   EXPECT_EQ(again.strategy, push.strategy);
   EXPECT_EQ(again.pushdown_ms, push.pushdown_ms);
   EXPECT_EQ(again.eager_ms, push.eager_ms);
-}
-
-TEST(PlannerTest, ChooseBuildSidePrefersSmallerInput) {
-  EXPECT_EQ(dataflow::ChooseBuildSide(1000, 10),
-            dataflow::JoinBuildSide::kRight);
-  EXPECT_EQ(dataflow::ChooseBuildSide(10, 1000),
-            dataflow::JoinBuildSide::kLeft);
-  // Ties keep the row engine's traditional right build.
-  EXPECT_EQ(dataflow::ChooseBuildSide(50, 50),
-            dataflow::JoinBuildSide::kRight);
 }
 
 TEST(PlannerTest, InitiatorSelectivityUsesCodeDomainStats) {
