@@ -228,17 +228,22 @@ std::string IngestBaselineRep(const IngestWorkload& w) {
 std::string IngestOptimizedRep(const IngestWorkload& w,
                                exec::Executor* executor,
                                scribe::BufferPool* pool) {
-  std::vector<std::vector<std::string>> slots(w.staged.size());
+  struct Slot {
+    std::string raw;
+    std::vector<std::string_view> messages;  // views into raw
+  };
+  std::vector<Slot> slots(w.staged.size());
   executor->ParallelFor("bench.unstage", w.staged.size(), [&](size_t i) {
     auto raw = Lz::Decompress(w.staged[i]);
     if (!raw.ok()) std::abort();
-    auto msgs = scribe::UnframeMessages(*raw);
-    if (!msgs.ok()) std::abort();
-    slots[i] = std::move(*msgs);
+    slots[i].raw = std::move(*raw);
+    if (!scribe::UnframeMessageViews(slots[i].raw, &slots[i].messages).ok()) {
+      std::abort();
+    }
   });
-  std::vector<std::string> merged;
-  for (auto& slot : slots) {
-    for (auto& m : slot) merged.push_back(std::move(m));
+  std::vector<std::string_view> merged;
+  for (const Slot& slot : slots) {
+    merged.insert(merged.end(), slot.messages.begin(), slot.messages.end());
   }
   std::vector<size_t> part_ends =
       scribe::PlanFramedParts(merged, kIngestTargetPartBytes);

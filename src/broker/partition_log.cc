@@ -37,6 +37,47 @@ uint64_t SumSizes(const std::vector<uint32_t>& sizes, size_t from, size_t n) {
   return sum;
 }
 
+// Walks the frames of `buf` (which `ensure(pos, n)` may grow to cover n
+// bytes past pos), checking each included frame and appending its view to
+// *frames when non-null. *end receives the position past the last
+// included frame.
+template <typename Ensure>
+Status WalkFrames(const Batch& batch, const std::string& buf, Ensure ensure,
+                  std::vector<FrameView>* frames, size_t* end) {
+  size_t pos = 0;
+  const uint32_t total_frames = batch.skip_frames + batch.count;
+  for (uint32_t f = 0; f < total_frames; ++f) {
+    // Two varints never exceed 20 bytes; ask for that much headroom
+    // before parsing a frame header, then for the payload itself.
+    UNILOG_RETURN_NOT_OK(ensure(pos, 20));
+    uint64_t logged_at = 0;
+    uint64_t len = 0;
+    UNILOG_RETURN_NOT_OK(GetVarintFrom(buf, &pos, &logged_at));
+    UNILOG_RETURN_NOT_OK(GetVarintFrom(buf, &pos, &len));
+    // pos <= buf.size(), so neither comparison wraps on a hostile length.
+    if (len > std::numeric_limits<size_t>::max() - pos) {
+      return Status::Corruption("batch frame: truncated payload");
+    }
+    UNILOG_RETURN_NOT_OK(ensure(pos, len));
+    if (len > buf.size() - pos) {
+      return Status::Corruption("batch frame: truncated payload");
+    }
+    if (f >= batch.skip_frames) {
+      const uint32_t i = f - batch.skip_frames;
+      if (i < batch.record_sizes.size() && batch.record_sizes[i] != len) {
+        return Status::Corruption("batch frame: size index mismatch");
+      }
+      if (frames != nullptr) {
+        frames->push_back(FrameView{static_cast<TimeMs>(logged_at),
+                                    std::string_view(buf.data() + pos, len)});
+      }
+    }
+    pos += len;
+  }
+  *end = pos;
+  return Status::OK();
+}
+
 }  // namespace
 
 void AppendBatchFrame(std::string* body, TimeMs logged_at,
@@ -46,57 +87,61 @@ void AppendBatchFrame(std::string* body, TimeMs logged_at,
   body->append(payload.data(), payload.size());
 }
 
-Result<size_t> DecodeBatch(const Batch& batch, std::vector<Record>* out) {
-  out->clear();
-  out->reserve(batch.count);
+Result<size_t> DecodeBatchFrames(const Batch& batch, std::string* body,
+                                 std::vector<FrameView>* frames) {
   if (batch.body == nullptr) {
     if (batch.count == 0) return static_cast<size_t>(0);
     return Status::Corruption("batch has records but no body");
   }
-  std::unique_ptr<Lz::IncrementalDecompressor> inc;
-  const std::string* buf = batch.body.get();
-  if (batch.compressed) {
-    inc = std::make_unique<Lz::IncrementalDecompressor>(*batch.body);
-    buf = &inc->output();
-  }
-  size_t pos = 0;
-  // Two varints never exceed 20 bytes; ask the decompressor for that much
-  // headroom before parsing a frame header, then for the payload itself.
-  auto ensure = [&](size_t n) -> Status {
-    if (inc == nullptr) return Status::OK();
-    return inc->DecodeUntil(pos + n);
-  };
-  const uint32_t total_frames = batch.skip_frames + batch.count;
-  for (uint32_t f = 0; f < total_frames; ++f) {
-    UNILOG_RETURN_NOT_OK(ensure(20));
-    uint64_t logged_at = 0;
-    uint64_t len = 0;
-    UNILOG_RETURN_NOT_OK(GetVarintFrom(*buf, &pos, &logged_at));
-    UNILOG_RETURN_NOT_OK(GetVarintFrom(*buf, &pos, &len));
-    UNILOG_RETURN_NOT_OK(ensure(len));
-    if (buf->size() < pos + len) {
-      return Status::Corruption("batch frame: truncated payload");
+  auto no_growth = [](size_t, size_t) { return Status::OK(); };
+  const size_t before = frames->size();
+  if (before == 0) frames->reserve(batch.count);
+  size_t end = 0;
+  Status st;
+  if (!batch.compressed) {
+    st = WalkFrames(batch, *batch.body, no_growth, frames, &end);
+  } else {
+    // Decompress as far as the last included frame, then take the output
+    // and walk it again for the views: the first walk's buffer still
+    // grows (and moves) while it runs.
+    Lz::IncrementalDecompressor inc(*batch.body);
+    st = WalkFrames(
+        batch, inc.output(),
+        [&inc](size_t pos, size_t n) { return inc.DecodeUntil(pos + n); },
+        nullptr, &end);
+    if (st.ok()) {
+      *body = inc.TakeOutput();
+      st = WalkFrames(batch, *body, no_growth, frames, &end);
+      // Bytes actually materialized: the decompressor may have run a few
+      // token-granular bytes past the last frame, but never into tail
+      // frames beyond what a token straddles.
+      end = body->size();
     }
-    if (f >= batch.skip_frames) {
-      const uint32_t i = f - batch.skip_frames;
-      if (i < batch.record_sizes.size() && batch.record_sizes[i] != len) {
-        return Status::Corruption("batch frame: size index mismatch");
-      }
-      Record r;
-      r.offset = batch.base_offset + i;
-      r.producer = batch.producer;
-      r.seq = batch.first_seq + i;
-      r.appended_at = batch.appended_at(i);
-      r.logged_at = static_cast<TimeMs>(logged_at);
-      r.payload.assign(buf->data() + pos, len);
-      out->push_back(std::move(r));
-    }
-    pos += len;
   }
-  // Bytes actually materialized: for compressed bodies the decompressor
-  // may have run a few token-granular bytes past `pos`, but never into
-  // tail frames beyond what a token straddles.
-  return inc != nullptr ? inc->output().size() : pos;
+  if (!st.ok()) {
+    frames->resize(before);
+    return st;
+  }
+  return end;
+}
+
+Result<size_t> DecodeBatch(const Batch& batch, std::vector<Record>* out) {
+  out->clear();
+  std::string body;
+  std::vector<FrameView> frames;
+  UNILOG_ASSIGN_OR_RETURN(size_t materialized,
+                          DecodeBatchFrames(batch, &body, &frames));
+  out->reserve(frames.size());
+  for (uint32_t i = 0; i < frames.size(); ++i) {
+    Record& r = out->emplace_back();
+    r.offset = batch.base_offset + i;
+    r.producer = batch.producer;
+    r.seq = batch.first_seq + i;
+    r.appended_at = batch.appended_at(i);
+    r.logged_at = frames[i].logged_at;
+    r.payload.assign(frames[i].payload);
+  }
+  return materialized;
 }
 
 const Batch& PartitionLog::AppendBatch(Batch b) {

@@ -17,10 +17,11 @@ namespace unilog::broker {
 
 /// One decoded record — the unit daemons log and the warehouse lands.
 /// Inside the broker tier records travel only as members of a Batch; this
-/// struct is what DecodeBatch() materializes for the consumer (the log
-/// mover) at warehouse landing. `appended_at` (the leader-append sim time)
-/// buckets the record into its warehouse hour; `logged_at` (the daemon's
-/// Log() time) feeds the end-to-end latency histogram. The (producer, seq)
+/// struct is what DecodeBatch() materializes for replays and tests (the
+/// log mover lands FrameViews without copying them). `appended_at` (the
+/// leader-append sim time) buckets the record into its warehouse hour;
+/// `logged_at` (the daemon's Log() time) feeds the end-to-end latency
+/// histogram. The (producer, seq)
 /// pair is the idempotence key brokers use to dedup crash-retry resends.
 struct Record {
   uint64_t offset = 0;
@@ -90,13 +91,29 @@ struct Batch {
 void AppendBatchFrame(std::string* body, TimeMs logged_at,
                       std::string_view payload);
 
-/// Decodes a batch's included records into `out`, assigning offsets, seqs,
-/// and appended times from the batch metadata. Skips the skip_frames head
-/// frames and stops after `count` frames: for compressed bodies the tail
-/// past the last included frame is never decompressed (token-granular).
-/// Returns the number of uncompressed body bytes actually materialized —
-/// the probe hour-boundary tests use to assert the excluded tail stayed
-/// compressed. Corruption on malformed bodies.
+/// One included record of a batch body, as a view.
+struct FrameView {
+  TimeMs logged_at = 0;
+  std::string_view payload;
+};
+
+/// The one batch frame walker. Appends a FrameView per included record to
+/// *frames, in offset order: it skips the skip_frames head frames, stops
+/// after `count` frames and checks every included frame against
+/// record_sizes. A compressed body is decompressed into *body only as far
+/// as the last included frame (token-granular; the tail stays
+/// compressed) and the views point into *body; an uncompressed body is
+/// not copied, and the views point into the batch's own body, which must
+/// outlive them. Returns the number of uncompressed body bytes actually
+/// materialized — the probe hour-boundary tests use to assert the
+/// excluded tail stayed compressed. Corruption on malformed bodies, with
+/// *frames left as it was.
+Result<size_t> DecodeBatchFrames(const Batch& batch, std::string* body,
+                                 std::vector<FrameView>* frames);
+
+/// DecodeBatchFrames, materialized: replaces *out with the included
+/// records, assigning offsets, seqs and appended times from the batch
+/// metadata. Returns the bytes materialized, as DecodeBatchFrames does.
 Result<size_t> DecodeBatch(const Batch& batch, std::vector<Record>* out);
 
 /// An offset-addressed in-memory commit log of batch entries for one

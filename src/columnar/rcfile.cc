@@ -1,7 +1,7 @@
 #include "columnar/rcfile.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 
 #include "common/coding.h"
 #include "common/compress.h"
@@ -11,8 +11,6 @@
 namespace unilog::columnar {
 
 namespace {
-
-constexpr std::string_view kMagic = "RCF2";
 
 /// FNV-1a over a byte range: the group checksum. Zone maps and
 /// dictionaries live uncompressed in the header, where a flipped byte
@@ -476,55 +474,6 @@ Status CheckColumns(const ScanSpec& spec) {
   return Status::OK();
 }
 
-/// Encodes one column of a v1 or v2 row group. For v2, `name_ids` /
-/// `init_ids` carry the per-row dictionary ids.
-std::string EncodeColumn(const std::vector<events::ClientEvent>& rows,
-                         EventColumn column, int version,
-                         const std::vector<uint32_t>& name_ids,
-                         const std::vector<uint32_t>& init_ids) {
-  std::string out;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& ev = rows[i];
-    switch (column) {
-      case EventColumn::kInitiator:
-        if (version >= 2) {
-          PutVarint32(&out, init_ids[i]);
-        } else {
-          PutVarint64(&out, static_cast<uint64_t>(ev.initiator));
-        }
-        break;
-      case EventColumn::kEventName:
-        if (version >= 2) {
-          PutVarint32(&out, name_ids[i]);
-        } else {
-          PutLengthPrefixed(&out, ev.event_name);
-        }
-        break;
-      case EventColumn::kUserId:
-        PutSignedVarint64(&out, ev.user_id);
-        break;
-      case EventColumn::kSessionId:
-        PutLengthPrefixed(&out, ev.session_id);
-        break;
-      case EventColumn::kIp:
-        PutLengthPrefixed(&out, ev.ip);
-        break;
-      case EventColumn::kTimestamp:
-        PutSignedVarint64(&out, ev.timestamp);
-        break;
-      case EventColumn::kDetails: {
-        PutVarint64(&out, ev.details.size());
-        for (const auto& [k, v] : ev.details) {
-          PutLengthPrefixed(&out, k);
-          PutLengthPrefixed(&out, v);
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void ScanStats::MergeFrom(const ScanStats& other) {
@@ -587,15 +536,107 @@ bool RowMatcher::NameMatches(std::string_view name) const {
 }
 
 bool IsRcFile(std::string_view data) {
-  return data.size() >= kMagic.size() &&
-         data.substr(0, kMagic.size()) == kMagic;
+  return data.size() >= kRcFileMagic.size() &&
+         data.substr(0, kRcFileMagic.size()) == kRcFileMagic;
+}
+
+RowGroupEncoder::RowGroupEncoder(int format_version)
+    : version_(format_version) {}
+
+void RowGroupEncoder::Append(const events::ClientEventView& row,
+                             std::span<const events::DetailView> details) {
+  if (rows_ == 0) {
+    min_ts_ = max_ts_ = row.timestamp;
+    min_uid_ = max_uid_ = row.user_id;
+  } else {
+    min_ts_ = std::min<int64_t>(min_ts_, row.timestamp);
+    max_ts_ = std::max<int64_t>(max_ts_, row.timestamp);
+    min_uid_ = std::min(min_uid_, row.user_id);
+    max_uid_ = std::max(max_uid_, row.user_id);
+  }
+  ++rows_;
+  auto column = [this](EventColumn c) -> std::string* {
+    return &columns_[static_cast<int>(c)];
+  };
+  const auto init = static_cast<uint32_t>(row.initiator);
+  if (version_ >= 2) {
+    if (init_code_[init] == 0) {
+      init_code_[init] = ++init_count_;  // stored as code + 1
+      PutVarint32(&init_entries_, init);
+    }
+    PutVarint32(column(EventColumn::kInitiator), init_code_[init] - 1);
+    auto it = name_codes_.find(row.event_name);
+    if (it == name_codes_.end()) {
+      it = name_codes_.emplace(std::string(row.event_name), NameCode{}).first;
+    }
+    if (it->second.group != group_) {
+      it->second = NameCode{group_, name_count_++};
+      PutLengthPrefixed(&name_entries_, row.event_name);
+    }
+    PutVarint32(column(EventColumn::kEventName), it->second.code);
+  } else {
+    PutVarint64(column(EventColumn::kInitiator), init);
+    PutLengthPrefixed(column(EventColumn::kEventName), row.event_name);
+  }
+  PutSignedVarint64(column(EventColumn::kUserId), row.user_id);
+  PutLengthPrefixed(column(EventColumn::kSessionId), row.session_id);
+  PutLengthPrefixed(column(EventColumn::kIp), row.ip);
+  PutSignedVarint64(column(EventColumn::kTimestamp), row.timestamp);
+  std::string* col = column(EventColumn::kDetails);
+  PutVarint64(col, details.size());
+  for (const auto& [k, v] : details) {
+    PutLengthPrefixed(col, k);
+    PutLengthPrefixed(col, v);
+  }
+}
+
+void RowGroupEncoder::FinishGroup(std::string* out) {
+  if (rows_ == 0) return;
+  // v2 group = header | header checksum | blob checksum | blobs. The
+  // header and blob sections are built in scratch buffers so each can be
+  // checksummed as the exact byte range the reader will re-hash.
+  blobs_.clear();
+  for (std::string& column : columns_) {
+    Lz::Pooled().CompressTo(column, &compressed_);
+    PutLengthPrefixed(&blobs_, compressed_);
+    column.clear();
+  }
+  if (version_ < 2) {
+    PutVarint64(out, rows_);
+    out->append(blobs_);
+  } else {
+    header_.clear();
+    PutVarint64(&header_, rows_);
+    PutSignedVarint64(&header_, min_ts_);
+    PutSignedVarint64(&header_, max_ts_);
+    PutSignedVarint64(&header_, min_uid_);
+    PutSignedVarint64(&header_, max_uid_);
+    PutVarint64(&header_, name_count_);
+    header_.append(name_entries_);
+    PutVarint64(&header_, init_count_);
+    header_.append(init_entries_);
+    out->append(header_);
+    PutVarint32(out, Fnv1a(header_));
+    PutVarint32(out, Fnv1a(blobs_));
+    out->append(blobs_);
+  }
+  rows_ = 0;
+  ++group_;
+  name_count_ = 0;
+  name_entries_.clear();
+  // Names seen once stay cached across groups; a file with unbounded
+  // distinct names drops the cache rather than growing it forever.
+  if (name_codes_.size() > 4096) name_codes_.clear();
+  std::fill(std::begin(init_code_), std::end(init_code_), 0u);
+  init_count_ = 0;
+  init_entries_.clear();
 }
 
 RcFileWriter::RcFileWriter(std::string* out, size_t rows_per_group)
     : RcFileWriter(out, RcFileWriterOptions{rows_per_group, 2}) {}
 
 RcFileWriter::RcFileWriter(std::string* out, RcFileWriterOptions options)
-    : out_(out), options_(options) {
+    : out_(out), options_(options), encoder_(options.format_version) {
   if (options_.rows_per_group == 0) options_.rows_per_group = 1;
   if (options_.rows_per_group > kMaxRowsPerGroup) {
     options_.rows_per_group = kMaxRowsPerGroup;
@@ -607,91 +648,28 @@ Status RcFileWriter::Add(const events::ClientEvent& event) {
     return Status::FailedPrecondition(
         "rcfile: Add() after Finish() would corrupt the file tail");
   }
-  pending_.push_back(event);
+  events::ClientEventView row;
+  row.initiator = event.initiator;
+  row.event_name = event.event_name;
+  row.user_id = event.user_id;
+  row.session_id = event.session_id;
+  row.ip = event.ip;
+  row.timestamp = event.timestamp;
+  details_.clear();
+  for (const auto& [k, v] : event.details) details_.emplace_back(k, v);
+  encoder_.Append(row, details_);
   ++rows_written_;
-  if (pending_.size() >= options_.rows_per_group) FlushGroup();
+  if (encoder_.rows() >= options_.rows_per_group) FlushGroup();
   return Status::OK();
 }
 
 void RcFileWriter::FlushGroup() {
-  if (pending_.empty()) return;
-  const int version = options_.format_version;
-
-  if (version < 2) {
-    PutVarint64(out_, pending_.size());
-    for (int c = 0; c < kEventColumns; ++c) {
-      std::string column = EncodeColumn(pending_, static_cast<EventColumn>(c),
-                                        version, {}, {});
-      PutLengthPrefixed(out_, Lz::Compress(column));
-    }
-    pending_.clear();
-    return;
-  }
-
-  if (!wrote_magic_) {
-    out_->append(kMagic);
+  if (encoder_.rows() == 0) return;
+  if (options_.format_version >= 2 && !wrote_magic_) {
+    out_->append(kRcFileMagic);
     wrote_magic_ = true;
   }
-
-  // v2 group = header | header checksum | blob checksum | blobs. The
-  // header and blob sections are built in scratch buffers so each can be
-  // checksummed as the exact byte range the reader will re-hash.
-  std::string header;
-  PutVarint64(&header, pending_.size());
-
-  // Zone map over the group.
-  int64_t min_ts = pending_[0].timestamp, max_ts = pending_[0].timestamp;
-  int64_t min_uid = pending_[0].user_id, max_uid = pending_[0].user_id;
-  for (const auto& ev : pending_) {
-    min_ts = std::min<int64_t>(min_ts, ev.timestamp);
-    max_ts = std::max<int64_t>(max_ts, ev.timestamp);
-    min_uid = std::min(min_uid, ev.user_id);
-    max_uid = std::max(max_uid, ev.user_id);
-  }
-  PutSignedVarint64(&header, min_ts);
-  PutSignedVarint64(&header, max_ts);
-  PutSignedVarint64(&header, min_uid);
-  PutSignedVarint64(&header, max_uid);
-
-  // Dictionaries in first-appearance order (deterministic).
-  std::vector<uint32_t> name_ids, init_ids;
-  std::map<std::string_view, uint32_t> name_index;
-  std::vector<std::string_view> name_entries;
-  name_ids.reserve(pending_.size());
-  for (const auto& ev : pending_) {
-    auto [it, inserted] = name_index.try_emplace(
-        ev.event_name, static_cast<uint32_t>(name_entries.size()));
-    if (inserted) name_entries.push_back(ev.event_name);
-    name_ids.push_back(it->second);
-  }
-  uint32_t init_index[4] = {~0u, ~0u, ~0u, ~0u};
-  std::vector<uint32_t> init_entries;
-  init_ids.reserve(pending_.size());
-  for (const auto& ev : pending_) {
-    auto v = static_cast<uint32_t>(ev.initiator);
-    if (init_index[v] == ~0u) {
-      init_index[v] = static_cast<uint32_t>(init_entries.size());
-      init_entries.push_back(v);
-    }
-    init_ids.push_back(init_index[v]);
-  }
-  PutVarint64(&header, name_entries.size());
-  for (const auto& name : name_entries) PutLengthPrefixed(&header, name);
-  PutVarint64(&header, init_entries.size());
-  for (uint32_t v : init_entries) PutVarint32(&header, v);
-
-  std::string blobs;
-  for (int c = 0; c < kEventColumns; ++c) {
-    std::string column = EncodeColumn(pending_, static_cast<EventColumn>(c),
-                                      version, name_ids, init_ids);
-    PutLengthPrefixed(&blobs, Lz::Compress(column));
-  }
-
-  out_->append(header);
-  PutVarint32(out_, Fnv1a(header));
-  PutVarint32(out_, Fnv1a(blobs));
-  out_->append(blobs);
-  pending_.clear();
+  encoder_.FinishGroup(out_);
 }
 
 Status RcFileWriter::Finish() {
@@ -704,7 +682,7 @@ Status RcFileWriter::Finish() {
 RcFileReader::RcFileReader(std::string_view data) : data_(data) {
   if (IsRcFile(data)) {
     version_ = 2;
-    body_offset_ = kMagic.size();
+    body_offset_ = kRcFileMagic.size();
   }
 }
 

@@ -2,11 +2,14 @@
 #define UNILOG_COLUMNAR_RCFILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -149,8 +152,61 @@ class RowMatcher {
   std::vector<events::EventPattern> patterns_;
 };
 
+/// The v2 file magic. A v2 file is the magic followed by its row groups,
+/// each as RowGroupEncoder::FinishGroup emits it.
+inline constexpr std::string_view kRcFileMagic = "RCF2";
+
 /// True when `data` carries the v2 magic.
 bool IsRcFile(std::string_view data);
+
+/// The one row-group encoder. Each appended row goes straight into seven
+/// reused column buffers; the zone map is a running min/max and dictionary
+/// codes are assigned on first sight, in first-appearance order. Rows are
+/// copied as they are appended, so views may die right after Append.
+/// Not thread-safe; one encoder per thread.
+class RowGroupEncoder {
+ public:
+  /// 2 encodes zone maps + dictionaries, 1 the legacy inline layout.
+  explicit RowGroupEncoder(int format_version = 2);
+
+  void Append(const events::ClientEventView& row,
+              std::span<const events::DetailView> details);
+
+  size_t rows() const { return rows_; }
+
+  /// Appends the encoded group to *out (v2: header, header checksum, blob
+  /// checksum, blobs; v1: row count, blobs) and starts the next group.
+  /// No-op when no row was appended.
+  void FinishGroup(std::string* out);
+
+ private:
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  struct NameCode {
+    uint64_t group = 0;  // the group the code was assigned in
+    uint32_t code = 0;
+  };
+
+  int version_;
+  size_t rows_ = 0;
+  std::string columns_[kEventColumns];
+  int64_t min_ts_ = 0, max_ts_ = 0, min_uid_ = 0, max_uid_ = 0;
+  // Names seen by this encoder; a code is current only when its `group`
+  // is group_, so starting a group clears nothing.
+  std::unordered_map<std::string, NameCode, StringHash, std::equal_to<>>
+      name_codes_;
+  uint64_t group_ = 1;
+  uint32_t name_count_ = 0;
+  std::string name_entries_;  // length-prefixed, first-appearance order
+  uint32_t init_code_[4] = {};
+  uint32_t init_count_ = 0;
+  std::string init_entries_;
+  std::string header_, blobs_, compressed_;
+};
 
 /// Writer knobs.
 struct RcFileWriterOptions {
@@ -160,7 +216,8 @@ struct RcFileWriterOptions {
   int format_version = 2;
 };
 
-/// Writes client events into the columnar layout.
+/// Writes client events into the columnar layout: a thin wrapper that
+/// feeds a RowGroupEncoder and cuts a group every `rows_per_group` rows.
 class RcFileWriter {
  public:
   /// `out` receives the file body; groups hold up to `rows_per_group` rows.
@@ -184,7 +241,8 @@ class RcFileWriter {
   size_t rows_written_ = 0;
   bool finished_ = false;
   bool wrote_magic_ = false;
-  std::vector<events::ClientEvent> pending_;
+  RowGroupEncoder encoder_;
+  std::vector<events::DetailView> details_;  // per-Add scratch
 };
 
 /// Reads a columnar file (either format version), decompressing only the

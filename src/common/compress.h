@@ -107,6 +107,9 @@ class Lz {
     /// Bytes decoded so far. Grows monotonically across DecodeUntil calls.
     const std::string& output() const { return out_; }
 
+    /// Moves the decoded bytes out; the decompressor is spent afterwards.
+    std::string TakeOutput() { return std::move(out_); }
+
     /// The block's declared uncompressed size.
     uint64_t expected_size() const { return expected_; }
 

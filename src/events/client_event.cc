@@ -53,80 +53,111 @@ std::string ClientEvent::Serialize() const {
   return out;
 }
 
-namespace {
-
-// Shared field-dispatch used by both the full deserializer and the framed
-// reader: reads one struct body into *event.
-Status ReadClientEventBody(CompactReader* r, ClientEvent* event) {
-  r->BeginStruct();
-  while (true) {
-    int16_t id;
-    TType type;
-    bool stop = false, bval = false;
-    UNILOG_RETURN_NOT_OK(r->ReadFieldHeader(&id, &type, &stop, &bval));
-    if (stop) break;
-    switch (id) {
-      case ClientEvent::kFieldInitiator: {
-        if (type != TType::kI32) return Status::Corruption("bad initiator");
-        int32_t v;
-        UNILOG_RETURN_NOT_OK(r->ReadI32(&v));
-        if (v < 0 || v > 3) return Status::Corruption("bad initiator value");
-        event->initiator = static_cast<EventInitiator>(v);
-        break;
-      }
-      case ClientEvent::kFieldEventName:
-        if (type != TType::kString) return Status::Corruption("bad name");
-        UNILOG_RETURN_NOT_OK(r->ReadString(&event->event_name));
-        break;
-      case ClientEvent::kFieldUserId:
-        if (type != TType::kI64) return Status::Corruption("bad user_id");
-        UNILOG_RETURN_NOT_OK(r->ReadI64(&event->user_id));
-        break;
-      case ClientEvent::kFieldSessionId:
-        if (type != TType::kString) return Status::Corruption("bad session");
-        UNILOG_RETURN_NOT_OK(r->ReadString(&event->session_id));
-        break;
-      case ClientEvent::kFieldIp:
-        if (type != TType::kString) return Status::Corruption("bad ip");
-        UNILOG_RETURN_NOT_OK(r->ReadString(&event->ip));
-        break;
-      case ClientEvent::kFieldTimestamp:
-        if (type != TType::kI64) return Status::Corruption("bad timestamp");
-        UNILOG_RETURN_NOT_OK(r->ReadI64(&event->timestamp));
-        break;
-      case ClientEvent::kFieldEventDetails: {
-        if (type != TType::kMap) return Status::Corruption("bad details");
-        TType kt, vt;
-        uint32_t count;
-        UNILOG_RETURN_NOT_OK(r->ReadMapHeader(&kt, &vt, &count));
-        if (count > 0 && (kt != TType::kString || vt != TType::kString)) {
-          return Status::Corruption("details must be map<string,string>");
+Status ReadClientEventBody(std::string_view data, ClientEventView* event,
+                           std::vector<DetailView>* details) {
+  const size_t details_begin = details->size();
+  CompactReader r(data);
+  *event = ClientEventView{};
+  event->details_begin = event->details_end = details_begin;
+  Status st = [&]() -> Status {
+    UNILOG_RETURN_NOT_OK(r.BeginStruct());
+    while (true) {
+      int16_t id;
+      TType type;
+      bool stop = false, bval = false;
+      UNILOG_RETURN_NOT_OK(r.ReadFieldHeader(&id, &type, &stop, &bval));
+      if (stop) break;
+      switch (id) {
+        case ClientEvent::kFieldInitiator: {
+          if (type != TType::kI32) return Status::Corruption("bad initiator");
+          int32_t v;
+          UNILOG_RETURN_NOT_OK(r.ReadI32(&v));
+          if (v < 0 || v > 3) {
+            return Status::Corruption("bad initiator value");
+          }
+          event->initiator = static_cast<EventInitiator>(v);
+          break;
         }
-        event->details.clear();
-        event->details.reserve(count);
-        for (uint32_t i = 0; i < count; ++i) {
-          std::string k, v;
-          UNILOG_RETURN_NOT_OK(r->ReadString(&k));
-          UNILOG_RETURN_NOT_OK(r->ReadString(&v));
-          event->details.emplace_back(std::move(k), std::move(v));
+        case ClientEvent::kFieldEventName:
+          if (type != TType::kString) return Status::Corruption("bad name");
+          UNILOG_RETURN_NOT_OK(r.ReadString(&event->event_name));
+          break;
+        case ClientEvent::kFieldUserId:
+          if (type != TType::kI64) return Status::Corruption("bad user_id");
+          UNILOG_RETURN_NOT_OK(r.ReadI64(&event->user_id));
+          break;
+        case ClientEvent::kFieldSessionId:
+          if (type != TType::kString) {
+            return Status::Corruption("bad session");
+          }
+          UNILOG_RETURN_NOT_OK(r.ReadString(&event->session_id));
+          break;
+        case ClientEvent::kFieldIp:
+          if (type != TType::kString) return Status::Corruption("bad ip");
+          UNILOG_RETURN_NOT_OK(r.ReadString(&event->ip));
+          break;
+        case ClientEvent::kFieldTimestamp:
+          if (type != TType::kI64) {
+            return Status::Corruption("bad timestamp");
+          }
+          UNILOG_RETURN_NOT_OK(r.ReadI64(&event->timestamp));
+          break;
+        case ClientEvent::kFieldEventDetails: {
+          if (type != TType::kMap) return Status::Corruption("bad details");
+          TType kt, vt;
+          uint32_t count;
+          UNILOG_RETURN_NOT_OK(r.ReadMapHeader(&kt, &vt, &count));
+          if (count > 0 && (kt != TType::kString || vt != TType::kString)) {
+            return Status::Corruption("details must be map<string,string>");
+          }
+          // A repeated map replaces the earlier one. Entries are appended
+          // as they parse, so a hostile count costs no more than the bytes
+          // behind it.
+          details->resize(details_begin);
+          for (uint32_t i = 0; i < count; ++i) {
+            std::string_view k, v;
+            UNILOG_RETURN_NOT_OK(r.ReadString(&k));
+            UNILOG_RETURN_NOT_OK(r.ReadString(&v));
+            details->emplace_back(k, v);
+          }
+          break;
         }
-        break;
+        default:
+          // Unknown field from a newer producer: skip (schema evolution).
+          UNILOG_RETURN_NOT_OK(r.SkipValue(type, /*from_field_header=*/true));
       }
-      default:
-        // Unknown field from a newer producer: skip (schema evolution).
-        UNILOG_RETURN_NOT_OK(r->SkipValue(type, /*from_field_header=*/true));
     }
+    if (!r.AtEnd()) return Status::Corruption("trailing bytes");
+    return Status::OK();
+  }();
+  if (!st.ok()) {
+    details->resize(details_begin);
+    return st;
   }
+  event->details_end = details->size();
   return Status::OK();
 }
 
-}  // namespace
-
 Result<ClientEvent> ClientEvent::Deserialize(std::string_view data) {
-  CompactReader r(data);
+  // Per-thread details arena: the parse reuses its capacity.
+  thread_local std::vector<DetailView> details;
+  details.clear();
+  ClientEventView view;
+  UNILOG_RETURN_NOT_OK(ReadClientEventBody(data, &view, &details));
+  return Materialize(view, view.details(details));
+}
+
+ClientEvent ClientEvent::Materialize(const ClientEventView& view,
+                                     std::span<const DetailView> details) {
   ClientEvent event;
-  UNILOG_RETURN_NOT_OK(ReadClientEventBody(&r, &event));
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes");
+  event.initiator = view.initiator;
+  event.event_name.assign(view.event_name);
+  event.user_id = view.user_id;
+  event.session_id.assign(view.session_id);
+  event.ip.assign(view.ip);
+  event.timestamp = view.timestamp;
+  event.details.reserve(details.size());
+  for (const auto& [k, v] : details) event.details.emplace_back(k, v);
   return event;
 }
 
@@ -232,7 +263,7 @@ Status ClientEventReader::NextEventNameOnly(std::string* event_name) {
   pos_ += dec.position();
 
   CompactReader r(record);
-  r.BeginStruct();
+  UNILOG_RETURN_NOT_OK(r.BeginStruct());
   event_name->clear();
   while (true) {
     int16_t id;

@@ -2,6 +2,7 @@
 #define UNILOG_EVENTS_CLIENT_EVENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,6 +27,39 @@ enum class EventInitiator : int32_t {
 };
 
 const char* EventInitiatorName(EventInitiator e);
+
+/// One event_details entry, as views into a parsed message.
+using DetailView = std::pair<std::string_view, std::string_view>;
+
+/// A client event parsed in place: the strings are views into the message
+/// bytes, and the details are the entries [details_begin, details_end) of
+/// a caller-owned arena (many events may share one arena). Valid as long
+/// as the message bytes and the arena entries are.
+struct ClientEventView {
+  EventInitiator initiator = EventInitiator::kClientUser;
+  std::string_view event_name;
+  int64_t user_id = 0;
+  std::string_view session_id;
+  std::string_view ip;
+  TimeMs timestamp = 0;
+  size_t details_begin = 0;
+  size_t details_end = 0;
+
+  std::span<const DetailView> details(
+      const std::vector<DetailView>& arena) const {
+    return std::span<const DetailView>(arena).subspan(
+        details_begin, details_end - details_begin);
+  }
+};
+
+/// The one client-event parser: parses the compact-Thrift message `data`
+/// into *event, appending its details to *details one entry at a time
+/// (never sized from a claimed count). A repeated field keeps its last
+/// value, a repeated details map replaces the earlier one, and unknown
+/// fields are skipped (schema evolution). Corruption on malformed input
+/// or trailing bytes; on failure *details is left as it was.
+Status ReadClientEventBody(std::string_view data, ClientEventView* event,
+                           std::vector<DetailView>* details);
 
 /// A client event: the unified log message format (Table 2). Every Twitter
 /// client — web, iPhone, Android, iPad — logs the same structure with the
@@ -58,8 +92,12 @@ struct ClientEvent {
   void SerializeTo(std::string* out) const;
   std::string Serialize() const;
 
-  /// Deserializes one event, skipping unknown fields (schema evolution).
+  /// Deserializes one event: ReadClientEventBody, then Materialize.
   static Result<ClientEvent> Deserialize(std::string_view data);
+
+  /// Copies a parsed view (and its details from `details`) into an event.
+  static ClientEvent Materialize(const ClientEventView& view,
+                                 std::span<const DetailView> details);
 
   /// Conversions to/from the dynamic representation (used by the catalog's
   /// payload sampling).

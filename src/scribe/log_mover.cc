@@ -1,5 +1,7 @@
 #include "scribe/log_mover.h"
 
+#include <algorithm>
+
 #include "columnar/rcfile.h"
 #include "common/compress.h"
 #include "common/strings.h"
@@ -226,8 +228,6 @@ Status LogMover::MoveCategoryHour(
     broker::Batch batch;
   };
   std::vector<FetchedBatch> fetched;
-  std::vector<std::string> broker_merged;
-  std::vector<TimeMs> latencies;
   TimeMs close = hour + kMillisPerHour;
   for (size_t i = 0; i < datacenters_.size(); ++i) {
     broker::BrokerFleet* fleet = datacenters_[i].fleet;
@@ -253,32 +253,55 @@ Status LogMover::MoveCategoryHour(
     }
   }
 
-  // 0b. Decode the fetched batches — warehouse landing is the one place
-  //     the delivery path decompresses, so it rides the same exec fan-out
-  //     as the per-file unstage. Slots are per-index; the merge below
-  //     walks them in fetch order, so the merged hour is byte-identical
-  //     at any thread count.
-  std::vector<std::vector<broker::Record>> decoded(fetched.size());
-  std::vector<uint8_t> decode_failed(fetched.size(), 0);
-  exec_->ParallelFor("mover.decode_batches", fetched.size(), [&](size_t i) {
-    auto n = broker::DecodeBatch(fetched[i].batch, &decoded[i]);
-    if (!n.ok()) decode_failed[i] = 1;
-  });
-  for (size_t i = 0; i < fetched.size(); ++i) {
-    if (decode_failed[i]) {
+  // 0b. Decode the fetched batches into frame views — warehouse landing
+  //     is the one place the delivery path decompresses, so it rides the
+  //     same exec fan-out as the per-file unstage, in contiguous chunks of
+  //     batches (most batches hold a record or two). The merge below walks
+  //     the chunks in fetch order, so the merged hour is byte-identical at
+  //     any thread count. The views point into each chunk's decompressed
+  //     bodies (or a fetched batch's own uncompressed one), which live
+  //     until this hour is committed.
+  struct DecodedChunk {
+    std::vector<std::string> bodies;  // reserved up front: never moved
+    std::vector<broker::FrameView> frames;
+    bool failed = false;
+  };
+  std::vector<DecodedChunk> decoded(exec_->ChunksFor(fetched.size()));
+  std::vector<uint64_t> batch_bytes(fetched.size(), 0);
+  exec_->ParallelForChunked(
+      "mover.decode_batches", fetched.size(),
+      [&](size_t c, size_t begin, size_t end) {
+        DecodedChunk& chunk = decoded[c];
+        chunk.bodies.reserve(end - begin);
+        size_t records = 0;
+        for (size_t i = begin; i < end; ++i) records += fetched[i].batch.count;
+        chunk.frames.reserve(records);
+        for (size_t i = begin; i < end; ++i) {
+          const size_t first = chunk.frames.size();
+          if (!broker::DecodeBatchFrames(fetched[i].batch,
+                                         &chunk.bodies.emplace_back(),
+                                         &chunk.frames)
+                   .ok()) {
+            chunk.failed = true;
+            return;
+          }
+          for (size_t f = first; f < chunk.frames.size(); ++f) {
+            batch_bytes[i] += chunk.frames[f].payload.size();
+          }
+        }
+      });
+  size_t broker_records = 0;
+  for (const DecodedChunk& chunk : decoded) {
+    if (chunk.failed) {
       return Status::Corruption("broker batch decode failed: " + category);
     }
+    broker_records += chunk.frames.size();
   }
   broker_batches_decoded_->Increment(fetched.size());
+  // Consumed-byte accounting stays in uncompressed terms, matching the
+  // produce side of the audit identity.
   for (size_t i = 0; i < fetched.size(); ++i) {
-    PendingCommit& c = commits[fetched[i].commit_idx];
-    for (auto& rec : decoded[i]) {
-      // Consumed-byte accounting stays in uncompressed terms, matching the
-      // produce side of the audit identity.
-      c.bytes += rec.payload.size();
-      latencies.push_back(sim_->Now() - rec.logged_at);
-      broker_merged.push_back(std::move(rec.payload));
-    }
+    commits[fetched[i].commit_idx].bytes += batch_bytes[i];
   }
 
   if (warehouse_->Exists(final_dir)) {
@@ -318,34 +341,39 @@ Status LogMover::MoveCategoryHour(
     //    faithful.
     struct FileSlot {
       bool corrupt = false;
-      std::vector<std::string> messages;
+      std::string raw;
+      std::vector<std::string_view> messages;  // views into raw
     };
     std::vector<FileSlot> slots(staged_bodies.size());
     exec_->ParallelFor("mover.unstage", staged_bodies.size(), [&](size_t i) {
+      FileSlot& slot = slots[i];
       auto raw = Lz::Decompress(staged_bodies[i]);
+      // A corrupt file is skipped, not fatal.
       if (!raw.ok()) {
-        slots[i].corrupt = true;  // corrupt file: skipped, not fatal
+        slot.corrupt = true;
         return;
       }
-      auto messages = UnframeMessages(*raw);
-      if (!messages.ok()) {
-        slots[i].corrupt = true;
-        return;
-      }
-      slots[i].messages = std::move(*messages);
+      slot.raw = std::move(*raw);
+      slot.corrupt = !UnframeMessageViews(slot.raw, &slot.messages).ok();
     });
 
-    std::vector<std::string> merged;  // message payloads
-    for (auto& slot : slots) {
+    // Message views into the unstaged files and the decoded batches.
+    std::vector<std::string_view> merged;
+    for (const FileSlot& slot : slots) {
       if (slot.corrupt) {
         corrupt_files_skipped_->Increment();
         continue;
       }
       staging_files_read_->Increment();
-      for (auto& m : slot.messages) merged.push_back(std::move(m));
+      merged.insert(merged.end(), slot.messages.begin(), slot.messages.end());
     }
     // 3. Broker records join the same merged hour, after the staged files.
-    for (auto& m : broker_merged) merged.push_back(std::move(m));
+    merged.reserve(merged.size() + broker_records);
+    for (const DecodedChunk& chunk : decoded) {
+      for (const broker::FrameView& f : chunk.frames) {
+        merged.push_back(f.payload);
+      }
+    }
     if (!merged.empty()) {
       UNILOG_RETURN_NOT_OK(CommitMergedHour(category, hour, merged));
     }
@@ -367,14 +395,18 @@ Status LogMover::MoveCategoryHour(
                                                c.next_offset, c.records,
                                                c.bytes));
   }
-  for (TimeMs l : latencies) {
-    broker_e2e_latency_->Observe(static_cast<double>(l));
+  for (const DecodedChunk& chunk : decoded) {
+    for (const broker::FrameView& f : chunk.frames) {
+      broker_e2e_latency_->Observe(
+          static_cast<double>(sim_->Now() - f.logged_at));
+    }
   }
   return Status::OK();
 }
 
-Status LogMover::CommitMergedHour(const std::string& category, TimeMs hour,
-                                  const std::vector<std::string>& merged) {
+Status LogMover::CommitMergedHour(
+    const std::string& category, TimeMs hour,
+    const std::vector<std::string_view>& merged) {
   std::string hour_fragment = HourPartitionPath(hour);
   std::string final_dir = "/logs/" + category + "/" + hour_fragment;
 
@@ -398,44 +430,7 @@ Status LogMover::CommitMergedHour(const std::string& category, TimeMs hour,
     return Status::OK();
   };
   if (options_.columnar_categories.count(category)) {
-    // Columnar layout: parse each message back into a client event and
-    // stream it through the RCFile writer. Parse failures are preserved
-    // verbatim in a framed-compressed sidecar part (never dropped), so
-    // messages_moved still counts every merged message and the delivery
-    // audit stays balanced.
-    std::string body;
-    auto writer = std::make_unique<columnar::RcFileWriter>(&body);
-    size_t rows_in_part = 0;
-    auto flush_columnar = [&]() -> Status {
-      if (rows_in_part == 0) return Status::OK();
-      UNILOG_RETURN_NOT_OK(writer->Finish());
-      UNILOG_RETURN_NOT_OK(write_part(body));
-      columnar_files_written_->Increment();
-      body.clear();
-      writer = std::make_unique<columnar::RcFileWriter>(&body);
-      rows_in_part = 0;
-      return Status::OK();
-    };
-    std::string fallback;
-    for (const auto& m : merged) {
-      auto ev = events::ClientEvent::Deserialize(m);
-      if (!ev.ok()) {
-        AppendFramed(&fallback, m);
-        columnar_parse_fallbacks_->Increment();
-        continue;
-      }
-      UNILOG_RETURN_NOT_OK(writer->Add(*ev));
-      ++rows_in_part;
-      // body holds only flushed groups, so rotation is approximate —
-      // "files of roughly this size", as with the framed layout.
-      if (body.size() >= options_.target_file_bytes) {
-        UNILOG_RETURN_NOT_OK(flush_columnar());
-      }
-    }
-    UNILOG_RETURN_NOT_OK(flush_columnar());
-    if (!fallback.empty()) {
-      UNILOG_RETURN_NOT_OK(write_part(Lz::Compress(fallback)));
-    }
+    UNILOG_RETURN_NOT_OK(WriteColumnarParts(merged, write_part));
   } else {
     // Plan the part boundaries from message sizes alone (a greedy cut at
     // target_file_bytes), then frame + compress every part in exec
@@ -474,6 +469,91 @@ Status LogMover::CommitMergedHour(const std::string& category, TimeMs hour,
       !options_.columnar_categories.count(category)) {
     UNILOG_RETURN_NOT_OK(
         etwin::EventNameIndex::BuildForDir(warehouse_, final_dir));
+  }
+  return Status::OK();
+}
+
+Status LogMover::WriteColumnarParts(
+    const std::vector<std::string_view>& merged,
+    const std::function<Status(const std::string&)>& write_part) {
+  // Parse every message once, in place, in exec chunks. A message that
+  // fails the client-event parse is preserved verbatim in a framed-
+  // compressed sidecar part (never dropped), so messages_moved still
+  // counts every merged message and the delivery audit stays balanced.
+  struct ParsedChunk {
+    std::vector<events::ClientEventView> rows;
+    std::vector<events::DetailView> details;
+    std::vector<size_t> failed;  // indices into merged
+  };
+  std::vector<ParsedChunk> chunks(exec_->ChunksFor(merged.size()));
+  exec_->ParallelForChunked(
+      "mover.parse_events", merged.size(),
+      [&](size_t c, size_t begin, size_t end) {
+        ParsedChunk& chunk = chunks[c];
+        chunk.rows.reserve(end - begin);
+        events::ClientEventView row;
+        for (size_t i = begin; i < end; ++i) {
+          if (events::ReadClientEventBody(merged[i], &row, &chunk.details)
+                  .ok()) {
+            chunk.rows.push_back(row);
+          } else {
+            chunk.failed.push_back(i);
+          }
+        }
+      });
+  // Parsed row r of the hour is row r - row_base[c] of chunk c.
+  std::vector<size_t> row_base(chunks.size() + 1, 0);
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    row_base[c + 1] = row_base[c] + chunks[c].rows.size();
+    columnar_parse_fallbacks_->Increment(chunks[c].failed.size());
+  }
+  const size_t rows = row_base.back();
+
+  // Encode row group g, parsed rows [g * group_rows, (g + 1) * group_rows),
+  // on exec. Groups never straddle parts: an RcFileWriter's body grows
+  // only when a group flushes, so rotating on its size cuts right after a
+  // group — or, with a zero target, after every row.
+  const size_t group_rows = options_.target_file_bytes == 0
+                                ? 1
+                                : columnar::RcFileWriterOptions{}.rows_per_group;
+  const size_t num_groups = (rows + group_rows - 1) / group_rows;
+  std::vector<std::string> groups(num_groups);
+  exec_->ParallelFor("mover.encode_groups", num_groups, [&](size_t g) {
+    thread_local columnar::RowGroupEncoder encoder;
+    const size_t begin = g * group_rows;
+    const size_t end = std::min(rows, begin + group_rows);
+    size_t c = static_cast<size_t>(
+        std::upper_bound(row_base.begin(), row_base.end(), begin) -
+        row_base.begin() - 1);
+    for (size_t r = begin; r < end; ++r) {
+      while (r >= row_base[c + 1]) ++c;
+      const ParsedChunk& chunk = chunks[c];
+      const events::ClientEventView& row = chunk.rows[r - row_base[c]];
+      encoder.Append(row, row.details(chunk.details));
+    }
+    encoder.FinishGroup(&groups[g]);
+  });
+
+  // A part ends after the first group that takes its body to
+  // target_file_bytes — "files of roughly this size", as with the framed
+  // layout.
+  std::string body;
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (body.empty()) body.append(columnar::kRcFileMagic);
+    body.append(groups[g]);
+    std::string().swap(groups[g]);
+    if (body.size() >= options_.target_file_bytes || g + 1 == num_groups) {
+      UNILOG_RETURN_NOT_OK(write_part(body));
+      columnar_files_written_->Increment();
+      body.clear();
+    }
+  }
+  std::string fallback;
+  for (const ParsedChunk& chunk : chunks) {
+    for (size_t i : chunk.failed) AppendFramed(&fallback, merged[i]);
+  }
+  if (!fallback.empty()) {
+    UNILOG_RETURN_NOT_OK(write_part(Lz::Compress(fallback)));
   }
   return Status::OK();
 }

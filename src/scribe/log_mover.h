@@ -2,9 +2,11 @@
 #define UNILOG_SCRIBE_LOG_MOVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broker/fleet.h"
@@ -44,12 +46,14 @@ struct LogMoverOptions {
   /// maps + dictionaries subsume it).
   std::set<std::string> columnar_categories;
   /// The engine the mover's CPU-bound stages run on — per-batch decode,
-  /// per-staged-file decompress+unframe and per-part frame+compress, as
-  /// the exec stages mover.decode_batches, mover.unstage and
-  /// mover.build_parts. All HDFS I/O and all obs counters stay on the
-  /// calling thread, merges and part writes are committed in stable input
-  /// order, and part boundaries are planned from message sizes alone, so
-  /// the staged warehouse bytes are byte-identical at any thread count.
+  /// per-staged-file decompress+unframe, per-part frame+compress and, for
+  /// columnar categories, chunked parse and per-row-group encode, as the
+  /// exec stages mover.decode_batches, mover.unstage, mover.build_parts,
+  /// mover.parse_events and mover.encode_groups. All HDFS I/O and all obs
+  /// counters stay on the calling thread, merges and part writes are
+  /// committed in stable input order, and part boundaries are planned
+  /// from message sizes (framed) or row groups (columnar) alone, so the
+  /// staged warehouse bytes are byte-identical at any thread count.
   /// Borrowed; must outlive the mover. nullptr runs the stages inline
   /// (exec::OrInline).
   exec::Executor* executor = nullptr;
@@ -166,7 +170,16 @@ class LogMover {
   /// /logs/<category>/YYYY/MM/DD/HH/, and builds any configured index.
   /// Used by both the staging merge and the broker consumer.
   Status CommitMergedHour(const std::string& category, TimeMs hour,
-                          const std::vector<std::string>& merged);
+                          const std::vector<std::string_view>& merged);
+
+  /// The columnar half of CommitMergedHour: parses every message in place,
+  /// encodes the parsed rows as RCFile v2 row groups on exec, writes the
+  /// parts through `write_part` and then the sidecar of messages that
+  /// failed the parse. Parts are byte-identical to streaming the parsed
+  /// events through one RcFileWriter per part.
+  Status WriteColumnarParts(
+      const std::vector<std::string_view>& merged,
+      const std::function<Status(const std::string&)>& write_part);
 
   /// Deletes staged files for `category`/`hour` in every datacenter,
   /// counting the dropped files and messages as late-data loss.

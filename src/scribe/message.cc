@@ -16,15 +16,26 @@ void AppendFramed(std::string* out, std::string_view message) {
   PutLengthPrefixed(out, message);
 }
 
-Result<std::vector<std::string>> UnframeMessages(std::string_view body) {
-  std::vector<std::string> out;
+Status UnframeMessageViews(std::string_view body,
+                           std::vector<std::string_view>* out) {
+  const size_t before = out->size();
   Decoder dec(body);
   while (!dec.AtEnd()) {
     std::string_view record;
-    UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&record));
-    out.emplace_back(record);
+    Status st = dec.GetLengthPrefixed(&record);
+    if (!st.ok()) {
+      out->resize(before);
+      return st;
+    }
+    out->push_back(record);
   }
-  return out;
+  return Status::OK();
+}
+
+Result<std::vector<std::string>> UnframeMessages(std::string_view body) {
+  std::vector<std::string_view> views;
+  UNILOG_RETURN_NOT_OK(UnframeMessageViews(body, &views));
+  return std::vector<std::string>(views.begin(), views.end());
 }
 
 size_t FramedSize(std::string_view message) {
@@ -33,8 +44,8 @@ size_t FramedSize(std::string_view message) {
   return len + message.size();
 }
 
-std::vector<size_t> PlanFramedParts(const std::vector<std::string>& messages,
-                                    uint64_t target_bytes) {
+std::vector<size_t> PlanFramedParts(
+    const std::vector<std::string_view>& messages, uint64_t target_bytes) {
   std::vector<size_t> ends;
   uint64_t part_bytes = 0;
   for (size_t i = 0; i < messages.size(); ++i) {
@@ -49,8 +60,8 @@ std::vector<size_t> PlanFramedParts(const std::vector<std::string>& messages,
 }
 
 void AppendFramedRange(std::string* out,
-                       const std::vector<std::string>& messages, size_t begin,
-                       size_t end) {
+                       const std::vector<std::string_view>& messages,
+                       size_t begin, size_t end) {
   for (size_t i = begin; i < end; ++i) {
     PutLengthPrefixed(out, messages[i]);
   }

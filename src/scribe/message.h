@@ -28,8 +28,13 @@ std::string FrameMessages(const std::vector<std::string>& messages);
 /// Appends one framed record.
 void AppendFramed(std::string* out, std::string_view message);
 
-/// Parses a framed file body back into messages. Returns Corruption on a
-/// malformed stream — the log mover uses this as its sanity check.
+/// Parses a framed file body, appending each message to *out as a view
+/// into `body`. Returns Corruption on a malformed stream (with *out left
+/// as it was) — the log mover uses this as its sanity check.
+Status UnframeMessageViews(std::string_view body,
+                           std::vector<std::string_view>* out);
+
+/// UnframeMessageViews, copied out.
 Result<std::vector<std::string>> UnframeMessages(std::string_view body);
 
 /// Counts records in a framed body without materializing them.
@@ -45,13 +50,13 @@ size_t FramedSize(std::string_view message);
 /// Boundaries depend only on the message sizes, never on scheduling, which
 /// is what lets the parallel mover build and compress parts in workers yet
 /// stage bytes identical to the serial path.
-std::vector<size_t> PlanFramedParts(const std::vector<std::string>& messages,
-                                    uint64_t target_bytes);
+std::vector<size_t> PlanFramedParts(
+    const std::vector<std::string_view>& messages, uint64_t target_bytes);
 
 /// Appends the framed records for messages[begin, end) to *out.
 void AppendFramedRange(std::string* out,
-                       const std::vector<std::string>& messages, size_t begin,
-                       size_t end);
+                       const std::vector<std::string_view>& messages,
+                       size_t begin, size_t end);
 
 }  // namespace unilog::scribe
 

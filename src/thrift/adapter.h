@@ -160,7 +160,7 @@ template <typename T>
 Result<T> DeserializeTyped(std::string_view data) {
   T out{};
   CompactReader r(data);
-  r.BeginStruct();
+  UNILOG_RETURN_NOT_OK(r.BeginStruct());
   constexpr size_t kFieldCount =
       std::tuple_size_v<decltype(ThriftTraits<T>::fields())>;
   bool seen[kFieldCount] = {};

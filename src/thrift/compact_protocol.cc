@@ -1,5 +1,6 @@
 #include "thrift/compact_protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace unilog::thrift {
@@ -192,7 +193,13 @@ void CompactWriter::WriteString(std::string_view v) {
 // ---------------------------------------------------------------------------
 // CompactReader
 
-void CompactReader::BeginStruct() { last_field_.push_back(0); }
+Status CompactReader::BeginStruct() {
+  if (depth_ >= kMaxNestingDepth) {
+    return Status::Corruption("compact: structs nested too deep");
+  }
+  last_field_[depth_++] = 0;
+  return Status::OK();
+}
 
 Status CompactReader::ReadFieldHeader(int16_t* id, TType* type, bool* stop,
                                       bool* bool_value) {
@@ -201,13 +208,13 @@ Status CompactReader::ReadFieldHeader(int16_t* id, TType* type, bool* stop,
   uint8_t byte = static_cast<uint8_t>(b[0]);
   if (byte == 0) {
     *stop = true;
-    if (!last_field_.empty()) last_field_.pop_back();
+    if (depth_ > 0) --depth_;
     return Status::OK();
   }
   *stop = false;
   uint8_t nibble = byte & 0x0F;
   uint8_t delta = byte >> 4;
-  int16_t last = last_field_.empty() ? 0 : last_field_.back();
+  int16_t last = depth_ == 0 ? 0 : last_field_[depth_ - 1];
   if (delta != 0) {
     *id = static_cast<int16_t>(last + delta);
   } else {
@@ -215,7 +222,7 @@ Status CompactReader::ReadFieldHeader(int16_t* id, TType* type, bool* stop,
     UNILOG_RETURN_NOT_OK(dec_.GetVarint64(&raw));
     *id = static_cast<int16_t>(ZigZagDecode32(static_cast<uint32_t>(raw)));
   }
-  if (!last_field_.empty()) last_field_.back() = *id;
+  if (depth_ > 0) last_field_[depth_ - 1] = *id;
   UNILOG_ASSIGN_OR_RETURN(*type, FromCType(nibble));
   if (*type == TType::kBool) {
     *bool_value = (static_cast<CType>(nibble) == CType::kBoolTrue);
@@ -279,6 +286,10 @@ Status CompactReader::ReadString(std::string* v) {
   return Status::OK();
 }
 
+Status CompactReader::ReadString(std::string_view* v) {
+  return dec_.GetLengthPrefixed(v);
+}
+
 Status CompactReader::ReadListHeader(TType* elem, uint32_t* count) {
   std::string_view b;
   UNILOG_RETURN_NOT_OK(dec_.GetBytes(1, &b));
@@ -316,6 +327,14 @@ Status CompactReader::ReadMapHeader(TType* key, TType* value,
 }
 
 Status CompactReader::SkipValue(TType type, bool from_field_header) {
+  return SkipValueAt(type, from_field_header, 0);
+}
+
+Status CompactReader::SkipValueAt(TType type, bool from_field_header,
+                                  int depth) {
+  if (depth >= kMaxNestingDepth) {
+    return Status::Corruption("compact: values nested too deep");
+  }
   switch (type) {
     case TType::kBool:
       // Folded into the header when it came from a field; one byte as a
@@ -342,7 +361,7 @@ Status CompactReader::SkipValue(TType type, bool from_field_header) {
       uint32_t count;
       UNILOG_RETURN_NOT_OK(ReadListHeader(&elem, &count));
       for (uint32_t i = 0; i < count; ++i) {
-        UNILOG_RETURN_NOT_OK(SkipValue(elem, /*from_field_header=*/false));
+        UNILOG_RETURN_NOT_OK(SkipValueAt(elem, false, depth + 1));
       }
       return Status::OK();
     }
@@ -351,13 +370,13 @@ Status CompactReader::SkipValue(TType type, bool from_field_header) {
       uint32_t count;
       UNILOG_RETURN_NOT_OK(ReadMapHeader(&key, &value, &count));
       for (uint32_t i = 0; i < count; ++i) {
-        UNILOG_RETURN_NOT_OK(SkipValue(key, /*from_field_header=*/false));
-        UNILOG_RETURN_NOT_OK(SkipValue(value, /*from_field_header=*/false));
+        UNILOG_RETURN_NOT_OK(SkipValueAt(key, false, depth + 1));
+        UNILOG_RETURN_NOT_OK(SkipValueAt(value, false, depth + 1));
       }
       return Status::OK();
     }
     case TType::kStruct: {
-      BeginStruct();
+      UNILOG_RETURN_NOT_OK(BeginStruct());
       while (true) {
         int16_t id;
         TType ftype;
@@ -365,7 +384,7 @@ Status CompactReader::SkipValue(TType type, bool from_field_header) {
         bool bool_value = false;
         UNILOG_RETURN_NOT_OK(ReadFieldHeader(&id, &ftype, &stop, &bool_value));
         if (stop) return Status::OK();
-        UNILOG_RETURN_NOT_OK(SkipValue(ftype, /*from_field_header=*/true));
+        UNILOG_RETURN_NOT_OK(SkipValueAt(ftype, true, depth + 1));
       }
     }
   }
@@ -497,12 +516,14 @@ void WriteBareValue(CompactWriter* w, const ThriftValue& v) {
   }
 }
 
+// Every dynamic read descends through these two; `depth` counts the
+// containers and structs above the value, bounded like SkipValue.
 Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
-                     bool from_field_header, ThriftValue* out);
+                     bool from_field_header, int depth, ThriftValue* out);
 
-Status ReadStructBody(CompactReader* r, ThriftValue* out) {
+Status ReadStructBody(CompactReader* r, int depth, ThriftValue* out) {
   *out = ThriftValue::Struct();
-  r->BeginStruct();
+  UNILOG_RETURN_NOT_OK(r->BeginStruct());
   while (true) {
     int16_t id;
     TType ftype;
@@ -512,13 +533,17 @@ Status ReadStructBody(CompactReader* r, ThriftValue* out) {
     if (stop) return Status::OK();
     ThriftValue field;
     UNILOG_RETURN_NOT_OK(ReadBareValue(r, ftype, bool_value,
-                                       /*from_field_header=*/true, &field));
+                                       /*from_field_header=*/true, depth + 1,
+                                       &field));
     out->SetField(id, std::move(field));
   }
 }
 
 Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
-                     bool from_field_header, ThriftValue* out) {
+                     bool from_field_header, int depth, ThriftValue* out) {
+  if (depth >= CompactReader::kMaxNestingDepth) {
+    return Status::Corruption("compact: values nested too deep");
+  }
   switch (type) {
     case TType::kBool: {
       if (from_field_header) {
@@ -567,7 +592,7 @@ Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
       return Status::OK();
     }
     case TType::kStruct:
-      return ReadStructBody(r, out);
+      return ReadStructBody(r, depth, out);
     case TType::kList:
     case TType::kSet: {
       TType elem;
@@ -576,11 +601,13 @@ Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
       ListData l;
       l.elem_type = elem;
       l.is_set = (type == TType::kSet);
-      l.elems.reserve(count);
+      // Every element spends at least one byte, so the bytes left bound
+      // what a claimed count may reserve.
+      l.elems.reserve(std::min<size_t>(count, r->decoder()->remaining()));
       for (uint32_t i = 0; i < count; ++i) {
         ThriftValue e;
-        UNILOG_RETURN_NOT_OK(
-            ReadBareValue(r, elem, false, /*from_field_header=*/false, &e));
+        UNILOG_RETURN_NOT_OK(ReadBareValue(
+            r, elem, false, /*from_field_header=*/false, depth + 1, &e));
         l.elems.push_back(std::move(e));
       }
       *out = ThriftValue::List(std::move(l));
@@ -593,13 +620,13 @@ Status ReadBareValue(CompactReader* r, TType type, bool header_bool,
       MapData m;
       m.key_type = key;
       m.value_type = value;
-      m.entries.reserve(count);
+      m.entries.reserve(std::min<size_t>(count, r->decoder()->remaining()));
       for (uint32_t i = 0; i < count; ++i) {
         ThriftValue k, v;
-        UNILOG_RETURN_NOT_OK(
-            ReadBareValue(r, key, false, /*from_field_header=*/false, &k));
-        UNILOG_RETURN_NOT_OK(
-            ReadBareValue(r, value, false, /*from_field_header=*/false, &v));
+        UNILOG_RETURN_NOT_OK(ReadBareValue(
+            r, key, false, /*from_field_header=*/false, depth + 1, &k));
+        UNILOG_RETURN_NOT_OK(ReadBareValue(
+            r, value, false, /*from_field_header=*/false, depth + 1, &v));
         m.entries.emplace_back(std::move(k), std::move(v));
       }
       *out = ThriftValue::Map(std::move(m));
@@ -639,7 +666,7 @@ void Serializer::AppendFramedScratch(std::string* out) {
 Result<ThriftValue> ParseStruct(std::string_view data) {
   CompactReader r(data);
   ThriftValue out;
-  UNILOG_RETURN_NOT_OK(ReadStructBody(&r, &out));
+  UNILOG_RETURN_NOT_OK(ReadStructBody(&r, 0, &out));
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after struct");
   }
@@ -648,7 +675,7 @@ Result<ThriftValue> ParseStruct(std::string_view data) {
 
 Result<ThriftValue> ParseStructFrom(CompactReader* reader) {
   ThriftValue out;
-  UNILOG_RETURN_NOT_OK(ReadStructBody(reader, &out));
+  UNILOG_RETURN_NOT_OK(ReadStructBody(reader, 0, &out));
   return out;
 }
 

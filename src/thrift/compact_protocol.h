@@ -115,12 +115,22 @@ class CompactWriter {
 };
 
 /// Streaming reader, mirror of CompactWriter.
+///
+/// Nesting is bounded: at most kMaxNestingDepth structs may be open at
+/// once, and SkipValue descends at most kMaxNestingDepth containers or
+/// structs deep. Past either bound the reader returns Corruption instead
+/// of recursing, so a small hostile message cannot exhaust the stack.
+/// The field-id stack lives inline, so a reader allocates nothing.
 class CompactReader {
  public:
+  static constexpr int kMaxNestingDepth = 64;
+
   explicit CompactReader(std::string_view data) : dec_(data) {}
   explicit CompactReader(Decoder dec) : dec_(dec) {}
 
-  void BeginStruct();
+  /// Opens a struct context. Corruption past kMaxNestingDepth open
+  /// structs.
+  Status BeginStruct();
   /// Reads the next field header in the current struct. Sets *stop=true at
   /// the STOP byte (and pops the struct context). For bool fields the value
   /// is carried in the header: *bool_value receives it.
@@ -134,12 +144,15 @@ class CompactReader {
   Status ReadI64(int64_t* v);
   Status ReadDouble(double* v);
   Status ReadString(std::string* v);
+  /// Reads a string as a view into the reader's input (no copy).
+  Status ReadString(std::string_view* v);
   Status ReadListHeader(TType* elem, uint32_t* count);
   Status ReadMapHeader(TType* key, TType* value, uint32_t* count);
 
-  /// Skips a value of the given type (recursively for containers/structs).
-  /// `header_bool` supplies the value for bool fields folded into headers
-  /// (pass false for bare elements; bools-as-elements occupy one byte).
+  /// Skips a value of the given type (recursively for containers/structs,
+  /// at most kMaxNestingDepth levels). `from_field_header` is true for
+  /// field values, whose bools are folded into the header (bare bool
+  /// elements occupy one byte).
   Status SkipValue(TType type, bool from_field_header);
 
   /// Position bookkeeping for framing layers.
@@ -148,8 +161,12 @@ class CompactReader {
   Decoder* decoder() { return &dec_; }
 
  private:
+  Status SkipValueAt(TType type, bool from_field_header, int depth);
+
   Decoder dec_;
-  std::vector<int16_t> last_field_;
+  // Last-read field id per open struct; depth_ entries are live.
+  int16_t last_field_[kMaxNestingDepth];
+  int depth_ = 0;
 };
 
 /// Serializes a dynamic value (must be a struct) with the compact protocol.

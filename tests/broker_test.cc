@@ -21,6 +21,7 @@
 #include "broker/broker.h"
 #include "broker/fleet.h"
 #include "broker/partition_log.h"
+#include "common/coding.h"
 #include "common/compress.h"
 #include "common/rng.h"
 #include "obs/delivery_audit.h"
@@ -242,6 +243,53 @@ TEST(PartitionLogTest, HourBoundaryMidBatchSlicesWithoutDecompressingTail) {
   EXPECT_EQ(tail[0].seq, 3u);
   EXPECT_EQ(tail[0].payload, payloads[2]);
   EXPECT_EQ(tail[1].payload, payloads[3]);
+}
+
+// A frame whose length varint claims 2^64 - 1 bytes: the bounds check
+// must not wrap (there is no size index to catch it first).
+TEST(PartitionLogTest, DecodeRejectsFrameLengthThatWouldWrap) {
+  for (bool compressed : {false, true}) {
+    std::string body;
+    AppendBatchFrame(&body, kT0, "ok");
+    PutVarint64(&body, static_cast<uint64_t>(kT0));
+    PutVarint64(&body, ~uint64_t{0});
+    body.append("xyz");
+    Batch b;
+    b.count = 2;
+    b.compressed = compressed;
+    b.body = std::make_shared<const std::string>(
+        compressed ? Lz::Compress(body) : body);
+    std::vector<Record> out;
+    auto n = DecodeBatch(b, &out);
+    ASSERT_FALSE(n.ok()) << compressed;
+    EXPECT_TRUE(n.status().IsCorruption()) << n.status().ToString();
+    std::string decoded;
+    std::vector<FrameView> frames(1);
+    EXPECT_TRUE(DecodeBatchFrames(b, &decoded, &frames).status().IsCorruption());
+    EXPECT_EQ(frames.size(), 1u);  // left as it was
+  }
+}
+
+// Uncompressed bodies are walked in place: the views point into the
+// batch's own blob, with no copy.
+TEST(PartitionLogTest, FrameViewsOfUncompressedBatchPointIntoItsBody) {
+  Batch b = MakeBatch("h", 1, {"first", "second", "third"}, kT0, {},
+                      /*compressed=*/false);
+  b.skip_frames = 1;
+  b.count = 2;
+  b.record_sizes = {6, 5};
+  std::string unused;
+  std::vector<FrameView> frames;
+  auto n = DecodeBatchFrames(b, &unused, &frames);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, b.body->size());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].payload, "second");
+  EXPECT_EQ(frames[1].payload, "third");
+  EXPECT_EQ(frames[0].logged_at, kT0);
+  EXPECT_GE(frames[0].payload.data(), b.body->data());
+  EXPECT_LT(frames[1].payload.data(), b.body->data() + b.body->size());
+  EXPECT_TRUE(unused.empty());
 }
 
 TEST(PartitionLogTest, AdvanceToOpensExplicitGap) {

@@ -206,6 +206,59 @@ TEST(ClientEventTest, CorruptionDetected) {
   EXPECT_FALSE(ClientEvent::Deserialize(buf + "x").ok());
 }
 
+// Field 7 as a map<string,string> claiming 2^32 - 1 entries. Sizing the
+// details from the claimed count would throw std::bad_alloc; entries grow
+// as they parse, so the missing bytes are Corruption.
+TEST(ClientEventTest, HugeDetailsCountIsCorruptionNotAbort) {
+  const std::string m("\x7b\xff\xff\xff\xff\x0f\x88", 7);
+  auto parsed = ClientEvent::Deserialize(m);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
+TEST(ClientEventTest, ViewParserKeepsLastFieldAndLastDetailsMap) {
+  std::string m;
+  thrift::CompactWriter w(&m);
+  w.BeginStruct();
+  w.WriteStringField(ClientEvent::kFieldEventName, "first");
+  w.WriteMapFieldHeader(ClientEvent::kFieldEventDetails, thrift::TType::kString,
+                        thrift::TType::kString, 1);
+  w.WriteString("a");
+  w.WriteString("1");
+  w.WriteStringField(ClientEvent::kFieldEventName, "second");
+  w.WriteMapFieldHeader(ClientEvent::kFieldEventDetails, thrift::TType::kString,
+                        thrift::TType::kString, 2);
+  w.WriteString("b");
+  w.WriteString("2");
+  w.WriteString("c");
+  w.WriteString("3");
+  w.WriteStringField(30, "unknown");
+  w.EndStruct();
+
+  // The arena is shared: a second event appends after the first's range.
+  std::vector<DetailView> arena;
+  ClientEventView first, second;
+  ASSERT_TRUE(ReadClientEventBody(m, &first, &arena).ok());
+  ASSERT_TRUE(ReadClientEventBody(m, &second, &arena).ok());
+  EXPECT_EQ(first.event_name, "second");
+  EXPECT_EQ(first.details_begin, 0u);
+  EXPECT_EQ(first.details_end, 2u);
+  EXPECT_EQ(second.details_begin, 2u);
+  EXPECT_EQ(second.details_end, 4u);
+  ClientEvent ev = ClientEvent::Materialize(second, second.details(arena));
+  EXPECT_EQ(ev.event_name, "second");
+  EXPECT_EQ(ev.details, (std::vector<std::pair<std::string, std::string>>{
+                            {"b", "2"}, {"c", "3"}}));
+  // The views point into the message, not into copies.
+  EXPECT_GE(first.event_name.data(), m.data());
+  EXPECT_LT(first.event_name.data(), m.data() + m.size());
+
+  // A failed parse leaves the arena as it was.
+  EXPECT_FALSE(ReadClientEventBody(m.substr(0, m.size() - 3), &first, &arena)
+                   .ok());
+  EXPECT_EQ(arena.size(), 4u);
+}
+
 TEST(ClientEventTest, FindDetail) {
   ClientEvent ev = SampleEvent();
   ASSERT_NE(ev.FindDetail("rank"), nullptr);

@@ -1,0 +1,485 @@
+// Columnar warehouse landing against its frozen oracle
+// (tests/landing_oracle.h): the in-place client-event parser, the row-group
+// encoder under RcFileWriter, and the log mover's columnar parts and
+// sidecar, over staged files mixed with broker batches, at every thread
+// count.
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "broker/broker.h"
+#include "broker/fleet.h"
+#include "columnar/rcfile.h"
+#include "common/compress.h"
+#include "common/rng.h"
+#include "events/client_event.h"
+#include "exec/executor.h"
+#include "hdfs/mini_hdfs.h"
+#include "landing_oracle.h"
+#include "scribe/log_mover.h"
+#include "scribe/message.h"
+#include "sim/simulator.h"
+#include "thrift/compact_protocol.h"
+#include "zk/zookeeper.h"
+
+namespace unilog::scribe {
+namespace {
+
+constexpr TimeMs kT0 = 1345507200000;  // 2012-08-21 00:00 UTC
+constexpr char kCategory[] = "client_events";
+constexpr char kHourDir[] = "/logs/client_events/2012/08/21/00";
+
+using events::ClientEvent;
+using thrift::CompactWriter;
+using thrift::TType;
+
+// ---------------------------------------------------------------------------
+// Message generators
+
+ClientEvent RandomEvent(Rng& rng) {
+  static const char* kNames[] = {
+      "web:home:timeline:stream:tweet:impression",
+      "web:home:timeline:stream:tweet:click",
+      "iphone:profile:::follow",
+      "android:search:results::query",
+      "web:discover:::impression",
+  };
+  ClientEvent ev;
+  ev.initiator = static_cast<events::EventInitiator>(rng.Uniform(4));
+  ev.event_name = rng.Bernoulli(0.05)
+                      ? "rare:" + std::to_string(rng.Uniform(100000))
+                      : kNames[rng.Uniform(5)];
+  ev.user_id = static_cast<int64_t>(rng.Uniform(5000)) - 20;
+  ev.session_id = "s" + std::to_string(rng.Uniform(100000));
+  ev.ip = "10.0." + std::to_string(rng.Uniform(256)) + ".1";
+  ev.timestamp = kT0 + static_cast<TimeMs>(rng.Uniform(kMillisPerHour));
+  const uint64_t details = rng.Uniform(4);
+  for (uint64_t i = 0; i < details; ++i) {
+    ev.details.emplace_back("k" + std::to_string(i),
+                            std::string(rng.Uniform(12), 'v'));
+  }
+  return ev;
+}
+
+// Field 7 as a map<string,string> claiming 2^32 - 1 entries: 7 bytes.
+std::string HostileMapCount() {
+  return std::string("\x7b\xff\xff\xff\xff\x0f\x88", 7);
+}
+
+// An unknown field (id 20) holding `levels` nested struct headers.
+std::string HostileNesting(size_t levels) {
+  std::string m("\x0c\x28", 2);
+  m.append(levels, '\x1c');
+  return m;
+}
+
+// Hand-written messages the generated serializer never produces: repeated
+// fields (the last wins), unknown fields of every shape (skipped) and a
+// repeated details map (the later one replaces the earlier).
+std::string OddButValid(Rng& rng) {
+  std::string out;
+  CompactWriter w(&out);
+  w.BeginStruct();
+  switch (rng.Uniform(3)) {
+    case 0:  // duplicate fields, out of order
+      w.WriteStringField(ClientEvent::kFieldEventName, "first:name");
+      w.WriteI64Field(ClientEvent::kFieldUserId, 7);
+      w.WriteStringField(ClientEvent::kFieldEventName, "web:dup:::name");
+      w.WriteI32Field(ClientEvent::kFieldInitiator, 2);
+      w.WriteI64Field(ClientEvent::kFieldUserId,
+                      static_cast<int64_t>(rng.Uniform(100)));
+      w.WriteI64Field(ClientEvent::kFieldTimestamp, kT0 + 5);
+      break;
+    case 1:  // unknown fields between known ones
+      w.WriteI32Field(ClientEvent::kFieldInitiator, 1);
+      w.WriteStringField(ClientEvent::kFieldEventName, "web:unknown:::x");
+      w.WriteBoolField(8, true);
+      w.WriteStringField(9, "from a newer producer");
+      w.WriteListFieldHeader(10, TType::kI32, 3);
+      w.WriteI32(1);
+      w.WriteI32(2);
+      w.WriteI32(3);
+      w.WriteStructFieldHeader(11);
+      w.BeginStruct();
+      w.WriteDoubleField(1, 2.5);
+      w.WriteMapFieldHeader(2, TType::kString, TType::kI64, 1);
+      w.WriteString("n");
+      w.WriteI64(4);
+      w.EndStruct();
+      w.WriteI64Field(ClientEvent::kFieldTimestamp, kT0 + 9);
+      break;
+    default:  // repeated details map, then an empty one for half of them
+      w.WriteStringField(ClientEvent::kFieldEventName, "web:details:::x");
+      w.WriteMapFieldHeader(ClientEvent::kFieldEventDetails, TType::kString,
+                            TType::kString, 2);
+      w.WriteString("a");
+      w.WriteString("1");
+      w.WriteString("b");
+      w.WriteString("2");
+      w.WriteStringField(ClientEvent::kFieldIp, "10.9.9.9");
+      if (rng.Bernoulli(0.5)) {
+        w.WriteMapFieldHeader(ClientEvent::kFieldEventDetails,
+                              TType::kString, TType::kString, 0);
+      } else {
+        w.WriteMapFieldHeader(ClientEvent::kFieldEventDetails,
+                              TType::kString, TType::kString, 1);
+        w.WriteString("c");
+        w.WriteString("3");
+      }
+      break;
+  }
+  w.EndStruct();
+  return out;
+}
+
+std::string Garbage(Rng& rng) {
+  std::string m(rng.Uniform(40), '\0');
+  for (char& c : m) c = static_cast<char>(rng.Uniform(256));
+  return m;
+}
+
+// `rows` messages that parse plus interleaved ones that do not (garbage
+// and both hostile repros), in a seeded order.
+std::vector<std::string> MixedMessages(Rng& rng, size_t rows) {
+  std::vector<std::string> out;
+  size_t parsed = 0;
+  while (parsed < rows) {
+    const uint64_t kind = rng.Uniform(100);
+    if (kind < 3) {
+      out.push_back(Garbage(rng));
+    } else if (kind < 4) {
+      out.push_back(HostileMapCount());
+    } else if (kind < 5) {
+      out.push_back(HostileNesting(1000));
+    } else {
+      out.push_back(kind < 12 ? OddButValid(rng) : RandomEvent(rng).Serialize());
+      ++parsed;
+    }
+    // Garbage can parse by accident; keep the parsed count exact.
+    if (kind < 3 && landing_oracle::Deserialize(out.back()).ok()) ++parsed;
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// The mover over staged files plus broker batches
+
+struct LandingCase {
+  size_t rows = 0;
+  uint64_t target_file_bytes = 8 * 1024 * 1024;
+  int threads = 0;  // 0: no executor
+  uint64_t seed = 1;
+};
+
+struct Landed {
+  std::map<std::string, std::string> parts;  // path -> bytes
+  LogMoverStats stats;
+  std::vector<std::string> merged;  // what the oracle lands
+};
+
+broker::ProduceBatchRequest Request(uint64_t first_seq,
+                                    const std::vector<std::string>& payloads,
+                                    TimeMs logged_at, bool compressed) {
+  broker::ProduceBatchRequest req;
+  req.first_seq = first_seq;
+  req.count = static_cast<uint32_t>(payloads.size());
+  std::string body;
+  for (const std::string& p : payloads) {
+    broker::AppendBatchFrame(&body, logged_at, p);
+    req.record_sizes.push_back(static_cast<uint32_t>(p.size()));
+  }
+  req.body = compressed ? Lz::Compress(body) : std::move(body);
+  req.compressed = compressed;
+  return req;
+}
+
+// Stages the first third of the messages as files, then produces the rest
+// to two partitions in compressed and uncompressed batches. Half the
+// batches are resent with an overlapping head, which the leader keeps as
+// a skip_frames slice of the resent body.
+Landed RunLanding(const LandingCase& c) {
+  Rng rng(c.seed);
+  std::vector<std::string> messages = MixedMessages(rng, c.rows);
+
+  Simulator sim(kT0);
+  zk::ZooKeeper zk(&sim);
+  hdfs::MiniHdfs staging(&sim), warehouse(&sim);
+  broker::BrokerOptions bopts;
+  bopts.num_partitions = 2;
+  bopts.replication_factor = 1;
+  broker::BrokerFleet fleet(&sim, &zk, "dc1", {"brk0", "brk1"}, bopts);
+  EXPECT_TRUE(fleet.Start().ok());
+  EXPECT_TRUE(fleet.EnsureTopic(kCategory).ok());
+
+  Landed out;
+  const size_t staged_count = messages.size() / 3;
+  for (size_t begin = 0, f = 0; begin < staged_count; ++f) {
+    const size_t end = std::min(staged_count, begin + 1 + rng.Uniform(300));
+    std::vector<std::string> file(messages.begin() + begin,
+                                  messages.begin() + end);
+    std::string path = "/staging/client_events/2012/08/21/00/f" +
+                       std::string(f < 10 ? "0" : "") + std::to_string(f);
+    EXPECT_TRUE(staging.WriteFile(path, Lz::Compress(FrameMessages(file))).ok());
+    out.merged.insert(out.merged.end(), file.begin(), file.end());
+    begin = end;
+  }
+
+  sim.RunUntil(kT0 + kMillisPerMinute);
+  std::vector<std::string> per_partition[2];
+  uint64_t next_seq[2] = {1, 1};  // producer seqs start at 1
+  size_t batch_index = 0;
+  for (size_t begin = staged_count; begin < messages.size(); ++batch_index) {
+    const int p = static_cast<int>(batch_index % 2);
+    const size_t end =
+        std::min(messages.size(), begin + 1 + rng.Uniform(200));
+    std::vector<std::string> payloads(messages.begin() + begin,
+                                      messages.begin() + end);
+    // Resend the previous batch's last `overlap` records at the head.
+    uint64_t first_seq = next_seq[p];
+    const size_t overlap = batch_index % 4 >= 2
+                               ? std::min<size_t>(per_partition[p].size(), 3)
+                               : 0;
+    std::vector<std::string> sent(per_partition[p].end() - overlap,
+                                  per_partition[p].end());
+    sent.insert(sent.end(), payloads.begin(), payloads.end());
+    first_seq -= overlap;
+    broker::BrokerNode* leader = fleet.FindLeader(kCategory, p);
+    EXPECT_NE(leader, nullptr);
+    if (leader == nullptr) return out;
+    broker::ProduceAck ack;
+    Status st = leader->ProduceBatch(
+        kCategory, p, "host" + std::to_string(p),
+        Request(first_seq, sent, sim.Now(), batch_index % 3 != 1), &ack);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    per_partition[p].insert(per_partition[p].end(), payloads.begin(),
+                            payloads.end());
+    next_seq[p] += payloads.size();
+    begin = end;
+  }
+  for (const auto& records : per_partition) {
+    out.merged.insert(out.merged.end(), records.begin(), records.end());
+  }
+
+  std::unique_ptr<exec::Executor> executor;
+  if (c.threads > 0) {
+    executor = std::make_unique<exec::Executor>(
+        exec::ExecOptions{.threads = c.threads});
+  }
+  std::vector<Aggregator*> none;
+  LogMoverOptions mopts;
+  mopts.run_interval_ms = kMillisPerMinute;
+  mopts.grace_ms = kMillisPerMinute;
+  mopts.target_file_bytes = c.target_file_bytes;
+  mopts.columnar_categories = {kCategory};
+  mopts.executor = executor.get();
+  LogMover mover(&sim, {DatacenterHandle{"dc1", &staging, &none, &fleet}},
+                 &warehouse, mopts);
+  mover.Start(kT0);
+  sim.RunUntil(kT0 + kMillisPerHour + 3 * kMillisPerMinute);
+  out.stats = mover.stats();
+  auto files = warehouse.ListRecursive(kHourDir);
+  EXPECT_TRUE(files.ok()) << files.status().ToString();
+  if (files.ok()) {
+    for (const auto& f : *files) {
+      auto body = warehouse.ReadFile(f.path);
+      EXPECT_TRUE(body.ok());
+      if (body.ok()) out.parts[f.path] = *body;
+    }
+  }
+  return out;
+}
+
+std::map<std::string, std::string> OracleParts(
+    const landing_oracle::Landing& landing) {
+  std::map<std::string, std::string> out;
+  for (size_t i = 0; i < landing.parts.size(); ++i) {
+    std::string seq = std::to_string(i);
+    seq.insert(0, 5 - seq.size(), '0');
+    out[std::string(kHourDir) + "/part-" + seq] = landing.parts[i];
+  }
+  return out;
+}
+
+void ExpectMatchesOracle(const LandingCase& c) {
+  SCOPED_TRACE("rows=" + std::to_string(c.rows) + " target=" +
+               std::to_string(c.target_file_bytes) +
+               " threads=" + std::to_string(c.threads));
+  Landed landed = RunLanding(c);
+  const landing_oracle::Landing oracle =
+      landing_oracle::LandColumnar(landed.merged, c.target_file_bytes);
+  const std::map<std::string, std::string> expected = OracleParts(oracle);
+  ASSERT_EQ(landed.parts.size(), expected.size());
+  for (const auto& [path, bytes] : expected) {
+    auto it = landed.parts.find(path);
+    ASSERT_NE(it, landed.parts.end()) << path;
+    EXPECT_TRUE(it->second == bytes) << path << " differs from the oracle";
+  }
+  EXPECT_EQ(landed.stats.messages_moved, landed.merged.size());
+  EXPECT_EQ(landed.stats.columnar_parse_fallbacks, oracle.parse_fallbacks);
+  EXPECT_EQ(landed.stats.columnar_files_written,
+            oracle.parts.size() - (oracle.parse_fallbacks > 0 ? 1 : 0));
+  EXPECT_GT(landed.stats.broker_batches_decoded, 0u);
+}
+
+TEST(ColumnarLandingOracleTest, MoverMatchesFrozenLandingAcrossShapes) {
+  uint64_t seed = 1;
+  for (size_t rows : {1023u, 1024u, 1025u, 2049u}) {
+    // One part; a cut after every group; a cut after every other group or
+    // so (each 1024-row group here compresses to roughly 14-20 KiB).
+    for (uint64_t target : {uint64_t{8} << 20, uint64_t{1}, uint64_t{30000}}) {
+      for (int threads : {0, 2, 4}) {
+        ExpectMatchesOracle(LandingCase{rows, target, threads, seed++});
+      }
+    }
+  }
+}
+
+TEST(ColumnarLandingOracleTest, ZeroTargetCutsAPartPerRow) {
+  for (int threads : {0, 2}) {
+    ExpectMatchesOracle(LandingCase{37, 0, threads, 99});
+  }
+}
+
+TEST(ColumnarLandingOracleTest, HostileMessagesLandInTheSidecar) {
+  Simulator sim(kT0);
+  hdfs::MiniHdfs staging(&sim), warehouse(&sim);
+  Rng rng(5);
+  std::vector<std::string> messages = {RandomEvent(rng).Serialize(),
+                                       HostileMapCount(),
+                                       HostileNesting(100000),
+                                       RandomEvent(rng).Serialize()};
+  ASSERT_TRUE(staging
+                  .WriteFile("/staging/client_events/2012/08/21/00/f0",
+                             Lz::Compress(FrameMessages(messages)))
+                  .ok());
+  std::vector<Aggregator*> none;
+  LogMoverOptions mopts;
+  mopts.columnar_categories = {kCategory};
+  LogMover mover(&sim, {DatacenterHandle{"dc1", &staging, &none}}, &warehouse,
+                 mopts);
+  mover.Start(kT0);
+  sim.RunUntil(kT0 + kMillisPerHour + 10 * kMillisPerMinute);
+  ASSERT_EQ(mover.stats().hours_moved, 1u);
+  EXPECT_EQ(mover.stats().messages_moved, 4u);
+  EXPECT_EQ(mover.stats().columnar_parse_fallbacks, 2u);
+
+  auto sidecar = warehouse.ReadFile(std::string(kHourDir) + "/part-00001");
+  ASSERT_TRUE(sidecar.ok());
+  auto raw = Lz::Decompress(*sidecar);
+  ASSERT_TRUE(raw.ok());
+  auto kept = UnframeMessages(*raw);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(*kept, (std::vector<std::string>{messages[1], messages[2]}));
+}
+
+// ---------------------------------------------------------------------------
+// The encoder under RcFileWriter against the row-at-a-time writer
+
+TEST(ColumnarLandingOracleTest, WriterMatchesRowAtATimeWriter) {
+  Rng rng(11);
+  for (int version : {1, 2}) {
+    for (size_t rows_per_group : {1u, 3u, 1024u}) {
+      for (size_t rows : {0u, 1u, 1023u, 1024u, 1025u, 2049u}) {
+        std::string got, want;
+        columnar::RcFileWriter writer(
+            &got, columnar::RcFileWriterOptions{rows_per_group, version});
+        landing_oracle::RowWriter oracle(&want, rows_per_group, version);
+        for (size_t i = 0; i < rows; ++i) {
+          ClientEvent ev = RandomEvent(rng);
+          ASSERT_TRUE(writer.Add(ev).ok());
+          oracle.Add(ev);
+        }
+        ASSERT_TRUE(writer.Finish().ok());
+        oracle.Finish();
+        EXPECT_TRUE(got == want) << "version " << version << " rows_per_group "
+                                 << rows_per_group << " rows " << rows;
+      }
+    }
+  }
+}
+
+// One writer over many groups with more distinct names than the
+// encoder's name cache holds: codes restart per group either way.
+TEST(ColumnarLandingOracleTest, WriterMatchesOracleAcrossNameCacheResets) {
+  Rng rng(12);
+  std::string got, want;
+  columnar::RcFileWriter writer(&got, 256);
+  landing_oracle::RowWriter oracle(&want, 256);
+  for (int i = 0; i < 12000; ++i) {
+    ClientEvent ev = RandomEvent(rng);
+    if (i % 2 == 0) ev.event_name = "n" + std::to_string(i % 5000);
+    ASSERT_TRUE(writer.Add(ev).ok());
+    oracle.Add(ev);
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  oracle.Finish();
+  EXPECT_TRUE(got == want);
+}
+
+// ---------------------------------------------------------------------------
+// The view parser against the frozen owning parser
+
+void ExpectSameVerdict(const std::string& m) {
+  auto want = landing_oracle::Deserialize(m);
+  std::vector<events::DetailView> arena = {{"keep", "me"}};
+  events::ClientEventView view;
+  Status st = events::ReadClientEventBody(m, &view, &arena);
+  ASSERT_EQ(st.ok(), want.ok()) << st.ToString();
+  auto got = ClientEvent::Deserialize(m);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    // A failed parse leaves the arena as it was.
+    EXPECT_EQ(arena.size(), 1u);
+    return;
+  }
+  EXPECT_EQ(view.details_begin, 1u);
+  EXPECT_EQ(ClientEvent::Materialize(view, view.details(arena)), *want);
+  EXPECT_EQ(*got, *want);
+}
+
+TEST(ColumnarLandingOracleTest, ViewParserAcceptsExactlyWhatOracleAccepts) {
+  Rng rng(2012);
+  std::vector<std::string> seeds;
+  for (int i = 0; i < 40; ++i) seeds.push_back(RandomEvent(rng).Serialize());
+  for (int i = 0; i < 40; ++i) seeds.push_back(OddButValid(rng));
+  seeds.push_back(HostileMapCount());
+  seeds.push_back(HostileNesting(70));
+  uint64_t accepted = 0, rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string m = seeds[rng.Uniform(seeds.size())];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const size_t pos = rng.Uniform(m.size());
+      switch (rng.Uniform(5)) {
+        case 0:  // flip a byte
+          m[pos] = static_cast<char>(m[pos] ^ (1u << rng.Uniform(8)));
+          break;
+        case 1:  // truncate
+          m.resize(pos);
+          break;
+        case 2:  // insert a random byte
+          m.insert(m.begin() + pos, static_cast<char>(rng.Uniform(256)));
+          break;
+        case 3:  // duplicate a slice (repeats fields)
+          m.insert(pos, m.substr(pos, rng.Uniform(12)));
+          break;
+        default:  // drop a slice
+          m.erase(pos, rng.Uniform(6));
+          break;
+      }
+    }
+    ExpectSameVerdict(m);
+    if (HasFatalFailure()) return;
+    (landing_oracle::Deserialize(m).ok() ? accepted : rejected)++;
+  }
+  // The mutations reach both verdicts often.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+}  // namespace
+}  // namespace unilog::scribe

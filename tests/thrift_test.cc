@@ -216,6 +216,88 @@ TEST(CompactProtocolTest, TruncatedStructDetected) {
   }
 }
 
+// An unknown field holding `levels` nested struct headers, inside the
+// top-level struct: unbounded recursion over ~100 KB of them would
+// overflow the stack.
+std::string NestedStructs(size_t levels) {
+  std::string m("\x0c\x28", 2);  // field 20, struct
+  m.append(levels, '\x1c');        // field +1, struct
+  return m;
+}
+
+TEST(CompactProtocolTest, DeepNestingIsCorruptionNotStackOverflow) {
+  for (size_t levels : {size_t{64}, size_t{100000}}) {
+    const std::string m = NestedStructs(levels);
+    CompactReader r(m);
+    ASSERT_TRUE(r.BeginStruct().ok());
+    int16_t id;
+    TType type;
+    bool stop = false, b = false;
+    ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
+    Status st = r.SkipValue(type, /*from_field_header=*/true);
+    EXPECT_TRUE(st.IsCorruption()) << levels << ": " << st.ToString();
+    EXPECT_TRUE(ParseStruct(m).status().IsCorruption()) << levels;
+  }
+  // Nested lists recurse without opening structs; they are bounded too.
+  std::string lists(1, '\x19');   // field 1: list
+  lists.append(100000, '\x19');  // each a one-element list of lists
+  EXPECT_TRUE(ParseStruct(lists).status().IsCorruption());
+  CompactReader r(lists);
+  ASSERT_TRUE(r.BeginStruct().ok());
+  int16_t id;
+  TType type;
+  bool stop = false, b = false;
+  ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
+  EXPECT_TRUE(r.SkipValue(type, true).IsCorruption());
+}
+
+TEST(CompactProtocolTest, LegitimatelyNestedStructsParseAndSkip) {
+  // Ten levels of nested structs, each with a leaf field, then a trailing
+  // known field: skipped by the streaming reader, kept by the parser.
+  std::string m;
+  CompactWriter w(&m);
+  w.BeginStruct();
+  w.WriteStructFieldHeader(20);
+  for (int depth = 0; depth < 10; ++depth) {
+    w.BeginStruct();
+    w.WriteI32Field(1, depth);
+    w.WriteStructFieldHeader(2);
+  }
+  w.BeginStruct();
+  w.EndStruct();
+  for (int depth = 0; depth < 10; ++depth) w.EndStruct();
+  w.WriteStringField(21, "after");
+  w.EndStruct();
+
+  auto parsed = ParseStruct(m);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_NE(parsed->FindField(21), nullptr);
+  EXPECT_EQ(parsed->FindField(21)->string_value(), "after");
+
+  CompactReader r(m);
+  ASSERT_TRUE(r.BeginStruct().ok());
+  int16_t id;
+  TType type;
+  bool stop = false, b = false;
+  ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
+  ASSERT_EQ(id, 20);
+  ASSERT_TRUE(r.SkipValue(type, true).ok());
+  ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
+  EXPECT_EQ(id, 21);  // the enclosing struct's field ids resumed correctly
+  std::string after;
+  ASSERT_TRUE(r.ReadString(&after).ok());
+  EXPECT_EQ(after, "after");
+  ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
+  EXPECT_TRUE(stop);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+// A list claiming 2^32 - 1 elements reserves no more than its bytes.
+TEST(CompactProtocolTest, HugeClaimedListCountIsCorruption) {
+  const std::string m("\x19\xf5\xff\xff\xff\xff\x0f", 7);
+  EXPECT_TRUE(ParseStruct(m).status().IsCorruption());
+}
+
 TEST(SerializerTest, AppendStructMatchesSerializeStruct) {
   ThriftValue ev = MakeSampleEvent();
   std::string fresh;
