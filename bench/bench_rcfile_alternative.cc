@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 #include <vector>
 
 #include "analytics/udfs.h"
@@ -32,6 +33,7 @@
 #include "columnar/rcfile.h"
 #include "events/client_event.h"
 #include "events/event_name.h"
+#include "scribe/message.h"
 #include "sessions/session_sequence.h"
 
 namespace unilog {
@@ -48,6 +50,25 @@ struct LayoutRow {
 
 // Order-sensitive digest of a result set; any reordering, dropped row, or
 // field difference changes it.
+/// Events of a framed body whose name matches `query`, each message parsed
+/// in place as a view (the names-only projection of the row layouts).
+uint64_t CountMatchingNames(const std::string& body,
+                            const events::EventPattern& query) {
+  std::vector<std::string_view> records;
+  if (!scribe::UnframeMessageViews(body, &records).ok()) return 0;
+  events::ClientEventView ev;
+  std::vector<events::DetailView> details;
+  uint64_t matches = 0;
+  for (std::string_view record : records) {
+    details.clear();
+    if (events::ReadClientEventBody(record, &ev, &details).ok() &&
+        query.Matches(ev.event_name)) {
+      ++matches;
+    }
+  }
+  return matches;
+}
+
 uint64_t EventsDigest(const std::vector<events::ClientEvent>& events) {
   uint64_t h = 1469598103934665603ull;
   for (const auto& ev : events) {
@@ -243,11 +264,7 @@ int main(int argc, char** argv) {
     raw.touched_bytes = disk.size();  // must decompress everything
     raw.map_tasks = blocks(raw.disk_bytes);
     raw.needs_group_by = true;
-    events::ClientEventReader reader(body);
-    std::string name;
-    while (reader.NextEventNameOnly(&name).ok()) {
-      if (query.Matches(name)) ++raw.answer;
-    }
+    raw.answer = CountMatchingNames(body, query);
   }
 
   // ---- Layout B: session-ordered rows (rewritten by session). ----------
@@ -271,11 +288,7 @@ int main(int argc, char** argv) {
     ordered.touched_bytes = disk.size();
     ordered.map_tasks = blocks(ordered.disk_bytes);
     ordered.needs_group_by = false;  // sessions are physically contiguous
-    events::ClientEventReader reader(body);
-    std::string name;
-    while (reader.NextEventNameOnly(&name).ok()) {
-      if (query.Matches(name)) ++ordered.answer;
-    }
+    ordered.answer = CountMatchingNames(body, query);
   }
 
   // ---- Layout C: RCFile columnar. ---------------------------------------

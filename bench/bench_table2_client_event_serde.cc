@@ -7,11 +7,14 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "alloc_hooks.h"
 #include "bench_common.h"
 #include "events/client_event.h"
 #include "events/legacy.h"
+#include "scribe/message.h"
 #include "thrift/compact_protocol.h"
 
 namespace unilog {
@@ -66,15 +69,23 @@ void BM_Deserialize(benchmark::State& state) {
 BENCHMARK(BM_Deserialize);
 
 void BM_DeserializeNameOnly(benchmark::State& state) {
-  // The cheap projection path used by the histogram/index jobs.
+  // The names-only projection the index job runs: unframe a batch and
+  // parse each message in place as a view, reading just its name.
   std::string batch;
   events::ClientEventWriter writer(&batch);
   for (int i = 0; i < 100; ++i) writer.Add(SampleEvent());
+  std::vector<std::string_view> records;
+  events::ClientEventView ev;
+  std::vector<events::DetailView> details;
   for (auto _ : state) {
-    events::ClientEventReader reader(batch);
-    std::string name;
-    while (reader.NextEventNameOnly(&name).ok()) {
-      benchmark::DoNotOptimize(name);
+    records.clear();
+    if (!scribe::UnframeMessageViews(batch, &records).ok()) std::abort();
+    for (std::string_view record : records) {
+      details.clear();
+      if (!events::ReadClientEventBody(record, &ev, &details).ok()) {
+        std::abort();
+      }
+      benchmark::DoNotOptimize(ev.event_name);
     }
   }
   state.SetItemsProcessed(state.iterations() * 100);

@@ -209,19 +209,8 @@ std::vector<uint64_t> UnitWeights(const UnitVec& units) {
   return weights;
 }
 
-std::string HexU64(uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[i] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Header-only TableStats of one file body (the unit the stats cache
-/// memoizes): v2 rowgroup zone maps and dictionaries via
-/// CollectGroupStats, legacy bodies contribute bytes only.
+/// Header-only TableStats of one file body: v2 rowgroup zone maps and
+/// dictionaries via CollectGroupStats, legacy bodies contribute bytes only.
 Result<TableStats> FileTableStats(const std::string& body) {
   TableStats total;
   if (columnar::IsRcFile(body)) {
@@ -265,7 +254,7 @@ Result<std::shared_ptr<ColumnarEventScan>> ColumnarEventScan::Open(
   for (const auto& entry : listing) {
     if (IsHiddenWarehousePath(dir, entry.path)) continue;
     UNILOG_ASSIGN_OR_RETURN(std::string body, fs->ReadFile(entry.path));
-    files->push_back({entry.path, std::move(body), entry.size, entry.mtime});
+    files->push_back({entry.path, std::move(body)});
   }
 
   auto scan = std::shared_ptr<ColumnarEventScan>(new ColumnarEventScan());
@@ -603,43 +592,9 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
   return out;
 }
 
-Result<TableStats> ColumnarEventScan::Stats() const { return Stats(nullptr); }
-
-Result<TableStats> ColumnarEventScan::Stats(TableStatsCache* cache) const {
+Result<TableStats> ColumnarEventScan::Stats() const {
   TableStats total;
   for (const auto& file : *files_) {
-    if (cache != nullptr) {
-      const std::string stat_key = file.path + "|" + std::to_string(file.size) +
-                                   "|" + std::to_string(file.mtime);
-      if (auto hit = cache->FindByStat(stat_key)) {
-        total.Merge(*hit);
-        continue;
-      }
-      // Content key: the header-only v2 fingerprint, or size+mtime for
-      // files without embedded checksums (mirrors the Oink manifest).
-      std::string content_key;
-      if (columnar::IsRcFile(file.body)) {
-        columnar::RcFileReader reader(file.body);
-        Result<uint64_t> fp = reader.ContentFingerprint();
-        if (fp.ok()) {
-          content_key = "rcfp:" + HexU64(*fp);
-        } else if (!fp.status().IsFailedPrecondition()) {
-          return fp.status();
-        }
-      }
-      if (content_key.empty()) {
-        content_key = "szmt:" + std::to_string(file.size) + ":" +
-                      std::to_string(file.mtime);
-      }
-      if (auto hit = cache->FindByContent(stat_key, content_key)) {
-        total.Merge(*hit);
-        continue;
-      }
-      UNILOG_ASSIGN_OR_RETURN(TableStats t, FileTableStats(file.body));
-      cache->Put(stat_key, content_key, t);
-      total.Merge(t);
-      continue;
-    }
     UNILOG_ASSIGN_OR_RETURN(TableStats t, FileTableStats(file.body));
     total.Merge(t);
   }

@@ -116,12 +116,6 @@ class ColumnarEventScan : public PushdownScan {
   /// (nothing decompressed); legacy files contribute bytes only.
   Result<TableStats> Stats() const;
 
-  /// Stats() through a TableStatsCache: each file first resolves by
-  /// path|size|mtime (no bytes touched), then by content fingerprint
-  /// (headers only), and only a miss walks the rowgroup headers. Repeated
-  /// planning over a warm warehouse becomes pure map lookups.
-  Result<TableStats> Stats(TableStatsCache* cache) const;
-
   /// Morsel packing knobs for the parallel materialize paths (scan units
   /// weighted by row-group byte length; legacy files by body size).
   void set_morsel_options(const exec::MorselOptions& options) {
@@ -143,10 +137,6 @@ class ColumnarEventScan : public PushdownScan {
   struct LoadedFile {
     std::string path;
     std::string body;
-    /// Listing metadata, captured at Open: the stats-cache key half that
-    /// never touches the body.
-    uint64_t size = 0;
-    int64_t mtime = 0;
   };
 
   /// One independently scannable work item: a columnar row group or a

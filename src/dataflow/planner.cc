@@ -14,12 +14,6 @@ constexpr double kEqPrior = 0.1;
 constexpr double kRangePrior = 0.3;
 constexpr double kMatchesPrior = 0.2;
 
-// Share of a rowgroup's blob bytes holding the predicate-bearing encoded
-// columns (timestamp, event-name ids) out of the seven column blobs: the
-// bytes a pushdown scan decodes twice (once to select, once to
-// materialize survivors).
-constexpr double kPredicateColumnShare = 2.0 / 7.0;
-
 double Clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
 std::string HexU64(uint64_t v) {
@@ -100,41 +94,6 @@ void TableStats::Merge(const TableStats& other) {
     initiator_rows[name] += rows;
   }
   from_v2 = (was_empty || from_v2) && other.from_v2;
-}
-
-std::shared_ptr<const TableStats> TableStatsCache::FindByStat(
-    const std::string& stat_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_stat_.find(stat_key);
-  if (it == by_stat_.end()) return nullptr;
-  ++stats_.stat_hits;
-  return it->second;
-}
-
-std::shared_ptr<const TableStats> TableStatsCache::FindByContent(
-    const std::string& stat_key, const std::string& content_key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_content_.find(content_key);
-  if (it == by_content_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.content_hits;
-  by_stat_[stat_key] = it->second;  // alias: next lookup is stat-only
-  return it->second;
-}
-
-void TableStatsCache::Put(const std::string& stat_key,
-                          const std::string& content_key, TableStats stats) {
-  auto value = std::make_shared<const TableStats>(std::move(stats));
-  std::lock_guard<std::mutex> lock(mu_);
-  by_stat_[stat_key] = value;
-  by_content_[content_key] = value;
-}
-
-TableStatsCache::CacheStats TableStatsCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 std::string CanonicalFilterClause(const FilterExpr& e) {
@@ -224,35 +183,6 @@ std::vector<FilterExpr> OrderFilters(const TableStats& stats,
   out.reserve(exprs.size());
   for (const Keyed& k : keyed) out.push_back(std::move(exprs[k.idx]));
   return out;
-}
-
-ScanPlan PlanScan(const TableStats& stats,
-                  const std::vector<FilterExpr>& clauses,
-                  const JobCostModel& model) {
-  ScanPlan plan;
-  double sel = 1.0;
-  for (const FilterExpr& e : clauses) {
-    sel *= EstimateClauseSelectivity(stats, e);
-  }
-  plan.selectivity = Clamp01(sel);
-
-  const double bytes = static_cast<double>(stats.data_bytes);
-  const double per_ms = static_cast<double>(model.scan_bytes_per_ms);
-  plan.eager_ms = bytes / per_ms;
-  // Pushdown decodes the predicate columns for every row, then only the
-  // surviving rows' remaining columns.
-  plan.pushdown_ms =
-      (bytes * kPredicateColumnShare +
-       bytes * plan.selectivity * (1.0 - kPredicateColumnShare)) /
-      per_ms;
-
-  if (clauses.empty()) {
-    plan.strategy = ScanStrategy::kEager;
-  } else {
-    plan.strategy = plan.eager_ms < plan.pushdown_ms ? ScanStrategy::kEager
-                                                     : ScanStrategy::kPushdown;
-  }
-  return plan;
 }
 
 }  // namespace unilog::dataflow

@@ -3,13 +3,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "dataflow/cost_model.h"
 #include "dataflow/vector_engine.h"
 
 namespace unilog::dataflow {
@@ -22,7 +19,7 @@ namespace unilog::dataflow {
 struct TableStats {
   uint64_t total_rows = 0;
   uint64_t row_groups = 0;
-  /// On-disk bytes of the scanned files (cost-model currency).
+  /// On-disk bytes of the scanned files.
   uint64_t data_bytes = 0;
   std::optional<int64_t> min_timestamp, max_timestamp;
   std::optional<int64_t> min_user_id, max_user_id;
@@ -37,47 +34,6 @@ struct TableStats {
   bool from_v2 = false;
 
   void Merge(const TableStats& other);
-};
-
-/// Memoizes per-file TableStats so repeated planning over a warm
-/// warehouse never re-reads RCFile headers. Two-level keying:
-///
-///   1. stat key (path|size|mtime) — resolved without touching a single
-///      file byte; hits when the file is literally unchanged in place.
-///   2. content key ("rcfp:<fingerprint>" from the header-only
-///      RcFileReader::ContentFingerprint, or "szmt:<size>:<mtime>" for
-///      non-v2 files) — hits when a file was renamed or rewritten with
-///      identical content; the new stat key is recorded as an alias so
-///      the next lookup resolves at level 1.
-///
-/// Values are shared_ptr<const TableStats> for pointer stability; entries
-/// are never evicted (a warehouse's part count is bounded). Thread-safe.
-class TableStatsCache {
- public:
-  struct CacheStats {
-    uint64_t stat_hits = 0;
-    uint64_t content_hits = 0;
-    uint64_t misses = 0;
-  };
-
-  /// Level-1 lookup by stat key; null on miss.
-  std::shared_ptr<const TableStats> FindByStat(const std::string& stat_key);
-  /// Level-2 lookup by content key; records `stat_key` as an alias on a
-  /// hit so the file resolves at level 1 next time. Null on miss (which
-  /// is also counted — call only after FindByStat missed).
-  std::shared_ptr<const TableStats> FindByContent(const std::string& stat_key,
-                                                  const std::string& content_key);
-  /// Inserts the stats under both keys.
-  void Put(const std::string& stat_key, const std::string& content_key,
-           TableStats stats);
-
-  CacheStats stats() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const TableStats>> by_stat_;
-  std::map<std::string, std::shared_ptr<const TableStats>> by_content_;
-  CacheStats stats_;
 };
 
 /// Canonical `column op literal-token` text of one clause — exactly the
@@ -98,29 +54,6 @@ double EstimateClauseSelectivity(const TableStats& stats, const FilterExpr& e);
 /// output sequence.
 std::vector<FilterExpr> OrderFilters(const TableStats& stats,
                                      std::vector<FilterExpr> exprs);
-
-/// How the scan feeds the filter stack. kPushdown folds predicates into
-/// the scan (skip groups via zone maps, decode match columns first);
-/// kEager decodes everything and lets the batch Filter kernel do the
-/// work — cheaper when predicates barely filter (pushdown's re-decode of
-/// match columns outweighs the skipped rows).
-enum class ScanStrategy { kPushdown, kEager };
-
-struct ScanPlan {
-  ScanStrategy strategy = ScanStrategy::kPushdown;
-  /// Modeled costs of both alternatives (cost-model milliseconds).
-  double pushdown_ms = 0;
-  double eager_ms = 0;
-  /// Estimated fraction of rows surviving all clauses.
-  double selectivity = 1.0;
-};
-
-/// Chooses pushdown vs eager under the JobCostModel scan currency.
-/// Deterministic; no clauses => eager (pushdown has nothing to skip
-/// with), ties => pushdown.
-ScanPlan PlanScan(const TableStats& stats,
-                  const std::vector<FilterExpr>& clauses,
-                  const JobCostModel& model);
 
 }  // namespace unilog::dataflow
 

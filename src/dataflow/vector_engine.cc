@@ -250,45 +250,6 @@ BatchFilterProgram CompileBatchProgram(const ColumnBatch& batch,
   return prog;
 }
 
-/// Evaluates the program against raw row `r`. Rows rejected at a
-/// dictionary-domain step are counted into `dict_pruned`.
-inline bool ProgramPasses(const BatchFilterProgram& prog, uint32_t r,
-                          uint64_t* dict_pruned) {
-  for (const FilterStep& s : prog.steps) {
-    switch (s.kind) {
-      case FilterStep::Kind::kDictVerdict:
-        if (s.verdict[s.col->codes[r]] == 0) {
-          ++*dict_pruned;
-          return false;
-        }
-        break;
-      case FilterStep::Kind::kInt64:
-        if (!ApplyOp<int64_t>(s.op, s.col->i64[r], s.i64_lit)) return false;
-        break;
-      case FilterStep::Kind::kDouble:
-        if (!ApplyOp<double>(s.op, s.col->f64[r], s.f64_lit)) return false;
-        break;
-      case FilterStep::Kind::kBool:
-        if (!ApplyOp<bool>(s.op, s.col->b1[r] != 0, s.b1_lit)) return false;
-        break;
-      case FilterStep::Kind::kString:
-        if (!ApplyOp<std::string>(s.op, s.col->str[r], *s.str_lit)) {
-          return false;
-        }
-        break;
-      case FilterStep::Kind::kStringMatch:
-        if (!s.pattern->Matches(s.col->str[r])) return false;
-        break;
-      case FilterStep::Kind::kValue:
-        if (!EvalOpOnValue(s.op, s.col->vals[r], *s.literal, s.pattern)) {
-          return false;
-        }
-        break;
-    }
-  }
-  return true;
-}
-
 /// Compacts `sel[0..n)` in place, keeping rows where `pred` holds;
 /// returns the kept count. The write is unconditional, so the loop body
 /// carries no hard-to-predict branch.
@@ -305,7 +266,7 @@ size_t CompactIf(uint32_t* sel, size_t n, Pred pred) {
 
 /// Typed comparison compaction with the operator dispatched once, outside
 /// the row loop. Comparison forms mirror ApplyOp exactly (kLe is
-/// !(lit < v), etc.), so NaN verdicts match the row-at-a-time path.
+/// !(lit < v), etc.), so NaN verdicts match ApplyOp's.
 template <typename T>
 size_t CompactCmp(uint32_t* sel, size_t n, RelOp op, const T* col, T lit) {
   switch (op) {
@@ -331,8 +292,8 @@ size_t CompactCmp(uint32_t* sel, size_t n, RelOp op, const T* col, T lit) {
 /// selection buffer one step at a time — the kind/op dispatch runs per
 /// (batch, step) instead of per row. The surviving raw-row indices land
 /// in `sel` (in row order); rows cut at dictionary-domain steps are
-/// counted into `dict_pruned`. Verdict-equivalent to ProgramPasses row
-/// by row: a row pruned at step i never reaches step i+1 either way.
+/// counted into `dict_pruned`. A row pruned at step i never reaches step
+/// i+1, and dictionary steps run first, so each pruned row counts once.
 void RunProgramColumnar(const BatchFilterProgram& prog, const ColumnBatch& b,
                         std::vector<uint32_t>* sel, uint64_t* dict_pruned) {
   const size_t n = b.selected_rows();
@@ -1076,21 +1037,7 @@ Result<BatchRelation> BatchRelation::Filter(
       return Status::OK();
     }
     std::vector<uint32_t> kept;
-    kept.reserve(b.selected_rows());
-    if (b.has_selection()) {
-      for (uint32_t r : b.selection()) {
-        if (ProgramPasses(prog, r, &ks.dict_domain_rows_pruned)) {
-          kept.push_back(r);
-        }
-      }
-    } else {
-      const uint32_t n = static_cast<uint32_t>(b.raw_rows());
-      for (uint32_t r = 0; r < n; ++r) {
-        if (ProgramPasses(prog, r, &ks.dict_domain_rows_pruned)) {
-          kept.push_back(r);
-        }
-      }
-    }
+    RunProgramColumnar(prog, b, &kept, &ks.dict_domain_rows_pruned);
     ks.rows_out += kept.size();
     b.SetSelection(std::move(kept));
     return Status::OK();

@@ -76,7 +76,8 @@ class BatchRelation {
 
   /// Conjunctive predicate evaluation -> narrowed selection vectors. No
   /// column data is copied or boxed. Each batch compiles the conjunction
-  /// into a single-pass program: every conjunct on a dictionary column is
+  /// into a program run one step at a time over a selection buffer (the
+  /// runner FilterGroupBy shares): every conjunct on a dictionary column is
   /// folded into one per-entry verdict table (the matching code set,
   /// computed once per group dictionary), so rows compare int32 codes and
   /// the strings of filtered-out rows are never touched; dictionary steps

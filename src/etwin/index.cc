@@ -13,6 +13,9 @@ Status EventNameIndex::BuildForDir(hdfs::MiniHdfs* fs,
                                    const std::string& dir) {
   UNILOG_ASSIGN_OR_RETURN(auto files, fs->ListRecursive(dir));
   EventNameIndex index;
+  std::vector<std::string_view> records;
+  events::ClientEventView event;
+  std::vector<events::DetailView> details;
   for (const auto& file : files) {
     size_t slash = file.path.rfind('/');
     if (file.path[slash + 1] == '_') continue;  // markers, old index
@@ -21,14 +24,16 @@ Status EventNameIndex::BuildForDir(hdfs::MiniHdfs* fs,
 
     UNILOG_ASSIGN_OR_RETURN(std::string blob, fs->ReadFile(file.path));
     UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(blob));
-    // Project just the event names (cheap scan, like the indexing job).
-    events::ClientEventReader reader(body);
-    std::string name;
-    while (true) {
-      Status st = reader.NextEventNameOnly(&name);
-      if (st.IsNotFound()) break;
-      UNILOG_RETURN_NOT_OK(st);
-      index.name_to_files_[name].insert(file_id);
+    // Index each record under the name every reader parses from it. A
+    // record the parser rejects yields no event, so no name can match it
+    // and it stays unindexed.
+    records.clear();
+    UNILOG_RETURN_NOT_OK(scribe::UnframeMessageViews(body, &records));
+    for (std::string_view record : records) {
+      details.clear();
+      if (events::ReadClientEventBody(record, &event, &details).ok()) {
+        index.name_to_files_[std::string(event.event_name)].insert(file_id);
+      }
     }
   }
   std::string index_path = dir + "/" + kIndexFile;

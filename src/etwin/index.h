@@ -31,8 +31,10 @@ class EventNameIndex {
   static constexpr const char* kIndexFile = "_etwin_index";
 
   /// Scans every data file under `dir` (compressed framed client events)
-  /// and writes the index to <dir>/_etwin_index. Overwrites an existing
-  /// index (rebuild-from-scratch semantics).
+  /// and writes the index to <dir>/_etwin_index. Each record is indexed
+  /// under the name events::ReadClientEventBody parses from it; records
+  /// that parse rejects are left out. Overwrites an existing index
+  /// (rebuild-from-scratch semantics).
   static Status BuildForDir(hdfs::MiniHdfs* fs, const std::string& dir);
 
   /// Loads the index of a partition; NotFound if not built.

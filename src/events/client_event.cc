@@ -255,34 +255,4 @@ Status ClientEventReader::Next(ClientEvent* event) {
   return Status::OK();
 }
 
-Status ClientEventReader::NextEventNameOnly(std::string* event_name) {
-  if (pos_ >= data_.size()) return Status::NotFound("end of stream");
-  Decoder dec(data_.substr(pos_));
-  std::string_view record;
-  UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&record));
-  pos_ += dec.position();
-
-  CompactReader r(record);
-  UNILOG_RETURN_NOT_OK(r.BeginStruct());
-  event_name->clear();
-  while (true) {
-    int16_t id;
-    TType type;
-    bool stop = false, bval = false;
-    UNILOG_RETURN_NOT_OK(r.ReadFieldHeader(&id, &type, &stop, &bval));
-    if (stop) break;
-    if (id == ClientEvent::kFieldEventName && type == TType::kString) {
-      UNILOG_RETURN_NOT_OK(r.ReadString(event_name));
-      // Still must leave the record well-formed, but since records are
-      // length-framed we can stop scanning here.
-      return Status::OK();
-    }
-    UNILOG_RETURN_NOT_OK(r.SkipValue(type, /*from_field_header=*/true));
-  }
-  if (event_name->empty()) {
-    return Status::Corruption("record missing event_name");
-  }
-  return Status::OK();
-}
-
 }  // namespace unilog::events

@@ -139,11 +139,6 @@ class ClientEventReader {
   /// Corruption on malformed framing.
   Status Next(ClientEvent* event);
 
-  /// Reads only the event-name field of the next record, skipping the rest
-  /// of the message — the cheap projection path used by scan-time
-  /// optimizations. Returns NotFound at end-of-stream.
-  Status NextEventNameOnly(std::string* event_name);
-
  private:
   std::string_view data_;
   size_t pos_ = 0;

@@ -64,8 +64,6 @@ WorkflowEngine::WorkflowEngine(hdfs::MiniHdfs* fs, OinkOptions options,
   shared_scan_fanout_ = metrics_->GetCounter("oink.shared_scan_fanout");
   scan_bytes_ = metrics_->GetCounter("oink.scan_bytes_decompressed");
   verified_hits_ = metrics_->GetCounter("oink.verified_hits");
-  stats_cache_hits_ = metrics_->GetCounter("oink.stats_cache_hits");
-  stats_cache_misses_ = metrics_->GetCounter("oink.stats_cache_misses");
 }
 
 Status WorkflowEngine::AddWorkflow(WorkflowSpec spec) {
@@ -193,8 +191,9 @@ std::shared_ptr<dataflow::ColumnarEventScan> WorkflowEngine::BuildScan(
 
 Result<dataflow::Relation> WorkflowEngine::FinishPlanBatch(
     const Planned& plan, dataflow::BatchRelation batch,
-    const dataflow::TableStats& stats,
-    std::vector<dataflow::FilterExpr> filters) const {
+    const dataflow::TableStats& stats) const {
+  std::vector<dataflow::FilterExpr> filters;
+  filters.reserve(plan.residuals.size());
   for (const auto& clause : plan.residuals) {
     filters.push_back({clause.column, clause.op, clause.literal});
   }
@@ -330,77 +329,10 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
 
     const bool shared =
         options_.enable_shared_scans && pending.size() >= 2;
-    // Planner statistics are header-only (v2 zone maps + dictionaries,
-    // nothing decompressed), collected once per directory.
-    const dataflow::TableStatsCache::CacheStats before = stats_cache_.stats();
-    UNILOG_ASSIGN_OR_RETURN(dataflow::TableStats table_stats,
-                            base->Stats(&stats_cache_));
-    const dataflow::TableStatsCache::CacheStats after = stats_cache_.stats();
-    const uint64_t hits = (after.stat_hits - before.stat_hits) +
-                          (after.content_hits - before.content_hits);
-    const uint64_t misses = after.misses - before.misses;
-    last_tick_.stats_cache_hits += hits;
-    last_tick_.stats_cache_misses += misses;
-    stats_cache_hits_->Increment(hits);
-    stats_cache_misses_->Increment(misses);
-
     std::vector<std::shared_ptr<dataflow::ColumnarEventScan>> scans;
     scans.reserve(pending.size());
-    // Per-pending clauses the batch Filter kernel must run because the
-    // planner chose an eager scan (empty under pushdown).
-    std::vector<std::vector<dataflow::FilterExpr>> eager_filters(
-        pending.size());
-    for (size_t pi = 0; pi < pending.size(); ++pi) {
-      const Planned& plan = workflows_[pending[pi].members[0]];
-      if (!shared && !plan.projection_pushed && !plan.spec.filters.empty()) {
-        // Cost the pushdown the scan would do (the clauses PushFilter
-        // absorbs, mirrored against a plan-only probe) against decoding
-        // everything and filtering in the batch kernel. Eager is only
-        // legal when the projection stays late (every filter column is
-        // still visible to the kernel).
-        auto probe = dataflow::ColumnarEventScan::PlanOnly();
-        std::vector<dataflow::FilterExpr> pushed;
-        for (const auto& clause : plan.spec.filters) {
-          if (probe->PushFilter(clause.column, clause.op, clause.literal)) {
-            pushed.push_back({clause.column, clause.op, clause.literal});
-          }
-        }
-        if (!pushed.empty()) {
-          dataflow::ScanPlan sp = dataflow::PlanScan(
-              table_stats, pushed, dataflow::JobCostModel{});
-          if (options_.explain) {
-            explain_.push_back(
-                "[oink] " + plan.spec.name + " scan=" +
-                (sp.strategy == dataflow::ScanStrategy::kEager ? "eager"
-                                                               : "pushdown") +
-                " sel=" + std::to_string(sp.selectivity) +
-                " pushdown_ms=" + std::to_string(sp.pushdown_ms) +
-                " eager_ms=" + std::to_string(sp.eager_ms));
-          }
-          if (sp.strategy == dataflow::ScanStrategy::kEager) {
-            // Scan unfiltered; every clause (pushable or residual) runs
-            // in the batch kernel instead. Same rows, same bytes out.
-            scans.push_back(
-                std::static_pointer_cast<dataflow::ColumnarEventScan>(
-                    base->Clone()));
-            for (const auto& clause : plan.spec.filters) {
-              bool residual = std::any_of(
-                  plan.residuals.begin(), plan.residuals.end(),
-                  [&clause](const FilterClause& r) {
-                    return r.column == clause.column && r.op == clause.op &&
-                           LiteralToken(r.literal) ==
-                               LiteralToken(clause.literal);
-                  });
-              if (!residual) {
-                eager_filters[pi].push_back(
-                    {clause.column, clause.op, clause.literal});
-              }
-            }
-            continue;
-          }
-        }
-      }
-      scans.push_back(BuildScan(base, plan));
+    for (const Pending& p : pending) {
+      scans.push_back(BuildScan(base, workflows_[p.members[0]]));
     }
 
     std::vector<dataflow::BatchRelation> scanned;
@@ -439,13 +371,23 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     last_tick_.scan_bytes_decompressed += scan_stats.bytes_decompressed;
     scan_bytes_->Increment(scan_stats.bytes_decompressed);
 
+    // Planner statistics only order residual filters, so they are
+    // collected (header-only: v2 zone maps + dictionaries, nothing
+    // decompressed) once per directory, and only when some plan has two
+    // or more residuals to order.
+    dataflow::TableStats table_stats;
+    if (std::any_of(pending.begin(), pending.end(), [&](const Pending& p) {
+          return workflows_[p.members[0]].residuals.size() >= 2;
+        })) {
+      UNILOG_ASSIGN_OR_RETURN(table_stats, base->Stats());
+    }
+
     for (size_t pi = 0; pi < pending.size(); ++pi) {
       Pending& p = pending[pi];
       const Planned& plan = workflows_[p.members[0]];
       UNILOG_ASSIGN_OR_RETURN(
           dataflow::Relation rel,
-          FinishPlanBatch(plan, std::move(scanned[pi]), table_stats,
-                          std::move(eager_filters[pi])));
+          FinishPlanBatch(plan, std::move(scanned[pi]), table_stats));
       std::string serialized = dataflow::SerializeRelation(rel);
       if (p.verify_against.has_value()) {
         if (serialized != *p.verify_against) {

@@ -86,11 +86,6 @@ struct TickStats {
   uint64_t bytes_saved = 0;
   /// Hits recomputed and byte-compared under verify_cache.
   uint64_t verified_hits = 0;
-  /// Planner-stats cache traffic this tick: files resolved from the
-  /// TableStatsCache (by stat or content key) vs files whose RCFile
-  /// headers had to be walked. On a warm warehouse misses stay 0.
-  uint64_t stats_cache_hits = 0;
-  uint64_t stats_cache_misses = 0;
 };
 
 /// The memoizing, shared-scan Oink execution layer (§3's "Oink manages
@@ -163,15 +158,14 @@ class WorkflowEngine {
       const Planned& plan) const;
 
   /// The miss path's tail, shared by the cold path and verify_cache
-  /// recomputation: `filters` (eager-scan clauses, usually empty) plus the
-  /// plan's residuals run through the batch Filter kernel, ordered
-  /// most-selective-first by the planner, then late projection via
-  /// ProjectAs before the boxed stage. Filter order is pure execution
-  /// strategy: it never changes results, canonical plans, or cache keys.
+  /// recomputation: the plan's residuals run through the batch Filter
+  /// kernel (two or more ordered most-selective-first under `stats`),
+  /// then late projection via ProjectAs before the boxed stage. Filter
+  /// order is pure execution strategy: it never changes results,
+  /// canonical plans, or cache keys.
   Result<dataflow::Relation> FinishPlanBatch(
       const Planned& plan, dataflow::BatchRelation batch,
-      const dataflow::TableStats& stats,
-      std::vector<dataflow::FilterExpr> filters) const;
+      const dataflow::TableStats& stats) const;
 
   hdfs::MiniHdfs* fs_;
   OinkOptions options_;
@@ -185,10 +179,6 @@ class WorkflowEngine {
   std::map<std::string, dataflow::Relation> results_;
   TickStats last_tick_;
   std::vector<std::string> explain_;
-  /// Memoized per-part planner statistics, keyed by path|size|mtime and
-  /// content fingerprint — repeated ticks over a warm warehouse plan
-  /// without re-reading any RCFile header.
-  dataflow::TableStatsCache stats_cache_;
 
   obs::Counter* workflows_run_;
   obs::Counter* bytes_saved_;
@@ -196,8 +186,6 @@ class WorkflowEngine {
   obs::Counter* shared_scan_fanout_;
   obs::Counter* scan_bytes_;
   obs::Counter* verified_hits_;
-  obs::Counter* stats_cache_hits_;
-  obs::Counter* stats_cache_misses_;
 };
 
 /// Hooks a WorkflowEngine into the classic Oink scheduler: registers

@@ -145,15 +145,6 @@ std::string SerializeTyped(const T& value) {
   return out;
 }
 
-/// Appends `value` to *out as one varint-length-prefixed framed record,
-/// serializing through `ser`'s scratch buffer so batched writers (the
-/// ingest hot path) reuse one allocation across records.
-template <typename T>
-void SerializeTypedFramed(const T& value, Serializer* ser, std::string* out) {
-  SerializeTypedTo(value, ser->scratch());
-  ser->AppendFramedScratch(out);
-}
-
 /// Deserializes a traited struct, skipping unknown fields; fails on
 /// missing required fields or wire-type mismatches.
 template <typename T>

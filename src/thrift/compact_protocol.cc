@@ -647,22 +647,6 @@ Status SerializeStruct(const ThriftValue& value, std::string* out) {
   return Status::OK();
 }
 
-Status Serializer::AppendStruct(const ThriftValue& value, std::string* out) {
-  if (!value.is_struct()) {
-    return Status::InvalidArgument("AppendStruct: value is not a struct");
-  }
-  writer_.Reset(out);
-  WriteStructBody(&writer_, value.struct_value());
-  // Re-point at the owned scratch so the writer never dangles on a caller
-  // buffer that may be freed before the next call.
-  writer_.Reset(&scratch_);
-  return Status::OK();
-}
-
-void Serializer::AppendFramedScratch(std::string* out) {
-  PutLengthPrefixed(out, scratch_);
-}
-
 Result<ThriftValue> ParseStruct(std::string_view data) {
   CompactReader r(data);
   ThriftValue out;

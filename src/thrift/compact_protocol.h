@@ -62,15 +62,6 @@ class CompactWriter {
  public:
   explicit CompactWriter(std::string* out) : out_(out) {}
 
-  /// Re-points the writer at a new output buffer, discarding any open
-  /// struct contexts but keeping the field-id stack's capacity — the
-  /// reusable-state hook Serializer builds on so per-record writers stop
-  /// allocating.
-  void Reset(std::string* out) {
-    out_ = out;
-    last_field_.clear();
-  }
-
   /// Struct nesting. BeginStruct pushes a fresh last-field-id context.
   void BeginStruct();
   void EndStruct();
@@ -172,42 +163,6 @@ class CompactReader {
 /// Serializes a dynamic value (must be a struct) with the compact protocol.
 /// Appends to *out (caller-owned; callers on hot paths reuse the buffer).
 Status SerializeStruct(const ThriftValue& value, std::string* out);
-
-/// Reusable serialization state for the ingest hot path. Owns a scratch
-/// buffer (capacity persists across records) and a CompactWriter whose
-/// field-id stack is recycled, so serializing a message per log entry stops
-/// allocating once the buffers warm up. The typical shape is
-///
-///   std::string* s = ser.scratch();        // cleared, capacity kept
-///   event.SerializeTo(s);                  // or ser.AppendStruct(...)
-///   ser.AppendFramedScratch(&body);        // varint length + bytes
-///
-/// Not thread-safe; one Serializer per thread/owner.
-class Serializer {
- public:
-  Serializer() : writer_(&scratch_) {}
-
-  Serializer(const Serializer&) = delete;
-  Serializer& operator=(const Serializer&) = delete;
-
-  /// Appends the compact-protocol bytes of `value` (a struct) to *out,
-  /// reusing the internal writer state.
-  Status AppendStruct(const ThriftValue& value, std::string* out);
-
-  /// Clears and returns the scratch buffer; capacity persists.
-  std::string* scratch() {
-    scratch_.clear();
-    return &scratch_;
-  }
-
-  /// Appends the scratch buffer to *out as one varint-length-prefixed
-  /// framed record (the scribe::Message / client-event file framing).
-  void AppendFramedScratch(std::string* out);
-
- private:
-  std::string scratch_;
-  CompactWriter writer_;
-};
 
 /// Parses one compact-protocol struct from `data`, consuming the whole
 /// buffer. Self-describing: no schema needed.

@@ -7,14 +7,17 @@
 #include <vector>
 
 #include "analytics/udfs.h"
+#include "common/compress.h"
 #include "etwin/index.h"
 #include "events/client_event.h"
 #include "events/event_name.h"
 #include "events/rollup.h"
 #include "scribe/aggregator.h"
 #include "scribe/log_mover.h"
+#include "scribe/message.h"
 #include "sessions/dictionary.h"
 #include "sim/simulator.h"
+#include "thrift/compact_protocol.h"
 #include "zk/zookeeper.h"
 
 namespace unilog {
@@ -65,6 +68,83 @@ TEST(LogMoverIndexTest, MoverBuildsUsableIndexForConfiguredCategories) {
   auto files = index->FilesMatching(events::EventPattern("*:impression"));
   ASSERT_EQ(files.size(), 1u);
   EXPECT_TRUE(warehouse.Exists(files[0]));
+}
+
+// A client-event message written field by field, so tests can repeat or
+// omit fields the way a hostile or older producer might.
+std::string RawClientEvent(const std::vector<std::string>& names,
+                           int64_t user_id) {
+  std::string out;
+  thrift::CompactWriter w(&out);
+  w.BeginStruct();
+  for (const auto& name : names) {
+    w.WriteStringField(events::ClientEvent::kFieldEventName, name);
+  }
+  w.WriteI64Field(events::ClientEvent::kFieldUserId, user_id);
+  w.EndStruct();
+  return out;
+}
+
+TEST(LogMoverIndexTest, RepeatedNameIndexesTheNameReadersSee) {
+  Simulator sim(kT0);
+  hdfs::MiniHdfs fs(&sim);
+  const std::string msg =
+      RawClientEvent({"web:home:::tweet:first", "web:home:::tweet:last"}, 1);
+  auto parsed = events::ClientEvent::Deserialize(msg);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->event_name, "web:home:::tweet:last");
+
+  const std::string dir = "/logs/client_events/2012/08/21/00";
+  ASSERT_TRUE(fs.Mkdirs(dir).ok());
+  ASSERT_TRUE(fs.WriteFile(dir + "/part-00000",
+                           Lz::Compress(scribe::FrameMessages({msg})))
+                  .ok());
+  ASSERT_TRUE(etwin::EventNameIndex::BuildForDir(&fs, dir).ok());
+  auto index = etwin::EventNameIndex::Load(fs, dir);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->distinct_event_names(), 1u);
+  EXPECT_EQ(index->FilesMatching(events::EventPattern("*:last")).size(), 1u);
+  EXPECT_TRUE(index->FilesMatching(events::EventPattern("*:first")).empty());
+}
+
+TEST(LogMoverIndexTest, NamelessMessageIsIndexedWithoutRetryOrLateDrop) {
+  Simulator sim(kT0);
+  zk::ZooKeeper zk(&sim);
+  hdfs::MiniHdfs staging(&sim), warehouse(&sim);
+  scribe::ScribeOptions sopts;
+  sopts.roll_interval_ms = 10 * kMillisPerSecond;
+  scribe::Aggregator agg(&sim, &zk, &staging, "dc1", "a1", sopts);
+  ASSERT_TRUE(agg.Start().ok());
+  std::vector<scribe::Aggregator*> aggs = {&agg};
+
+  scribe::LogMoverOptions mopts;
+  mopts.run_interval_ms = kMillisPerMinute;
+  mopts.grace_ms = kMillisPerMinute;
+  mopts.index_categories = {"client_events"};
+  scribe::LogMover mover(&sim,
+                         {scribe::DatacenterHandle{"dc1", &staging, &aggs}},
+                         &warehouse, mopts);
+  mover.Start(kT0);
+
+  // Field 2 is optional on the wire: the message parses with an empty name.
+  const std::string nameless = RawClientEvent({}, 7);
+  ASSERT_TRUE(events::ClientEvent::Deserialize(nameless).ok());
+  ASSERT_TRUE(agg.Receive({{"client_events", nameless},
+                           {"client_events",
+                            RawClientEvent({"web:home:::tweet:click"}, 8)}})
+                  .ok());
+  agg.RollAll();
+  sim.RunUntil(kT0 + kMillisPerHour + 3 * kMillisPerMinute);
+
+  const scribe::LogMoverStats stats = mover.stats();
+  EXPECT_EQ(stats.messages_moved, 2u);
+  EXPECT_EQ(stats.move_retries, 0u);
+  EXPECT_EQ(stats.late_entries_dropped, 0u);
+  const std::string hour_dir = "/logs/client_events/2012/08/21/00";
+  ASSERT_TRUE(warehouse.Exists(hour_dir + "/_etwin_index"));
+  auto index = etwin::EventNameIndex::Load(warehouse, hour_dir);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->FilesMatching(events::EventPattern("*:click")).size(), 1u);
 }
 
 TEST(FunnelEdgeTest, RepeatedStageEventsCountInOrder) {

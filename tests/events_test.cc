@@ -13,6 +13,7 @@
 #include "thrift/compact_protocol.h"
 #include "events/legacy.h"
 #include "events/rollup.h"
+#include "scribe/message.h"
 
 namespace unilog::events {
 namespace {
@@ -307,13 +308,16 @@ TEST(ClientEventBatchTest, NameOnlyProjection) {
   writer.Add(a);
   writer.Add(b);
 
-  ClientEventReader reader(buf);
-  std::string name;
-  ASSERT_TRUE(reader.NextEventNameOnly(&name).ok());
-  EXPECT_EQ(name, kExample);
-  ASSERT_TRUE(reader.NextEventNameOnly(&name).ok());
-  EXPECT_EQ(name, "iphone:home:::tweet:favorite");
-  EXPECT_TRUE(reader.NextEventNameOnly(&name).IsNotFound());
+  // Names project from in-place views over the framed batch.
+  std::vector<std::string_view> records;
+  ASSERT_TRUE(scribe::UnframeMessageViews(buf, &records).ok());
+  ASSERT_EQ(records.size(), 2u);
+  ClientEventView view;
+  std::vector<DetailView> details;
+  ASSERT_TRUE(ReadClientEventBody(records[0], &view, &details).ok());
+  EXPECT_EQ(view.event_name, kExample);
+  ASSERT_TRUE(ReadClientEventBody(records[1], &view, &details).ok());
+  EXPECT_EQ(view.event_name, "iphone:home:::tweet:favorite");
 }
 
 TEST(ClientEventBatchTest, CorruptFramingDetected) {

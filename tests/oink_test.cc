@@ -438,44 +438,6 @@ TEST_F(WorkflowEngineTest, ColdThenWarmTickIsByteIdenticalAndScanFree) {
   EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
 }
 
-TEST_F(WorkflowEngineTest, StatsCacheSkipsHeaderRereadsOnWarmTicks) {
-  WriteHour(0);
-  // Artifact cache off so every tick actually plans (a fully-warm tick
-  // never opens a scan and thus never consults planner stats at all).
-  OinkOptions options;
-  options.enable_cache = false;
-  WorkflowEngine engine(&fs_, options);
-  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
-
-  ASSERT_TRUE(engine.RunTick(0).ok());
-  EXPECT_EQ(engine.last_tick().stats_cache_misses, 1u);  // one part file
-  EXPECT_EQ(engine.last_tick().stats_cache_hits, 0u);
-  std::string cold = ResultBytes(engine, "clicks");
-
-  // Same warehouse: the second plan resolves from the stats cache without
-  // touching a single RCFile header, and answers stay byte-identical.
-  ASSERT_TRUE(engine.RunTick(0).ok());
-  EXPECT_EQ(engine.last_tick().stats_cache_misses, 0u);
-  EXPECT_EQ(engine.last_tick().stats_cache_hits, 1u);
-  EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
-  EXPECT_EQ(engine.metrics()->GetCounter("oink.stats_cache_hits")->value(),
-            1u);
-  EXPECT_EQ(engine.metrics()->GetCounter("oink.stats_cache_misses")->value(),
-            1u);
-
-  // A rewritten part under a new name re-fingerprints but its content is
-  // unchanged: the content key hits, counting as a hit, not a miss.
-  ASSERT_TRUE(fs_.Exists(HourDir(0) + "/part-00000"));
-  auto body = fs_.ReadFile(HourDir(0) + "/part-00000");
-  ASSERT_TRUE(body.ok());
-  ASSERT_TRUE(fs_.Delete(HourDir(0) + "/part-00000", false).ok());
-  ASSERT_TRUE(fs_.WriteFile(HourDir(0) + "/part-renamed", *body).ok());
-  ASSERT_TRUE(engine.RunTick(0).ok());
-  EXPECT_EQ(engine.last_tick().stats_cache_misses, 0u);
-  EXPECT_EQ(engine.last_tick().stats_cache_hits, 1u);
-  EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
-}
-
 TEST_F(WorkflowEngineTest, CacheSurvivesEngineRestart) {
   WriteHour(0);
   std::string cold;

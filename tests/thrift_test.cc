@@ -298,53 +298,6 @@ TEST(CompactProtocolTest, HugeClaimedListCountIsCorruption) {
   EXPECT_TRUE(ParseStruct(m).status().IsCorruption());
 }
 
-TEST(SerializerTest, AppendStructMatchesSerializeStruct) {
-  ThriftValue ev = MakeSampleEvent();
-  std::string fresh;
-  ASSERT_TRUE(SerializeStruct(ev, &fresh).ok());
-  Serializer ser;
-  std::string reused;
-  for (int i = 0; i < 3; ++i) {
-    reused.clear();
-    ASSERT_TRUE(ser.AppendStruct(ev, &reused).ok());
-    EXPECT_EQ(reused, fresh) << "pass " << i;
-  }
-}
-
-TEST(SerializerTest, AppendStructAppendsWithoutClobbering) {
-  ThriftValue ev = MakeSampleEvent();
-  std::string out = "prefix";
-  Serializer ser;
-  ASSERT_TRUE(ser.AppendStruct(ev, &out).ok());
-  std::string fresh;
-  ASSERT_TRUE(SerializeStruct(ev, &fresh).ok());
-  EXPECT_EQ(out, "prefix" + fresh);
-}
-
-TEST(SerializerTest, ScratchReuseKeepsCapacity) {
-  ThriftValue ev = MakeSampleEvent();
-  Serializer ser;
-  std::string framed;
-  ASSERT_TRUE(SerializeStruct(ev, ser.scratch()).ok());
-  ser.AppendFramedScratch(&framed);
-  std::string* scratch = ser.scratch();  // clears, keeps capacity
-  EXPECT_TRUE(scratch->empty());
-  EXPECT_GT(scratch->capacity(), 0u);
-  // A second framed append is byte-identical to the first record.
-  std::string again;
-  ASSERT_TRUE(SerializeStruct(ev, ser.scratch()).ok());
-  ser.AppendFramedScratch(&again);
-  EXPECT_EQ(again, framed);
-}
-
-TEST(SerializerTest, AppendStructRejectsNonStruct) {
-  Serializer ser;
-  std::string out = "keep";
-  EXPECT_TRUE(ser.AppendStruct(ThriftValue::Bool(true), &out)
-                  .IsInvalidArgument());
-  EXPECT_EQ(out, "keep");  // untouched on error
-}
-
 TEST(CompactProtocolTest, SerializeRejectsNonStruct) {
   std::string buf;
   EXPECT_TRUE(SerializeStruct(ThriftValue::I32(1), &buf).IsInvalidArgument());

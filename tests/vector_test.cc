@@ -741,36 +741,6 @@ TEST(PlannerTest, OrderingNeverChangesFilterAnswers) {
   EXPECT_EQ(BatchBytes(batch.Filter(exprs).value()), want);
 }
 
-TEST(PlannerTest, PlanScanPushdownVsEager) {
-  dataflow::TableStats stats;
-  stats.total_rows = 1000000;
-  stats.row_groups = 1000;
-  stats.data_bytes = 64 << 20;
-  stats.min_timestamp = 0;
-  stats.max_timestamp = 999999;
-  stats.from_v2 = true;
-  dataflow::JobCostModel model;
-
-  // No clauses: nothing to push, eager by definition.
-  auto none = dataflow::PlanScan(stats, {}, model);
-  EXPECT_EQ(none.strategy, dataflow::ScanStrategy::kEager);
-
-  // A selective clause: pushdown reads predicate columns + survivors only,
-  // strictly cheaper than decoding everything.
-  std::vector<FilterExpr> selective{{"timestamp", "<", Value::Int(10000)}};
-  auto push = dataflow::PlanScan(stats, selective, model);
-  EXPECT_EQ(push.strategy, dataflow::ScanStrategy::kPushdown);
-  EXPECT_LT(push.pushdown_ms, push.eager_ms);
-  EXPECT_GT(push.selectivity, 0.0);
-  EXPECT_LT(push.selectivity, 1.0);
-
-  // Deterministic: same inputs, same plan.
-  auto again = dataflow::PlanScan(stats, selective, model);
-  EXPECT_EQ(again.strategy, push.strategy);
-  EXPECT_EQ(again.pushdown_ms, push.pushdown_ms);
-  EXPECT_EQ(again.eager_ms, push.eager_ms);
-}
-
 TEST(PlannerTest, InitiatorSelectivityUsesCodeDomainStats) {
   dataflow::TableStats stats;
   stats.total_rows = 10000;
@@ -798,73 +768,47 @@ TEST(PlannerTest, InitiatorSelectivityUsesCodeDomainStats) {
                    0.1);
 }
 
-TEST(PlannerTest, TableStatsCacheTwoLevelLookup) {
-  dataflow::TableStatsCache cache;
-  dataflow::TableStats stats;
-  stats.total_rows = 42;
-  stats.from_v2 = true;
-  cache.Put("p1|100|5", "rcfp:abc", stats);
-
-  // Level 1: stat-key hit.
-  auto hit = cache.FindByStat("p1|100|5");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->total_rows, 42u);
-
-  // Level 2: a renamed file misses by stat but hits by content, and the
-  // new stat key is recorded as an alias for next time.
-  EXPECT_EQ(cache.FindByStat("p2|100|9"), nullptr);
-  auto content = cache.FindByContent("p2|100|9", "rcfp:abc");
-  ASSERT_NE(content, nullptr);
-  EXPECT_EQ(content->total_rows, 42u);
-  EXPECT_NE(cache.FindByStat("p2|100|9"), nullptr);
-
-  // A genuinely new file misses both levels.
-  EXPECT_EQ(cache.FindByStat("p3|1|1"), nullptr);
-  EXPECT_EQ(cache.FindByContent("p3|1|1", "rcfp:zzz"), nullptr);
-
-  auto counts = cache.stats();
-  EXPECT_EQ(counts.stat_hits, 2u);
-  EXPECT_EQ(counts.content_hits, 1u);
-  EXPECT_EQ(counts.misses, 1u);
-}
-
-TEST(PlannerTest, StatsThroughCacheMatchDirectAndSkipRereads) {
+TEST(PlannerTest, StatsMatchMergedPerPartStats) {
   auto fs = ScanWarehouse(67, kScanBase, 160);
   auto scan = dataflow::ColumnarEventScan::Open(fs.get(), "/events").value();
   auto direct = scan->Stats();
   ASSERT_TRUE(direct.ok());
 
-  dataflow::TableStatsCache cache;
-  auto cold = scan->Stats(&cache);
-  ASSERT_TRUE(cold.ok());
-  auto after_cold = cache.stats();
-  EXPECT_EQ(after_cold.stat_hits, 0u);
-  EXPECT_EQ(after_cold.misses, 3u);  // 2 v2 parts + 1 legacy part
-
-  auto warm = scan->Stats(&cache);
-  ASSERT_TRUE(warm.ok());
-  auto after_warm = cache.stats();
-  EXPECT_EQ(after_warm.misses, after_cold.misses);  // no re-reads
-  EXPECT_EQ(after_warm.stat_hits, 3u);
-
-  // All three agree with the uncached walk, field for field.
-  for (const auto* s : {&*cold, &*warm}) {
-    EXPECT_EQ(s->total_rows, direct->total_rows);
-    EXPECT_EQ(s->row_groups, direct->row_groups);
-    EXPECT_EQ(s->data_bytes, direct->data_bytes);
-    EXPECT_EQ(s->min_timestamp, direct->min_timestamp);
-    EXPECT_EQ(s->max_timestamp, direct->max_timestamp);
-    EXPECT_EQ(s->min_user_id, direct->min_user_id);
-    EXPECT_EQ(s->max_user_id, direct->max_user_id);
-    EXPECT_EQ(s->name_rows, direct->name_rows);
-    EXPECT_EQ(s->initiator_rows, direct->initiator_rows);
-    EXPECT_EQ(s->from_v2, direct->from_v2);
+  // Each part alone (2 v2 parts + 1 legacy part), merged in listing order,
+  // must reproduce the directory's stats field for field.
+  dataflow::TableStats merged;
+  for (const char* part : {"part-00000", "part-00001", "part-legacy"}) {
+    const std::string dir = std::string("/solo/") + part;
+    auto body = fs->ReadFile(std::string("/events/") + part);
+    ASSERT_TRUE(body.ok());
+    ASSERT_TRUE(fs->WriteFile(dir + "/" + part, *body).ok());
+    auto one = dataflow::ColumnarEventScan::Open(fs.get(), dir).value();
+    auto stats = one->Stats();
+    ASSERT_TRUE(stats.ok()) << part;
+    if (std::string(part) == "part-legacy") {
+      // Legacy parts are opaque to a header walk: bytes only.
+      EXPECT_EQ(stats->total_rows, 0u);
+      EXPECT_EQ(stats->row_groups, 0u);
+      EXPECT_EQ(stats->data_bytes, body->size());
+      EXPECT_FALSE(stats->from_v2);
+      EXPECT_FALSE(stats->min_timestamp.has_value());
+      EXPECT_TRUE(stats->name_rows.empty());
+    } else {
+      EXPECT_EQ(stats->total_rows, 160u);
+      EXPECT_TRUE(stats->from_v2);
+    }
+    merged.Merge(*stats);
   }
-
-  // A second scan over the same warehouse resolves purely by stat key.
-  auto scan2 = dataflow::ColumnarEventScan::Open(fs.get(), "/events").value();
-  ASSERT_TRUE(scan2->Stats(&cache).ok());
-  EXPECT_EQ(cache.stats().misses, after_cold.misses);
+  EXPECT_EQ(merged.total_rows, direct->total_rows);
+  EXPECT_EQ(merged.row_groups, direct->row_groups);
+  EXPECT_EQ(merged.data_bytes, direct->data_bytes);
+  EXPECT_EQ(merged.min_timestamp, direct->min_timestamp);
+  EXPECT_EQ(merged.max_timestamp, direct->max_timestamp);
+  EXPECT_EQ(merged.min_user_id, direct->min_user_id);
+  EXPECT_EQ(merged.max_user_id, direct->max_user_id);
+  EXPECT_EQ(merged.name_rows, direct->name_rows);
+  EXPECT_EQ(merged.initiator_rows, direct->initiator_rows);
+  EXPECT_EQ(merged.from_v2, direct->from_v2);
 }
 
 TEST(PlannerTest, StatsExposeInitiatorDictionaries) {
