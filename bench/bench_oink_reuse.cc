@@ -6,8 +6,8 @@
 // four recurring workflows over the same hours, and measures three ways
 // of running every (hour × workflow) tick:
 //
-//   baseline — memoization off, shared scans off: every workflow scans
-//              its input independently (the pre-Oink status quo);
+//   baseline — memoization off, one engine per workflow: every workflow
+//              scans its input alone (the pre-Oink status quo);
 //   cold     — cache on + shared scans on, empty cache: same-directory
 //              workflows ride one union scan, results are written to the
 //              content-addressed cache under /warehouse/_cache;
@@ -28,6 +28,7 @@
 // Results land in BENCH_oink.json section "oink_reuse".
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -123,17 +124,25 @@ struct PassResult {
   bool ok = false;
 };
 
-// Runs every tick through a fresh engine, folding each workflow's
-// serialized result into the digest after every tick.
+// Runs every tick through fresh engines, folding each workflow's
+// serialized result into the digest after every tick. With
+// `engine_per_workflow` each workflow gets its own engine, so no two plans
+// share a scan; otherwise one engine runs them all.
 PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
-                   oink::OinkOptions options, exec::Executor* exec) {
+                   oink::OinkOptions options, exec::Executor* exec,
+                   bool engine_per_workflow = false) {
   PassResult r;
-  oink::WorkflowEngine engine(fs, options, nullptr, exec);
-  std::vector<oink::WorkflowSpec> specs = MakeWorkflows();
+  std::vector<std::unique_ptr<oink::WorkflowEngine>> engines;
   std::vector<std::string> names;
-  for (auto& spec : specs) {
+  std::vector<const oink::WorkflowEngine*> owners;
+  for (auto& spec : MakeWorkflows()) {
+    if (engines.empty() || engine_per_workflow) {
+      engines.push_back(
+          std::make_unique<oink::WorkflowEngine>(fs, options, nullptr, exec));
+    }
     names.push_back(spec.name);
-    Status st = engine.AddWorkflow(std::move(spec));
+    owners.push_back(engines.back().get());
+    Status st = engines.back()->AddWorkflow(std::move(spec));
     if (!st.ok()) {
       std::fprintf(stderr, "AddWorkflow: %s\n", st.ToString().c_str());
       return r;
@@ -141,24 +150,26 @@ PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
   }
   bench::WallTimer timer;
   for (int64_t tick : ticks) {
-    Status st = engine.RunTick(tick);
-    if (!st.ok()) {
-      std::fprintf(stderr, "RunTick(%lld): %s\n",
-                   static_cast<long long>(tick), st.ToString().c_str());
-      return r;
+    for (auto& engine : engines) {
+      Status st = engine->RunTick(tick);
+      if (!st.ok()) {
+        std::fprintf(stderr, "RunTick(%lld): %s\n",
+                     static_cast<long long>(tick), st.ToString().c_str());
+        return r;
+      }
+      const oink::TickStats& t = engine->last_tick();
+      r.scan_bytes += t.scan_bytes_decompressed;
+      r.hits += t.cache_hits;
+      r.misses += t.cache_misses;
+      r.shared_groups += t.shared_scan_groups;
+      r.shared_fanout += t.shared_scan_fanout;
+      r.bytes_saved += t.bytes_saved;
+      r.verified_hits += t.verified_hits;
     }
-    const oink::TickStats& t = engine.last_tick();
-    r.scan_bytes += t.scan_bytes_decompressed;
-    r.hits += t.cache_hits;
-    r.misses += t.cache_misses;
-    r.shared_groups += t.shared_scan_groups;
-    r.shared_fanout += t.shared_scan_fanout;
-    r.bytes_saved += t.bytes_saved;
-    r.verified_hits += t.verified_hits;
-    for (const std::string& name : names) {
-      auto rel = engine.ResultFor(name);
+    for (size_t i = 0; i < names.size(); ++i) {
+      auto rel = owners[i]->ResultFor(names[i]);
       if (!rel.ok()) {
-        std::fprintf(stderr, "ResultFor(%s): %s\n", name.c_str(),
+        std::fprintf(stderr, "ResultFor(%s): %s\n", names[i].c_str(),
                      rel.status().ToString().c_str());
         return r;
       }
@@ -217,8 +228,7 @@ int main(int argc, char** argv) {
 
   oink::OinkOptions baseline_opts;
   baseline_opts.enable_cache = false;
-  baseline_opts.enable_shared_scans = false;
-  oink::OinkOptions oink_opts;  // defaults: cache + shared scans on
+  oink::OinkOptions oink_opts;  // defaults: cache on
   oink::OinkOptions warm_opts = oink_opts;
   warm_opts.verify_cache = verify_cache;
 
@@ -233,7 +243,8 @@ int main(int argc, char** argv) {
     eopts.threads = threads;
     exec::Executor executor(eopts);
     if (!ClearCache(&fs)) return 1;
-    PassResult b = RunPass(&fs, ticks, baseline_opts, &executor);
+    PassResult b = RunPass(&fs, ticks, baseline_opts, &executor,
+                           /*engine_per_workflow=*/true);
     PassResult c = RunPass(&fs, ticks, oink_opts, &executor);
     PassResult w = RunPass(&fs, ticks, warm_opts, &executor);
     if (!b.ok || !c.ok || !w.ok) return 1;

@@ -22,6 +22,9 @@
 // timestamp-range + event-name ScanSpec, verifying the pushdown scan is
 // byte-identical to full-scan-then-filter at 1/2/8 threads and measuring
 // the reduction in bytes decompressed. Results land in BENCH_scan.json.
+//
+// Exits nonzero when any E16 shape check reads NO or E18's pushdown scan
+// diverges or misses its reduction floor.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,6 +36,7 @@
 #include "columnar/rcfile.h"
 #include "events/client_event.h"
 #include "events/event_name.h"
+#include "landing_oracle.h"
 #include "scribe/message.h"
 #include "sessions/session_sequence.h"
 
@@ -296,11 +300,9 @@ int main(int argc, char** argv) {
   {
     std::string body;
     // The plain v1 layout: §4.2 weighed RCFile as-published, without the
-    // zone-map/dictionary fast path E18 adds below.
-    columnar::RcFileWriterOptions wo;
-    wo.rows_per_group = 1024;
-    wo.format_version = 1;
-    columnar::RcFileWriter writer(&body, wo);
+    // zone-map/dictionary fast path E18 adds below. Only the frozen test
+    // writer still writes v1.
+    landing_oracle::RowWriter writer(&body, 1024, 1);
     for (const auto& ev : all) writer.Add(ev);
     writer.Finish();
     rcfile.disk_bytes = body.size();
@@ -361,37 +363,38 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.answer));
   }
 
-  bool answers_agree = raw.answer == ordered.answer &&
-                       raw.answer == rcfile.answer && raw.answer == seqs.answer;
+  const bool answers_agree = raw.answer == ordered.answer &&
+                             raw.answer == rcfile.answer &&
+                             raw.answer == seqs.answer;
+  const bool ordered_shape =
+      !ordered.needs_group_by && ordered.disk_bytes > raw.disk_bytes / 2;
+  const bool rcfile_shape = rcfile.touched_bytes < raw.touched_bytes / 4 &&
+                            rcfile.map_tasks >= raw.map_tasks / 2 &&
+                            rcfile.needs_group_by;
+  const bool seqs_shape = seqs.map_tasks <= rcfile.map_tasks &&
+                          seqs.map_tasks <= ordered.map_tasks &&
+                          seqs.touched_bytes < rcfile.touched_bytes &&
+                          !seqs.needs_group_by;
   std::printf("\nshape checks (the paper's §4.2 reasoning):\n");
   std::printf("  all layouts give the same answer:                    %s\n",
               answers_agree ? "YES" : "NO");
   std::printf("  session-ordered kills group-by but not scans:        %s "
               "(disk %s vs raw %s)\n",
-              !ordered.needs_group_by &&
-                      ordered.disk_bytes > raw.disk_bytes / 2
-                  ? "YES"
-                  : "NO",
+              ordered_shape ? "YES" : "NO",
               HumanBytes(ordered.disk_bytes).c_str(),
               HumanBytes(raw.disk_bytes).c_str());
   std::printf("  rcfile cuts per-task bytes but not mappers/group-by: %s "
               "(touched %s, tasks %llu vs %llu)\n",
-              rcfile.touched_bytes < raw.touched_bytes / 4 &&
-                      rcfile.map_tasks >= raw.map_tasks / 2 &&
-                      rcfile.needs_group_by
-                  ? "YES"
-                  : "NO",
+              rcfile_shape ? "YES" : "NO",
               HumanBytes(rcfile.touched_bytes).c_str(),
               static_cast<unsigned long long>(rcfile.map_tasks),
               static_cast<unsigned long long>(raw.map_tasks));
   std::printf("  sequences fix both (fewest tasks, fewest bytes):     %s\n",
-              seqs.map_tasks <= rcfile.map_tasks &&
-                      seqs.map_tasks <= ordered.map_tasks &&
-                      seqs.touched_bytes < rcfile.touched_bytes &&
-                      !seqs.needs_group_by
-                  ? "YES"
-                  : "NO");
+              seqs_shape ? "YES" : "NO");
 
   bool pushdown_ok = RunPushdownSection(all);
-  return answers_agree && pushdown_ok ? 0 : 1;
+  return answers_agree && ordered_shape && rcfile_shape && seqs_shape &&
+                 pushdown_ok
+             ? 0
+             : 1;
 }

@@ -77,12 +77,9 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
       });
   pig->RegisterScanLoader(
       "ClientEventsLoader",
-      [lib, metrics](const std::string& path, const std::vector<std::string>&)
-          -> Result<std::shared_ptr<dataflow::PushdownScan>> {
-        UNILOG_ASSIGN_OR_RETURN(
-            auto scan,
-            dataflow::ColumnarEventScan::Open(lib->warehouse, path, metrics));
-        return std::shared_ptr<dataflow::PushdownScan>(std::move(scan));
+      [lib, metrics](const std::string& path, const std::vector<std::string>&) {
+        return dataflow::ColumnarEventScan::Open(lib->warehouse, path,
+                                                 metrics);
       });
 
   pig->RegisterUdfFactory(

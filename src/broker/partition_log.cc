@@ -184,15 +184,6 @@ void PartitionLog::TrimTo(uint64_t offset) {
   begin_ = std::max(begin_, std::min(offset, cap));
 }
 
-void PartitionLog::Clear() {
-  batches_.clear();
-  next_offset_ = 0;
-  begin_ = 0;
-  bytes_ = 0;
-  stored_bytes_ = 0;
-  record_count_ = 0;
-}
-
 void PartitionLog::AppendSlice(const Batch& b, uint64_t from, uint32_t take,
                                std::vector<Batch>* out) {
   Batch& s = out->emplace_back(b);  // shares the body

@@ -160,8 +160,6 @@ class PartitionLog {
   /// begin_offset().
   void TrimTo(uint64_t offset);
 
-  void Clear();
-
   struct ReadResult {
     /// Whole or head-sliced batches, in offset order. Slices share the
     /// original body; no payload bytes are copied or decompressed.

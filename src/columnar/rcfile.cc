@@ -540,9 +540,6 @@ bool IsRcFile(std::string_view data) {
          data.substr(0, kRcFileMagic.size()) == kRcFileMagic;
 }
 
-RowGroupEncoder::RowGroupEncoder(int format_version)
-    : version_(format_version) {}
-
 void RowGroupEncoder::Append(const events::ClientEventView& row,
                              std::span<const events::DetailView> details) {
   if (rows_ == 0) {
@@ -559,25 +556,20 @@ void RowGroupEncoder::Append(const events::ClientEventView& row,
     return &columns_[static_cast<int>(c)];
   };
   const auto init = static_cast<uint32_t>(row.initiator);
-  if (version_ >= 2) {
-    if (init_code_[init] == 0) {
-      init_code_[init] = ++init_count_;  // stored as code + 1
-      PutVarint32(&init_entries_, init);
-    }
-    PutVarint32(column(EventColumn::kInitiator), init_code_[init] - 1);
-    auto it = name_codes_.find(row.event_name);
-    if (it == name_codes_.end()) {
-      it = name_codes_.emplace(std::string(row.event_name), NameCode{}).first;
-    }
-    if (it->second.group != group_) {
-      it->second = NameCode{group_, name_count_++};
-      PutLengthPrefixed(&name_entries_, row.event_name);
-    }
-    PutVarint32(column(EventColumn::kEventName), it->second.code);
-  } else {
-    PutVarint64(column(EventColumn::kInitiator), init);
-    PutLengthPrefixed(column(EventColumn::kEventName), row.event_name);
+  if (init_code_[init] == 0) {
+    init_code_[init] = ++init_count_;  // stored as code + 1
+    PutVarint32(&init_entries_, init);
   }
+  PutVarint32(column(EventColumn::kInitiator), init_code_[init] - 1);
+  auto it = name_codes_.find(row.event_name);
+  if (it == name_codes_.end()) {
+    it = name_codes_.emplace(std::string(row.event_name), NameCode{}).first;
+  }
+  if (it->second.group != group_) {
+    it->second = NameCode{group_, name_count_++};
+    PutLengthPrefixed(&name_entries_, row.event_name);
+  }
+  PutVarint32(column(EventColumn::kEventName), it->second.code);
   PutSignedVarint64(column(EventColumn::kUserId), row.user_id);
   PutLengthPrefixed(column(EventColumn::kSessionId), row.session_id);
   PutLengthPrefixed(column(EventColumn::kIp), row.ip);
@@ -601,25 +593,20 @@ void RowGroupEncoder::FinishGroup(std::string* out) {
     PutLengthPrefixed(&blobs_, compressed_);
     column.clear();
   }
-  if (version_ < 2) {
-    PutVarint64(out, rows_);
-    out->append(blobs_);
-  } else {
-    header_.clear();
-    PutVarint64(&header_, rows_);
-    PutSignedVarint64(&header_, min_ts_);
-    PutSignedVarint64(&header_, max_ts_);
-    PutSignedVarint64(&header_, min_uid_);
-    PutSignedVarint64(&header_, max_uid_);
-    PutVarint64(&header_, name_count_);
-    header_.append(name_entries_);
-    PutVarint64(&header_, init_count_);
-    header_.append(init_entries_);
-    out->append(header_);
-    PutVarint32(out, Fnv1a(header_));
-    PutVarint32(out, Fnv1a(blobs_));
-    out->append(blobs_);
-  }
+  header_.clear();
+  PutVarint64(&header_, rows_);
+  PutSignedVarint64(&header_, min_ts_);
+  PutSignedVarint64(&header_, max_ts_);
+  PutSignedVarint64(&header_, min_uid_);
+  PutSignedVarint64(&header_, max_uid_);
+  PutVarint64(&header_, name_count_);
+  header_.append(name_entries_);
+  PutVarint64(&header_, init_count_);
+  header_.append(init_entries_);
+  out->append(header_);
+  PutVarint32(out, Fnv1a(header_));
+  PutVarint32(out, Fnv1a(blobs_));
+  out->append(blobs_);
   rows_ = 0;
   ++group_;
   name_count_ = 0;
@@ -633,15 +620,9 @@ void RowGroupEncoder::FinishGroup(std::string* out) {
 }
 
 RcFileWriter::RcFileWriter(std::string* out, size_t rows_per_group)
-    : RcFileWriter(out, RcFileWriterOptions{rows_per_group, 2}) {}
-
-RcFileWriter::RcFileWriter(std::string* out, RcFileWriterOptions options)
-    : out_(out), options_(options), encoder_(options.format_version) {
-  if (options_.rows_per_group == 0) options_.rows_per_group = 1;
-  if (options_.rows_per_group > kMaxRowsPerGroup) {
-    options_.rows_per_group = kMaxRowsPerGroup;
-  }
-}
+    : out_(out),
+      rows_per_group_(
+          std::clamp<size_t>(rows_per_group, 1, kMaxRowsPerGroup)) {}
 
 Status RcFileWriter::Add(const events::ClientEvent& event) {
   if (finished_) {
@@ -659,13 +640,13 @@ Status RcFileWriter::Add(const events::ClientEvent& event) {
   for (const auto& [k, v] : event.details) details_.emplace_back(k, v);
   encoder_.Append(row, details_);
   ++rows_written_;
-  if (encoder_.rows() >= options_.rows_per_group) FlushGroup();
+  if (encoder_.rows() >= rows_per_group_) FlushGroup();
   return Status::OK();
 }
 
 void RcFileWriter::FlushGroup() {
   if (encoder_.rows() == 0) return;
-  if (options_.format_version >= 2 && !wrote_magic_) {
+  if (!wrote_magic_) {
     out_->append(kRcFileMagic);
     wrote_magic_ = true;
   }

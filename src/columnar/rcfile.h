@@ -45,10 +45,10 @@ namespace unilog::columnar {
 ///                          predicates on varint dictionary ids and only
 ///                          materialize the selected rows.
 ///
-/// Files keep backward read compatibility: v2 files begin with the magic
-/// "RCF2"; anything else is decoded as the legacy v1 stream (no zone maps,
-/// inline strings), on which predicates still work row-wise but no group
-/// can be skipped.
+/// Writers emit only v2; files keep backward read compatibility: v2 files
+/// begin with the magic "RCF2"; anything else is decoded as the legacy v1
+/// stream (no zone maps, inline strings), on which predicates still work
+/// row-wise but no group can be skipped.
 ///
 /// Each v2 row group carries two FNV-1a checksums right after the header:
 /// one over the header bytes (row count + zone map + dictionaries),
@@ -79,6 +79,9 @@ inline ColumnMask ColumnBit(EventColumn c) {
 /// Hard ceiling on rows per group; headers claiming more are rejected as
 /// corrupt before any allocation is sized from the claimed count.
 inline constexpr uint64_t kMaxRowsPerGroup = 1u << 20;
+
+/// Rows per group when a writer is not told otherwise.
+inline constexpr size_t kDefaultRowsPerGroup = 1024;
 
 /// What a scan should return and which rows it may drop. All predicates
 /// are conjunctive; rows must satisfy every engaged predicate. Fields not
@@ -166,16 +169,13 @@ bool IsRcFile(std::string_view data);
 /// Not thread-safe; one encoder per thread.
 class RowGroupEncoder {
  public:
-  /// 2 encodes zone maps + dictionaries, 1 the legacy inline layout.
-  explicit RowGroupEncoder(int format_version = 2);
-
   void Append(const events::ClientEventView& row,
               std::span<const events::DetailView> details);
 
   size_t rows() const { return rows_; }
 
-  /// Appends the encoded group to *out (v2: header, header checksum, blob
-  /// checksum, blobs; v1: row count, blobs) and starts the next group.
+  /// Appends the encoded v2 group to *out (header, header checksum, blob
+  /// checksum, blobs) and starts the next group.
   /// No-op when no row was appended.
   void FinishGroup(std::string* out);
 
@@ -191,7 +191,6 @@ class RowGroupEncoder {
     uint32_t code = 0;
   };
 
-  int version_;
   size_t rows_ = 0;
   std::string columns_[kEventColumns];
   int64_t min_ts_ = 0, max_ts_ = 0, min_uid_ = 0, max_uid_ = 0;
@@ -208,21 +207,14 @@ class RowGroupEncoder {
   std::string header_, blobs_, compressed_;
 };
 
-/// Writer knobs.
-struct RcFileWriterOptions {
-  size_t rows_per_group = 1024;
-  /// 2 (default) writes zone maps + dictionaries; 1 writes the legacy
-  /// layout (for compatibility tests and old-file fixtures).
-  int format_version = 2;
-};
-
 /// Writes client events into the columnar layout: a thin wrapper that
 /// feeds a RowGroupEncoder and cuts a group every `rows_per_group` rows.
 class RcFileWriter {
  public:
-  /// `out` receives the file body; groups hold up to `rows_per_group` rows.
-  explicit RcFileWriter(std::string* out, size_t rows_per_group = 1024);
-  RcFileWriter(std::string* out, RcFileWriterOptions options);
+  /// `out` receives the v2 file body; groups hold up to `rows_per_group`
+  /// rows (clamped to [1, kMaxRowsPerGroup]).
+  explicit RcFileWriter(std::string* out,
+                        size_t rows_per_group = kDefaultRowsPerGroup);
 
   /// Appends one event. Fails with FailedPrecondition once Finish() has
   /// been called (appending then would corrupt the file tail).
@@ -237,7 +229,7 @@ class RcFileWriter {
   void FlushGroup();
 
   std::string* out_;
-  RcFileWriterOptions options_;
+  size_t rows_per_group_;
   size_t rows_written_ = 0;
   bool finished_ = false;
   bool wrote_magic_ = false;
@@ -251,9 +243,6 @@ class RcFileWriter {
 class RcFileReader {
  public:
   explicit RcFileReader(std::string_view data);
-
-  /// 1 or 2, from the file magic.
-  int format_version() const { return version_; }
 
   /// Reads every row, populating only the fields whose columns are in
   /// `mask` (other fields keep their default values). Appends to `out`.

@@ -12,9 +12,8 @@ namespace unilog {
 
 namespace {
 
-// Relaxed is sufficient: the probes are monotonically increasing tallies
+// Relaxed is sufficient: the probe is a monotonically increasing tally
 // read only at quiescence points in tests and benches.
-std::atomic<uint64_t> g_compress_calls{0};
 std::atomic<uint64_t> g_decompress_calls{0};
 
 constexpr size_t kHashBits = 16;
@@ -145,7 +144,6 @@ Status DecodeTokens(std::string_view* rest, uint64_t expected, size_t target,
 }  // namespace
 
 void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
-  g_compress_calls.fetch_add(1, std::memory_order_relaxed);
   out->clear();
   PutVarint64(out, input.size());
   if (input.empty()) return;
@@ -286,16 +284,11 @@ Status Lz::IncrementalDecompressor::DecodeUntil(size_t target) {
   return status_;
 }
 
-uint64_t Lz::CompressCallCount() {
-  return g_compress_calls.load(std::memory_order_relaxed);
-}
-
 uint64_t Lz::DecompressCallCount() {
   return g_decompress_calls.load(std::memory_order_relaxed);
 }
 
 void Lz::ResetCompressionProbes() {
-  g_compress_calls.store(0, std::memory_order_relaxed);
   g_decompress_calls.store(0, std::memory_order_relaxed);
 }
 

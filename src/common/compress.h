@@ -123,16 +123,12 @@ class Lz {
     Status status_ = Status::OK();
   };
 
-  /// Process-wide count of compression calls (CompressTo and wrappers).
-  /// Tests use these probes to assert the batched delivery path compresses
-  /// payload bytes exactly once between daemon and warehouse landing.
-  static uint64_t CompressCallCount();
-
   /// Process-wide count of decompression calls (Decompress plus every
-  /// IncrementalDecompressor constructed).
+  /// IncrementalDecompressor constructed). Tests use this probe to assert
+  /// the batched delivery path decompresses payload bytes only at landing.
   static uint64_t DecompressCallCount();
 
-  /// Resets both probe counters to zero.
+  /// Resets the probe counter to zero.
   static void ResetCompressionProbes();
 };
 

@@ -83,9 +83,6 @@ class ColumnBatch {
   /// The raw row index of the k-th selected row.
   size_t RowIndex(size_t k) const { return has_sel_ ? sel_[k] : k; }
 
-  /// Replaces the column set (same raw row count / selection).
-  void SetColumns(std::vector<ColumnPtr> cols) { cols_ = std::move(cols); }
-
   /// Approximate heap footprint: selection vector plus every column's
   /// byte_size().
   uint64_t byte_size() const;

@@ -279,7 +279,7 @@ const std::vector<std::string>& ColumnarEventScan::columns() const {
   return column_names_;
 }
 
-std::shared_ptr<PushdownScan> ColumnarEventScan::Clone() const {
+std::shared_ptr<ColumnarEventScan> ColumnarEventScan::Clone() const {
   return std::shared_ptr<ColumnarEventScan>(new ColumnarEventScan(*this));
 }
 
@@ -445,55 +445,9 @@ Result<Relation> ColumnarEventScan::Materialize(exec::Executor* exec) {
 Result<BatchRelation> ColumnarEventScan::MaterializeBatches(
     exec::Executor* exec) {
   if (batch_cache_.has_value()) return *batch_cache_;
-
-  UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units, PlanUnits(*files_));
-
-  columnar::RowMatcher legacy_matcher(spec_);
-  std::vector<ColumnBatch> batch_slots(units.size());
-  std::vector<columnar::ScanStats> stat_slots(units.size());
-
-  auto run_unit = [&](size_t i) -> Status {
-    if (units[i].is_columnar) {
-      columnar::RcFileReader reader(units[i].file->body);
-      columnar::RcFileReader::ColumnarGroup cg;
-      UNILOG_RETURN_NOT_OK(reader.ScanGroupColumnar(units[i].group, spec_, &cg,
-                                                    &stat_slots[i]));
-      GroupColumnSource source(std::move(cg));
-      batch_slots[i] = source.BatchFor(visible_);
-    } else {
-      std::vector<events::ClientEvent> events;
-      UNILOG_RETURN_NOT_OK(ScanLegacyFile(*units[i].file, legacy_matcher,
-                                          &events, &stat_slots[i]));
-      batch_slots[i] = BatchFromEvents(events, visible_);
-    }
-    return Status::OK();
-  };
-
-  UNILOG_RETURN_NOT_OK(exec::OrInline(exec)->ParallelForMorsels(
-      "columnar_scan_batch", UnitWeights(units), morsel_options_,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          UNILOG_RETURN_NOT_OK(run_unit(i));
-        }
-        return Status::OK();
-      }));
-
-  last_stats_ = columnar::ScanStats();
-  for (const auto& stats : stat_slots) last_stats_.MergeFrom(stats);
-  columnar::ReportScanStats(last_stats_, metrics_, source_);
-
-  // Unit order is file order (sorted listing) x group order, which
-  // matches what a serial scan of the same files yields.
-  std::vector<ColumnBatch> batches;
-  batches.reserve(batch_slots.size());
-  for (ColumnBatch& b : batch_slots) {
-    if (b.raw_rows() > 0) batches.push_back(std::move(b));
-  }
-  UNILOG_ASSIGN_OR_RETURN(
-      BatchRelation rel,
-      BatchRelation::FromBatches(column_names_, std::move(batches)));
-  batch_cache_ = rel;
-  return rel;
+  UNILOG_ASSIGN_OR_RETURN(std::vector<BatchRelation> out,
+                          MaterializeSharedBatches({shared_from_this()}, exec));
+  return std::move(out[0]);
 }
 
 Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
@@ -507,18 +461,24 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
     }
   }
 
-  std::vector<columnar::ScanSpec> specs;
-  specs.reserve(members.size());
-  for (const auto& member : members) specs.push_back(member->spec_);
-  const columnar::ScanSpec merged_spec = MergeScanSpecs(specs);
+  // A lone member decodes under its own spec, so what it decodes is its
+  // answer. A union scan decodes under the merged spec, which every member
+  // re-tightens with its own predicates (`residual`, empty for one member).
+  std::optional<columnar::ScanSpec> merged;
+  std::vector<columnar::RowMatcher> residual;
+  if (members.size() > 1) {
+    std::vector<columnar::ScanSpec> specs;
+    specs.reserve(members.size());
+    for (const auto& member : members) specs.push_back(member->spec_);
+    merged = MergeScanSpecs(specs);
+    residual.reserve(members.size());
+    for (const auto& member : members) residual.emplace_back(member->spec_);
+  }
+  const columnar::ScanSpec& spec = merged ? *merged : members[0]->spec_;
+  const columnar::RowMatcher matcher(spec);
 
   UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units,
                           PlanUnits(*members[0]->files_));
-
-  std::vector<columnar::RowMatcher> residual;
-  residual.reserve(members.size());
-  for (const auto& member : members) residual.emplace_back(member->spec_);
-  columnar::RowMatcher merged_matcher(merged_spec);
 
   // batch_slots[m][u]: member m's batch from unit u. Columnar units decode
   // once and every member's batch references the same column arrays, with
@@ -531,22 +491,26 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
     if (units[u].is_columnar) {
       columnar::RcFileReader reader(units[u].file->body);
       columnar::RcFileReader::ColumnarGroup cg;
-      UNILOG_RETURN_NOT_OK(reader.ScanGroupColumnar(units[u].group, merged_spec,
-                                                    &cg, &stat_slots[u]));
+      UNILOG_RETURN_NOT_OK(
+          reader.ScanGroupColumnar(units[u].group, spec, &cg, &stat_slots[u]));
       GroupColumnSource source(std::move(cg));
       for (size_t m = 0; m < members.size(); ++m) {
         ColumnBatch b = source.BatchFor(members[m]->visible_);
-        if (members[m]->spec_.has_predicates()) {
-          b.SetSelection(ResidualSelect(members[m]->spec_, residual[m],
-                                        &source,
-                                        &stat_slots[u].dict_domain_rows_pruned));
+        if (!residual.empty() && members[m]->spec_.has_predicates()) {
+          b.SetSelection(ResidualSelect(
+              members[m]->spec_, residual[m], &source,
+              &stat_slots[u].dict_domain_rows_pruned));
         }
         batch_slots[m][u] = std::move(b);
       }
     } else {
       std::vector<events::ClientEvent> events;
-      UNILOG_RETURN_NOT_OK(ScanLegacyFile(*units[u].file, merged_matcher,
-                                          &events, &stat_slots[u]));
+      UNILOG_RETURN_NOT_OK(
+          ScanLegacyFile(*units[u].file, matcher, &events, &stat_slots[u]));
+      if (residual.empty()) {
+        batch_slots[0][u] = BatchFromEvents(events, members[0]->visible_);
+        return Status::OK();
+      }
       for (size_t m = 0; m < members.size(); ++m) {
         std::vector<events::ClientEvent> kept;
         kept.reserve(events.size());
@@ -560,7 +524,7 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
   };
 
   UNILOG_RETURN_NOT_OK(exec::OrInline(exec)->ParallelForMorsels(
-      "shared_scan_batch", UnitWeights(units), members[0]->morsel_options_,
+      "columnar_scan_batch", UnitWeights(units), members[0]->morsel_options_,
       [&](size_t, size_t begin, size_t end) -> Status {
         for (size_t u = begin; u < end; ++u) {
           UNILOG_RETURN_NOT_OK(run_unit(u));

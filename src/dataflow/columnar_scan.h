@@ -19,50 +19,22 @@ namespace unilog::dataflow {
 
 using hdfs::IsHiddenWarehousePath;
 
-/// A deferred table scan the Pig layer can push work into. LOAD with a
-/// scan loader binds one of these instead of materializing a Relation;
-/// an immediately-following FILTER (column op literal) or FOREACH (pure
-/// column projection) is then absorbed into the scan, and the relation
-/// only materializes when a non-fusible operator consumes it — the
-/// pushdown-instead-of-materialize-then-filter plan the paper's loaders
-/// ("abstracting over details of the physical layout") enable.
-class PushdownScan {
- public:
-  virtual ~PushdownScan() = default;
-
-  /// The schema the scan would materialize (respecting pushed
-  /// projections/renames), available without scanning anything.
-  virtual const std::vector<std::string>& columns() const = 0;
-
-  /// Aliases must stay independent: Pig clones before tightening, so
-  /// `filtered = FILTER raw BY ...` never mutates `raw`'s plan.
-  virtual std::shared_ptr<PushdownScan> Clone() const = 0;
-
-  /// Attempts to absorb the predicate `column op literal` (ops: == != <
-  /// <= > >= matches, as in Pig FILTER). Returns false when this
-  /// predicate cannot be fused; the caller then materializes and filters.
-  virtual bool PushFilter(const std::string& column, const std::string& op,
-                          const Value& literal) = 0;
-
-  /// Attempts to absorb a projection of `cols` (current visible names)
-  /// renamed to `names`. False when any column is not fusible.
-  virtual bool PushProject(const std::vector<std::string>& cols,
-                           const std::vector<std::string>& names) = 0;
-
-  /// Runs the scan (or returns the cached result of a previous run).
-  /// With a parallel executor, row groups fan out across worker threads
-  /// and are merged in file/group order, so the output is byte-identical
-  /// to a serial scan at any thread count.
-  virtual Result<Relation> Materialize(exec::Executor* exec) = 0;
-};
-
-/// PushdownScan over a warehouse directory of client-event files, in
-/// either format: columnar RCFile v2 parts get zone-map/dictionary group
+/// A deferred table scan over a warehouse directory of client-event files,
+/// in either format: columnar RCFile v2 parts get zone-map/dictionary group
 /// skipping and encoded-id predicate pruning; legacy framed-compressed
 /// parts are decoded and filtered row-wise (correct everywhere, fast on
 /// columnar data). Visible columns: {initiator, event_name, user_id,
 /// session_id, ip, timestamp}.
-class ColumnarEventScan : public PushdownScan {
+///
+/// Pig's LOAD with a scan loader binds one of these instead of
+/// materializing a Relation; an immediately-following FILTER (column op
+/// literal) or FOREACH (pure column projection) is then absorbed into the
+/// scan, and the relation only materializes when a non-fusible operator
+/// consumes it — the pushdown-instead-of-materialize-then-filter plan the
+/// paper's loaders ("abstracting over details of the physical layout")
+/// enable. Oink pushes each workflow's plan the same way.
+class ColumnarEventScan
+    : public std::enable_shared_from_this<ColumnarEventScan> {
  public:
   /// Reads the file bodies under `dir` (entries with any '_'-prefixed
   /// path component below `dir` are ignored — see IsHiddenWarehousePath).
@@ -78,35 +50,50 @@ class ColumnarEventScan : public PushdownScan {
   /// Materialize yields an empty relation.
   static std::shared_ptr<ColumnarEventScan> PlanOnly();
 
-  const std::vector<std::string>& columns() const override;
-  std::shared_ptr<PushdownScan> Clone() const override;
+  /// The schema the scan would materialize (respecting pushed
+  /// projections/renames), available without scanning anything.
+  const std::vector<std::string>& columns() const;
+
+  /// Aliases must stay independent: Pig clones before tightening, so
+  /// `filtered = FILTER raw BY ...` never mutates `raw`'s plan. Clones
+  /// share the opened file set.
+  std::shared_ptr<ColumnarEventScan> Clone() const;
+
+  /// Attempts to absorb the predicate `column op literal` (ops: == != <
+  /// <= > >= matches, as in Pig FILTER). Returns false when this
+  /// predicate cannot be fused; the caller then materializes and filters.
   bool PushFilter(const std::string& column, const std::string& op,
-                  const Value& literal) override;
+                  const Value& literal);
+
+  /// Attempts to absorb a projection of `cols` (current visible names)
+  /// renamed to `names`. False when any column is not fusible.
   bool PushProject(const std::vector<std::string>& cols,
-                   const std::vector<std::string>& names) override;
+                   const std::vector<std::string>& names);
+
   /// MaterializeBatches(exec) boxed into a row Relation — the form Pig
   /// and the UDFs consume. One decode path feeds both engines.
-  Result<Relation> Materialize(exec::Executor* exec) override;
+  Result<Relation> Materialize(exec::Executor* exec);
 
   /// Runs the scan (or returns the cached result of a previous run) as
-  /// typed column batches, one per scan unit, merged in unit order, so
-  /// the output is byte-identical at any thread count. RCFile v2 group
-  /// dictionaries pass through as dictionary columns: event-name/initiator
-  /// strings are materialized once per distinct value per group, never
-  /// per row.
+  /// typed column batches: the one-member case of MaterializeSharedBatches.
   Result<BatchRelation> MaterializeBatches(exec::Executor* exec);
 
-  /// One union scan fanned out to many per-workflow outputs — the Oink
-  /// shared-scan fast path. Every member must be a Clone() of the same
-  /// opened scan (they share one immutable file set). Units are decoded
-  /// once under the MergeScanSpecs union of the member specs; each member
-  /// re-tightens with its residual predicates as a selection vector over
-  /// *shared* column arrays (no per-member copy), then projects its
-  /// visible columns. Output i is byte-identical to
-  /// members[i]->MaterializeBatches on the same files, at any thread
-  /// count. The union scan's accounting lands in `stats_out` (may be
-  /// null) and in each member's last_stats(); members' batch caches are
-  /// filled so later Materialize calls decode nothing.
+  /// Runs one scan for every member, each getting its own output — the
+  /// Oink shared-scan fast path. Every member must be a Clone() of the
+  /// same opened scan (they share one immutable file set). Output i holds
+  /// one batch per scan unit (a row group or a legacy file) that kept a
+  /// row, merged in unit order, so it is byte-identical at any thread
+  /// count. RCFile v2 group dictionaries pass through as dictionary
+  /// columns: event-name/initiator strings are materialized once per
+  /// distinct value per group, never per row.
+  ///
+  /// A lone member decodes under its own spec. Two or more decode each
+  /// unit once under the MergeScanSpecs union of their specs; each member
+  /// then re-tightens with its own predicates as a selection vector over
+  /// *shared* column arrays (no per-member copy) and projects its visible
+  /// columns. The scan's accounting lands in `stats_out` (may be null) and
+  /// in each member's last_stats(); members' batch caches are filled so
+  /// later Materialize calls decode nothing.
   static Result<std::vector<BatchRelation>> MaterializeSharedBatches(
       const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
       exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);
@@ -116,8 +103,8 @@ class ColumnarEventScan : public PushdownScan {
   /// (nothing decompressed); legacy files contribute bytes only.
   Result<TableStats> Stats() const;
 
-  /// Morsel packing knobs for the parallel materialize paths (scan units
-  /// weighted by row-group byte length; legacy files by body size).
+  /// Morsel packing knobs for the parallel scan (scan units weighted by
+  /// row-group byte length; legacy files by body size).
   void set_morsel_options(const exec::MorselOptions& options) {
     morsel_options_ = options;
   }

@@ -109,8 +109,6 @@ class MapReduceJob {
   /// basename starts with '_' (markers). NotFound directories are an
   /// error.
   Status AddInputDir(const std::string& dir);
-  /// Adds one file.
-  void AddInputFile(const std::string& path) { inputs_.push_back(path); }
   size_t input_file_count() const { return inputs_.size(); }
 
   void set_input_format(InputFormat format) { format_ = std::move(format); }

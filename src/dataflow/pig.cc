@@ -493,7 +493,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
         scan_op = FlipComparison(op);
       }
       if (col_op != nullptr) {
-        std::shared_ptr<PushdownScan> clone = rel.scan->Clone();
+        std::shared_ptr<ColumnarEventScan> clone = rel.scan->Clone();
         if (clone->PushFilter(col_op->column, scan_op, lit_op->literal)) {
           out.scan = std::move(clone);
           out.data = Relation(out.scan->columns());
@@ -592,7 +592,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
           cols.push_back(item.column);
           names.push_back(item.as.empty() ? item.column : item.as);
         }
-        std::shared_ptr<PushdownScan> clone = rel.scan->Clone();
+        std::shared_ptr<ColumnarEventScan> clone = rel.scan->Clone();
         if (clone->PushProject(cols, names)) {
           out.scan = std::move(clone);
           out.data = Relation(out.scan->columns());

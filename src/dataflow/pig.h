@@ -13,7 +13,7 @@
 
 namespace unilog::dataflow {
 
-class PushdownScan;
+class ColumnarEventScan;
 
 /// A miniature Pig Latin interpreter over the Relation layer, sufficient
 /// to run the paper's §5.2 scripts verbatim (modulo quoting style):
@@ -54,8 +54,9 @@ class PigInterpreter {
   /// the scan instead of materializing; an immediately-following FILTER
   /// (column op literal) or pure-projection FOREACH is fused into it, and
   /// rows only materialize at the first non-fusible consumer.
-  using ScanLoader = std::function<Result<std::shared_ptr<PushdownScan>>(
-      const std::string& path, const std::vector<std::string>& args)>;
+  using ScanLoader =
+      std::function<Result<std::shared_ptr<ColumnarEventScan>>(
+          const std::string& path, const std::vector<std::string>& args)>;
 
   PigInterpreter() = default;
 
@@ -99,7 +100,7 @@ class PigInterpreter {
     Relation data;                    // the pre-group rows
     std::vector<std::string> keys;    // empty = GROUP ALL
     bool grouped = false;
-    std::shared_ptr<PushdownScan> scan;
+    std::shared_ptr<ColumnarEventScan> scan;
   };
 
   Status ExecuteStatement(const std::string& statement);

@@ -9,8 +9,8 @@
 
 namespace unilog::etwin {
 
-Status EventNameIndex::BuildForDir(hdfs::MiniHdfs* fs,
-                                   const std::string& dir) {
+Status EventNameIndex::BuildForDir(hdfs::MiniHdfs* fs, const std::string& dir,
+                                   const std::string& renamed_to) {
   UNILOG_ASSIGN_OR_RETURN(auto files, fs->ListRecursive(dir));
   EventNameIndex index;
   std::vector<std::string_view> records;
@@ -20,7 +20,9 @@ Status EventNameIndex::BuildForDir(hdfs::MiniHdfs* fs,
     size_t slash = file.path.rfind('/');
     if (file.path[slash + 1] == '_') continue;  // markers, old index
     uint32_t file_id = static_cast<uint32_t>(index.file_names_.size());
-    index.file_names_.push_back(file.path);
+    index.file_names_.push_back(
+        renamed_to.empty() ? file.path
+                           : renamed_to + file.path.substr(dir.size()));
 
     UNILOG_ASSIGN_OR_RETURN(std::string blob, fs->ReadFile(file.path));
     UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(blob));

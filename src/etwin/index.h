@@ -34,8 +34,11 @@ class EventNameIndex {
   /// and writes the index to <dir>/_etwin_index. Each record is indexed
   /// under the name events::ReadClientEventBody parses from it; records
   /// that parse rejects are left out. Overwrites an existing index
-  /// (rebuild-from-scratch semantics).
-  static Status BuildForDir(hdfs::MiniHdfs* fs, const std::string& dir);
+  /// (rebuild-from-scratch semantics). A non-empty `renamed_to` records
+  /// every file under that directory instead of `dir`, so a directory can
+  /// be indexed before it is renamed into place.
+  static Status BuildForDir(hdfs::MiniHdfs* fs, const std::string& dir,
+                            const std::string& renamed_to = "");
 
   /// Loads the index of a partition; NotFound if not built.
   static Result<EventNameIndex> Load(const hdfs::MiniHdfs& fs,

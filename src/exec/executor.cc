@@ -41,8 +41,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-bool ThreadPool::OnWorkerThread() { return t_on_pool_worker; }
-
 void ThreadPool::DrainBatch(Batch* batch) {
   size_t completed = 0;
   while (true) {

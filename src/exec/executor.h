@@ -77,11 +77,6 @@ class ThreadPool {
   /// must not throw.
   void Run(size_t n, const std::function<void(size_t)>& task);
 
-  /// True when the current thread is one of this process's pool workers.
-  /// Nested parallel regions use this to degrade to inline execution
-  /// instead of deadlocking on the batch mutex.
-  static bool OnWorkerThread();
-
  private:
   struct Batch {
     const std::function<void(size_t)>* task = nullptr;

@@ -221,6 +221,10 @@ Status MiniHdfs::Mkdirs(const std::string& path) {
 Status MiniHdfs::WriteFile(const std::string& path, std::string_view content) {
   UNILOG_RETURN_NOT_OK(CheckAvailable());
   UNILOG_RETURN_NOT_OK(ValidatePath(path));
+  if (path == failing_write_) {
+    failing_write_.clear();
+    return Status::Unavailable("injected write failure: " + path);
+  }
   if (nodes_.count(path)) {
     return Status::AlreadyExists("file exists: " + path);
   }

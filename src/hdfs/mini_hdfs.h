@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -117,6 +118,13 @@ class MiniHdfs {
   void SetAvailable(bool available) { available_ = available; }
   bool available() const { return available_; }
 
+  /// Makes the next WriteFile of exactly `path` fail with Unavailable —
+  /// a one-file fault, e.g. an index write that fails after the data it
+  /// indexes was written.
+  void InjectWriteFailureOnce(std::string path) {
+    failing_write_ = std::move(path);
+  }
+
   /// Takes one datanode down (or back up). Metadata operations (list,
   /// stat, rename, delete, mkdirs) are namenode-only and keep working; a
   /// read fails only when some block of the file has no live replica, and
@@ -195,6 +203,7 @@ class MiniHdfs {
   Simulator* sim_;
   HdfsOptions options_;
   bool available_ = true;
+  std::string failing_write_;  // InjectWriteFailureOnce's path, or empty
   std::vector<bool> datanode_up_;
   uint64_t placement_cursor_ = 0;
   std::map<std::string, Node> nodes_;  // sorted by path

@@ -175,17 +175,4 @@ Status ArtifactCache::Put(const std::string& key,
   return Status::OK();
 }
 
-Status ArtifactCache::Evict(const std::string& key) {
-  UNILOG_RETURN_NOT_OK(EnsureLoaded());
-  if (entries_.count(key) == 0 && !fs_->Exists(PathFor(key))) {
-    return Status::OK();
-  }
-  Forget(key);
-  if (fs_->Exists(PathFor(key))) {
-    UNILOG_RETURN_NOT_OK(fs_->Delete(PathFor(key)));
-  }
-  evictions_->Increment();
-  return Status::OK();
-}
-
 }  // namespace unilog::oink

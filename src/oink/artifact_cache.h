@@ -69,9 +69,6 @@ class ArtifactCache {
   /// entry just written).
   Status Put(const std::string& key, const CacheArtifact& artifact);
 
-  /// Drops one entry if present (used after a verify_cache divergence).
-  Status Evict(const std::string& key);
-
   uint64_t hits() const { return hits_->value(); }
   uint64_t misses() const { return misses_->value(); }
   uint64_t evictions() const { return evictions_->value(); }

@@ -176,8 +176,7 @@ Status WorkflowEngine::AddWorkflow(WorkflowSpec spec) {
 std::shared_ptr<dataflow::ColumnarEventScan> WorkflowEngine::BuildScan(
     const std::shared_ptr<dataflow::ColumnarEventScan>& base,
     const Planned& plan) const {
-  auto scan = std::static_pointer_cast<dataflow::ColumnarEventScan>(
-      base->Clone());
+  std::shared_ptr<dataflow::ColumnarEventScan> scan = base->Clone();
   for (const auto& clause : plan.spec.filters) {
     // Pushability depends only on the clause, so the outcome here matches
     // the AddWorkflow dry run; rejected clauses are plan.residuals.
@@ -327,28 +326,26 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     UNILOG_ASSIGN_OR_RETURN(
         auto base, dataflow::ColumnarEventScan::Open(fs_, dir, metrics_));
 
-    const bool shared =
-        options_.enable_shared_scans && pending.size() >= 2;
     std::vector<std::shared_ptr<dataflow::ColumnarEventScan>> scans;
     scans.reserve(pending.size());
     for (const Pending& p : pending) {
       scans.push_back(BuildScan(base, workflows_[p.members[0]]));
     }
 
-    std::vector<dataflow::BatchRelation> scanned;
-    std::vector<uint64_t> costs(pending.size(), 0);
     columnar::ScanStats scan_stats;
-    if (shared) {
-      UNILOG_ASSIGN_OR_RETURN(
-          scanned, dataflow::ColumnarEventScan::MaterializeSharedBatches(
-                       scans, exec_, &scan_stats));
-      // The union scan's bytes are shared work: split them evenly across
-      // the plans, the first `total % n` taking one extra byte each, so
-      // warm bytes_saved over all of them sums to exactly the total.
-      const uint64_t total = scan_stats.bytes_decompressed;
-      for (size_t i = 0; i < costs.size(); ++i) {
-        costs[i] = total / costs.size() + (i < total % costs.size() ? 1 : 0);
-      }
+    UNILOG_ASSIGN_OR_RETURN(
+        std::vector<dataflow::BatchRelation> scanned,
+        dataflow::ColumnarEventScan::MaterializeSharedBatches(scans, exec_,
+                                                              &scan_stats));
+    // The scan's bytes are shared work: split them evenly across the
+    // plans, the first `total % n` taking one extra byte each, so warm
+    // bytes_saved over all of them sums to exactly the total.
+    const uint64_t total = scan_stats.bytes_decompressed;
+    std::vector<uint64_t> costs(scans.size());
+    for (size_t i = 0; i < costs.size(); ++i) {
+      costs[i] = total / costs.size() + (i < total % costs.size() ? 1 : 0);
+    }
+    if (scans.size() >= 2) {
       last_tick_.shared_scan_groups++;
       last_tick_.shared_scan_fanout += scans.size();
       shared_scans_->Increment();
@@ -358,14 +355,6 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
             "[oink] shared-scan dir=" + dir + " fanout=" +
             std::to_string(scans.size()) + " bytes_decompressed=" +
             std::to_string(scan_stats.bytes_decompressed));
-      }
-    } else {
-      for (size_t i = 0; i < scans.size(); ++i) {
-        UNILOG_ASSIGN_OR_RETURN(dataflow::BatchRelation rel,
-                                scans[i]->MaterializeBatches(exec_));
-        scanned.push_back(std::move(rel));
-        costs[i] = scans[i]->last_stats().bytes_decompressed;
-        scan_stats.MergeFrom(scans[i]->last_stats());
       }
     }
     last_tick_.scan_bytes_decompressed += scan_stats.bytes_decompressed;

@@ -24,8 +24,7 @@ namespace unilog::oink {
 /// One FILTER clause of a workflow plan: `column op literal`. Clauses the
 /// columnar scan can absorb (timestamp ranges, event-name / user-id
 /// equality, event-name globs) are pushed into the ScanSpec; the rest run
-/// as residual batch filters after the scan, identically on the
-/// shared-scan and independent paths.
+/// as residual batch filters after the scan.
 struct FilterClause {
   std::string column;
   std::string op;  // == != < <= > >= matches
@@ -59,8 +58,6 @@ struct WorkflowSpec {
 struct OinkOptions {
   /// Probe/fill the artifact cache.
   bool enable_cache = true;
-  /// Batch same-directory workflows into one union scan per tick.
-  bool enable_shared_scans = true;
   /// Paranoia mode for CI: every cache hit is *also* recomputed and the
   /// serialized bytes compared; divergence fails the tick with Internal.
   /// Catches under-keyed plans (e.g. a stage whose stage_id went stale).
@@ -79,7 +76,8 @@ struct TickStats {
   /// Bytes the tick actually decompressed scanning warehouse files — the
   /// "work done" measure cold/warm benchmarks compare.
   uint64_t scan_bytes_decompressed = 0;
-  /// Union scans executed / total workflows they fanned out to.
+  /// Union scans (two or more plans) executed / total plans they fanned
+  /// out to.
   uint64_t shared_scan_groups = 0;
   uint64_t shared_scan_fanout = 0;
   /// Sum of the cold costs of the artifacts that hit.
@@ -93,7 +91,7 @@ struct TickStats {
 /// tick it (1) fingerprints every workflow's plan together with a manifest
 /// of the input bytes, (2) serves byte-identical cached results for
 /// fingerprints seen before, (3) batches the remaining workflows that read
-/// the same directory into one union PushdownScan fanned out per workflow,
+/// the same directory into one ColumnarEventScan run fanned out per workflow,
 /// and (4) caches the new results, content-addressed, in sim-HDFS under
 /// the warehouse so later runs (or a restarted engine) reuse them.
 class WorkflowEngine {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "common/json.h"
 #include "exec/executor.h"
 #include "common/result.h"
 #include "common/sim_time.h"
@@ -63,7 +62,6 @@ class UnifiedLoggingPipeline {
   obs::DeliverySnapshot Audit() const { return audit_.Snapshot(); }
   Status CheckDeliveryAudit() const { return audit_.Check(); }
   std::string MetricsTextReport() const { return metrics_.TextReport(); }
-  Json MetricsJsonReport() const { return metrics_.JsonReport(); }
 
   // --- Component access ---
   scribe::ScribeCluster* cluster() { return &cluster_; }

@@ -454,22 +454,24 @@ Status LogMover::CommitMergedHour(
     }
     pool_.PublishMetrics(metrics_, {{"component", "mover"}});
   }
-  messages_moved_->Increment(merged.size());
 
-  // 3. Atomically slide the hour into the warehouse, then build any
-  // necessary indexes alongside the data (§2; the index records final
-  // warehouse paths, so it is built post-rename).
-  UNILOG_RETURN_NOT_OK(warehouse_->Mkdirs("/logs/" + category + "/" +
-                                          hour_fragment.substr(0, 10)));
-  UNILOG_RETURN_NOT_OK(warehouse_->Rename(tmp_dir, final_dir));
-  // Columnar hours skip the etwin index: their group headers already carry
-  // the zone maps and event-name dictionaries the index would provide (and
-  // the index builder expects framed parts).
+  // 3. Build any necessary index alongside the data (§2), recording final
+  //    warehouse paths, then atomically slide the hour into the warehouse.
+  //    The index is written before the slide, so a failed index write
+  //    fails the attempt like a failed part write: the retry redoes the
+  //    whole hour from staging and drops nothing as late. Columnar hours
+  //    skip the etwin index: their group headers already carry the zone
+  //    maps and event-name dictionaries it would provide (and the index
+  //    builder expects framed parts).
   if (options_.index_categories.count(category) &&
       !options_.columnar_categories.count(category)) {
     UNILOG_RETURN_NOT_OK(
-        etwin::EventNameIndex::BuildForDir(warehouse_, final_dir));
+        etwin::EventNameIndex::BuildForDir(warehouse_, tmp_dir, final_dir));
   }
+  UNILOG_RETURN_NOT_OK(warehouse_->Mkdirs("/logs/" + category + "/" +
+                                          hour_fragment.substr(0, 10)));
+  UNILOG_RETURN_NOT_OK(warehouse_->Rename(tmp_dir, final_dir));
+  messages_moved_->Increment(merged.size());
   return Status::OK();
 }
 
@@ -515,7 +517,7 @@ Status LogMover::WriteColumnarParts(
   // group — or, with a zero target, after every row.
   const size_t group_rows = options_.target_file_bytes == 0
                                 ? 1
-                                : columnar::RcFileWriterOptions{}.rows_per_group;
+                                : columnar::kDefaultRowsPerGroup;
   const size_t num_groups = (rows + group_rows - 1) / group_rows;
   std::vector<std::string> groups(num_groups);
   exec_->ParallelFor("mover.encode_groups", num_groups, [&](size_t g) {

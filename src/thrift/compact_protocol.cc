@@ -657,10 +657,4 @@ Result<ThriftValue> ParseStruct(std::string_view data) {
   return out;
 }
 
-Result<ThriftValue> ParseStructFrom(CompactReader* reader) {
-  ThriftValue out;
-  UNILOG_RETURN_NOT_OK(ReadStructBody(reader, 0, &out));
-  return out;
-}
-
 }  // namespace unilog::thrift

@@ -168,10 +168,6 @@ Status SerializeStruct(const ThriftValue& value, std::string* out);
 /// buffer. Self-describing: no schema needed.
 Result<ThriftValue> ParseStruct(std::string_view data);
 
-/// Parses one struct from the reader (which must be positioned at the start
-/// of a struct body). Used for nested structs and framed streams.
-Result<ThriftValue> ParseStructFrom(CompactReader* reader);
-
 }  // namespace unilog::thrift
 
 #endif  // UNILOG_THRIFT_COMPACT_PROTOCOL_H_

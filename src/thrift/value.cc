@@ -66,14 +66,6 @@ Result<int64_t> ThriftValue::AsI64() const {
   }
 }
 
-Result<std::string> ThriftValue::AsString() const {
-  if (!is_string()) {
-    return Status::InvalidArgument(std::string("not a string: ") +
-                                   TTypeName(type()));
-  }
-  return string_value();
-}
-
 const ThriftValue* ThriftValue::FindField(int16_t id) const {
   if (!is_struct()) return nullptr;
   const auto& fields = struct_value().fields;

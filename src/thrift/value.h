@@ -104,7 +104,6 @@ class ThriftValue {
 
   /// Checked accessors.
   Result<int64_t> AsI64() const;
-  Result<std::string> AsString() const;
 
   /// Struct convenience: the field with the given id, or nullptr.
   const ThriftValue* FindField(int16_t id) const;

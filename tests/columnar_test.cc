@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
+#include "landing_oracle.h"
 #include "obs/metrics.h"
 
 namespace unilog::columnar {
@@ -43,6 +44,18 @@ std::string WriteAll(const std::vector<events::ClientEvent>& events,
                      size_t rows_per_group) {
   std::string body;
   RcFileWriter writer(&body, rows_per_group);
+  for (const auto& ev : events) writer.Add(ev);
+  writer.Finish();
+  return body;
+}
+
+/// `events` in the given format: v2 through RcFileWriter, v1 through the
+/// frozen row-at-a-time writer (the reader still reads v1 files).
+std::string WriteVersion(const std::vector<events::ClientEvent>& events,
+                         size_t rows_per_group, int version) {
+  if (version == 2) return WriteAll(events, rows_per_group);
+  std::string body;
+  landing_oracle::RowWriter writer(&body, rows_per_group, version);
   for (const auto& ev : events) writer.Add(ev);
   writer.Finish();
   return body;
@@ -110,10 +123,7 @@ TEST(RcFileTest, ProjectionTouchesFewerBytes) {
 TEST(RcFileTest, NameOnlyScanMatchesRows) {
   auto events = MakeEvents(77);
   for (int version : {1, 2}) {
-    std::string body;
-    RcFileWriter writer(&body, RcFileWriterOptions{25, version});
-    for (const auto& ev : events) ASSERT_TRUE(writer.Add(ev).ok());
-    ASSERT_TRUE(writer.Finish().ok());
+    const std::string body = WriteVersion(events, 25, version);
     ScanSpec names_only;
     names_only.columns = ColumnBit(EventColumn::kEventName);
     std::vector<events::ClientEvent> got;
@@ -183,17 +193,10 @@ TEST(RcFileTest, FinishIsIdempotentAndRequired) {
 
 TEST(RcFileTest, V1FormatRoundTrip) {
   auto events = MakeEvents(60);
-  std::string body;
-  RcFileWriterOptions options;
-  options.rows_per_group = 16;
-  options.format_version = 1;
-  RcFileWriter writer(&body, options);
-  for (const auto& ev : events) ASSERT_TRUE(writer.Add(ev).ok());
-  ASSERT_TRUE(writer.Finish().ok());
+  const std::string body = WriteVersion(events, 16, 1);
   EXPECT_FALSE(IsRcFile(body));  // no v2 magic on the legacy layout
 
   RcFileReader reader(body);
-  EXPECT_EQ(reader.format_version(), 1);
   std::vector<events::ClientEvent> back;
   ASSERT_TRUE(reader.ReadAll(kAllColumns, &back).ok());
   ASSERT_EQ(back.size(), events.size());
@@ -208,10 +211,7 @@ TEST(RcFileTest, V1FormatRoundTrip) {
 TEST(RcFileTest, EveryColumnRoundTripsAloneInBothVersions) {
   auto events = MakeEvents(45);
   for (int version : {1, 2}) {
-    std::string body;
-    RcFileWriter writer(&body, RcFileWriterOptions{16, version});
-    for (const auto& ev : events) ASSERT_TRUE(writer.Add(ev).ok());
-    ASSERT_TRUE(writer.Finish().ok());
+    const std::string body = WriteVersion(events, 16, version);
     for (int c = 0; c < kEventColumns; ++c) {
       std::vector<events::ClientEvent> got;
       ASSERT_TRUE(RcFileReader(body).ReadAll(1u << c, &got).ok());
@@ -528,19 +528,10 @@ bool DriveEveryReader(std::string_view body) {
   return reader.Scan(ScanSpec(), &out).ok();
 }
 
-std::string WriteVersion(const std::vector<events::ClientEvent>& events,
-                         int version) {
-  std::string body;
-  RcFileWriter writer(&body, RcFileWriterOptions{16, version});
-  for (const auto& ev : events) EXPECT_TRUE(writer.Add(ev).ok());
-  EXPECT_TRUE(writer.Finish().ok());
-  return body;
-}
-
 TEST(RcFileHostileTest, EveryTruncationFailsUnlessOnAGroupBoundary) {
   auto events = MakeEvents(40);
   for (int version : {1, 2}) {
-    std::string body = WriteVersion(events, version);
+    std::string body = WriteVersion(events, 16, version);
     std::set<size_t> boundaries = {0, body.size()};
     if (version == 2) boundaries.insert(4);  // the bare magic: no groups
     auto groups = RcFileReader(body).IndexGroups();
@@ -558,7 +549,7 @@ TEST(RcFileHostileTest, SeededByteFlipsNeverCrash) {
   auto events = MakeEvents(40);
   Rng rng(20120821);
   for (int version : {1, 2}) {
-    const std::string body = WriteVersion(events, version);
+    const std::string body = WriteVersion(events, 16, version);
     for (int trial = 0; trial < 400; ++trial) {
       std::string garbled = body;
       const size_t pos = rng.Uniform(garbled.size());
@@ -687,14 +678,7 @@ TEST(ContentFingerprintTest, ChangesWithContentAndGrouping) {
 
 TEST(ContentFingerprintTest, V1FilesAreFailedPrecondition) {
   auto events = MakeEvents(20);
-  std::string body;
-  RcFileWriterOptions options;
-  options.rows_per_group = 8;
-  options.format_version = 1;
-  RcFileWriter writer(&body, options);
-  for (const auto& ev : events) ASSERT_TRUE(writer.Add(ev).ok());
-  ASSERT_TRUE(writer.Finish().ok());
-  RcFileReader reader(body);
+  RcFileReader reader(WriteVersion(events, 8, 1));
   EXPECT_TRUE(reader.ContentFingerprint().status().IsFailedPrecondition());
 }
 

@@ -12,7 +12,9 @@
 #include "events/client_event.h"
 #include "events/event_name.h"
 #include "events/rollup.h"
+#include "obs/delivery_audit.h"
 #include "scribe/aggregator.h"
+#include "scribe/cluster.h"
 #include "scribe/log_mover.h"
 #include "scribe/message.h"
 #include "sessions/dictionary.h"
@@ -145,6 +147,62 @@ TEST(LogMoverIndexTest, NamelessMessageIsIndexedWithoutRetryOrLateDrop) {
   auto index = etwin::EventNameIndex::Load(warehouse, hour_dir);
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->FilesMatching(events::EventPattern("*:click")).size(), 1u);
+}
+
+TEST(LogMoverIndexTest, FailedIndexWriteRetriesTheHourWithoutLateDrops) {
+  Simulator sim(kT0);
+  scribe::ClusterTopology topo;
+  topo.datacenters = {"dc1"};
+  topo.aggregators_per_dc = 1;
+  topo.daemons_per_dc = 2;
+  scribe::ScribeOptions sopts;
+  sopts.roll_interval_ms = 10 * kMillisPerSecond;
+  scribe::LogMoverOptions mopts;
+  mopts.run_interval_ms = kMillisPerMinute;
+  mopts.grace_ms = kMillisPerMinute;
+  mopts.index_categories = {"client_events"};
+  scribe::ScribeCluster cluster(&sim, topo, sopts, mopts, /*seed=*/5);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  const int kEvents = 20;
+  for (int i = 0; i < kEvents; ++i) {
+    events::ClientEvent ev;
+    ev.event_name = i % 2 == 0 ? "web:home:::tweet:click"
+                               : "web:home:::tweet:impression";
+    ev.user_id = i;
+    ev.session_id = "s";
+    ev.ip = "10.0.0.1";
+    ev.timestamp = kT0 + i * kMillisPerMinute;
+    sim.At(ev.timestamp, [&cluster, msg = ev.Serialize()] {
+      cluster.Log(0, scribe::LogEntry{"client_events", msg});
+    });
+  }
+  // Writing the hour's index fails once, after its parts are written.
+  cluster.warehouse()->InjectWriteFailureOnce(
+      std::string("/tmp/logmover/client_events/2012/08/21/00/") +
+      etwin::EventNameIndex::kIndexFile);
+  sim.RunUntil(kT0 + 2 * kMillisPerHour + 10 * kMillisPerMinute);
+
+  // One retry redid the hour: every event was moved once, none of the
+  // hour's staged files was dropped as late, and the index points at the
+  // slid parts.
+  const scribe::LogMoverStats stats = cluster.mover()->stats();
+  EXPECT_EQ(stats.move_retries, 1u);
+  EXPECT_EQ(stats.messages_moved, static_cast<uint64_t>(kEvents));
+  EXPECT_EQ(stats.late_files_dropped, 0u);
+  EXPECT_EQ(stats.late_entries_dropped, 0u);
+  const std::string hour_dir = "/logs/client_events/2012/08/21/00";
+  auto index = etwin::EventNameIndex::Load(*cluster.warehouse(), hour_dir);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->distinct_event_names(), 2u);
+  auto files = index->FilesMatching(events::EventPattern("*:click"));
+  ASSERT_FALSE(files.empty());
+  for (const auto& file : files) {
+    EXPECT_EQ(file.rfind(hour_dir + "/", 0), 0u) << file;
+    EXPECT_TRUE(cluster.warehouse()->Exists(file)) << file;
+  }
+  obs::DeliveryAudit audit(&cluster);
+  EXPECT_TRUE(audit.AssertQuiescent().ok()) << audit.Snapshot().ToString();
 }
 
 TEST(FunnelEdgeTest, RepeatedStageEventsCountInOrder) {

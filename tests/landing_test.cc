@@ -381,23 +381,20 @@ TEST(ColumnarLandingOracleTest, HostileMessagesLandInTheSidecar) {
 
 TEST(ColumnarLandingOracleTest, WriterMatchesRowAtATimeWriter) {
   Rng rng(11);
-  for (int version : {1, 2}) {
-    for (size_t rows_per_group : {1u, 3u, 1024u}) {
-      for (size_t rows : {0u, 1u, 1023u, 1024u, 1025u, 2049u}) {
-        std::string got, want;
-        columnar::RcFileWriter writer(
-            &got, columnar::RcFileWriterOptions{rows_per_group, version});
-        landing_oracle::RowWriter oracle(&want, rows_per_group, version);
-        for (size_t i = 0; i < rows; ++i) {
-          ClientEvent ev = RandomEvent(rng);
-          ASSERT_TRUE(writer.Add(ev).ok());
-          oracle.Add(ev);
-        }
-        ASSERT_TRUE(writer.Finish().ok());
-        oracle.Finish();
-        EXPECT_TRUE(got == want) << "version " << version << " rows_per_group "
-                                 << rows_per_group << " rows " << rows;
+  for (size_t rows_per_group : {1u, 3u, 1024u}) {
+    for (size_t rows : {0u, 1u, 1023u, 1024u, 1025u, 2049u}) {
+      std::string got, want;
+      columnar::RcFileWriter writer(&got, rows_per_group);
+      landing_oracle::RowWriter oracle(&want, rows_per_group);
+      for (size_t i = 0; i < rows; ++i) {
+        ClientEvent ev = RandomEvent(rng);
+        ASSERT_TRUE(writer.Add(ev).ok());
+        oracle.Add(ev);
       }
+      ASSERT_TRUE(writer.Finish().ok());
+      oracle.Finish();
+      EXPECT_TRUE(got == want)
+          << "rows_per_group " << rows_per_group << " rows " << rows;
     }
   }
 }

@@ -492,37 +492,39 @@ TEST_F(WorkflowEngineTest, IdenticalPlansCollapseToOneComputation) {
 
 TEST_F(WorkflowEngineTest, SharedScanMatchesIndependentAndScansLess) {
   WriteHour(0);
-  auto add_all = [this](WorkflowEngine& e) {
-    ASSERT_TRUE(e.AddWorkflow(ClickCounts("clicks")).ok());
-    ASSERT_TRUE(e.AddWorkflow(Window("early", 0, 20)).ok());
-    WorkflowSpec residual = Window("residual", 5, 45);
-    residual.filters.push_back(
-        {"session_id", "==", dataflow::Value::Str("s1")});
-    residual.project_cols = {"event_name", "timestamp"};
-    residual.project_names = {"n", "t"};
-    ASSERT_TRUE(e.AddWorkflow(residual).ok());
-  };
+  std::vector<WorkflowSpec> specs = {ClickCounts("clicks"),
+                                     Window("early", 0, 20),
+                                     Window("residual", 5, 45)};
+  specs[2].filters.push_back({"session_id", "==", dataflow::Value::Str("s1")});
+  specs[2].project_cols = {"event_name", "timestamp"};
+  specs[2].project_names = {"n", "t"};
 
-  OinkOptions independent;
-  independent.enable_shared_scans = false;
-  independent.enable_cache = false;
-  WorkflowEngine ref(&fs_, independent);
-  add_all(ref);
-  ASSERT_TRUE(ref.RunTick(0).ok());
-  EXPECT_EQ(ref.last_tick().shared_scan_groups, 0u);
-  uint64_t independent_bytes = ref.last_tick().scan_bytes_decompressed;
+  OinkOptions options;
+  options.enable_cache = false;
+  // Reference: one single-workflow engine per workflow, so no scan is
+  // shared.
+  uint64_t independent_bytes = 0;
+  std::vector<std::string> want;
+  for (const WorkflowSpec& spec : specs) {
+    WorkflowEngine ref(&fs_, options);
+    ASSERT_TRUE(ref.AddWorkflow(spec).ok());
+    ASSERT_TRUE(ref.RunTick(0).ok());
+    EXPECT_EQ(ref.last_tick().shared_scan_groups, 0u);
+    independent_bytes += ref.last_tick().scan_bytes_decompressed;
+    want.push_back(ResultBytes(ref, spec.name));
+  }
 
-  OinkOptions shared;
-  shared.enable_cache = false;
-  WorkflowEngine eng(&fs_, shared);
-  add_all(eng);
+  WorkflowEngine eng(&fs_, options);
+  for (const WorkflowSpec& spec : specs) {
+    ASSERT_TRUE(eng.AddWorkflow(spec).ok());
+  }
   ASSERT_TRUE(eng.RunTick(0).ok());
   EXPECT_EQ(eng.last_tick().shared_scan_groups, 1u);
   EXPECT_EQ(eng.last_tick().shared_scan_fanout, 3u);
   EXPECT_LT(eng.last_tick().scan_bytes_decompressed, independent_bytes);
 
-  for (const char* name : {"clicks", "early", "residual"}) {
-    EXPECT_EQ(ResultBytes(eng, name), ResultBytes(ref, name)) << name;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(ResultBytes(eng, specs[i].name), want[i]) << specs[i].name;
   }
 }
 

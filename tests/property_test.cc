@@ -1486,20 +1486,18 @@ TEST_P(OinkMemoPropertyTest, ColdWarmSharedAndParallelAllAgree) {
       wfs.push_back(RandomWorkflow(rng, "wf" + std::to_string(w), dir));
     }
 
-    // Reference: serial, no cache, no sharing.
+    // Reference: serial, no cache, one single-workflow engine per
+    // workflow, so no scan is shared.
     std::vector<std::string> want(nwf);
-    {
+    for (size_t w = 0; w < nwf; ++w) {
       oink::OinkOptions options;
       options.enable_cache = false;
-      options.enable_shared_scans = false;
       oink::WorkflowEngine ref(&fs, options);
-      for (const auto& wf : wfs) ASSERT_TRUE(ref.AddWorkflow(wf).ok());
+      ASSERT_TRUE(ref.AddWorkflow(wfs[w]).ok());
       ASSERT_TRUE(ref.RunTick(0).ok());
-      for (size_t w = 0; w < nwf; ++w) {
-        auto rel = ref.ResultFor(wfs[w].name);
-        ASSERT_TRUE(rel.ok());
-        want[w] = dataflow::SerializeRelation(*rel);
-      }
+      auto rel = ref.ResultFor(wfs[w].name);
+      ASSERT_TRUE(rel.ok());
+      want[w] = dataflow::SerializeRelation(*rel);
     }
 
     auto check = [&](oink::WorkflowEngine& engine, const std::string& what) {

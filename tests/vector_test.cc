@@ -544,9 +544,7 @@ std::unique_ptr<hdfs::MiniHdfs> ScanWarehouse(uint64_t seed, int64_t base_ts,
   auto fs = std::make_unique<hdfs::MiniHdfs>();
   for (int part = 0; part < 2; ++part) {
     std::string body;
-    columnar::RcFileWriterOptions wopts;
-    wopts.rows_per_group = 37;
-    columnar::RcFileWriter writer(&body, wopts);
+    columnar::RcFileWriter writer(&body, 37);
     for (size_t i = 0; i < events_per_part; ++i) {
       EXPECT_TRUE(writer.Add(ScanEvent(rng, base_ts)).ok());
     }
