@@ -17,26 +17,35 @@
 namespace unilog::bench {
 
 inline std::atomic<uint64_t> g_alloc_count{0};
+inline std::atomic<uint64_t> g_alloc_bytes{0};
 
 /// Total operator-new calls since process start.
 inline uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-/// Measures the allocation count across a scope.
+/// Total bytes requested from operator new since process start.
+inline uint64_t AllocBytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+
+/// Measures the allocation count (and bytes requested) across a scope.
 class AllocScope {
  public:
-  AllocScope() : start_(AllocCount()) {}
+  AllocScope() : start_(AllocCount()), start_bytes_(AllocBytes()) {}
   uint64_t Delta() const { return AllocCount() - start_; }
+  uint64_t Bytes() const { return AllocBytes() - start_bytes_; }
 
  private:
   uint64_t start_;
+  uint64_t start_bytes_;
 };
 
 }  // namespace unilog::bench
 
 void* operator new(std::size_t size) {
   unilog::bench::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  unilog::bench::g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -45,6 +54,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
   unilog::bench::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  unilog::bench::g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
 #if defined(_WIN32)
   void* p = _aligned_malloc(size ? size : 1, static_cast<std::size_t>(align));
 #else

@@ -1,6 +1,8 @@
 #include "columnar/rcfile.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <iterator>
 
 #include "common/coding.h"
@@ -12,16 +14,25 @@ namespace unilog::columnar {
 
 namespace {
 
-/// FNV-1a over a byte range: the group checksum. Zone maps and
-/// dictionaries live uncompressed in the header, where a flipped byte
-/// would otherwise read back as silently different data (unlike the
-/// compressed blobs, which usually fail Lz decoding).
-uint32_t Fnv1a(std::string_view data) {
+/// The group checksum over a byte range. Zone maps and dictionaries live
+/// uncompressed in the header, where a flipped byte would otherwise read
+/// back as silently different data. v2 is FNV-1a over bytes; v3 is the
+/// same step over little-endian 32-bit words (a 1-3 byte tail bytewise),
+/// a quarter of the multiplies. Every step is a bijection of the state,
+/// so any one changed byte or word changes the checksum.
+uint32_t GroupChecksum(std::string_view data, int version) {
+  constexpr uint32_t kPrime = 16777619u;
   uint32_t h = 2166136261u;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 16777619u;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  if (version >= 3) {
+    for (; n >= 4; p += 4, n -= 4) {
+      const uint32_t w = uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                         uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+      h = (h ^ w) * kPrime;
+    }
   }
+  for (; n > 0; ++p, --n) h = (h ^ *p) * kPrime;
   return h;
 }
 
@@ -82,8 +93,8 @@ Status ReadGroupHeader(Decoder* dec, int version, GroupHeader* hdr) {
   const size_t header_end = dec->position();
   uint32_t expected = 0;
   UNILOG_RETURN_NOT_OK(dec->GetVarint32(&expected));
-  if (Fnv1a(dec->data().substr(header_begin, header_end - header_begin)) !=
-      expected) {
+  if (GroupChecksum(dec->data().substr(header_begin, header_end - header_begin),
+                    version) != expected) {
     return Status::Corruption("rcfile: row-group header checksum mismatch");
   }
   hdr->header_checksum = expected;
@@ -91,7 +102,7 @@ Status ReadGroupHeader(Decoder* dec, int version, GroupHeader* hdr) {
   return Status::OK();
 }
 
-/// Advances past a group's column blobs without decompressing any.
+/// Advances past a group's column blobs without decoding any.
 Status SkipBlobs(Decoder* dec) {
   for (int c = 0; c < kEventColumns; ++c) {
     std::string_view blob;
@@ -100,25 +111,193 @@ Status SkipBlobs(Decoder* dec) {
   return Status::OK();
 }
 
-/// Per-group scratch: each needed column is decompressed at most once.
+// ---------------------------------------------------------------------------
+// v3 column encodings (the layout is described in rcfile.h)
+
+/// Bits that hold every value in [0, max]: 0 when max is 0.
+int BitWidth(uint64_t max) { return static_cast<int>(std::bit_width(max)); }
+
+/// Bytes of a run of `n` values packed at `width` bits.
+uint64_t PackedBytes(uint64_t n, int width) {
+  return (n * static_cast<uint64_t>(width) + 7) / 8;
+}
+
+/// Appends a packed run: the width byte, then value(i) for i in [0, n),
+/// each below 2^width, packed LSB-first into PackedBytes(n, width) bytes.
+template <typename Value>
+void AppendPackedRun(std::string* out, size_t n, int width, Value value) {
+  out->push_back(static_cast<char>(width));
+  const size_t begin = out->size();
+  out->resize(begin + PackedBytes(n, width));
+  if (width == 0) return;
+  char* p = out->data() + begin;
+  uint64_t acc = 0;
+  int bits = 0;  // pending bits in acc, always < 64
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t v = value(i);
+    acc |= v << bits;
+    if (bits + width < 64) {
+      bits += width;
+      continue;
+    }
+    for (int k = 0; k < 8; ++k) *p++ = static_cast<char>(acc >> (8 * k));
+    const int used = 64 - bits;  // bits of v already in the flushed word
+    acc = used == 64 ? 0 : v >> used;
+    bits += width - 64;
+  }
+  for (; bits > 0; bits -= 8) {
+    *p++ = static_cast<char>(acc);
+    acc >>= 8;
+  }
+}
+
+/// A word-at-a-time hash for dictionary probing; never stored.
+uint64_t HashBytes(std::string_view s, uint64_t h) {
+  const char* p = s.data();
+  size_t n = s.size();
+  h ^= n * 0x9e3779b97f4a7c15ull;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 31;
+  }
+  uint64_t w = 0;
+  if (n > 0) std::memcpy(&w, p, n);
+  h ^= w;
+  // Finalize so the low bits the table masks with depend on every byte.
+  h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdull;
+  h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
+
+uint64_t LoadLittleEndian64(const unsigned char* p) {
+  uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int k = 0; k < 8; ++k) v |= uint64_t{p[k]} << (8 * k);
+  }
+  return v;
+}
+
+/// A stored packed run, read by index.
+class PackedRun {
+ public:
+  /// Reads a run of `n` values at the decoder: a width of at most 64 and
+  /// exactly PackedBytes(n, width) bytes behind it.
+  Status Read(Decoder* dec, uint64_t n) {
+    std::string_view width;
+    UNILOG_RETURN_NOT_OK(dec->GetBytes(1, &width));
+    width_ = static_cast<unsigned char>(width[0]);
+    if (width_ > 64) return Status::Corruption("rcfile: bit width above 64");
+    if (width_ != 0 && n > dec->remaining() * 8 / width_) {
+      return Status::Corruption("rcfile: packed run past its column");
+    }
+    std::string_view bytes;
+    UNILOG_RETURN_NOT_OK(dec->GetBytes(PackedBytes(n, width_), &bytes));
+    data_ = reinterpret_cast<const unsigned char*>(bytes.data());
+    size_ = bytes.size();
+    mask_ = width_ == 64 ? ~uint64_t{0} : (uint64_t{1} << width_) - 1;
+    return Status::OK();
+  }
+
+  int width() const { return width_; }
+
+  /// Value i; i must be below the run's length.
+  uint64_t operator[](uint64_t i) const {
+    if (width_ == 0) return 0;
+    const uint64_t bit = i * static_cast<uint64_t>(width_);
+    const size_t byte = bit >> 3;
+    const int shift = static_cast<int>(bit & 7);
+    uint64_t v = 0;
+    if (byte + 8 <= size_) {
+      v = LoadLittleEndian64(data_ + byte) >> shift;
+      // The run's exact length puts a value's ninth byte inside it.
+      if (shift + width_ > 64) v |= uint64_t{data_[byte + 8]} << (64 - shift);
+    } else {
+      for (size_t k = 0; byte + k < size_; ++k) {
+        v |= uint64_t{data_[byte + k]} << (8 * k);
+      }
+      v >>= shift;
+    }
+    return v & mask_;
+  }
+
+ private:
+  const unsigned char* data_ = nullptr;
+  size_t size_ = 0;
+  int width_ = 0;
+  uint64_t mask_ = 0;
+};
+
+/// Reads a packed run of `n` codes into a dictionary of `entries` values,
+/// each checked to be below `entries`.
+Status ReadCodes(Decoder* dec, uint64_t n, uint64_t entries,
+                 std::vector<uint32_t>* codes) {
+  PackedRun run;
+  UNILOG_RETURN_NOT_OK(run.Read(dec, n));
+  codes->resize(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t code = run[i];
+    if (code >= entries) {
+      return Status::Corruption("rcfile: code past its page");
+    }
+    (*codes)[i] = static_cast<uint32_t>(code);
+  }
+  return Status::OK();
+}
+
+/// Reads a page's entry count, at most `max_entries` and at most one entry
+/// per remaining byte (every entry spends a length byte or more).
+Status ReadPageCount(Decoder* dec, uint64_t max_entries, uint64_t* count) {
+  UNILOG_RETURN_NOT_OK(dec->GetVarint64(count));
+  if (*count > max_entries || *count > dec->remaining()) {
+    return Status::Corruption("rcfile: page larger than its column");
+  }
+  return Status::OK();
+}
+
+Status ColumnOverrun(const Decoder& dec) {
+  if (!dec.AtEnd()) return Status::Corruption("rcfile: column overrun");
+  return Status::OK();
+}
+
+/// Per-group scratch: each needed column is decoded to its stored bytes
+/// at most once (v1/v2 blobs are Lz blocks, v3 blobs are used in place).
 struct GroupBlobs {
-  std::string_view compressed[kEventColumns];
-  std::string decompressed[kEventColumns];
+  int version = 1;
+  std::string_view stored[kEventColumns];
+  std::string inflated[kEventColumns];
+  std::string_view bytes[kEventColumns];
   bool done[kEventColumns] = {};
 
   Status Ensure(EventColumn column, ScanStats* stats) {
     int c = static_cast<int>(column);
     if (done[c]) return Status::OK();
-    stats->bytes_decompressed += compressed[c].size();
-    UNILOG_ASSIGN_OR_RETURN(decompressed[c], Lz::Decompress(compressed[c]));
+    stats->bytes_decompressed += stored[c].size();
+    if (version >= 3) {
+      bytes[c] = stored[c];
+    } else {
+      UNILOG_ASSIGN_OR_RETURN(inflated[c], Lz::Decompress(stored[c]));
+      bytes[c] = inflated[c];
+    }
     done[c] = true;
     return Status::OK();
   }
 };
 
+// ---------------------------------------------------------------------------
+// Column decoders: every row of one column, dispatched on version.
+
 Status DecodeNameIds(std::string_view blob, const GroupHeader& hdr,
-                     std::vector<uint32_t>* ids) {
+                     int version, std::vector<uint32_t>* ids) {
   Decoder dec(blob);
+  if (version >= 3) {
+    UNILOG_RETURN_NOT_OK(
+        ReadCodes(&dec, hdr.row_count, hdr.name_dict.size(), ids));
+    return ColumnOverrun(dec);
+  }
   ids->resize(hdr.row_count);
   for (auto& id : *ids) {
     UNILOG_RETURN_NOT_OK(dec.GetVarint32(&id));
@@ -126,8 +305,28 @@ Status DecodeNameIds(std::string_view blob, const GroupHeader& hdr,
       return Status::Corruption("rcfile: event-name id out of range");
     }
   }
-  if (!dec.AtEnd()) return Status::Corruption("rcfile: column overrun");
-  return Status::OK();
+  return ColumnOverrun(dec);
+}
+
+/// Codes into the header's initiator dictionary (v2/v3), or the raw enum
+/// values of a v1 column.
+Status DecodeInitiators(std::string_view blob, const GroupHeader& hdr,
+                        int version, std::vector<uint32_t>* codes) {
+  Decoder dec(blob);
+  if (version >= 3) {
+    UNILOG_RETURN_NOT_OK(
+        ReadCodes(&dec, hdr.row_count, hdr.init_dict.size(), codes));
+    return ColumnOverrun(dec);
+  }
+  const uint64_t entries = version >= 2 ? hdr.init_dict.size() : 4;
+  codes->resize(hdr.row_count);
+  for (auto& code : *codes) {
+    uint64_t v = 0;
+    UNILOG_RETURN_NOT_OK(dec.GetVarint64(&v));
+    if (v >= entries) return Status::Corruption("rcfile: bad initiator");
+    code = static_cast<uint32_t>(v);
+  }
+  return ColumnOverrun(dec);
 }
 
 Status DecodeInt64Column(std::string_view blob, uint64_t row_count,
@@ -137,7 +336,125 @@ Status DecodeInt64Column(std::string_view blob, uint64_t row_count,
   for (auto& v : *values) {
     UNILOG_RETURN_NOT_OK(dec.GetSignedVarint64(&v));
   }
-  if (!dec.AtEnd()) return Status::Corruption("rcfile: column overrun");
+  return ColumnOverrun(dec);
+}
+
+Status DecodeUserIds(std::string_view blob, const GroupHeader& hdr,
+                     int version, std::vector<int64_t>* values) {
+  if (version < 3) return DecodeInt64Column(blob, hdr.row_count, values);
+  Decoder dec(blob);
+  PackedRun run;
+  UNILOG_RETURN_NOT_OK(run.Read(&dec, hdr.row_count));
+  UNILOG_RETURN_NOT_OK(ColumnOverrun(dec));
+  values->resize(hdr.row_count);
+  const auto base = static_cast<uint64_t>(hdr.min_uid);
+  for (uint64_t r = 0; r < hdr.row_count; ++r) {
+    (*values)[r] = static_cast<int64_t>(base + run[r]);
+  }
+  return Status::OK();
+}
+
+Status DecodeTimestamps(std::string_view blob, const GroupHeader& hdr,
+                        int version, std::vector<int64_t>* values) {
+  if (version < 3) return DecodeInt64Column(blob, hdr.row_count, values);
+  Decoder dec(blob);
+  values->resize(hdr.row_count);
+  auto prev = static_cast<uint64_t>(hdr.min_ts);
+  for (auto& v : *values) {
+    int64_t delta = 0;
+    UNILOG_RETURN_NOT_OK(dec.GetSignedVarint64(&delta));
+    prev += static_cast<uint64_t>(delta);
+    v = static_cast<int64_t>(prev);
+  }
+  return ColumnOverrun(dec);
+}
+
+/// A session-id or ip column as one view per row into the column bytes.
+Status DecodeStrings(std::string_view blob, uint64_t row_count, int version,
+                     std::vector<std::string_view>* values) {
+  Decoder dec(blob);
+  values->resize(row_count);
+  if (version < 3) {
+    for (auto& v : *values) UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&v));
+    return ColumnOverrun(dec);
+  }
+  uint64_t entries = 0;
+  UNILOG_RETURN_NOT_OK(ReadPageCount(&dec, row_count, &entries));
+  std::vector<std::string_view> page(entries);
+  for (auto& entry : page) UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&entry));
+  std::vector<uint32_t> codes;
+  UNILOG_RETURN_NOT_OK(ReadCodes(&dec, row_count, entries, &codes));
+  for (uint64_t r = 0; r < row_count; ++r) (*values)[r] = page[codes[r]];
+  return ColumnOverrun(dec);
+}
+
+using Details = std::vector<std::pair<std::string, std::string>>;
+
+/// The details column; only rows with sel[r] set are materialized, one
+/// Details per selected row, but every row is validated.
+Status DecodeDetails(std::string_view blob, uint64_t row_count, int version,
+                     const std::vector<uint8_t>& sel, size_t selected,
+                     std::vector<Details>* out) {
+  Decoder dec(blob);
+  out->reserve(out->size() + selected);
+  if (version < 3) {
+    for (uint64_t r = 0; r < row_count; ++r) {
+      uint64_t n = 0;
+      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&n));
+      // Each pair spends at least two length-prefix bytes.
+      if (n > dec.remaining() / 2) {
+        return Status::Corruption("rcfile: bad details count");
+      }
+      Details pairs;
+      if (sel[r]) pairs.reserve(n);
+      for (uint64_t i = 0; i < n; ++i) {
+        std::string_view k, v;
+        UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&k));
+        UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&v));
+        if (sel[r]) pairs.emplace_back(k, v);
+      }
+      if (sel[r]) out->push_back(std::move(pairs));
+    }
+    return ColumnOverrun(dec);
+  }
+  uint64_t entries = 0;  // each entry spends two length bytes or more
+  UNILOG_RETURN_NOT_OK(ReadPageCount(&dec, dec.remaining() / 2, &entries));
+  std::vector<events::DetailView> page(entries);
+  for (auto& [k, v] : page) {
+    UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&k));
+    UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&v));
+  }
+  PackedRun counts, codes;
+  UNILOG_RETURN_NOT_OK(counts.Read(&dec, row_count));
+  uint64_t code_count = 0;
+  UNILOG_RETURN_NOT_OK(dec.GetVarint64(&code_count));
+  UNILOG_RETURN_NOT_OK(codes.Read(&dec, code_count));
+  // A zero-width run would let a claimed count stand for any number of
+  // pairs; a width of one bit or more bounds them by the run's bytes.
+  if (codes.width() == 0 && code_count > 0) {
+    return Status::Corruption("rcfile: details codes without a width");
+  }
+  UNILOG_RETURN_NOT_OK(ColumnOverrun(dec));
+  uint64_t next = 0;
+  for (uint64_t r = 0; r < row_count; ++r) {
+    const uint64_t n = counts[r];
+    if (n > code_count - next) {
+      return Status::Corruption("rcfile: details count past the codes left");
+    }
+    Details pairs;
+    if (sel[r]) pairs.reserve(n);
+    for (uint64_t end = next + n; next < end; ++next) {
+      const uint64_t code = codes[next];
+      if (code >= entries) {
+        return Status::Corruption("rcfile: code past its page");
+      }
+      if (sel[r]) pairs.emplace_back(page[code].first, page[code].second);
+    }
+    if (sel[r]) out->push_back(std::move(pairs));
+  }
+  if (next != code_count) {
+    return Status::Corruption("rcfile: details codes left over");
+  }
   return Status::OK();
 }
 
@@ -155,6 +472,31 @@ struct GroupSelection {
   size_t selected = 0;
 };
 
+/// Every encoding spends at least one byte per row in some column, so a
+/// group whose columns cannot hold its claimed row count is corrupt. This
+/// runs before anything is sized from that count or any blob is decoded:
+/// v1/v2 columns each decompress to a byte or more per row (the size is
+/// the Lz block's leading varint, which Decompress holds the block to),
+/// and a v3 timestamp column spends a varint per row.
+Status CheckRowCountFits(const GroupBlobs& blobs, uint64_t row_count) {
+  if (blobs.version >= 3) {
+    if (blobs.stored[static_cast<int>(EventColumn::kTimestamp)].size() <
+        row_count) {
+      return Status::Corruption("rcfile: column shorter than its row count");
+    }
+    return Status::OK();
+  }
+  for (std::string_view blob : blobs.stored) {
+    Decoder lz(blob);
+    uint64_t decompressed_size = 0;
+    UNILOG_RETURN_NOT_OK(lz.GetVarint64(&decompressed_size));
+    if (decompressed_size < row_count) {
+      return Status::Corruption("rcfile: column shorter than its row count");
+    }
+  }
+  return Status::OK();
+}
+
 Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
                        const RowMatcher& matcher, GroupSelection* g,
                        ScanStats* stats) {
@@ -162,7 +504,7 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
   UNILOG_RETURN_NOT_OK(ReadGroupHeader(dec, version, &hdr));
   ++stats->groups_total;
 
-  // Group-level skips, all header-only (v2; a v1 group has no zone map).
+  // Group-level skips, all header-only (v2/v3; a v1 group has no zone map).
   std::vector<uint8_t> name_flags;
   if (version >= 2) {
     bool skip = false;
@@ -197,28 +539,18 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
   }
 
   GroupBlobs& blobs = g->blobs;
+  blobs.version = version;
   const size_t blobs_begin = dec->position();
   for (int c = 0; c < kEventColumns; ++c) {
-    UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&blobs.compressed[c]));
+    UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&blobs.stored[c]));
   }
   if (version >= 2 &&
-      Fnv1a(dec->data().substr(blobs_begin, dec->position() - blobs_begin)) !=
-          hdr.blobs_checksum) {
+      GroupChecksum(
+          dec->data().substr(blobs_begin, dec->position() - blobs_begin),
+          version) != hdr.blobs_checksum) {
     return Status::Corruption("rcfile: row-group blob checksum mismatch");
   }
-  // Every column encoding spends at least one byte per row, so a column
-  // that decompresses to fewer bytes than the claimed row count is
-  // corrupt. Its size is the Lz block's leading varint (Decompress holds
-  // the block to it), so this runs before anything is sized from the
-  // claimed count and before any blob is decompressed.
-  for (std::string_view blob : blobs.compressed) {
-    Decoder lz(blob);
-    uint64_t decompressed_size = 0;
-    UNILOG_RETURN_NOT_OK(lz.GetVarint64(&decompressed_size));
-    if (decompressed_size < hdr.row_count) {
-      return Status::Corruption("rcfile: column shorter than its row count");
-    }
-  }
+  UNILOG_RETURN_NOT_OK(CheckRowCountFits(blobs, hdr.row_count));
   ++stats->groups_scanned;
   stats->rows_scanned += hdr.row_count;
 
@@ -228,9 +560,9 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
   if (spec.has_name_predicate()) {
     UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kEventName, stats));
     std::string_view blob =
-        blobs.decompressed[static_cast<int>(EventColumn::kEventName)];
+        blobs.bytes[static_cast<int>(EventColumn::kEventName)];
     if (version >= 2) {
-      UNILOG_RETURN_NOT_OK(DecodeNameIds(blob, hdr, &g->name_ids));
+      UNILOG_RETURN_NOT_OK(DecodeNameIds(blob, hdr, version, &g->name_ids));
       for (uint64_t r = 0; r < hdr.row_count; ++r) {
         if (name_flags[g->name_ids[r]] == 0) {
           sel[r] = 0;
@@ -244,14 +576,14 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
         UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&name));
         if (!matcher.NameMatches(name)) sel[r] = 0;
       }
-      if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
+      UNILOG_RETURN_NOT_OK(ColumnOverrun(col));
     }
   }
   if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
     UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kTimestamp, stats));
-    UNILOG_RETURN_NOT_OK(DecodeInt64Column(
-        blobs.decompressed[static_cast<int>(EventColumn::kTimestamp)],
-        hdr.row_count, &g->ts_vals));
+    UNILOG_RETURN_NOT_OK(DecodeTimestamps(
+        blobs.bytes[static_cast<int>(EventColumn::kTimestamp)], hdr, version,
+        &g->ts_vals));
     for (uint64_t r = 0; r < hdr.row_count; ++r) {
       if (spec.min_timestamp.has_value() &&
           g->ts_vals[r] < *spec.min_timestamp) {
@@ -265,9 +597,9 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
   }
   if (spec.user_ids.has_value()) {
     UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kUserId, stats));
-    UNILOG_RETURN_NOT_OK(DecodeInt64Column(
-        blobs.decompressed[static_cast<int>(EventColumn::kUserId)],
-        hdr.row_count, &g->uid_vals));
+    UNILOG_RETURN_NOT_OK(DecodeUserIds(
+        blobs.bytes[static_cast<int>(EventColumn::kUserId)], hdr, version,
+        &g->uid_vals));
     for (uint64_t r = 0; r < hdr.row_count; ++r) {
       if (spec.user_ids->count(g->uid_vals[r]) == 0) sel[r] = 0;
     }
@@ -281,10 +613,22 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
   return Status::OK();
 }
 
+/// Appends values[r] for every selected row r.
+template <typename T, typename U>
+void AppendSelected(const std::vector<uint8_t>& sel,
+                    const std::vector<T>& values, size_t selected,
+                    std::vector<U>* out) {
+  out->reserve(out->size() + selected);
+  for (size_t r = 0; r < values.size(); ++r) {
+    if (sel[r]) out->emplace_back(values[r]);
+  }
+}
+
 /// Scans one group at the decoder's position, leaving the decoder past it:
 /// SelectGroupRows, then the selected rows' masked columns land in typed
 /// arrays, the dictionary-encoded columns staying encoded (codes + a
-/// materialized-once dictionary). The only code that decodes column blobs.
+/// materialized-once dictionary). The only code that decodes column blobs;
+/// each column's decoder dispatches on the format version.
 Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
                             const RowMatcher& matcher,
                             RcFileReader::ColumnarGroup* out,
@@ -298,61 +642,42 @@ Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
   for (int c = 0; c < kEventColumns; ++c) {
     if ((spec.columns & (1u << c)) == 0) continue;
     auto column = static_cast<EventColumn>(c);
+    UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
+    std::string_view blob = g.blobs.bytes[c];
     switch (column) {
       case EventColumn::kEventName: {
         if (version >= 2) {
           if (g.name_ids.empty()) {
-            UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
             UNILOG_RETURN_NOT_OK(
-                DecodeNameIds(g.blobs.decompressed[c], hdr, &g.name_ids));
+                DecodeNameIds(blob, hdr, version, &g.name_ids));
           }
           auto dict = std::make_shared<std::vector<std::string>>();
           dict->reserve(hdr.name_dict.size());
           for (std::string_view sv : hdr.name_dict) dict->emplace_back(sv);
-          out->name_codes.reserve(g.selected);
-          for (uint64_t r = 0; r < hdr.row_count; ++r) {
-            if (g.sel[r]) out->name_codes.push_back(g.name_ids[r]);
-          }
+          AppendSelected(g.sel, g.name_ids, g.selected, &out->name_codes);
           out->name_dict = std::move(dict);
         } else {
-          UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-          Decoder col(g.blobs.decompressed[c]);
-          out->name_strs.reserve(g.selected);
-          for (uint64_t r = 0; r < hdr.row_count; ++r) {
-            std::string_view sv;
-            UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&sv));
-            if (g.sel[r]) out->name_strs.emplace_back(sv);
-          }
-          if (!col.AtEnd()) {
-            return Status::Corruption("rcfile: column overrun");
-          }
+          std::vector<std::string_view> names;
+          UNILOG_RETURN_NOT_OK(
+              DecodeStrings(blob, hdr.row_count, version, &names));
+          AppendSelected(g.sel, names, g.selected, &out->name_strs);
         }
         break;
       }
       case EventColumn::kInitiator: {
-        UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-        Decoder col(g.blobs.decompressed[c]);
-        auto dict = std::make_shared<std::vector<std::string>>();
+        std::vector<uint32_t> codes;
+        UNILOG_RETURN_NOT_OK(DecodeInitiators(blob, hdr, version, &codes));
         out->init_codes.reserve(g.selected);
         if (version >= 2) {
           out->init_values = hdr.init_dict;
-          for (uint64_t r = 0; r < hdr.row_count; ++r) {
-            uint64_t v = 0;
-            UNILOG_RETURN_NOT_OK(col.GetVarint64(&v));
-            if (v >= hdr.init_dict.size()) {
-              return Status::Corruption("rcfile: initiator id out of range");
-            }
-            if (g.sel[r]) {
-              out->init_codes.push_back(static_cast<uint32_t>(v));
-            }
-          }
+          AppendSelected(g.sel, codes, g.selected, &out->init_codes);
         } else {
+          // v1 stores enum values; code the selected rows' values on
+          // first sight.
           uint32_t code_of[4] = {~0u, ~0u, ~0u, ~0u};
           for (uint64_t r = 0; r < hdr.row_count; ++r) {
-            uint64_t v = 0;
-            UNILOG_RETURN_NOT_OK(col.GetVarint64(&v));
-            if (v > 3) return Status::Corruption("rcfile: bad initiator");
             if (!g.sel[r]) continue;
+            const uint32_t v = codes[r];
             if (code_of[v] == ~0u) {
               code_of[v] = static_cast<uint32_t>(out->init_values.size());
               out->init_values.push_back(
@@ -361,7 +686,7 @@ Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
             out->init_codes.push_back(code_of[v]);
           }
         }
-        if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
+        auto dict = std::make_shared<std::vector<std::string>>();
         dict->reserve(out->init_values.size());
         for (events::EventInitiator init : out->init_values) {
           dict->emplace_back(events::EventInitiatorName(init));
@@ -371,68 +696,33 @@ Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
       }
       case EventColumn::kUserId: {
         if (g.uid_vals.empty()) {
-          UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-          UNILOG_RETURN_NOT_OK(DecodeInt64Column(
-              g.blobs.decompressed[c], hdr.row_count, &g.uid_vals));
+          UNILOG_RETURN_NOT_OK(DecodeUserIds(blob, hdr, version, &g.uid_vals));
         }
-        out->user_ids.reserve(g.selected);
-        for (uint64_t r = 0; r < hdr.row_count; ++r) {
-          if (g.sel[r]) out->user_ids.push_back(g.uid_vals[r]);
-        }
+        AppendSelected(g.sel, g.uid_vals, g.selected, &out->user_ids);
         break;
       }
       case EventColumn::kTimestamp: {
         if (g.ts_vals.empty()) {
-          UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-          UNILOG_RETURN_NOT_OK(DecodeInt64Column(
-              g.blobs.decompressed[c], hdr.row_count, &g.ts_vals));
+          UNILOG_RETURN_NOT_OK(
+              DecodeTimestamps(blob, hdr, version, &g.ts_vals));
         }
-        out->timestamps.reserve(g.selected);
-        for (uint64_t r = 0; r < hdr.row_count; ++r) {
-          if (g.sel[r]) out->timestamps.push_back(g.ts_vals[r]);
-        }
+        AppendSelected(g.sel, g.ts_vals, g.selected, &out->timestamps);
         break;
       }
       case EventColumn::kSessionId:
       case EventColumn::kIp: {
-        UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-        Decoder col(g.blobs.decompressed[c]);
-        std::vector<std::string>& dst = column == EventColumn::kSessionId
-                                            ? out->session_ids
-                                            : out->ips;
-        dst.reserve(g.selected);
-        for (uint64_t r = 0; r < hdr.row_count; ++r) {
-          std::string_view sv;
-          UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&sv));
-          if (g.sel[r]) dst.emplace_back(sv);
-        }
-        if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
+        std::vector<std::string_view> values;
+        UNILOG_RETURN_NOT_OK(
+            DecodeStrings(blob, hdr.row_count, version, &values));
+        AppendSelected(g.sel, values, g.selected,
+                       column == EventColumn::kSessionId ? &out->session_ids
+                                                         : &out->ips);
         break;
       }
-      case EventColumn::kDetails: {
-        UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-        Decoder col(g.blobs.decompressed[c]);
-        out->details.reserve(g.selected);
-        for (uint64_t r = 0; r < hdr.row_count; ++r) {
-          uint64_t n = 0;
-          UNILOG_RETURN_NOT_OK(col.GetVarint64(&n));
-          // Each pair spends at least two length-prefix bytes.
-          if (n > col.remaining() / 2) {
-            return Status::Corruption("rcfile: bad details count");
-          }
-          std::vector<std::pair<std::string, std::string>> pairs;
-          if (g.sel[r]) pairs.reserve(n);
-          for (uint64_t i = 0; i < n; ++i) {
-            std::string_view k, v;
-            UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&k));
-            UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&v));
-            if (g.sel[r]) pairs.emplace_back(k, v);
-          }
-          if (g.sel[r]) out->details.push_back(std::move(pairs));
-        }
-        if (!col.AtEnd()) return Status::Corruption("rcfile: column overrun");
+      case EventColumn::kDetails:
+        UNILOG_RETURN_NOT_OK(DecodeDetails(blob, hdr.row_count, version,
+                                           g.sel, g.selected, &out->details));
         break;
-      }
     }
   }
   return Status::OK();
@@ -536,13 +826,60 @@ bool RowMatcher::NameMatches(std::string_view name) const {
 }
 
 bool IsRcFile(std::string_view data) {
-  return data.size() >= kRcFileMagic.size() &&
-         data.substr(0, kRcFileMagic.size()) == kRcFileMagic;
+  return data.starts_with(kRcFileMagic) || data.starts_with(kRcFileMagicV2);
+}
+
+uint32_t RowGroupEncoder::Dictionary::Intern(std::string_view key,
+                                             std::string_view value,
+                                             bool pair) {
+  if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+  const uint64_t hash = HashBytes(value, pair ? HashBytes(key, 0) : 0);
+  const std::string_view page(page_);
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    const Entry& e = entries_[slots_[i] - 1];
+    if (e.hash == hash &&
+        page.substr(e.value_offset, e.value_length) == value &&
+        page.substr(e.key_offset, e.key_length) == key) {
+      return slots_[i] - 1;
+    }
+  }
+  Entry e{hash, 0, 0, 0, 0};
+  if (pair) {
+    PutVarint64(&page_, key.size());
+    e.key_offset = static_cast<uint32_t>(page_.size());
+    e.key_length = static_cast<uint32_t>(key.size());
+    page_.append(key);
+  }
+  PutVarint64(&page_, value.size());
+  e.value_offset = static_cast<uint32_t>(page_.size());
+  e.value_length = static_cast<uint32_t>(value.size());
+  page_.append(value);
+  entries_.push_back(e);
+  slots_[i] = static_cast<uint32_t>(entries_.size());
+  return slots_[i] - 1;
+}
+
+void RowGroupEncoder::Dictionary::Grow() {
+  slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    size_t i = entries_[e].hash & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(e + 1);
+  }
+}
+
+void RowGroupEncoder::Dictionary::Clear() {
+  entries_.clear();
+  page_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0u);
 }
 
 void RowGroupEncoder::Append(const events::ClientEventView& row,
                              std::span<const events::DetailView> details) {
-  if (rows_ == 0) {
+  if (rows_.empty()) {
     min_ts_ = max_ts_ = row.timestamp;
     min_uid_ = max_uid_ = row.user_id;
   } else {
@@ -551,72 +888,117 @@ void RowGroupEncoder::Append(const events::ClientEventView& row,
     min_uid_ = std::min(min_uid_, row.user_id);
     max_uid_ = std::max(max_uid_, row.user_id);
   }
-  ++rows_;
-  auto column = [this](EventColumn c) -> std::string* {
-    return &columns_[static_cast<int>(c)];
-  };
   const auto init = static_cast<uint32_t>(row.initiator);
   if (init_code_[init] == 0) {
-    init_code_[init] = ++init_count_;  // stored as code + 1
+    init_code_[init] = ++init_count_;
     PutVarint32(&init_entries_, init);
   }
-  PutVarint32(column(EventColumn::kInitiator), init_code_[init] - 1);
-  auto it = name_codes_.find(row.event_name);
-  if (it == name_codes_.end()) {
-    it = name_codes_.emplace(std::string(row.event_name), NameCode{}).first;
-  }
-  if (it->second.group != group_) {
-    it->second = NameCode{group_, name_count_++};
-    PutLengthPrefixed(&name_entries_, row.event_name);
-  }
-  PutVarint32(column(EventColumn::kEventName), it->second.code);
-  PutSignedVarint64(column(EventColumn::kUserId), row.user_id);
-  PutLengthPrefixed(column(EventColumn::kSessionId), row.session_id);
-  PutLengthPrefixed(column(EventColumn::kIp), row.ip);
-  PutSignedVarint64(column(EventColumn::kTimestamp), row.timestamp);
-  std::string* col = column(EventColumn::kDetails);
-  PutVarint64(col, details.size());
+  rows_.push_back(Row{init_code_[init] - 1, names_.Intern(row.event_name),
+                      sessions_.Intern(row.session_id), ips_.Intern(row.ip),
+                      static_cast<uint32_t>(details.size()), row.user_id,
+                      row.timestamp});
   for (const auto& [k, v] : details) {
-    PutLengthPrefixed(col, k);
-    PutLengthPrefixed(col, v);
+    detail_codes_.push_back(details_.Intern(k, v));
   }
 }
 
 void RowGroupEncoder::FinishGroup(std::string* out) {
-  if (rows_ == 0) return;
-  // v2 group = header | header checksum | blob checksum | blobs. The
+  if (rows_.empty()) return;
+  // v3 group = header | header checksum | blob checksum | blobs. The
   // header and blob sections are built in scratch buffers so each can be
   // checksummed as the exact byte range the reader will re-hash.
   blobs_.clear();
-  for (std::string& column : columns_) {
-    Lz::Pooled().CompressTo(column, &compressed_);
-    PutLengthPrefixed(&blobs_, compressed_);
-    column.clear();
+  auto codes = [this](size_t n, uint32_t entries, auto code,
+                      int min_width = 0) {
+    const int width = entries == 0 ? 0 : BitWidth(entries - 1);
+    AppendPackedRun(&column_, n, std::max(min_width, width), code);
+  };
+  auto page = [this](const Dictionary& dict) {
+    PutVarint64(&column_, dict.size());
+    column_.append(dict.page());
+  };
+  for (int c = 0; c < kEventColumns; ++c) {
+    switch (static_cast<EventColumn>(c)) {
+      case EventColumn::kInitiator:
+        codes(rows_.size(), init_count_,
+              [this](size_t i) { return rows_[i].initiator; });
+        break;
+      case EventColumn::kEventName:
+        codes(rows_.size(), names_.size(),
+              [this](size_t i) { return rows_[i].name; });
+        break;
+      case EventColumn::kUserId: {
+        const auto base = static_cast<uint64_t>(min_uid_);
+        AppendPackedRun(&column_, rows_.size(),
+                        BitWidth(static_cast<uint64_t>(max_uid_) - base),
+                        [this, base](size_t i) {
+                          return static_cast<uint64_t>(rows_[i].user_id) -
+                                 base;
+                        });
+        break;
+      }
+      case EventColumn::kSessionId:
+        page(sessions_);
+        codes(rows_.size(), sessions_.size(),
+              [this](size_t i) { return rows_[i].session; });
+        break;
+      case EventColumn::kIp:
+        page(ips_);
+        codes(rows_.size(), ips_.size(),
+              [this](size_t i) { return rows_[i].ip; });
+        break;
+      case EventColumn::kTimestamp: {
+        auto prev = static_cast<uint64_t>(min_ts_);
+        for (const Row& row : rows_) {
+          const auto ts = static_cast<uint64_t>(row.timestamp);
+          PutSignedVarint64(&column_, static_cast<int64_t>(ts - prev));
+          prev = ts;
+        }
+        break;
+      }
+      case EventColumn::kDetails: {
+        page(details_);
+        uint32_t max_count = 0;
+        for (const Row& row : rows_) {
+          max_count = std::max(max_count, row.details);
+        }
+        AppendPackedRun(&column_, rows_.size(), BitWidth(max_count),
+                        [this](size_t i) { return rows_[i].details; });
+        PutVarint64(&column_, detail_codes_.size());
+        // At least a bit wide: the reader bounds the code count by the
+        // run's bytes.
+        codes(detail_codes_.size(), details_.size(),
+              [this](size_t i) { return detail_codes_[i]; },
+              detail_codes_.empty() ? 0 : 1);
+        break;
+      }
+    }
+    PutLengthPrefixed(&blobs_, column_);
+    column_.clear();
   }
   header_.clear();
-  PutVarint64(&header_, rows_);
+  PutVarint64(&header_, rows_.size());
   PutSignedVarint64(&header_, min_ts_);
   PutSignedVarint64(&header_, max_ts_);
   PutSignedVarint64(&header_, min_uid_);
   PutSignedVarint64(&header_, max_uid_);
-  PutVarint64(&header_, name_count_);
-  header_.append(name_entries_);
+  PutVarint64(&header_, names_.size());
+  header_.append(names_.page());
   PutVarint64(&header_, init_count_);
   header_.append(init_entries_);
   out->append(header_);
-  PutVarint32(out, Fnv1a(header_));
-  PutVarint32(out, Fnv1a(blobs_));
+  PutVarint32(out, GroupChecksum(header_, 3));
+  PutVarint32(out, GroupChecksum(blobs_, 3));
   out->append(blobs_);
-  rows_ = 0;
-  ++group_;
-  name_count_ = 0;
-  name_entries_.clear();
-  // Names seen once stay cached across groups; a file with unbounded
-  // distinct names drops the cache rather than growing it forever.
-  if (name_codes_.size() > 4096) name_codes_.clear();
+
+  rows_.clear();
+  detail_codes_.clear();
   std::fill(std::begin(init_code_), std::end(init_code_), 0u);
   init_count_ = 0;
   init_entries_.clear();
+  for (Dictionary* dict : {&names_, &sessions_, &ips_, &details_}) {
+    dict->Clear();
+  }
 }
 
 RcFileWriter::RcFileWriter(std::string* out, size_t rows_per_group)
@@ -661,10 +1043,12 @@ Status RcFileWriter::Finish() {
 }
 
 RcFileReader::RcFileReader(std::string_view data) : data_(data) {
-  if (IsRcFile(data)) {
+  if (data.starts_with(kRcFileMagic)) {
+    version_ = 3;
+  } else if (data.starts_with(kRcFileMagicV2)) {
     version_ = 2;
-    body_offset_ = kRcFileMagic.size();
   }
+  if (version_ >= 2) body_offset_ = kRcFileMagic.size();
 }
 
 Status RcFileReader::ReadAll(ColumnMask mask,

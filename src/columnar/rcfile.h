@@ -9,7 +9,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,36 +25,63 @@ namespace unilog::columnar {
 
 /// A simplified RCFile (He et al., ICDE 2011): the columnar layout §4.2
 /// considers as an alternative to session sequences. Rows are batched into
-/// row groups; within a group each client-event field is stored (and
-/// compressed) as its own column run, so a projection query decompresses
-/// only the columns it touches.
+/// row groups; within a group each client-event field is stored as its own
+/// column run, so a projection query decodes only the columns it touches.
 ///
-/// Format v2 extends each row-group header with a zone map (min/max
-/// timestamp, min/max user id) and per-group dictionaries for the
-/// low-cardinality columns (event_name, initiator), both stored
-/// *uncompressed* in the header. The column blobs for those two columns
-/// then hold only dictionary ids. This buys the scan fast path three
-/// skips, all before a single row is materialized:
+/// A v2 or v3 file is a 4-byte magic ("RCF2" or "RCF3") followed by row
+/// groups. Every group of either version has the same frame:
+///
+///   header | header checksum | blob checksum | 7 length-prefixed blobs
+///
+/// The header holds the row count, a zone map (min/max timestamp, min/max
+/// user id) and the group dictionaries of the two low-cardinality columns
+/// (event_name, initiator), all *uncompressed*. This buys the scan fast
+/// path three skips, all before a single row is materialized:
 ///
 ///   1. zone-map skip     — a timestamp-range or user-id predicate that
 ///                          cannot match the group skips every blob;
 ///   2. dictionary skip   — an event-name predicate with no matching
 ///                          dictionary entry skips every blob;
 ///   3. encoded pruning   — surviving groups evaluate event-name
-///                          predicates on varint dictionary ids and only
+///                          predicates on dictionary codes and only
 ///                          materialize the selected rows.
 ///
-/// Writers emit only v2; files keep backward read compatibility: v2 files
-/// begin with the magic "RCF2"; anything else is decoded as the legacy v1
-/// stream (no zone maps, inline strings), on which predicates still work
-/// row-wise but no group can be skipped.
+/// The two checksums cover the header bytes (verified on every header
+/// parse) and the blob section (verified only when the group is actually
+/// scanned), so zone-map skips stay header-only while any flipped byte in
+/// either section is still a Corruption error rather than silently
+/// different data. v2 computes them as FNV-1a over bytes; v3 applies the
+/// same step to little-endian 32-bit words (a 1-3 byte tail bytewise), a
+/// quarter of the multiplies for headers that every index, scan and
+/// content fingerprint re-verifies.
 ///
-/// Each v2 row group carries two FNV-1a checksums right after the header:
-/// one over the header bytes (row count + zone map + dictionaries),
-/// verified on every header parse, and one over the column-blob section,
-/// verified only when the group is actually scanned — so zone-map skips
-/// stay header-only while any flipped byte in either section is still a
-/// Corruption error rather than silently different data.
+/// Otherwise the versions differ only in the blobs. A v2 blob is an Lz
+/// block of per-row varints and length-prefixed strings. A v3 blob holds
+/// one fixed encoding per column and no Lz. Its building block is the
+/// packed run:
+/// one width byte (at most 64), then n values of `width` bits packed
+/// LSB-first into exactly ceil(n * width / 8) bytes.
+///
+///   initiator, event_name — a packed run of codes into the header's
+///                          dictionary, at the dictionary's width;
+///   user_id              — frame of reference: a packed run of
+///                          user_id - min_uid;
+///   timestamp            — per row, a zigzag varint of the delta from the
+///                          previous row's timestamp (row 0: from min_ts);
+///   session_id, ip       — a page (entry count, then each distinct value
+///                          length-prefixed, in first-appearance order),
+///                          then a packed run of codes into it;
+///   details              — a page of distinct (key, value) entries (count,
+///                          then length-prefixed key and value), a packed
+///                          run of per-row pair counts, the total code
+///                          count, then a packed run of codes into the page
+///                          (at least 1 bit wide when any code exists).
+///
+/// Writers emit only v3. v2 files read back through the same reader, as
+/// do legacy v1 streams (no magic, no zone maps, inline strings), on which
+/// predicates still work row-wise but no group can be skipped. The
+/// warehouse holds no v1 parts; the one v1 and v2 writer left is the
+/// frozen test fixture in tests/landing_oracle.h.
 
 /// The client-event columns, in storage order.
 enum class EventColumn : int {
@@ -113,7 +139,8 @@ struct ScanStats {
   uint64_t groups_scanned = 0;
   /// Groups eliminated whole by a zone map or dictionary check.
   uint64_t groups_skipped = 0;
-  /// Compressed bytes actually fed to the decompressor.
+  /// Stored column bytes actually decoded: Lz blocks fed to the
+  /// decompressor (v1/v2), encoded column blobs (v3).
   uint64_t bytes_decompressed = 0;
   /// Rows in groups that were decoded.
   uint64_t rows_scanned = 0;
@@ -155,63 +182,85 @@ class RowMatcher {
   std::vector<events::EventPattern> patterns_;
 };
 
-/// The v2 file magic. A v2 file is the magic followed by its row groups,
-/// each as RowGroupEncoder::FinishGroup emits it.
-inline constexpr std::string_view kRcFileMagic = "RCF2";
+/// The file magic every writer emits: a v3 file is the magic followed by
+/// its row groups, each as RowGroupEncoder::FinishGroup emits it.
+inline constexpr std::string_view kRcFileMagic = "RCF3";
+/// The magic of v2 files, which are still read.
+inline constexpr std::string_view kRcFileMagicV2 = "RCF2";
 
-/// True when `data` carries the v2 magic.
+/// True when `data` carries the v3 or the v2 magic.
 bool IsRcFile(std::string_view data);
 
-/// The one row-group encoder. Each appended row goes straight into seven
-/// reused column buffers; the zone map is a running min/max and dictionary
-/// codes are assigned on first sight, in first-appearance order. Rows are
-/// copied as they are appended, so views may die right after Append.
-/// Not thread-safe; one encoder per thread.
+/// The one row-group encoder. Each appended row is coded on sight into
+/// reused per-row arrays: initiator, event-name, session, ip and details
+/// values get dictionary codes in first-appearance order, and the zone map
+/// is a running min/max. FinishGroup packs the arrays into the v3 column
+/// encodings. Rows are copied as they are appended, so views may die right
+/// after Append. Once its buffers have grown to a group's size the encoder
+/// allocates nothing. Not thread-safe; one encoder per thread.
 class RowGroupEncoder {
  public:
   void Append(const events::ClientEventView& row,
               std::span<const events::DetailView> details);
 
-  size_t rows() const { return rows_; }
+  size_t rows() const { return rows_.size(); }
 
-  /// Appends the encoded v2 group to *out (header, header checksum, blob
+  /// Appends the encoded v3 group to *out (header, header checksum, blob
   /// checksum, blobs) and starts the next group.
   /// No-op when no row was appended.
   void FinishGroup(std::string* out);
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
+  /// One group's distinct values of a column in an open-addressed table.
+  /// A new value is appended to `page` in first-appearance order, length-
+  /// prefixed (a details entry as its key, then its value), so the page is
+  /// the column's dictionary as stored. Clear keeps every capacity.
+  class Dictionary {
+   public:
+    uint32_t Intern(std::string_view value) { return Intern({}, value, false); }
+    uint32_t Intern(std::string_view key, std::string_view value) {
+      return Intern(key, value, true);
     }
-  };
-  struct NameCode {
-    uint64_t group = 0;  // the group the code was assigned in
-    uint32_t code = 0;
+    uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+    const std::string& page() const { return page_; }
+    void Clear();
+
+   private:
+    struct Entry {
+      uint64_t hash;
+      uint32_t key_offset, key_length;  // in page_; empty unless a pair
+      uint32_t value_offset, value_length;
+    };
+    uint32_t Intern(std::string_view key, std::string_view value, bool pair);
+    void Grow();
+
+    std::vector<Entry> entries_;
+    std::vector<uint32_t> slots_;  // entry index + 1, 0 when empty
+    std::string page_;
   };
 
-  size_t rows_ = 0;
-  std::string columns_[kEventColumns];
+  /// One appended row, coded.
+  struct Row {
+    uint32_t initiator, name, session, ip;
+    uint32_t details;  // pair count; the codes are in detail_codes_
+    int64_t user_id, timestamp;
+  };
+
+  std::vector<Row> rows_;
+  std::vector<uint32_t> detail_codes_;
   int64_t min_ts_ = 0, max_ts_ = 0, min_uid_ = 0, max_uid_ = 0;
-  // Names seen by this encoder; a code is current only when its `group`
-  // is group_, so starting a group clears nothing.
-  std::unordered_map<std::string, NameCode, StringHash, std::equal_to<>>
-      name_codes_;
-  uint64_t group_ = 1;
-  uint32_t name_count_ = 0;
-  std::string name_entries_;  // length-prefixed, first-appearance order
-  uint32_t init_code_[4] = {};
+  uint32_t init_code_[4] = {};  // code + 1, 0 when not seen in the group
   uint32_t init_count_ = 0;
   std::string init_entries_;
-  std::string header_, blobs_, compressed_;
+  Dictionary names_, sessions_, ips_, details_;
+  std::string column_, header_, blobs_;
 };
 
 /// Writes client events into the columnar layout: a thin wrapper that
 /// feeds a RowGroupEncoder and cuts a group every `rows_per_group` rows.
 class RcFileWriter {
  public:
-  /// `out` receives the v2 file body; groups hold up to `rows_per_group`
+  /// `out` receives the v3 file body; groups hold up to `rows_per_group`
   /// rows (clamped to [1, kMaxRowsPerGroup]).
   explicit RcFileWriter(std::string* out,
                         size_t rows_per_group = kDefaultRowsPerGroup);
@@ -237,7 +286,7 @@ class RcFileWriter {
   std::vector<events::DetailView> details_;  // per-Add scratch
 };
 
-/// Reads a columnar file (either format version), decompressing only the
+/// Reads a columnar file (any format version), decoding only the
 /// requested columns and — given a ScanSpec — skipping whole row groups
 /// via zone maps and dictionaries.
 class RcFileReader {
@@ -282,7 +331,7 @@ class RcFileReader {
   /// event read is unpacked from. Only the columns in the ScanSpec mask
   /// are populated; each vector holds one entry per *selected* row, in
   /// file order. Event names and initiators stay dictionary-encoded
-  /// (codes plus a shared dictionary of the distinct strings), so a v2
+  /// (codes plus a shared dictionary of the distinct strings), so a v2/v3
   /// group's strings are materialized once per distinct value, never per
   /// row; v1 groups fall back to per-row name strings in `name_strs`.
   struct ColumnarGroup {
@@ -310,9 +359,9 @@ class RcFileReader {
                            ColumnarGroup* out, ScanStats* stats) const;
 
   /// Header-only statistics of one row group, for the cost-based planner:
-  /// zone maps and dictionary names come straight from the v2 header
-  /// (nothing is decompressed); `blob_bytes` is the compressed size of
-  /// the group's column blobs. v1 groups report `has_zone_map` false with
+  /// zone maps and dictionary names come straight from the v2/v3 header
+  /// (nothing is decoded); `blob_bytes` is the stored size of the group's
+  /// column blobs. v1 groups report `has_zone_map` false with
   /// row/byte counts only.
   struct RowGroupStats {
     uint64_t row_count = 0;
@@ -320,8 +369,8 @@ class RcFileReader {
     bool has_zone_map = false;
     int64_t min_timestamp = 0, max_timestamp = 0;
     int64_t min_user_id = 0, max_user_id = 0;
-    std::vector<std::string> event_names;  // dictionary entries, v2 only
-    /// Initiator display names (EventInitiatorName), v2 only.
+    std::vector<std::string> event_names;  // dictionary entries, v2/v3
+    /// Initiator display names (EventInitiatorName), v2/v3.
     std::vector<std::string> initiators;
   };
 
@@ -329,10 +378,10 @@ class RcFileReader {
   /// order. Header-only: no blob is decompressed.
   Result<std::vector<RowGroupStats>> CollectGroupStats() const;
 
-  /// A 64-bit content fingerprint of a v2 file, derived from the per-group
-  /// FNV-1a header and blob checksums already embedded in the format — so
-  /// it is computed header-only, without decompressing a single column
-  /// blob. Any content change alters a group checksum and therefore the
+  /// A 64-bit content fingerprint of a v2/v3 file, derived from the
+  /// per-group header and blob checksums already embedded in the
+  /// format — so it is computed header-only, without decoding a single
+  /// column blob. Any content change alters a group checksum and therefore the
   /// fingerprint; the Oink memoization layer uses it as the input half of
   /// a cache key. FailedPrecondition on v1 files (no embedded checksums;
   /// callers fall back to size+mtime), Corruption on malformed files.

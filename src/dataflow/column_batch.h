@@ -15,7 +15,7 @@ namespace unilog::dataflow {
 /// Physical layout of one column inside a ColumnBatch. Columns are typed
 /// flat arrays so the batch kernels run tight loops instead of per-row
 /// std::variant dispatch; kDict carries per-batch dictionary-encoded
-/// strings (codes + a shared dictionary), which is how RCFile v2 group
+/// strings (codes + a shared dictionary), which is how RCFile group
 /// dictionaries flow through Filter/Project/GroupBy without a per-row
 /// string ever being materialized.
 enum class ColumnKind {

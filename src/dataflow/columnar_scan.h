@@ -20,7 +20,7 @@ namespace unilog::dataflow {
 using hdfs::IsHiddenWarehousePath;
 
 /// A deferred table scan over a warehouse directory of client-event files,
-/// in either format: columnar RCFile v2 parts get zone-map/dictionary group
+/// in either format: columnar RCFile parts get zone-map/dictionary group
 /// skipping and encoded-id predicate pruning; legacy framed-compressed
 /// parts are decoded and filtered row-wise (correct everywhere, fast on
 /// columnar data). Visible columns: {initiator, event_name, user_id,
@@ -83,7 +83,7 @@ class ColumnarEventScan
   /// same opened scan (they share one immutable file set). Output i holds
   /// one batch per scan unit (a row group or a legacy file) that kept a
   /// row, merged in unit order, so it is byte-identical at any thread
-  /// count. RCFile v2 group dictionaries pass through as dictionary
+  /// count. RCFile group dictionaries pass through as dictionary
   /// columns: event-name/initiator strings are materialized once per
   /// distinct value per group, never per row.
   ///

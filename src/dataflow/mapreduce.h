@@ -30,8 +30,8 @@ struct InputFormat {
   /// The standard format for unilog warehouse files: LZ decompression +
   /// varint framing.
   static InputFormat CompressedFramed();
-  /// CompressedFramed that also accepts columnar (RCFile v2) parts: a file
-  /// carrying the RCF2 magic is decoded by reading every row and
+  /// CompressedFramed that also accepts columnar (RCFile) parts: a file
+  /// carrying an RCFile magic is decoded by reading every row and
   /// re-framing the serialized events, so map functions see the same
   /// compact-Thrift records either way. This is the format for warehouse
   /// directories that may mix layouts (LogMoverOptions::columnar_categories
@@ -127,7 +127,7 @@ class MapReduceJob {
   /// default) runs them inline on the calling thread (exec::OrInline).
   void set_executor(exec::Executor* exec) { exec_ = exec; }
   /// Tolerates corrupt inputs: an input whose decode/split fails with a
-  /// Corruption status (e.g. an RCFile v2 part with a bad block checksum)
+  /// Corruption status (e.g. an RCFile part with a bad block checksum)
   /// is renamed to `_quarantined.<name>` on `fs` — hidden from future
   /// AddInputDir scans — counted in stats().corrupt_inputs_quarantined,
   /// and skipped, instead of failing the whole job. Without this (the

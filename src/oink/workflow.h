@@ -132,7 +132,7 @@ class WorkflowEngine {
   obs::MetricsRegistry* metrics() { return metrics_; }
 
   /// Canonical manifest of the file bytes a scan of `dir` would read:
-  /// sorted paths, each with a content fingerprint — RCFile v2 parts use
+  /// sorted paths, each with a content fingerprint — RCFile parts use
   /// their embedded per-group checksums (no decompression), other files
   /// fall back to size+mtime. Hidden paths (any '_'-prefixed component
   /// below `dir`, e.g. a nested _cache subtree) are skipped, matching the

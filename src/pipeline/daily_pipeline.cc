@@ -57,7 +57,7 @@ Result<DailyJobResult> DailyPipeline::RunForDate(TimeMs date,
     // `_quarantined.*`) rather than failing the day: the paper's pipeline
     // keeps running when one aggregator ships a bad file.
     job.set_quarantine_fs(warehouse_);
-    // Warehoused hours may be framed-compressed or columnar (RCFile v2)
+    // Warehoused hours may be framed-compressed or columnar (RCFile)
     // depending on the mover's columnar_categories; sniff per file.
     job.set_input_format(dataflow::InputFormat::CompressedFramedOrColumnar());
     for (const auto& dir : hour_dirs) {

@@ -36,7 +36,7 @@ struct LogMoverOptions {
   /// built alongside the data ("building any necessary indexes", §2).
   /// Entries must contain compact-Thrift client events.
   std::set<std::string> index_categories;
-  /// Categories whose warehoused hours are written as columnar RCFile v2
+  /// Categories whose warehoused hours are written as columnar RCFile v3
   /// parts (zone maps + dictionaries) instead of framed-compressed blobs,
   /// enabling the scan fast path. Entries must contain compact-Thrift
   /// client events; a message that fails to parse is preserved in a
@@ -94,7 +94,7 @@ struct LogMoverStats {
   /// leaked in staging forever.
   uint64_t late_files_dropped = 0;
   uint64_t late_entries_dropped = 0;
-  /// Warehouse parts written in the columnar (RCFile v2) layout.
+  /// Warehouse parts written in the columnar (RCFile v3) layout.
   uint64_t columnar_files_written = 0;
   /// Messages in a columnar category that failed the client-event parse
   /// and were preserved in a framed-compressed sidecar part instead.
@@ -173,7 +173,7 @@ class LogMover {
                           const std::vector<std::string_view>& merged);
 
   /// The columnar half of CommitMergedHour: parses every message in place,
-  /// encodes the parsed rows as RCFile v2 row groups on exec, writes the
+  /// encodes the parsed rows as RCFile v3 row groups on exec, writes the
   /// parts through `write_part` and then the sidecar of messages that
   /// failed the parse. Parts are byte-identical to streaming the parsed
   /// events through one RcFileWriter per part.

@@ -4,23 +4,28 @@
 // one-record daemon flush into a quiescent acks=all fleet costs: the
 // daemon's framing and compression, the leader's produce and the
 // synchronous replication to the follower. It also bounds what the log
-// mover allocates per event landing a broker hour as RCFile columns. A
+// mover allocates per event landing a broker hour as RCFile columns, pins
+// a warmed-up row-group encoder at zero allocations, and bounds the bytes
+// the RCFile reader allocates on hostile v3 input by the input's size. A
 // change that adds a per-call or per-event allocation anywhere on those
 // paths fails here without running the bench.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "alloc_hooks.h"
 #include "broker/broker.h"
 #include "broker/fleet.h"
+#include "columnar/rcfile.h"
 #include "common/rng.h"
 #include "events/client_event.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
+#include "rcfile_hostile.h"
 #include "scribe/cluster.h"
 #include "scribe/daemon.h"
 #include "scribe/log_mover.h"
@@ -99,7 +104,7 @@ TEST(DaemonAllocBudgetTest, OneRecordBrokerFlushIntoAcksAllFleet) {
 }
 
 // What the mover allocates per event landing a warmed-up broker hour as
-// RCFile v2: per fetched batch its metadata copy and one decompressed
+// RCFile v3: per fetched batch its metadata copy and one decompressed
 // body; per hour the frame-view and merged-view lists, the parse chunks,
 // the encoded groups, the part and the warehouse write. Nothing is
 // allocated per event: no decoded record, payload copy or parsed event.
@@ -165,6 +170,89 @@ TEST(MoverAllocBudgetTest, ColumnarBrokerHourLandsInPlace) {
   EXPECT_LE(static_cast<double>(allocs) / static_cast<double>(moved),
             kMoverAllocsPerEvent)
       << allocs << " allocations for " << moved << " events";
+}
+
+// A warmed-up encoder codes rows and packs groups into reused buffers:
+// once it has seen a group's worth of distinct values, neither Append nor
+// FinishGroup allocates. The measured pass replays the warm-up's groups,
+// so every dictionary and array needs exactly the capacity it already has.
+TEST(EncoderAllocBudgetTest, WarmRowGroupEncoderAllocatesNothing) {
+  Rng rng(21);
+  std::vector<events::ClientEvent> rows;
+  for (int i = 0; i < 4 * 1024; ++i) {
+    events::ClientEvent ev;
+    ev.initiator = static_cast<events::EventInitiator>(rng.Uniform(4));
+    ev.event_name = "web:home:::tweet:action" + std::to_string(rng.Uniform(40));
+    ev.user_id = static_cast<int64_t>(rng.Uniform(20000));
+    ev.session_id = "session-" + std::to_string(rng.Uniform(40000));
+    ev.ip = "10.1." + std::to_string(rng.Uniform(256)) + ".7";
+    ev.timestamp = kT0 + static_cast<TimeMs>(rng.Uniform(kMillisPerHour));
+    for (uint64_t d = rng.Uniform(4); d > 0; --d) {
+      ev.details.emplace_back("k" + std::to_string(d),
+                              std::to_string(rng.Uniform(50)));
+    }
+    rows.push_back(std::move(ev));
+  }
+  std::vector<std::vector<events::DetailView>> details;
+  for (const auto& ev : rows) {
+    details.emplace_back(ev.details.begin(), ev.details.end());
+  }
+  columnar::RowGroupEncoder encoder;
+  std::string out;
+  auto encode_all = [&] {
+    out.clear();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const events::ClientEvent& ev = rows[i];
+      events::ClientEventView view;
+      view.initiator = ev.initiator;
+      view.event_name = ev.event_name;
+      view.user_id = ev.user_id;
+      view.session_id = ev.session_id;
+      view.ip = ev.ip;
+      view.timestamp = ev.timestamp;
+      encoder.Append(view, details[i]);
+      if (encoder.rows() == columnar::kDefaultRowsPerGroup) {
+        encoder.FinishGroup(&out);
+      }
+    }
+  };
+  encode_all();
+  const std::string warm = out;
+  bench::AllocScope scope;
+  encode_all();
+  EXPECT_EQ(scope.Delta(), 0u);
+  EXPECT_TRUE(out == warm);
+  std::vector<events::ClientEvent> back;
+  ASSERT_TRUE(columnar::RcFileReader(std::string(columnar::kRcFileMagic) + out)
+                  .ReadAll(columnar::kAllColumns, &back)
+                  .ok());
+  EXPECT_EQ(back, rows);
+}
+
+// What the reader may allocate on a hostile v3 body: a few KiB of fixed
+// scan state plus a bounded multiple of the input. A check that ran after
+// sizing anything from a claimed row, page or code count would allocate
+// megabytes on these bodies of under 128 bytes.
+constexpr uint64_t kHostileFixedBytes = 8 * 1024;
+constexpr uint64_t kHostileBytesPerInputByte = 32;
+
+TEST(ReaderAllocBudgetTest, HostileV3BodiesAllocateBoundedByTheirSize) {
+  for (const auto& bomb : rcfile_hostile::V3Bombs()) {
+    SCOPED_TRACE(bomb.what);
+    columnar::ScanSpec narrow;
+    narrow.event_name_patterns.push_back("web:*");
+    narrow.user_ids = std::set<int64_t>{0, 7};
+    bench::AllocScope scope;
+    {
+      columnar::RcFileReader reader(bomb.body);
+      for (const columnar::ScanSpec& spec : {columnar::ScanSpec(), narrow}) {
+        std::vector<events::ClientEvent> out;
+        EXPECT_TRUE(reader.Scan(spec, &out).IsCorruption());
+      }
+    }
+    EXPECT_LE(scope.Bytes(), kHostileFixedBytes + kHostileBytesPerInputByte *
+                                                      bomb.body.size());
+  }
 }
 
 }  // namespace

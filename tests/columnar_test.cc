@@ -1,6 +1,7 @@
 // Tests for the simplified RCFile columnar layout (§4.2's rejected
-// alternative): round trips, projection reads, corruption handling, and
-// the v2 scan fast path (zone maps, dictionaries, pushdown pruning).
+// alternative): round trips, projection reads, corruption handling, the
+// scan fast path (zone maps, dictionaries, pushdown pruning), and the v3
+// column encodings under hostile bytes.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "hdfs/mini_hdfs.h"
 #include "landing_oracle.h"
 #include "obs/metrics.h"
+#include "rcfile_hostile.h"
 
 namespace unilog::columnar {
 namespace {
@@ -49,11 +51,11 @@ std::string WriteAll(const std::vector<events::ClientEvent>& events,
   return body;
 }
 
-/// `events` in the given format: v2 through RcFileWriter, v1 through the
-/// frozen row-at-a-time writer (the reader still reads v1 files).
+/// `events` in the given format: v3 through RcFileWriter, v1 and v2
+/// through the frozen row-at-a-time writer (the reader still reads both).
 std::string WriteVersion(const std::vector<events::ClientEvent>& events,
                          size_t rows_per_group, int version) {
-  if (version == 2) return WriteAll(events, rows_per_group);
+  if (version == 3) return WriteAll(events, rows_per_group);
   std::string body;
   landing_oracle::RowWriter writer(&body, rows_per_group, version);
   for (const auto& ev : events) writer.Add(ev);
@@ -61,7 +63,7 @@ std::string WriteVersion(const std::vector<events::ClientEvent>& events,
   return body;
 }
 
-// Compressed bytes of every column blob in the file, from the headers.
+// Stored bytes of every column blob in the file, from the headers.
 uint64_t TotalBlobBytes(const RcFileReader& reader) {
   auto groups = reader.CollectGroupStats();
   EXPECT_TRUE(groups.ok());
@@ -122,7 +124,7 @@ TEST(RcFileTest, ProjectionTouchesFewerBytes) {
 
 TEST(RcFileTest, NameOnlyScanMatchesRows) {
   auto events = MakeEvents(77);
-  for (int version : {1, 2}) {
+  for (int version : {1, 2, 3}) {
     const std::string body = WriteVersion(events, 25, version);
     ScanSpec names_only;
     names_only.columns = ColumnBit(EventColumn::kEventName);
@@ -194,7 +196,7 @@ TEST(RcFileTest, FinishIsIdempotentAndRequired) {
 TEST(RcFileTest, V1FormatRoundTrip) {
   auto events = MakeEvents(60);
   const std::string body = WriteVersion(events, 16, 1);
-  EXPECT_FALSE(IsRcFile(body));  // no v2 magic on the legacy layout
+  EXPECT_FALSE(IsRcFile(body));  // no magic on the legacy layout
 
   RcFileReader reader(body);
   std::vector<events::ClientEvent> back;
@@ -205,12 +207,12 @@ TEST(RcFileTest, V1FormatRoundTrip) {
   }
 }
 
-// Pins the column decoder: every column, read alone, round-trips in both
-// format versions (details included) and leaves every other field at its
+// Pins the column decoder: every column, read alone, round-trips in every
+// format version (details included) and leaves every other field at its
 // default.
-TEST(RcFileTest, EveryColumnRoundTripsAloneInBothVersions) {
+TEST(RcFileTest, EveryColumnRoundTripsAloneInEveryVersion) {
   auto events = MakeEvents(45);
-  for (int version : {1, 2}) {
+  for (int version : {1, 2, 3}) {
     const std::string body = WriteVersion(events, 16, version);
     for (int c = 0; c < kEventColumns; ++c) {
       std::vector<events::ClientEvent> got;
@@ -492,15 +494,6 @@ TEST(RcFileTest, ReportScanStatsIncrementsCounters) {
 // truncations, byte flips, row-count and dictionary bombs — with a
 // Status, never a crash, and never sizes memory from a claimed count.
 
-uint32_t TestFnv1a(std::string_view data) {
-  uint32_t h = 2166136261u;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  return h;
-}
-
 // Runs `body` through IndexGroups, ScanGroupColumnar (plain and with
 // predicates), Scan, CollectGroupStats and ContentFingerprint. Returns
 // whether the full Scan succeeded.
@@ -530,10 +523,10 @@ bool DriveEveryReader(std::string_view body) {
 
 TEST(RcFileHostileTest, EveryTruncationFailsUnlessOnAGroupBoundary) {
   auto events = MakeEvents(40);
-  for (int version : {1, 2}) {
+  for (int version : {1, 2, 3}) {
     std::string body = WriteVersion(events, 16, version);
     std::set<size_t> boundaries = {0, body.size()};
-    if (version == 2) boundaries.insert(4);  // the bare magic: no groups
+    if (version >= 2) boundaries.insert(4);  // the bare magic: no groups
     auto groups = RcFileReader(body).IndexGroups();
     ASSERT_TRUE(groups.ok());
     for (const auto& g : *groups) boundaries.insert(g.offset);
@@ -548,16 +541,17 @@ TEST(RcFileHostileTest, EveryTruncationFailsUnlessOnAGroupBoundary) {
 TEST(RcFileHostileTest, SeededByteFlipsNeverCrash) {
   auto events = MakeEvents(40);
   Rng rng(20120821);
-  for (int version : {1, 2}) {
+  for (int version : {1, 2, 3}) {
     const std::string body = WriteVersion(events, 16, version);
     for (int trial = 0; trial < 400; ++trial) {
       std::string garbled = body;
       const size_t pos = rng.Uniform(garbled.size());
       garbled[pos] ^= static_cast<char>(1 + rng.Uniform(255));
       const bool ok = DriveEveryReader(garbled);
-      // Past the magic, the v2 header and blob checksums catch any single
-      // flipped byte; v1 has no checksums and may decode to other data.
-      if (version == 2 && pos >= 4) {
+      // Past the magic, the v2/v3 header and blob checksums catch any
+      // single flipped byte; v1 has no checksums and may decode to other
+      // data.
+      if (version >= 2 && pos >= 4) {
         EXPECT_FALSE(ok) << "pos=" << pos;
       }
     }
@@ -589,8 +583,8 @@ std::string V2RowCountBomb() {
     PutLengthPrefixed(&blobs, Lz::Compress(""));
   }
   std::string body = "RCF2" + header;
-  PutVarint32(&body, TestFnv1a(header));
-  PutVarint32(&body, TestFnv1a(blobs));
+  PutVarint32(&body, rcfile_hostile::Fnv1a(header));
+  PutVarint32(&body, rcfile_hostile::Fnv1a(blobs));
   return body + blobs;
 }
 
@@ -632,6 +626,38 @@ TEST(RcFileHostileTest, DictionaryCountBombIsCorruption) {
   std::vector<events::ClientEvent> out;
   EXPECT_TRUE(reader.Scan(ScanSpec(), &out).IsCorruption());
   EXPECT_FALSE(DriveEveryReader(body));
+}
+
+// The v3 column encodings: a packed run's width and exact length, codes
+// against their page or dictionary, details counts against the codes left,
+// and page counts are each checked before anything is sized from them.
+TEST(RcFileHostileTest, V3BombsAreCorruption) {
+  {
+    const std::string valid = rcfile_hostile::Group(
+        rcfile_hostile::kRows, rcfile_hostile::ValidBlobs());
+    std::vector<events::ClientEvent> out;
+    ASSERT_TRUE(RcFileReader(valid).Scan(ScanSpec(), &out).ok());
+    ASSERT_EQ(out.size(), rcfile_hostile::kRows);
+    EXPECT_EQ(out[3].session_id, "s");
+    EXPECT_EQ(out[3].ip, "10.0.0.1");
+    EXPECT_TRUE(DriveEveryReader(valid));
+  }
+  for (const auto& bomb : rcfile_hostile::V3Bombs()) {
+    SCOPED_TRACE(bomb.what);
+    ASSERT_LT(bomb.body.size(), 128u);
+    RcFileReader reader(bomb.body);
+    // The header is intact: indexing, stats and fingerprints still work.
+    auto groups = reader.IndexGroups();
+    ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+    EXPECT_TRUE(reader.ContentFingerprint().ok());
+    std::vector<events::ClientEvent> out;
+    Status st = reader.Scan(ScanSpec(), &out);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find(bomb.reason), std::string::npos)
+        << st.ToString();
+    EXPECT_TRUE(out.empty());
+    EXPECT_FALSE(DriveEveryReader(bomb.body));
+  }
 }
 
 // ---------------------------------------------------------------------------

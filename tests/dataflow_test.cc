@@ -17,6 +17,7 @@
 #include "dataflow/relation_serde.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
+#include "landing_oracle.h"
 #include "scan_oracle.h"
 #include "scribe/message.h"
 
@@ -694,14 +695,27 @@ class ScanStatsPinTest : public ::testing::Test {
  protected:
   static constexpr const char* kDir = "/warehouse/client_events/2012/08/21/03";
 
-  // part-00000 v2 in 16-row groups, part-00001 legacy framed, part-00002
-  // v2 in 24-row groups with later timestamps and other names. (A v1 part
-  // has no magic, so a warehouse scan would take it for a framed part.)
-  ScanStatsPinTest() {
+  // part-00000 in 16-row groups, part-00001 legacy framed, part-00002 in
+  // 24-row groups with later timestamps and other names. The RCFile parts
+  // are v2 from the frozen row-at-a-time writer or v3 from RcFileWriter.
+  // (A v1 part has no magic, so a warehouse scan would take it for a
+  // framed part.)
+  void WriteParts(int version) {
     std::string early_body, legacy_body, late_body;
-    columnar::RcFileWriter early(&early_body, 16);
+    landing_oracle::RowWriter early_v2(&early_body, 16);
+    landing_oracle::RowWriter late_v2(&late_body, 24);
+    columnar::RcFileWriter early_v3(&early_body, 16);
+    columnar::RcFileWriter late_v3(&late_body, 24);
+    auto add = [version](landing_oracle::RowWriter* v2,
+                         columnar::RcFileWriter* v3,
+                         const events::ClientEvent& ev) {
+      if (version == 2) {
+        v2->Add(ev);
+      } else {
+        EXPECT_TRUE(v3->Add(ev).ok());
+      }
+    };
     events::ClientEventWriter legacy(&legacy_body);
-    columnar::RcFileWriter late(&late_body, 24);
     static const char* kNames[] = {
         "web:home:::tweet:click", "web:home:::tweet:impression",
         "iphone:profile:::follow:click", "web:search:::results:impression"};
@@ -714,15 +728,20 @@ class ScanStatsPinTest : public ::testing::Test {
       ev.ip = "10.0.0." + std::to_string(i % 4);
       ev.timestamp = 1345510800000 + static_cast<TimeMs>(i) * 60000;
       if (i < 100) {
-        EXPECT_TRUE(early.Add(ev).ok());
+        add(&early_v2, &early_v3, ev);
       } else if (i < 130) {
         legacy.Add(ev);
       } else {
-        EXPECT_TRUE(late.Add(ev).ok());
+        add(&late_v2, &late_v3, ev);
       }
     }
-    EXPECT_TRUE(early.Finish().ok());
-    EXPECT_TRUE(late.Finish().ok());
+    if (version == 2) {
+      early_v2.Finish();
+      late_v2.Finish();
+    } else {
+      EXPECT_TRUE(early_v3.Finish().ok());
+      EXPECT_TRUE(late_v3.Finish().ok());
+    }
     const std::string dir = kDir;
     EXPECT_TRUE(fs_.WriteFile(dir + "/part-00000", early_body).ok());
     EXPECT_TRUE(
@@ -730,86 +749,102 @@ class ScanStatsPinTest : public ::testing::Test {
     EXPECT_TRUE(fs_.WriteFile(dir + "/part-00002", late_body).ok());
   }
 
+  // Each pushed scan's stats and answer over the parts of `version`. Only
+  // bytes_decompressed depends on the version: the column encodings
+  // differ, the rows, groups and answers do not.
+  void ExpectPinned(int version) {
+    struct Case {
+      const char* what;
+      std::function<void(ColumnarEventScan*)> push;
+      columnar::ScanStats want;  // bytes_decompressed as in v2
+      uint64_t v3_bytes;
+      uint64_t rows;
+      const char* digest;
+    };
+    const int64_t t0 = 1345510800000;
+    const std::vector<Case> cases = {
+        {"name glob",
+         [](ColumnarEventScan* s) {
+           EXPECT_TRUE(s->PushFilter("event_name", "matches",
+                                     Value::Str("*:*:*:*:*:click")));
+         },
+         {11, 11, 0, 2947, 200, 78, 122, 68}, 2137, 122, "17431b8b76dca6dd"},
+        {"timestamp range + projection",
+         [t0](ColumnarEventScan* s) {
+           EXPECT_TRUE(
+               s->PushFilter("timestamp", ">=", Value::Int(t0 + 50 * 60000)));
+           EXPECT_TRUE(
+               s->PushFilter("timestamp", "<", Value::Int(t0 + 140 * 60000)));
+           EXPECT_TRUE(s->PushProject({"timestamp", "user_id"}, {"t", "uid"}));
+         },
+         {11, 6, 5, 1342, 106, 110, 90, 0}, 955, 90, "b3f328ba1116e108"},
+        {"user id",
+         [](ColumnarEventScan* s) {
+           EXPECT_TRUE(s->PushFilter("user_id", "==", Value::Int(104)));
+         },
+         {11, 11, 0, 2947, 200, 182, 18, 0}, 2137, 18, "5e4c5a0c836571d3"},
+        {"all four",
+         [t0](ColumnarEventScan* s) {
+           EXPECT_TRUE(s->PushFilter("event_name", "matches",
+                                     Value::Str("web:*")));
+           EXPECT_TRUE(
+               s->PushFilter("timestamp", "<=", Value::Int(t0 + 120 * 60000)));
+           EXPECT_TRUE(s->PushFilter("user_id", "==", Value::Int(101)));
+           EXPECT_TRUE(
+               s->PushProject({"event_name", "session_id"}, {"n", "s"}));
+         },
+         {11, 8, 3, 1740, 130, 193, 7, 33}, 1195, 7, "8f3a31d5cf04ca68"},
+    };
+    for (const Case& c : cases) {
+      for (int threads : {0, 2}) {
+        auto base = ColumnarEventScan::Open(&fs_, kDir);
+        ASSERT_TRUE(base.ok()) << base.status().ToString();
+        auto scan =
+            std::static_pointer_cast<ColumnarEventScan>((*base)->Clone());
+        c.push(scan.get());
+        std::unique_ptr<exec::Executor> executor;
+        if (threads > 0) {
+          exec::ExecOptions eo;
+          eo.threads = threads;
+          executor = std::make_unique<exec::Executor>(eo);
+        }
+        auto rel = scan->Materialize(executor.get());
+        ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+        auto want = scan_oracle::ReferenceMaterialize(fs_, kDir, *scan);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        const std::string bytes = SerializeRelation(*rel);
+        EXPECT_EQ(bytes, SerializeRelation(*want)) << c.what;
+        Fingerprint fp;
+        fp.Mix(bytes);
+        EXPECT_EQ(fp.Hex(), c.digest) << c.what;
+        EXPECT_EQ(rel->size(), c.rows) << c.what;
+        const columnar::ScanStats& got = scan->last_stats();
+        EXPECT_EQ(got.groups_total, c.want.groups_total) << c.what;
+        EXPECT_EQ(got.groups_scanned, c.want.groups_scanned) << c.what;
+        EXPECT_EQ(got.groups_skipped, c.want.groups_skipped) << c.what;
+        EXPECT_EQ(got.bytes_decompressed,
+                  version == 2 ? c.want.bytes_decompressed : c.v3_bytes)
+            << c.what;
+        EXPECT_EQ(got.rows_scanned, c.want.rows_scanned) << c.what;
+        EXPECT_EQ(got.rows_pruned, c.want.rows_pruned) << c.what;
+        EXPECT_EQ(got.rows_returned, c.want.rows_returned) << c.what;
+        EXPECT_EQ(got.dict_domain_rows_pruned, c.want.dict_domain_rows_pruned)
+            << c.what;
+      }
+    }
+  }
+
   hdfs::MiniHdfs fs_;
 };
 
 TEST_F(ScanStatsPinTest, PushedScanStatsAndAnswerArePinned) {
-  struct Case {
-    const char* what;
-    std::function<void(ColumnarEventScan*)> push;
-    columnar::ScanStats want;
-    uint64_t rows;
-    const char* digest;
-  };
-  const int64_t t0 = 1345510800000;
-  const std::vector<Case> cases = {
-      {"name glob",
-       [](ColumnarEventScan* s) {
-         EXPECT_TRUE(s->PushFilter("event_name", "matches",
-                                   Value::Str("*:*:*:*:*:click")));
-       },
-       {11, 11, 0, 2947, 200, 78, 122, 68}, 122, "17431b8b76dca6dd"},
-      {"timestamp range + projection",
-       [t0](ColumnarEventScan* s) {
-         EXPECT_TRUE(
-             s->PushFilter("timestamp", ">=", Value::Int(t0 + 50 * 60000)));
-         EXPECT_TRUE(
-             s->PushFilter("timestamp", "<", Value::Int(t0 + 140 * 60000)));
-         EXPECT_TRUE(s->PushProject({"timestamp", "user_id"}, {"t", "uid"}));
-       },
-       {11, 6, 5, 1342, 106, 110, 90, 0}, 90, "b3f328ba1116e108"},
-      {"user id",
-       [](ColumnarEventScan* s) {
-         EXPECT_TRUE(s->PushFilter("user_id", "==", Value::Int(104)));
-       },
-       {11, 11, 0, 2947, 200, 182, 18, 0}, 18, "5e4c5a0c836571d3"},
-      {"all four",
-       [t0](ColumnarEventScan* s) {
-         EXPECT_TRUE(s->PushFilter("event_name", "matches",
-                                   Value::Str("web:*")));
-         EXPECT_TRUE(
-             s->PushFilter("timestamp", "<=", Value::Int(t0 + 120 * 60000)));
-         EXPECT_TRUE(s->PushFilter("user_id", "==", Value::Int(101)));
-         EXPECT_TRUE(
-             s->PushProject({"event_name", "session_id"}, {"n", "s"}));
-       },
-       {11, 8, 3, 1740, 130, 193, 7, 33}, 7, "8f3a31d5cf04ca68"},
-  };
-  for (const Case& c : cases) {
-    for (int threads : {0, 2}) {
-      auto base = ColumnarEventScan::Open(&fs_, kDir);
-      ASSERT_TRUE(base.ok()) << base.status().ToString();
-      auto scan =
-          std::static_pointer_cast<ColumnarEventScan>((*base)->Clone());
-      c.push(scan.get());
-      std::unique_ptr<exec::Executor> executor;
-      if (threads > 0) {
-        exec::ExecOptions eo;
-        eo.threads = threads;
-        executor = std::make_unique<exec::Executor>(eo);
-      }
-      auto rel = scan->Materialize(executor.get());
-      ASSERT_TRUE(rel.ok()) << rel.status().ToString();
-      auto want = scan_oracle::ReferenceMaterialize(fs_, kDir, *scan);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      const std::string bytes = SerializeRelation(*rel);
-      EXPECT_EQ(bytes, SerializeRelation(*want)) << c.what;
-      Fingerprint fp;
-      fp.Mix(bytes);
-      EXPECT_EQ(fp.Hex(), c.digest) << c.what;
-      EXPECT_EQ(rel->size(), c.rows) << c.what;
-      const columnar::ScanStats& got = scan->last_stats();
-      EXPECT_EQ(got.groups_total, c.want.groups_total) << c.what;
-      EXPECT_EQ(got.groups_scanned, c.want.groups_scanned) << c.what;
-      EXPECT_EQ(got.groups_skipped, c.want.groups_skipped) << c.what;
-      EXPECT_EQ(got.bytes_decompressed, c.want.bytes_decompressed) << c.what;
-      EXPECT_EQ(got.rows_scanned, c.want.rows_scanned) << c.what;
-      EXPECT_EQ(got.rows_pruned, c.want.rows_pruned) << c.what;
-      EXPECT_EQ(got.rows_returned, c.want.rows_returned) << c.what;
-      EXPECT_EQ(got.dict_domain_rows_pruned, c.want.dict_domain_rows_pruned)
-          << c.what;
-    }
-  }
+  WriteParts(2);
+  ExpectPinned(2);
+}
+
+TEST_F(ScanStatsPinTest, V3PushedScanStatsAndAnswerArePinned) {
+  WriteParts(3);
+  ExpectPinned(3);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-// Frozen byte-identity oracle for columnar warehouse landing: the columnar
-// branch of LogMover::CommitMergedHour as it was before landing parsed
-// messages in place. Every message is deserialized into an owning
-// ClientEvent, each event is copied into a row-at-a-time writer's pending
-// rows, and a full group is encoded one column at a time. Parts rotate
-// after any row once the flushed body reaches the target size, and parse
-// failures go verbatim to one framed-compressed sidecar after the parts.
+// Frozen oracle for columnar warehouse landing: the columnar branch of
+// LogMover::CommitMergedHour as it was before landing parsed messages in
+// place, writing RCFile v2 (or v1). Every message is deserialized into an
+// owning ClientEvent, each event is copied into a row-at-a-time writer's
+// pending rows, and a full group is encoded one column at a time. Parts
+// rotate after any row once the flushed body reaches the target size, and
+// parse failures go verbatim to one framed-compressed sidecar after the
+// parts. Landing writes v3, so tests compare it with this oracle by
+// rows, group cuts and headers; the sidecar is still byte-identical. The
+// writer is also the one source of v1 and v2 fixtures.
 //
 // Two hostile-input fixes are frozen in with it: details entries are never
 // reserved from the claimed map count (a 7-byte message would otherwise
@@ -193,7 +196,7 @@ class RowWriter {
       return;
     }
     if (!wrote_magic_) {
-      out_->append(columnar::kRcFileMagic);
+      out_->append(columnar::kRcFileMagicV2);
       wrote_magic_ = true;
     }
     std::string header;

@@ -2,7 +2,8 @@
 // (tests/landing_oracle.h): the in-place client-event parser, the row-group
 // encoder under RcFileWriter, and the log mover's columnar parts and
 // sidecar, over staged files mixed with broker batches, at every thread
-// count.
+// count. The oracle writes RCFile v2 and landing writes v3, so parts are
+// compared by their rows, group cuts and headers; the sidecar by bytes.
 
 #include <gtest/gtest.h>
 
@@ -293,17 +294,30 @@ Landed RunLanding(const LandingCase& c) {
   return out;
 }
 
-std::map<std::string, std::string> OracleParts(
-    const landing_oracle::Landing& landing) {
-  std::map<std::string, std::string> out;
-  for (size_t i = 0; i < landing.parts.size(); ++i) {
-    std::string seq = std::to_string(i);
-    seq.insert(0, 5 - seq.size(), '0');
-    out[std::string(kHourDir) + "/part-" + seq] = landing.parts[i];
+// Every row of the RCFile bodies `parts`, in order; the row count of each
+// part is appended to `rows_per_part` when it is non-null.
+std::vector<ClientEvent> ReadParts(const std::vector<std::string>& parts,
+                                   std::vector<size_t>* rows_per_part) {
+  std::vector<ClientEvent> rows;
+  for (const std::string& part : parts) {
+    const size_t before = rows.size();
+    Status st =
+        columnar::RcFileReader(part).ReadAll(columnar::kAllColumns, &rows);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (rows_per_part != nullptr) {
+      rows_per_part->push_back(rows.size() - before);
+    }
   }
-  return out;
+  return rows;
 }
 
+// The mover lands v3 parts while the frozen oracle writes v2, so bytes are
+// compared through the format: the mover's rows equal the oracle's in
+// order, each part is exactly RcFileWriter over its rows (groups of 1024
+// rows, or of one row at a zero target), parts are cut by the size rule,
+// and the sidecar is byte-identical. Where the cut cannot depend on group
+// sizes — every group its own part (targets 0 and 1) or one part for the
+// hour (8 MiB) — the part counts match the oracle's too.
 void ExpectMatchesOracle(const LandingCase& c) {
   SCOPED_TRACE("rows=" + std::to_string(c.rows) + " target=" +
                std::to_string(c.target_file_bytes) +
@@ -311,17 +325,52 @@ void ExpectMatchesOracle(const LandingCase& c) {
   Landed landed = RunLanding(c);
   const landing_oracle::Landing oracle =
       landing_oracle::LandColumnar(landed.merged, c.target_file_bytes);
-  const std::map<std::string, std::string> expected = OracleParts(oracle);
-  ASSERT_EQ(landed.parts.size(), expected.size());
-  for (const auto& [path, bytes] : expected) {
-    auto it = landed.parts.find(path);
-    ASSERT_NE(it, landed.parts.end()) << path;
-    EXPECT_TRUE(it->second == bytes) << path << " differs from the oracle";
+  const bool sidecar = oracle.parse_fallbacks > 0;
+  std::vector<std::string> got_parts;  // path order is part order
+  for (const auto& [path, bytes] : landed.parts) got_parts.push_back(bytes);
+  std::vector<std::string> want_parts = oracle.parts;
+  ASSERT_GE(got_parts.size(), sidecar ? 2u : 1u);
+  if (sidecar) {
+    EXPECT_TRUE(got_parts.back() == want_parts.back())
+        << "the sidecar differs from the oracle's";
+    got_parts.pop_back();
+    want_parts.pop_back();
   }
+  if (c.target_file_bytes <= 1 || c.target_file_bytes >= (8u << 20)) {
+    EXPECT_EQ(got_parts.size(), want_parts.size());
+  }
+
+  std::vector<size_t> rows_per_part;
+  const std::vector<ClientEvent> rows = ReadParts(got_parts, &rows_per_part);
+  EXPECT_TRUE(rows == ReadParts(want_parts, nullptr))
+      << "landed rows differ from the oracle's";
+  const size_t group_rows =
+      c.target_file_bytes == 0 ? 1 : columnar::kDefaultRowsPerGroup;
+  size_t next = 0;
+  for (size_t p = 0; p < got_parts.size(); ++p) {
+    std::string want;
+    columnar::RcFileWriter writer(&want, group_rows);
+    for (size_t r = 0; r < rows_per_part[p] && next < rows.size(); ++r) {
+      ASSERT_TRUE(writer.Add(rows[next++]).ok());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    EXPECT_TRUE(got_parts[p] == want)
+        << "part " << p << " is not RcFileWriter over its rows";
+    // A part ends after the first group that takes it to the target.
+    auto groups = columnar::RcFileReader(got_parts[p]).IndexGroups();
+    ASSERT_TRUE(groups.ok());
+    if (groups->size() > 1) {
+      EXPECT_LT(groups->back().offset, c.target_file_bytes)
+          << "part " << p << " should have ended a group earlier";
+    }
+    if (p + 1 < got_parts.size()) {
+      EXPECT_GE(got_parts[p].size(), c.target_file_bytes) << "part " << p;
+    }
+  }
+  EXPECT_EQ(next, rows.size());
   EXPECT_EQ(landed.stats.messages_moved, landed.merged.size());
   EXPECT_EQ(landed.stats.columnar_parse_fallbacks, oracle.parse_fallbacks);
-  EXPECT_EQ(landed.stats.columnar_files_written,
-            oracle.parts.size() - (oracle.parse_fallbacks > 0 ? 1 : 0));
+  EXPECT_EQ(landed.stats.columnar_files_written, got_parts.size());
   EXPECT_GT(landed.stats.broker_batches_decoded, 0u);
 }
 
@@ -379,42 +428,74 @@ TEST(ColumnarLandingOracleTest, HostileMessagesLandInTheSidecar) {
 // ---------------------------------------------------------------------------
 // The encoder under RcFileWriter against the row-at-a-time writer
 
+// The v3 body `got` and the frozen v2 body `want` of `events`: the same
+// group cuts and headers (zone maps, both dictionaries), and `got` reads
+// back as `events`.
+void ExpectSameGroupsAndRows(const std::string& got, const std::string& want,
+                             const std::vector<ClientEvent>& events) {
+  auto got_groups = columnar::RcFileReader(got).CollectGroupStats();
+  auto want_groups = columnar::RcFileReader(want).CollectGroupStats();
+  ASSERT_TRUE(got_groups.ok()) << got_groups.status().ToString();
+  ASSERT_TRUE(want_groups.ok()) << want_groups.status().ToString();
+  ASSERT_EQ(got_groups->size(), want_groups->size());
+  for (size_t g = 0; g < got_groups->size(); ++g) {
+    const auto& a = (*got_groups)[g];
+    const auto& b = (*want_groups)[g];
+    EXPECT_EQ(a.row_count, b.row_count) << "group " << g;
+    EXPECT_EQ(a.has_zone_map, b.has_zone_map) << "group " << g;
+    EXPECT_EQ(a.min_timestamp, b.min_timestamp) << "group " << g;
+    EXPECT_EQ(a.max_timestamp, b.max_timestamp) << "group " << g;
+    EXPECT_EQ(a.min_user_id, b.min_user_id) << "group " << g;
+    EXPECT_EQ(a.max_user_id, b.max_user_id) << "group " << g;
+    EXPECT_EQ(a.event_names, b.event_names) << "group " << g;
+    EXPECT_EQ(a.initiators, b.initiators) << "group " << g;
+  }
+  std::vector<ClientEvent> back;
+  ASSERT_TRUE(
+      columnar::RcFileReader(got).ReadAll(columnar::kAllColumns, &back).ok());
+  EXPECT_TRUE(back == events);
+}
+
 TEST(ColumnarLandingOracleTest, WriterMatchesRowAtATimeWriter) {
   Rng rng(11);
   for (size_t rows_per_group : {1u, 3u, 1024u}) {
     for (size_t rows : {0u, 1u, 1023u, 1024u, 1025u, 2049u}) {
+      SCOPED_TRACE("rows_per_group " + std::to_string(rows_per_group) +
+                   " rows " + std::to_string(rows));
       std::string got, want;
       columnar::RcFileWriter writer(&got, rows_per_group);
       landing_oracle::RowWriter oracle(&want, rows_per_group);
+      std::vector<ClientEvent> events;
       for (size_t i = 0; i < rows; ++i) {
-        ClientEvent ev = RandomEvent(rng);
-        ASSERT_TRUE(writer.Add(ev).ok());
-        oracle.Add(ev);
+        events.push_back(RandomEvent(rng));
+        ASSERT_TRUE(writer.Add(events.back()).ok());
+        oracle.Add(events.back());
       }
       ASSERT_TRUE(writer.Finish().ok());
       oracle.Finish();
-      EXPECT_TRUE(got == want)
-          << "rows_per_group " << rows_per_group << " rows " << rows;
+      ExpectSameGroupsAndRows(got, want, events);
     }
   }
 }
 
-// One writer over many groups with more distinct names than the
-// encoder's name cache holds: codes restart per group either way.
+// One writer over many groups with thousands of distinct names: codes
+// restart per group, in first-appearance order, as in the oracle.
 TEST(ColumnarLandingOracleTest, WriterMatchesOracleAcrossNameCacheResets) {
   Rng rng(12);
   std::string got, want;
   columnar::RcFileWriter writer(&got, 256);
   landing_oracle::RowWriter oracle(&want, 256);
+  std::vector<ClientEvent> events;
   for (int i = 0; i < 12000; ++i) {
     ClientEvent ev = RandomEvent(rng);
     if (i % 2 == 0) ev.event_name = "n" + std::to_string(i % 5000);
     ASSERT_TRUE(writer.Add(ev).ok());
     oracle.Add(ev);
+    events.push_back(std::move(ev));
   }
   ASSERT_TRUE(writer.Finish().ok());
   oracle.Finish();
-  EXPECT_TRUE(got == want);
+  ExpectSameGroupsAndRows(got, want, events);
 }
 
 // ---------------------------------------------------------------------------

@@ -332,10 +332,11 @@ class WorkflowEngineTest : public ::testing::Test {
   }
 
   /// One deterministic columnar part for `hour`; `salt` varies content.
-  void WriteHour(int64_t hour, int salt = 0, const std::string& part = "part-00000") {
+  void WriteHour(int64_t hour, int salt = 0,
+                 const std::string& part = "part-00000", int rows = 96) {
     std::string body;
     columnar::RcFileWriter writer(&body, 16);
-    for (int i = 0; i < 96; ++i) {
+    for (int i = 0; i < rows; ++i) {
       events::ClientEvent ev;
       ev.initiator = static_cast<events::EventInitiator>(i % 2);
       ev.event_name = (i + salt) % 3 == 0 ? "web:home:::tweet:click"
@@ -529,7 +530,8 @@ TEST_F(WorkflowEngineTest, SharedScanMatchesIndependentAndScansLess) {
 }
 
 TEST_F(WorkflowEngineTest, SharedScanColdCostsSumToScanBytes) {
-  WriteHour(0);
+  // 97 rows: a one-row tail group makes the union scan's bytes uneven.
+  WriteHour(0, 0, "part-00000", 97);
   WorkflowEngine engine(&fs_);
   ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
   ASSERT_TRUE(engine.AddWorkflow(Window("early", 0, 20)).ok());
