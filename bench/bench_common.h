@@ -89,7 +89,7 @@ inline Status MaterializeWarehouseDay(
   return Status::OK();
 }
 
-/// Writes generated events into hourly warehouse partitions as RCFile v2
+/// Writes generated events into hourly warehouse partitions as RCFile
 /// parts (zone maps, dictionaries, embedded checksums) — the layout the
 /// Oink memoization bench scans, and the one whose per-group checksums
 /// give the engine header-only content fingerprints. Rows within an hour

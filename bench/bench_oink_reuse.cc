@@ -2,7 +2,7 @@
 //
 // Oink runs "hundreds of periodic jobs", many of which re-scan the same
 // hourly client-event data with overlapping plans. This bench builds a
-// 7-day synthetic warehouse of hourly RCFile v2 partitions, registers
+// 7-day synthetic warehouse of hourly RCFile partitions, registers
 // four recurring workflows over the same hours, and measures three ways
 // of running every (hour × workflow) tick:
 //
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   std::printf("(7-day synthetic workload, %d users%s)\n\n", users,
               verify_cache ? ", --verify-cache" : "");
 
-  // Seven days of hourly RCFile v2 partitions.
+  // Seven days of hourly RCFile partitions.
   workload::WorkloadOptions wopts;
   wopts.seed = 42;
   wopts.num_users = users;

@@ -11,7 +11,7 @@
 // cluster wall time, and real local time.
 //
 // A third path rides along for the scan fast path (E18): the same day
-// rewritten as columnar RCFile v2 hour parts and queried through the
+// rewritten as columnar RCFile hour parts and queried through the
 // dataflow pushdown scan (event-name predicate evaluated on dictionary
 // ids, groups skipped wholesale). Answers must match the raw path and be
 // thread-count invariant; results land in BENCH_scan.json.
@@ -131,7 +131,7 @@ PathCost SequencePath(const bench::DayFixture& fx,
   return pc;
 }
 
-// Rewrites each warehoused hour as one RCFile v2 part under
+// Rewrites each warehoused hour as one RCFile part under
 // /columnar/client_events/... — the layout LogMoverOptions::
 // columnar_categories would have produced.
 Status MaterializeColumnarDay(bench::DayFixture* fx,

@@ -18,7 +18,7 @@
 // and whether a session group-by shuffle is still required.
 //
 // E18 (scan fast path) rides in the second half: the same day written as
-// RCFile v2 (zone maps + dictionaries) and scanned with a selective
+// RCFile (zone maps + dictionaries) and scanned with a selective
 // timestamp-range + event-name ScanSpec, verifying the pushdown scan is
 // byte-identical to full-scan-then-filter at 1/2/8 threads and measuring
 // the reduction in bytes decompressed. Results land in BENCH_scan.json.
@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -86,7 +87,7 @@ uint64_t EventsDigest(const std::vector<events::ClientEvent>& events) {
   return h;
 }
 
-// E18: pushdown scan vs ReadAll-then-filter on the same v2 file. Returns
+// E18: pushdown scan vs ReadAll-then-filter on the same file. Returns
 // false when a digest mismatches or the bytes-decompressed reduction is
 // under 2x (the acceptance floor).
 bool RunPushdownSection(const std::vector<events::ClientEvent>& all) {
@@ -299,9 +300,10 @@ int main(int argc, char** argv) {
   LayoutRow rcfile{"rcfile columnar"};
   {
     std::string body;
-    // The plain v1 layout: §4.2 weighed RCFile as-published, without the
-    // zone-map/dictionary fast path E18 adds below. Only the frozen test
-    // writer still writes v1.
+    // The plain v1 layout (Lz per column, no zone maps or dictionaries):
+    // §4.2 weighed RCFile as-published, without the fast path E18 adds
+    // below. The frozen test writer and its names-column scan are the one
+    // writer and reader of v1 left.
     landing_oracle::RowWriter writer(&body, 1024, 1);
     for (const auto& ev : all) writer.Add(ev);
     writer.Finish();
@@ -309,17 +311,14 @@ int main(int argc, char** argv) {
     rcfile.map_tasks = blocks(rcfile.disk_bytes);
     rcfile.needs_group_by = true;  // layout is still arrival-ordered
     // The names-only query decompresses just the event-name column.
-    columnar::ScanSpec names_only;
-    names_only.columns = columnar::ColumnBit(columnar::EventColumn::kEventName);
-    columnar::ScanStats stats;
-    std::vector<events::ClientEvent> names;
-    if (!columnar::RcFileReader(body).Scan(names_only, &names, &stats).ok()) {
+    std::vector<std::string> names;
+    if (!landing_oracle::ScanV1Names(body, &names, &rcfile.touched_bytes)
+             .ok()) {
       return 1;
     }
-    for (const auto& ev : names) {
-      if (query.Matches(ev.event_name)) ++rcfile.answer;
+    for (const auto& name : names) {
+      if (query.Matches(name)) ++rcfile.answer;
     }
-    rcfile.touched_bytes = stats.bytes_decompressed;
   }
 
   // ---- Layout D: session sequences. -------------------------------------

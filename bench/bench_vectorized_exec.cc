@@ -1,5 +1,5 @@
 // E23/E24: vectorized batch execution vs the row engine on the §4.2 daily
-// filter+group workload. One day of client events is written as RCFile v2
+// filter+group workload. One day of client events is written as RCFile
 // warehouse partitions, scanned once, and then the same plan —
 //
 //   FILTER event_name matches "web:*" AND timestamp in [T, T+18h)

@@ -19,7 +19,7 @@ namespace unilog::analytics {
 ///       the partition's dictionary for the UDFs below.
 ///   ClientEventsLoader()      — LOAD any /logs/<category>/... directory;
 ///       columns {initiator, event_name, user_id, session_id, ip,
-///       timestamp}; layout-agnostic: columnar (RCFile v2) and legacy
+///       timestamp}; layout-agnostic: columnar (RCFile) and legacy
 ///       framed-compressed part files are read alike, sniffed per file.
 ///       Binds a deferred dataflow::ColumnarEventScan: an
 ///       immediately-following FILTER/FOREACH is fused into the scan

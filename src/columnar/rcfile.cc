@@ -6,7 +6,6 @@
 #include <iterator>
 
 #include "common/coding.h"
-#include "common/compress.h"
 #include "events/event_name.h"
 #include "obs/metrics.h"
 
@@ -15,53 +14,57 @@ namespace unilog::columnar {
 namespace {
 
 /// The group checksum over a byte range. Zone maps and dictionaries live
-/// uncompressed in the header, where a flipped byte would otherwise read
-/// back as silently different data. v2 is FNV-1a over bytes; v3 is the
-/// same step over little-endian 32-bit words (a 1-3 byte tail bytewise),
-/// a quarter of the multiplies. Every step is a bijection of the state,
-/// so any one changed byte or word changes the checksum.
-uint32_t GroupChecksum(std::string_view data, int version) {
+/// in the header, where a flipped byte would otherwise read back as
+/// silently different data. It is the FNV-1a step over little-endian
+/// 32-bit words, then over a 1-3 byte tail one byte at a time. Every step
+/// is a bijection of the state, so any one changed byte or word changes
+/// the checksum.
+uint32_t GroupChecksum(std::string_view data) {
   constexpr uint32_t kPrime = 16777619u;
   uint32_t h = 2166136261u;
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   size_t n = data.size();
-  if (version >= 3) {
-    for (; n >= 4; p += 4, n -= 4) {
-      const uint32_t w = uint32_t{p[0]} | uint32_t{p[1]} << 8 |
-                         uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
-      h = (h ^ w) * kPrime;
-    }
+  for (; n >= 4; p += 4, n -= 4) {
+    const uint32_t w = uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                       uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+    h = (h ^ w) * kPrime;
   }
   for (; n > 0; ++p, --n) h = (h ^ *p) * kPrime;
   return h;
 }
 
-/// A parsed row-group header. In v2 the zone map and the dictionaries live
-/// in the header, uncompressed, so group skipping touches no compressed
-/// data; the dictionary entry views point into the file body and stay
-/// valid for the reader's lifetime.
+/// An empty body is a file of no groups; any other body must carry the
+/// RCF3 magic.
+Status CheckMagic(std::string_view data) {
+  if (data.empty() || IsRcFile(data)) return Status::OK();
+  return Status::Corruption("rcfile: body without the RCF3 magic");
+}
+
+/// A parsed row-group header. The zone map and the dictionaries live in
+/// the header, so group skipping decodes no column; the dictionary entry
+/// views point into the file body and stay valid for the reader's
+/// lifetime.
 struct GroupHeader {
   uint64_t row_count = 0;
   int64_t min_ts = 0, max_ts = 0;
   int64_t min_uid = 0, max_uid = 0;
   std::vector<std::string_view> name_dict;
   std::vector<events::EventInitiator> init_dict;
-  /// v2: checksum over the group's blob section, verified only when the
+  /// Checksum over the group's blob section, verified only when the
   /// group is actually scanned — a zone-map skip stays header-only.
   uint32_t blobs_checksum = 0;
-  /// v2: the stored header checksum (already verified against the header
+  /// The stored header checksum (already verified against the header
   /// bytes by ReadGroupHeader); kept so ContentFingerprint can fold the
   /// embedded checksums into a whole-file digest without re-hashing.
   uint32_t header_checksum = 0;
 };
 
-Status ReadGroupHeader(Decoder* dec, int version, GroupHeader* hdr) {
+Status ReadGroupHeader(Decoder* dec, GroupHeader* hdr) {
   const size_t header_begin = dec->position();
   UNILOG_RETURN_NOT_OK(dec->GetVarint64(&hdr->row_count));
   if (hdr->row_count == 0 || hdr->row_count > kMaxRowsPerGroup) {
     return Status::Corruption("rcfile: implausible row-group size");
   }
-  if (version < 2) return Status::OK();
   UNILOG_RETURN_NOT_OK(dec->GetSignedVarint64(&hdr->min_ts));
   UNILOG_RETURN_NOT_OK(dec->GetSignedVarint64(&hdr->max_ts));
   UNILOG_RETURN_NOT_OK(dec->GetSignedVarint64(&hdr->min_uid));
@@ -87,14 +90,15 @@ Status ReadGroupHeader(Decoder* dec, int version, GroupHeader* hdr) {
     if (v > 3) return Status::Corruption("rcfile: bad initiator");
     hdr->init_dict.push_back(static_cast<events::EventInitiator>(v));
   }
-  // The uncompressed header (zone map + dictionaries) is checksummed: a
-  // flipped dictionary byte must fail loudly, not read back as a
-  // different event name.
+  // The header (zone map + dictionaries) is checksummed: a flipped
+  // dictionary byte must fail loudly, not read back as a different event
+  // name.
   const size_t header_end = dec->position();
   uint32_t expected = 0;
   UNILOG_RETURN_NOT_OK(dec->GetVarint32(&expected));
-  if (GroupChecksum(dec->data().substr(header_begin, header_end - header_begin),
-                    version) != expected) {
+  if (GroupChecksum(dec->data().substr(header_begin,
+                                       header_end - header_begin)) !=
+      expected) {
     return Status::Corruption("rcfile: row-group header checksum mismatch");
   }
   hdr->header_checksum = expected;
@@ -102,17 +106,37 @@ Status ReadGroupHeader(Decoder* dec, int version, GroupHeader* hdr) {
   return Status::OK();
 }
 
-/// Advances past a group's column blobs without decoding any.
-Status SkipBlobs(Decoder* dec) {
+/// Advances past a group's column blobs without decoding any, adding
+/// their stored sizes to *bytes when it is not null.
+Status SkipBlobs(Decoder* dec, uint64_t* bytes = nullptr) {
   for (int c = 0; c < kEventColumns; ++c) {
     std::string_view blob;
     UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&blob));
+    if (bytes != nullptr) *bytes += blob.size();
+  }
+  return Status::OK();
+}
+
+/// Walks every group of `data` in file order, headers only, calling
+/// fn(hdr, offset, byte_length, blob_bytes) for each.
+template <typename Fn>
+Status WalkGroups(std::string_view data, Fn fn) {
+  UNILOG_RETURN_NOT_OK(CheckMagic(data));
+  Decoder dec(data);
+  UNILOG_RETURN_NOT_OK(dec.Skip(data.empty() ? 0 : kRcFileMagic.size()));
+  while (!dec.AtEnd()) {
+    const size_t offset = dec.position();
+    GroupHeader hdr;
+    UNILOG_RETURN_NOT_OK(ReadGroupHeader(&dec, &hdr));
+    uint64_t blob_bytes = 0;
+    UNILOG_RETURN_NOT_OK(SkipBlobs(&dec, &blob_bytes));
+    fn(hdr, offset, dec.position() - offset, blob_bytes);
   }
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
-// v3 column encodings (the layout is described in rcfile.h)
+// Column encodings (the layout is described in rcfile.h)
 
 /// Bits that hold every value in [0, max]: 0 when max is 0.
 int BitWidth(uint64_t max) { return static_cast<int>(std::bit_width(max)); }
@@ -263,85 +287,34 @@ Status ColumnOverrun(const Decoder& dec) {
   return Status::OK();
 }
 
-/// Per-group scratch: each needed column is decoded to its stored bytes
-/// at most once (v1/v2 blobs are Lz blocks, v3 blobs are used in place).
+/// A group's column blobs. Use(c) returns column c's stored bytes and
+/// counts them into bytes_decompressed the first time the column is used.
 struct GroupBlobs {
-  int version = 1;
   std::string_view stored[kEventColumns];
-  std::string inflated[kEventColumns];
-  std::string_view bytes[kEventColumns];
-  bool done[kEventColumns] = {};
+  bool used[kEventColumns] = {};
 
-  Status Ensure(EventColumn column, ScanStats* stats) {
-    int c = static_cast<int>(column);
-    if (done[c]) return Status::OK();
-    stats->bytes_decompressed += stored[c].size();
-    if (version >= 3) {
-      bytes[c] = stored[c];
-    } else {
-      UNILOG_ASSIGN_OR_RETURN(inflated[c], Lz::Decompress(stored[c]));
-      bytes[c] = inflated[c];
-    }
-    done[c] = true;
-    return Status::OK();
+  std::string_view Use(EventColumn column, ScanStats* stats) {
+    const int c = static_cast<int>(column);
+    if (!used[c]) stats->bytes_decompressed += stored[c].size();
+    used[c] = true;
+    return stored[c];
   }
 };
 
 // ---------------------------------------------------------------------------
-// Column decoders: every row of one column, dispatched on version.
+// Column decoders: every row of one column.
 
-Status DecodeNameIds(std::string_view blob, const GroupHeader& hdr,
-                     int version, std::vector<uint32_t>* ids) {
+/// An initiator or event-name column: a packed run of codes into the
+/// header dictionary of `entries` values.
+Status DecodeCodes(std::string_view blob, uint64_t row_count,
+                   uint64_t entries, std::vector<uint32_t>* codes) {
   Decoder dec(blob);
-  if (version >= 3) {
-    UNILOG_RETURN_NOT_OK(
-        ReadCodes(&dec, hdr.row_count, hdr.name_dict.size(), ids));
-    return ColumnOverrun(dec);
-  }
-  ids->resize(hdr.row_count);
-  for (auto& id : *ids) {
-    UNILOG_RETURN_NOT_OK(dec.GetVarint32(&id));
-    if (id >= hdr.name_dict.size()) {
-      return Status::Corruption("rcfile: event-name id out of range");
-    }
-  }
-  return ColumnOverrun(dec);
-}
-
-/// Codes into the header's initiator dictionary (v2/v3), or the raw enum
-/// values of a v1 column.
-Status DecodeInitiators(std::string_view blob, const GroupHeader& hdr,
-                        int version, std::vector<uint32_t>* codes) {
-  Decoder dec(blob);
-  if (version >= 3) {
-    UNILOG_RETURN_NOT_OK(
-        ReadCodes(&dec, hdr.row_count, hdr.init_dict.size(), codes));
-    return ColumnOverrun(dec);
-  }
-  const uint64_t entries = version >= 2 ? hdr.init_dict.size() : 4;
-  codes->resize(hdr.row_count);
-  for (auto& code : *codes) {
-    uint64_t v = 0;
-    UNILOG_RETURN_NOT_OK(dec.GetVarint64(&v));
-    if (v >= entries) return Status::Corruption("rcfile: bad initiator");
-    code = static_cast<uint32_t>(v);
-  }
-  return ColumnOverrun(dec);
-}
-
-Status DecodeInt64Column(std::string_view blob, uint64_t row_count,
-                         std::vector<int64_t>* values) {
-  Decoder dec(blob);
-  values->resize(row_count);
-  for (auto& v : *values) {
-    UNILOG_RETURN_NOT_OK(dec.GetSignedVarint64(&v));
-  }
+  UNILOG_RETURN_NOT_OK(ReadCodes(&dec, row_count, entries, codes));
   return ColumnOverrun(dec);
 }
 
 Status DecodeUserIds(std::string_view blob, const GroupHeader& hdr,
-                     int version, std::vector<int64_t>* values) {
-  if (version < 3) return DecodeInt64Column(blob, hdr.row_count, values);
+                     std::vector<int64_t>* values) {
   Decoder dec(blob);
   PackedRun run;
   UNILOG_RETURN_NOT_OK(run.Read(&dec, hdr.row_count));
@@ -355,8 +328,7 @@ Status DecodeUserIds(std::string_view blob, const GroupHeader& hdr,
 }
 
 Status DecodeTimestamps(std::string_view blob, const GroupHeader& hdr,
-                        int version, std::vector<int64_t>* values) {
-  if (version < 3) return DecodeInt64Column(blob, hdr.row_count, values);
+                        std::vector<int64_t>* values) {
   Decoder dec(blob);
   values->resize(hdr.row_count);
   auto prev = static_cast<uint64_t>(hdr.min_ts);
@@ -370,14 +342,10 @@ Status DecodeTimestamps(std::string_view blob, const GroupHeader& hdr,
 }
 
 /// A session-id or ip column as one view per row into the column bytes.
-Status DecodeStrings(std::string_view blob, uint64_t row_count, int version,
+Status DecodeStrings(std::string_view blob, uint64_t row_count,
                      std::vector<std::string_view>* values) {
   Decoder dec(blob);
   values->resize(row_count);
-  if (version < 3) {
-    for (auto& v : *values) UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&v));
-    return ColumnOverrun(dec);
-  }
   uint64_t entries = 0;
   UNILOG_RETURN_NOT_OK(ReadPageCount(&dec, row_count, &entries));
   std::vector<std::string_view> page(entries);
@@ -392,31 +360,11 @@ using Details = std::vector<std::pair<std::string, std::string>>;
 
 /// The details column; only rows with sel[r] set are materialized, one
 /// Details per selected row, but every row is validated.
-Status DecodeDetails(std::string_view blob, uint64_t row_count, int version,
+Status DecodeDetails(std::string_view blob, uint64_t row_count,
                      const std::vector<uint8_t>& sel, size_t selected,
                      std::vector<Details>* out) {
   Decoder dec(blob);
   out->reserve(out->size() + selected);
-  if (version < 3) {
-    for (uint64_t r = 0; r < row_count; ++r) {
-      uint64_t n = 0;
-      UNILOG_RETURN_NOT_OK(dec.GetVarint64(&n));
-      // Each pair spends at least two length-prefix bytes.
-      if (n > dec.remaining() / 2) {
-        return Status::Corruption("rcfile: bad details count");
-      }
-      Details pairs;
-      if (sel[r]) pairs.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        std::string_view k, v;
-        UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&k));
-        UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&v));
-        if (sel[r]) pairs.emplace_back(k, v);
-      }
-      if (sel[r]) out->push_back(std::move(pairs));
-    }
-    return ColumnOverrun(dec);
-  }
   uint64_t entries = 0;  // each entry spends two length bytes or more
   UNILOG_RETURN_NOT_OK(ReadPageCount(&dec, dec.remaining() / 2, &entries));
   std::vector<events::DetailView> page(entries);
@@ -472,85 +420,61 @@ struct GroupSelection {
   size_t selected = 0;
 };
 
-/// Every encoding spends at least one byte per row in some column, so a
-/// group whose columns cannot hold its claimed row count is corrupt. This
-/// runs before anything is sized from that count or any blob is decoded:
-/// v1/v2 columns each decompress to a byte or more per row (the size is
-/// the Lz block's leading varint, which Decompress holds the block to),
-/// and a v3 timestamp column spends a varint per row.
-Status CheckRowCountFits(const GroupBlobs& blobs, uint64_t row_count) {
-  if (blobs.version >= 3) {
-    if (blobs.stored[static_cast<int>(EventColumn::kTimestamp)].size() <
-        row_count) {
-      return Status::Corruption("rcfile: column shorter than its row count");
-    }
-    return Status::OK();
-  }
-  for (std::string_view blob : blobs.stored) {
-    Decoder lz(blob);
-    uint64_t decompressed_size = 0;
-    UNILOG_RETURN_NOT_OK(lz.GetVarint64(&decompressed_size));
-    if (decompressed_size < row_count) {
-      return Status::Corruption("rcfile: column shorter than its row count");
-    }
-  }
-  return Status::OK();
-}
-
-Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
+Status SelectGroupRows(Decoder* dec, const ScanSpec& spec,
                        const RowMatcher& matcher, GroupSelection* g,
                        ScanStats* stats) {
   GroupHeader& hdr = g->hdr;
-  UNILOG_RETURN_NOT_OK(ReadGroupHeader(dec, version, &hdr));
+  UNILOG_RETURN_NOT_OK(ReadGroupHeader(dec, &hdr));
   ++stats->groups_total;
 
-  // Group-level skips, all header-only (v2/v3; a v1 group has no zone map).
+  // Group-level skips, all header-only.
+  bool skip = false;
+  if (spec.min_timestamp.has_value() && hdr.max_ts < *spec.min_timestamp) {
+    skip = true;
+  }
+  if (spec.max_timestamp.has_value() && hdr.min_ts > *spec.max_timestamp) {
+    skip = true;
+  }
+  if (!skip && spec.user_ids.has_value()) {
+    auto it = spec.user_ids->lower_bound(hdr.min_uid);
+    if (it == spec.user_ids->end() || *it > hdr.max_uid) skip = true;
+  }
+  bool dict_skip = false;
   std::vector<uint8_t> name_flags;
-  if (version >= 2) {
-    bool skip = false;
-    if (spec.min_timestamp.has_value() && hdr.max_ts < *spec.min_timestamp) {
-      skip = true;
+  if (!skip && spec.has_name_predicate()) {
+    name_flags.resize(hdr.name_dict.size());
+    bool any = false;
+    for (size_t i = 0; i < hdr.name_dict.size(); ++i) {
+      name_flags[i] = matcher.NameMatches(hdr.name_dict[i]) ? 1 : 0;
+      any = any || name_flags[i] != 0;
     }
-    if (spec.max_timestamp.has_value() && hdr.min_ts > *spec.max_timestamp) {
-      skip = true;
-    }
-    if (!skip && spec.user_ids.has_value()) {
-      auto it = spec.user_ids->lower_bound(hdr.min_uid);
-      if (it == spec.user_ids->end() || *it > hdr.max_uid) skip = true;
-    }
-    bool dict_skip = false;
-    if (!skip && spec.has_name_predicate()) {
-      name_flags.resize(hdr.name_dict.size());
-      bool any = false;
-      for (size_t i = 0; i < hdr.name_dict.size(); ++i) {
-        name_flags[i] = matcher.NameMatches(hdr.name_dict[i]) ? 1 : 0;
-        any = any || name_flags[i] != 0;
-      }
-      if (!any) skip = dict_skip = true;
-    }
-    if (skip) {
-      UNILOG_RETURN_NOT_OK(SkipBlobs(dec));
-      ++stats->groups_skipped;
-      stats->rows_pruned += hdr.row_count;
-      if (dict_skip) stats->dict_domain_rows_pruned += hdr.row_count;
-      g->skipped = true;
-      return Status::OK();
-    }
+    if (!any) skip = dict_skip = true;
+  }
+  if (skip) {
+    UNILOG_RETURN_NOT_OK(SkipBlobs(dec));
+    ++stats->groups_skipped;
+    stats->rows_pruned += hdr.row_count;
+    if (dict_skip) stats->dict_domain_rows_pruned += hdr.row_count;
+    g->skipped = true;
+    return Status::OK();
   }
 
   GroupBlobs& blobs = g->blobs;
-  blobs.version = version;
   const size_t blobs_begin = dec->position();
   for (int c = 0; c < kEventColumns; ++c) {
     UNILOG_RETURN_NOT_OK(dec->GetLengthPrefixed(&blobs.stored[c]));
   }
-  if (version >= 2 &&
-      GroupChecksum(
-          dec->data().substr(blobs_begin, dec->position() - blobs_begin),
-          version) != hdr.blobs_checksum) {
+  if (GroupChecksum(dec->data().substr(
+          blobs_begin, dec->position() - blobs_begin)) != hdr.blobs_checksum) {
     return Status::Corruption("rcfile: row-group blob checksum mismatch");
   }
-  UNILOG_RETURN_NOT_OK(CheckRowCountFits(blobs, hdr.row_count));
+  // The timestamp column spends a varint per row, so a group whose column
+  // cannot hold its claimed row count is corrupt. This runs before
+  // anything is sized from that count.
+  if (blobs.stored[static_cast<int>(EventColumn::kTimestamp)].size() <
+      hdr.row_count) {
+    return Status::Corruption("rcfile: column shorter than its row count");
+  }
   ++stats->groups_scanned;
   stats->rows_scanned += hdr.row_count;
 
@@ -558,32 +482,19 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
   std::vector<uint8_t>& sel = g->sel;
   sel.assign(hdr.row_count, 1);
   if (spec.has_name_predicate()) {
-    UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kEventName, stats));
-    std::string_view blob =
-        blobs.bytes[static_cast<int>(EventColumn::kEventName)];
-    if (version >= 2) {
-      UNILOG_RETURN_NOT_OK(DecodeNameIds(blob, hdr, version, &g->name_ids));
-      for (uint64_t r = 0; r < hdr.row_count; ++r) {
-        if (name_flags[g->name_ids[r]] == 0) {
-          sel[r] = 0;
-          ++stats->dict_domain_rows_pruned;
-        }
+    UNILOG_RETURN_NOT_OK(
+        DecodeCodes(blobs.Use(EventColumn::kEventName, stats), hdr.row_count,
+                    hdr.name_dict.size(), &g->name_ids));
+    for (uint64_t r = 0; r < hdr.row_count; ++r) {
+      if (name_flags[g->name_ids[r]] == 0) {
+        sel[r] = 0;
+        ++stats->dict_domain_rows_pruned;
       }
-    } else {
-      Decoder col(blob);
-      for (uint64_t r = 0; r < hdr.row_count; ++r) {
-        std::string_view name;
-        UNILOG_RETURN_NOT_OK(col.GetLengthPrefixed(&name));
-        if (!matcher.NameMatches(name)) sel[r] = 0;
-      }
-      UNILOG_RETURN_NOT_OK(ColumnOverrun(col));
     }
   }
   if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
-    UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kTimestamp, stats));
     UNILOG_RETURN_NOT_OK(DecodeTimestamps(
-        blobs.bytes[static_cast<int>(EventColumn::kTimestamp)], hdr, version,
-        &g->ts_vals));
+        blobs.Use(EventColumn::kTimestamp, stats), hdr, &g->ts_vals));
     for (uint64_t r = 0; r < hdr.row_count; ++r) {
       if (spec.min_timestamp.has_value() &&
           g->ts_vals[r] < *spec.min_timestamp) {
@@ -596,10 +507,8 @@ Status SelectGroupRows(Decoder* dec, int version, const ScanSpec& spec,
     }
   }
   if (spec.user_ids.has_value()) {
-    UNILOG_RETURN_NOT_OK(blobs.Ensure(EventColumn::kUserId, stats));
-    UNILOG_RETURN_NOT_OK(DecodeUserIds(
-        blobs.bytes[static_cast<int>(EventColumn::kUserId)], hdr, version,
-        &g->uid_vals));
+    UNILOG_RETURN_NOT_OK(DecodeUserIds(blobs.Use(EventColumn::kUserId, stats),
+                                       hdr, &g->uid_vals));
     for (uint64_t r = 0; r < hdr.row_count; ++r) {
       if (spec.user_ids->count(g->uid_vals[r]) == 0) sel[r] = 0;
     }
@@ -627,14 +536,13 @@ void AppendSelected(const std::vector<uint8_t>& sel,
 /// Scans one group at the decoder's position, leaving the decoder past it:
 /// SelectGroupRows, then the selected rows' masked columns land in typed
 /// arrays, the dictionary-encoded columns staying encoded (codes + a
-/// materialized-once dictionary). The only code that decodes column blobs;
-/// each column's decoder dispatches on the format version.
-Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
+/// materialized-once dictionary). The only code that decodes column blobs.
+Status ScanOneGroupColumnar(Decoder* dec, const ScanSpec& spec,
                             const RowMatcher& matcher,
                             RcFileReader::ColumnarGroup* out,
                             ScanStats* stats) {
   GroupSelection g;
-  UNILOG_RETURN_NOT_OK(SelectGroupRows(dec, version, spec, matcher, &g, stats));
+  UNILOG_RETURN_NOT_OK(SelectGroupRows(dec, spec, matcher, &g, stats));
   out->rows = g.selected;
   if (g.skipped || g.selected == 0) return Status::OK();
   const GroupHeader& hdr = g.hdr;
@@ -642,50 +550,26 @@ Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
   for (int c = 0; c < kEventColumns; ++c) {
     if ((spec.columns & (1u << c)) == 0) continue;
     auto column = static_cast<EventColumn>(c);
-    UNILOG_RETURN_NOT_OK(g.blobs.Ensure(column, stats));
-    std::string_view blob = g.blobs.bytes[c];
+    std::string_view blob = g.blobs.Use(column, stats);
     switch (column) {
       case EventColumn::kEventName: {
-        if (version >= 2) {
-          if (g.name_ids.empty()) {
-            UNILOG_RETURN_NOT_OK(
-                DecodeNameIds(blob, hdr, version, &g.name_ids));
-          }
-          auto dict = std::make_shared<std::vector<std::string>>();
-          dict->reserve(hdr.name_dict.size());
-          for (std::string_view sv : hdr.name_dict) dict->emplace_back(sv);
-          AppendSelected(g.sel, g.name_ids, g.selected, &out->name_codes);
-          out->name_dict = std::move(dict);
-        } else {
-          std::vector<std::string_view> names;
-          UNILOG_RETURN_NOT_OK(
-              DecodeStrings(blob, hdr.row_count, version, &names));
-          AppendSelected(g.sel, names, g.selected, &out->name_strs);
+        if (g.name_ids.empty()) {
+          UNILOG_RETURN_NOT_OK(DecodeCodes(blob, hdr.row_count,
+                                           hdr.name_dict.size(), &g.name_ids));
         }
+        auto dict = std::make_shared<std::vector<std::string>>();
+        dict->reserve(hdr.name_dict.size());
+        for (std::string_view sv : hdr.name_dict) dict->emplace_back(sv);
+        AppendSelected(g.sel, g.name_ids, g.selected, &out->name_codes);
+        out->name_dict = std::move(dict);
         break;
       }
       case EventColumn::kInitiator: {
         std::vector<uint32_t> codes;
-        UNILOG_RETURN_NOT_OK(DecodeInitiators(blob, hdr, version, &codes));
-        out->init_codes.reserve(g.selected);
-        if (version >= 2) {
-          out->init_values = hdr.init_dict;
-          AppendSelected(g.sel, codes, g.selected, &out->init_codes);
-        } else {
-          // v1 stores enum values; code the selected rows' values on
-          // first sight.
-          uint32_t code_of[4] = {~0u, ~0u, ~0u, ~0u};
-          for (uint64_t r = 0; r < hdr.row_count; ++r) {
-            if (!g.sel[r]) continue;
-            const uint32_t v = codes[r];
-            if (code_of[v] == ~0u) {
-              code_of[v] = static_cast<uint32_t>(out->init_values.size());
-              out->init_values.push_back(
-                  static_cast<events::EventInitiator>(v));
-            }
-            out->init_codes.push_back(code_of[v]);
-          }
-        }
+        UNILOG_RETURN_NOT_OK(
+            DecodeCodes(blob, hdr.row_count, hdr.init_dict.size(), &codes));
+        AppendSelected(g.sel, codes, g.selected, &out->init_codes);
+        out->init_values = hdr.init_dict;
         auto dict = std::make_shared<std::vector<std::string>>();
         dict->reserve(out->init_values.size());
         for (events::EventInitiator init : out->init_values) {
@@ -696,15 +580,14 @@ Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
       }
       case EventColumn::kUserId: {
         if (g.uid_vals.empty()) {
-          UNILOG_RETURN_NOT_OK(DecodeUserIds(blob, hdr, version, &g.uid_vals));
+          UNILOG_RETURN_NOT_OK(DecodeUserIds(blob, hdr, &g.uid_vals));
         }
         AppendSelected(g.sel, g.uid_vals, g.selected, &out->user_ids);
         break;
       }
       case EventColumn::kTimestamp: {
         if (g.ts_vals.empty()) {
-          UNILOG_RETURN_NOT_OK(
-              DecodeTimestamps(blob, hdr, version, &g.ts_vals));
+          UNILOG_RETURN_NOT_OK(DecodeTimestamps(blob, hdr, &g.ts_vals));
         }
         AppendSelected(g.sel, g.ts_vals, g.selected, &out->timestamps);
         break;
@@ -712,16 +595,15 @@ Status ScanOneGroupColumnar(Decoder* dec, int version, const ScanSpec& spec,
       case EventColumn::kSessionId:
       case EventColumn::kIp: {
         std::vector<std::string_view> values;
-        UNILOG_RETURN_NOT_OK(
-            DecodeStrings(blob, hdr.row_count, version, &values));
+        UNILOG_RETURN_NOT_OK(DecodeStrings(blob, hdr.row_count, &values));
         AppendSelected(g.sel, values, g.selected,
                        column == EventColumn::kSessionId ? &out->session_ids
                                                          : &out->ips);
         break;
       }
       case EventColumn::kDetails:
-        UNILOG_RETURN_NOT_OK(DecodeDetails(blob, hdr.row_count, version,
-                                           g.sel, g.selected, &out->details));
+        UNILOG_RETURN_NOT_OK(DecodeDetails(blob, hdr.row_count, g.sel,
+                                           g.selected, &out->details));
         break;
     }
   }
@@ -741,11 +623,7 @@ void AppendEvents(RcFileReader::ColumnarGroup* g, ColumnMask mask,
       ev.initiator = g->init_values[g->init_codes[i]];
     }
     if (has(EventColumn::kEventName)) {
-      if (g->name_dict != nullptr) {
-        ev.event_name = (*g->name_dict)[g->name_codes[i]];
-      } else {
-        ev.event_name = std::move(g->name_strs[i]);
-      }
+      ev.event_name = (*g->name_dict)[g->name_codes[i]];
     }
     if (has(EventColumn::kUserId)) ev.user_id = g->user_ids[i];
     if (has(EventColumn::kSessionId)) {
@@ -826,7 +704,7 @@ bool RowMatcher::NameMatches(std::string_view name) const {
 }
 
 bool IsRcFile(std::string_view data) {
-  return data.starts_with(kRcFileMagic) || data.starts_with(kRcFileMagicV2);
+  return data.starts_with(kRcFileMagic);
 }
 
 uint32_t RowGroupEncoder::Dictionary::Intern(std::string_view key,
@@ -904,7 +782,7 @@ void RowGroupEncoder::Append(const events::ClientEventView& row,
 
 void RowGroupEncoder::FinishGroup(std::string* out) {
   if (rows_.empty()) return;
-  // v3 group = header | header checksum | blob checksum | blobs. The
+  // A group = header | header checksum | blob checksum | blobs. The
   // header and blob sections are built in scratch buffers so each can be
   // checksummed as the exact byte range the reader will re-hash.
   blobs_.clear();
@@ -987,8 +865,8 @@ void RowGroupEncoder::FinishGroup(std::string* out) {
   PutVarint64(&header_, init_count_);
   header_.append(init_entries_);
   out->append(header_);
-  PutVarint32(out, GroupChecksum(header_, 3));
-  PutVarint32(out, GroupChecksum(blobs_, 3));
+  PutVarint32(out, GroupChecksum(header_));
+  PutVarint32(out, GroupChecksum(blobs_));
   out->append(blobs_);
 
   rows_.clear();
@@ -1042,14 +920,7 @@ Status RcFileWriter::Finish() {
   return Status::OK();
 }
 
-RcFileReader::RcFileReader(std::string_view data) : data_(data) {
-  if (data.starts_with(kRcFileMagic)) {
-    version_ = 3;
-  } else if (data.starts_with(kRcFileMagicV2)) {
-    version_ = 2;
-  }
-  if (version_ >= 2) body_offset_ = kRcFileMagic.size();
-}
+RcFileReader::RcFileReader(std::string_view data) : data_(data) {}
 
 Status RcFileReader::ReadAll(ColumnMask mask,
                              std::vector<events::ClientEvent>* out) const {
@@ -1072,18 +943,11 @@ Status RcFileReader::Scan(const ScanSpec& spec,
 Result<std::vector<RcFileReader::RowGroupHandle>> RcFileReader::IndexGroups()
     const {
   std::vector<RowGroupHandle> groups;
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(body_offset_));
-  while (!dec.AtEnd()) {
-    RowGroupHandle handle;
-    handle.offset = dec.position();
-    GroupHeader hdr;
-    UNILOG_RETURN_NOT_OK(ReadGroupHeader(&dec, version_, &hdr));
-    handle.row_count = hdr.row_count;
-    UNILOG_RETURN_NOT_OK(SkipBlobs(&dec));
-    handle.byte_length = dec.position() - handle.offset;
-    groups.push_back(handle);
-  }
+  UNILOG_RETURN_NOT_OK(WalkGroups(
+      data_, [&groups](const GroupHeader& hdr, size_t offset,
+                       uint64_t byte_length, uint64_t) {
+        groups.push_back({offset, hdr.row_count, byte_length});
+      }));
   return groups;
 }
 
@@ -1102,12 +966,12 @@ Status RcFileReader::ScanGroupColumnar(const RowGroupHandle& group,
                                        ColumnarGroup* out,
                                        ScanStats* stats) const {
   UNILOG_RETURN_NOT_OK(CheckColumns(spec));
+  UNILOG_RETURN_NOT_OK(CheckMagic(data_));
   RowMatcher matcher(spec);
   ScanStats local;
   Decoder dec(data_);
   UNILOG_RETURN_NOT_OK(dec.Skip(group.offset));
-  UNILOG_RETURN_NOT_OK(
-      ScanOneGroupColumnar(&dec, version_, spec, matcher, out, &local));
+  UNILOG_RETURN_NOT_OK(ScanOneGroupColumnar(&dec, spec, matcher, out, &local));
   if (stats != nullptr) stats->MergeFrom(local);
   return Status::OK();
 }
@@ -1115,43 +979,29 @@ Status RcFileReader::ScanGroupColumnar(const RowGroupHandle& group,
 Result<std::vector<RcFileReader::RowGroupStats>>
 RcFileReader::CollectGroupStats() const {
   std::vector<RowGroupStats> out;
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(body_offset_));
-  while (!dec.AtEnd()) {
-    GroupHeader hdr;
-    UNILOG_RETURN_NOT_OK(ReadGroupHeader(&dec, version_, &hdr));
-    RowGroupStats st;
-    st.row_count = hdr.row_count;
-    if (version_ >= 2) {
-      st.has_zone_map = true;
-      st.min_timestamp = hdr.min_ts;
-      st.max_timestamp = hdr.max_ts;
-      st.min_user_id = hdr.min_uid;
-      st.max_user_id = hdr.max_uid;
-      st.event_names.reserve(hdr.name_dict.size());
-      for (std::string_view sv : hdr.name_dict) st.event_names.emplace_back(sv);
-      st.initiators.reserve(hdr.init_dict.size());
-      for (events::EventInitiator init : hdr.init_dict) {
-        st.initiators.emplace_back(events::EventInitiatorName(init));
-      }
-    }
-    for (int c = 0; c < kEventColumns; ++c) {
-      std::string_view blob;
-      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&blob));
-      st.blob_bytes += blob.size();
-    }
-    out.push_back(std::move(st));
-  }
+  UNILOG_RETURN_NOT_OK(WalkGroups(
+      data_, [&out](const GroupHeader& hdr, size_t, uint64_t,
+                    uint64_t blob_bytes) {
+        RowGroupStats st;
+        st.row_count = hdr.row_count;
+        st.blob_bytes = blob_bytes;
+        st.min_timestamp = hdr.min_ts;
+        st.max_timestamp = hdr.max_ts;
+        st.min_user_id = hdr.min_uid;
+        st.max_user_id = hdr.max_uid;
+        st.event_names.assign(hdr.name_dict.begin(), hdr.name_dict.end());
+        st.initiators.reserve(hdr.init_dict.size());
+        for (events::EventInitiator init : hdr.init_dict) {
+          st.initiators.emplace_back(events::EventInitiatorName(init));
+        }
+        out.push_back(std::move(st));
+      }));
   return out;
 }
 
 Result<uint64_t> RcFileReader::ContentFingerprint() const {
-  if (version_ < 2) {
-    return Status::FailedPrecondition(
-        "rcfile: v1 files carry no embedded checksums to fingerprint");
-  }
   // FNV-1a over (row_count, header checksum, blob checksum) per group, in
-  // file order. Header-only: SkipBlobs never touches compressed data.
+  // file order. Header-only: no column blob is decoded.
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -1159,16 +1009,12 @@ Result<uint64_t> RcFileReader::ContentFingerprint() const {
       h *= 1099511628211ull;
     }
   };
-  Decoder dec(data_);
-  UNILOG_RETURN_NOT_OK(dec.Skip(body_offset_));
-  while (!dec.AtEnd()) {
-    GroupHeader hdr;
-    UNILOG_RETURN_NOT_OK(ReadGroupHeader(&dec, version_, &hdr));
-    UNILOG_RETURN_NOT_OK(SkipBlobs(&dec));
-    mix(hdr.row_count);
-    mix(hdr.header_checksum);
-    mix(hdr.blobs_checksum);
-  }
+  UNILOG_RETURN_NOT_OK(WalkGroups(
+      data_, [&mix](const GroupHeader& hdr, size_t, uint64_t, uint64_t) {
+        mix(hdr.row_count);
+        mix(hdr.header_checksum);
+        mix(hdr.blobs_checksum);
+      }));
   return h;
 }
 

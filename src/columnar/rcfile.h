@@ -28,15 +28,15 @@ namespace unilog::columnar {
 /// row groups; within a group each client-event field is stored as its own
 /// column run, so a projection query decodes only the columns it touches.
 ///
-/// A v2 or v3 file is a 4-byte magic ("RCF2" or "RCF3") followed by row
-/// groups. Every group of either version has the same frame:
+/// A file is the 4-byte magic "RCF3" followed by row groups (an empty body
+/// is a file of no groups). Every group has the same frame:
 ///
 ///   header | header checksum | blob checksum | 7 length-prefixed blobs
 ///
 /// The header holds the row count, a zone map (min/max timestamp, min/max
 /// user id) and the group dictionaries of the two low-cardinality columns
-/// (event_name, initiator), all *uncompressed*. This buys the scan fast
-/// path three skips, all before a single row is materialized:
+/// (event_name, initiator). This buys the scan fast path three skips, all
+/// before a single row is materialized:
 ///
 ///   1. zone-map skip     — a timestamp-range or user-id predicate that
 ///                          cannot match the group skips every blob;
@@ -50,15 +50,13 @@ namespace unilog::columnar {
 /// parse) and the blob section (verified only when the group is actually
 /// scanned), so zone-map skips stay header-only while any flipped byte in
 /// either section is still a Corruption error rather than silently
-/// different data. v2 computes them as FNV-1a over bytes; v3 applies the
-/// same step to little-endian 32-bit words (a 1-3 byte tail bytewise), a
-/// quarter of the multiplies for headers that every index, scan and
-/// content fingerprint re-verifies.
+/// different data. Both apply the FNV-1a step to little-endian 32-bit
+/// words (a 1-3 byte tail bytewise), a quarter of the multiplies of a
+/// bytewise hash for headers that every index, scan and content
+/// fingerprint re-verifies.
 ///
-/// Otherwise the versions differ only in the blobs. A v2 blob is an Lz
-/// block of per-row varints and length-prefixed strings. A v3 blob holds
-/// one fixed encoding per column and no Lz. Its building block is the
-/// packed run:
+/// A blob holds one fixed encoding per column and no Lz. Its building
+/// block is the packed run:
 /// one width byte (at most 64), then n values of `width` bits packed
 /// LSB-first into exactly ceil(n * width / 8) bytes.
 ///
@@ -77,11 +75,10 @@ namespace unilog::columnar {
 ///                          count, then a packed run of codes into the page
 ///                          (at least 1 bit wide when any code exists).
 ///
-/// Writers emit only v3. v2 files read back through the same reader, as
-/// do legacy v1 streams (no magic, no zone maps, inline strings), on which
-/// predicates still work row-wise but no group can be skipped. The
-/// warehouse holds no v1 parts; the one v1 and v2 writer left is the
-/// frozen test fixture in tests/landing_oracle.h.
+/// This is the format's third version and the only one the reader reads:
+/// a non-empty body without the RCF3 magic is Corruption. The earlier
+/// layouts (v1: no magic, no zone maps; v2: "RCF2", Lz-compressed blobs)
+/// survive only as frozen test fixtures.
 
 /// The client-event columns, in storage order.
 enum class EventColumn : int {
@@ -139,8 +136,8 @@ struct ScanStats {
   uint64_t groups_scanned = 0;
   /// Groups eliminated whole by a zone map or dictionary check.
   uint64_t groups_skipped = 0;
-  /// Stored column bytes actually decoded: Lz blocks fed to the
-  /// decompressor (v1/v2), encoded column blobs (v3).
+  /// Stored column bytes actually decoded: the encoded blobs of the
+  /// columns the scan read, each counted once per group.
   uint64_t bytes_decompressed = 0;
   /// Rows in groups that were decoded.
   uint64_t rows_scanned = 0;
@@ -165,7 +162,7 @@ void ReportScanStats(const ScanStats& stats, obs::MetricsRegistry* metrics,
 
 /// Evaluation of a ScanSpec's predicates, with the glob patterns compiled
 /// once at construction. Every scan path selects through it: RCFile
-/// groups test dictionary entries (or v1 row names) with NameMatches,
+/// groups test dictionary entries with NameMatches,
 /// legacy (framed) parts are filtered row-wise with Matches, and shared
 /// scans use it as the per-workflow residual filter over union-scanned
 /// rows. Borrows `spec`; the spec must outlive the matcher.
@@ -182,19 +179,17 @@ class RowMatcher {
   std::vector<events::EventPattern> patterns_;
 };
 
-/// The file magic every writer emits: a v3 file is the magic followed by
-/// its row groups, each as RowGroupEncoder::FinishGroup emits it.
+/// The file magic: a file is the magic followed by its row groups, each as
+/// RowGroupEncoder::FinishGroup emits it.
 inline constexpr std::string_view kRcFileMagic = "RCF3";
-/// The magic of v2 files, which are still read.
-inline constexpr std::string_view kRcFileMagicV2 = "RCF2";
 
-/// True when `data` carries the v3 or the v2 magic.
+/// True when `data` carries the RCF3 magic.
 bool IsRcFile(std::string_view data);
 
 /// The one row-group encoder. Each appended row is coded on sight into
 /// reused per-row arrays: initiator, event-name, session, ip and details
 /// values get dictionary codes in first-appearance order, and the zone map
-/// is a running min/max. FinishGroup packs the arrays into the v3 column
+/// is a running min/max. FinishGroup packs the arrays into the column
 /// encodings. Rows are copied as they are appended, so views may die right
 /// after Append. Once its buffers have grown to a group's size the encoder
 /// allocates nothing. Not thread-safe; one encoder per thread.
@@ -205,7 +200,7 @@ class RowGroupEncoder {
 
   size_t rows() const { return rows_.size(); }
 
-  /// Appends the encoded v3 group to *out (header, header checksum, blob
+  /// Appends the encoded group to *out (header, header checksum, blob
   /// checksum, blobs) and starts the next group.
   /// No-op when no row was appended.
   void FinishGroup(std::string* out);
@@ -260,7 +255,7 @@ class RowGroupEncoder {
 /// feeds a RowGroupEncoder and cuts a group every `rows_per_group` rows.
 class RcFileWriter {
  public:
-  /// `out` receives the v3 file body; groups hold up to `rows_per_group`
+  /// `out` receives the file body; groups hold up to `rows_per_group`
   /// rows (clamped to [1, kMaxRowsPerGroup]).
   explicit RcFileWriter(std::string* out,
                         size_t rows_per_group = kDefaultRowsPerGroup);
@@ -286,9 +281,10 @@ class RcFileWriter {
   std::vector<events::DetailView> details_;  // per-Add scratch
 };
 
-/// Reads a columnar file (any format version), decoding only the
-/// requested columns and — given a ScanSpec — skipping whole row groups
-/// via zone maps and dictionaries.
+/// Reads a columnar file, decoding only the requested columns and — given
+/// a ScanSpec — skipping whole row groups via zone maps and dictionaries.
+/// Every entry point answers a body without the RCF3 magic with
+/// Corruption.
 class RcFileReader {
  public:
   explicit RcFileReader(std::string_view data);
@@ -307,7 +303,7 @@ class RcFileReader {
               ScanStats* stats = nullptr) const;
 
   /// A row group's position, for group-parallel scans. `byte_length` (the
-  /// group's full extent: header plus compressed blobs) is the byte
+  /// group's full extent: header plus blobs) is the byte
   /// weight morsel-driven scan scheduling packs by.
   struct RowGroupHandle {
     size_t offset = 0;
@@ -315,7 +311,7 @@ class RcFileReader {
     uint64_t byte_length = 0;
   };
 
-  /// Walks the file once (headers only, nothing decompressed) and returns
+  /// Walks the file once (headers only, nothing decoded) and returns
   /// a handle per row group, in file order.
   Result<std::vector<RowGroupHandle>> IndexGroups() const;
 
@@ -331,14 +327,13 @@ class RcFileReader {
   /// event read is unpacked from. Only the columns in the ScanSpec mask
   /// are populated; each vector holds one entry per *selected* row, in
   /// file order. Event names and initiators stay dictionary-encoded
-  /// (codes plus a shared dictionary of the distinct strings), so a v2/v3
+  /// (codes plus a shared dictionary of the distinct strings), so a
   /// group's strings are materialized once per distinct value, never per
-  /// row; v1 groups fall back to per-row name strings in `name_strs`.
+  /// row.
   struct ColumnarGroup {
     uint64_t rows = 0;
     std::vector<uint32_t> name_codes;
     std::shared_ptr<const std::vector<std::string>> name_dict;
-    std::vector<std::string> name_strs;  // v1 only (no dictionary)
     /// Initiator display names (EventInitiatorName), <= 4 entries, and
     /// the same entries as enum values.
     std::vector<uint32_t> init_codes;
@@ -359,38 +354,33 @@ class RcFileReader {
                            ColumnarGroup* out, ScanStats* stats) const;
 
   /// Header-only statistics of one row group, for the cost-based planner:
-  /// zone maps and dictionary names come straight from the v2/v3 header
+  /// zone maps and dictionary names come straight from the header
   /// (nothing is decoded); `blob_bytes` is the stored size of the group's
-  /// column blobs. v1 groups report `has_zone_map` false with
-  /// row/byte counts only.
+  /// column blobs.
   struct RowGroupStats {
     uint64_t row_count = 0;
     uint64_t blob_bytes = 0;
-    bool has_zone_map = false;
     int64_t min_timestamp = 0, max_timestamp = 0;
     int64_t min_user_id = 0, max_user_id = 0;
-    std::vector<std::string> event_names;  // dictionary entries, v2/v3
-    /// Initiator display names (EventInitiatorName), v2/v3.
+    std::vector<std::string> event_names;  // dictionary entries
+    /// Initiator display names (EventInitiatorName).
     std::vector<std::string> initiators;
   };
 
   /// Walks the file headers once and returns per-group stats in file
-  /// order. Header-only: no blob is decompressed.
+  /// order. Header-only: no blob is decoded.
   Result<std::vector<RowGroupStats>> CollectGroupStats() const;
 
-  /// A 64-bit content fingerprint of a v2/v3 file, derived from the
+  /// A 64-bit content fingerprint of the file, derived from the
   /// per-group header and blob checksums already embedded in the
   /// format — so it is computed header-only, without decoding a single
   /// column blob. Any content change alters a group checksum and therefore the
   /// fingerprint; the Oink memoization layer uses it as the input half of
-  /// a cache key. FailedPrecondition on v1 files (no embedded checksums;
-  /// callers fall back to size+mtime), Corruption on malformed files.
+  /// a cache key. Corruption on malformed files.
   Result<uint64_t> ContentFingerprint() const;
 
  private:
   std::string_view data_;
-  int version_ = 1;
-  size_t body_offset_ = 0;
 };
 
 }  // namespace unilog::columnar

@@ -201,9 +201,17 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Containers recurse; bounding the depth keeps hostile input from
+        // exhausting the stack.
+        if (depth_ >= Json::kMaxNestingDepth) {
+          return Status::Corruption("json: nesting too deep");
+        }
+        ++depth_;
+        Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return st;
+      }
       case '"': {
         std::string s;
         UNILOG_RETURN_NOT_OK(ParseString(&s));
@@ -373,6 +381,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // containers open at pos_
 };
 
 }  // namespace

@@ -59,7 +59,12 @@ class Json {
   /// Serializes to compact JSON text.
   std::string Dump() const;
 
-  /// Parses a complete JSON document. Trailing garbage is an error.
+  /// At most this many arrays and objects may be open at once in a parsed
+  /// document, as CompactReader bounds Thrift nesting.
+  static constexpr int kMaxNestingDepth = 64;
+
+  /// Parses a complete JSON document. Trailing garbage is an error, and so
+  /// is nesting deeper than kMaxNestingDepth (Corruption).
   static Result<Json> Parse(std::string_view text);
 
  private:

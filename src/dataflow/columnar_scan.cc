@@ -86,9 +86,7 @@ class GroupColumnSource {
         slot = MakeDictColumn(std::move(cg_.init_codes), cg_.init_dict);
         break;
       case EventColumn::kEventName:
-        slot = cg_.name_dict != nullptr
-                   ? MakeDictColumn(std::move(cg_.name_codes), cg_.name_dict)
-                   : MakeStringColumn(std::move(cg_.name_strs));
+        slot = MakeDictColumn(std::move(cg_.name_codes), cg_.name_dict);
         break;
       case EventColumn::kUserId:
         slot = MakeInt64Column(std::move(cg_.user_ids));
@@ -141,14 +139,14 @@ ColumnBatch BatchFromEvents(
 }
 
 /// RowMatcher::Matches over typed group columns: selects the rows of
-/// [0, rows) that `spec` (compiled as `matcher`) admits. Dictionary name
-/// columns evaluate the name predicate once per dictionary entry; rows
-/// that predicate rejects are counted into `dict_pruned` (their strings
-/// were never touched).
+/// [0, rows) that `spec` (compiled as `matcher`) admits. The name
+/// predicate is evaluated once per dictionary entry; rows it rejects are
+/// counted into `dict_pruned` (their strings were never touched).
 std::vector<uint32_t> ResidualSelect(
     const columnar::ScanSpec& spec, const columnar::RowMatcher& matcher,
     GroupColumnSource* source, uint64_t* dict_pruned) {
   const size_t rows = source->rows();
+  if (rows == 0) return {};  // a skipped group decoded no column
   std::vector<uint8_t> keep(rows, 1);
   if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
     const ColumnData& ts = *source->Get(EventColumn::kTimestamp);
@@ -163,20 +161,14 @@ std::vector<uint32_t> ResidualSelect(
   }
   if (spec.has_name_predicate()) {
     const ColumnData& names = *source->Get(EventColumn::kEventName);
-    if (names.kind == ColumnKind::kDict) {
-      std::vector<uint8_t> verdict(names.dict->size());
-      for (size_t d = 0; d < names.dict->size(); ++d) {
-        verdict[d] = matcher.NameMatches((*names.dict)[d]) ? 1 : 0;
-      }
-      for (size_t r = 0; r < rows; ++r) {
-        if (verdict[names.codes[r]] == 0) {
-          keep[r] = 0;
-          ++*dict_pruned;
-        }
-      }
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (!matcher.NameMatches(names.str[r])) keep[r] = 0;
+    std::vector<uint8_t> verdict(names.dict->size());
+    for (size_t d = 0; d < names.dict->size(); ++d) {
+      verdict[d] = matcher.NameMatches((*names.dict)[d]) ? 1 : 0;
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      if (verdict[names.codes[r]] == 0) {
+        keep[r] = 0;
+        ++*dict_pruned;
       }
     }
   }
@@ -195,7 +187,7 @@ std::vector<uint32_t> ResidualSelect(
 }
 
 /// Byte weights for morsel-driven scan scheduling: a columnar unit weighs
-/// its row group's full extent (header + compressed blobs), a legacy unit
+/// its row group's full extent (header + blobs), a legacy unit
 /// its whole file body. Templated so the private ScanUnit type never
 /// needs naming here.
 template <typename UnitVec>
@@ -209,7 +201,7 @@ std::vector<uint64_t> UnitWeights(const UnitVec& units) {
   return weights;
 }
 
-/// Header-only TableStats of one file body: v2 rowgroup zone maps and
+/// Header-only TableStats of one file body: rowgroup zone maps and
 /// dictionaries via CollectGroupStats, legacy bodies contribute bytes only.
 Result<TableStats> FileTableStats(const std::string& body) {
   TableStats total;
@@ -221,19 +213,17 @@ Result<TableStats> FileTableStats(const std::string& body) {
       t.total_rows = gs.row_count;
       t.row_groups = 1;
       t.data_bytes = gs.blob_bytes;
-      if (gs.has_zone_map) {
-        t.min_timestamp = gs.min_timestamp;
-        t.max_timestamp = gs.max_timestamp;
-        t.min_user_id = gs.min_user_id;
-        t.max_user_id = gs.max_user_id;
-        for (const auto& name : gs.event_names) {
-          t.name_rows[name] = gs.row_count;
-        }
-        for (const auto& name : gs.initiators) {
-          t.initiator_rows[name] = gs.row_count;
-        }
-        t.from_v2 = true;
+      t.min_timestamp = gs.min_timestamp;
+      t.max_timestamp = gs.max_timestamp;
+      t.min_user_id = gs.min_user_id;
+      t.max_user_id = gs.max_user_id;
+      for (const auto& name : gs.event_names) {
+        t.name_rows[name] = gs.row_count;
       }
+      for (const auto& name : gs.initiators) {
+        t.initiator_rows[name] = gs.row_count;
+      }
+      t.has_zone_maps = true;
       total.Merge(t);
     }
   } else {

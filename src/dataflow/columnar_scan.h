@@ -98,9 +98,10 @@ class ColumnarEventScan
       const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
       exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);
 
-  /// Header-only planner statistics over the file set: v2 rowgroup zone
-  /// maps and dictionaries aggregated via RcFileReader::CollectGroupStats
-  /// (nothing decompressed); legacy files contribute bytes only.
+  /// Header-only planner statistics over the file set: RCFile rowgroup
+  /// zone maps and dictionaries aggregated via
+  /// RcFileReader::CollectGroupStats (no column decoded); legacy files
+  /// contribute bytes only.
   Result<TableStats> Stats() const;
 
   /// Morsel packing knobs for the parallel scan (scan units weighted by

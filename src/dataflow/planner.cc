@@ -93,7 +93,7 @@ void TableStats::Merge(const TableStats& other) {
   for (const auto& [name, rows] : other.initiator_rows) {
     initiator_rows[name] += rows;
   }
-  from_v2 = (was_empty || from_v2) && other.from_v2;
+  has_zone_maps = (was_empty || has_zone_maps) && other.has_zone_maps;
 }
 
 std::string CanonicalFilterClause(const FilterExpr& e) {
@@ -136,7 +136,7 @@ double EstimateClauseSelectivity(const TableStats& stats,
       return Clamp01(static_cast<double>(rows) / total);
     }
   }
-  // Initiator predicates estimate from the v2 initiator dictionaries,
+  // Initiator predicates estimate from the initiator dictionaries,
   // exactly as event_name does from the name dictionaries.
   if (e.column == "initiator" && e.literal.is_str() &&
       !stats.initiator_rows.empty()) {

@@ -12,10 +12,10 @@
 namespace unilog::dataflow {
 
 /// Header-only table statistics for one scan input: zone maps and
-/// event-name dictionaries aggregated from RCFile v2 rowgroup headers
-/// (no blob is decompressed to collect them). Legacy v1 groups and
-/// non-columnar files contribute row/byte totals only, with `from_v2`
-/// false, so estimates degrade to priors instead of lying.
+/// event-name dictionaries aggregated from RCFile rowgroup headers (no
+/// column is decoded to collect them). Legacy framed files contribute
+/// byte totals only, with `has_zone_maps` false, so estimates degrade to
+/// priors instead of lying.
 struct TableStats {
   uint64_t total_rows = 0;
   uint64_t row_groups = 0;
@@ -27,11 +27,12 @@ struct TableStats {
   /// groups whose dictionary contains the name. Absent name => 0 rows.
   std::map<std::string, uint64_t> name_rows;
   /// Same bound per initiator display name (EventInitiatorName), from the
-  /// v2 initiator dictionaries — the code-domain statistic initiator
+  /// initiator dictionaries — the code-domain statistic initiator
   /// predicates are estimated with. Absent initiator => 0 rows.
   std::map<std::string, uint64_t> initiator_rows;
-  /// True when every contributing group carried v2 zone maps.
-  bool from_v2 = false;
+  /// True when every contributing file was an RCFile, so every row is
+  /// covered by a group zone map.
+  bool has_zone_maps = false;
 
   void Merge(const TableStats& other);
 };

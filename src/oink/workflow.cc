@@ -223,20 +223,13 @@ Result<std::string> WorkflowEngine::DirManifest(const hdfs::MiniHdfs* fs,
     out += entry.path;
     out += ' ';
     UNILOG_ASSIGN_OR_RETURN(std::string body, fs->ReadFile(entry.path));
-    bool fingerprinted = false;
     if (columnar::IsRcFile(body)) {
+      // A fingerprint failure is corruption the scan would also hit.
       columnar::RcFileReader reader(body);
-      Result<uint64_t> fp = reader.ContentFingerprint();
-      if (fp.ok()) {
-        out += "rcfp:" + HexU64(*fp);
-        fingerprinted = true;
-      } else if (!fp.status().IsFailedPrecondition()) {
-        // v1 files legitimately lack checksums (size+mtime below); any
-        // other failure is real corruption the scan would also hit.
-        return fp.status();
-      }
-    }
-    if (!fingerprinted) {
+      UNILOG_ASSIGN_OR_RETURN(uint64_t fp, reader.ContentFingerprint());
+      out += "rcfp:" + HexU64(fp);
+    } else {
+      // Framed parts carry no checksums: size+mtime stand in.
       out += "szmt:" + std::to_string(entry.size) + ":" +
              std::to_string(entry.mtime);
     }
@@ -361,8 +354,8 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     scan_bytes_->Increment(scan_stats.bytes_decompressed);
 
     // Planner statistics only order residual filters, so they are
-    // collected (header-only: v2 zone maps + dictionaries, nothing
-    // decompressed) once per directory, and only when some plan has two
+    // collected (header-only: zone maps + dictionaries, no column
+    // decoded) once per directory, and only when some plan has two
     // or more residuals to order.
     dataflow::TableStats table_stats;
     if (std::any_of(pending.begin(), pending.end(), [&](const Pending& p) {

@@ -133,7 +133,7 @@ class WorkflowEngine {
 
   /// Canonical manifest of the file bytes a scan of `dir` would read:
   /// sorted paths, each with a content fingerprint — RCFile parts use
-  /// their embedded per-group checksums (no decompression), other files
+  /// their embedded per-group checksums (no column decoded), other files
   /// fall back to size+mtime. Hidden paths (any '_'-prefixed component
   /// below `dir`, e.g. a nested _cache subtree) are skipped, matching the
   /// scan's own listing rule — cached artifacts never fingerprint

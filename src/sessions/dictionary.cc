@@ -111,6 +111,11 @@ Result<EventDictionary> EventDictionary::Deserialize(std::string_view data) {
   Decoder dec(data);
   uint64_t n;
   UNILOG_RETURN_NOT_OK(dec.GetVarint64(&n));
+  // Every name spends a length byte or more, so a count past the bytes
+  // left is corrupt; checked before anything is sized from it.
+  if (n > dec.remaining()) {
+    return Status::Corruption("dictionary: more names than bytes");
+  }
   std::vector<std::string> names;
   names.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -1,7 +1,8 @@
 // Tests for the simplified RCFile columnar layout (§4.2's rejected
 // alternative): round trips, projection reads, corruption handling, the
-// scan fast path (zone maps, dictionaries, pushdown pruning), and the v3
-// column encodings under hostile bytes.
+// scan fast path (zone maps, dictionaries, pushdown pruning), the column
+// encodings under hostile bytes, and the refusal of every body that is
+// not RCF3.
 
 #include <gtest/gtest.h>
 
@@ -46,18 +47,6 @@ std::string WriteAll(const std::vector<events::ClientEvent>& events,
                      size_t rows_per_group) {
   std::string body;
   RcFileWriter writer(&body, rows_per_group);
-  for (const auto& ev : events) writer.Add(ev);
-  writer.Finish();
-  return body;
-}
-
-/// `events` in the given format: v3 through RcFileWriter, v1 and v2
-/// through the frozen row-at-a-time writer (the reader still reads both).
-std::string WriteVersion(const std::vector<events::ClientEvent>& events,
-                         size_t rows_per_group, int version) {
-  if (version == 3) return WriteAll(events, rows_per_group);
-  std::string body;
-  landing_oracle::RowWriter writer(&body, rows_per_group, version);
   for (const auto& ev : events) writer.Add(ev);
   writer.Finish();
   return body;
@@ -124,18 +113,16 @@ TEST(RcFileTest, ProjectionTouchesFewerBytes) {
 
 TEST(RcFileTest, NameOnlyScanMatchesRows) {
   auto events = MakeEvents(77);
-  for (int version : {1, 2, 3}) {
-    const std::string body = WriteVersion(events, 25, version);
-    ScanSpec names_only;
-    names_only.columns = ColumnBit(EventColumn::kEventName);
-    std::vector<events::ClientEvent> got;
-    ASSERT_TRUE(RcFileReader(body).Scan(names_only, &got).ok());
-    ASSERT_EQ(got.size(), events.size()) << "v" << version;
-    for (size_t i = 0; i < events.size(); ++i) {
-      events::ClientEvent want;
-      want.event_name = events[i].event_name;
-      EXPECT_EQ(got[i], want) << "v" << version << " row " << i;
-    }
+  const std::string body = WriteAll(events, 25);
+  ScanSpec names_only;
+  names_only.columns = ColumnBit(EventColumn::kEventName);
+  std::vector<events::ClientEvent> got;
+  ASSERT_TRUE(RcFileReader(body).Scan(names_only, &got).ok());
+  ASSERT_EQ(got.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    events::ClientEvent want;
+    want.event_name = events[i].event_name;
+    EXPECT_EQ(got[i], want) << "row " << i;
   }
 }
 
@@ -193,46 +180,29 @@ TEST(RcFileTest, FinishIsIdempotentAndRequired) {
   EXPECT_EQ(out.size(), 10u);
 }
 
-TEST(RcFileTest, V1FormatRoundTrip) {
-  auto events = MakeEvents(60);
-  const std::string body = WriteVersion(events, 16, 1);
-  EXPECT_FALSE(IsRcFile(body));  // no magic on the legacy layout
-
-  RcFileReader reader(body);
-  std::vector<events::ClientEvent> back;
-  ASSERT_TRUE(reader.ReadAll(kAllColumns, &back).ok());
-  ASSERT_EQ(back.size(), events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(back[i], events[i]) << i;
-  }
-}
-
-// Pins the column decoder: every column, read alone, round-trips in every
-// format version (details included) and leaves every other field at its
-// default.
+// Pins the column decoder: every column, read alone, round-trips (details
+// included) and leaves every other field at its default. RCF3 is the one
+// version the reader reads.
 TEST(RcFileTest, EveryColumnRoundTripsAloneInEveryVersion) {
   auto events = MakeEvents(45);
-  for (int version : {1, 2, 3}) {
-    const std::string body = WriteVersion(events, 16, version);
-    for (int c = 0; c < kEventColumns; ++c) {
-      std::vector<events::ClientEvent> got;
-      ASSERT_TRUE(RcFileReader(body).ReadAll(1u << c, &got).ok());
-      ASSERT_EQ(got.size(), events.size());
-      for (size_t i = 0; i < events.size(); ++i) {
-        events::ClientEvent want;
-        const events::ClientEvent& e = events[i];
-        switch (static_cast<EventColumn>(c)) {
-          case EventColumn::kInitiator: want.initiator = e.initiator; break;
-          case EventColumn::kEventName: want.event_name = e.event_name; break;
-          case EventColumn::kUserId: want.user_id = e.user_id; break;
-          case EventColumn::kSessionId: want.session_id = e.session_id; break;
-          case EventColumn::kIp: want.ip = e.ip; break;
-          case EventColumn::kTimestamp: want.timestamp = e.timestamp; break;
-          case EventColumn::kDetails: want.details = e.details; break;
-        }
-        EXPECT_EQ(got[i], want) << "v" << version << " column " << c
-                                << " row " << i;
+  const std::string body = WriteAll(events, 16);
+  for (int c = 0; c < kEventColumns; ++c) {
+    std::vector<events::ClientEvent> got;
+    ASSERT_TRUE(RcFileReader(body).ReadAll(1u << c, &got).ok());
+    ASSERT_EQ(got.size(), events.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+      events::ClientEvent want;
+      const events::ClientEvent& e = events[i];
+      switch (static_cast<EventColumn>(c)) {
+        case EventColumn::kInitiator: want.initiator = e.initiator; break;
+        case EventColumn::kEventName: want.event_name = e.event_name; break;
+        case EventColumn::kUserId: want.user_id = e.user_id; break;
+        case EventColumn::kSessionId: want.session_id = e.session_id; break;
+        case EventColumn::kIp: want.ip = e.ip; break;
+        case EventColumn::kTimestamp: want.timestamp = e.timestamp; break;
+        case EventColumn::kDetails: want.details = e.details; break;
       }
+      EXPECT_EQ(got[i], want) << "column " << c << " row " << i;
     }
   }
 }
@@ -523,73 +493,44 @@ bool DriveEveryReader(std::string_view body) {
 
 TEST(RcFileHostileTest, EveryTruncationFailsUnlessOnAGroupBoundary) {
   auto events = MakeEvents(40);
-  for (int version : {1, 2, 3}) {
-    std::string body = WriteVersion(events, 16, version);
-    std::set<size_t> boundaries = {0, body.size()};
-    if (version >= 2) boundaries.insert(4);  // the bare magic: no groups
-    auto groups = RcFileReader(body).IndexGroups();
-    ASSERT_TRUE(groups.ok());
-    for (const auto& g : *groups) boundaries.insert(g.offset);
-    for (size_t cut = 0; cut <= body.size(); ++cut) {
-      bool ok = DriveEveryReader(std::string_view(body).substr(0, cut));
-      EXPECT_EQ(ok, boundaries.count(cut) > 0)
-          << "v" << version << " cut=" << cut;
-    }
+  std::string body = WriteAll(events, 16);
+  // The empty body, the bare magic (no groups) and every group end.
+  std::set<size_t> boundaries = {0, 4, body.size()};
+  auto groups = RcFileReader(body).IndexGroups();
+  ASSERT_TRUE(groups.ok());
+  for (const auto& g : *groups) boundaries.insert(g.offset);
+  for (size_t cut = 0; cut <= body.size(); ++cut) {
+    bool ok = DriveEveryReader(std::string_view(body).substr(0, cut));
+    EXPECT_EQ(ok, boundaries.count(cut) > 0) << "cut=" << cut;
   }
 }
 
 TEST(RcFileHostileTest, SeededByteFlipsNeverCrash) {
   auto events = MakeEvents(40);
   Rng rng(20120821);
-  for (int version : {1, 2, 3}) {
-    const std::string body = WriteVersion(events, 16, version);
-    for (int trial = 0; trial < 400; ++trial) {
-      std::string garbled = body;
-      const size_t pos = rng.Uniform(garbled.size());
-      garbled[pos] ^= static_cast<char>(1 + rng.Uniform(255));
-      const bool ok = DriveEveryReader(garbled);
-      // Past the magic, the v2/v3 header and blob checksums catch any
-      // single flipped byte; v1 has no checksums and may decode to other
-      // data.
-      if (version >= 2 && pos >= 4) {
-        EXPECT_FALSE(ok) << "pos=" << pos;
-      }
-    }
+  const std::string body = WriteAll(events, 16);
+  for (int trial = 0; trial < 1200; ++trial) {
+    std::string garbled = body;
+    const size_t pos = rng.Uniform(garbled.size());
+    garbled[pos] ^= static_cast<char>(1 + rng.Uniform(255));
+    // A flipped magic byte leaves a body that is not RCF3; past the
+    // magic, the header and blob checksums catch any single flipped byte.
+    EXPECT_FALSE(DriveEveryReader(garbled)) << "pos=" << pos;
   }
 }
 
-// A group claiming kMaxRowsPerGroup rows over empty column blobs.
-std::string V1RowCountBomb() {
-  std::string body;
-  PutVarint64(&body, kMaxRowsPerGroup);
-  for (int c = 0; c < kEventColumns; ++c) {
-    PutLengthPrefixed(&body, Lz::Compress(""));
-  }
-  return body;
-}
-
-// The same bomb as a v2 group whose FNV checksums are recomputed, so only
-// the row count betrays it.
-std::string V2RowCountBomb() {
-  std::string header;
-  PutVarint64(&header, kMaxRowsPerGroup);
-  for (int i = 0; i < 4; ++i) PutSignedVarint64(&header, 0);
-  PutVarint64(&header, 1);  // one event name
-  PutLengthPrefixed(&header, "web:e");
-  PutVarint64(&header, 1);  // one initiator
-  PutVarint64(&header, 0);
-  std::string blobs;
-  for (int c = 0; c < kEventColumns; ++c) {
-    PutLengthPrefixed(&blobs, Lz::Compress(""));
-  }
-  std::string body = "RCF2" + header;
-  PutVarint32(&body, rcfile_hostile::Fnv1a(header));
-  PutVarint32(&body, rcfile_hostile::Fnv1a(blobs));
-  return body + blobs;
+// Groups claiming kMaxRowsPerGroup rows over empty and over 4-row column
+// blobs, with their checksums recomputed, so only the row count betrays
+// them.
+std::vector<std::string> RowCountBombs() {
+  return {
+      rcfile_hostile::Group(kMaxRowsPerGroup,
+                            std::vector<std::string>(kEventColumns)),
+      rcfile_hostile::Group(kMaxRowsPerGroup, rcfile_hostile::ValidBlobs())};
 }
 
 TEST(RcFileHostileTest, RowCountBombsAreCorruptionBeforeAnyAllocation) {
-  for (const std::string& body : {V1RowCountBomb(), V2RowCountBomb()}) {
+  for (const std::string& body : RowCountBombs()) {
     ASSERT_LT(body.size(), 64u);
     RcFileReader reader(body);
     auto groups = reader.IndexGroups();
@@ -612,9 +553,9 @@ TEST(RcFileHostileTest, RowCountBombsAreCorruptionBeforeAnyAllocation) {
 }
 
 TEST(RcFileHostileTest, DictionaryCountBombIsCorruption) {
-  // A v2 header claiming as many dictionary entries as rows, with almost
-  // no bytes behind the claim.
-  std::string body = "RCF2";
+  // A header claiming as many dictionary entries as rows, with almost no
+  // bytes behind the claim.
+  std::string body(kRcFileMagic);
   PutVarint64(&body, kMaxRowsPerGroup);
   for (int i = 0; i < 4; ++i) PutSignedVarint64(&body, 0);
   PutVarint64(&body, kMaxRowsPerGroup);
@@ -626,6 +567,50 @@ TEST(RcFileHostileTest, DictionaryCountBombIsCorruption) {
   std::vector<events::ClientEvent> out;
   EXPECT_TRUE(reader.Scan(ScanSpec(), &out).IsCorruption());
   EXPECT_FALSE(DriveEveryReader(body));
+}
+
+// RCF3 is the one format the reader reads. An "RCF2" group, a group with
+// no magic (the v1 layout) and a framed Lz part are all well-formed
+// bodies of other layouts; each is Corruption at every entry point, never
+// decoded as something else.
+TEST(RcFileHostileTest, OnlyRcf3BodiesAreRead) {
+  auto events = MakeEvents(20);
+  auto frozen = [&events](int version) {
+    std::string body;
+    landing_oracle::RowWriter writer(&body, 32, version);
+    for (const auto& ev : events) writer.Add(ev);
+    writer.Finish();
+    return body;
+  };
+  std::string framed;
+  events::ClientEventWriter framed_writer(&framed);
+  for (const auto& ev : events) framed_writer.Add(ev);
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"RCF2 group", frozen(2)},
+      {"group with no magic", frozen(1)},
+      {"framed Lz part", Lz::Compress(framed)},
+  };
+  for (const auto& [what, body] : bodies) {
+    SCOPED_TRACE(what);
+    ASSERT_FALSE(body.empty());
+    EXPECT_FALSE(IsRcFile(body));
+    RcFileReader reader(body);
+    EXPECT_TRUE(reader.IndexGroups().status().IsCorruption());
+    EXPECT_TRUE(reader.CollectGroupStats().status().IsCorruption());
+    EXPECT_TRUE(reader.ContentFingerprint().status().IsCorruption());
+    std::vector<events::ClientEvent> out;
+    EXPECT_TRUE(reader.Scan(ScanSpec(), &out).IsCorruption());
+    EXPECT_TRUE(out.empty());
+    // A handle at the group start of either layout.
+    for (size_t offset : {size_t{0}, size_t{4}}) {
+      const RcFileReader::RowGroupHandle group{offset, events.size(),
+                                               body.size() - offset};
+      RcFileReader::ColumnarGroup cg;
+      Status st = reader.ScanGroupColumnar(group, ScanSpec(), &cg, nullptr);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_EQ(cg.rows, 0u);
+    }
+  }
 }
 
 // The v3 column encodings: a packed run's width and exact length, codes
@@ -700,12 +685,6 @@ TEST(ContentFingerprintTest, ChangesWithContentAndGrouping) {
   auto ext_fp = RcFileReader(WriteAll(extended, 32)).ContentFingerprint();
   ASSERT_TRUE(ext_fp.ok());
   EXPECT_NE(*ext_fp, *base_fp);
-}
-
-TEST(ContentFingerprintTest, V1FilesAreFailedPrecondition) {
-  auto events = MakeEvents(20);
-  RcFileReader reader(WriteVersion(events, 8, 1));
-  EXPECT_TRUE(reader.ContentFingerprint().status().IsFailedPrecondition());
 }
 
 TEST(ContentFingerprintTest, TruncatedBodyIsAnError) {

@@ -17,7 +17,6 @@
 #include "dataflow/relation_serde.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
-#include "landing_oracle.h"
 #include "scan_oracle.h"
 #include "scribe/message.h"
 
@@ -696,25 +695,11 @@ class ScanStatsPinTest : public ::testing::Test {
   static constexpr const char* kDir = "/warehouse/client_events/2012/08/21/03";
 
   // part-00000 in 16-row groups, part-00001 legacy framed, part-00002 in
-  // 24-row groups with later timestamps and other names. The RCFile parts
-  // are v2 from the frozen row-at-a-time writer or v3 from RcFileWriter.
-  // (A v1 part has no magic, so a warehouse scan would take it for a
-  // framed part.)
-  void WriteParts(int version) {
+  // 24-row groups with later timestamps and other names.
+  void WriteParts() {
     std::string early_body, legacy_body, late_body;
-    landing_oracle::RowWriter early_v2(&early_body, 16);
-    landing_oracle::RowWriter late_v2(&late_body, 24);
-    columnar::RcFileWriter early_v3(&early_body, 16);
-    columnar::RcFileWriter late_v3(&late_body, 24);
-    auto add = [version](landing_oracle::RowWriter* v2,
-                         columnar::RcFileWriter* v3,
-                         const events::ClientEvent& ev) {
-      if (version == 2) {
-        v2->Add(ev);
-      } else {
-        EXPECT_TRUE(v3->Add(ev).ok());
-      }
-    };
+    columnar::RcFileWriter early(&early_body, 16);
+    columnar::RcFileWriter late(&late_body, 24);
     events::ClientEventWriter legacy(&legacy_body);
     static const char* kNames[] = {
         "web:home:::tweet:click", "web:home:::tweet:impression",
@@ -728,20 +713,15 @@ class ScanStatsPinTest : public ::testing::Test {
       ev.ip = "10.0.0." + std::to_string(i % 4);
       ev.timestamp = 1345510800000 + static_cast<TimeMs>(i) * 60000;
       if (i < 100) {
-        add(&early_v2, &early_v3, ev);
+        EXPECT_TRUE(early.Add(ev).ok());
       } else if (i < 130) {
         legacy.Add(ev);
       } else {
-        add(&late_v2, &late_v3, ev);
+        EXPECT_TRUE(late.Add(ev).ok());
       }
     }
-    if (version == 2) {
-      early_v2.Finish();
-      late_v2.Finish();
-    } else {
-      EXPECT_TRUE(early_v3.Finish().ok());
-      EXPECT_TRUE(late_v3.Finish().ok());
-    }
+    EXPECT_TRUE(early.Finish().ok());
+    EXPECT_TRUE(late.Finish().ok());
     const std::string dir = kDir;
     EXPECT_TRUE(fs_.WriteFile(dir + "/part-00000", early_body).ok());
     EXPECT_TRUE(
@@ -749,15 +729,12 @@ class ScanStatsPinTest : public ::testing::Test {
     EXPECT_TRUE(fs_.WriteFile(dir + "/part-00002", late_body).ok());
   }
 
-  // Each pushed scan's stats and answer over the parts of `version`. Only
-  // bytes_decompressed depends on the version: the column encodings
-  // differ, the rows, groups and answers do not.
-  void ExpectPinned(int version) {
+  // Each pushed scan's stats and answer over the parts.
+  void ExpectPinned() {
     struct Case {
       const char* what;
       std::function<void(ColumnarEventScan*)> push;
-      columnar::ScanStats want;  // bytes_decompressed as in v2
-      uint64_t v3_bytes;
+      columnar::ScanStats want;
       uint64_t rows;
       const char* digest;
     };
@@ -768,7 +745,7 @@ class ScanStatsPinTest : public ::testing::Test {
            EXPECT_TRUE(s->PushFilter("event_name", "matches",
                                      Value::Str("*:*:*:*:*:click")));
          },
-         {11, 11, 0, 2947, 200, 78, 122, 68}, 2137, 122, "17431b8b76dca6dd"},
+         {11, 11, 0, 2137, 200, 78, 122, 68}, 122, "17431b8b76dca6dd"},
         {"timestamp range + projection",
          [t0](ColumnarEventScan* s) {
            EXPECT_TRUE(
@@ -777,12 +754,12 @@ class ScanStatsPinTest : public ::testing::Test {
                s->PushFilter("timestamp", "<", Value::Int(t0 + 140 * 60000)));
            EXPECT_TRUE(s->PushProject({"timestamp", "user_id"}, {"t", "uid"}));
          },
-         {11, 6, 5, 1342, 106, 110, 90, 0}, 955, 90, "b3f328ba1116e108"},
+         {11, 6, 5, 955, 106, 110, 90, 0}, 90, "b3f328ba1116e108"},
         {"user id",
          [](ColumnarEventScan* s) {
            EXPECT_TRUE(s->PushFilter("user_id", "==", Value::Int(104)));
          },
-         {11, 11, 0, 2947, 200, 182, 18, 0}, 2137, 18, "5e4c5a0c836571d3"},
+         {11, 11, 0, 2137, 200, 182, 18, 0}, 18, "5e4c5a0c836571d3"},
         {"all four",
          [t0](ColumnarEventScan* s) {
            EXPECT_TRUE(s->PushFilter("event_name", "matches",
@@ -793,7 +770,7 @@ class ScanStatsPinTest : public ::testing::Test {
            EXPECT_TRUE(
                s->PushProject({"event_name", "session_id"}, {"n", "s"}));
          },
-         {11, 8, 3, 1740, 130, 193, 7, 33}, 1195, 7, "8f3a31d5cf04ca68"},
+         {11, 8, 3, 1195, 130, 193, 7, 33}, 7, "8f3a31d5cf04ca68"},
     };
     for (const Case& c : cases) {
       for (int threads : {0, 2}) {
@@ -822,8 +799,7 @@ class ScanStatsPinTest : public ::testing::Test {
         EXPECT_EQ(got.groups_total, c.want.groups_total) << c.what;
         EXPECT_EQ(got.groups_scanned, c.want.groups_scanned) << c.what;
         EXPECT_EQ(got.groups_skipped, c.want.groups_skipped) << c.what;
-        EXPECT_EQ(got.bytes_decompressed,
-                  version == 2 ? c.want.bytes_decompressed : c.v3_bytes)
+        EXPECT_EQ(got.bytes_decompressed, c.want.bytes_decompressed)
             << c.what;
         EXPECT_EQ(got.rows_scanned, c.want.rows_scanned) << c.what;
         EXPECT_EQ(got.rows_pruned, c.want.rows_pruned) << c.what;
@@ -837,14 +813,9 @@ class ScanStatsPinTest : public ::testing::Test {
   hdfs::MiniHdfs fs_;
 };
 
-TEST_F(ScanStatsPinTest, PushedScanStatsAndAnswerArePinned) {
-  WriteParts(2);
-  ExpectPinned(2);
-}
-
 TEST_F(ScanStatsPinTest, V3PushedScanStatsAndAnswerArePinned) {
-  WriteParts(3);
-  ExpectPinned(3);
+  WriteParts();
+  ExpectPinned();
 }
 
 // ---------------------------------------------------------------------------

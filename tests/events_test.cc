@@ -418,6 +418,14 @@ TEST(LegacyTest, JsonFormatRoundTrip) {
   EXPECT_EQ(rec->source, LegacyJsonFormat::kCategory);
 }
 
+TEST(LegacyTest, DeeplyNestedJsonLineIsCorruption) {
+  // Legacy lines come from outside the program; a hostile one nests
+  // arrays far past the parser's depth bound inside a valid envelope.
+  std::string line = "{\"eventData\":" + std::string(100000, '[');
+  auto rec = LegacyJsonFormat::Parse(line);
+  EXPECT_TRUE(rec.status().IsCorruption()) << rec.status().ToString();
+}
+
 TEST(LegacyTest, DelimitedFormatLosesSubSecondPrecision) {
   ClientEvent ev = SampleEvent();
   ev.timestamp = 1345507200789;  // with sub-second part

@@ -108,5 +108,29 @@ TEST(JsonTest, DeepNesting) {
   EXPECT_EQ(cur->string_value(), "leaf");
 }
 
+TEST(JsonTest, NestingIsBoundedAtTheLimit) {
+  const int limit = Json::kMaxNestingDepth;
+  const std::string at_limit =
+      std::string(limit, '[') + std::string(limit, ']');
+  EXPECT_TRUE(Json::Parse(at_limit).ok());
+  const std::string past_limit =
+      std::string(limit + 1, '[') + std::string(limit + 1, ']');
+  auto parsed = Json::Parse(past_limit);
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
+TEST(JsonTest, DeepArrayIsCorruptionNotACrash) {
+  // Unbounded recursion would overflow the stack long before the end.
+  auto parsed = Json::Parse(std::string(1000000, '['));
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
+TEST(JsonTest, DeepObjectIsCorruptionNotACrash) {
+  std::string text;
+  for (int i = 0; i < 200000; ++i) text += "{\"a\":";
+  auto parsed = Json::Parse(text);
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
 }  // namespace
 }  // namespace unilog

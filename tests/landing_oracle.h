@@ -5,9 +5,11 @@
 // pending rows, and a full group is encoded one column at a time. Parts
 // rotate after any row once the flushed body reaches the target size, and
 // parse failures go verbatim to one framed-compressed sidecar after the
-// parts. Landing writes v3, so tests compare it with this oracle by
-// rows, group cuts and headers; the sidecar is still byte-identical. The
-// writer is also the one source of v1 and v2 fixtures.
+// parts. Landing writes v3 and the RCFile reader reads only v3, so the
+// oracle also returns the rows it landed: tests compare landing with it by
+// rows, part counts and the sidecar, which is still byte-identical. The
+// writer is also the one source of v1 and v2 fixtures, and ScanV1Names is
+// the one reader of v1 bytes (E16's names-only query).
 //
 // Two hostile-input fixes are frozen in with it: details entries are never
 // reserved from the claimed map count (a 7-byte message would otherwise
@@ -196,7 +198,7 @@ class RowWriter {
       return;
     }
     if (!wrote_magic_) {
-      out_->append(columnar::kRcFileMagicV2);
+      out_->append("RCF2");  // the v2 magic
       wrote_magic_ = true;
     }
     std::string header;
@@ -260,9 +262,11 @@ class RowWriter {
 };
 
 /// What columnar landing writes for one merged hour: the parts in part
-/// order (RCFile parts, then the sidecar if any message failed to parse).
+/// order (RCFile parts, then the sidecar if any message failed to parse),
+/// and the rows of the RCFile parts in order.
 struct Landing {
   std::vector<std::string> parts;
+  std::vector<events::ClientEvent> rows;
   uint64_t parse_fallbacks = 0;
 };
 
@@ -291,12 +295,45 @@ inline Landing LandColumnar(const std::vector<std::string>& merged,
       continue;
     }
     writer->Add(*ev);
+    out.rows.push_back(std::move(*ev));
     ++rows_in_part;
     if (body.size() >= target_file_bytes) flush();
   }
   flush();
   if (!fallback.empty()) out.parts.push_back(Lz::Compress(fallback));
   return out;
+}
+
+/// The names-only query over a v1 body from RowWriter: per group the row
+/// count, then seven Lz column blobs, of which only the event-name blob is
+/// inflated. Appends every row's name to *names and adds the stored size
+/// of each inflated blob to *bytes_decompressed.
+inline Status ScanV1Names(std::string_view body,
+                          std::vector<std::string>* names,
+                          uint64_t* bytes_decompressed) {
+  using columnar::EventColumn;
+  Decoder dec(body);
+  while (!dec.AtEnd()) {
+    uint64_t rows = 0;
+    UNILOG_RETURN_NOT_OK(dec.GetVarint64(&rows));
+    for (int c = 0; c < columnar::kEventColumns; ++c) {
+      std::string_view blob;
+      UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&blob));
+      if (c != static_cast<int>(EventColumn::kEventName)) continue;
+      *bytes_decompressed += blob.size();
+      UNILOG_ASSIGN_OR_RETURN(std::string column, Lz::Decompress(blob));
+      Decoder names_column(column);
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::string_view name;
+        UNILOG_RETURN_NOT_OK(names_column.GetLengthPrefixed(&name));
+        names->emplace_back(name);
+      }
+      if (!names_column.AtEnd()) {
+        return Status::Corruption("v1: names column overrun");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace unilog::landing_oracle

@@ -2,11 +2,14 @@
 // (tests/landing_oracle.h): the in-place client-event parser, the row-group
 // encoder under RcFileWriter, and the log mover's columnar parts and
 // sidecar, over staged files mixed with broker batches, at every thread
-// count. The oracle writes RCFile v2 and landing writes v3, so parts are
-// compared by their rows, group cuts and headers; the sidecar by bytes.
+// count. The oracle writes RCFile v2, which the reader does not read, and
+// landing writes v3, so parts are compared with the rows the oracle landed,
+// and group cuts and headers with those derived from the rows; the sidecar
+// by bytes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -295,7 +298,7 @@ Landed RunLanding(const LandingCase& c) {
 }
 
 // Every row of the RCFile bodies `parts`, in order; the row count of each
-// part is appended to `rows_per_part` when it is non-null.
+// part is appended to `rows_per_part`.
 std::vector<ClientEvent> ReadParts(const std::vector<std::string>& parts,
                                    std::vector<size_t>* rows_per_part) {
   std::vector<ClientEvent> rows;
@@ -304,18 +307,16 @@ std::vector<ClientEvent> ReadParts(const std::vector<std::string>& parts,
     Status st =
         columnar::RcFileReader(part).ReadAll(columnar::kAllColumns, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
-    if (rows_per_part != nullptr) {
-      rows_per_part->push_back(rows.size() - before);
-    }
+    rows_per_part->push_back(rows.size() - before);
   }
   return rows;
 }
 
 // The mover lands v3 parts while the frozen oracle writes v2, so bytes are
-// compared through the format: the mover's rows equal the oracle's in
-// order, each part is exactly RcFileWriter over its rows (groups of 1024
-// rows, or of one row at a zero target), parts are cut by the size rule,
-// and the sidecar is byte-identical. Where the cut cannot depend on group
+// compared through the format: the mover's rows equal the rows the oracle
+// landed, in order, each part is exactly RcFileWriter over its rows
+// (groups of 1024 rows, or of one row at a zero target), parts are cut by
+// the size rule, and the sidecar is byte-identical. Where the cut cannot depend on group
 // sizes — every group its own part (targets 0 and 1) or one part for the
 // hour (8 MiB) — the part counts match the oracle's too.
 void ExpectMatchesOracle(const LandingCase& c) {
@@ -342,8 +343,7 @@ void ExpectMatchesOracle(const LandingCase& c) {
 
   std::vector<size_t> rows_per_part;
   const std::vector<ClientEvent> rows = ReadParts(got_parts, &rows_per_part);
-  EXPECT_TRUE(rows == ReadParts(want_parts, nullptr))
-      << "landed rows differ from the oracle's";
+  EXPECT_TRUE(rows == oracle.rows) << "landed rows differ from the oracle's";
   const size_t group_rows =
       c.target_file_bytes == 0 ? 1 : columnar::kDefaultRowsPerGroup;
   size_t next = 0;
@@ -428,21 +428,53 @@ TEST(ColumnarLandingOracleTest, HostileMessagesLandInTheSidecar) {
 // ---------------------------------------------------------------------------
 // The encoder under RcFileWriter against the row-at-a-time writer
 
-// The v3 body `got` and the frozen v2 body `want` of `events`: the same
-// group cuts and headers (zone maps, both dictionaries), and `got` reads
-// back as `events`.
-void ExpectSameGroupsAndRows(const std::string& got, const std::string& want,
-                             const std::vector<ClientEvent>& events) {
+// The group headers a row-at-a-time writer gives `events` cut every
+// `rows_per_group` rows: row counts, zone maps, and both dictionaries in
+// first-appearance order.
+std::vector<columnar::RcFileReader::RowGroupStats> ExpectedGroups(
+    const std::vector<ClientEvent>& events, size_t rows_per_group) {
+  std::vector<columnar::RcFileReader::RowGroupStats> groups;
+  for (size_t begin = 0; begin < events.size(); begin += rows_per_group) {
+    const size_t end = std::min(events.size(), begin + rows_per_group);
+    columnar::RcFileReader::RowGroupStats g;
+    g.row_count = end - begin;
+    g.min_timestamp = g.max_timestamp = events[begin].timestamp;
+    g.min_user_id = g.max_user_id = events[begin].user_id;
+    for (size_t r = begin; r < end; ++r) {
+      const ClientEvent& ev = events[r];
+      g.min_timestamp = std::min<int64_t>(g.min_timestamp, ev.timestamp);
+      g.max_timestamp = std::max<int64_t>(g.max_timestamp, ev.timestamp);
+      g.min_user_id = std::min(g.min_user_id, ev.user_id);
+      g.max_user_id = std::max(g.max_user_id, ev.user_id);
+      if (std::find(g.event_names.begin(), g.event_names.end(),
+                    ev.event_name) == g.event_names.end()) {
+        g.event_names.push_back(ev.event_name);
+      }
+      const std::string init(events::EventInitiatorName(ev.initiator));
+      if (std::find(g.initiators.begin(), g.initiators.end(), init) ==
+          g.initiators.end()) {
+        g.initiators.push_back(init);
+      }
+    }
+    groups.push_back(std::move(g));
+  }
+  return groups;
+}
+
+// The body `got` that RcFileWriter wrote for `events`: the group cuts and
+// headers (zone maps, both dictionaries) derived from the rows, and `got`
+// reads back as `events`.
+void ExpectSameGroupsAndRows(const std::string& got,
+                             const std::vector<ClientEvent>& events,
+                             size_t rows_per_group) {
   auto got_groups = columnar::RcFileReader(got).CollectGroupStats();
-  auto want_groups = columnar::RcFileReader(want).CollectGroupStats();
   ASSERT_TRUE(got_groups.ok()) << got_groups.status().ToString();
-  ASSERT_TRUE(want_groups.ok()) << want_groups.status().ToString();
-  ASSERT_EQ(got_groups->size(), want_groups->size());
+  const auto want_groups = ExpectedGroups(events, rows_per_group);
+  ASSERT_EQ(got_groups->size(), want_groups.size());
   for (size_t g = 0; g < got_groups->size(); ++g) {
     const auto& a = (*got_groups)[g];
-    const auto& b = (*want_groups)[g];
+    const auto& b = want_groups[g];
     EXPECT_EQ(a.row_count, b.row_count) << "group " << g;
-    EXPECT_EQ(a.has_zone_map, b.has_zone_map) << "group " << g;
     EXPECT_EQ(a.min_timestamp, b.min_timestamp) << "group " << g;
     EXPECT_EQ(a.max_timestamp, b.max_timestamp) << "group " << g;
     EXPECT_EQ(a.min_user_id, b.min_user_id) << "group " << g;
@@ -462,40 +494,34 @@ TEST(ColumnarLandingOracleTest, WriterMatchesRowAtATimeWriter) {
     for (size_t rows : {0u, 1u, 1023u, 1024u, 1025u, 2049u}) {
       SCOPED_TRACE("rows_per_group " + std::to_string(rows_per_group) +
                    " rows " + std::to_string(rows));
-      std::string got, want;
+      std::string got;
       columnar::RcFileWriter writer(&got, rows_per_group);
-      landing_oracle::RowWriter oracle(&want, rows_per_group);
       std::vector<ClientEvent> events;
       for (size_t i = 0; i < rows; ++i) {
         events.push_back(RandomEvent(rng));
         ASSERT_TRUE(writer.Add(events.back()).ok());
-        oracle.Add(events.back());
       }
       ASSERT_TRUE(writer.Finish().ok());
-      oracle.Finish();
-      ExpectSameGroupsAndRows(got, want, events);
+      ExpectSameGroupsAndRows(got, events, rows_per_group);
     }
   }
 }
 
 // One writer over many groups with thousands of distinct names: codes
-// restart per group, in first-appearance order, as in the oracle.
+// restart per group, in first-appearance order.
 TEST(ColumnarLandingOracleTest, WriterMatchesOracleAcrossNameCacheResets) {
   Rng rng(12);
-  std::string got, want;
+  std::string got;
   columnar::RcFileWriter writer(&got, 256);
-  landing_oracle::RowWriter oracle(&want, 256);
   std::vector<ClientEvent> events;
   for (int i = 0; i < 12000; ++i) {
     ClientEvent ev = RandomEvent(rng);
     if (i % 2 == 0) ev.event_name = "n" + std::to_string(i % 5000);
     ASSERT_TRUE(writer.Add(ev).ok());
-    oracle.Add(ev);
     events.push_back(std::move(ev));
   }
   ASSERT_TRUE(writer.Finish().ok());
-  oracle.Finish();
-  ExpectSameGroupsAndRows(got, want, events);
+  ExpectSameGroupsAndRows(got, events, 256);
 }
 
 // ---------------------------------------------------------------------------

@@ -320,7 +320,7 @@ TEST_F(PigStdlibTest, ClientEventsLoaderReadsRawLogs) {
 class PigFusionTest : public ::testing::Test {
  protected:
   PigFusionTest() {
-    // A mixed warehouse hour: one columnar RCFile v2 part plus one legacy
+    // A mixed warehouse hour: one columnar RCFile part plus one legacy
     // framed-compressed part (the layout a partially-migrated category
     // has).
     const std::string dir = "/logs/client_events/2012/08/21/00";

@@ -25,7 +25,7 @@ constexpr TimeMs kDay = 1345507200000;  // 2012-08-21 00:00 UTC
 class PipelineTest : public ::testing::Test {
  protected:
   // Runs the full pipeline for a small day of traffic; returns the result.
-  // With `columnar` set the mover lands warehouse hours as RCFile v2 parts
+  // With `columnar` set the mover lands warehouse hours as RCFile parts
   // and the daily jobs must read them through the format-sniffing input.
   DailyJobResult RunEndToEnd(workload::WorkloadOptions wopts,
                              bool columnar = false) {
@@ -109,7 +109,7 @@ TEST_F(PipelineTest, SessionizationRecoversGeneratedSessions) {
 
 TEST_F(PipelineTest, ColumnarWarehouseFeedsDailyPipeline) {
   // Same workload twice: once landing framed-compressed hours, once landing
-  // RCFile v2 columnar hours. The daily jobs sniff the format per file, so
+  // RCFile columnar hours. The daily jobs sniff the format per file, so
   // both runs must produce identical results.
   DailyJobResult framed = RunEndToEnd(SmallWorkload());
   DailyJobResult columnar = RunEndToEnd(SmallWorkload(), /*columnar=*/true);

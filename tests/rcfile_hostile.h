@@ -16,17 +16,7 @@
 
 namespace unilog::rcfile_hostile {
 
-/// The v2 group checksum: FNV-1a over bytes.
-inline uint32_t Fnv1a(std::string_view data) {
-  uint32_t h = 2166136261u;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 16777619u;
-  }
-  return h;
-}
-
-/// The v3 group checksum: the FNV-1a step over little-endian 32-bit
+/// The group checksum: the FNV-1a step over little-endian 32-bit
 /// words, then the 1-3 byte tail one byte at a time.
 inline uint32_t V3Checksum(std::string_view data) {
   uint32_t h = 2166136261u;

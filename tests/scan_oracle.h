@@ -10,8 +10,8 @@
 // top — pushdown (zone-map and dictionary skips, encoded-id pruning),
 // shared-scan residual selection, and batch assembly — so no scan test
 // checks those against themselves. The decoder itself is pinned by the
-// writer round-trip tests in columnar_test.cc (v1 and v2, every column
-// alone and together, details included).
+// writer round-trip tests in columnar_test.cc (every column alone and
+// together, details included).
 
 #include <string>
 #include <utility>

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/utf8.h"
 #include "events/client_event.h"
 #include "events/event_name.h"
@@ -178,6 +179,16 @@ TEST(DictionaryTest, SerializationRoundTrip) {
               dict->CodePointFor(name).value());
   }
   EXPECT_FALSE(EventDictionary::Deserialize(blob.substr(0, 10)).ok());
+}
+
+TEST(DictionaryTest, NameCountBombIsCorruption) {
+  // A 9-byte body claiming 2^62 names: the count is checked against the
+  // bytes left before anything is reserved from it.
+  std::string blob;
+  PutVarint64(&blob, uint64_t{1} << 62);
+  ASSERT_EQ(blob.size(), 9u);
+  auto back = EventDictionary::Deserialize(blob);
+  EXPECT_TRUE(back.status().IsCorruption()) << back.status().ToString();
 }
 
 TEST(DictionaryTest, VariableLengthCodingProperty) {

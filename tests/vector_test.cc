@@ -536,7 +536,7 @@ events::ClientEvent ScanEvent(Rng& rng, int64_t base_ts) {
   return ev;
 }
 
-/// Warehouse dir with two v2 columnar parts (small groups, so several
+/// Warehouse dir with two columnar RCFile parts (small groups, so several
 /// ScanUnits) and one legacy framed part.
 std::unique_ptr<hdfs::MiniHdfs> ScanWarehouse(uint64_t seed, int64_t base_ts,
                                               size_t events_per_part) {
@@ -605,7 +605,7 @@ TEST(ScanBatchTest, ProjectedScanCarriesDictionariesThrough) {
   Relation rows = Reference(*fs, *scan);
   auto batches = scan->MaterializeBatches(nullptr).value();
   EXPECT_EQ(BatchBytes(batches), Bytes(rows));
-  // The event-name column of every v2-sourced batch must be
+  // The event-name column of every RCFile-sourced batch must be
   // dictionary-encoded — group dictionaries flow through, strings are
   // never materialized per row. (The legacy part contributes kDict too:
   // its names are built via BuildColumn's first-appearance dictionary.)
@@ -673,17 +673,17 @@ TEST(PlannerTest, StatsAggregateZoneMapsHeaderOnly) {
   auto scan = dataflow::ColumnarEventScan::Open(fs.get(), "/events").value();
   auto stats = scan->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  // 2 v2 parts of 180 rows; the legacy part is opaque header-only (it
+  // 2 RCFile parts of 180 rows; the legacy part is opaque header-only (it
   // would need a decompression to count rows) and contributes bytes only.
   EXPECT_EQ(stats->total_rows, 2 * 180u);
   EXPECT_GT(stats->row_groups, 2u);  // 37-row groups => several per part
   EXPECT_GT(stats->data_bytes, 0u);
   // The legacy part has no zone maps, so the merged stats must say so.
-  EXPECT_FALSE(stats->from_v2);
+  EXPECT_FALSE(stats->has_zone_maps);
   ASSERT_TRUE(stats->min_timestamp.has_value());
   EXPECT_GE(*stats->min_timestamp, kScanBase);
   EXPECT_LE(*stats->max_timestamp, kScanBase + 3600000);
-  // Dictionary names from the v2 parts are visible with row upper bounds.
+  // Dictionary names from the RCFile parts are visible with row upper bounds.
   EXPECT_GT(stats->name_rows.count("web:home:::tweet:click"), 0u);
 }
 
@@ -696,7 +696,7 @@ TEST(PlannerTest, OrderFiltersIsDeterministicAndSelectivityDriven) {
   stats.max_timestamp = 99999;
   stats.name_rows["rare"] = 100;
   stats.name_rows["common"] = 90000;
-  stats.from_v2 = true;
+  stats.has_zone_maps = true;
 
   std::vector<FilterExpr> exprs = {
       {"timestamp", ">=", Value::Int(0)},          // selects ~everything
@@ -746,7 +746,7 @@ TEST(PlannerTest, InitiatorSelectivityUsesCodeDomainStats) {
   stats.data_bytes = 1 << 20;
   stats.initiator_rows["user"] = 1000;
   stats.initiator_rows["page"] = 8000;
-  stats.from_v2 = true;
+  stats.has_zone_maps = true;
 
   EXPECT_DOUBLE_EQ(dataflow::EstimateClauseSelectivity(
                        stats, {"initiator", "==", Value::Str("user")}),
@@ -772,7 +772,7 @@ TEST(PlannerTest, StatsMatchMergedPerPartStats) {
   auto direct = scan->Stats();
   ASSERT_TRUE(direct.ok());
 
-  // Each part alone (2 v2 parts + 1 legacy part), merged in listing order,
+  // Each part alone (2 RCFile parts + 1 legacy part), merged in listing order,
   // must reproduce the directory's stats field for field.
   dataflow::TableStats merged;
   for (const char* part : {"part-00000", "part-00001", "part-legacy"}) {
@@ -788,12 +788,12 @@ TEST(PlannerTest, StatsMatchMergedPerPartStats) {
       EXPECT_EQ(stats->total_rows, 0u);
       EXPECT_EQ(stats->row_groups, 0u);
       EXPECT_EQ(stats->data_bytes, body->size());
-      EXPECT_FALSE(stats->from_v2);
+      EXPECT_FALSE(stats->has_zone_maps);
       EXPECT_FALSE(stats->min_timestamp.has_value());
       EXPECT_TRUE(stats->name_rows.empty());
     } else {
       EXPECT_EQ(stats->total_rows, 160u);
-      EXPECT_TRUE(stats->from_v2);
+      EXPECT_TRUE(stats->has_zone_maps);
     }
     merged.Merge(*stats);
   }
@@ -806,7 +806,7 @@ TEST(PlannerTest, StatsMatchMergedPerPartStats) {
   EXPECT_EQ(merged.max_user_id, direct->max_user_id);
   EXPECT_EQ(merged.name_rows, direct->name_rows);
   EXPECT_EQ(merged.initiator_rows, direct->initiator_rows);
-  EXPECT_EQ(merged.from_v2, direct->from_v2);
+  EXPECT_EQ(merged.has_zone_maps, direct->has_zone_maps);
 }
 
 TEST(PlannerTest, StatsExposeInitiatorDictionaries) {
@@ -814,7 +814,7 @@ TEST(PlannerTest, StatsExposeInitiatorDictionaries) {
   auto scan = dataflow::ColumnarEventScan::Open(fs.get(), "/events").value();
   auto stats = scan->Stats();
   ASSERT_TRUE(stats.ok());
-  // ScanEvent draws initiators uniformly from all four, so the v2 parts'
+  // ScanEvent draws initiators uniformly from all four, so the RCFile parts'
   // initiator dictionaries surface with nonzero row bounds.
   EXPECT_FALSE(stats->initiator_rows.empty());
   uint64_t bound = 0;
@@ -832,7 +832,7 @@ TEST(ScanBatchTest, PushedNameFilterCountsDictDomainPruning) {
                                Value::Str("web:home:::tweet:click")));
   ASSERT_TRUE(scan->Materialize(nullptr).ok());
   const columnar::ScanStats& st = scan->last_stats();
-  // The v2 parts prune non-click rows by encoded id: attributed to the
+  // The RCFile parts prune non-click rows by encoded id: attributed to the
   // dictionary-domain counter, a subset of overall row pruning.
   EXPECT_GT(st.dict_domain_rows_pruned, 0u);
   EXPECT_LE(st.dict_domain_rows_pruned, st.rows_pruned);
