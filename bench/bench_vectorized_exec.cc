@@ -7,18 +7,23 @@
 //
 // — is executed three ways: the row path (a row Relation::Filter per
 // conjunct over boxed Values, then Relation::GroupBy, which converts with
-// BatchRelation::FromRelation and runs the batch GroupBy kernel), the
-// unfused batch engine (Filter then GroupBy over selection vectors),
-// and the fused late-materialization pipeline (FilterGroupBy: dictionary-
-// domain predicates on int32 codes, one pass per batch straight into the
-// aggregation table, strings only touched at group-key emission). All
-// answers must be byte-identical (FNV digest of SerializeRelation) across
-// engines, planner filter orders, morsel sizes, and thread counts; the
-// parallel sweeps run on the morsel-driven work-stealing scheduler.
-// Exits nonzero on any divergence, if the unfused batch engine misses its
-// 3x floor, or if the fused pipeline misses its 10x-vs-row floor.
-// Results merge into BENCH_scan.json under "vectorized_exec". Pass
-// --threads=N to add N to the thread sweep table.
+// BatchRelation::FromRelation and runs the batch aggregation kernel), the
+// unfused batch engine (Filter into selection vectors, then GroupBy), and
+// the fused late-materialization pipeline (FilterGroupBy: dictionary-
+// domain predicates on int32 codes, survivors accumulated straight into
+// the aggregation table, strings only touched at group-key emission).
+// GroupBy is FilterGroupBy with no filter, so all three passes end in
+// the same aggregation body; they differ in how rows are filtered and in
+// what the kernel is handed (boxed rows converted per call, or scanned
+// batches). The row answer is therefore checked, untimed, against
+// relation_oracle::GroupBy (tests/relation_oracle.h) over the row-filtered
+// input, and every other answer must be byte-identical to it (FNV digest
+// of SerializeRelation) across engines, planner filter orders, morsel
+// sizes, and thread counts; the parallel sweeps run on the morsel-driven
+// work-stealing scheduler. Exits nonzero on any divergence, if the unfused
+// batch engine misses its 3x floor, or if the fused pipeline misses its
+// 10x-vs-row floor. Results merge into BENCH_scan.json under
+// "vectorized_exec". Pass --threads=N to add N to the thread sweep table.
 
 #include <cstdio>
 #include <memory>
@@ -30,6 +35,7 @@
 #include "dataflow/planner.h"
 #include "dataflow/relation_serde.h"
 #include "dataflow/vector_engine.h"
+#include "relation_oracle.h"
 
 namespace unilog {
 namespace {
@@ -102,15 +108,23 @@ int main(int argc, char** argv) {
   };
   const std::vector<std::string> keys = {"event_name"};
 
-  auto row_pass = [&]() -> Result<dataflow::Relation> {
+  auto row_filter = [&]() -> Result<dataflow::Relation> {
     dataflow::Relation rel = *rows_in;
     for (const auto& e : exprs) {
       UNILOG_ASSIGN_OR_RETURN(size_t idx, rel.ColumnIndex(e.column));
       rel = rel.Filter([&e, idx](const dataflow::Row& row) {
-        return dataflow::EvalFilterOp(row[idx], e.op, e.literal);
+        return relation_oracle::EvalFilterOp(row[idx], e.op, e.literal);
       });
     }
+    return rel;
+  };
+  auto row_pass = [&]() -> Result<dataflow::Relation> {
+    UNILOG_ASSIGN_OR_RETURN(dataflow::Relation rel, row_filter());
     return rel.GroupBy(keys, aggs);
+  };
+  auto oracle_pass = [&]() -> Result<dataflow::Relation> {
+    UNILOG_ASSIGN_OR_RETURN(dataflow::Relation rel, row_filter());
+    return relation_oracle::GroupBy(rel, keys, aggs);
   };
   auto batch_pass =
       [&](const std::vector<dataflow::FilterExpr>& filter_order,
@@ -143,6 +157,18 @@ int main(int argc, char** argv) {
     row_digest = Fnv64(dataflow::SerializeRelation(*out));
     if (rep == 0 || ms < row_ms) row_ms = ms;
   }
+
+  // Untimed: the row pass's GroupBy is the same kernel body the batch and
+  // fused passes run, so its answer is checked against the frozen
+  // single-threaded reference over the row-filtered input.
+  auto oracle_out = oracle_pass();
+  if (!oracle_out.ok()) {
+    std::fprintf(stderr, "oracle pass failed: %s\n",
+                 oracle_out.status().ToString().c_str());
+    return 1;
+  }
+  const uint64_t oracle_digest =
+      Fnv64(dataflow::SerializeRelation(*oracle_out));
 
   double batch_ms = 0;
   uint64_t batch_digest = 0;
@@ -282,6 +308,8 @@ int main(int argc, char** argv) {
               rows_per_sec_batch, HexU64(batch_digest).c_str());
   std::printf("%12s %12.2f %14.0f  %s\n", "fused", fused_ms,
               rows_per_sec_fused, HexU64(fused_digest).c_str());
+  std::printf("%12s %12s %14s  %s\n", "oracle", "-", "-",
+              HexU64(oracle_digest).c_str());
   std::printf(
       "\ninput_rows=%zu batch=%.2fx fused=%.2fx (vs batch %.2fx) "
       "dict_pruned=%llu digests=%s\n",
@@ -310,6 +338,7 @@ int main(int argc, char** argv) {
   section.Set("answer_digest_row", Json::Str(HexU64(row_digest)));
   section.Set("answer_digest_batch", Json::Str(HexU64(batch_digest)));
   section.Set("answer_digest_fused", Json::Str(HexU64(fused_digest)));
+  section.Set("answer_digest_oracle", Json::Str(HexU64(oracle_digest)));
   section.Set("digests_identical", Json::Bool(digests_identical));
   Status merged =
       bench::MergeBenchJsonSection("BENCH_scan.json", "vectorized_exec",
@@ -319,6 +348,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (oracle_digest != row_digest) {
+    std::fprintf(stderr,
+                 "FAIL: row answer diverges from relation_oracle::GroupBy\n");
+    return 1;
+  }
   if (!digests_identical) {
     std::fprintf(stderr,
                  "FAIL: engine answers diverge from the row engine\n");

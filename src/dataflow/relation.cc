@@ -128,14 +128,25 @@ Result<Relation> Relation::WithColumn(const std::string& name,
 
 namespace {
 
-/// Position-independent hash of a row, used only to assign rows to
-/// Distinct's shards — survivors merge by first-occurrence index, so the
-/// shard assignment never shows up in the output.
+/// Hash of a row, used only to assign rows to Distinct's shards —
+/// survivors merge by first-occurrence index, so the shard assignment
+/// never shows up in the output. Rows equal under the Value order must
+/// hash alike, so -0.0 hashes as 0.0 (as group keys encode it).
 size_t HashKey(const Row& row) {
-  std::hash<std::string> hasher;
   size_t h = 0;
   for (const Value& v : row) {
-    h = h * 1099511628211ull + hasher(v.ToString()) + v.is_str();
+    size_t hv = 0;
+    if (v.is_int()) {
+      hv = std::hash<int64_t>{}(v.int_value());
+    } else if (v.is_real()) {
+      const double d = v.real_value();
+      hv = std::hash<double>{}(d == 0.0 ? 0.0 : d);
+    } else if (v.is_str()) {
+      hv = std::hash<std::string>{}(v.str_value());
+    } else {
+      hv = v.bool_value();
+    }
+    h = h * 1099511628211ull + hv;
   }
   return h;
 }

@@ -654,37 +654,15 @@ Row FinalizeGroup(const std::vector<Aggregate>& aggs, const Row& key,
   return row;
 }
 
-/// Per-(batch, key-column) encoding plan: dictionary columns precompute
-/// the encoded fragment per dictionary entry, so the per-row cost is one
-/// code lookup and one append; other typed columns encode inline.
-struct KeyColumnPlan {
-  const ColumnData* col = nullptr;
-  std::vector<std::string> dict_frags;  // kDict only
-};
-
-std::vector<KeyColumnPlan> PlanKeyColumns(const ColumnBatch& batch,
-                                          const std::vector<size_t>& key_idx) {
-  std::vector<KeyColumnPlan> plans(key_idx.size());
-  for (size_t k = 0; k < key_idx.size(); ++k) {
-    const ColumnData& col = *batch.col(key_idx[k]);
-    plans[k].col = &col;
-    if (col.kind == ColumnKind::kDict) {
-      plans[k].dict_frags.reserve(col.dict->size());
-      for (const std::string& entry : *col.dict) {
-        std::string frag;
-        AppendEncodedString(&frag, entry);
-        plans[k].dict_frags.push_back(std::move(frag));
-      }
-    }
-  }
-  return plans;
-}
-
-void EncodeKeyTo(std::string* buf, const std::vector<KeyColumnPlan>& plans,
-                 size_t row) {
+/// Writes raw row `row`'s group key into `buf`: each key column's
+/// AppendEncodedValue bytes, typed columns encoded without boxing. A
+/// dictionary entry and the same plain string encode identically, so a
+/// group's key never depends on its batch's column kinds.
+void EncodeKeyTo(std::string* buf, const ColumnBatch& b,
+                 const std::vector<size_t>& key_idx, size_t row) {
   buf->clear();
-  for (const KeyColumnPlan& plan : plans) {
-    const ColumnData& col = *plan.col;
+  for (size_t idx : key_idx) {
+    const ColumnData& col = *b.col(idx);
     switch (col.kind) {
       case ColumnKind::kInt64:
         buf->push_back('\x00');
@@ -699,14 +677,43 @@ void EncodeKeyTo(std::string* buf, const std::vector<KeyColumnPlan>& plans,
         buf->push_back(col.b1[row] ? '\x01' : '\x00');
         break;
       case ColumnKind::kString:
-        buf->push_back('\x02');
-        AppendFixed64(buf, col.str[row].size());
-        buf->append(col.str[row]);
+        AppendEncodedString(buf, col.str[row]);
         break;
       case ColumnKind::kDict:
-        buf->append(plan.dict_frags[col.codes[row]]);
+        AppendEncodedString(buf, (*col.dict)[col.codes[row]]);
         break;
     }
+  }
+}
+
+/// Maps each of `sel`'s raw rows to of_key(encoded key, raw row), into
+/// `out`. On a batch whose one key column is dictionary-encoded, of_key
+/// runs once per code (the code's key is encoded on first sight only);
+/// otherwise once per row.
+template <typename OfKey>
+void MapKeys(const ColumnBatch& b, const std::vector<size_t>& key_idx,
+             const std::vector<uint32_t>& sel, std::vector<uint32_t>* out,
+             OfKey of_key) {
+  out->resize(sel.size());
+  std::string buf;
+  if (key_idx.size() == 1 && b.col(key_idx[0])->kind == ColumnKind::kDict) {
+    constexpr uint32_t kUnseen = ~0u;
+    const ColumnData& kc = *b.col(key_idx[0]);
+    std::vector<uint32_t> of_code(kc.dict->size(), kUnseen);
+    for (size_t j = 0; j < sel.size(); ++j) {
+      uint32_t& mapped = of_code[kc.codes[sel[j]]];
+      if (mapped == kUnseen) {
+        buf.clear();
+        AppendEncodedString(&buf, (*kc.dict)[kc.codes[sel[j]]]);
+        mapped = of_key(buf, sel[j]);
+      }
+      (*out)[j] = mapped;
+    }
+    return;
+  }
+  for (size_t j = 0; j < sel.size(); ++j) {
+    EncodeKeyTo(&buf, b, key_idx, sel[j]);
+    (*out)[j] = of_key(buf, sel[j]);
   }
 }
 
@@ -719,8 +726,8 @@ uint64_t Fnv1a64(const std::string& bytes) {
   return h;
 }
 
-/// One shard's (or the serial pass's) aggregation hash table: encoded key
-/// -> group ordinal, plus the boxed key row and per-aggregate states.
+/// One shard's aggregation hash table: encoded key -> group ordinal, plus
+/// the boxed key row and per-aggregate states.
 struct GroupSet {
   std::unordered_map<std::string, size_t> index;
   std::vector<Row> key_rows;
@@ -939,17 +946,6 @@ void KernelStats::MergeFrom(const KernelStats& other) {
   rows_out += other.rows_out;
 }
 
-bool EvalFilterOp(const Value& v, const std::string& op, const Value& literal) {
-  std::optional<RelOp> rel = ParseOp(op);
-  if (!rel.has_value()) return false;
-  if (*rel == RelOp::kMatches) {
-    if (!v.is_str() || !literal.is_str()) return false;
-    events::EventPattern pattern(literal.str_value());
-    return pattern.Matches(v.str_value());
-  }
-  return ApplyOp<Value>(*rel, v, literal);
-}
-
 Result<BatchRelation> BatchRelation::FromRelation(const Relation& rel,
                                                   size_t batch_rows) {
   if (batch_rows == 0) batch_rows = 1;
@@ -1093,173 +1089,13 @@ Result<BatchRelation> BatchRelation::ProjectAs(
 Result<Relation> BatchRelation::GroupBy(const std::vector<std::string>& keys,
                                         const std::vector<Aggregate>& aggs,
                                         exec::Executor* exec) const {
-  std::vector<size_t> key_idx;
-  for (const auto& k : keys) {
-    UNILOG_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(k));
-    key_idx.push_back(idx);
-  }
-  std::vector<size_t> agg_idx(aggs.size(), 0);
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].op != Aggregate::Op::kCount) {
-      UNILOG_ASSIGN_OR_RETURN(agg_idx[i], ColumnIndex(aggs[i].column));
-    }
-  }
-  std::vector<std::string> out_cols = keys;
-  for (const auto& agg : aggs) out_cols.push_back(agg.as);
-
-  exec = exec::OrInline(exec);
-
-  // Fast path: when every key column is dictionary-encoded, a row's group
-  // within a batch is fully determined by its dictionary code, so group
-  // lookup can be resolved once per (batch, code) instead of hashing an
-  // encoded key string per row. The code below keys the same unordered_map
-  // with the same per-entry encoded fragments the slow path would build
-  // row-by-row, so group identity, shard ownership, and per-group
-  // accumulation order are byte-for-byte unchanged.
-  const bool dict_keys =
-      key_idx.size() == 1 &&
-      std::all_of(batches_.begin(), batches_.end(), [&](const ColumnBatch& b) {
-        return b.col(key_idx[0])->kind == ColumnKind::kDict;
-      });
-
-  // Per-batch, per-dictionary-entry encoded key fragments (dict fast path
-  // only); equal to the per-row encoded key for rows carrying that code.
-  std::vector<std::vector<std::string>> frag;
-  if (dict_keys) {
-    frag.resize(batches_.size());
-    auto build_frags = [&](size_t bi) {
-      std::vector<KeyColumnPlan> plans = PlanKeyColumns(batches_[bi], key_idx);
-      frag[bi] = std::move(plans[0].dict_frags);
-    };
-    exec->ParallelFor("batch_groupby_frags", batches_.size(), build_frags);
-  }
-
-  // Encoded keys for every selected row, precomputed per batch (writes go
-  // to per-batch slots). Skipped entirely on the dict fast path.
-  std::vector<std::vector<std::string>> enc(batches_.size());
-  auto encode_batch = [&](size_t bi) {
-    const ColumnBatch& b = batches_[bi];
-    std::vector<KeyColumnPlan> plans = PlanKeyColumns(b, key_idx);
-    const size_t n = b.selected_rows();
-    enc[bi].resize(n);
-    std::string buf;
-    for (size_t k = 0; k < n; ++k) {
-      EncodeKeyTo(&buf, plans, b.RowIndex(k));
-      enc[bi][k] = buf;
-    }
-  };
-  if (!dict_keys) {
-    exec->ParallelFor("batch_groupby_encode", batches_.size(), encode_batch);
-  }
-
-  // Aggregate access plans, resolved once per batch so the per-row hot
-  // loop never dereferences a shared_ptr.
-  std::vector<std::vector<AggAccess>> acc(batches_.size());
-  for (size_t bi = 0; bi < batches_.size(); ++bi) {
-    acc[bi] = PlanAggAccess(aggs, agg_idx, batches_[bi]);
-  }
-
-  // Walks one batch's rows for one shard (`s`; kAllShards when there is
-  // only one), using a per-(shard, batch) code→group cache on the dict
-  // fast path.
-  constexpr uint32_t kAllShards = ~0u;
-  auto accumulate_batch_dict = [&](GroupSet* gs, size_t bi, uint32_t s,
-                                   const std::vector<uint32_t>* shard_of_code)
-      -> Status {
-    const ColumnBatch& b = batches_[bi];
-    const ColumnData& kc = *b.col(key_idx[0]);
-    std::vector<ptrdiff_t> group_of_code(frag[bi].size(), -1);
-    const size_t n = b.selected_rows();
-    for (size_t k = 0; k < n; ++k) {
-      const size_t raw = b.RowIndex(k);
-      const uint32_t code = kc.codes[raw];
-      if (s != kAllShards && (*shard_of_code)[code] != s) continue;
-      ptrdiff_t& g = group_of_code[code];
-      if (g < 0) {
-        g = static_cast<ptrdiff_t>(
-            ResolveGroup(gs, b, key_idx, raw, frag[bi][code], aggs.size()));
-      }
-      UNILOG_RETURN_NOT_OK(AccumulateRow(acc[bi], raw, &gs->states[g]));
-    }
-    return Status::OK();
-  };
-  auto accumulate_into = [&](GroupSet* gs, size_t bi, size_t k) -> Status {
-    const ColumnBatch& b = batches_[bi];
-    const size_t raw = b.RowIndex(k);
-    const size_t g = ResolveGroup(gs, b, key_idx, raw, enc[bi][k], aggs.size());
-    return AccumulateRow(acc[bi], raw, &gs->states[g]);
-  };
-
-  // Hash-partition rows by encoded key so each group is owned by one
-  // shard; every shard walks rows in global order, so per-group
-  // accumulation order — and bit-exact double SUM — is the same at any
-  // shard count. One shard (inline) walks every row without hashing.
-  const size_t num_shards = exec->Shards();
-  std::vector<GroupSet> shards(num_shards);
-  if (dict_keys) {
-    // Shard assignment per dictionary entry, not per row; Fnv1a64 of the
-    // entry's fragment equals the slow path's per-row key hash.
-    std::vector<std::vector<uint32_t>> shard_of_code(batches_.size());
-    if (num_shards > 1) {
-      exec->ParallelFor("batch_groupby_hash", batches_.size(), [&](size_t bi) {
-        shard_of_code[bi].resize(frag[bi].size());
-        for (size_t e = 0; e < frag[bi].size(); ++e) {
-          shard_of_code[bi][e] =
-              static_cast<uint32_t>(Fnv1a64(frag[bi][e]) % num_shards);
-        }
-      });
-    }
-    UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
-        "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
-          const uint32_t shard =
-              num_shards > 1 ? static_cast<uint32_t>(s) : kAllShards;
-          for (size_t bi = 0; bi < batches_.size(); ++bi) {
-            UNILOG_RETURN_NOT_OK(accumulate_batch_dict(&shards[s], bi, shard,
-                                                       &shard_of_code[bi]));
-          }
-          return Status::OK();
-        }));
-  } else {
-    std::vector<std::vector<uint32_t>> shard_of(batches_.size());
-    if (num_shards > 1) {
-      exec->ParallelFor("batch_groupby_hash", batches_.size(), [&](size_t bi) {
-        shard_of[bi].resize(enc[bi].size());
-        for (size_t k = 0; k < enc[bi].size(); ++k) {
-          shard_of[bi][k] =
-              static_cast<uint32_t>(Fnv1a64(enc[bi][k]) % num_shards);
-        }
-      });
-    }
-    UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
-        "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
-          for (size_t bi = 0; bi < batches_.size(); ++bi) {
-            const size_t n = enc[bi].size();
-            for (size_t k = 0; k < n; ++k) {
-              if (num_shards > 1 && shard_of[bi][k] != s) continue;
-              UNILOG_RETURN_NOT_OK(accumulate_into(&shards[s], bi, k));
-            }
-          }
-          return Status::OK();
-        }));
-  }
-
-  return MergeAndFinalize(aggs, out_cols, shards, exec);
+  return FilterGroupBy({}, keys, aggs, exec);
 }
 
 Result<Relation> BatchRelation::FilterGroupBy(
     const std::vector<FilterExpr>& exprs, const std::vector<std::string>& keys,
     const std::vector<Aggregate>& aggs, exec::Executor* exec,
     KernelStats* stats, const exec::MorselOptions& morsels) const {
-  // Inline runs keep the fused pipeline below: a different algorithm, not
-  // a serial copy, measured by bench_vectorized_exec's 10x-vs-row floor.
-  if (exec != nullptr && exec->parallel()) {
-    // Morsel-scheduled Filter, then the sharded GroupBy (each shard walks
-    // rows in global order, so double SUMs stay bit-exact).
-    UNILOG_ASSIGN_OR_RETURN(BatchRelation filtered,
-                            Filter(exprs, exec, stats, morsels));
-    return filtered.GroupBy(keys, aggs, exec);
-  }
-
   std::vector<size_t> key_idx;
   for (const auto& k : keys) {
     UNILOG_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(k));
@@ -1276,71 +1112,89 @@ Result<Relation> BatchRelation::FilterGroupBy(
   UNILOG_ASSIGN_OR_RETURN(std::vector<CompiledExpr> compiled,
                           CompileExprs(*this, exprs));
 
-  // Serial fused pipeline: one pass per batch evaluates the compiled
-  // program and accumulates survivors straight into the hash table — no
-  // selection vector or intermediate batch is ever materialized. Group
-  // identity uses the same encoded keys as GroupBy (a dictionary key's
-  // per-entry fragment equals the row's encoded key), so the output is
-  // byte-identical to Filter().GroupBy().
-  std::vector<GroupSet> shards(1);
-  GroupSet& gs = shards[0];
-  KernelStats local;
-  std::vector<uint32_t> sel;   // surviving raw rows, reused across batches
-  std::vector<uint32_t> g_of;  // group ordinal per survivor
-  std::vector<ptrdiff_t> group_of_code;
-  for (size_t bi = 0; bi < batches_.size(); ++bi) {
-    const ColumnBatch& b = batches_[bi];
-    local.rows_in += b.selected_rows();
-    BatchFilterProgram prog = CompileBatchProgram(b, compiled);
-    if (prog.const_false) continue;
-    // Filter column-at-a-time into a reused selection buffer, then
-    // resolve each survivor's group and accumulate. Group resolution on
-    // dictionary keys runs once per (batch, code), and a code's key
-    // fragment is encoded only on first sight — entries whose rows never
-    // pass the filter are neither encoded nor materialized.
-    RunProgramColumnar(prog, b, &sel, &local.dict_domain_rows_pruned);
-    local.rows_out += sel.size();
-    if (sel.empty()) continue;
-    const std::vector<AggAccess> acc = PlanAggAccess(aggs, agg_idx, b);
-    const bool dict_key = key_idx.size() == 1 &&
-                          b.col(key_idx[0])->kind == ColumnKind::kDict;
-    g_of.resize(sel.size());
-    std::string buf;
-    if (dict_key) {
-      const ColumnData* kc = b.col(key_idx[0]).get();
-      const uint32_t* codes = kc->codes.data();
-      group_of_code.assign(kc->dict->size(), -1);
-      for (size_t j = 0; j < sel.size(); ++j) {
-        const uint32_t code = codes[sel[j]];
-        ptrdiff_t& slot = group_of_code[code];
-        if (slot < 0) {
-          buf.clear();
-          AppendEncodedString(&buf, (*kc->dict)[code]);
-          slot = static_cast<ptrdiff_t>(
-              ResolveGroup(&gs, b, key_idx, sel[j], buf, aggs.size()));
-        }
-        g_of[j] = static_cast<uint32_t>(slot);
-      }
-    } else {
-      const std::vector<KeyColumnPlan> plans = PlanKeyColumns(b, key_idx);
-      for (size_t j = 0; j < sel.size(); ++j) {
-        EncodeKeyTo(&buf, plans, sel[j]);
-        g_of[j] = static_cast<uint32_t>(
-            ResolveGroup(&gs, b, key_idx, sel[j], buf, aggs.size()));
-      }
-    }
-    if (AggsAreInfallible(acc)) {
-      AccumulateColumnar(acc, sel, g_of, &gs);
-    } else {
-      // A SUM that can fail keeps the row-major walk so the first error
-      // raised is GroupBy's (same row, same aggregate order).
-      for (size_t j = 0; j < sel.size(); ++j) {
-        UNILOG_RETURN_NOT_OK(AccumulateRow(acc, sel[j], &gs.states[g_of[j]]));
-      }
+  exec = exec::OrInline(exec);
+  const size_t num_shards = exec->Shards();
+  const size_t num_batches = batches_.size();
+
+  // Per batch, on morsels as Filter schedules them: run the compiled
+  // program into a selection (with no filter, the batch's own) and split
+  // the survivors, in row order, by the shard that owns their group:
+  // Fnv1a64 of the encoded key, so a group has one owner whatever its
+  // batches' column kinds. One shard owns every survivor, so an inline
+  // run neither hashes keys nor rescans rows. Byte weights only steer how
+  // a pool packs morsels; inline, packing changes nothing, so the
+  // batches' strings are not walked to weigh them.
+  std::vector<uint64_t> weights(num_batches);
+  if (num_shards > 1) {
+    for (size_t bi = 0; bi < num_batches; ++bi) {
+      weights[bi] = batches_[bi].byte_size();
     }
   }
-  if (stats != nullptr) stats->MergeFrom(local);
-  return MergeAndFinalize(aggs, out_cols, shards, exec::OrInline(nullptr));
+  std::vector<std::vector<uint32_t>> owned(num_batches * num_shards);
+  std::vector<KernelStats> slots(num_batches);
+  UNILOG_RETURN_NOT_OK(exec->ParallelForMorsels(
+      "batch_groupby_filter", weights, morsels,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        std::vector<uint32_t> sel, shard_of;
+        for (size_t bi = begin; bi < end; ++bi) {
+          const ColumnBatch& b = batches_[bi];
+          KernelStats& ks = slots[bi];
+          ks.rows_in += b.selected_rows();
+          const BatchFilterProgram prog = CompileBatchProgram(b, compiled);
+          if (prog.const_false) continue;
+          RunProgramColumnar(prog, b, &sel, &ks.dict_domain_rows_pruned);
+          ks.rows_out += sel.size();
+          std::vector<uint32_t>* parts = &owned[bi * num_shards];
+          if (num_shards == 1) {
+            parts[0] = std::move(sel);
+            continue;
+          }
+          MapKeys(b, key_idx, sel, &shard_of,
+                  [&](const std::string& key, uint32_t) {
+                    return static_cast<uint32_t>(Fnv1a64(key) % num_shards);
+                  });
+          for (size_t j = 0; j < sel.size(); ++j) {
+            parts[shard_of[j]].push_back(sel[j]);
+          }
+        }
+        return Status::OK();
+      }));
+  if (stats != nullptr) {
+    for (const KernelStats& ks : slots) stats->MergeFrom(ks);
+  }
+
+  // Per shard: walk the batches in order over the survivors it owns, so
+  // every group accumulates in global row order and double SUMs are
+  // bit-exact at any shard count.
+  std::vector<GroupSet> shards(num_shards);
+  UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
+      "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
+        GroupSet& gs = shards[s];
+        std::vector<uint32_t> g_of;
+        for (size_t bi = 0; bi < num_batches; ++bi) {
+          const std::vector<uint32_t>& sel = owned[bi * num_shards + s];
+          if (sel.empty()) continue;
+          const ColumnBatch& b = batches_[bi];
+          MapKeys(b, key_idx, sel, &g_of,
+                  [&](const std::string& key, uint32_t raw) {
+                    return static_cast<uint32_t>(ResolveGroup(
+                        &gs, b, key_idx, raw, key, aggs.size()));
+                  });
+          const std::vector<AggAccess> acc = PlanAggAccess(aggs, agg_idx, b);
+          if (AggsAreInfallible(acc)) {
+            AccumulateColumnar(acc, sel, g_of, &gs);
+            continue;
+          }
+          // A SUM that can fail walks row-major, so the error raised is
+          // the first failing row's (first failing aggregate's).
+          for (size_t j = 0; j < sel.size(); ++j) {
+            UNILOG_RETURN_NOT_OK(
+                AccumulateRow(acc, sel[j], &gs.states[g_of[j]]));
+          }
+        }
+        return Status::OK();
+      }));
+  return MergeAndFinalize(aggs, out_cols, shards, exec);
 }
 
 Result<BatchRelation> BatchRelation::Join(const BatchRelation& right,

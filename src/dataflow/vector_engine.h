@@ -22,11 +22,6 @@ struct FilterExpr {
   Value literal;
 };
 
-/// Reference semantics of one FilterExpr against a boxed value — the row
-/// engine side of every batch-vs-row equivalence test, and exactly the
-/// clause evaluation the Oink workflow engine applies to residual filters.
-bool EvalFilterOp(const Value& v, const std::string& op, const Value& literal);
-
 /// Accounting the batch kernels accumulate when a caller passes a sink.
 struct KernelStats {
   /// Rows cut at a dictionary-domain step: the predicate was evaluated
@@ -40,14 +35,14 @@ struct KernelStats {
   void MergeFrom(const KernelStats& other);
 };
 
-/// A relation stored as typed column batches. GroupBy and Join here are
-/// the only hash aggregation and hash join: Relation::GroupBy and
-/// Relation::Join convert with FromRelation and run these kernels. Filter
-/// and ProjectAs select exactly the rows and columns the row operators
-/// would. Per-group accumulation stays in original row order, so
-/// floating-point aggregates are bit-exact, and kernels follow the
-/// exec::Executor contract: parallel output is identical to serial at any
-/// thread count.
+/// A relation stored as typed column batches. FilterGroupBy (which
+/// GroupBy calls with no filter) and Join here are the only hash
+/// aggregation and hash join: Relation::GroupBy and Relation::Join
+/// convert with FromRelation and run these kernels. Filter and ProjectAs
+/// select exactly the rows and columns the row operators would.
+/// Per-group accumulation stays in original row order, so floating-point
+/// aggregates are bit-exact, and kernels follow the exec::Executor
+/// contract: parallel output is identical to serial at any thread count.
 class BatchRelation {
  public:
   BatchRelation() = default;
@@ -97,27 +92,29 @@ class BatchRelation {
                                   const std::vector<std::string>& names,
                                   exec::Executor* exec = nullptr) const;
 
-  /// Hash aggregation on encoded keys. Output columns: keys then
-  /// aggregate outputs, sorted by key (Value order). Groups and COUNT
-  /// DISTINCT values share one identity: type and value, with -0.0 equal
-  /// to 0.0 (so Int(1), Real(1.0) and Str("1") are three values). SUM
-  /// over a non-numeric value is a Status failure, not garbage, and
-  /// double SUMs are bit-identical at any thread count (each group
-  /// accumulates in original row order, serial or parallel).
+  /// Hash aggregation on encoded keys: FilterGroupBy with no filter.
+  /// Output columns: keys then aggregate outputs, sorted by key (Value
+  /// order). Groups and COUNT DISTINCT values share one identity: type
+  /// and value, with -0.0 equal to 0.0 (so Int(1), Real(1.0) and Str("1")
+  /// are three values). SUM over a non-numeric value is a Status failure,
+  /// not garbage, and double SUMs are bit-identical at any thread count
+  /// (each group accumulates in original row order).
   Result<Relation> GroupBy(const std::vector<std::string>& keys,
                            const std::vector<Aggregate>& aggs,
                            exec::Executor* exec = nullptr) const;
 
-  /// Fused Filter + GroupBy: the late-materialization pipeline shape. One
-  /// pass per batch evaluates the compiled filter program and accumulates
-  /// surviving rows straight into the aggregation hash table — no
-  /// intermediate selection vector or batch is materialized, and
-  /// dictionary-keyed batches resolve their group once per (batch, code).
-  /// Output is byte-identical to Filter(exprs).GroupBy(keys, aggs): group
-  /// identity uses the same encoded keys, and per-group accumulation
-  /// stays in global row order (the serial path walks rows in order; the
-  /// parallel path delegates to the sharded GroupBy, whose shards do the
-  /// same), so double SUMs are bit-exact at any thread count.
+  /// Filter + GroupBy fused, the one hash-aggregation body and the
+  /// late-materialization pipeline shape. Per batch (scheduled as
+  /// Filter's morsels) the compiled filter program runs into a selection,
+  /// whose survivors are split by the exec::Executor::Shards() shard that
+  /// owns their group. Per shard, the batches are walked in order and
+  /// each owned survivor accumulates straight into the shard's hash
+  /// table: no filtered batch is materialized, and a batch whose one key
+  /// column is dictionary-encoded resolves its group once per code, not
+  /// once per row. Output is
+  /// byte-identical to Filter(exprs).GroupBy(keys, aggs) at any thread
+  /// count and morsel size: every group is owned by one shard and
+  /// accumulates in global row order. An inline run is one shard.
   Result<Relation> FilterGroupBy(const std::vector<FilterExpr>& exprs,
                                  const std::vector<std::string>& keys,
                                  const std::vector<Aggregate>& aggs,

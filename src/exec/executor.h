@@ -137,7 +137,8 @@ class Executor {
   /// deterministic.
   size_t ChunksFor(size_t n) const;
 
-  /// How many ways a hash-partitioning operator (GroupBy, Distinct, the
+  /// How many ways a hash-partitioning operator (the batch aggregation
+  /// BatchRelation::FilterGroupBy, which GroupBy calls; Distinct; the
   /// MapReduce shuffle) splits its input: 1 when regions run inline (the
   /// serial engine, or a region nested inside another), 2 x threads
   /// otherwise. With one shard an operator neither hashes keys nor

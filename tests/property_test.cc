@@ -1172,6 +1172,31 @@ TEST_P(OracleSweepPropertyTest, MapReduceMatchesFrozenShuffle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweepPropertyTest,
                          ::testing::Values(8u, 88u, 888u, 8888u));
 
+// Distinct's shards must agree with its seen-set on which rows are equal:
+// Real(-0.0) and Real(0.0) are one value under the Value order, so 32 keys
+// each carrying both zeros are 32 distinct rows at every shard count.
+TEST(OracleSweepTest, DistinctTreatsSignedZerosAsOneRowAtAnyThreadCount) {
+  dataflow::Relation rel({"k", "x"});
+  for (double zero : {0.0, -0.0}) {
+    for (int64_t k = 0; k < 32; ++k) {
+      ASSERT_TRUE(
+          rel.AddRow({dataflow::Value::Int(k), dataflow::Value::Real(zero)})
+              .ok());
+    }
+  }
+  const dataflow::Relation want = relation_oracle::Distinct(rel);
+  ASSERT_EQ(want.size(), 32u);
+  for (int threads : {1, 3, 5, 8}) {
+    exec::ExecOptions opts;
+    opts.threads = threads;
+    opts.min_items_per_chunk = 4;
+    exec::Executor executor(opts);
+    EXPECT_EQ(dataflow::SerializeRelation(rel.Distinct(&executor)),
+              dataflow::SerializeRelation(want))
+        << "threads=" << threads;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Columnar scan pushdown: on random events (empty details, multi-byte
 // UTF-8 names, very long names) and random ScanSpecs, Scan() must equal
@@ -1623,7 +1648,7 @@ TEST_P(VectorEnginePropertyTest, BatchEqualsRowEqualsParallelBatch) {
     for (const auto& e : exprs) {
       size_t idx = row.ColumnIndex(e.column).value();
       row = row.Filter([&e, idx](const dataflow::Row& r) {
-        return dataflow::EvalFilterOp(r[idx], e.op, e.literal);
+        return relation_oracle::EvalFilterOp(r[idx], e.op, e.literal);
       });
     }
     if (!exprs.empty()) {
@@ -1767,7 +1792,7 @@ TEST_P(DictDomainPropertyTest, CodeDomainFilterEqualsStringFilter) {
     for (const auto& e : exprs) {
       size_t idx = want.ColumnIndex(e.column).value();
       want = want.Filter([&e, idx](const dataflow::Row& r) {
-        return dataflow::EvalFilterOp(r[idx], e.op, e.literal);
+        return relation_oracle::EvalFilterOp(r[idx], e.op, e.literal);
       });
     }
 
@@ -1788,7 +1813,7 @@ TEST_P(DictDomainPropertyTest, CodeDomainFilterEqualsStringFilter) {
         {dataflow::Aggregate::Op::kCount, "", "n"},
         {dataflow::Aggregate::Op::kSum, "v", "total"},
         {dataflow::Aggregate::Op::kCountDistinct, "d", "names"}};
-    auto want_grouped = want.GroupBy({"d"}, aggs);
+    auto want_grouped = relation_oracle::GroupBy(want, {"d"}, aggs);
     ASSERT_TRUE(want_grouped.ok());
     auto fused = batch0->FilterGroupBy(exprs, {"d"}, aggs);
     ASSERT_TRUE(fused.ok());
@@ -1803,9 +1828,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DictDomainPropertyTest,
 
 // ---------------------------------------------------------------------------
 // Fused FilterGroupBy: on random relations and pipelines it must be
-// byte-identical to Filter-then-GroupBy and to the row engine — including
-// identical SUM-over-non-numeric failures — at any thread count and any
-// morsel granularity.
+// byte-identical to Filter-then-GroupBy and to the frozen GroupBy over the
+// row-filtered relation — including identical SUM-over-non-numeric
+// failures — at any thread count and any morsel granularity.
 
 class FusedPipelinePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -1834,10 +1859,10 @@ TEST_P(FusedPipelinePropertyTest, FusedEqualsUnfusedEqualsRow) {
     for (const auto& e : exprs) {
       size_t idx = row.ColumnIndex(e.column).value();
       row = row.Filter([&e, idx](const dataflow::Row& r) {
-        return dataflow::EvalFilterOp(r[idx], e.op, e.literal);
+        return relation_oracle::EvalFilterOp(r[idx], e.op, e.literal);
       });
     }
-    auto want = row.GroupBy(keys, aggs);
+    auto want = relation_oracle::GroupBy(row, keys, aggs);
 
     auto unfused = [&]() -> Result<dataflow::Relation> {
       UNILOG_ASSIGN_OR_RETURN(dataflow::BatchRelation filtered,
@@ -2037,7 +2062,8 @@ TEST_P(PlannerReorderPropertyTest, FilterPermutationsShareFingerprintAndHits) {
     for (const auto& clause : permuted.filters) {
       size_t idx = ref.ColumnIndex(clause.column).value();
       ref = ref.Filter([&clause, idx](const dataflow::Row& row) {
-        return dataflow::EvalFilterOp(row[idx], clause.op, clause.literal);
+        return relation_oracle::EvalFilterOp(row[idx], clause.op,
+                                             clause.literal);
       });
     }
     if (!permuted.project_cols.empty()) {

@@ -1,16 +1,16 @@
 #ifndef UNILOG_TESTS_RELATION_ORACLE_H_
 #define UNILOG_TESTS_RELATION_ORACLE_H_
 
-// Single-threaded reference bodies for the hash-partitioned operators.
-// GroupBy and Join (BatchRelation's kernels, which Relation::GroupBy and
-// Relation::Join run), Relation::Distinct, Relation::OrderBy and the
-// MapReduce shuffle each have one body that runs on an exec::Executor at
-// every thread count. These are the plain loops those bodies replaced —
-// one ordered map, one row-at-a-time hash join, one seen-set, one
-// stable_sort, one concatenate-then-group shuffle — frozen here (as
-// lz_reference.h freezes the old codec) so the property suites check
-// every thread count and batch layout against an answer the engine did
-// not compute.
+// Single-threaded reference bodies for the hash-partitioned operators, and
+// the row engine's filter clause (EvalFilterOp). GroupBy and Join
+// (BatchRelation's kernels, which Relation::GroupBy and Relation::Join
+// run), Relation::Distinct, Relation::OrderBy and the MapReduce shuffle
+// each have one body that runs on an exec::Executor at every thread
+// count. These are the plain loops those bodies replaced — one ordered
+// map, one row-at-a-time hash join, one seen-set, one stable_sort, one
+// concatenate-then-group shuffle — frozen here (as lz_reference.h freezes
+// the old codec) so the property suites check every thread count and
+// batch layout against an answer the engine did not compute.
 
 #include <algorithm>
 #include <cmath>
@@ -26,6 +26,7 @@
 #include "common/result.h"
 #include "dataflow/mapreduce.h"
 #include "dataflow/relation.h"
+#include "events/event_name.h"
 
 namespace unilog::relation_oracle {
 
@@ -133,6 +134,27 @@ inline std::string JoinKey(const Value& v) {
 }
 
 }  // namespace internal
+
+/// One filter clause `v op literal` as the row engine evaluates it:
+/// ==, !=, <, <=, >, >= under the Value total order, and `matches` as an
+/// event-name glob when both sides are strings. An unknown op selects
+/// nothing. Written out here rather than through the batch Filter's op
+/// table, so the filter suites check that kernel against code it does
+/// not run.
+inline bool EvalFilterOp(const dataflow::Value& v, const std::string& op,
+                         const dataflow::Value& literal) {
+  if (op == "==") return v == literal;
+  if (op == "!=") return !(v == literal);
+  if (op == "<") return v < literal;
+  if (op == "<=") return !(literal < v);
+  if (op == ">") return literal < v;
+  if (op == ">=") return !(v < literal);
+  if (op == "matches") {
+    return v.is_str() && literal.is_str() &&
+           events::EventPattern(literal.str_value()).Matches(v.str_value());
+  }
+  return false;
+}
 
 /// GroupBy as one ordered map fed in row order: output sorted by key, each
 /// group's aggregates accumulated in row order (so double SUM is the

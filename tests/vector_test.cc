@@ -138,7 +138,7 @@ Relation RowFilter(const Relation& rel, const std::vector<FilterExpr>& exprs) {
   for (const auto& e : exprs) {
     size_t idx = out.ColumnIndex(e.column).value();
     out = out.Filter([&e, idx](const Row& row) {
-      return dataflow::EvalFilterOp(row[idx], e.op, e.literal);
+      return relation_oracle::EvalFilterOp(row[idx], e.op, e.literal);
     });
   }
   return out;
@@ -327,6 +327,62 @@ TEST(VectorKernelTest, FusedSumOverNonNumericFailsLikeRowEngine) {
       {{"k", ">=", Value::Int(0)}}, {"k"}, aggs);
   ASSERT_FALSE(fused.ok());
   EXPECT_EQ(fused.status().ToString(), row.status().ToString());
+}
+
+TEST(VectorKernelTest, KeyColumnMixingDictionaryAndPlainBatches) {
+  // Three 300-row batches keyed by `key`: the outer two draw from eight
+  // strings (dictionary columns); the middle one holds 300 distinct
+  // strings, past kMaxDictEntries, so it stays a plain string column.
+  // Eight of its keys also appear in the dictionary batches, so those
+  // groups span both column kinds.
+  constexpr size_t kBatchRows = 300;
+  Relation rel({"key", "v", "w"});
+  Rng rng(73);
+  for (size_t seg = 0; seg < 3; ++seg) {
+    for (size_t i = 0; i < kBatchRows; ++i) {
+      const size_t k = seg == 1 ? i : rng.Uniform(8) * 37;
+      ASSERT_TRUE(rel.AddRow({Value::Str("k" + std::to_string(k)),
+                              Value::Real(rng.NextDouble() * 1e6 - 5e5),
+                              Value::Int(static_cast<int64_t>(rng.Uniform(5)))})
+                      .ok());
+    }
+  }
+  auto batch = BatchRelation::FromRelation(rel, kBatchRows).value();
+  ASSERT_EQ(batch.batches().size(), 3u);
+  EXPECT_EQ(batch.batches()[0].col(0)->kind, ColumnKind::kDict);
+  EXPECT_EQ(batch.batches()[1].col(0)->kind, ColumnKind::kString);
+  EXPECT_EQ(batch.batches()[2].col(0)->kind, ColumnKind::kDict);
+
+  const std::vector<Aggregate> aggs{
+      {Aggregate::Op::kCount, "", "n"},
+      {Aggregate::Op::kSum, "v", "total"},
+      {Aggregate::Op::kMin, "v", "lo"},
+      {Aggregate::Op::kCountDistinct, "w", "ws"}};
+  const std::vector<std::vector<FilterExpr>> cases = {
+      {},
+      {{"key", "<", Value::Str("k2")}},
+      {{"key", "matches", Value::Str("k1*")}, {"w", ">", Value::Int(0)}},
+  };
+  for (const auto& exprs : cases) {
+    for (const auto& keys :
+         std::vector<std::vector<std::string>>{{"key"}, {"key", "w"}}) {
+      const std::string want = Bytes(
+          relation_oracle::GroupBy(RowFilter(rel, exprs), keys, aggs).value());
+      for (int threads : {1, 2, 8}) {
+        exec::Executor executor = MakeExecutor(threads);
+        if (exprs.empty()) {
+          auto grouped = batch.GroupBy(keys, aggs, &executor);
+          ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+          EXPECT_EQ(Bytes(*grouped), want) << "threads=" << threads;
+        }
+        auto fused = batch.FilterGroupBy(exprs, keys, aggs, &executor);
+        ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+        EXPECT_EQ(Bytes(*fused), want)
+            << "threads=" << threads << " filters=" << exprs.size()
+            << " keys=" << keys.size();
+      }
+    }
+  }
 }
 
 TEST(VectorKernelTest, KernelStatsCountDictDomainPruning) {
