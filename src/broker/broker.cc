@@ -230,7 +230,7 @@ Status BrokerNode::Start() {
       }
     }
   }
-  ScheduleReplicaFetch();
+  StartReplicaFetch();
   UpdateGauges();
   return Status::OK();
 }
@@ -267,7 +267,7 @@ Status BrokerNode::ExpireSession() {
   for (auto& [key, r] : replicas_) {
     RecomputeLeader(key.first, key.second);
   }
-  ScheduleReplicaFetch();
+  StartReplicaFetch();
   UpdateGauges();
   return Status::OK();
 }
@@ -638,14 +638,13 @@ void BrokerNode::NoteConsumedTo(const std::string& category, int partition,
   UpdateGauges();
 }
 
-void BrokerNode::ScheduleReplicaFetch() {
+void BrokerNode::StartReplicaFetch() {
   if (options_.replica_fetch_interval_ms <= 0) return;
-  sim_->After(options_.replica_fetch_interval_ms,
-              [this, inc = incarnation_]() {
-                if (inc != incarnation_ || !alive_) return;
-                FetchFromLeaders();
-                ScheduleReplicaFetch();
-              });
+  sim_->Every(options_.replica_fetch_interval_ms, [this, inc = incarnation_] {
+    if (inc != incarnation_ || !alive_) return false;
+    FetchFromLeaders();
+    return true;
+  });
 }
 
 void BrokerNode::FetchFromLeaders() {
@@ -653,14 +652,17 @@ void BrokerNode::FetchFromLeaders() {
   for (auto& [key, r] : replicas_) {
     if (r.leader) continue;
     ElectionMemo& memo = r.fetch_election;
-    const uint64_t stamp = zk_->ChildStamp(r.candidates_dir);
-    if (stamp != memo.stamp) {
-      memo.stamp = stamp;
-      memo.elected = ElectAmong(*zk_, r.candidates_dir, &memo.winner);
-      memo.leader = memo.elected && memo.winner != id_ && resolve_
-                        ? resolve_(memo.winner)
-                        : nullptr;
-      r.fetch_leader = {memo.leader};
+    if (memo.read_at != zk_->LastStamp()) {
+      memo.read_at = zk_->LastStamp();
+      const uint64_t stamp = zk_->ChildStamp(r.candidates_dir);
+      if (stamp != memo.stamp) {
+        memo.stamp = stamp;
+        memo.elected = ElectAmong(*zk_, r.candidates_dir, &memo.winner);
+        memo.leader = memo.elected && memo.winner != id_ && resolve_
+                          ? resolve_(memo.winner)
+                          : nullptr;
+        r.fetch_leader = {memo.leader};
+      }
     }
     const Replica* from = LinkedReplica(&r.fetch_leader, r);
     if (from == nullptr) continue;

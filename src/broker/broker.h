@@ -233,6 +233,9 @@ class BrokerNode {
   /// too: stamp 0 means the directory does not exist.
   struct ElectionMemo {
     uint64_t stamp = 0;
+    /// zk's LastStamp() when `stamp` was last read; while it has not
+    /// moved, neither has `stamp`, and the tick skips the lookup.
+    uint64_t read_at = 0;
     bool elected = false;  // false: no candidate registered
     std::string winner;
     /// The winner's node, resolved with the election; nullptr when no
@@ -319,7 +322,9 @@ class BrokerNode {
   void WatchCandidates(std::string category, int partition);
   void RecomputeLeader(const std::string& category, int partition);
   void BecomeLeader(Replica* r);
-  void ScheduleReplicaFetch();
+  /// Starts this incarnation's periodic replica fetch; the timer stops at
+  /// its first tick after the incarnation moves.
+  void StartReplicaFetch();
   void FetchFromLeaders();
   void RefillTokens();
   void UpdateGauges();

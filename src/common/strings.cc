@@ -78,12 +78,14 @@ bool GlobMatch(std::string_view pattern, std::string_view text) {
   size_t p = 0, t = 0;
   size_t star = std::string_view::npos, mark = 0;
   while (t < text.size()) {
-    if (p < pattern.size() && (pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
+    // A '*' is always the wildcard, also against a literal '*' in the
+    // text, so a later mismatch can backtrack to it.
+    if (p < pattern.size() && pattern[p] == '*') {
       star = p++;
       mark = t;
+    } else if (p < pattern.size() && pattern[p] == text[t]) {
+      ++p;
+      ++t;
     } else if (star != std::string_view::npos) {
       p = star + 1;
       t = ++mark;

@@ -79,7 +79,11 @@ Status Aggregator::Start() {
   receive_tokens_ =
       static_cast<double>(options_.aggregator_service_bytes_per_sec);
   last_token_refill_ = sim_->Now();
-  ScheduleRoll();
+  sim_->Every(options_.roll_interval_ms, [this, inc = incarnation_] {
+    if (!alive_ || incarnation_ != inc) return false;
+    RollAll();
+    return true;
+  });
   return Status::OK();
 }
 
@@ -167,15 +171,6 @@ void Aggregator::EnforceBufferLimit() {
     entries_dropped_overflow_->Increment();
     if (buffer.messages.empty()) buffers_.erase(oldest);
   }
-}
-
-void Aggregator::ScheduleRoll() {
-  uint64_t my_incarnation = incarnation_;
-  sim_->After(options_.roll_interval_ms, [this, my_incarnation]() {
-    if (!alive_ || incarnation_ != my_incarnation) return;
-    RollAll();
-    ScheduleRoll();
-  });
 }
 
 void Aggregator::RollAll() {

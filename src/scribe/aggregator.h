@@ -139,7 +139,6 @@ class Aggregator {
   // Keyed by (category, hour-start).
   using BufferKey = std::pair<std::string, TimeMs>;
 
-  void ScheduleRoll();
   /// Attempts to write one buffer to staging; returns false on HDFS outage.
   bool RollBuffer(const BufferKey& key, HourBuffer* buffer);
   /// Drops the oldest buffered messages until under the buffer limit.

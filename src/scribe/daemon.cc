@@ -45,7 +45,10 @@ DaemonStats ScribeDaemon::stats() const {
 void ScribeDaemon::Start() {
   if (started_) return;
   started_ = true;
-  ScheduleFlush();
+  sim_->Every(options_.daemon_flush_interval_ms, [this] {
+    Flush();
+    return true;
+  });
 }
 
 void ScribeDaemon::Log(LogEntry entry) {
@@ -71,13 +74,6 @@ void ScribeDaemon::Log(LogEntry entry) {
 
 void ScribeDaemon::Log(const std::string& category, std::string message) {
   Log(LogEntry{category, std::move(message)});
-}
-
-void ScribeDaemon::ScheduleFlush() {
-  sim_->After(options_.daemon_flush_interval_ms, [this]() {
-    Flush();
-    ScheduleFlush();
-  });
 }
 
 Aggregator* ScribeDaemon::Discover() {

@@ -108,7 +108,6 @@ class ScribeDaemon {
     bool acked = false;            // set by a broker flush
   };
 
-  void ScheduleFlush();
   /// Picks a live aggregator from ZooKeeper; nullptr when none registered.
   Aggregator* Discover();
   bool FlushToAggregator();

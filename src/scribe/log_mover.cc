@@ -109,15 +109,10 @@ void LogMover::Start(TimeMs start_hour) {
   if (started_) return;
   started_ = true;
   next_hour_ = TruncateToHour(start_hour);
-  // Periodic run loop (self-rescheduling functor).
-  struct Loop {
-    LogMover* self;
-    void operator()() const {
-      self->RunOnce();
-      self->sim_->After(self->options_.run_interval_ms, *this);
-    }
-  };
-  sim_->After(options_.run_interval_ms, Loop{this});
+  sim_->Every(options_.run_interval_ms, [this] {
+    RunOnce();
+    return true;
+  });
 }
 
 void LogMover::RunOnce() {

@@ -118,6 +118,10 @@ class ZooKeeper {
   /// the stamp is. 0 when `path` does not exist.
   uint64_t ChildStamp(std::string_view path) const;
 
+  /// The last child stamp handed out. Every change of any ChildStamp value
+  /// moves it, so while it has not moved no ChildStamp has either.
+  uint64_t LastStamp() const { return last_stamp_; }
+
   bool Exists(const std::string& path) const;
   Result<ZnodeStat> Stat(const std::string& path) const;
 

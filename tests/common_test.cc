@@ -303,6 +303,12 @@ TEST(StringsTest, GlobMatch) {
   EXPECT_TRUE(GlobMatch("a*b*c", "aXXbYYc"));
   EXPECT_FALSE(GlobMatch("a*b*c", "aXXcYYb"));
   EXPECT_TRUE(GlobMatch("**", "x"));
+  // A '*' in the text does not stop a pattern '*' from being a wildcard.
+  EXPECT_TRUE(GlobMatch("web:*", "web:*x"));
+  EXPECT_TRUE(GlobMatch("a*b", "a*xb"));
+  EXPECT_TRUE(GlobMatch("*b", "*xb"));
+  EXPECT_TRUE(GlobMatch("a*", "a*"));
+  EXPECT_FALSE(GlobMatch("a*b", "a*x"));
 }
 
 TEST(StringsTest, HumanBytesAndCommas) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -96,6 +97,12 @@ class ReferenceSimulator {
   void After(TimeMs delay, std::function<void()> cb) {
     At(now_ + delay, std::move(cb));
   }
+  // Every's definition: a callback whose last act is After(period, itself).
+  void Every(TimeMs period, std::function<bool()> tick) {
+    After(period, [this, period, tick = std::move(tick)]() mutable {
+      if (tick()) Every(period, std::move(tick));
+    });
+  }
   void Run() {
     while (RunNext(std::numeric_limits<TimeMs>::max())) {
     }
@@ -164,17 +171,44 @@ TimeMs OracleDelay(Rng* rng) {
   }
 }
 
+// A timer period: a few shared values so that timers started together form
+// same-period groups, 0 (re-armed at the same ms), and both sides of the
+// near/far horizon.
+TimeMs OraclePeriod(Rng* rng) {
+  static constexpr TimeMs kPeriods[] = {0,
+                                        7,
+                                        40,
+                                        500,
+                                        Simulator::kNearHorizonMs - 1,
+                                        Simulator::kNearHorizonMs,
+                                        3 * Simulator::kNearHorizonMs};
+  return kPeriods[rng->Uniform(std::size(kPeriods))];
+}
+
 // Drives `sim` through a seeded schedule and returns what it observed:
 // the id of every executed event, in order, then after every top-level call
 // the clock, the pending count and the processed count. Each event's own
 // children come from a generator seeded by its id, so a run whose order
 // diverges also diverges in what it schedules.
+//
+// With `timers`, one-shots, timer ticks and the top level also start
+// groups of same-period timers back to back (Every from callbacks and from
+// ticks). A tick runs a few times, then stops; on the way it may schedule a
+// one-shot or start a timer due exactly at its own re-arm time, schedule
+// other work, or stop early. Step(n) then ends inside groups.
 template <typename Sim>
-std::vector<int64_t> DriveOracleSchedule(Sim* sim, uint64_t seed) {
+std::vector<int64_t> DriveOracleSchedule(Sim* sim, uint64_t seed,
+                                         bool timers = false) {
   std::vector<int64_t> trace;
   int next_id = 0;
-  std::function<void(TimeMs, bool)> schedule = [&](TimeMs delay,
-                                                   bool absolute) {
+  std::function<void(TimeMs, bool)> schedule;
+  std::function<void(TimeMs, int)> every;
+  // Starts a seeded number of timers back to back, one period each.
+  auto start_group = [&](Rng* rng) {
+    const TimeMs period = OraclePeriod(rng);
+    every(period, 1 + static_cast<int>(rng->Uniform(8)));
+  };
+  schedule = [&](TimeMs delay, bool absolute) {
     const int id = next_id++;
     auto cb = [&, id] {
       trace.push_back(id);
@@ -183,6 +217,7 @@ std::vector<int64_t> DriveOracleSchedule(Sim* sim, uint64_t seed) {
       for (uint64_t c = rng.Uniform(3); c > 0; --c) {
         schedule(OracleDelay(&rng), rng.Bernoulli(0.3));
       }
+      if (timers && rng.Bernoulli(0.2)) start_group(&rng);
     };
     if (absolute) {
       sim->At(sim->Now() + delay, cb);
@@ -190,11 +225,43 @@ std::vector<int64_t> DriveOracleSchedule(Sim* sim, uint64_t seed) {
       sim->After(delay, cb);
     }
   };
+  every = [&](TimeMs period, int count) {
+    for (int i = 0; i < count; ++i) {
+      const int id = next_id++;
+      sim->Every(period, [&, id, period, runs = 0]() mutable {
+        trace.push_back(id);
+        Rng rng(seed * 1000003 + static_cast<uint64_t>(id) * 64 +
+                static_cast<uint64_t>(runs));
+        if (++runs >= 6 || next_id > 4000) return false;
+        switch (rng.Uniform(8)) {
+          case 0:  // due exactly when this tick re-arms
+            schedule(period, rng.Bernoulli(0.5));
+            break;
+          case 1:
+            every(period, 1 + static_cast<int>(rng.Uniform(3)));
+            break;
+          case 2:
+            schedule(OracleDelay(&rng), rng.Bernoulli(0.5));
+            break;
+          case 3:
+            start_group(&rng);
+            break;
+          case 4:
+            return false;
+          default:
+            break;
+        }
+        return true;
+      });
+    }
+  };
   Rng ops(seed);
   for (int i = 0; i < 200; ++i) {
     schedule(OracleDelay(&ops), ops.Bernoulli(0.5));
+    if (timers && ops.Bernoulli(0.1)) start_group(&ops);
   }
   for (int op = 0; op < 300 && sim->PendingEvents() > 0; ++op) {
+    if (timers && ops.Bernoulli(0.2)) start_group(&ops);
     switch (ops.Uniform(4)) {
       case 0:
         sim->Step(1 + ops.Uniform(8));
@@ -232,6 +299,54 @@ TEST(SimulatorTest, OrderMatchesTheSortedReferenceOnRandomSchedules) {
     EXPECT_EQ(sim.PendingEvents(), 0u);
     EXPECT_GT(sim.EventsProcessed(), 200u) << "seed " << seed;
   }
+}
+
+// Every's groups fire as one heap entry; they must still run each tick
+// where its own self-re-arming callback would, with the same counters.
+TEST(SimulatorTest, EveryMatchesTheSelfReArmingReference) {
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    Simulator sim(kT0);
+    ReferenceSimulator reference(kT0);
+    const std::vector<int64_t> got = DriveOracleSchedule(&sim, seed, true);
+    const std::vector<int64_t> want =
+        DriveOracleSchedule(&reference, seed, true);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(sim.PendingEvents(), 0u);
+    EXPECT_GT(sim.EventsProcessed(), 200u) << "seed " << seed;
+  }
+}
+
+// Eight timers started together (one group) and one that stops on its
+// third tick: EventsProcessed counts ticks and PendingEvents counts live
+// timers after every single step, inside the group included.
+TEST(SimulatorTest, EveryCountsTicksAndLiveTimersStepByStep) {
+  auto drive = [](auto* sim) {
+    std::vector<int64_t> trace;
+    for (int i = 0; i < 8; ++i) {
+      sim->Every(100, [&trace, i] {
+        trace.push_back(i);
+        return true;
+      });
+    }
+    sim->Every(100, [&trace, runs = 0]() mutable {
+      trace.push_back(8);
+      return ++runs < 3;
+    });
+    for (int step = 0; step < 60; ++step) {
+      sim->Step(1);
+      trace.push_back(sim->Now());
+      trace.push_back(static_cast<int64_t>(sim->EventsProcessed()));
+      trace.push_back(static_cast<int64_t>(sim->PendingEvents()));
+    }
+    return trace;
+  };
+  Simulator sim(0);
+  ReferenceSimulator reference(0);
+  const std::vector<int64_t> got = drive(&sim);
+  EXPECT_EQ(got, drive(&reference));
+  EXPECT_EQ(sim.EventsProcessed(), 60u);
+  EXPECT_EQ(sim.PendingEvents(), 8u);
+  EXPECT_EQ(sim.Now(), 800);  // 3 rounds of 9 ticks, 4 of 8, then one
 }
 
 TEST(SimulatorTest, FarEventsInterleaveWithNearOnesByTimeThenSeq) {

@@ -165,6 +165,8 @@ TEST(SoakHarnessTest, IdleFleetRunsOnlyItsPeriodicTimers) {
   EXPECT_EQ(sim.EventsProcessed(), 4147204u);
   EXPECT_EQ(sim.EventsProcessed(),
             static_cast<uint64_t>((8 * 1 + 4 * 2) * kSeconds + 4));
+  // One pending event per timer: 8 flushes, 4 fetches and the mover.
+  EXPECT_EQ(sim.PendingEvents(), 13u);
 }
 
 TEST(SoakHarnessTest, InjectedUnrecoveredLossFailsTheRun) {
