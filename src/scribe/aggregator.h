@@ -44,8 +44,17 @@ struct ScribeOptions {
   /// Daemon: ceiling for the exponential retry backoff.
   TimeMs daemon_retry_backoff_max_ms = 60 * kMillisPerSecond;
   /// Daemon: cap on payload bytes shipped per destination per flush;
-  /// 0 = whole queue (the historical behavior).
+  /// 0 = whole queue (the historical behavior). In broker mode it is also
+  /// Kafka's `batch.size`: a category whose queued payload reaches it is
+  /// produced at the next flush without waiting out its linger.
   uint64_t daemon_max_batch_bytes = 0;
+  /// Daemon, broker mode: Kafka's `linger.ms`. A flush produces a category
+  /// only once its oldest queued entry is this old, its queued bytes reach
+  /// daemon_max_batch_bytes, or the hour closes within this window; the
+  /// last rule appends every entry in the hour it would be at 0, as long
+  /// as the window is at least daemon_flush_interval_ms and so holds a
+  /// flush. 0 = produce everything on every flush.
+  TimeMs daemon_linger_ms = 10 * kMillisPerSecond;
   /// Aggregator: sustained receive service rate in bytes/sec (token bucket
   /// with one second of burst); 0 = unlimited. Models the single-chain
   /// bound the broker bench compares against.

@@ -52,24 +52,35 @@ void ScribeDaemon::Start() {
 }
 
 void ScribeDaemon::Log(LogEntry entry) {
-  queue_bytes_ += entry.message.size();
+  const uint64_t bytes = entry.message.size();
+  queue_bytes_ += bytes;
   auto it = categories_.find(entry.category);
   if (it == categories_.end()) {
     it = categories_.emplace(entry.category, Category{}).first;
   }
   Category* cat = &it->second;
   const uint64_t seq = ++cat->next_seq;
+  if (cat->queued++ == 0) cat->oldest = sim_->Now();
+  cat->queued_bytes += bytes;
   queue_.push_back(Queued{std::move(entry), seq, sim_->Now(), cat});
   entries_logged_->Increment();
   // Bounded local buffer: drop the oldest entries past the limit (counted
   // — E1 reports these as the overload-loss channel).
   while (queue_bytes_ > options_.daemon_buffer_limit_bytes &&
          !queue_.empty()) {
-    queue_bytes_ -= queue_.front().entry.message.size();
-    queue_.pop_front();
+    PopFront();
     entries_dropped_->Increment();
   }
   queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+}
+
+void ScribeDaemon::PopFront() {
+  const Queued& q = queue_.front();
+  queue_bytes_ -= q.entry.message.size();
+  q.category->queued_bytes -= q.entry.message.size();
+  --q.category->queued;
+  queue_.pop_front();
+  oldest_stale_ = true;
 }
 
 void ScribeDaemon::Log(const std::string& category, std::string message) {
@@ -144,10 +155,7 @@ bool ScribeDaemon::FlushToAggregator() {
   }
   entries_sent_->Increment(batch_.size());
   batch_entries_->Observe(static_cast<double>(batch_.size()));
-  for (size_t i = 0; i < take; ++i) {
-    queue_bytes_ -= queue_.front().entry.message.size();
-    queue_.pop_front();
-  }
+  for (size_t i = 0; i < take; ++i) PopFront();
   return true;
 }
 
@@ -193,15 +201,51 @@ Result<size_t> ScribeDaemon::ProduceCategoryBatch(const std::string& name,
   broker::ProduceAck ack;
   UNILOG_RETURN_NOT_OK(cat->leader->ProduceBatch(name, cat->partition, host_,
                                                  std::move(req), &ack));
-  for (size_t k = 0; k < take; ++k) queue_[cat->pending[k]].acked = true;
+  for (size_t k = 0; k < take; ++k) {
+    Queued& q = queue_[cat->pending[k]];
+    q.acked = true;
+    cat->queued_bytes -= q.entry.message.size();
+  }
+  // The acked entries are the category's oldest `take`, so its next entry
+  // in the queue is its new oldest.
+  cat->queued -= take;
+  if (take < cat->pending.size()) {
+    cat->oldest = queue_[cat->pending[take]].logged_at;
+  }
   return take;
 }
 
+size_t ScribeDaemon::MarkRipe(TimeMs now) {
+  if (oldest_stale_) {
+    // Back to front, so each category ends on its first queued entry.
+    for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
+      it->category->oldest = it->logged_at;
+    }
+    oldest_stale_ = false;
+  }
+  const TimeMs linger = options_.daemon_linger_ms;
+  const uint64_t batch_bytes = options_.daemon_max_batch_bytes;
+  // The mover files a record under the hour of its leader append, so in
+  // the hour's last linger window everything goes: no entry is appended
+  // in a later hour than at linger 0.
+  const bool hour_closing = TruncateToHour(now + linger) != TruncateToHour(now);
+  size_t ripe = 0;
+  for (auto& [name, cat] : categories_) {
+    cat.ripe = cat.queued > 0 &&
+               (hour_closing || now - cat.oldest >= linger ||
+                (batch_bytes > 0 && cat.queued_bytes >= batch_bytes));
+    ripe += cat.ripe;
+  }
+  return ripe;
+}
+
 bool ScribeDaemon::FlushToBroker() {
-  // Group queued entries by category, preserving queue order within each
+  if (MarkRipe(sim_->Now()) == 0) return true;
+  // Group the ripe categories' entries, preserving queue order within each
   // group (offsets within a partition then mirror Log() order).
   for (size_t i = 0; i < queue_.size(); ++i) {
-    queue_[i].category->pending.push_back(i);
+    Category* cat = queue_[i].category;
+    if (cat->ripe) cat->pending.push_back(i);
   }
 
   bool all_ok = true;

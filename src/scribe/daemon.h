@@ -70,7 +70,9 @@ class ScribeDaemon {
   void Log(const std::string& category, std::string message);
 
   /// Flushes queued entries to the current destination now; on failure,
-  /// re-discovers and leaves entries queued. Normally timer-driven.
+  /// re-discovers and leaves entries queued. Normally timer-driven. In
+  /// broker mode it produces every ripe category (see daemon_linger_ms);
+  /// a tick with none ripe costs O(categories) and allocates nothing.
   void Flush();
 
   /// Entries queued but not yet acknowledged downstream.
@@ -81,7 +83,8 @@ class ScribeDaemon {
 
  private:
   /// Per-category state: the (host, category) stream's seq counter, its
-  /// broker route, and the queue positions a broker flush is producing.
+  /// broker route, what it has queued, and the queue positions a broker
+  /// flush is producing.
   struct Category {
     // Each (host, category) stream gets dense seqs, which is what lets a
     // produce batch carry its idempotence metadata as just (first_seq,
@@ -92,6 +95,13 @@ class ScribeDaemon {
     int partition = -1;  // PartitionFor(host, category); -1 until needed
     // Cached partition leader; invalidated on rejection/death.
     broker::BrokerNode* leader = nullptr;
+    // Entries and payload bytes of the category in the queue, and the
+    // logged_at of its oldest one (meaningful while queued > 0): what a
+    // broker flush decides ripeness from without walking the queue.
+    size_t queued = 0;
+    uint64_t queued_bytes = 0;
+    TimeMs oldest = 0;
+    bool ripe = false;  // this flush produces the category
     // This flush's queue indices of the category, in queue order; the
     // vector keeps its capacity from flush to flush.
     std::vector<size_t> pending;
@@ -112,6 +122,14 @@ class ScribeDaemon {
   Aggregator* Discover();
   bool FlushToAggregator();
   bool FlushToBroker();
+  /// Removes the queue's front entry, keeping the byte and category
+  /// accounting (the drop-oldest and aggregator paths).
+  void PopFront();
+  /// Marks the categories this broker flush produces: those whose oldest
+  /// entry has lingered daemon_linger_ms, whose queued bytes reached
+  /// daemon_max_batch_bytes, or all of them when the hour closes within
+  /// the linger window. Returns how many are ripe.
+  size_t MarkRipe(TimeMs now);
   /// Batched produce for one category's pending entries: frames them
   /// (up to daemon_max_batch_bytes) into the reused frame buffer,
   /// compresses the frames ONCE with the pooled Lz state straight into the
@@ -156,6 +174,9 @@ class ScribeDaemon {
   std::string frame_;
   std::deque<Queued> queue_;
   uint64_t queue_bytes_ = 0;
+  // Set when PopFront removed some category's oldest entry; the next
+  // broker flush re-reads every category's oldest from the queue.
+  bool oldest_stale_ = false;
   // Nodes are stable, so queued entries point at theirs; a broker flush
   // walks it in name order, the order it produces categories in.
   std::map<std::string, Category, std::less<>> categories_;

@@ -3,12 +3,14 @@
 // (so it must stay its own executable) and pins how many allocations a
 // one-record daemon flush into a quiescent acks=all fleet costs: the
 // daemon's framing and compression, the leader's produce and the
-// synchronous replication to the follower. It also bounds what the log
-// mover allocates per event landing a broker hour as RCFile columns, pins
-// a warmed-up row-group encoder at zero allocations, and bounds the bytes
-// the RCFile reader allocates on hostile v3 input by the input's size. A
-// change that adds a per-call or per-event allocation anywhere on those
-// paths fails here without running the bench.
+// synchronous replication to the follower. It pins a lingering flush
+// tick, one with nothing ripe to produce, at zero allocations. It also
+// bounds what the log mover allocates per event landing a broker hour as
+// RCFile columns, pins a warmed-up row-group encoder at zero
+// allocations, and bounds the bytes the RCFile reader allocates on
+// hostile v3 input by the input's size. A change that adds a per-call or
+// per-event allocation anywhere on those paths fails here without
+// running the bench.
 
 #include <gtest/gtest.h>
 
@@ -60,10 +62,14 @@ TEST(DaemonAllocBudgetTest, OneRecordBrokerFlushIntoAcksAllFleet) {
                             {"dc1-brk0", "dc1-brk1", "dc1-brk2", "dc1-brk3"},
                             options, &metrics);
   ASSERT_TRUE(fleet.Start().ok());
+  // Every flush produces its one record: the subject is a one-record
+  // produce, not linger.
+  ScribeOptions scribe_options;
+  scribe_options.daemon_linger_ms = 0;
   ScribeDaemon daemon(
       &sim, &zk, "dc1", "dc1-host0",
       [](const std::string&) -> Aggregator* { return nullptr; }, Rng(7),
-      ScribeOptions{}, &metrics);
+      scribe_options, &metrics);
   daemon.SetBrokerFleet(&fleet);
 
   // A client-event-sized payload that does not compress away.
@@ -101,6 +107,56 @@ TEST(DaemonAllocBudgetTest, OneRecordBrokerFlushIntoAcksAllFleet) {
   EXPECT_EQ(fleet.TotalStats().entries_produced, 64u + kMeasuredFlushes);
   EXPECT_LE(worst, kFlushBudget) << "total " << total;
   EXPECT_LE(total, kTotalBudget) << "worst " << worst;
+}
+
+// A flush tick on which no category is ripe decides so from each
+// category's queued bytes and oldest entry, without walking the queue or
+// building a batch: it allocates nothing, however much is queued.
+TEST(DaemonAllocBudgetTest, LingeringTickAllocatesNothing) {
+  Simulator sim(kT0);
+  zk::ZooKeeper zk(&sim);
+  obs::MetricsRegistry metrics(&sim);
+  broker::BrokerOptions options;
+  options.acks = broker::kAcksAll;
+  broker::BrokerFleet fleet(&sim, &zk, "dc1", {"dc1-brk0", "dc1-brk1"},
+                            options, &metrics);
+  ASSERT_TRUE(fleet.Start().ok());
+  const ScribeOptions scribe_options;
+  ASSERT_GE(scribe_options.daemon_linger_ms, 5 * kMillisPerSecond);
+  ScribeDaemon daemon(
+      &sim, &zk, "dc1", "dc1-host0",
+      [](const std::string&) -> Aggregator* { return nullptr; }, Rng(7),
+      scribe_options, &metrics);
+  daemon.SetBrokerFleet(&fleet);
+  const std::string payload(180, 'x');
+
+  // Warm-up, a minute into the hour and far from its close: one linger's
+  // worth of entries in two categories, produced once they ripen.
+  sim.RunUntil(kT0 + kMillisPerMinute);
+  const TimeMs linger = scribe_options.daemon_linger_ms;
+  for (TimeMs t = 0; t <= linger; t += kMillisPerSecond) {
+    sim.RunUntil(kT0 + kMillisPerMinute + t);
+    daemon.Log("clicks", payload);
+    daemon.Log("search", payload);
+    daemon.Flush();
+  }
+  ASSERT_EQ(daemon.QueuedEntries(), 0u);
+
+  // Now each tick queues one more entry per category and finds none ripe.
+  const TimeMs first = sim.Now() + kMillisPerSecond;
+  for (TimeMs t = first; t < first + linger; t += kMillisPerSecond) {
+    sim.RunUntil(t);
+    daemon.Log("clicks", payload);
+    daemon.Log("search", payload);
+    bench::AllocScope scope;
+    daemon.Flush();
+    EXPECT_EQ(scope.Delta(), 0u) << "at +" << (t - first) << " ms";
+  }
+  EXPECT_EQ(daemon.QueuedEntries(),
+            2 * static_cast<size_t>(linger / kMillisPerSecond));
+  sim.RunUntil(first + linger);
+  daemon.Flush();
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);
 }
 
 // What the mover allocates per event landing a warmed-up broker hour as

@@ -6,15 +6,19 @@
 // delivery audit stays balanced at quiescence and consumer-group offsets
 // never move backwards. The batched path's invariant — payload bytes are
 // compressed once at the daemon and decompressed once at warehouse
-// landing — is checked with the Lz call-count probes.
+// landing — is checked with the Lz call-count probes. The daemon-side
+// linger tests check which categories a flush produces and that every
+// landed hour holds the same entries as at linger 0.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,10 +28,13 @@
 #include "common/coding.h"
 #include "common/compress.h"
 #include "common/rng.h"
+#include "hdfs/mini_hdfs.h"
 #include "obs/delivery_audit.h"
 #include "partition_log_reference.h"
 #include "scribe/cluster.h"
+#include "scribe/daemon.h"
 #include "scribe/log_mover.h"
+#include "scribe/message.h"
 #include "sim/simulator.h"
 #include "zk/zookeeper.h"
 
@@ -983,7 +990,11 @@ TEST(BrokerChaosTest, LeaderFailoverMidBatchDecompressesOnlyAtLanding) {
     ASSERT_NE(leader, nullptr);
     leader->InjectAckLossOnce();  // a batch resend with an overlapping head
   });
-  sim.At(kT0 + 5 * kMillisPerMinute + 2 * kMillisPerSecond, [&] {
+  // The ack-lost produce waits out the daemon's linger; the crash follows it.
+  const TimeMs crash_at = kT0 + 5 * kMillisPerMinute +
+                          scribe_options.daemon_linger_ms +
+                          2 * kMillisPerSecond;
+  sim.At(crash_at, [&] {
     BrokerNode* leader = cluster.fleet(0)->FindLeader("search", 2);
     if (leader != nullptr) leader->Crash();
   });
@@ -1630,6 +1641,213 @@ TEST(BrokerFetchTest, CaughtUpFollowerTickChangesNothing) {
   const std::string settled = FleetState(h);
   h.sim.RunUntil(h.sim.Now() + kTicks * options.replica_fetch_interval_ms);
   EXPECT_EQ(FleetState(h), settled);
+}
+
+// --- Daemon linger: a broker flush produces only ripe categories ---
+
+scribe::ScribeDaemon MakeBrokerDaemon(FleetHarness* h,
+                                      const scribe::ScribeOptions& options) {
+  return scribe::ScribeDaemon(
+      &h->sim, &h->zk, "dc1", "host0",
+      [](const std::string&) -> scribe::Aggregator* { return nullptr; },
+      Rng(1), options, &h->metrics);
+}
+
+TEST(DaemonLingerTest, ProducesNothingUntilTheOldestEntryLingers) {
+  FleetHarness h(2, BrokerOptions{});
+  const scribe::ScribeOptions options;
+  const TimeMs linger = options.daemon_linger_ms;
+  ASSERT_GE(linger, 5 * kMillisPerSecond);
+  scribe::ScribeDaemon daemon = MakeBrokerDaemon(&h, options);
+  daemon.SetBrokerFleet(h.fleet.get());
+  auto produced = [&] { return h.fleet->TotalStats().entries_produced; };
+
+  // A minute into the hour, far from its close. "clicks" starts queueing
+  // now, "search" three ticks later; both keep queueing every tick.
+  const TimeMs first = kT0 + kMillisPerMinute;
+  for (TimeMs t = 0; t < linger; t += kMillisPerSecond) {
+    h.sim.RunUntil(first + t);
+    daemon.Log("clicks", "c" + std::to_string(t));
+    if (t >= 3 * kMillisPerSecond) {
+      daemon.Log("search", "s" + std::to_string(t));
+    }
+    daemon.Flush();
+    ASSERT_EQ(produced(), 0u) << "at +" << t << " ms";
+  }
+  const size_t clicks = static_cast<size_t>(linger / kMillisPerSecond);
+  ASSERT_EQ(daemon.QueuedEntries(), clicks + clicks - 3);
+
+  // The first tick at which clicks' oldest entry is linger old ships all
+  // of clicks, the entries logged since included; search still lingers.
+  h.sim.RunUntil(first + linger);
+  daemon.Flush();
+  EXPECT_EQ(produced(), clicks);
+  EXPECT_EQ(daemon.QueuedEntries(), clicks - 3);
+  h.sim.RunUntil(first + linger + 2 * kMillisPerSecond);
+  daemon.Flush();
+  EXPECT_EQ(produced(), clicks);
+  h.sim.RunUntil(first + linger + 3 * kMillisPerSecond);
+  daemon.Flush();
+  EXPECT_EQ(produced(), clicks + clicks - 3);
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);
+}
+
+TEST(DaemonLingerTest, SizeTriggerFiresAtMaxBatchBytes) {
+  FleetHarness h(2, BrokerOptions{});
+  scribe::ScribeOptions options;
+  options.daemon_max_batch_bytes = 1000;
+  scribe::ScribeDaemon daemon = MakeBrokerDaemon(&h, options);
+  daemon.SetBrokerFleet(h.fleet.get());
+  auto produced = [&] { return h.fleet->TotalStats().entries_produced; };
+  const std::string payload(100, 'p');
+  h.sim.RunUntil(kT0 + kMillisPerMinute);
+
+  // 900 queued bytes: young and under the batch size.
+  for (int i = 0; i < 9; ++i) daemon.Log("clicks", payload);
+  daemon.Flush();
+  EXPECT_EQ(produced(), 0u);
+  // The tenth entry reaches 1000 bytes: the same tick's flush ships them.
+  daemon.Log("clicks", payload);
+  daemon.Flush();
+  EXPECT_EQ(produced(), 10u);
+  EXPECT_EQ(h.fleet->TotalStats().produce_calls, 1u);
+
+  // 1500 bytes: one batch of 1000 goes; the 500 left are under the batch
+  // size and young, so they linger.
+  for (int i = 0; i < 15; ++i) daemon.Log("clicks", payload);
+  daemon.Flush();
+  EXPECT_EQ(produced(), 20u);
+  daemon.Flush();
+  EXPECT_EQ(produced(), 20u);
+  EXPECT_EQ(daemon.QueuedEntries(), 5u);
+}
+
+// Drop-oldest removes a category's oldest entry; its age then counts from
+// the entry that is oldest now.
+TEST(DaemonLingerTest, DropOldestRestartsTheCategorysLinger) {
+  FleetHarness h(2, BrokerOptions{});
+  scribe::ScribeOptions options;
+  options.daemon_buffer_limit_bytes = 300;
+  const TimeMs linger = options.daemon_linger_ms;
+  scribe::ScribeDaemon daemon = MakeBrokerDaemon(&h, options);
+  daemon.SetBrokerFleet(h.fleet.get());
+  auto produced = [&] { return h.fleet->TotalStats().entries_produced; };
+  const std::string payload(100, 'p');
+
+  const TimeMs first = kT0 + kMillisPerMinute;
+  h.sim.RunUntil(first);
+  daemon.Log("clicks", payload);
+  h.sim.RunUntil(first + linger / 2);
+  for (int i = 0; i < 3; ++i) daemon.Log("clicks", payload);
+  ASSERT_EQ(daemon.stats().entries_dropped, 1u);
+
+  h.sim.RunUntil(first + linger);
+  daemon.Flush();
+  EXPECT_EQ(produced(), 0u);
+  h.sim.RunUntil(first + linger / 2 + linger);
+  daemon.Flush();
+  EXPECT_EQ(produced(), 3u);
+  EXPECT_EQ(daemon.QueuedEntries(), 0u);
+}
+
+// What a broker cluster lands: each warehouse hour directory's messages,
+// sorted (a multiset), and a digest of every part's path and bytes.
+struct LandedHours {
+  std::map<std::string, std::vector<std::string>> by_hour;
+  uint64_t bytes_digest = 1469598103934665603ull;
+  uint64_t logged = 0;
+  uint64_t produce_calls = 0;
+};
+
+uint64_t Fnv64(std::string_view bytes, uint64_t h) {
+  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// Three hours of two-category traffic through 4 daemons and 2 brokers:
+// a steady trickle, and a burst in the last 15 s of every hour, which is
+// where a lingering entry could be appended an hour later than at linger 0.
+LandedHours RunHourlyBrokerCluster(const scribe::ScribeOptions& options) {
+  Simulator sim(kT0);
+  BrokerOptions broker_options;
+  broker_options.num_partitions = 2;
+  scribe::ScribeCluster cluster(&sim, BrokerTopology(2, broker_options),
+                                options, scribe::LogMoverOptions{},
+                                /*seed=*/11);
+  EXPECT_TRUE(cluster.Start().ok());
+  LandedHours out;
+  auto log_at = [&](TimeMs t) {
+    const uint64_t n = out.logged++;
+    sim.At(t, [&cluster, n] {
+      cluster.Log(0, scribe::LogEntry{n % 2 == 0 ? "clicks" : "search",
+                                      "m" + std::to_string(n)});
+    });
+  };
+  for (int hour = 0; hour < 3; ++hour) {
+    const TimeMs begin = kT0 + hour * kMillisPerHour;
+    const TimeMs close = begin + kMillisPerHour;
+    for (TimeMs t = begin + 350; t < close - 15 * kMillisPerSecond;
+         t += kMillisPerSecond) {
+      log_at(t);
+      log_at(t);
+    }
+    for (TimeMs t = close - 15 * kMillisPerSecond; t < close; t += 370) {
+      log_at(t);
+    }
+  }
+  sim.RunUntil(kT0 + 4 * kMillisPerHour + 20 * kMillisPerMinute);
+  EXPECT_TRUE(obs::DeliveryAudit(&cluster).AssertQuiescent().ok());
+  out.produce_calls = cluster.fleet(0)->TotalStats().produce_calls;
+
+  hdfs::MiniHdfs* wh = cluster.warehouse();
+  auto files = wh->ListRecursive("/logs");
+  EXPECT_TRUE(files.ok());
+  if (!files.ok()) return out;
+  for (const auto& f : *files) {
+    if (f.is_dir) continue;
+    auto body = wh->ReadFile(f.path);
+    EXPECT_TRUE(body.ok()) << f.path;
+    if (!body.ok()) continue;
+    out.bytes_digest = Fnv64(*body, Fnv64(f.path, out.bytes_digest));
+    auto raw = Lz::Decompress(*body);
+    EXPECT_TRUE(raw.ok()) << f.path;
+    if (!raw.ok()) continue;
+    auto messages = scribe::UnframeMessages(*raw);
+    EXPECT_TRUE(messages.ok()) << f.path;
+    if (!messages.ok()) continue;
+    auto& hour = out.by_hour[f.path.substr(0, f.path.rfind('/'))];
+    hour.insert(hour.end(), messages->begin(), messages->end());
+  }
+  for (auto& [dir, messages] : out.by_hour) {
+    std::sort(messages.begin(), messages.end());
+  }
+  return out;
+}
+
+TEST(DaemonLingerTest, HourCloseLandsEveryEntryInItsLingerZeroHour) {
+  scribe::ScribeOptions eager;
+  eager.daemon_linger_ms = 0;
+  const LandedHours at_zero = RunHourlyBrokerCluster(eager);
+  const LandedHours lingering = RunHourlyBrokerCluster(scribe::ScribeOptions{});
+
+  // Three hours of two categories, plus the bursts' spill into hour 3.
+  EXPECT_EQ(at_zero.by_hour.size(), 8u);
+  EXPECT_EQ(lingering.by_hour, at_zero.by_hour);
+  size_t landed = 0;
+  for (const auto& [dir, messages] : lingering.by_hour) {
+    landed += messages.size();
+  }
+  EXPECT_EQ(landed, lingering.logged);
+  // Lingering batches: several times fewer produces for the same entries.
+  EXPECT_LT(3 * lingering.produce_calls, at_zero.produce_calls);
+}
+
+// At linger 0 the daemon produces exactly what it did before linger
+// existed: the warehouse bytes of this run are pinned from that code.
+TEST(DaemonLingerTest, LingerZeroWarehouseBytesArePinned) {
+  scribe::ScribeOptions eager;
+  eager.daemon_linger_ms = 0;
+  EXPECT_EQ(RunHourlyBrokerCluster(eager).bytes_digest, 537583035641785284ull);
 }
 
 }  // namespace
