@@ -184,7 +184,8 @@ IngestWorkload BuildIngestWorkload(int files, int messages_per_file) {
     }
     std::string framed = scribe::FrameMessages(msgs);
     w.uncompressed_bytes += framed.size();
-    w.staged.push_back(Lz::Compress(framed));
+    // Staged the way an aggregator rolls them.
+    w.staged.push_back(Lz::FastCompressor().Compress(framed));
   }
   return w;
 }

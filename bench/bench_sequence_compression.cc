@@ -45,9 +45,41 @@ Row RunOnce(int extra_detail_pairs, uint64_t seed) {
   return row;
 }
 
-// Micro-assert for the pooled compressor: the state-reusing
-// Lz::Compressor must emit byte-identical blocks to a Compressor
-// constructed fresh for each input, on every input shape this bench's
+// One `Compressor` instance across the whole corpus must emit a fresh
+// instance's bytes for each input, and each block must round-trip.
+template <typename Compressor>
+bool ReusedMatchesFresh(const char* parse,
+                        const std::vector<std::string>& corpus) {
+  Compressor compressor;
+  std::string pooled;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    compressor.CompressTo(corpus[i], &pooled);
+    Compressor fresh;
+    std::string reference = fresh.Compress(corpus[i]);
+    if (pooled != reference) {
+      std::fprintf(stderr,
+                   "FAIL: reused %s Lz output diverges from a fresh "
+                   "compressor on corpus[%zu] (%zu bytes): %zu vs %zu "
+                   "compressed bytes\n",
+                   parse, i, corpus[i].size(), pooled.size(),
+                   reference.size());
+      return false;
+    }
+    auto back = Lz::Decompress(pooled);
+    if (!back.ok() || *back != corpus[i]) {
+      std::fprintf(stderr, "FAIL: reused %s Lz block fails round-trip on "
+                           "corpus[%zu]\n", parse, i);
+      return false;
+    }
+  }
+  std::printf("%s compressor check: %zu corpus inputs byte-identical "
+              "to a fresh compressor\n", parse, corpus.size());
+  return true;
+}
+
+// Micro-assert for the reused compressors: a state-reusing
+// Lz::Compressor or Lz::FastCompressor must emit byte-identical blocks to
+// one constructed fresh for each input, on every input shape this bench's
 // corpus exercises — including inputs that straddle the 64 KiB window and
 // a reuse sequence of decreasing sizes (the stale-state hazard). Returns
 // false on any divergence; main exits nonzero so CI catches it.
@@ -81,75 +113,106 @@ bool PooledCompressorMatchesFresh() {
   corpus.emplace_back(100, 'z');  // small after big: stale-state probe
   corpus.emplace_back("tiny");
 
-  Lz::Compressor compressor;  // ONE instance across the whole corpus
-  std::string pooled;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    compressor.CompressTo(corpus[i], &pooled);
-    Lz::Compressor fresh;
-    std::string reference = fresh.Compress(corpus[i]);
-    if (pooled != reference) {
-      std::fprintf(stderr,
-                   "FAIL: pooled Lz output diverges from a fresh compressor "
-                   "on corpus[%zu] (%zu bytes): %zu vs %zu compressed "
-                   "bytes\n",
-                   i, corpus[i].size(), pooled.size(), reference.size());
-      return false;
-    }
-    auto back = Lz::Decompress(pooled);
-    if (!back.ok() || *back != corpus[i]) {
-      std::fprintf(stderr, "FAIL: pooled Lz block fails round-trip on "
-                           "corpus[%zu]\n", i);
-      return false;
-    }
-  }
-  std::printf("pooled-compressor check: %zu corpus inputs byte-identical "
-              "to a fresh compressor\n", corpus.size());
-  return true;
+  return ReusedMatchesFresh<Lz::Compressor>("chain", corpus) &&
+         ReusedMatchesFresh<Lz::FastCompressor>("single-probe", corpus);
 }
 
-// The compressed golden corpus must hash to the digest recorded from the
-// byte-at-a-time compressor: any changed compressed byte fails the bench.
-bool GoldenDigestMatches() {
+// The compressed golden corpus must hash, under each parse, to the digest
+// recorded from its byte-at-a-time reference: any changed compressed byte
+// fails the bench.
+bool GoldenDigestsMatch() {
   const std::vector<std::string> corpus = lz_corpus::GoldenCorpus();
-  const uint64_t digest = lz_corpus::CorpusDigest(
-      corpus, [](std::string_view in) { return Lz::Compress(in); });
-  const bool ok = digest == lz_corpus::kGoldenDigest;
-  std::printf("golden corpus: %zu inputs, digest %016llx (%s %016llx)\n",
-              corpus.size(), static_cast<unsigned long long>(digest),
-              ok ? "matches" : "FAIL: expected",
-              static_cast<unsigned long long>(lz_corpus::kGoldenDigest));
-  return ok;
+  auto check = [&](const char* parse, uint64_t digest, uint64_t expected) {
+    const bool ok = digest == expected;
+    std::printf("golden corpus, %s: %zu inputs, digest %016llx (%s "
+                "%016llx)\n",
+                parse, corpus.size(), static_cast<unsigned long long>(digest),
+                ok ? "matches" : "FAIL: expected",
+                static_cast<unsigned long long>(expected));
+    return ok;
+  };
+  Lz::FastCompressor fast;
+  const bool chain_ok = check(
+      "chain",
+      lz_corpus::CorpusDigest(
+          corpus, [](std::string_view in) { return Lz::Compress(in); }),
+      lz_corpus::kGoldenDigest);
+  const bool fast_ok = check(
+      "single-probe",
+      lz_corpus::CorpusDigest(
+          corpus, [&](std::string_view in) { return fast.Compress(in); }),
+      lz_corpus::kFastGoldenDigest);
+  return chain_ok && fast_ok;
 }
 
-// Codec throughput on a seeded framed hour (seed 42, 400 users): best of
-// five compress and decompress passes. Returns false if the block does not
-// round-trip.
-bool FramedHourThroughput() {
-  const std::string hour = lz_corpus::FramedHour(42, 400);
-  Lz::Compressor compressor;
-  std::string block;
+// Compresses each of `inputs` with one reused `Compressor` and decodes it
+// back: best of five passes, printed as MB/s and the compressed share of
+// the input. Returns false if a block does not round-trip.
+template <typename Compressor>
+bool PrintThroughput(const char* label,
+                     const std::vector<std::string_view>& inputs) {
+  Compressor compressor;
+  std::vector<std::string> blocks(inputs.size());
+  size_t in_bytes = 0, out_bytes = 0;
   double compress_ms = 0, decompress_ms = 0;
   for (int rep = 0; rep < 5; ++rep) {
     bench::WallTimer compress_timer;
-    compressor.CompressTo(hour, &block);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      compressor.CompressTo(inputs[i], &blocks[i]);
+    }
     const double c = compress_timer.ElapsedMs();
+    std::vector<Result<std::string>> decoded;
+    decoded.reserve(inputs.size());
     bench::WallTimer decompress_timer;
-    auto back = Lz::Decompress(block);
+    for (const std::string& block : blocks) {
+      decoded.push_back(Lz::Decompress(block));
+    }
     const double d = decompress_timer.ElapsedMs();
-    if (!back.ok() || *back != hour) {
-      std::fprintf(stderr, "FAIL: framed hour does not round-trip\n");
+    bool ok = true;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ok = ok && decoded[i].ok() && *decoded[i] == inputs[i];
+    }
+    if (!ok) {
+      std::fprintf(stderr, "FAIL: %s does not round-trip\n", label);
       return false;
     }
     if (rep == 0 || c < compress_ms) compress_ms = c;
     if (rep == 0 || d < decompress_ms) decompress_ms = d;
   }
-  const double mb = static_cast<double>(hour.size()) / 1e6;
-  std::printf("framed hour (seed 42, 400 users): %s -> %s, compress %.1f "
-              "MB/s, decompress %.1f MB/s\n\n",
-              HumanBytes(hour.size()).c_str(),
-              HumanBytes(block.size()).c_str(), mb / (compress_ms / 1e3),
-              mb / (decompress_ms / 1e3));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    in_bytes += inputs[i].size();
+    out_bytes += blocks[i].size();
+  }
+  const double mb = static_cast<double>(in_bytes) / 1e6;
+  std::printf("  %-34s %9s -> %9s (%.3f), compress %6.1f MB/s, "
+              "decompress %6.1f MB/s\n",
+              label, HumanBytes(in_bytes).c_str(),
+              HumanBytes(out_bytes).c_str(),
+              static_cast<double>(out_bytes) / static_cast<double>(in_bytes),
+              mb / (compress_ms / 1e3), mb / (decompress_ms / 1e3));
   return true;
+}
+
+// Codec throughput on a seeded framed hour (seed 42, 400 users), whole
+// (the size of a warehouse part) and in 40 KB slices (the size of an
+// aggregator's staged roll), under both parses.
+bool FramedHourThroughput() {
+  const std::string hour = lz_corpus::FramedHour(42, 400);
+  constexpr size_t kRollBytes = 40 * 1000;
+  std::vector<std::string_view> rolls;
+  for (size_t at = 0; at < hour.size(); at += kRollBytes) {
+    rolls.push_back(std::string_view(hour).substr(at, kRollBytes));
+  }
+  const std::vector<std::string_view> whole = {hour};
+  std::printf("framed hour (seed 42, 400 users):\n");
+  const bool ok =
+      PrintThroughput<Lz::Compressor>("chain, whole hour", whole) &&
+      PrintThroughput<Lz::Compressor>("chain, 40 KB rolls", rolls) &&
+      PrintThroughput<Lz::FastCompressor>("single-probe, whole hour",
+                                          whole) &&
+      PrintThroughput<Lz::FastCompressor>("single-probe, 40 KB rolls", rolls);
+  std::printf("\n");
+  return ok;
 }
 
 }  // namespace
@@ -159,7 +222,7 @@ int main() {
   using namespace unilog;
   std::printf("=== E5 / §4.2: session sequences vs raw client event logs "
               "(compressed bytes on disk) ===\n");
-  if (!PooledCompressorMatchesFresh() || !GoldenDigestMatches() ||
+  if (!PooledCompressorMatchesFresh() || !GoldenDigestsMatch() ||
       !FramedHourThroughput()) {
     return 1;
   }

@@ -5,7 +5,8 @@
 // and by bench_sequence_compression:
 //
 //   GoldenCorpus()  a fixed mix of input shapes whose compressed bytes are
-//                   pinned by kGoldenDigest;
+//                   pinned by kGoldenDigest (the chain search) and
+//                   kFastGoldenDigest (the single-probe parse);
 //   FramedHour()    one simulated hour of serialized client events, framed
 //                   the way the log mover frames a warehouse part.
 
@@ -28,6 +29,10 @@ namespace unilog::lz_corpus {
 /// from the byte-at-a-time compressor that tests/lz_reference.h freezes.
 /// Any change to any compressed byte changes it.
 inline constexpr uint64_t kGoldenDigest = 0xa2a8db670a153d08ull;
+
+/// CorpusDigest of GoldenCorpus() under Lz::FastCompressor, the
+/// aggregators' staging parse, recorded from lz_reference::FastCompress.
+inline constexpr uint64_t kFastGoldenDigest = 0xb1d62e135ac9268dull;
 
 /// `n` bytes drawn uniformly from the first `alphabet` byte values.
 inline std::string RandomBytes(Rng& rng, size_t n, uint64_t alphabet = 256) {

@@ -19,6 +19,13 @@ std::atomic<uint64_t> g_decompress_calls{0};
 constexpr size_t kHashBits = 16;
 constexpr size_t kHashSize = 1u << kHashBits;
 
+// FastCompressor's head table: 4K entries, 16 KiB.
+constexpr size_t kFastHashBits = 12;
+constexpr size_t kFastHashSize = 1u << kFastHashBits;
+// With no match found, a literal run of r bytes advances the probe by
+// 1 + (r >> kFastSkipShift) positions.
+constexpr size_t kFastSkipShift = 5;
+
 // Largest up-front reservation a decoder makes from a block's declared
 // length; a hostile header must not drive a huge allocation.
 constexpr uint64_t kMaxReserve = 1u << 20;
@@ -37,6 +44,10 @@ uint64_t Load64(const char* p) {
 
 uint32_t Hash4(const char* p) {
   return (Load32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+uint32_t FastHash4(const char* p) {
+  return (Load32(p) * 2654435761u) >> (32 - kFastHashBits);
 }
 
 // Length of the common prefix of `a` and `b`, at most `limit`: eight bytes
@@ -64,6 +75,29 @@ void EmitLiterals(std::string* out, std::string_view input, size_t begin,
   out->push_back('\x00');
   PutVarint64(out, end - begin);
   out->append(input.data() + begin, end - begin);
+}
+
+void EmitMatch(std::string* out, size_t dist, size_t len) {
+  out->push_back('\x01');
+  PutVarint64(out, dist);
+  PutVarint64(out, len);
+}
+
+// Starts a compress call of `n` bytes on a head table of `size` entries
+// holding base + pos + 1: allocates the table on first use, clears it when
+// *base + n would wrap, and returns this call's base. Every entry the call
+// writes is at most base + n, which is <= the next call's base, so the
+// next call reads them all as stale without clearing them.
+uint32_t BeginCall(std::vector<uint32_t>* head, size_t size, uint32_t* base,
+                   size_t n) {
+  if (head->empty()) head->assign(size, 0);
+  if (n > std::numeric_limits<uint32_t>::max() - *base) {
+    std::fill(head->begin(), head->end(), 0);
+    *base = 0;
+  }
+  const uint32_t call_base = *base;
+  *base += static_cast<uint32_t>(n);
+  return call_base;
 }
 
 // Reads one varint from [*p, end), advancing *p. False when truncated or
@@ -150,19 +184,8 @@ void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
 
   const char* const src = input.data();
   const size_t n = input.size();
-  if (head_.empty()) {
-    head_.assign(kHashSize, 0);
-    prev_.assign(kWindow, 0);
-  }
-  if (n > std::numeric_limits<uint32_t>::max() - base_) {
-    // base_ + n would wrap: restart the table from zero.
-    std::fill(head_.begin(), head_.end(), 0);
-    base_ = 0;
-  }
-  const uint32_t base = base_;
-  // Every entry this call writes is at most base + n, which is <= the next
-  // call's base, so the next call reads them all as stale.
-  base_ += static_cast<uint32_t>(n);
+  if (prev_.empty()) prev_.assign(kWindow, 0);
+  const uint32_t base = BeginCall(&head_, kHashSize, &base_, n);
   // head[h]: the most recent position with hash h; prev[pos & kPrevMask]:
   // the position before pos in its chain. Both hold base + pos + 1, and an
   // entry <= base (written by an earlier call) ends the chain. A walk from
@@ -207,9 +230,7 @@ void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
 
     if (best_len >= kMinMatch) {
       EmitLiterals(out, input, literal_start, i);
-      out->push_back('\x01');
-      PutVarint64(out, best_dist);
-      PutVarint64(out, best_len);
+      EmitMatch(out, best_dist, best_len);
       // Insert hash entries for the skipped region (sparsely for speed).
       size_t match_end = i + best_len;
       size_t insert_end =
@@ -232,6 +253,54 @@ void Lz::Compressor::CompressTo(std::string_view input, std::string* out) {
 }
 
 std::string Lz::Compressor::Compress(std::string_view input) {
+  std::string out;
+  CompressTo(input, &out);
+  return out;
+}
+
+void Lz::FastCompressor::CompressTo(std::string_view input, std::string* out) {
+  out->clear();
+  PutVarint64(out, input.size());
+  if (input.empty()) return;
+
+  const char* const src = input.data();
+  const size_t n = input.size();
+  const uint32_t base = BeginCall(&head_, kFastHashSize, &base_, n);
+  uint32_t* const head = head_.data();
+
+  size_t literal_start = 0;
+  size_t i = 0;
+  while (i + kMinMatch <= n) {
+    // One candidate: the last probed position with this hash, replaced by
+    // i whether or not it matches.
+    uint32_t& slot = head[FastHash4(src + i)];
+    const uint32_t cand = slot;
+    slot = base + static_cast<uint32_t>(i + 1);
+    if (cand > base) {
+      size_t pos = cand - base - 1;
+      if (i - pos <= kWindow && Load32(src + pos) == Load32(src + i)) {
+        size_t len = kMinMatch + MatchLength(src + pos + kMinMatch,
+                                             src + i + kMinMatch,
+                                             n - i - kMinMatch);
+        // The skip may have stepped past the match's true start.
+        while (i > literal_start && pos > 0 && src[i - 1] == src[pos - 1]) {
+          --i;
+          --pos;
+          ++len;
+        }
+        EmitLiterals(out, input, literal_start, i);
+        EmitMatch(out, i - pos, len);
+        i += len;
+        literal_start = i;
+        continue;
+      }
+    }
+    i += 1 + ((i - literal_start) >> kFastSkipShift);
+  }
+  EmitLiterals(out, input, literal_start, n);
+}
+
+std::string Lz::FastCompressor::Compress(std::string_view input) {
   std::string out;
   CompressTo(input, &out);
   return out;

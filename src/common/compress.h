@@ -20,8 +20,21 @@ namespace unilog {
 /// Format: a varint uncompressed length, then a token stream. Each token is
 /// either a literal run (tag 0x00, varint length, raw bytes) or a back-
 /// reference (tag 0x01, varint distance >= 1, varint length >= kMinMatch)
-/// into the previously decoded output. Greedy parsing with a hash chain
-/// over 4-byte prefixes; 64 KiB window.
+/// into the previously decoded output. 4-byte minimum match; 64 KiB window.
+///
+/// Two parses write that format, each for fixed callers; any block of
+/// either decodes with Decompress and IncrementalDecompressor:
+///
+///   Compressor      greedy, 32-step hash chains. Every byte that is kept
+///                   or pinned: warehouse parts, the columnar fallback
+///                   sidecar, OKC1 artifacts, session sequences, the
+///                   daemon's broker batches (replayed byte for byte by the
+///                   e2e bench), Lz::Compress and Lz::Pooled().
+///   FastCompressor  greedy, one candidate per position. The aggregators'
+///                   staged rolls: the log mover reads each staged file
+///                   once and compresses the merged hour again with
+///                   Compressor, so the staged ratio never reaches the
+///                   warehouse, and the roll sits on the simulator thread.
 class Lz {
  public:
   static constexpr size_t kMinMatch = 4;
@@ -63,6 +76,39 @@ class Lz {
     // them.
     std::vector<uint32_t> head_;
     std::vector<uint32_t> prev_;
+    uint32_t base_ = 0;
+  };
+
+  /// The staging parse: at each position it probes the one earlier
+  /// position with the same 4-byte hash in a 4K-entry head table (16 KiB,
+  /// the same `base + pos + 1` entries and wrap reset as Compressor's),
+  /// extends a match backward into the pending literals, and, while no
+  /// match is found, steps further the longer the literal run grows, so
+  /// incompressible input is skimmed. Emits more, shorter tokens than
+  /// Compressor (a lower ratio) in well under half its time. Output
+  /// depends only on the input: every block is byte-identical to a fresh
+  /// FastCompressor's, and to lz_reference::FastCompress in
+  /// tests/lz_reference.h.
+  ///
+  /// Not thread-safe; one FastCompressor per thread.
+  class FastCompressor {
+   public:
+    FastCompressor() = default;
+
+    FastCompressor(const FastCompressor&) = delete;
+    FastCompressor& operator=(const FastCompressor&) = delete;
+
+    /// Clears *out and writes the compressed block into it, reusing the
+    /// string's capacity. Never fails.
+    void CompressTo(std::string_view input, std::string* out);
+
+    /// Convenience wrapper returning a fresh string.
+    std::string Compress(std::string_view input);
+
+   private:
+    // head_[h]: the most recent probed position with hash h, as
+    // base_ + pos + 1 (see Compressor).
+    std::vector<uint32_t> head_;
     uint32_t base_ = 0;
   };
 

@@ -189,9 +189,10 @@ bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   if (buffer->messages.empty()) return true;
   const auto& [category, hour] = key;
   // Frame into a pooled buffer, compress into a second one: steady-state
-  // rolls reuse warmed capacity and the compressor's hash-chain state
-  // instead of reallocating both per flush. The staged bytes are identical
-  // to the old fresh-string path.
+  // rolls reuse warmed capacity and the compressor's table instead of
+  // reallocating both per flush. Staged bytes are read once, by the log
+  // mover, so they take the single-probe parse; the bytes the warehouse
+  // keeps are compressed again by the mover.
   BufferPool::Lease body = pool_.Acquire();
   for (const auto& m : buffer->messages) AppendFramed(body.get(), m);
   BufferPool::Lease compressed = pool_.Acquire();

@@ -177,10 +177,10 @@ class Aggregator {
   obs::Histogram* staging_file_bytes_;
 
   // Staged-file bodies are framed and compressed into pooled buffers so
-  // the per-roll allocations disappear; the compressor keeps its hash-chain
-  // state across rolls (byte-identical output to the fresh-state path).
+  // the per-roll allocations disappear; the compressor keeps its 16 KiB
+  // table across rolls (byte-identical output to a fresh compressor's).
   BufferPool pool_;
-  Lz::Compressor compressor_;
+  Lz::FastCompressor compressor_;
 
   bool alive_ = false;
   TimeMs clock_skew_ms_ = 0;

@@ -17,6 +17,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/utf8.h"
+#include "lz_corpus.h"
 #include "lz_reference.h"
 
 namespace unilog {
@@ -605,6 +606,90 @@ TEST(LzTest, CompressToReusesCapacity) {
   compressor.CompressTo("tiny tiny tiny tiny", &out);
   EXPECT_GE(out.capacity(), cap);  // capacity retained, not reallocated
   EXPECT_EQ(out, lz_reference::Compress("tiny tiny tiny tiny"));
+}
+
+// Decodes `block` whole and with an IncrementalDecompressor advanced
+// `step` bytes at a time; both must reproduce `data`.
+void ExpectBothDecodersReproduce(const std::string& block,
+                                 const std::string& data, size_t step) {
+  auto whole = Lz::Decompress(block);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(*whole, data);
+  Lz::IncrementalDecompressor inc(block);
+  for (size_t target = step; !inc.done(); target += step) {
+    ASSERT_TRUE(inc.DecodeUntil(target).ok());
+    ASSERT_EQ(inc.output(), data.substr(0, inc.output().size()));
+  }
+  ASSERT_TRUE(inc.DecodeUntil(data.size() + 1).ok());
+  EXPECT_EQ(inc.output(), data);
+}
+
+TEST(LzTest, FastCompressorMatchesReferenceOnGoldenCorpus) {
+  // One reused FastCompressor over every shape of the golden corpus: the
+  // frozen single-probe reference's bytes, decodable by both decoders.
+  Lz::FastCompressor compressor;
+  std::string out;
+  for (const std::string& data : lz_corpus::GoldenCorpus()) {
+    compressor.CompressTo(data, &out);
+    ASSERT_EQ(out, lz_reference::FastCompress(data)) << "size=" << data.size();
+    ExpectBothDecodersReproduce(out, data, 1 + data.size() / 7);
+  }
+}
+
+TEST(LzTest, FastCompressorReuseAcrossDecreasingSizes) {
+  // Table entries left by a big input must read as stale in every later
+  // call: a reused compressor emits a fresh one's bytes.
+  Rng rng(47);
+  Lz::FastCompressor reused;
+  std::string out;
+  for (size_t size : {200000ul, 70000ul, 40000ul, 1000ul, 64ul, 5ul, 0ul}) {
+    std::string data = lz_corpus::EventText(rng, size / 60 + 1);
+    data.resize(size);
+    reused.CompressTo(data, &out);
+    Lz::FastCompressor fresh;
+    ASSERT_EQ(out, fresh.Compress(data)) << "size=" << size;
+    ASSERT_EQ(out, lz_reference::FastCompress(data)) << "size=" << size;
+    ExpectBothDecodersReproduce(out, data, 97);
+  }
+}
+
+TEST(LzTest, FastCompressorSkimsIncompressibleInput) {
+  // Random bytes find no match, so the growing skip leaves one literal
+  // token: the block is the input plus a few bytes of framing.
+  Rng rng(53);
+  const std::string data = lz_corpus::RandomBytes(rng, 100000);
+  const std::string block = Lz::FastCompressor().Compress(data);
+  EXPECT_EQ(block, lz_reference::FastCompress(data));
+  EXPECT_LE(block.size(), data.size() + 8);
+  ExpectBothDecodersReproduce(block, data, 4096);
+}
+
+TEST(LzTest, FastCompressorExtendsMatchesBackward) {
+  // After a long literal run the probe steps over many positions. The
+  // second copy of a phrase starts 10 bytes before a probed position, so
+  // the probe lands inside it; the match must still start where the copy
+  // does, making the whole phrase one back-reference.
+  Rng rng(59);
+  size_t probe = 0;  // probed positions while no match is found
+  while (probe < 3000) {
+    probe += 1 + (probe >> lz_reference::kFastSkipShift);
+  }
+  const std::string phrase = lz_corpus::RandomBytes(rng, 200);
+  const std::string noise =
+      lz_corpus::RandomBytes(rng, probe - 10 - phrase.size());
+  const std::string data = phrase + noise + phrase;
+  const std::string block = Lz::FastCompressor().Compress(data);
+  EXPECT_EQ(block, lz_reference::FastCompress(data));
+  std::string expected;
+  PutVarint64(&expected, data.size());
+  expected.push_back('\x00');
+  PutVarint64(&expected, phrase.size() + noise.size());
+  expected += phrase + noise;
+  expected.push_back('\x01');
+  PutVarint64(&expected, phrase.size() + noise.size());
+  PutVarint64(&expected, phrase.size());
+  EXPECT_EQ(block, expected);
+  ExpectBothDecodersReproduce(block, data, 64);
 }
 
 // Decodes `block` with both decoders; each must fail with Corruption.

@@ -142,5 +142,27 @@ TEST(GoldenTest, LzCompressedCorpusDigest) {
             lz_corpus::kGoldenDigest);
 }
 
+TEST(GoldenTest, LzFastCompressedCorpusDigest) {
+  // The single-probe parse's bytes for the same corpus: a fresh and a
+  // reused FastCompressor and the frozen reference all hash to the digest
+  // recorded when the aggregators began staging with it.
+  const std::vector<std::string> corpus = lz_corpus::GoldenCorpus();
+  EXPECT_EQ(lz_corpus::CorpusDigest(corpus,
+                                    [](std::string_view in) {
+                                      return Lz::FastCompressor().Compress(in);
+                                    }),
+            lz_corpus::kFastGoldenDigest);
+  Lz::FastCompressor reused;
+  EXPECT_EQ(lz_corpus::CorpusDigest(
+                corpus,
+                [&](std::string_view in) { return reused.Compress(in); }),
+            lz_corpus::kFastGoldenDigest);
+  EXPECT_EQ(lz_corpus::CorpusDigest(corpus,
+                                    [](std::string_view in) {
+                                      return lz_reference::FastCompress(in);
+                                    }),
+            lz_corpus::kFastGoldenDigest);
+}
+
 }  // namespace
 }  // namespace unilog

@@ -7,6 +7,9 @@
 // bytes for every input; codec tests compare against this copy, so none of
 // them checks the compressor against itself. The constants are copied too,
 // so a change to Lz::kMinMatch, kWindow or kMaxChainSteps shows up here.
+//
+// FastCompress is the same kind of copy of Lz::FastCompressor, the
+// single-probe parse the aggregators stage with.
 
 #include <cstdint>
 #include <cstring>
@@ -95,6 +98,59 @@ inline std::string Compress(std::string_view input) {
     }
   }
   EmitLiterals(&out, input, literal_start, input.size());
+  return out;
+}
+
+inline constexpr size_t kFastHashBits = 12;
+inline constexpr size_t kFastSkipShift = 5;
+
+inline uint32_t FastHash4(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  return (v * 2654435761u) >> (32 - kFastHashBits);
+}
+
+/// The reference block Lz::FastCompressor must emit for `input`: fresh
+/// state, one candidate per probed position, every byte compared on its
+/// own.
+inline std::string FastCompress(std::string_view input) {
+  std::string out;
+  PutVarint64(&out, input.size());
+  if (input.empty()) return out;
+
+  // head[h]: the most recent probed position with hash h, plus one.
+  std::vector<uint32_t> head(size_t{1} << kFastHashBits, 0);
+  const size_t n = input.size();
+  size_t literal_start = 0;
+  size_t i = 0;
+  while (i + kMinMatch <= n) {
+    const uint32_t h = FastHash4(input.data() + i);
+    const uint32_t cand = head[h];
+    head[h] = static_cast<uint32_t>(i + 1);
+    size_t len = 0;
+    size_t pos = 0;
+    if (cand != 0 && i - (cand - 1) <= kWindow) {
+      pos = cand - 1;
+      while (i + len < n && input[pos + len] == input[i + len]) ++len;
+    }
+    if (len >= kMinMatch) {
+      // Extend backward, but not past the last token.
+      while (i > literal_start && pos > 0 && input[i - 1] == input[pos - 1]) {
+        --i;
+        --pos;
+        ++len;
+      }
+      EmitLiterals(&out, input, literal_start, i);
+      out.push_back('\x01');
+      PutVarint64(&out, i - pos);
+      PutVarint64(&out, len);
+      i += len;
+      literal_start = i;
+    } else {
+      i += 1 + ((i - literal_start) >> kFastSkipShift);
+    }
+  }
+  EmitLiterals(&out, input, literal_start, n);
   return out;
 }
 

@@ -350,6 +350,55 @@ TEST_P(LzPropertyTest, IncrementalMatchesWholeDecodeAtRandomTargets) {
   }
 }
 
+TEST_P(LzPropertyTest, FastParseMatchesReferenceAndRoundTrips) {
+  // One reused FastCompressor over seeded random bytes, event text, the
+  // structured and window-boundary buffers, 0-16-byte inputs and phrases
+  // repeated at kWindow - 1, kWindow and kWindow + 1: every block is the
+  // frozen single-probe reference's, and both decoders reproduce the
+  // input, the incremental one in small steps.
+  Rng rng(GetParam() * 104729 + 7);
+  std::vector<std::string> inputs;
+  for (size_t n = 0; n <= 16; ++n) {
+    inputs.push_back(lz_corpus::RandomBytes(rng, n, 1 + rng.Uniform(4)));
+  }
+  for (uint64_t alphabet : {2, 16, 256}) {
+    inputs.push_back(
+        lz_corpus::RandomBytes(rng, rng.Uniform(30000), alphabet));
+  }
+  inputs.push_back(lz_corpus::EventText(rng, 1 + rng.Uniform(700)));
+  for (int k = 0; k < 4; ++k) inputs.push_back(RandomBuffer(rng));
+  inputs.push_back(WindowBoundaryBuffer(rng));
+  const std::string phrase = lz_corpus::RandomBytes(rng, 8 + rng.Uniform(24));
+  for (size_t dist : {Lz::kWindow - 1, Lz::kWindow, Lz::kWindow + 1}) {
+    std::string data = phrase;
+    data += lz_corpus::RandomBytes(rng, dist - phrase.size(), 4);
+    data += phrase;
+    inputs.push_back(std::move(data));
+  }
+
+  Lz::FastCompressor compressor;
+  std::string block;
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    const std::string& data = inputs[k];
+    compressor.CompressTo(data, &block);
+    ASSERT_EQ(block, lz_reference::FastCompress(data))
+        << "seed=" << GetParam() << " input=" << k << " size=" << data.size();
+    auto whole = Lz::Decompress(block);
+    ASSERT_TRUE(whole.ok()) << "input=" << k;
+    ASSERT_EQ(*whole, data) << "input=" << k;
+    Lz::IncrementalDecompressor inc(block);
+    size_t target = 0;
+    while (!inc.done()) {
+      target += 1 + rng.Uniform(64);
+      ASSERT_TRUE(inc.DecodeUntil(target).ok()) << "input=" << k;
+      ASSERT_EQ(inc.output(), data.substr(0, inc.output().size()))
+          << "input=" << k;
+    }
+    ASSERT_TRUE(inc.DecodeUntil(data.size() + 1).ok()) << "input=" << k;
+    ASSERT_EQ(inc.output(), data) << "input=" << k;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LzPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 

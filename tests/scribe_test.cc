@@ -432,6 +432,8 @@ TEST_F(AggregatorTest, ReceiveBuffersAndRollWritesCompressedFile) {
 
   auto body = staging_.ReadFile((*files)[0].path);
   ASSERT_TRUE(body.ok());
+  EXPECT_EQ(*body, Lz::FastCompressor().Compress(
+                       FrameMessages({"msg-one", "msg-two"})));
   auto raw = Lz::Decompress(*body);
   ASSERT_TRUE(raw.ok());
   auto msgs = UnframeMessages(*raw);
@@ -966,6 +968,89 @@ TEST_F(LogMoverTest, BarrierStallAndMoveRetryCountedSeparately) {
   EXPECT_TRUE(warehouse_.Exists("/logs/cat/2012/08/21/00"));
 }
 
+// FNV-1a over `bytes`, continuing from `h`.
+uint64_t Fnv64(std::string_view bytes, uint64_t h) {
+  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// Two datacenters of aggregator chains landing framed parts. The
+// aggregators stage with the single-probe parse and the mover compresses
+// each merged hour again with the chain search, so staging's parse must
+// never reach the warehouse: the digest of every part's path and bytes
+// was recorded by this scenario built against the library from before the
+// aggregators changed parse.
+TEST_F(LogMoverTest, AggregatorChainWarehouseBytesArePinned) {
+  ClusterTopology topo;
+  topo.datacenters = {"dc1", "dc2"};
+  topo.aggregators_per_dc = 2;
+  topo.daemons_per_dc = 3;
+  scribe_options_.roll_interval_ms = 30 * kMillisPerSecond;
+  mover_options_.run_interval_ms = 2 * kMillisPerMinute;
+  ScribeCluster cluster(&sim_, topo, scribe_options_, mover_options_,
+                        /*seed=*/5);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  static const char* const kNames[] = {
+      "web:home:mentions:stream:avatar:profile_click",
+      "web:home:home:stream:tweet:impression",
+      "iphone:home:home:stream:tweet:favorite",
+      "web:search:results:stream:user:follow"};
+  Rng rng(30);
+  constexpr int kMessages = 12000;
+  for (int i = 0; i < kMessages; ++i) {
+    const TimeMs at = kT0 + (i * 100 * kMillisPerMinute) / kMessages;
+    std::string message = kNames[rng.Uniform(4)];
+    message += "|uid=" + std::to_string(1000 + rng.Uniform(300));
+    message += "|ts=" + std::to_string(at + rng.Uniform(1000));
+    LogEntry entry{i % 3 == 0 ? "search" : "client_events",
+                   std::move(message)};
+    sim_.At(at, [&cluster, i, entry] { cluster.Log(i % 2, entry); });
+  }
+
+  // Mid-hour, every staged roll is the single-probe parse of its body,
+  // and some differ from the chain search's bytes for the same body.
+  sim_.RunUntil(kT0 + 30 * kMillisPerMinute);
+  size_t staged = 0, unlike_chain = 0;
+  for (size_t dc = 0; dc < cluster.datacenter_count(); ++dc) {
+    auto files = cluster.staging(dc)->ListRecursive("/staging");
+    ASSERT_TRUE(files.ok());
+    for (const auto& f : *files) {
+      if (f.is_dir) continue;
+      auto body = cluster.staging(dc)->ReadFile(f.path);
+      ASSERT_TRUE(body.ok());
+      auto raw = Lz::Decompress(*body);
+      ASSERT_TRUE(raw.ok()) << f.path;
+      EXPECT_EQ(*body, lz_reference::FastCompress(*raw)) << f.path;
+      ++staged;
+      if (*body != lz_reference::Compress(*raw)) ++unlike_chain;
+    }
+  }
+  EXPECT_GT(staged, 0u);
+  EXPECT_GT(unlike_chain, 0u);
+
+  sim_.RunUntil(kT0 + 3 * kMillisPerHour);
+  ClusterStats stats = cluster.TotalStats();
+  EXPECT_EQ(stats.entries_logged, static_cast<uint64_t>(kMessages));
+  EXPECT_EQ(stats.messages_in_warehouse, static_cast<uint64_t>(kMessages));
+  auto parts = cluster.warehouse()->ListRecursive("/logs");
+  ASSERT_TRUE(parts.ok());
+  uint64_t digest = 1469598103934665603ull;
+  size_t part_count = 0;
+  for (const auto& f : *parts) {
+    if (f.is_dir) continue;
+    auto body = cluster.warehouse()->ReadFile(f.path);
+    ASSERT_TRUE(body.ok()) << f.path;
+    auto raw = Lz::Decompress(*body);
+    ASSERT_TRUE(raw.ok()) << f.path;
+    EXPECT_EQ(*body, lz_reference::Compress(*raw)) << f.path;
+    digest = Fnv64(*body, Fnv64(f.path, digest));
+    ++part_count;
+  }
+  EXPECT_EQ(part_count, 4u);
+  EXPECT_EQ(digest, 4377834501800413288ull);
+}
+
 // ---------------------------------------------------------------------------
 // Full cluster integration
 
@@ -1238,8 +1323,8 @@ TEST(BufferPoolTest, DoubleReleaseRejectedNotRecycled) {
 TEST_F(AggregatorTest, OverflowDuringOutageDoesNotCorruptPooledRolls) {
   // Drop-oldest overflow during an outage interleaves with failed rolls
   // whose pooled buffers go back to the freelist; the eventual successful
-  // roll must stage exactly the surviving messages, byte-identical to the
-  // fresh-string path.
+  // roll must stage exactly the surviving messages, byte-identical to a
+  // fresh staging compressor's block of them.
   options_.aggregator_buffer_limit_bytes = 64;
   Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
   ASSERT_TRUE(agg.Start().ok());
@@ -1261,7 +1346,7 @@ TEST_F(AggregatorTest, OverflowDuringOutageDoesNotCorruptPooledRolls) {
   ASSERT_TRUE(body.ok());
   std::vector<std::string> survivors = {std::string(30, 'b'),
                                         std::string(30, 'c')};
-  EXPECT_EQ(*body, lz_reference::Compress(FrameMessages(survivors)));
+  EXPECT_EQ(*body, Lz::FastCompressor().Compress(FrameMessages(survivors)));
   auto raw = Lz::Decompress(*body);
   ASSERT_TRUE(raw.ok());
   auto msgs = UnframeMessages(*raw);
