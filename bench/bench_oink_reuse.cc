@@ -12,7 +12,11 @@
 //              workflows ride one union scan, results are written to the
 //              content-addressed cache under /warehouse/_cache;
 //   warm     — a *fresh* engine over the same warehouse: every plan
-//              fingerprint hits, nothing is scanned.
+//              fingerprint hits, nothing is scanned;
+//   re-tick  — one engine runs every tick twice and the second round is
+//              measured: each hit is a lookup in the engine's memos of
+//              part fingerprints and verified artifacts, and reads no
+//              warehouse byte.
 //
 // All three must produce byte-identical per-workflow results at 1, 2 and
 // 8 executor threads (results are folded into an order-sensitive digest
@@ -22,9 +26,12 @@
 // Exits nonzero — CI runs this as a smoke test — when any digest
 // diverges, the warm pass scans more than half the cold pass's bytes
 // (the ≥2x acceptance floor; in practice warm scans zero bytes), the
-// warm pass misses, or the late part invalidates more than one hour.
-// With --verify-cache every warm hit is also recomputed and compared
-// (OinkOptions::verify_cache), so an under-keyed plan fails the run.
+// warm or re-tick pass misses, the re-tick round reads a warehouse byte,
+// or the late part invalidates more than one hour. With --verify-cache
+// every warm hit is also recomputed and compared
+// (OinkOptions::verify_cache), so an under-keyed plan fails the run; the
+// re-tick round's recomputations read the parts, so its zero-read check
+// is waived.
 // Results land in BENCH_oink.json section "oink_reuse".
 
 #include <cstdio>
@@ -120,6 +127,8 @@ struct PassResult {
   uint64_t shared_fanout = 0;
   uint64_t bytes_saved = 0;
   uint64_t verified_hits = 0;
+  /// Warehouse bytes read (MiniHdfs::bytes_read) during the pass.
+  uint64_t bytes_read = 0;
   uint64_t digest = kFnvOffset;
   bool ok = false;
 };
@@ -127,10 +136,12 @@ struct PassResult {
 // Runs every tick through fresh engines, folding each workflow's
 // serialized result into the digest after every tick. With
 // `engine_per_workflow` each workflow gets its own engine, so no two plans
-// share a scan; otherwise one engine runs them all.
+// share a scan; otherwise one engine runs them all. With `primed` the
+// engines first run every tick once, unmeasured, so the pass measures
+// same-engine re-ticks.
 PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
                    oink::OinkOptions options, exec::Executor* exec,
-                   bool engine_per_workflow = false) {
+                   bool engine_per_workflow = false, bool primed = false) {
   PassResult r;
   std::vector<std::unique_ptr<oink::WorkflowEngine>> engines;
   std::vector<std::string> names;
@@ -148,6 +159,17 @@ PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
       return r;
     }
   }
+  for (size_t i = 0; primed && i < ticks.size(); ++i) {
+    for (auto& engine : engines) {
+      Status st = engine->RunTick(ticks[i]);
+      if (!st.ok()) {
+        std::fprintf(stderr, "priming RunTick(%lld): %s\n",
+                     static_cast<long long>(ticks[i]), st.ToString().c_str());
+        return r;
+      }
+    }
+  }
+  const uint64_t read0 = fs->bytes_read();
   bench::WallTimer timer;
   for (int64_t tick : ticks) {
     for (auto& engine : engines) {
@@ -177,6 +199,7 @@ PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
     }
   }
   r.wall_ms = timer.ElapsedMs();
+  r.bytes_read = fs->bytes_read() - read0;
   r.ok = true;
   return r;
 }
@@ -234,10 +257,11 @@ int main(int argc, char** argv) {
 
   // Serial results feed the report; 2- and 8-thread repeats must match
   // their digests bit for bit.
-  PassResult baseline, cold, warm;
+  PassResult baseline, cold, warm, retick;
   bool digests_identical = true;
-  std::printf("%8s %12s %12s %12s  %s\n", "threads", "baseline_ms", "cold_ms",
-              "warm_ms", "digests");
+  bool reticks_ok = true;
+  std::printf("%8s %12s %12s %12s %12s  %s\n", "threads", "baseline_ms",
+              "cold_ms", "warm_ms", "retick_ms", "digests");
   for (int threads : {1, 2, 8}) {
     exec::ExecOptions eopts;
     eopts.threads = threads;
@@ -247,18 +271,26 @@ int main(int argc, char** argv) {
                            /*engine_per_workflow=*/true);
     PassResult c = RunPass(&fs, ticks, oink_opts, &executor);
     PassResult w = RunPass(&fs, ticks, warm_opts, &executor);
-    if (!b.ok || !c.ok || !w.ok) return 1;
-    bool same = b.digest == c.digest && c.digest == w.digest;
+    PassResult t = RunPass(&fs, ticks, warm_opts, &executor,
+                           /*engine_per_workflow=*/false, /*primed=*/true);
+    if (!b.ok || !c.ok || !w.ok || !t.ok) return 1;
+    bool same = b.digest == c.digest && c.digest == w.digest &&
+                w.digest == t.digest;
     if (threads == 1) {
       baseline = b;
       cold = c;
       warm = w;
+      retick = t;
     } else {
       same = same && b.digest == baseline.digest;
     }
     digests_identical = digests_identical && same;
-    std::printf("%8d %12.2f %12.2f %12.2f  %s\n", threads, b.wall_ms,
-                c.wall_ms, w.wall_ms, same ? "identical" : "MISMATCH!");
+    reticks_ok = reticks_ok && t.misses == 0 &&
+                 t.hits == ticks.size() * MakeWorkflows().size() &&
+                 (verify_cache || t.bytes_read == 0);
+    std::printf("%8d %12.2f %12.2f %12.2f %12.2f  %s\n", threads, b.wall_ms,
+                c.wall_ms, w.wall_ms, t.wall_ms,
+                same ? "identical" : "MISMATCH!");
   }
 
   uint64_t total_jobs = ticks.size() * MakeWorkflows().size();
@@ -286,6 +318,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total_jobs), hit_rate * 100.0,
               HumanBytes(warm.bytes_saved).c_str(),
               static_cast<unsigned long long>(warm.verified_hits));
+  std::printf("same-engine re-tick: %llu/%llu hits, %s of warehouse read "
+              "(want 0%s), %.2f ms\n",
+              static_cast<unsigned long long>(retick.hits),
+              static_cast<unsigned long long>(total_jobs),
+              HumanBytes(retick.bytes_read).c_str(),
+              verify_cache ? ", waived: hits recomputed for verification" : "",
+              retick.wall_ms);
 
   // Late data: one extra part lands in a single mid-range hour. Only that
   // hour's four readers may miss on the next pass.
@@ -332,13 +371,13 @@ int main(int argc, char** argv) {
       verify_cache ||
       (warm.scan_bytes * 2 <= cold.scan_bytes && cold.scan_bytes > 0);
   bool pass = digests_identical && reduction_ok && warm.hits == total_jobs &&
-              warm.misses == 0 && invalidation_ok &&
+              warm.misses == 0 && reticks_ok && invalidation_ok &&
               (!verify_cache || warm.verified_hits == warm.hits);
   std::printf("\nbytes-scanned reduction cold->warm: %.1fx (floor 2.0x%s)\n",
               bytes_reduction,
               verify_cache ? ", waived: hits recomputed for verification"
                            : "");
-  std::printf("baseline == cold == warm at 1/2/8 threads: %s\n",
+  std::printf("baseline == cold == warm == re-tick at 1/2/8 threads: %s\n",
               digests_identical ? "YES" : "NO");
   std::printf("verdict: %s\n", pass ? "PASS" : "FAIL");
 

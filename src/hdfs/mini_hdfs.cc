@@ -128,9 +128,11 @@ Status MiniHdfs::CorruptFile(const std::string& path, uint64_t offset) {
     return Status::FailedPrecondition("empty file: " + path);
   }
   // Silent corruption: no mtime bump, no byte accounting — only a
-  // checksum recompute can tell.
+  // checksum recompute can tell. The generation still moves, so no memo
+  // of the old bytes survives.
   it->second.content[offset % it->second.content.size()] ^=
       static_cast<char>(0x5A);
+  it->second.generation = NextGeneration();
   chaos_corruptions_->Increment();
   return Status::OK();
 }
@@ -228,7 +230,8 @@ Status MiniHdfs::WriteFile(const std::string& path, std::string_view content) {
   if (nodes_.count(path)) {
     return Status::AlreadyExists("file exists: " + path);
   }
-  Node node{/*is_dir=*/false, std::string(content), Now(), {}};
+  Node node{/*is_dir=*/false, std::string(content), Now(), NextGeneration(),
+            {}};
   UNILOG_RETURN_NOT_OK(PlaceBlocks(&node, content.size()));
   UNILOG_RETURN_NOT_OK(Mkdirs(ParentOf(path)));
   nodes_[path] = std::move(node);
@@ -261,6 +264,7 @@ Status MiniHdfs::AppendFile(const std::string& path,
       PlaceBlocks(&it->second, it->second.content.size() + content.size()));
   it->second.content.append(content.data(), content.size());
   it->second.mtime = Now();
+  it->second.generation = NextGeneration();
   bytes_written_->Increment(content.size());
   file_bytes_gauge_->Add(static_cast<int64_t>(content.size()));
   return Status::OK();
@@ -313,6 +317,7 @@ Status MiniHdfs::Rename(const std::string& src, const std::string& dst) {
   for (const auto& p : to_erase) nodes_.erase(p);
   for (auto& [path, node] : moved) {
     node.mtime = Now();
+    if (!node.is_dir) node.generation = NextGeneration();
     nodes_.emplace(std::move(path), std::move(node));
   }
   return Status::OK();
@@ -358,6 +363,7 @@ FileStatus MiniHdfs::MakeStatus(const std::string& path,
   st.size = node.content.size();
   st.block_count = node.is_dir ? 0 : BlocksFor(st.size);
   st.mtime = node.mtime;
+  st.generation = node.generation;
   return st;
 }
 

@@ -41,6 +41,12 @@ struct FileStatus {
   uint64_t size = 0;
   uint64_t block_count = 0;
   TimeMs mtime = 0;
+  /// The file's write generation (0 for directories). Every create,
+  /// append, rename and CorruptFile takes the next value of one
+  /// namespace-wide counter, so a (path, generation) pair never names two
+  /// different byte strings — the key under which readers may memoize
+  /// anything derived from a file's bytes.
+  uint64_t generation = 0;
 };
 
 /// Fleet-wide replica health, for brownout tests and the soak SLO report.
@@ -139,6 +145,9 @@ class MiniHdfs {
   /// `offset % size`), bypassing the availability checks and the write
   /// accounting — models silent on-disk corruption that only the
   /// checksum layer can catch. Fails on directories and empty files.
+  /// The mtime stays, but the file takes a new write generation: the
+  /// bytes changed, so nothing memoized under the old one may be served
+  /// (a real datanode's block scanner would report the replica).
   Status CorruptFile(const std::string& path, uint64_t offset);
 
   /// Walks every file and classifies its blocks against the current
@@ -175,6 +184,7 @@ class MiniHdfs {
     bool is_dir = false;
     std::string content;  // files only
     TimeMs mtime = 0;
+    uint64_t generation = 0;  // files only; see FileStatus::generation
     /// Replica placement, `replication` datanode indexes per block in
     /// block order. Populated only on sharded instances
     /// (num_datanodes > 1); placement follows the node through renames,
@@ -185,6 +195,7 @@ class MiniHdfs {
   static Status ValidatePath(const std::string& path);
   static std::string ParentOf(const std::string& path);
   Status CheckAvailable() const;
+  uint64_t NextGeneration() { return ++last_generation_; }
   TimeMs Now() const { return sim_ != nullptr ? sim_->Now() : 0; }
   FileStatus MakeStatus(const std::string& path, const Node& node) const;
 
@@ -206,6 +217,7 @@ class MiniHdfs {
   std::string failing_write_;  // InjectWriteFailureOnce's path, or empty
   std::vector<bool> datanode_up_;
   uint64_t placement_cursor_ = 0;
+  uint64_t last_generation_ = 0;
   std::map<std::string, Node> nodes_;  // sorted by path
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;

@@ -28,7 +28,10 @@ ArtifactCache::ArtifactCache(hdfs::MiniHdfs* fs, ArtifactCacheOptions options,
 }
 
 std::string ArtifactCache::PathFor(const std::string& key) const {
-  return options_.root + "/" + key + ".okc";
+  std::string path;
+  path.reserve(options_.root.size() + key.size() + 5);
+  path.append(options_.root).append("/").append(key).append(".okc");
+  return path;
 }
 
 Status ArtifactCache::EnsureLoaded() {
@@ -47,25 +50,27 @@ Status ArtifactCache::EnsureLoaded() {
   return Status::OK();
 }
 
-void ArtifactCache::Touch(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  lru_.splice(lru_.end(), lru_, it->second.lru_pos);
+void ArtifactCache::Touch(Entry* entry) {
+  lru_.splice(lru_.end(), lru_, entry->lru_pos);
 }
 
-void ArtifactCache::Insert(const std::string& key, uint64_t size) {
+ArtifactCache::Entry& ArtifactCache::Insert(const std::string& key,
+                                            uint64_t size) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     resident_bytes_b_ -= it->second.size;
     it->second.size = size;
-    resident_bytes_b_ += size;
-    lru_.splice(lru_.end(), lru_, it->second.lru_pos);
+    Touch(&it->second);
   } else {
     lru_.push_back(key);
-    entries_[key] = Entry{size, std::prev(lru_.end())};
-    resident_bytes_b_ += size;
+    Entry entry;
+    entry.size = size;
+    entry.lru_pos = std::prev(lru_.end());
+    it = entries_.emplace(key, std::move(entry)).first;
   }
+  resident_bytes_b_ += size;
   bytes_gauge_->Set(static_cast<int64_t>(resident_bytes_b_));
+  return it->second;
 }
 
 void ArtifactCache::Forget(const std::string& key) {
@@ -88,13 +93,23 @@ Status ArtifactCache::DropDegraded(const std::string& key,
   return Status::NotFound("oink cache: entry dropped");
 }
 
-Result<CacheArtifact> ArtifactCache::Get(const std::string& key,
-                                         const std::string& expected_manifest) {
+Result<CacheHit> ArtifactCache::Get(const std::string& key,
+                                    const std::string& expected_manifest) {
   UNILOG_RETURN_NOT_OK(EnsureLoaded());
   const std::string path = PathFor(key);
-  if (!fs_->Exists(path)) {
+  Result<hdfs::FileStatus> stat = fs_->Stat(path);
+  if (!stat.ok()) {
     misses_->Increment();
     return Status::NotFound("oink cache: no entry");
+  }
+  auto it = entries_.find(key);
+  if (it != entries_.end() && it->second.payload != nullptr &&
+      it->second.generation == stat->generation &&
+      it->second.manifest == expected_manifest) {
+    // The file has not been written since its bytes were verified.
+    Touch(&it->second);
+    hits_->Increment();
+    return CacheHit{it->second.cold_cost_bytes, it->second.payload};
   }
   UNILOG_ASSIGN_OR_RETURN(std::string raw, fs_->ReadFile(path));
 
@@ -112,10 +127,10 @@ Result<CacheArtifact> ArtifactCache::Get(const std::string& key,
   }
 
   uint64_t payload_fnv = 0;
-  CacheArtifact artifact;
+  uint64_t cold_cost_bytes = 0;
   std::string_view manifest, compressed;
   if (!dec.GetVarint64(&payload_fnv).ok() ||
-      !dec.GetVarint64(&artifact.cold_cost_bytes).ok() ||
+      !dec.GetVarint64(&cold_cost_bytes).ok() ||
       !dec.GetLengthPrefixed(&manifest).ok() ||
       !dec.GetLengthPrefixed(&compressed).ok() || !dec.AtEnd()) {
     return DropDegraded(key, corrupt_);
@@ -131,15 +146,20 @@ Result<CacheArtifact> ArtifactCache::Get(const std::string& key,
     return DropDegraded(key, corrupt_);
   }
 
-  artifact.manifest = std::string(manifest);
-  artifact.payload = std::move(*payload);
-  Touch(key);
+  auto shared = std::make_shared<const std::string>(std::move(*payload));
+  if (it != entries_.end()) {
+    Entry& entry = it->second;
+    Touch(&entry);
+    entry.generation = stat->generation;
+    entry.manifest = expected_manifest;
+    entry.cold_cost_bytes = cold_cost_bytes;
+    entry.payload = shared;
+  }
   hits_->Increment();
-  return artifact;
+  return CacheHit{cold_cost_bytes, std::move(shared)};
 }
 
-Status ArtifactCache::Put(const std::string& key,
-                          const CacheArtifact& artifact) {
+Status ArtifactCache::Put(const std::string& key, CacheArtifact artifact) {
   UNILOG_RETURN_NOT_OK(EnsureLoaded());
 
   std::string body;
@@ -159,7 +179,13 @@ Status ArtifactCache::Put(const std::string& key,
     UNILOG_RETURN_NOT_OK(fs_->Delete(path));
   }
   UNILOG_RETURN_NOT_OK(fs_->WriteFile(path, file));
-  Insert(key, file.size());
+  UNILOG_ASSIGN_OR_RETURN(hdfs::FileStatus stat, fs_->Stat(path));
+  Entry& entry = Insert(key, file.size());
+  entry.generation = stat.generation;
+  entry.manifest = std::move(artifact.manifest);
+  entry.cold_cost_bytes = artifact.cold_cost_bytes;
+  entry.payload =
+      std::make_shared<const std::string>(std::move(artifact.payload));
 
   // Budget enforcement; the entry just written is at the MRU end and so
   // survives unless it alone exceeds the whole budget.

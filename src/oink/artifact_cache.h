@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -13,7 +14,7 @@
 
 namespace unilog::oink {
 
-/// One cached intermediate result, as stored and as returned by Get.
+/// One cached intermediate result, as Put stores it.
 struct CacheArtifact {
   /// The full input manifest the result was computed from. Stored verbatim
   /// (not just its hash) so a hit re-verifies the inputs byte-for-byte —
@@ -25,6 +26,13 @@ struct CacheArtifact {
   uint64_t cold_cost_bytes = 0;
   /// Serialized relation bytes (dataflow::SerializeRelation).
   std::string payload;
+};
+
+/// What a hit returns: the artifact's cold cost and its verified payload,
+/// shared with the cache's memo (immutable, so holders never copy it).
+struct CacheHit {
+  uint64_t cold_cost_bytes = 0;
+  std::shared_ptr<const std::string> payload;
 };
 
 struct ArtifactCacheOptions {
@@ -48,6 +56,14 @@ struct ArtifactCacheOptions {
 /// compressed payload. Any truncation, bit flip, or parse failure makes a
 /// probe delete the entry and report a miss — corrupt bytes are never
 /// returned, and a recompute repairs the cache.
+///
+/// Verified-artifact memo: for each entry it has verified or written, the
+/// cache keeps the artifact file's write generation, manifest, cold cost
+/// and decompressed payload. A probe whose file generation has not moved
+/// since (MiniHdfs advances it on every write, rename and CorruptFile)
+/// compares manifests and returns the memoized payload with no ReadFile,
+/// checksum or decompression; every other probe reads and verifies the
+/// file. Eviction, overwrite and a degraded probe drop the memo.
 class ArtifactCache {
  public:
   ArtifactCache(hdfs::MiniHdfs* fs, ArtifactCacheOptions options = {},
@@ -61,13 +77,13 @@ class ArtifactCache {
   /// *stale* entry whose stored manifest differs from `expected_manifest`
   /// (the inputs changed under the same plan, e.g. a late-arriving part).
   /// Any other error status is a real fault (e.g. HDFS unavailable).
-  Result<CacheArtifact> Get(const std::string& key,
-                            const std::string& expected_manifest);
+  Result<CacheHit> Get(const std::string& key,
+                       const std::string& expected_manifest);
 
   /// Stores an artifact under `key`, replacing any existing entry, then
   /// evicts least-recently-used entries beyond the byte budget (never the
   /// entry just written).
-  Status Put(const std::string& key, const CacheArtifact& artifact);
+  Status Put(const std::string& key, CacheArtifact artifact);
 
   uint64_t hits() const { return hits_->value(); }
   uint64_t misses() const { return misses_->value(); }
@@ -79,13 +95,24 @@ class ArtifactCache {
   const ArtifactCacheOptions& options() const { return options_; }
 
  private:
+  struct Entry {
+    uint64_t size = 0;
+    std::list<std::string>::iterator lru_pos;
+    /// The memo, valid while the artifact file's write generation is
+    /// `generation`; `payload` is null when none is held.
+    uint64_t generation = 0;
+    std::string manifest;
+    uint64_t cold_cost_bytes = 0;
+    std::shared_ptr<const std::string> payload;
+  };
+
   std::string PathFor(const std::string& key) const;
   /// Lists the cache root and rebuilds the LRU index; a fresh engine over
   /// an existing warehouse inherits the persisted artifacts.
   Status EnsureLoaded();
-  void Touch(const std::string& key);
+  void Touch(Entry* entry);
   void Forget(const std::string& key);
-  void Insert(const std::string& key, uint64_t size);
+  Entry& Insert(const std::string& key, uint64_t size);
   /// Deletes the entry and records a degraded probe; always returns
   /// NotFound so callers treat every degraded case as a plain miss.
   Status DropDegraded(const std::string& key, obs::Counter* reason);
@@ -98,10 +125,6 @@ class ArtifactCache {
   bool loaded_ = false;
   /// LRU order: front = coldest, back = most recently used.
   std::list<std::string> lru_;
-  struct Entry {
-    uint64_t size = 0;
-    std::list<std::string>::iterator lru_pos;
-  };
   std::map<std::string, Entry> entries_;
   uint64_t resident_bytes_b_ = 0;
 

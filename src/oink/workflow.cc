@@ -214,25 +214,34 @@ Result<dataflow::Relation> WorkflowEngine::FinishPlanBatch(
   return rel;
 }
 
-Result<std::string> WorkflowEngine::DirManifest(const hdfs::MiniHdfs* fs,
-                                                const std::string& dir) {
-  UNILOG_ASSIGN_OR_RETURN(auto listing, fs->ListRecursive(dir));
+Result<std::string> WorkflowEngine::DirManifest(const std::string& dir) {
+  UNILOG_ASSIGN_OR_RETURN(auto listing, fs_->ListRecursive(dir));
   std::string out = "manifest-v1\n";
   for (const auto& entry : listing) {
     if (dataflow::IsHiddenWarehousePath(dir, entry.path)) continue;
+    auto memo = manifest_tokens_.find(entry.path);
+    if (memo == manifest_tokens_.end() ||
+        memo->second.generation != entry.generation) {
+      UNILOG_ASSIGN_OR_RETURN(std::string body, fs_->ReadFile(entry.path));
+      std::string token;
+      if (columnar::IsRcFile(body)) {
+        // A fingerprint failure is corruption the scan would also hit.
+        columnar::RcFileReader reader(body);
+        UNILOG_ASSIGN_OR_RETURN(uint64_t fp, reader.ContentFingerprint());
+        token = "rcfp:" + HexU64(fp);
+      } else {
+        // Framed parts carry no checksums: hash their bytes.
+        token = "fnv:" + HexU64(dataflow::Fingerprint::OfBytes(body));
+      }
+      memo = manifest_tokens_
+                 .insert_or_assign(entry.path,
+                                   ManifestToken{entry.generation,
+                                                 std::move(token)})
+                 .first;
+    }
     out += entry.path;
     out += ' ';
-    UNILOG_ASSIGN_OR_RETURN(std::string body, fs->ReadFile(entry.path));
-    if (columnar::IsRcFile(body)) {
-      // A fingerprint failure is corruption the scan would also hit.
-      columnar::RcFileReader reader(body);
-      UNILOG_ASSIGN_OR_RETURN(uint64_t fp, reader.ContentFingerprint());
-      out += "rcfp:" + HexU64(fp);
-    } else {
-      // Framed parts carry no checksums: size+mtime stand in.
-      out += "szmt:" + std::to_string(entry.size) + ":" +
-             std::to_string(entry.mtime);
-    }
+    out += memo->second.token;
     out += '\n';
   }
   return out;
@@ -248,7 +257,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
   }
 
   for (const auto& [dir, idxs] : by_dir) {
-    UNILOG_ASSIGN_OR_RETURN(std::string manifest, DirManifest(fs_, dir));
+    UNILOG_ASSIGN_OR_RETURN(std::string manifest, DirManifest(dir));
     if (options_.explain) {
       explain_.push_back("[oink t=" + std::to_string(period_index) + "] dir=" +
                          dir + " manifest_fp=" +
@@ -273,7 +282,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
       std::vector<size_t> members;
       /// Set when this is a verify_cache recomputation of a hit: the
       /// cached serialized bytes the recomputation must reproduce.
-      std::optional<std::string> verify_against;
+      std::shared_ptr<const std::string> verify_against;
     };
     std::vector<Pending> pending;
 
@@ -281,18 +290,16 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
       last_tick_.workflows += members.size();
       workflows_run_->Increment(members.size());
       if (!options_.enable_cache) {
-        pending.push_back({key, members, std::nullopt});
+        pending.push_back({key, members, nullptr});
         continue;
       }
-      Result<CacheArtifact> got = cache_.Get(key, manifest);
+      Result<CacheHit> got = cache_.Get(key, manifest);
       if (got.ok()) {
-        UNILOG_ASSIGN_OR_RETURN(dataflow::Relation rel,
-                                dataflow::DeserializeRelation(got->payload));
         last_tick_.cache_hits++;
         last_tick_.bytes_saved += got->cold_cost_bytes;
         bytes_saved_->Increment(got->cold_cost_bytes);
         for (size_t m : members) {
-          results_[workflows_[m].spec.name] = rel;
+          results_[workflows_[m].spec.name] = got->payload;
           if (options_.explain) {
             explain_.push_back("[oink] " + workflows_[m].spec.name + " key=" +
                                key + " HIT saved=" +
@@ -312,7 +319,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
                              key + " MISS");
         }
       }
-      pending.push_back({key, members, std::nullopt});
+      pending.push_back({key, members, nullptr});
     }
     if (pending.empty()) continue;
 
@@ -371,7 +378,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
           dataflow::Relation rel,
           FinishPlanBatch(plan, std::move(scanned[pi]), table_stats));
       std::string serialized = dataflow::SerializeRelation(rel);
-      if (p.verify_against.has_value()) {
+      if (p.verify_against != nullptr) {
         if (serialized != *p.verify_against) {
           return Status::Internal(
               "oink verify_cache: cached result for '" + plan.spec.name +
@@ -395,7 +402,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
         artifact.manifest = manifest;
         artifact.cold_cost_bytes = costs[pi];
         artifact.payload = std::move(serialized);
-        UNILOG_RETURN_NOT_OK(cache_.Put(p.key, artifact));
+        UNILOG_RETURN_NOT_OK(cache_.Put(p.key, std::move(artifact)));
       }
     }
   }
@@ -408,7 +415,11 @@ Result<dataflow::Relation> WorkflowEngine::ResultFor(
   if (it == results_.end()) {
     return Status::NotFound("oink workflow: no result yet for " + name);
   }
-  return it->second;
+  if (const auto* rel = std::get_if<dataflow::Relation>(&it->second)) {
+    return *rel;
+  }
+  return dataflow::DeserializeRelation(
+      *std::get<std::shared_ptr<const std::string>>(it->second));
 }
 
 Result<std::string> WorkflowEngine::CanonicalPlanFor(

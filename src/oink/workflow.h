@@ -5,8 +5,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -118,7 +118,8 @@ class WorkflowEngine {
   Status RunTick(int64_t period_index);
 
   /// Latest computed relation for a workflow (NotFound before its first
-  /// successful tick).
+  /// successful tick). A result served from the cache is kept as its
+  /// verified REL1 bytes and deserialized here, on each call.
   Result<dataflow::Relation> ResultFor(const std::string& name) const;
 
   /// The canonical plan serialization (stable across runs; for tests and
@@ -132,14 +133,18 @@ class WorkflowEngine {
   obs::MetricsRegistry* metrics() { return metrics_; }
 
   /// Canonical manifest of the file bytes a scan of `dir` would read:
-  /// sorted paths, each with a content fingerprint — RCFile parts use
-  /// their embedded per-group checksums (no column decoded), other files
-  /// fall back to size+mtime. Hidden paths (any '_'-prefixed component
-  /// below `dir`, e.g. a nested _cache subtree) are skipped, matching the
-  /// scan's own listing rule — cached artifacts never fingerprint
-  /// themselves into the inputs they memoize.
-  static Result<std::string> DirManifest(const hdfs::MiniHdfs* fs,
-                                         const std::string& dir);
+  /// sorted paths, each with a content token — `rcfp:` and the RCFile
+  /// part's fingerprint over its embedded per-group checksums (no column
+  /// decoded), or `fnv:` and an FNV-64 of any other file's bytes. Hidden
+  /// paths (any '_'-prefixed component below `dir`, e.g. a nested _cache
+  /// subtree) are skipped, matching the scan's own listing rule — cached
+  /// artifacts never fingerprint themselves into the inputs they memoize.
+  ///
+  /// Tokens are memoized by (path, write generation): MiniHdfs gives every
+  /// create, append, rename and CorruptFile a generation never used
+  /// before, so a token is computed once per write and a manifest of
+  /// unchanged files reads only the listing, no file body.
+  Result<std::string> DirManifest(const std::string& dir);
 
  private:
   struct Planned {
@@ -174,7 +179,17 @@ class WorkflowEngine {
 
   std::vector<Planned> workflows_;
   std::map<std::string, size_t> by_name_;
-  std::map<std::string, dataflow::Relation> results_;
+  /// A file's manifest token and the write generation it was computed at.
+  struct ManifestToken {
+    uint64_t generation = 0;
+    std::string token;
+  };
+  std::map<std::string, ManifestToken> manifest_tokens_;  // by path
+  /// Latest result per workflow: the verified payload of a cache hit, or
+  /// the relation a miss computed.
+  using StoredResult =
+      std::variant<std::shared_ptr<const std::string>, dataflow::Relation>;
+  std::map<std::string, StoredResult> results_;
   TickStats last_tick_;
   std::vector<std::string> explain_;
 

@@ -7,14 +7,16 @@
 // tick, one with nothing ripe to produce, at zero allocations. It also
 // bounds what the log mover allocates per event landing a broker hour as
 // RCFile columns, pins a warmed-up row-group encoder at zero
-// allocations, and bounds the bytes the RCFile reader allocates on
-// hostile v3 input by the input's size. A change that adds a per-call or
-// per-event allocation anywhere on those paths fails here without
-// running the bench.
+// allocations, bounds the bytes the RCFile reader allocates on hostile
+// v3 input by the input's size, and pins what a same-engine warm Oink
+// re-tick allocates. A change that adds a per-call or per-event
+// allocation anywhere on those paths fails here without running the
+// bench.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,7 +28,9 @@
 #include "common/rng.h"
 #include "events/client_event.h"
 #include "exec/executor.h"
+#include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
+#include "oink/workflow.h"
 #include "rcfile_hostile.h"
 #include "scribe/cluster.h"
 #include "scribe/daemon.h"
@@ -309,6 +313,89 @@ TEST(ReaderAllocBudgetTest, HostileV3BodiesAllocateBoundedByTheirSize) {
     EXPECT_LE(scope.Bytes(), kHostileFixedBytes + kHostileBytesPerInputByte *
                                                       bomb.body.size());
   }
+}
+
+// What one warm re-tick of an unchanged hour allocates on the engine that
+// answered it: four workflows over one directory (the e2e suite's shape),
+// every plan a hit. The tick lists the directory, builds its manifest from
+// memoized part tokens, stats each artifact and shares its memoized
+// payload; no file body is read, checksummed or decompressed, and no
+// result is deserialized. What remains is the workflows' input_dir
+// strings, the listing, the manifest, and per plan its key, its slot in
+// the tick's key map and its artifact path and stat. Measured: 38.
+constexpr uint64_t kWarmReTickAllocs = 48;
+
+TEST(OinkAllocBudgetTest, SameEngineWarmReTickIsALookup) {
+  hdfs::MiniHdfs fs;
+  const std::string root = "/logs/client_events";
+  auto dir = [root](int64_t hour) {
+    return root + "/" + HourPartitionPath(hour * kMillisPerHour);
+  };
+  const int64_t hour = kT0 / kMillisPerHour;
+  Rng rng(3);
+  std::string body;
+  columnar::RcFileWriter writer(&body);
+  static const char* kNames[] = {"web:home:timeline:stream:tweet:impression",
+                                 "web:home:timeline:stream:tweet:click",
+                                 "android:profile:::follow"};
+  for (int i = 0; i < 3000; ++i) {
+    events::ClientEvent ev;
+    ev.event_name = kNames[rng.Uniform(3)];
+    ev.user_id = static_cast<int64_t>(rng.Uniform(500));
+    ev.session_id = "session-" + std::to_string(rng.Uniform(900));
+    ev.ip = "10.0.0." + std::to_string(rng.Uniform(4));
+    ev.timestamp = kT0 + static_cast<TimeMs>(rng.Uniform(kMillisPerHour));
+    ASSERT_TRUE(writer.Add(ev).ok());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  ASSERT_TRUE(fs.WriteFile(dir(hour) + "/part-00000", body).ok());
+
+  oink::WorkflowEngine engine(&fs);
+  using dataflow::Value;
+  const dataflow::Aggregate count{dataflow::Aggregate::Op::kCount, "", "n"};
+  std::vector<oink::WorkflowSpec> specs(4);
+  specs[0].filters = {{"event_name", "matches", Value::Str("*:click")}};
+  specs[0].project_cols = {"user_id"};
+  specs[0].project_names = {"uid"};
+  specs[0].stage = [count](const dataflow::Relation& r) {
+    return r.GroupBy({"uid"}, {count});
+  };
+  specs[0].stage_id = "click-rollup-v1";
+  specs[1].filters = {{"event_name", "matches", Value::Str("*:impression")}};
+  specs[1].project_cols = {"event_name"};
+  specs[1].project_names = {"name"};
+  specs[1].stage = [count](const dataflow::Relation& r) {
+    return r.GroupBy({"name"}, {count});
+  };
+  specs[1].stage_id = "impression-volume-v1";
+  specs[2].filters = {{"user_id", "==", Value::Int(7)}};
+  specs[2].project_cols = {"timestamp", "event_name"};
+  specs[2].project_names = {"ts", "name"};
+  specs[3].filters = {{"ip", "==", Value::Str("10.0.0.2")}};
+  specs[3].project_cols = {"user_id", "event_name"};
+  specs[3].project_names = {"uid", "name"};
+  for (size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = "workflow-" + std::to_string(i);
+    specs[i].input_dir = dir;
+    ASSERT_TRUE(engine.AddWorkflow(std::move(specs[i])).ok());
+  }
+
+  // The cold tick answers and caches; the first warm one fills the
+  // engine's result slots for good.
+  ASSERT_TRUE(engine.RunTick(hour).ok());
+  ASSERT_EQ(engine.last_tick().cache_misses, 4u);
+  ASSERT_TRUE(engine.RunTick(hour).ok());
+  ASSERT_EQ(engine.last_tick().cache_hits, 4u);
+
+  const uint64_t read0 = fs.bytes_read();
+  bench::AllocScope scope;
+  ASSERT_TRUE(engine.RunTick(hour).ok());
+  const uint64_t allocs = scope.Delta();
+  EXPECT_EQ(engine.last_tick().cache_hits, 4u);
+  EXPECT_EQ(fs.bytes_read(), read0);
+  EXPECT_LE(allocs, kWarmReTickAllocs);
+  std::printf("warm re-tick: %llu allocations\n",
+              static_cast<unsigned long long>(allocs));
 }
 
 }  // namespace

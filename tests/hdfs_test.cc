@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "hdfs/mini_hdfs.h"
@@ -190,6 +191,94 @@ TEST(MiniHdfsTest, ByteCounters) {
   ASSERT_TRUE(fs.ReadFile("/f").ok());
   EXPECT_EQ(fs.bytes_written(), 5u);
   EXPECT_EQ(fs.bytes_read(), 10u);
+}
+
+// --- Write generations: one namespace-wide counter, never reused ---
+
+class GenerationTest : public ::testing::Test {
+ protected:
+  // The file's generation from Stat, checked against its parent's
+  // recursive listing; records it and expects it never seen before.
+  uint64_t ExpectFresh(const std::string& path) {
+    auto st = fs_.Stat(path);
+    EXPECT_TRUE(st.ok()) << path;
+    if (!st.ok()) return 0;
+    const std::string parent = path.substr(0, path.rfind('/'));
+    auto listing = fs_.ListRecursive(parent.empty() ? "/" : parent);
+    EXPECT_TRUE(listing.ok()) << parent;
+    bool listed = false;
+    for (const auto& f : listing.ok() ? *listing : std::vector<FileStatus>{}) {
+      if (f.path != path) continue;
+      listed = true;
+      EXPECT_EQ(f.generation, st->generation) << path;
+    }
+    EXPECT_TRUE(listed) << path;
+    EXPECT_NE(st->generation, 0u) << path;
+    EXPECT_TRUE(seen_.insert(st->generation).second)
+        << path << " reuses generation " << st->generation;
+    return st->generation;
+  }
+
+  Simulator sim_{1000};
+  MiniHdfs fs_{&sim_};
+  std::set<uint64_t> seen_;
+};
+
+TEST_F(GenerationTest, EveryWriteTakesAGenerationNeverSeenBefore) {
+  ASSERT_TRUE(fs_.WriteFile("/d/f", "hello").ok());
+  const uint64_t created = ExpectFresh("/d/f");
+  // Reads, listings and stats leave it alone.
+  ASSERT_TRUE(fs_.ReadFile("/d/f").ok());
+  EXPECT_EQ(fs_.Stat("/d/f")->generation, created);
+  ASSERT_TRUE(fs_.AppendFile("/d/f", "!").ok());
+  ExpectFresh("/d/f");
+  // Appending to a missing path creates it.
+  ASSERT_TRUE(fs_.AppendFile("/d/g", "x").ok());
+  ExpectFresh("/d/g");
+  ASSERT_TRUE(fs_.CorruptFile("/d/f", 1).ok());
+  ExpectFresh("/d/f");
+  // Directories carry none.
+  EXPECT_EQ(fs_.Stat("/d")->generation, 0u);
+}
+
+TEST_F(GenerationTest, RenameRenumbersTheFileAndEveryFileOfASubtree) {
+  ASSERT_TRUE(fs_.WriteFile("/tmp/part-0", "a").ok());
+  ExpectFresh("/tmp/part-0");
+  ASSERT_TRUE(fs_.Mkdirs("/logs").ok());
+  ASSERT_TRUE(fs_.Rename("/tmp/part-0", "/logs/part-0").ok());
+  ExpectFresh("/logs/part-0");
+
+  ASSERT_TRUE(fs_.WriteFile("/staging/hour/part-0", "a").ok());
+  ASSERT_TRUE(fs_.WriteFile("/staging/hour/sub/part-1", "b").ok());
+  ExpectFresh("/staging/hour/part-0");
+  ExpectFresh("/staging/hour/sub/part-1");
+  ASSERT_TRUE(fs_.Rename("/staging/hour", "/logs/13").ok());
+  ExpectFresh("/logs/13/part-0");
+  ExpectFresh("/logs/13/sub/part-1");
+}
+
+TEST_F(GenerationTest, RecreateAtTheSamePathAndMillisecondIsNew) {
+  ASSERT_TRUE(fs_.WriteFile("/p", "same size").ok());
+  const uint64_t first = ExpectFresh("/p");
+  ASSERT_TRUE(fs_.Delete("/p").ok());
+  ASSERT_TRUE(fs_.WriteFile("/p", "SAME SIZE").ok());
+  const uint64_t second = ExpectFresh("/p");
+  EXPECT_NE(first, second);
+  // Size and mtime cannot tell the two apart; the generation does.
+  EXPECT_EQ(fs_.Stat("/p")->mtime, 1000);
+  EXPECT_EQ(fs_.Stat("/p")->size, 9u);
+}
+
+TEST_F(GenerationTest, ListAgreesWithStat) {
+  ASSERT_TRUE(fs_.WriteFile("/d/a", "1").ok());
+  ASSERT_TRUE(fs_.WriteFile("/d/b", "2").ok());
+  auto listing = fs_.List("/d");
+  ASSERT_TRUE(listing.ok());
+  ASSERT_EQ(listing->size(), 2u);
+  for (const auto& f : *listing) {
+    EXPECT_EQ(f.generation, fs_.Stat(f.path)->generation) << f.path;
+  }
+  EXPECT_NE((*listing)[0].generation, (*listing)[1].generation);
 }
 
 // --- Datanode sharding: per-block placement, brownouts, replication ---

@@ -233,9 +233,10 @@ TEST_F(ArtifactCacheTest, PutGetRoundTrip) {
   ASSERT_TRUE(cache.Put("k1", art).ok());
   auto got = cache.Get("k1", "m1");
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->payload, art.payload);
-  EXPECT_EQ(got->manifest, "m1");
+  EXPECT_EQ(*got->payload, art.payload);
   EXPECT_EQ(got->cold_cost_bytes, 1000u);
+  // The entry this cache just wrote is memoized: the hit reads nothing.
+  EXPECT_EQ(fs_.bytes_read(), 0u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_TRUE(fs_.Exists("/warehouse/_cache/k1.okc"));
 }
@@ -318,7 +319,7 @@ TEST_F(ArtifactCacheTest, RebuildsIndexFromPersistedFiles) {
   ArtifactCache fresh(&fs_);
   auto got = fresh.Get("k1", "m");
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->payload, std::string(300, 'p'));
+  EXPECT_EQ(*got->payload, std::string(300, 'p'));
   EXPECT_GT(fresh.resident_bytes(), 0u);
 }
 
@@ -655,6 +656,190 @@ TEST_F(WorkflowEngineTest, EngineTicksRideTheOinkScheduler) {
   EXPECT_EQ(metrics.CounterTotal("oink.cache_misses"), 3u);
   // Each hour had distinct content, so no cross-hour hits.
   EXPECT_EQ(metrics.CounterTotal("oink.cache_hits"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Warm ticks as lookups: manifest tokens memoized by (path, write
+// generation), verified artifacts memoized by the cache.
+
+// The rows of a (uid, n) click-count result, as "uid:n" strings.
+std::vector<std::string> CountRows(const dataflow::Relation& rel) {
+  std::vector<std::string> out;
+  for (const auto& row : rel.rows()) {
+    out.push_back(std::to_string(rel.Get(row, "uid")->int_value()) + ":" +
+                  std::to_string(rel.Get(row, "n")->int_value()));
+  }
+  return out;
+}
+
+// A framed part, the way aggregator landing writes one: Lz over framed
+// compact-Thrift records, here five clicks of one user.
+std::string FramedClicks(int64_t uid) {
+  std::string framed;
+  events::ClientEventWriter writer(&framed);
+  for (int i = 0; i < 5; ++i) {
+    events::ClientEvent ev;
+    ev.event_name = "web:home:::tweet:click";
+    ev.user_id = uid;
+    ev.timestamp = kT0 + i * 1000;
+    writer.Add(ev);
+  }
+  return Lz::Compress(framed);
+}
+
+// Size and mtime cannot tell a framed part from a rewrite of the same
+// size in the same sim ms; the tick must still miss and answer anew.
+TEST_F(WorkflowEngineTest, FramedPartRewrittenAtSameSizeAndMsMisses) {
+  const std::string path = HourDir(0) + "/part-00000";
+  const std::string first = FramedClicks(1111);
+  const std::string second = FramedClicks(2222);
+  ASSERT_EQ(first.size(), second.size());
+  ASSERT_NE(first, second);
+  ASSERT_TRUE(fs_.WriteFile(path, first).ok());
+  WorkflowEngine engine(&fs_);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_misses, 1u);
+  auto rel = engine.ResultFor("clicks");
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(CountRows(*rel), std::vector<std::string>{"1111:5"});
+
+  const TimeMs mtime = fs_.Stat(path)->mtime;
+  ASSERT_TRUE(fs_.Delete(path).ok());
+  ASSERT_TRUE(fs_.WriteFile(path, second).ok());
+  ASSERT_EQ(fs_.Stat(path)->mtime, mtime);
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_hits, 0u);
+  EXPECT_EQ(engine.last_tick().cache_misses, 1u);
+  rel = engine.ResultFor("clicks");
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(CountRows(*rel), std::vector<std::string>{"2222:5"});
+}
+
+// The RCFile twin: a part deleted and rewritten with other rows at the same
+// path and ms misses on the same engine and returns the new answer.
+TEST_F(WorkflowEngineTest, RcFilePartRewrittenAtSameMsMisses) {
+  WriteHour(0);
+  WorkflowEngine engine(&fs_);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  ASSERT_EQ(engine.last_tick().cache_hits, 1u);
+  const std::string before = ResultBytes(engine, "clicks");
+
+  ASSERT_TRUE(fs_.Delete(HourDir(0) + "/part-00000").ok());
+  WriteHour(0, /*salt=*/1, "part-00000", /*rows=*/60);
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_hits, 0u);
+  EXPECT_EQ(engine.last_tick().cache_misses, 1u);
+  const std::string after = ResultBytes(engine, "clicks");
+  EXPECT_NE(after, before);
+  // What a fresh engine with no memo computes from the new bytes.
+  WorkflowEngine fresh(&fs_, OinkOptions{.enable_cache = false});
+  ASSERT_TRUE(fresh.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(fresh.RunTick(0).ok());
+  EXPECT_EQ(after, ResultBytes(fresh, "clicks"));
+}
+
+// A memoized part token is no excuse to skip a corrupted part: a flip in
+// the last blob leaves every header checksum, and so the fingerprint,
+// as it was (the tick hits, as a fresh read would), and a flip in the
+// first group header fails the tick with Corruption.
+TEST_F(WorkflowEngineTest, CorruptedPartBehavesAsAFreshRead) {
+  WriteHour(0);
+  const std::string part = HourDir(0) + "/part-00000";
+  WorkflowEngine engine(&fs_);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  const std::string cold = ResultBytes(engine, "clicks");
+
+  ASSERT_TRUE(fs_.CorruptFile(part, fs_.Stat(part)->size - 1).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_hits, 1u);
+  EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
+
+  ASSERT_TRUE(fs_.CorruptFile(part, 6).ok());
+  Status st = engine.RunTick(0);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+// An artifact corrupted after the cache verified it is read and checked
+// again: counted corrupt, dropped, recomputed.
+TEST_F(WorkflowEngineTest, CorruptedVerifiedArtifactIsDroppedAndRecomputed) {
+  WriteHour(0);
+  WorkflowEngine engine(&fs_);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  ASSERT_EQ(engine.last_tick().cache_hits, 1u);
+  const std::string cold = ResultBytes(engine, "clicks");
+  auto artifacts = fs_.ListRecursive("/warehouse/_cache");
+  ASSERT_TRUE(artifacts.ok());
+  ASSERT_EQ(artifacts->size(), 1u);
+
+  const uint64_t corrupt = engine.cache()->corrupt_entries();
+  ASSERT_TRUE(fs_.CorruptFile((*artifacts)[0].path, 9).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.cache()->corrupt_entries(), corrupt + 1);
+  EXPECT_EQ(engine.last_tick().cache_hits, 0u);
+  EXPECT_EQ(engine.last_tick().cache_misses, 1u);
+  EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_hits, 1u);
+}
+
+// A hit's result is held by the engine, not by the cache entry: evicting
+// the artifact before ResultFor changes nothing the caller sees.
+TEST_F(WorkflowEngineTest, ResultSurvivesEvictionOfItsArtifact) {
+  WriteHour(0);
+  OinkOptions options;
+  options.cache_byte_budget = 1;  // each Put evicts every colder entry
+  WorkflowEngine engine(&fs_, options);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  const std::string cold = ResultBytes(engine, "clicks");
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  ASSERT_EQ(engine.last_tick().cache_hits, 1u);
+
+  const uint64_t evictions = engine.cache()->evictions();
+  CacheArtifact other;
+  other.manifest = "m";
+  other.payload = "unrelated";
+  ASSERT_TRUE(engine.cache()->Put("0000000000000000", other).ok());
+  ASSERT_EQ(engine.cache()->evictions(), evictions + 1);
+  EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
+  // The next tick finds no artifact and recomputes the same answer.
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  EXPECT_EQ(engine.last_tick().cache_misses, 1u);
+  EXPECT_EQ(ResultBytes(engine, "clicks"), cold);
+}
+
+// Re-ticking unchanged hours on the same engine lists directories and
+// stats artifacts, and reads no file body: no part, no artifact.
+TEST_F(WorkflowEngineTest, SameEngineWarmReTicksReadNoBytes) {
+  WriteHour(0);
+  WriteHour(1, /*salt=*/1);
+  WriteHour(1, /*salt=*/2, "part-00001");
+  WorkflowEngine engine(&fs_);
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.AddWorkflow(Window("early", 0, 20)).ok());
+  std::vector<std::string> cold;
+  for (int64_t hour : {0, 1}) {
+    ASSERT_TRUE(engine.RunTick(hour).ok());
+    cold.push_back(ResultBytes(engine, "clicks") +
+                   ResultBytes(engine, "early"));
+  }
+  const uint64_t read0 = fs_.bytes_read();
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int64_t hour : {0, 1}) {
+      ASSERT_TRUE(engine.RunTick(hour).ok());
+      EXPECT_EQ(engine.last_tick().cache_hits, 2u);
+      EXPECT_EQ(engine.last_tick().cache_misses, 0u);
+      EXPECT_EQ(fs_.bytes_read(), read0) << "pass " << pass << " hour " << hour;
+      EXPECT_EQ(ResultBytes(engine, "clicks") + ResultBytes(engine, "early"),
+                cold[static_cast<size_t>(hour)]);
+    }
+  }
 }
 
 }  // namespace
