@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -120,6 +121,23 @@ TEST(GoldenTest, EventCountingParallelMatchesGolden) {
   opts.threads = 8;
   exec::Executor executor(opts);
   CompareOrUpdate("event_counting", EventCountingReport(&executor));
+}
+
+uint64_t Fnv64(std::string_view data) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : data) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(GoldenTest, CatalogJsonDigest) {
+  // The exported catalog, rendered samples included: the FNV-1a 64 of its
+  // JSON text, recorded while samples rendered through the dynamic Thrift
+  // parser. Sample rendering may change its code but not one byte of text.
+  const std::string json = Fixture().daily.catalog.ExportJson().Dump();
+  EXPECT_EQ(Fnv64(json), 0xb07afd021bdef4c5ull) << std::hex << Fnv64(json);
 }
 
 TEST(GoldenTest, LzCompressedCorpusDigest) {
