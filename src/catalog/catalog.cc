@@ -4,15 +4,42 @@
 #include <cstdio>
 
 #include "common/strings.h"
-#include "thrift/compact_protocol.h"
+#include "events/client_event.h"
 
 namespace unilog::catalog {
 
 namespace {
 
+// A sample is a client event, shown in Thrift's {id: value, ...} notation:
+// the six fields by id, then the details map as field 7 when it has
+// entries. Strings are quoted, their bytes unescaped.
 std::string RenderSample(const std::string& payload) {
-  auto parsed = thrift::ParseStruct(payload);
-  if (parsed.ok()) return parsed->ToString();
+  events::ClientEventView ev;
+  std::vector<events::DetailView> details;
+  if (events::ReadClientEventBody(payload, &ev, &details).ok()) {
+    auto quoted = [](std::string_view s) {
+      std::string q = "\"";
+      q.append(s);
+      q += '"';
+      return q;
+    };
+    std::string out =
+        "{1: " + std::to_string(static_cast<int32_t>(ev.initiator)) +
+        ", 2: " + quoted(ev.event_name) +
+        ", 3: " + std::to_string(ev.user_id) +
+        ", 4: " + quoted(ev.session_id) + ", 5: " + quoted(ev.ip) +
+        ", 6: " + std::to_string(ev.timestamp);
+    if (!details.empty()) {
+      out += ", 7: <";
+      for (size_t i = 0; i < details.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += quoted(details[i].first) + ": " + quoted(details[i].second);
+      }
+      out += '>';
+    }
+    out += '}';
+    return out;
+  }
   // Unparseable: hex-escape a prefix so the catalog still shows something.
   std::string out = "<raw:";
   size_t limit = payload.size() < 16 ? payload.size() : 16;

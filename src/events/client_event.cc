@@ -7,10 +7,6 @@ namespace unilog::events {
 
 using thrift::CompactReader;
 using thrift::CompactWriter;
-using thrift::ListData;
-using thrift::MapData;
-using thrift::StructSchema;
-using thrift::ThriftValue;
 using thrift::TType;
 
 const char* EventInitiatorName(EventInitiator e) {
@@ -159,66 +155,6 @@ ClientEvent ClientEvent::Materialize(const ClientEventView& view,
   event.details.reserve(details.size());
   for (const auto& [k, v] : details) event.details.emplace_back(k, v);
   return event;
-}
-
-ThriftValue ClientEvent::ToThrift() const {
-  ThriftValue v = ThriftValue::Struct();
-  v.SetField(kFieldInitiator, ThriftValue::I32(static_cast<int32_t>(initiator)));
-  v.SetField(kFieldEventName, ThriftValue::String(event_name));
-  v.SetField(kFieldUserId, ThriftValue::I64(user_id));
-  v.SetField(kFieldSessionId, ThriftValue::String(session_id));
-  v.SetField(kFieldIp, ThriftValue::String(ip));
-  v.SetField(kFieldTimestamp, ThriftValue::I64(timestamp));
-  if (!details.empty()) {
-    MapData m;
-    m.key_type = TType::kString;
-    m.value_type = TType::kString;
-    for (const auto& [k, val] : details) {
-      m.entries.emplace_back(ThriftValue::String(k), ThriftValue::String(val));
-    }
-    v.SetField(kFieldEventDetails, ThriftValue::Map(std::move(m)));
-  }
-  return v;
-}
-
-Result<ClientEvent> ClientEvent::FromThrift(const ThriftValue& value) {
-  UNILOG_RETURN_NOT_OK(Schema().Validate(value));
-  ClientEvent ev;
-  UNILOG_ASSIGN_OR_RETURN(int64_t init,
-                          value.FindField(kFieldInitiator)->AsI64());
-  if (init < 0 || init > 3) return Status::InvalidArgument("bad initiator");
-  ev.initiator = static_cast<EventInitiator>(init);
-  ev.event_name = value.FindField(kFieldEventName)->string_value();
-  ev.user_id = value.FindField(kFieldUserId)->i64_value();
-  ev.session_id = value.FindField(kFieldSessionId)->string_value();
-  ev.ip = value.FindField(kFieldIp)->string_value();
-  ev.timestamp = value.FindField(kFieldTimestamp)->i64_value();
-  if (const ThriftValue* d = value.FindField(kFieldEventDetails)) {
-    for (const auto& [k, v] : d->map_value().entries) {
-      if (!k.is_string() || !v.is_string()) {
-        return Status::InvalidArgument("details must be map<string,string>");
-      }
-      ev.details.emplace_back(k.string_value(), v.string_value());
-    }
-  }
-  return ev;
-}
-
-const StructSchema& ClientEvent::Schema() {
-  static const StructSchema* kSchema = [] {
-    auto* s = new StructSchema("client_event");
-    Status st;
-    st = s->AddField({kFieldInitiator, "event_initiator", TType::kI32, true});
-    st = s->AddField({kFieldEventName, "event_name", TType::kString, true});
-    st = s->AddField({kFieldUserId, "user_id", TType::kI64, true});
-    st = s->AddField({kFieldSessionId, "session_id", TType::kString, true});
-    st = s->AddField({kFieldIp, "ip", TType::kString, true});
-    st = s->AddField({kFieldTimestamp, "timestamp", TType::kI64, true});
-    st = s->AddField({kFieldEventDetails, "event_details", TType::kMap, false});
-    (void)st;
-    return s;
-  }();
-  return *kSchema;
 }
 
 const std::string* ClientEvent::FindDetail(std::string_view key) const {

@@ -11,8 +11,6 @@
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "thrift/schema.h"
-#include "thrift/value.h"
 
 namespace unilog::events {
 
@@ -87,8 +85,10 @@ struct ClientEvent {
   TimeMs timestamp = 0;
   std::vector<std::pair<std::string, std::string>> details;
 
-  /// Serializes with the compact protocol (elephant-bird-style generated
-  /// writer: no dynamic value materialization).
+  /// Serializes with the compact protocol. This writer and
+  /// ReadClientEventBody play the role of Elephant Bird's generated Thrift
+  /// code: the one client-event codec, with no schema-less value between
+  /// the struct and its bytes.
   void SerializeTo(std::string* out) const;
   std::string Serialize() const;
 
@@ -98,14 +98,6 @@ struct ClientEvent {
   /// Copies a parsed view (and its details from `details`) into an event.
   static ClientEvent Materialize(const ClientEventView& view,
                                  std::span<const DetailView> details);
-
-  /// Conversions to/from the dynamic representation (used by the catalog's
-  /// payload sampling).
-  thrift::ThriftValue ToThrift() const;
-  static Result<ClientEvent> FromThrift(const thrift::ThriftValue& value);
-
-  /// The canonical client_event struct schema.
-  static const thrift::StructSchema& Schema();
 
   /// Looks up a details key; nullptr when absent.
   const std::string* FindDetail(std::string_view key) const;

@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "thrift/value.h"
 
 namespace unilog::thrift {
 
@@ -26,6 +26,25 @@ namespace unilog::thrift {
 /// is what makes unknown-field skipping — and therefore schema evolution —
 /// possible: new fields added by producers are silently skipped by old
 /// consumers (§3 of the paper relies on this property of Thrift).
+///
+/// The writer and reader carry what the typed client-event codec
+/// (events/client_event.h) calls: i32, i64 and string fields and a
+/// map<string,string>. SkipValue skips a value of every type.
+
+/// Thrift data types (the Apache Thrift type system minus unions).
+enum class TType : uint8_t {
+  kBool = 1,
+  kByte = 2,
+  kI16 = 3,
+  kI32 = 4,
+  kI64 = 5,
+  kDouble = 6,
+  kString = 7,
+  kStruct = 8,
+  kList = 9,
+  kSet = 10,
+  kMap = 11,
+};
 
 /// Compact-protocol wire type nibbles.
 enum class CType : uint8_t {
@@ -49,7 +68,7 @@ enum class CType : uint8_t {
 CType ToCType(TType t);
 
 /// Maps a wire nibble back to the logical type. kBoolTrue/kBoolFalse both
-/// map to kBool. Returns InvalidArgument for kStop or unknown nibbles.
+/// map to kBool. Returns Corruption for kStop or unknown nibbles.
 Result<TType> FromCType(uint8_t nibble);
 
 /// Streaming writer. Usage for a struct:
@@ -68,33 +87,16 @@ class CompactWriter {
 
   /// Field writers (id must be positive and ascending within a struct for
   /// best compression; any positive id is accepted).
-  void WriteBoolField(int16_t id, bool v);
-  void WriteByteField(int16_t id, int8_t v);
-  void WriteI16Field(int16_t id, int16_t v);
   void WriteI32Field(int16_t id, int32_t v);
   void WriteI64Field(int16_t id, int64_t v);
-  void WriteDoubleField(int16_t id, double v);
   void WriteStringField(int16_t id, std::string_view v);
-  /// Writes the header for a nested struct field; follow with
-  /// BeginStruct()/fields/EndStruct().
-  void WriteStructFieldHeader(int16_t id);
-  /// Writes the header for a list field; follow with `count` bare elements.
-  void WriteListFieldHeader(int16_t id, TType elem, uint32_t count);
-  /// Same, with the set wire type.
-  void WriteSetFieldHeader(int16_t id, TType elem, uint32_t count);
+  /// Writes the header for a map field; follow with `count` key, value
+  /// pairs of WriteString.
   void WriteMapFieldHeader(int16_t id, TType key, TType value,
                            uint32_t count);
 
-  /// Bare (headerless) element writers for list/map payloads.
-  void WriteBool(bool v);
-  void WriteByte(int8_t v);
-  void WriteI16(int16_t v);
-  void WriteI32(int32_t v);
-  void WriteI64(int64_t v);
-  void WriteDouble(double v);
+  /// A bare (headerless) string, for map entries.
   void WriteString(std::string_view v);
-
-  std::string* out() { return out_; }
 
  private:
   void WriteFieldHeader(int16_t id, CType type);
@@ -117,7 +119,6 @@ class CompactReader {
   static constexpr int kMaxNestingDepth = 64;
 
   explicit CompactReader(std::string_view data) : dec_(data) {}
-  explicit CompactReader(Decoder dec) : dec_(dec) {}
 
   /// Opens a struct context. Corruption past kMaxNestingDepth open
   /// structs.
@@ -128,13 +129,8 @@ class CompactReader {
   Status ReadFieldHeader(int16_t* id, TType* type, bool* stop,
                          bool* bool_value);
 
-  Status ReadBool(bool* v);  // bare element only
-  Status ReadByte(int8_t* v);
-  Status ReadI16(int16_t* v);
   Status ReadI32(int32_t* v);
   Status ReadI64(int64_t* v);
-  Status ReadDouble(double* v);
-  Status ReadString(std::string* v);
   /// Reads a string as a view into the reader's input (no copy).
   Status ReadString(std::string_view* v);
   Status ReadListHeader(TType* elem, uint32_t* count);
@@ -146,10 +142,7 @@ class CompactReader {
   /// elements occupy one byte).
   Status SkipValue(TType type, bool from_field_header);
 
-  /// Position bookkeeping for framing layers.
-  size_t position() const { return dec_.position(); }
   bool AtEnd() const { return dec_.AtEnd(); }
-  Decoder* decoder() { return &dec_; }
 
  private:
   Status SkipValueAt(TType type, bool from_field_header, int depth);
@@ -159,14 +152,6 @@ class CompactReader {
   int16_t last_field_[kMaxNestingDepth];
   int depth_ = 0;
 };
-
-/// Serializes a dynamic value (must be a struct) with the compact protocol.
-/// Appends to *out (caller-owned; callers on hot paths reuse the buffer).
-Status SerializeStruct(const ThriftValue& value, std::string* out);
-
-/// Parses one compact-protocol struct from `data`, consuming the whole
-/// buffer. Self-describing: no schema needed.
-Result<ThriftValue> ParseStruct(std::string_view data);
 
 }  // namespace unilog::thrift
 

@@ -46,6 +46,7 @@ inline Result<events::ClientEvent> Deserialize(std::string_view data) {
   using thrift::TType;
   thrift::CompactReader r(data);
   ClientEvent event;
+  std::string_view sv;
   UNILOG_RETURN_NOT_OK(r.BeginStruct());
   while (true) {
     int16_t id;
@@ -64,7 +65,8 @@ inline Result<events::ClientEvent> Deserialize(std::string_view data) {
       }
       case ClientEvent::kFieldEventName:
         if (type != TType::kString) return Status::Corruption("bad name");
-        UNILOG_RETURN_NOT_OK(r.ReadString(&event.event_name));
+        UNILOG_RETURN_NOT_OK(r.ReadString(&sv));
+        event.event_name.assign(sv);
         break;
       case ClientEvent::kFieldUserId:
         if (type != TType::kI64) return Status::Corruption("bad user_id");
@@ -72,11 +74,13 @@ inline Result<events::ClientEvent> Deserialize(std::string_view data) {
         break;
       case ClientEvent::kFieldSessionId:
         if (type != TType::kString) return Status::Corruption("bad session");
-        UNILOG_RETURN_NOT_OK(r.ReadString(&event.session_id));
+        UNILOG_RETURN_NOT_OK(r.ReadString(&sv));
+        event.session_id.assign(sv);
         break;
       case ClientEvent::kFieldIp:
         if (type != TType::kString) return Status::Corruption("bad ip");
-        UNILOG_RETURN_NOT_OK(r.ReadString(&event.ip));
+        UNILOG_RETURN_NOT_OK(r.ReadString(&sv));
+        event.ip.assign(sv);
         break;
       case ClientEvent::kFieldTimestamp:
         if (type != TType::kI64) return Status::Corruption("bad timestamp");
@@ -92,10 +96,10 @@ inline Result<events::ClientEvent> Deserialize(std::string_view data) {
         }
         event.details.clear();
         for (uint32_t i = 0; i < count; ++i) {
-          std::string k, v;
+          std::string_view k, v;
           UNILOG_RETURN_NOT_OK(r.ReadString(&k));
           UNILOG_RETURN_NOT_OK(r.ReadString(&v));
-          event.details.emplace_back(std::move(k), std::move(v));
+          event.details.emplace_back(k, v);
         }
         break;
       }

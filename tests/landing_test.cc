@@ -27,7 +27,7 @@
 #include "scribe/log_mover.h"
 #include "scribe/message.h"
 #include "sim/simulator.h"
-#include "thrift/compact_protocol.h"
+#include "thrift_oracle.h"
 #include "zk/zookeeper.h"
 
 namespace unilog::scribe {
@@ -38,8 +38,7 @@ constexpr char kCategory[] = "client_events";
 constexpr char kHourDir[] = "/logs/client_events/2012/08/21/00";
 
 using events::ClientEvent;
-using thrift::CompactWriter;
-using thrift::TType;
+using thrift_oracle::TType;
 
 // ---------------------------------------------------------------------------
 // Message generators
@@ -86,7 +85,7 @@ std::string HostileNesting(size_t levels) {
 // repeated details map (the later one replaces the earlier).
 std::string OddButValid(Rng& rng) {
   std::string out;
-  CompactWriter w(&out);
+  thrift_oracle::Writer w(&out);
   w.BeginStruct();
   switch (rng.Uniform(3)) {
     case 0:  // duplicate fields, out of order

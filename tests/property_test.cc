@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/utf8.h"
+#include "catalog/catalog.h"
 #include "dataflow/mapreduce.h"
 #include "columnar/rcfile.h"
 #include "dataflow/plan_fingerprint.h"
@@ -29,13 +32,13 @@
 #include "hdfs/mini_hdfs.h"
 #include "landing_oracle.h"
 #include "sessions/dictionary.h"
+#include "sessions/histogram.h"
 #include "sessions/sessionizer.h"
 #include "lz_corpus.h"
 #include "lz_reference.h"
 #include "relation_oracle.h"
 #include "scan_oracle.h"
-#include "thrift/compact_protocol.h"
-#include "thrift/value.h"
+#include "thrift_oracle.h"
 #include "workload/generator.h"
 
 namespace unilog {
@@ -403,38 +406,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LzPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 // ---------------------------------------------------------------------------
-// Thrift: randomly generated values round-trip through the compact
-// protocol.
+// Thrift: randomly generated values round-trip through the oracle's
+// compact writer and parser.
 
-thrift::ThriftValue RandomValue(Rng& rng, int depth);
+thrift_oracle::ThriftValue RandomValue(Rng& rng, int depth);
 
-thrift::ThriftValue RandomScalar(Rng& rng) {
+thrift_oracle::ThriftValue RandomScalar(Rng& rng) {
   switch (rng.Uniform(7)) {
     case 0:
-      return thrift::ThriftValue::Bool(rng.Bernoulli(0.5));
+      return thrift_oracle::ThriftValue::Bool(rng.Bernoulli(0.5));
     case 1:
-      return thrift::ThriftValue::Byte(static_cast<int8_t>(rng.Next64()));
+      return thrift_oracle::ThriftValue::Byte(static_cast<int8_t>(rng.Next64()));
     case 2:
-      return thrift::ThriftValue::I16(static_cast<int16_t>(rng.Next64()));
+      return thrift_oracle::ThriftValue::I16(static_cast<int16_t>(rng.Next64()));
     case 3:
-      return thrift::ThriftValue::I32(static_cast<int32_t>(rng.Next64()));
+      return thrift_oracle::ThriftValue::I32(static_cast<int32_t>(rng.Next64()));
     case 4:
-      return thrift::ThriftValue::I64(static_cast<int64_t>(rng.Next64()));
+      return thrift_oracle::ThriftValue::I64(static_cast<int64_t>(rng.Next64()));
     case 5:
-      return thrift::ThriftValue::Double(rng.NextDouble() * 1e6 - 5e5);
+      return thrift_oracle::ThriftValue::Double(rng.NextDouble() * 1e6 - 5e5);
     default: {
       std::string s;
       size_t n = rng.Uniform(30);
       for (size_t i = 0; i < n; ++i) {
         s.push_back(static_cast<char>(rng.Next64() & 0xFF));
       }
-      return thrift::ThriftValue::String(std::move(s));
+      return thrift_oracle::ThriftValue::String(std::move(s));
     }
   }
 }
 
-thrift::ThriftValue RandomStruct(Rng& rng, int depth) {
-  thrift::ThriftValue s = thrift::ThriftValue::Struct();
+thrift_oracle::ThriftValue RandomStruct(Rng& rng, int depth) {
+  thrift_oracle::ThriftValue s = thrift_oracle::ThriftValue::Struct();
   size_t fields = rng.Uniform(6);
   int16_t id = 0;
   for (size_t f = 0; f < fields; ++f) {
@@ -444,41 +447,41 @@ thrift::ThriftValue RandomStruct(Rng& rng, int depth) {
   return s;
 }
 
-thrift::ThriftValue RandomValue(Rng& rng, int depth) {
+thrift_oracle::ThriftValue RandomValue(Rng& rng, int depth) {
   if (depth <= 0 || rng.Bernoulli(0.5)) return RandomScalar(rng);
   switch (rng.Uniform(3)) {
     case 0:
       return RandomStruct(rng, depth);
     case 1: {
-      thrift::ListData l;
+      thrift_oracle::ListData l;
       // Homogeneous element type required: sample one exemplar.
-      thrift::ThriftValue exemplar = RandomScalar(rng);
+      thrift_oracle::ThriftValue exemplar = RandomScalar(rng);
       l.elem_type = exemplar.type();
       l.is_set = rng.Bernoulli(0.3);
       size_t n = rng.Uniform(5);
       for (size_t i = 0; i < n; ++i) {
         // Re-draw until the type matches the exemplar.
-        thrift::ThriftValue v = RandomScalar(rng);
+        thrift_oracle::ThriftValue v = RandomScalar(rng);
         while (v.type() != l.elem_type) v = RandomScalar(rng);
         l.elems.push_back(std::move(v));
       }
-      return thrift::ThriftValue::List(std::move(l));
+      return thrift_oracle::ThriftValue::List(std::move(l));
     }
     default: {
-      thrift::MapData m;
-      thrift::ThriftValue kx = RandomScalar(rng);
-      thrift::ThriftValue vx = RandomScalar(rng);
+      thrift_oracle::MapData m;
+      thrift_oracle::ThriftValue kx = RandomScalar(rng);
+      thrift_oracle::ThriftValue vx = RandomScalar(rng);
       m.key_type = kx.type();
       m.value_type = vx.type();
       size_t n = rng.Uniform(4);
       for (size_t i = 0; i < n; ++i) {
-        thrift::ThriftValue k = RandomScalar(rng);
+        thrift_oracle::ThriftValue k = RandomScalar(rng);
         while (k.type() != m.key_type) k = RandomScalar(rng);
-        thrift::ThriftValue v = RandomScalar(rng);
+        thrift_oracle::ThriftValue v = RandomScalar(rng);
         while (v.type() != m.value_type) v = RandomScalar(rng);
         m.entries.emplace_back(std::move(k), std::move(v));
       }
-      return thrift::ThriftValue::Map(std::move(m));
+      return thrift_oracle::ThriftValue::Map(std::move(m));
     }
   }
 }
@@ -488,10 +491,10 @@ class ThriftPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ThriftPropertyTest, RandomStructsRoundTrip) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 25; ++iter) {
-    thrift::ThriftValue s = RandomStruct(rng, 3);
+    thrift_oracle::ThriftValue s = RandomStruct(rng, 3);
     std::string buf;
-    ASSERT_TRUE(thrift::SerializeStruct(s, &buf).ok());
-    auto parsed = thrift::ParseStruct(buf);
+    ASSERT_TRUE(thrift_oracle::SerializeStruct(s, &buf).ok());
+    auto parsed = thrift_oracle::ParseStruct(buf);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_TRUE(parsed->Equals(s)) << "seed=" << GetParam()
                                    << " iter=" << iter << "\nvalue "
@@ -501,6 +504,174 @@ TEST_P(ThriftPropertyTest, RandomStructsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThriftPropertyTest,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u));
+
+// ---------------------------------------------------------------------------
+// The typed client-event codec against the oracle: catalog samples render
+// as the oracle's parse of the payload, and production's reader skips
+// oracle-written unknown fields of every shape.
+
+class ClientEventOraclePropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+// Letters mixed with the bytes a renderer could mangle: quotes, NULs,
+// backslashes and bytes that are not UTF-8.
+std::string HostileString(Rng& rng) {
+  static constexpr char kSpecial[] = {'"', '\0', '\\', '\xff', '\xc3', '\x80'};
+  std::string s;
+  for (size_t n = rng.Uniform(12); n > 0; --n) {
+    s.push_back(rng.Bernoulli(0.3)
+                    ? kSpecial[rng.Uniform(std::size(kSpecial))]
+                    : static_cast<char>('a' + rng.Uniform(26)));
+  }
+  return s;
+}
+
+// Event `i` of a sweep: the four initiators in turn, user ids and
+// timestamps of both signs, and zero to three details entries.
+events::ClientEvent RandomClientEvent(Rng& rng, size_t i) {
+  events::ClientEvent ev;
+  ev.initiator = static_cast<events::EventInitiator>(i % 4);
+  ev.event_name = HostileString(rng);
+  ev.user_id = static_cast<int64_t>(rng.Next64() >> rng.Uniform(63));
+  if (i % 2 == 1) ev.user_id = -ev.user_id;
+  ev.session_id = HostileString(rng);
+  ev.ip = HostileString(rng);
+  ev.timestamp = static_cast<int64_t>(rng.Next64() >> 20);
+  if (i % 3 == 1) ev.timestamp = -ev.timestamp;
+  for (size_t n = rng.Uniform(4); n > 0; --n) {
+    ev.details.emplace_back(HostileString(rng), HostileString(rng));
+  }
+  return ev;
+}
+
+bool ReaderAccepts(std::string_view m) {
+  events::ClientEventView view;
+  std::vector<events::DetailView> details;
+  return events::ReadClientEventBody(m, &view, &details).ok();
+}
+
+TEST_P(ClientEventOraclePropertyTest, CatalogSamplesRenderAsOracleParse) {
+  Rng rng(GetParam());
+  constexpr size_t kEvents = 40;
+  constexpr size_t kGarbage = 10;
+  std::vector<std::string> payloads;
+  while (payloads.size() < kEvents) {
+    payloads.push_back(RandomClientEvent(rng, payloads.size()).Serialize());
+  }
+  while (payloads.size() < kEvents + kGarbage) {
+    std::string g(rng.Uniform(40), '\0');
+    for (char& c : g) c = static_cast<char>(rng.Uniform(256));
+    if (!ReaderAccepts(g)) payloads.push_back(std::move(g));
+  }
+  sessions::EventHistogram hist;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    hist.Add("e" + std::to_string(i), &payloads[i]);
+  }
+  auto dict = sessions::EventDictionary::FromSortedCounts(
+      hist.SortedByFrequency());
+  ASSERT_TRUE(dict.ok());
+  const catalog::EventCatalog catalog =
+      catalog::EventCatalog::Build(hist, *dict);
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    const catalog::CatalogEntry* entry =
+        catalog.Find("e" + std::to_string(i));
+    ASSERT_NE(entry, nullptr);
+    ASSERT_EQ(entry->samples.size(), 1u);
+    std::string expected;
+    if (i < kEvents) {
+      auto parsed = thrift_oracle::ParseStruct(payloads[i]);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      expected = parsed->ToString();
+    } else {
+      expected = "<raw:";
+      for (size_t b = 0; b < std::min<size_t>(payloads[i].size(), 16); ++b) {
+        char hex[3];
+        std::snprintf(hex, sizeof(hex), "%02x",
+                      static_cast<unsigned char>(payloads[i][b]));
+        expected += hex;
+      }
+      expected += ">";
+    }
+    EXPECT_EQ(entry->samples[0], expected)
+        << "seed=" << GetParam() << " payload " << i;
+  }
+}
+
+TEST_P(ClientEventOraclePropertyTest, ReaderSkipsOracleUnknownFields) {
+  Rng rng(GetParam());
+  // An unknown id: short-form after a small delta, or one that needs the
+  // long form (far ahead, negative); the known id after it takes the long
+  // form too.
+  auto unknown_id = [&rng] {
+    switch (rng.Uniform(3)) {
+      case 0:
+        return static_cast<int16_t>(8 + rng.Uniform(8));
+      case 1:
+        return static_cast<int16_t>(100 + rng.Uniform(30000));
+      default:
+        return static_cast<int16_t>(-1 - static_cast<int>(rng.Uniform(500)));
+    }
+  };
+  for (size_t i = 0; i < 30; ++i) {
+    const events::ClientEvent ev = RandomClientEvent(rng, i);
+    const std::string plain = ev.Serialize();
+    auto fields = thrift_oracle::ParseStruct(plain);
+    ASSERT_TRUE(fields.ok()) << fields.status().ToString();
+    std::string mixed;
+    thrift_oracle::Writer w(&mixed);
+    w.BeginStruct();
+    for (const auto& [id, value] : fields->struct_value().fields) {
+      for (uint64_t u = rng.Uniform(3); u > 0; --u) {
+        w.WriteField(unknown_id(), RandomValue(rng, 3));
+      }
+      w.WriteField(id, value);
+    }
+    for (uint64_t u = rng.Uniform(3); u > 0; --u) {
+      w.WriteField(unknown_id(), RandomStruct(rng, 3));
+    }
+    w.EndStruct();
+
+    std::vector<events::DetailView> plain_details, mixed_details;
+    events::ClientEventView pv, mv;
+    ASSERT_TRUE(events::ReadClientEventBody(plain, &pv, &plain_details).ok());
+    Status st = events::ReadClientEventBody(mixed, &mv, &mixed_details);
+    ASSERT_TRUE(st.ok()) << st.ToString() << " seed=" << GetParam()
+                         << " event " << i;
+    EXPECT_EQ(mv.initiator, pv.initiator);
+    EXPECT_EQ(mv.event_name, pv.event_name);
+    EXPECT_EQ(mv.user_id, pv.user_id);
+    EXPECT_EQ(mv.session_id, pv.session_id);
+    EXPECT_EQ(mv.ip, pv.ip);
+    EXPECT_EQ(mv.timestamp, pv.timestamp);
+    EXPECT_EQ(mv.details_begin, pv.details_begin);
+    EXPECT_EQ(mv.details_end, pv.details_end);
+    EXPECT_EQ(mixed_details, plain_details);
+    EXPECT_EQ(events::ClientEvent::Materialize(mv, mv.details(mixed_details)),
+              ev);
+
+    // Seeded byte flips and truncations: OK or Corruption, and a failed
+    // parse leaves the arena as it was.
+    const std::vector<events::DetailView> kept = {{"kept", "entry"}};
+    for (int k = 0; k < 20; ++k) {
+      std::string m = mixed;
+      if (rng.Bernoulli(0.5)) {
+        m.resize(rng.Uniform(m.size()));
+      } else {
+        m[rng.Uniform(m.size())] ^= static_cast<char>(1 + rng.Uniform(255));
+      }
+      std::vector<events::DetailView> arena = kept;
+      events::ClientEventView v;
+      Status mst = events::ReadClientEventBody(m, &v, &arena);
+      if (mst.ok()) continue;
+      EXPECT_TRUE(mst.IsCorruption()) << mst.ToString();
+      EXPECT_EQ(arena, kept);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClientEventOraclePropertyTest,
+                         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u, 77u,
+                                           88u));
 
 // ---------------------------------------------------------------------------
 // Sessionizer invariants under random event streams.

@@ -1,17 +1,37 @@
-// Unit tests for the Thrift-style compact protocol, dynamic values, and
-// struct schemas — including the schema-evolution behaviours the paper's
-// logging format relies on (§3).
+// Unit tests for the compact protocol: the dynamic values, writer and
+// parser of the test oracle (thrift_oracle.h), production's streaming
+// reader (thrift/compact_protocol.h) on oracle-written bytes, and the
+// schema-evolution behaviours the paper's logging format relies on (§3).
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "events/client_event.h"
 #include "thrift/compact_protocol.h"
-#include "thrift/schema.h"
-#include "thrift/value.h"
+#include "thrift_oracle.h"
 
-namespace unilog::thrift {
+namespace unilog {
 namespace {
+
+using namespace thrift_oracle;  // NOLINT: the oracle is what most tests drive
+
+// Production's client-event reader refuses `m` with Corruption and leaves
+// a non-empty details arena as it was.
+void ExpectReaderRejects(std::string_view m) {
+  std::vector<events::DetailView> arena = {{"kept", "entry"}};
+  events::ClientEventView view;
+  Status st = events::ReadClientEventBody(m, &view, &arena);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(arena, (std::vector<events::DetailView>{{"kept", "entry"}}));
+}
+
+// Production's reader skips one value of `type` from the start of `m`.
+Status SkipFromStart(std::string_view m, thrift::TType type) {
+  thrift::CompactReader r(m);
+  return r.SkipValue(type, /*from_field_header=*/false);
+}
 
 ThriftValue MakeSampleEvent() {
   ThriftValue ev = ThriftValue::Struct();
@@ -205,14 +225,23 @@ TEST(CompactProtocolTest, TrailingGarbageDetected) {
   ASSERT_TRUE(SerializeStruct(MakeSampleEvent(), &buf).ok());
   buf += "junk";
   EXPECT_FALSE(ParseStruct(buf).ok());
+  // Production skips the struct whole and stops before the junk, which
+  // the client-event reader refuses.
+  thrift::CompactReader r(buf);
+  ASSERT_TRUE(r.SkipValue(thrift::TType::kStruct, false).ok());
+  EXPECT_FALSE(r.AtEnd());
+  ExpectReaderRejects(buf);
 }
 
 TEST(CompactProtocolTest, TruncatedStructDetected) {
   std::string buf;
   ASSERT_TRUE(SerializeStruct(MakeSampleEvent(), &buf).ok());
   for (size_t cut : {buf.size() - 1, buf.size() / 2, size_t{1}}) {
-    EXPECT_FALSE(ParseStruct(std::string_view(buf).substr(0, cut)).ok())
+    const std::string_view m = std::string_view(buf).substr(0, cut);
+    EXPECT_FALSE(ParseStruct(m).ok()) << "cut=" << cut;
+    EXPECT_TRUE(SkipFromStart(m, thrift::TType::kStruct).IsCorruption())
         << "cut=" << cut;
+    ExpectReaderRejects(m);
   }
 }
 
@@ -228,10 +257,10 @@ std::string NestedStructs(size_t levels) {
 TEST(CompactProtocolTest, DeepNestingIsCorruptionNotStackOverflow) {
   for (size_t levels : {size_t{64}, size_t{100000}}) {
     const std::string m = NestedStructs(levels);
-    CompactReader r(m);
+    thrift::CompactReader r(m);
     ASSERT_TRUE(r.BeginStruct().ok());
     int16_t id;
-    TType type;
+    thrift::TType type;
     bool stop = false, b = false;
     ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
     Status st = r.SkipValue(type, /*from_field_header=*/true);
@@ -242,10 +271,10 @@ TEST(CompactProtocolTest, DeepNestingIsCorruptionNotStackOverflow) {
   std::string lists(1, '\x19');   // field 1: list
   lists.append(100000, '\x19');  // each a one-element list of lists
   EXPECT_TRUE(ParseStruct(lists).status().IsCorruption());
-  CompactReader r(lists);
+  thrift::CompactReader r(lists);
   ASSERT_TRUE(r.BeginStruct().ok());
   int16_t id;
-  TType type;
+  thrift::TType type;
   bool stop = false, b = false;
   ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
   EXPECT_TRUE(r.SkipValue(type, true).IsCorruption());
@@ -255,7 +284,7 @@ TEST(CompactProtocolTest, LegitimatelyNestedStructsParseAndSkip) {
   // Ten levels of nested structs, each with a leaf field, then a trailing
   // known field: skipped by the streaming reader, kept by the parser.
   std::string m;
-  CompactWriter w(&m);
+  Writer w(&m);
   w.BeginStruct();
   w.WriteStructFieldHeader(20);
   for (int depth = 0; depth < 10; ++depth) {
@@ -274,17 +303,17 @@ TEST(CompactProtocolTest, LegitimatelyNestedStructsParseAndSkip) {
   ASSERT_NE(parsed->FindField(21), nullptr);
   EXPECT_EQ(parsed->FindField(21)->string_value(), "after");
 
-  CompactReader r(m);
+  thrift::CompactReader r(m);
   ASSERT_TRUE(r.BeginStruct().ok());
   int16_t id;
-  TType type;
+  thrift::TType type;
   bool stop = false, b = false;
   ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
   ASSERT_EQ(id, 20);
   ASSERT_TRUE(r.SkipValue(type, true).ok());
   ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
   EXPECT_EQ(id, 21);  // the enclosing struct's field ids resumed correctly
-  std::string after;
+  std::string_view after;
   ASSERT_TRUE(r.ReadString(&after).ok());
   EXPECT_EQ(after, "after");
   ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &b).ok());
@@ -296,6 +325,13 @@ TEST(CompactProtocolTest, LegitimatelyNestedStructsParseAndSkip) {
 TEST(CompactProtocolTest, HugeClaimedListCountIsCorruption) {
   const std::string m("\x19\xf5\xff\xff\xff\xff\x0f", 7);
   EXPECT_TRUE(ParseStruct(m).status().IsCorruption());
+  EXPECT_TRUE(SkipFromStart(m, thrift::TType::kStruct).IsCorruption());
+  ExpectReaderRejects(m);  // field 1 must be the i32 initiator
+  // The same list as unknown field 20 (long-form id) reaches SkipValue
+  // inside the client-event reader.
+  const std::string unknown("\x09\x28\xf5\xff\xff\xff\xff\x0f", 8);
+  EXPECT_TRUE(ParseStruct(unknown).status().IsCorruption());
+  ExpectReaderRejects(unknown);
 }
 
 TEST(CompactProtocolTest, SerializeRejectsNonStruct) {
@@ -325,19 +361,19 @@ TEST(SchemaEvolutionTest, UnknownFieldsSkippedByStreamingReader) {
 
   // "Old consumer" only understands fields 2 (event_name) and 3 (user_id);
   // it must read them and skip everything else without error.
-  CompactReader r(buf);
-  r.BeginStruct();
-  std::string event_name;
+  thrift::CompactReader r(buf);
+  ASSERT_TRUE(r.BeginStruct().ok());
+  std::string_view event_name;
   int64_t user_id = 0;
   while (true) {
     int16_t id;
-    TType type;
+    thrift::TType type;
     bool stop = false, bval = false;
     ASSERT_TRUE(r.ReadFieldHeader(&id, &type, &stop, &bval).ok());
     if (stop) break;
-    if (id == 2 && type == TType::kString) {
+    if (id == 2 && type == thrift::TType::kString) {
       ASSERT_TRUE(r.ReadString(&event_name).ok());
-    } else if (id == 3 && type == TType::kI64) {
+    } else if (id == 3 && type == thrift::TType::kI64) {
       ASSERT_TRUE(r.ReadI64(&user_id).ok());
     } else {
       ASSERT_TRUE(r.SkipValue(type, /*from_field_header=*/true).ok())
@@ -360,102 +396,5 @@ TEST(SchemaEvolutionTest, DynamicParserPreservesUnknownFields) {
   EXPECT_EQ(parsed->FindField(99)->string_value(), "forward-compat");
 }
 
-// ---------------------------------------------------------------------------
-// StructSchema
-
-StructSchema ClientEventSchema() {
-  StructSchema s("client_event");
-  EXPECT_TRUE(s.AddField({1, "event_initiator", TType::kI32, true}).ok());
-  EXPECT_TRUE(s.AddField({2, "event_name", TType::kString, true}).ok());
-  EXPECT_TRUE(s.AddField({3, "user_id", TType::kI64, true}).ok());
-  EXPECT_TRUE(s.AddField({4, "session_id", TType::kString, true}).ok());
-  EXPECT_TRUE(s.AddField({5, "ip", TType::kString, true}).ok());
-  EXPECT_TRUE(s.AddField({6, "timestamp", TType::kI64, true}).ok());
-  EXPECT_TRUE(s.AddField({7, "event_details", TType::kMap, false}).ok());
-  return s;
-}
-
-TEST(SchemaTest, ValidatesConformingStruct) {
-  StructSchema schema = ClientEventSchema();
-  EXPECT_TRUE(schema.Validate(MakeSampleEvent()).ok());
-}
-
-TEST(SchemaTest, MissingRequiredFieldFails) {
-  StructSchema schema = ClientEventSchema();
-  ThriftValue ev = MakeSampleEvent();
-  ev.mutable_struct().fields.erase(3);  // drop user_id
-  Status st = schema.Validate(ev);
-  EXPECT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("user_id"), std::string::npos);
-}
-
-TEST(SchemaTest, WrongTypeFails) {
-  StructSchema schema = ClientEventSchema();
-  ThriftValue ev = MakeSampleEvent();
-  ev.SetField(3, ThriftValue::String("not-an-int"));
-  EXPECT_TRUE(schema.Validate(ev).IsInvalidArgument());
-}
-
-TEST(SchemaTest, UnknownFieldsAllowed) {
-  StructSchema schema = ClientEventSchema();
-  ThriftValue ev = MakeSampleEvent();
-  ev.SetField(42, ThriftValue::String("extra"));
-  EXPECT_TRUE(schema.Validate(ev).ok());
-}
-
-TEST(SchemaTest, MissingOptionalFieldAllowed) {
-  StructSchema schema = ClientEventSchema();
-  ThriftValue ev = MakeSampleEvent();
-  ev.mutable_struct().fields.erase(7);  // event_details is optional
-  EXPECT_TRUE(schema.Validate(ev).ok());
-}
-
-TEST(SchemaTest, DuplicateFieldRejected) {
-  StructSchema s("x");
-  ASSERT_TRUE(s.AddField({1, "a", TType::kI32, false}).ok());
-  EXPECT_TRUE(s.AddField({1, "b", TType::kI32, false}).IsAlreadyExists());
-  EXPECT_TRUE(s.AddField({2, "a", TType::kI32, false}).IsAlreadyExists());
-  EXPECT_TRUE(s.AddField({0, "z", TType::kI32, false}).IsInvalidArgument());
-  EXPECT_TRUE(s.AddField({-3, "w", TType::kI32, false}).IsInvalidArgument());
-}
-
-TEST(SchemaTest, LookupByIdAndName) {
-  StructSchema schema = ClientEventSchema();
-  ASSERT_NE(schema.FindField(2), nullptr);
-  EXPECT_EQ(schema.FindField(2)->name, "event_name");
-  ASSERT_NE(schema.FindFieldByName("ip"), nullptr);
-  EXPECT_EQ(schema.FindFieldByName("ip")->id, 5);
-  EXPECT_EQ(schema.FindField(100), nullptr);
-  EXPECT_EQ(schema.FindFieldByName("nope"), nullptr);
-}
-
-TEST(SchemaTest, FieldsSortedById) {
-  StructSchema s("x");
-  ASSERT_TRUE(s.AddField({5, "e", TType::kI32, false}).ok());
-  ASSERT_TRUE(s.AddField({1, "a", TType::kI32, false}).ok());
-  ASSERT_TRUE(s.AddField({3, "c", TType::kI32, false}).ok());
-  ASSERT_EQ(s.fields().size(), 3u);
-  EXPECT_EQ(s.fields()[0].id, 1);
-  EXPECT_EQ(s.fields()[1].id, 3);
-  EXPECT_EQ(s.fields()[2].id, 5);
-}
-
-TEST(SchemaTest, ToIdlRendering) {
-  StructSchema s("tiny");
-  ASSERT_TRUE(s.AddField({1, "a", TType::kI64, true}).ok());
-  std::string idl = s.ToIdl();
-  EXPECT_NE(idl.find("struct tiny"), std::string::npos);
-  EXPECT_NE(idl.find("1: required i64 a;"), std::string::npos);
-}
-
-TEST(SchemaRegistryTest, RegisterAndLookup) {
-  SchemaRegistry reg;
-  ASSERT_TRUE(reg.Register(ClientEventSchema()).ok());
-  EXPECT_TRUE(reg.Register(ClientEventSchema()).IsAlreadyExists());
-  ASSERT_NE(reg.Lookup("client_event"), nullptr);
-  EXPECT_EQ(reg.Lookup("nope"), nullptr);
-  EXPECT_EQ(reg.Names(), std::vector<std::string>{"client_event"});
-}
-
 }  // namespace
-}  // namespace unilog::thrift
+}  // namespace unilog
