@@ -409,35 +409,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LzPropertyTest,
 // Thrift: randomly generated values round-trip through the oracle's
 // compact writer and parser.
 
-thrift_oracle::ThriftValue RandomValue(Rng& rng, int depth);
+using thrift_oracle::ThriftValue;
 
-thrift_oracle::ThriftValue RandomScalar(Rng& rng) {
+ThriftValue RandomValue(Rng& rng, int depth);
+
+ThriftValue RandomScalar(Rng& rng) {
   switch (rng.Uniform(7)) {
     case 0:
-      return thrift_oracle::ThriftValue::Bool(rng.Bernoulli(0.5));
+      return ThriftValue::Bool(rng.Bernoulli(0.5));
     case 1:
-      return thrift_oracle::ThriftValue::Byte(static_cast<int8_t>(rng.Next64()));
+      return ThriftValue::Byte(static_cast<int8_t>(rng.Next64()));
     case 2:
-      return thrift_oracle::ThriftValue::I16(static_cast<int16_t>(rng.Next64()));
+      return ThriftValue::I16(static_cast<int16_t>(rng.Next64()));
     case 3:
-      return thrift_oracle::ThriftValue::I32(static_cast<int32_t>(rng.Next64()));
+      return ThriftValue::I32(static_cast<int32_t>(rng.Next64()));
     case 4:
-      return thrift_oracle::ThriftValue::I64(static_cast<int64_t>(rng.Next64()));
+      return ThriftValue::I64(static_cast<int64_t>(rng.Next64()));
     case 5:
-      return thrift_oracle::ThriftValue::Double(rng.NextDouble() * 1e6 - 5e5);
+      return ThriftValue::Double(rng.NextDouble() * 1e6 - 5e5);
     default: {
       std::string s;
       size_t n = rng.Uniform(30);
       for (size_t i = 0; i < n; ++i) {
         s.push_back(static_cast<char>(rng.Next64() & 0xFF));
       }
-      return thrift_oracle::ThriftValue::String(std::move(s));
+      return ThriftValue::String(std::move(s));
     }
   }
 }
 
-thrift_oracle::ThriftValue RandomStruct(Rng& rng, int depth) {
-  thrift_oracle::ThriftValue s = thrift_oracle::ThriftValue::Struct();
+ThriftValue RandomStruct(Rng& rng, int depth) {
+  ThriftValue s = ThriftValue::Struct();
   size_t fields = rng.Uniform(6);
   int16_t id = 0;
   for (size_t f = 0; f < fields; ++f) {
@@ -447,7 +449,7 @@ thrift_oracle::ThriftValue RandomStruct(Rng& rng, int depth) {
   return s;
 }
 
-thrift_oracle::ThriftValue RandomValue(Rng& rng, int depth) {
+ThriftValue RandomValue(Rng& rng, int depth) {
   if (depth <= 0 || rng.Bernoulli(0.5)) return RandomScalar(rng);
   switch (rng.Uniform(3)) {
     case 0:
@@ -455,33 +457,33 @@ thrift_oracle::ThriftValue RandomValue(Rng& rng, int depth) {
     case 1: {
       thrift_oracle::ListData l;
       // Homogeneous element type required: sample one exemplar.
-      thrift_oracle::ThriftValue exemplar = RandomScalar(rng);
+      ThriftValue exemplar = RandomScalar(rng);
       l.elem_type = exemplar.type();
       l.is_set = rng.Bernoulli(0.3);
       size_t n = rng.Uniform(5);
       for (size_t i = 0; i < n; ++i) {
         // Re-draw until the type matches the exemplar.
-        thrift_oracle::ThriftValue v = RandomScalar(rng);
+        ThriftValue v = RandomScalar(rng);
         while (v.type() != l.elem_type) v = RandomScalar(rng);
         l.elems.push_back(std::move(v));
       }
-      return thrift_oracle::ThriftValue::List(std::move(l));
+      return ThriftValue::List(std::move(l));
     }
     default: {
       thrift_oracle::MapData m;
-      thrift_oracle::ThriftValue kx = RandomScalar(rng);
-      thrift_oracle::ThriftValue vx = RandomScalar(rng);
+      ThriftValue kx = RandomScalar(rng);
+      ThriftValue vx = RandomScalar(rng);
       m.key_type = kx.type();
       m.value_type = vx.type();
       size_t n = rng.Uniform(4);
       for (size_t i = 0; i < n; ++i) {
-        thrift_oracle::ThriftValue k = RandomScalar(rng);
+        ThriftValue k = RandomScalar(rng);
         while (k.type() != m.key_type) k = RandomScalar(rng);
-        thrift_oracle::ThriftValue v = RandomScalar(rng);
+        ThriftValue v = RandomScalar(rng);
         while (v.type() != m.value_type) v = RandomScalar(rng);
         m.entries.emplace_back(std::move(k), std::move(v));
       }
-      return thrift_oracle::ThriftValue::Map(std::move(m));
+      return ThriftValue::Map(std::move(m));
     }
   }
 }
@@ -491,7 +493,7 @@ class ThriftPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ThriftPropertyTest, RandomStructsRoundTrip) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 25; ++iter) {
-    thrift_oracle::ThriftValue s = RandomStruct(rng, 3);
+    ThriftValue s = RandomStruct(rng, 3);
     std::string buf;
     ASSERT_TRUE(thrift_oracle::SerializeStruct(s, &buf).ok());
     auto parsed = thrift_oracle::ParseStruct(buf);

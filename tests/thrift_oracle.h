@@ -121,7 +121,6 @@ class ThriftValue {
   }
 
   bool is_struct() const { return std::holds_alternative<StructData>(repr_); }
-  bool is_string() const { return std::holds_alternative<std::string>(repr_); }
 
   /// Typed accessors; throw std::bad_variant_access on a type mismatch.
   bool bool_value() const { return std::get<bool>(repr_); }
@@ -277,7 +276,9 @@ class ThriftValue {
 
 /// Streaming compact-protocol writer for every wire type. Field ids are
 /// delta-encoded against the previous field of the open struct; a delta
-/// outside 1..15 takes the long form (type byte, zigzag varint id).
+/// outside 1..15 takes the long form (type byte, zigzag varint id). The
+/// typed writers let a test repeat, reorder or omit fields, which a
+/// ThriftValue struct cannot hold.
 class Writer {
  public:
   explicit Writer(std::string* out) : out_(out) {}
@@ -288,30 +289,20 @@ class Writer {
     last_field_.pop_back();
   }
 
-  void WriteBoolField(int16_t id, bool v) { Header(id, v ? 1 : 2); }
-  void WriteByteField(int16_t id, int8_t v) {
-    Header(id, internal::Wire(TType::kByte));
-    WriteByte(v);
-  }
-  void WriteI16Field(int16_t id, int16_t v) {
-    Header(id, internal::Wire(TType::kI16));
-    WriteI16(v);
+  void WriteBoolField(int16_t id, bool v) {
+    WriteField(id, ThriftValue::Bool(v));
   }
   void WriteI32Field(int16_t id, int32_t v) {
-    Header(id, internal::Wire(TType::kI32));
-    WriteI32(v);
+    WriteField(id, ThriftValue::I32(v));
   }
   void WriteI64Field(int16_t id, int64_t v) {
-    Header(id, internal::Wire(TType::kI64));
-    WriteI64(v);
+    WriteField(id, ThriftValue::I64(v));
   }
   void WriteDoubleField(int16_t id, double v) {
-    Header(id, internal::Wire(TType::kDouble));
-    WriteDouble(v);
+    WriteField(id, ThriftValue::Double(v));
   }
   void WriteStringField(int16_t id, std::string_view v) {
-    Header(id, internal::Wire(TType::kString));
-    WriteString(v);
+    WriteField(id, ThriftValue::String(std::string(v)));
   }
   /// Follow with BeginStruct(), the fields, EndStruct().
   void WriteStructFieldHeader(int16_t id) {
@@ -320,51 +311,26 @@ class Writer {
   /// Follow with `count` bare elements.
   void WriteListFieldHeader(int16_t id, TType elem, uint32_t count) {
     Header(id, internal::Wire(TType::kList));
-    WriteListHeader(elem, count);
-  }
-  void WriteSetFieldHeader(int16_t id, TType elem, uint32_t count) {
-    Header(id, internal::Wire(TType::kSet));
-    WriteListHeader(elem, count);
+    ListHeader(elem, count);
   }
   /// Follow with `count` bare key, value pairs.
   void WriteMapFieldHeader(int16_t id, TType key, TType value,
                            uint32_t count) {
     Header(id, internal::Wire(TType::kMap));
-    WriteMapHeader(key, value, count);
+    MapHeader(key, value, count);
   }
 
-  /// Bare (headerless) elements of lists, sets and maps.
-  void WriteBool(bool v) { out_->push_back(v ? '\x01' : '\x02'); }
-  void WriteByte(int8_t v) { out_->push_back(static_cast<char>(v)); }
-  void WriteI16(int16_t v) { PutVarint64(out_, ZigZagEncode32(v)); }
-  void WriteI32(int32_t v) { PutVarint64(out_, ZigZagEncode32(v)); }
-  void WriteI64(int64_t v) { PutVarint64(out_, ZigZagEncode64(v)); }
-  void WriteDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutFixed64(out_, bits);
-  }
+  /// Bare (headerless) elements of lists and maps.
+  void WriteI32(int32_t v) { WriteValue(ThriftValue::I32(v)); }
+  void WriteI64(int64_t v) { WriteValue(ThriftValue::I64(v)); }
   void WriteString(std::string_view v) { PutLengthPrefixed(out_, v); }
-  void WriteListHeader(TType elem, uint32_t count) {
-    const uint8_t et = internal::Wire(elem);
-    if (count < 15) {
-      out_->push_back(static_cast<char>((count << 4) | et));
-    } else {
-      out_->push_back(static_cast<char>(0xF0 | et));
-      PutVarint64(out_, count);
-    }
-  }
-  void WriteMapHeader(TType key, TType value, uint32_t count) {
-    PutVarint64(out_, count);
-    if (count > 0) {
-      out_->push_back(static_cast<char>((internal::Wire(key) << 4) |
-                                        internal::Wire(value)));
-    }
-  }
 
-  /// Any value as field `id` of the open struct.
+  /// Any value as field `id` of the open struct; a bool rides in the
+  /// header's type nibble.
   void WriteField(int16_t id, const ThriftValue& v) {
-    if (v.type() == TType::kBool) return WriteBoolField(id, v.bool_value());
+    if (v.type() == TType::kBool) {
+      return Header(id, v.bool_value() ? 1 : 2);
+    }
     Header(id, internal::Wire(v.type()));
     WriteValue(v);
   }
@@ -373,17 +339,21 @@ class Writer {
   void WriteValue(const ThriftValue& v) {
     switch (v.type()) {
       case TType::kBool:
-        return WriteBool(v.bool_value());
+        return out_->push_back(v.bool_value() ? '\x01' : '\x02');
       case TType::kByte:
-        return WriteByte(v.byte_value());
+        return out_->push_back(static_cast<char>(v.byte_value()));
       case TType::kI16:
-        return WriteI16(v.i16_value());
+        return PutVarint64(out_, ZigZagEncode32(v.i16_value()));
       case TType::kI32:
-        return WriteI32(v.i32_value());
+        return PutVarint64(out_, ZigZagEncode32(v.i32_value()));
       case TType::kI64:
-        return WriteI64(v.i64_value());
-      case TType::kDouble:
-        return WriteDouble(v.double_value());
+        return PutVarint64(out_, ZigZagEncode64(v.i64_value()));
+      case TType::kDouble: {
+        uint64_t bits;
+        const double d = v.double_value();
+        std::memcpy(&bits, &d, sizeof(bits));
+        return PutFixed64(out_, bits);
+      }
       case TType::kString:
         return WriteString(v.string_value());
       case TType::kStruct:
@@ -395,14 +365,14 @@ class Writer {
       case TType::kList:
       case TType::kSet: {
         const ListData& l = v.list_value();
-        WriteListHeader(l.elem_type, static_cast<uint32_t>(l.elems.size()));
+        ListHeader(l.elem_type, static_cast<uint32_t>(l.elems.size()));
         for (const auto& e : l.elems) WriteValue(e);
         return;
       }
       case TType::kMap: {
         const MapData& m = v.map_value();
-        WriteMapHeader(m.key_type, m.value_type,
-                       static_cast<uint32_t>(m.entries.size()));
+        MapHeader(m.key_type, m.value_type,
+                  static_cast<uint32_t>(m.entries.size()));
         for (const auto& [k, val] : m.entries) {
           WriteValue(k);
           WriteValue(val);
@@ -423,6 +393,24 @@ class Writer {
       PutVarint64(out_, ZigZagEncode32(id));
     }
     last = id;
+  }
+
+  void ListHeader(TType elem, uint32_t count) {
+    const uint8_t et = internal::Wire(elem);
+    if (count < 15) {
+      out_->push_back(static_cast<char>((count << 4) | et));
+    } else {
+      out_->push_back(static_cast<char>(0xF0 | et));
+      PutVarint64(out_, count);
+    }
+  }
+
+  void MapHeader(TType key, TType value, uint32_t count) {
+    PutVarint64(out_, count);
+    if (count > 0) {
+      out_->push_back(static_cast<char>((internal::Wire(key) << 4) |
+                                        internal::Wire(value)));
+    }
   }
 
   std::string* out_;
