@@ -15,7 +15,7 @@
 namespace unilog {
 namespace {
 
-using namespace thrift_oracle;  // NOLINT: the oracle is what most tests drive
+using namespace thrift_oracle;  // most tests here drive the oracle
 
 // Production's client-event reader refuses `m` with Corruption and leaves
 // a non-empty details arena as it was.
