@@ -158,9 +158,9 @@ void PrintReportExcerpt(const std::string& report) {
 // Ingest hot-path throughput: the mover's CPU kernel (decompress+unframe
 // staged files, merge, frame+compress warehouse parts) measured two ways.
 // "baseline" reproduces the seed serial path exactly: fresh strings and a
-// fresh-state compressor per file/part. "optimized" is the shipped path:
-// pooled buffers, reused hash-chain state, and unilog::exec fan-out — and
-// must produce byte-identical part bytes.
+// fresh-state compressor per file/part. "shipped" is the mover's path:
+// part slots kept across calls, reused hash-chain state, and unilog::exec
+// fan-out — and must produce byte-identical part bytes.
 
 struct IngestWorkload {
   std::vector<std::string> staged;  // compressed staged file bodies
@@ -224,11 +224,15 @@ std::string IngestBaselineRep(const IngestWorkload& w) {
   return sink;
 }
 
-/// Shipped path: pooled buffers + reused compressor state, part builds
-/// fanned out on the executor exactly as LogMover::MoveCategoryHour does.
-std::string IngestOptimizedRep(const IngestWorkload& w,
-                               exec::Executor* executor,
-                               scribe::BufferPool* pool) {
+/// Shipped path: the unstage fan-out and then BuildFramedParts, as
+/// LogMover's staging merge runs them, into part slots kept across reps
+/// as the mover keeps its slots across hours.
+struct PartSlots {
+  std::vector<std::string> framed, parts;
+};
+
+std::string IngestShippedRep(const IngestWorkload& w, exec::Executor* executor,
+                             PartSlots* kept) {
   struct Slot {
     std::string raw;
     std::vector<std::string_view> messages;  // views into raw
@@ -246,22 +250,10 @@ std::string IngestOptimizedRep(const IngestWorkload& w,
   for (const Slot& slot : slots) {
     merged.insert(merged.end(), slot.messages.begin(), slot.messages.end());
   }
-  std::vector<size_t> part_ends =
-      scribe::PlanFramedParts(merged, kIngestTargetPartBytes);
-  std::vector<scribe::BufferPool::Lease> parts(part_ends.size());
-  executor->ParallelFor("bench.build_parts", part_ends.size(), [&](size_t p) {
-    size_t begin = p == 0 ? 0 : part_ends[p - 1];
-    scribe::BufferPool::Lease framed = pool->Acquire();
-    scribe::AppendFramedRange(framed.get(), merged, begin, part_ends[p]);
-    scribe::BufferPool::Lease out = pool->Acquire();
-    Lz::Pooled().CompressTo(*framed, out.get());
-    parts[p] = std::move(out);
-  });
+  scribe::BuildFramedParts(executor, merged, kIngestTargetPartBytes,
+                           &kept->framed, &kept->parts);
   std::string sink;
-  for (auto& part : parts) {
-    sink += *part;
-    part.Release();
-  }
+  for (const std::string& part : kept->parts) sink += part;
   return sink;
 }
 
@@ -286,7 +278,7 @@ IngestMeasurement MeasureIngest(const IngestWorkload& w, int reps,
     } else if (ms < m.best_ms) {
       m.best_ms = ms;
     }
-    m.allocs_per_rep = allocs.Delta();  // last rep: pools warmed up
+    m.allocs_per_rep = allocs.Delta();  // last rep: scratch warmed up
   }
   m.mb_per_sec = m.best_ms > 0
                      ? static_cast<double>(w.uncompressed_bytes) / 1e6 /
@@ -359,7 +351,7 @@ int main(int argc, char** argv) {
       "  warehouse byte-identical across ingest thread counts:       %s\n",
       byte_identical ? "YES" : "NO");
 
-  // --- Ingest hot-path throughput (seed serial vs pooled+parallel) ---
+  // --- Ingest hot-path throughput (seed serial vs shipped+parallel) ---
   std::printf("\n--- ingest hot path: mover CPU kernel, %d thread(s) ---\n",
               threads);
   IngestWorkload w = BuildIngestWorkload(/*files=*/48,
@@ -370,16 +362,16 @@ int main(int argc, char** argv) {
       w, kReps, [&w]() { return IngestBaselineRep(w); }, &base_bytes);
 
   exec::Executor serial_exec(exec::ExecOptions{.threads = 1});
-  scribe::BufferPool pool_serial, pool_parallel;
+  PartSlots slots_serial, slots_parallel;
   IngestMeasurement opt1 = MeasureIngest(
       w, kReps,
-      [&]() { return IngestOptimizedRep(w, &serial_exec, &pool_serial); },
+      [&]() { return IngestShippedRep(w, &serial_exec, &slots_serial); },
       &opt_serial_bytes);
 
   exec::Executor parallel_exec(exec::ExecOptions{.threads = threads});
   IngestMeasurement optn = MeasureIngest(
       w, kReps,
-      [&]() { return IngestOptimizedRep(w, &parallel_exec, &pool_parallel); },
+      [&]() { return IngestShippedRep(w, &parallel_exec, &slots_parallel); },
       &opt_bytes);
 
   bool kernel_identical = base_bytes == opt_serial_bytes &&
@@ -392,11 +384,11 @@ int main(int argc, char** argv) {
               "baseline (seed serial)", base.best_ms, base.mb_per_sec,
               static_cast<unsigned long long>(base.allocs_per_rep), 1.0);
   std::printf("%-28s %10.2f %10.1f %12llu %8.2fx\n",
-              "pooled (1 thread)", opt1.best_ms, opt1.mb_per_sec,
+              "shipped (1 thread)", opt1.best_ms, opt1.mb_per_sec,
               static_cast<unsigned long long>(opt1.allocs_per_rep),
               speedup_serial);
   std::printf("%-28s %10.2f %10.1f %12llu %8.2fx\n",
-              ("pooled (" + std::to_string(threads) + " threads)").c_str(),
+              ("shipped (" + std::to_string(threads) + " threads)").c_str(),
               optn.best_ms, optn.mb_per_sec,
               static_cast<unsigned long long>(optn.allocs_per_rep), speedup);
   std::printf("  part bytes identical across all three paths: %s\n",
@@ -426,13 +418,13 @@ int main(int argc, char** argv) {
   section.Set("baseline_mb_per_sec", Json::Number(base.mb_per_sec));
   section.Set("baseline_allocs_per_rep",
               Json::Number(static_cast<double>(base.allocs_per_rep)));
-  section.Set("pooled_serial_ms", Json::Number(opt1.best_ms));
-  section.Set("pooled_serial_mb_per_sec", Json::Number(opt1.mb_per_sec));
-  section.Set("pooled_serial_allocs_per_rep",
+  section.Set("shipped_serial_ms", Json::Number(opt1.best_ms));
+  section.Set("shipped_serial_mb_per_sec", Json::Number(opt1.mb_per_sec));
+  section.Set("shipped_serial_allocs_per_rep",
               Json::Number(static_cast<double>(opt1.allocs_per_rep)));
-  section.Set("pooled_parallel_ms", Json::Number(optn.best_ms));
-  section.Set("pooled_parallel_mb_per_sec", Json::Number(optn.mb_per_sec));
-  section.Set("pooled_parallel_allocs_per_rep",
+  section.Set("shipped_parallel_ms", Json::Number(optn.best_ms));
+  section.Set("shipped_parallel_mb_per_sec", Json::Number(optn.mb_per_sec));
+  section.Set("shipped_parallel_allocs_per_rep",
               Json::Number(static_cast<double>(optn.allocs_per_rep)));
   section.Set("speedup_vs_baseline", Json::Number(speedup));
   section.Set("kernel_byte_identical", Json::Bool(kernel_identical));

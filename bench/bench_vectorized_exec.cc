@@ -20,7 +20,7 @@
 // input, and every other answer must be byte-identical to it (FNV digest
 // of SerializeRelation) across engines, planner filter orders, morsel
 // sizes, and thread counts; the parallel sweeps run on the morsel-driven
-// work-stealing scheduler. Exits nonzero on any divergence, if the unfused
+// scheduler. Exits nonzero on any divergence, if the unfused
 // batch engine misses its 3x floor, or if the fused pipeline misses its
 // 10x-vs-row floor. Results merge into BENCH_scan.json under
 // "vectorized_exec". Pass --threads=N to add N to the thread sweep table.
@@ -242,15 +242,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Thread sweep: unfused and fused parallel answers vs the row digest,
-  // with the morsel scheduler's steal traffic per thread count.
+  // Thread sweep: unfused and fused parallel answers vs the row digest.
   std::vector<int> thread_counts = {1, 2, 8};
   if (extra_threads > 1 && extra_threads != 2 && extra_threads != 8) {
     thread_counts.push_back(extra_threads);
   }
-  std::printf("%8s %12s %14s %10s %8s  %s\n", "threads", "fused_ms",
-              "rows_per_sec", "vs_row", "steals", "digest");
-  uint64_t total_steals = 0;
+  std::printf("%8s %12s %14s %10s  %s\n", "threads", "fused_ms",
+              "rows_per_sec", "vs_row", "digest");
   exec::MorselStats morsel_totals;
   for (int threads : thread_counts) {
     exec::ExecOptions eopts;
@@ -284,12 +282,9 @@ int main(int argc, char** argv) {
                    threads);
       continue;
     }
-    exec::MorselStats mstats = executor.morsel_totals();
-    total_steals += mstats.steals;
-    morsel_totals.MergeFrom(mstats);
-    std::printf("%8d %12.2f %14.0f %9.2fx %8llu  %s\n", threads, t_ms,
+    morsel_totals.MergeFrom(executor.morsel_totals());
+    std::printf("%8d %12.2f %14.0f %9.2fx  %s\n", threads, t_ms,
                 input_rows / (t_ms / 1000.0), row_ms / t_ms,
-                static_cast<unsigned long long>(mstats.steals),
                 HexU64(t_digest).c_str());
   }
 
@@ -329,8 +324,6 @@ int main(int argc, char** argv) {
   section.Set("dict_domain_rows_pruned",
               Json::Int(static_cast<int64_t>(
                   kernel_stats.dict_domain_rows_pruned)));
-  section.Set("morsel_steals",
-              Json::Int(static_cast<int64_t>(total_steals)));
   section.Set("morsel_count",
               Json::Int(static_cast<int64_t>(morsel_totals.morsels)));
   section.Set("morsel_max_bytes",

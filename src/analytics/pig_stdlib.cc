@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "analytics/udfs.h"
-#include "common/compress.h"
 #include "common/utf8.h"
 #include "dataflow/columnar_scan.h"
 #include "sessions/dictionary.h"
@@ -42,24 +41,12 @@ Result<Relation> LoadSequences(std::shared_ptr<Stdlib> lib,
   lib->dict = std::make_shared<sessions::EventDictionary>(std::move(dict));
 
   Relation rel({"user_id", "session_id", "ip", "sequence", "duration"});
-  UNILOG_ASSIGN_OR_RETURN(auto files, lib->warehouse->ListRecursive(path));
-  for (const auto& file : files) {
-    if (hdfs::IsHiddenWarehousePath(path, file.path)) continue;
-    UNILOG_ASSIGN_OR_RETURN(std::string blob,
-                            lib->warehouse->ReadFile(file.path));
-    UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(blob));
-    sessions::SequenceRecordReader reader(body);
-    sessions::SessionSequence seq;
-    while (true) {
-      Status st = reader.Next(&seq);
-      if (st.IsNotFound()) break;
-      UNILOG_RETURN_NOT_OK(st);
-      UNILOG_RETURN_NOT_OK(rel.AddRow(
-          {Value::Int(seq.user_id), Value::Str(seq.session_id),
-           Value::Str(seq.ip), Value::Str(seq.sequence),
-           Value::Int(seq.duration_seconds)}));
-    }
-  }
+  UNILOG_RETURN_NOT_OK(sessions::SequenceStore::ReadDir(
+      *lib->warehouse, path, [&rel](const sessions::SessionSequence& seq) {
+        return rel.AddRow({Value::Int(seq.user_id), Value::Str(seq.session_id),
+                           Value::Str(seq.ip), Value::Str(seq.sequence),
+                           Value::Int(seq.duration_seconds)});
+      }));
   return rel;
 }
 

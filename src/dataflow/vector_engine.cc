@@ -1039,7 +1039,8 @@ Result<BatchRelation> BatchRelation::Filter(
     return Status::OK();
   };
   // Byte-weighted morsels: a skewed batch (one huge row group) gets its
-  // own morsel while small groups coalesce, and idle threads steal.
+  // own morsel while small groups coalesce, and idle threads claim the
+  // next morsel.
   std::vector<uint64_t> weights(out.batches_.size());
   for (size_t bi = 0; bi < weights.size(); ++bi) {
     weights[bi] = out.batches_[bi].byte_size();

@@ -20,7 +20,6 @@ bool InParallelContext() { return t_on_pool_worker || t_in_region; }
 
 void MorselStats::MergeFrom(const MorselStats& other) {
   morsels += other.morsels;
-  steals += other.steals;
   total_bytes += other.total_bytes;
   max_morsel_bytes = std::max(max_morsel_bytes, other.max_morsel_bytes);
 }
@@ -226,63 +225,15 @@ Status Executor::ParallelForMorsels(
   const size_t morsels = bounds.size() - 1;
   local.morsels = morsels;
 
-  Status result = Status::OK();
-  if (RunsInline()) {
-    auto start = std::chrono::steady_clock::now();
-    size_t ran = 0;
-    for (size_t m = 0; m < morsels; ++m) {
-      ++ran;
-      result = body(m, bounds[m], bounds[m + 1]);
-      if (!result.ok()) break;  // serial semantics: stop at first failure
-    }
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    Record(stage, ran, ms);
-  } else {
-    // One contiguous morsel range per thread slot, drained through an
-    // atomic cursor; an exhausted slot walks the other slots' cursors and
-    // steals their remaining morsels.
-    const size_t slots = static_cast<size_t>(options_.threads);
-    const size_t base = morsels / slots;
-    const size_t rem = morsels % slots;
-    std::vector<size_t> range_end(slots);
-    auto cursors = std::make_unique<std::atomic<size_t>[]>(slots);
-    for (size_t s = 0; s < slots; ++s) {
-      const size_t begin = s * base + std::min(s, rem);
-      cursors[s].store(begin, std::memory_order_relaxed);
-      range_end[s] = begin + base + (s < rem ? 1 : 0);
-    }
-    std::vector<Status> statuses(morsels);
-    std::vector<uint64_t> steal_counts(slots, 0);
-    ParallelFor(stage, slots, [&](size_t s) {
-      uint64_t stolen = 0;
-      for (size_t off = 0; off < slots; ++off) {
-        const size_t victim = (s + off) % slots;
-        while (true) {
-          const size_t m =
-              cursors[victim].fetch_add(1, std::memory_order_relaxed);
-          if (m >= range_end[victim]) break;
-          statuses[m] = body(m, bounds[m], bounds[m + 1]);
-          if (victim != s) ++stolen;
-        }
-      }
-      steal_counts[s] = stolen;
-    });
-    for (uint64_t c : steal_counts) local.steals += c;
-    for (auto& status : statuses) {
-      if (!status.ok()) {
-        result = std::move(status);
-        break;
-      }
-    }
-  }
+  // ThreadPool::Run hands the morsels out from its one shared cursor, so
+  // a thread that finishes early simply claims the next morsel.
+  Status result = ParallelForStatus(stage, morsels, [&](size_t m) {
+    return body(m, bounds[m], bounds[m + 1]);
+  });
 
   if (metrics_ != nullptr) {
-    obs::Labels labels{{"stage", stage}};
-    metrics_->GetCounter("exec.morsel_steals", labels)
-        ->Increment(local.steals);
-    auto* hist = metrics_->GetHistogram("exec.morsel_size_bytes", labels);
+    auto* hist =
+        metrics_->GetHistogram("exec.morsel_size_bytes", {{"stage", stage}});
     for (size_t m = 0; m < morsels; ++m) {
       uint64_t bytes = 0;
       for (size_t i = bounds[m]; i < bounds[m + 1]; ++i) bytes += item_bytes[i];

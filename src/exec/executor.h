@@ -44,9 +44,6 @@ struct MorselOptions {
 /// Accounting of ParallelForMorsels regions.
 struct MorselStats {
   uint64_t morsels = 0;
-  /// Morsels executed by a thread slot other than the owner of their
-  /// contiguous range — the work-stealing traffic.
-  uint64_t steals = 0;
   uint64_t total_bytes = 0;
   uint64_t max_morsel_bytes = 0;
 
@@ -160,25 +157,23 @@ class Executor {
   Status ParallelForStatus(const char* stage, size_t n,
                            const std::function<Status(size_t)>& body);
 
-  /// Morsel-driven work-stealing scheduler over `item_bytes.size()` items
-  /// with the given byte weights. Items are packed into morsels in index
-  /// order (see MorselOptions); the morsel list is split into one
-  /// contiguous range per thread slot, each drained through an atomic
-  /// cursor, and a slot that exhausts its own range steals from the other
-  /// slots' cursors — so a skewed range (one huge row group) never idles
-  /// the rest of the pool behind a static chunk boundary.
+  /// Morsel-driven scheduler over `item_bytes.size()` items with the
+  /// given byte weights. Items are packed into morsels in index order (see
+  /// MorselOptions), and the morsels run through ParallelForStatus: the
+  /// pool's workers claim them one at a time from its shared cursor, so a
+  /// skewed morsel (one huge row group) never idles the rest of the pool
+  /// behind a static chunk boundary.
   ///
   /// Runs body(morsel, begin, end) exactly once per morsel, where
   /// [begin, end) are item indices. Determinism contract: morsel
   /// boundaries are a pure function of the weights and options, and every
   /// morsel runs exactly once, so bodies that write only to per-item (or
   /// per-morsel) slots merged in index order produce byte-identical
-  /// output at any thread count, morsel size, and steal schedule. Status
-  /// semantics mirror ParallelForStatus: serial stops at the first
+  /// output at any thread count, morsel size, and schedule. Status
+  /// semantics are ParallelForStatus's: serial stops at the first
   /// failure; parallel runs everything and reports the smallest-index
-  /// non-OK status. Records `exec.morsel_steals` and
-  /// `exec.morsel_size_bytes` into the attached metrics registry, plus
-  /// the cumulative morsel_totals().
+  /// non-OK status. Records `exec.morsel_size_bytes` into the attached
+  /// metrics registry, plus the cumulative morsel_totals().
   Status ParallelForMorsels(
       const char* stage, const std::vector<uint64_t>& item_bytes,
       const MorselOptions& options,

@@ -191,16 +191,12 @@ std::shared_ptr<dataflow::ColumnarEventScan> WorkflowEngine::BuildScan(
 Result<dataflow::Relation> WorkflowEngine::FinishPlanBatch(
     const Planned& plan, dataflow::BatchRelation batch,
     const dataflow::TableStats& stats) const {
-  std::vector<dataflow::FilterExpr> filters;
-  filters.reserve(plan.residuals.size());
-  for (const auto& clause : plan.residuals) {
-    filters.push_back({clause.column, clause.op, clause.literal});
-  }
-  if (filters.size() > 1) {
-    filters = dataflow::OrderFilters(stats, std::move(filters));
-  }
-  if (!filters.empty()) {
-    UNILOG_ASSIGN_OR_RETURN(batch, batch.Filter(filters, exec_));
+  if (plan.residuals.size() > 1) {
+    UNILOG_ASSIGN_OR_RETURN(
+        batch, batch.Filter(dataflow::OrderFilters(stats, plan.residuals),
+                            exec_));
+  } else if (!plan.residuals.empty()) {
+    UNILOG_ASSIGN_OR_RETURN(batch, batch.Filter(plan.residuals, exec_));
   }
   if (!plan.projection_pushed && !plan.spec.project_cols.empty()) {
     UNILOG_ASSIGN_OR_RETURN(

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "dataflow/columnar_scan.h"
 #include "dataflow/relation.h"
+#include "dataflow/vector_engine.h"
 #include "exec/executor.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
@@ -21,15 +22,12 @@
 
 namespace unilog::oink {
 
-/// One FILTER clause of a workflow plan: `column op literal`. Clauses the
-/// columnar scan can absorb (timestamp ranges, event-name / user-id
-/// equality, event-name globs) are pushed into the ScanSpec; the rest run
-/// as residual batch filters after the scan.
-struct FilterClause {
-  std::string column;
-  std::string op;  // == != < <= > >= matches
-  dataflow::Value literal;
-};
+/// One FILTER clause of a workflow plan: `column op literal`, with op one
+/// of == != < <= > >= matches. Clauses the columnar scan can absorb
+/// (timestamp ranges, event-name / user-id equality, event-name globs)
+/// are pushed into the ScanSpec; the rest go to the batch Filter kernel
+/// after the scan, which is why a clause is a dataflow::FilterExpr.
+using FilterClause = dataflow::FilterExpr;
 
 /// A recurring analytics workflow over one warehouse directory per period:
 /// scan -> filters -> optional projection -> optional relational stage.

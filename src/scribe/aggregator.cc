@@ -23,9 +23,7 @@ Aggregator::Aggregator(Simulator* sim, zk::ZooKeeper* zk,
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>(sim_);
     metrics = owned_metrics_.get();
   }
-  metrics_ = metrics;
   obs::Labels labels{{"dc", datacenter_}, {"id", id_}};
-  pool_labels_ = labels;
   entries_received_ = metrics->GetCounter("agg.entries_received", labels);
   bytes_received_ = metrics->GetCounter("agg.bytes_received", labels);
   entries_staged_ = metrics->GetCounter("agg.entries_staged", labels);
@@ -188,15 +186,15 @@ void Aggregator::RollAll() {
 bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   if (buffer->messages.empty()) return true;
   const auto& [category, hour] = key;
-  // Frame into a pooled buffer, compress into a second one: steady-state
-  // rolls reuse warmed capacity and the compressor's table instead of
-  // reallocating both per flush. Staged bytes are read once, by the log
-  // mover, so they take the single-probe parse; the bytes the warehouse
-  // keeps are compressed again by the mover.
-  BufferPool::Lease body = pool_.Acquire();
-  for (const auto& m : buffer->messages) AppendFramed(body.get(), m);
-  BufferPool::Lease compressed = pool_.Acquire();
-  compressor_.CompressTo(*body, compressed.get());
+  // Frame, then compress, into scratch this aggregator keeps: steady-state
+  // rolls reuse its capacity and the compressor's table instead of
+  // reallocating both per flush. A failed roll leaves its bytes there
+  // until the next roll clears them. Staged bytes are read once, by the
+  // log mover, so they take the single-probe parse; the bytes the
+  // warehouse keeps are compressed again by the mover.
+  roll_framed_.clear();
+  for (const auto& m : buffer->messages) AppendFramed(&roll_framed_, m);
+  compressor_.CompressTo(roll_framed_, &roll_staged_);
 
   // File names are id-seq. Built with std::string concatenation: ids of
   // any length stay unique (a fixed snprintf buffer used to silently
@@ -205,8 +203,7 @@ bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   if (seq.size() < 6) seq.insert(0, 6 - seq.size(), '0');
   std::string path = "/staging/" + category + "/" + HourPartitionPath(hour) +
                      "/" + id_ + "-" + seq;
-  Status st = staging_->WriteFile(path, *compressed);
-  pool_.PublishMetrics(metrics_, pool_labels_);
+  Status st = staging_->WriteFile(path, roll_staged_);
   if (!st.ok()) {
     hdfs_write_failures_->Increment();
     return false;
@@ -214,8 +211,8 @@ bool Aggregator::RollBuffer(const BufferKey& key, HourBuffer* buffer) {
   ++file_seq_;
   entries_staged_->Increment(buffer->messages.size());
   files_written_->Increment();
-  bytes_written_->Increment(compressed->size());
-  staging_file_bytes_->Observe(static_cast<double>(compressed->size()));
+  bytes_written_->Increment(roll_staged_.size());
+  staging_file_bytes_->Observe(static_cast<double>(roll_staged_.size()));
   buffered_bytes_ -= buffer->bytes;
   return true;
 }

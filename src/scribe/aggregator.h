@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
-#include "scribe/buffer_pool.h"
 #include "scribe/message.h"
 #include "sim/simulator.h"
 #include "zk/zookeeper.h"
@@ -137,9 +136,6 @@ class Aggregator {
 
   AggregatorStats stats() const;
 
-  /// Accounting for the staging-buffer freelist (ingest hot path).
-  BufferPoolStats ingest_pool_stats() const { return pool_.stats(); }
-
  private:
   struct HourBuffer {
     std::deque<std::string> messages;
@@ -162,8 +158,6 @@ class Aggregator {
   ScribeOptions options_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Labels pool_labels_;
   obs::Counter* entries_received_;
   obs::Counter* bytes_received_;
   obs::Counter* entries_staged_;
@@ -176,10 +170,12 @@ class Aggregator {
   obs::Gauge* buffered_entries_gauge_;
   obs::Histogram* staging_file_bytes_;
 
-  // Staged-file bodies are framed and compressed into pooled buffers so
-  // the per-roll allocations disappear; the compressor keeps its 16 KiB
-  // table across rolls (byte-identical output to a fresh compressor's).
-  BufferPool pool_;
+  // Each roll frames into roll_framed_ and compresses into roll_staged_,
+  // cleared first and kept across rolls for their capacity; the
+  // compressor keeps its 16 KiB table (byte-identical output to a fresh
+  // compressor's).
+  std::string roll_framed_;
+  std::string roll_staged_;
   Lz::FastCompressor compressor_;
 
   bool alive_ = false;

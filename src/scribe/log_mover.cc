@@ -427,27 +427,13 @@ Status LogMover::CommitMergedHour(
   if (options_.columnar_categories.count(category)) {
     UNILOG_RETURN_NOT_OK(WriteColumnarParts(merged, write_part));
   } else {
-    // Plan the part boundaries from message sizes alone (a greedy cut at
-    // target_file_bytes), then frame + compress every part in exec
-    // workers using pooled buffers and the per-thread pooled compressor.
-    // Parts are committed in part order below, so the staged bytes are
-    // the same at any thread count.
-    std::vector<size_t> part_ends =
-        PlanFramedParts(merged, options_.target_file_bytes);
-    std::vector<BufferPool::Lease> parts(part_ends.size());
-    exec_->ParallelFor("mover.build_parts", part_ends.size(), [&](size_t p) {
-      size_t begin = p == 0 ? 0 : part_ends[p - 1];
-      BufferPool::Lease framed = pool_.Acquire();
-      AppendFramedRange(framed.get(), merged, begin, part_ends[p]);
-      BufferPool::Lease out = pool_.Acquire();
-      Lz::Pooled().CompressTo(*framed, out.get());
-      parts[p] = std::move(out);
-    });
-    for (auto& part : parts) {
-      UNILOG_RETURN_NOT_OK(write_part(*part));
-      part.Release();
+    // Parts are committed in part order, so the landed bytes are the same
+    // at any thread count.
+    BuildFramedParts(exec_, merged, options_.target_file_bytes,
+                     &framed_parts_, &parts_);
+    for (const std::string& body : parts_) {
+      UNILOG_RETURN_NOT_OK(write_part(body));
     }
-    pool_.PublishMetrics(metrics_, {{"component", "mover"}});
   }
 
   // 3. Build any necessary index alongside the data (§2), recording final

@@ -17,7 +17,6 @@
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
 #include "scribe/aggregator.h"
-#include "scribe/buffer_pool.h"
 #include "sim/simulator.h"
 
 namespace unilog::scribe {
@@ -140,9 +139,6 @@ class LogMover {
 
   LogMoverStats stats() const;
 
-  /// Accounting for the part-buffer freelist (ingest hot path).
-  BufferPoolStats ingest_pool_stats() const { return pool_.stats(); }
-
  private:
   /// True when hour `hour` is closed and past grace.
   bool HourClosed(TimeMs hour) const;
@@ -199,9 +195,11 @@ class LogMover {
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
-  // Part bodies are framed and compressed into pooled buffers by the
-  // (possibly parallel) build stage; writes drain them in part order.
-  BufferPool pool_;
+  // A framed hour's part bodies, one slot per part, before and after
+  // compression: BuildFramedParts fills them on exec, and they are kept
+  // across hours for their capacity.
+  std::vector<std::string> framed_parts_;
+  std::vector<std::string> parts_;
   obs::Counter* hours_moved_;
   obs::Counter* categories_moved_;
   obs::Counter* staging_files_read_;

@@ -1,6 +1,8 @@
 #include "scribe/message.h"
 
 #include "common/coding.h"
+#include "common/compress.h"
+#include "exec/executor.h"
 
 namespace unilog::scribe {
 
@@ -44,9 +46,11 @@ size_t FramedSize(std::string_view message) {
   return len + message.size();
 }
 
-std::vector<size_t> PlanFramedParts(
-    const std::vector<std::string_view>& messages, uint64_t target_bytes) {
-  std::vector<size_t> ends;
+void BuildFramedParts(exec::Executor* exec,
+                      const std::vector<std::string_view>& messages,
+                      uint64_t target_bytes, std::vector<std::string>* framed,
+                      std::vector<std::string>* parts) {
+  std::vector<size_t> ends;  // exclusive end index of each part
   uint64_t part_bytes = 0;
   for (size_t i = 0; i < messages.size(); ++i) {
     part_bytes += FramedSize(messages[i]);
@@ -56,15 +60,16 @@ std::vector<size_t> PlanFramedParts(
     }
   }
   if (part_bytes > 0) ends.push_back(messages.size());
-  return ends;
-}
-
-void AppendFramedRange(std::string* out,
-                       const std::vector<std::string_view>& messages,
-                       size_t begin, size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    PutLengthPrefixed(out, messages[i]);
-  }
+  framed->resize(ends.size());
+  parts->resize(ends.size());
+  exec->ParallelFor("mover.build_parts", ends.size(), [&](size_t p) {
+    std::string& body = (*framed)[p];
+    body.clear();
+    for (size_t i = p == 0 ? 0 : ends[p - 1]; i < ends[p]; ++i) {
+      PutLengthPrefixed(&body, messages[i]);
+    }
+    Lz::Pooled().CompressTo(body, &(*parts)[p]);
+  });
 }
 
 Result<uint64_t> CountFramed(std::string_view body) {

@@ -9,6 +9,10 @@
 #include "common/result.h"
 #include "common/status.h"
 
+namespace unilog::exec {
+class Executor;
+}  // namespace unilog::exec
+
 namespace unilog::scribe {
 
 /// A Scribe log entry: "each log entry consists of two strings, a category
@@ -43,20 +47,20 @@ Result<uint64_t> CountFramed(std::string_view body);
 /// On-wire size of one framed record: varint length prefix + payload.
 size_t FramedSize(std::string_view message);
 
-/// Replicates the serial flush loop's greedy part split: messages are
-/// framed in order and a part is cut as soon as its framed body reaches
-/// `target_bytes` (every part is non-empty; a single oversized message
-/// forms its own part). Returns the exclusive end index of each part.
-/// Boundaries depend only on the message sizes, never on scheduling, which
-/// is what lets the parallel mover build and compress parts in workers yet
-/// stage bytes identical to the serial path.
-std::vector<size_t> PlanFramedParts(
-    const std::vector<std::string_view>& messages, uint64_t target_bytes);
-
-/// Appends the framed records for messages[begin, end) to *out.
-void AppendFramedRange(std::string* out,
-                       const std::vector<std::string_view>& messages,
-                       size_t begin, size_t end);
+/// Builds the warehouse parts of a framed hour on `exec`. Messages are
+/// split greedily in order: a part is cut as soon as its framed body
+/// reaches `target_bytes` (every part is non-empty; a single oversized
+/// message forms its own part). Both vectors are resized to the part
+/// count; exec index p frames part p into (*framed)[p] and compresses it
+/// with its thread's Lz::Pooled() compressor into (*parts)[p], and writes
+/// no other slot. Boundaries depend only on the message sizes, so the
+/// bytes are the same at any thread count. Slots are cleared, not freed,
+/// so a caller that keeps both vectors across calls reuses their
+/// capacity. Timed as the exec stage "mover.build_parts".
+void BuildFramedParts(exec::Executor* exec,
+                      const std::vector<std::string_view>& messages,
+                      uint64_t target_bytes, std::vector<std::string>* framed,
+                      std::vector<std::string>* parts);
 
 }  // namespace unilog::scribe
 

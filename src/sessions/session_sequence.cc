@@ -77,8 +77,7 @@ Status SequenceStore::WriteDaily(hdfs::MiniHdfs* fs, TimeMs date,
     char name[32];
     std::snprintf(name, sizeof(name), "part-%05llu",
                   static_cast<unsigned long long>(part++));
-    std::string out = options.compress ? Lz::Compress(body) : body;
-    UNILOG_RETURN_NOT_OK(fs->WriteFile(dir + "/" + name, out));
+    UNILOG_RETURN_NOT_OK(fs->WriteFile(dir + "/" + name, Lz::Compress(body)));
     body.clear();
     return Status::OK();
   };
@@ -102,13 +101,21 @@ Result<EventDictionary> SequenceStore::LoadDictionary(
 
 Result<std::vector<SessionSequence>> SequenceStore::LoadDaily(
     const hdfs::MiniHdfs& fs, TimeMs date) {
-  std::string dir = PartitionDir(date);
-  UNILOG_ASSIGN_OR_RETURN(auto files, fs.ListRecursive(dir));
   std::vector<SessionSequence> out;
+  UNILOG_RETURN_NOT_OK(
+      ReadDir(fs, PartitionDir(date), [&out](const SessionSequence& seq) {
+        out.push_back(seq);
+        return Status::OK();
+      }));
+  return out;
+}
+
+Status SequenceStore::ReadDir(
+    const hdfs::MiniHdfs& fs, const std::string& dir,
+    const std::function<Status(const SessionSequence&)>& visit) {
+  UNILOG_ASSIGN_OR_RETURN(auto files, fs.ListRecursive(dir));
   for (const auto& file : files) {
-    // Skip metadata files (_dictionary, _SUCCESS).
-    size_t slash = file.path.rfind('/');
-    if (file.path[slash + 1] == '_') continue;
+    if (hdfs::IsHiddenWarehousePath(dir, file.path)) continue;
     UNILOG_ASSIGN_OR_RETURN(std::string blob, fs.ReadFile(file.path));
     UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(blob));
     SequenceRecordReader reader(body);
@@ -117,10 +124,10 @@ Result<std::vector<SessionSequence>> SequenceStore::LoadDaily(
       Status st = reader.Next(&seq);
       if (st.IsNotFound()) break;
       UNILOG_RETURN_NOT_OK(st);
-      out.push_back(seq);
+      UNILOG_RETURN_NOT_OK(visit(seq));
     }
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace unilog::sessions

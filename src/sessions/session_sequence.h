@@ -2,6 +2,7 @@
 #define UNILOG_SESSIONS_SESSION_SEQUENCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,7 +55,6 @@ class SequenceStore {
   /// Options for writing a daily partition.
   struct WriteOptions {
     uint64_t target_file_bytes = 4 * 1024 * 1024;  // pre-compression
-    bool compress = true;
   };
 
   /// Writes a day's sequences and dictionary. Fails if the partition
@@ -77,6 +77,15 @@ class SequenceStore {
   /// care about scan cost use the dataflow engine instead).
   static Result<std::vector<SessionSequence>> LoadDaily(
       const hdfs::MiniHdfs& fs, TimeMs date);
+
+  /// The one reader of a partition directory: decompresses every part
+  /// under `dir` in listing order and calls `visit` on each record,
+  /// stopping at the first error. Hidden paths (see
+  /// hdfs::IsHiddenWarehousePath: the _dictionary, _SUCCESS and anything
+  /// under a '_'-prefixed subdirectory) are skipped.
+  static Status ReadDir(
+      const hdfs::MiniHdfs& fs, const std::string& dir,
+      const std::function<Status(const SessionSequence&)>& visit);
 
   /// The partition directory for a date.
   static std::string PartitionDir(TimeMs date);

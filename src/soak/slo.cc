@@ -20,10 +20,9 @@ std::string SloReport::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "p99_broker_e2e_ms=%.0f p99_hour_slide_ms=%.0f "
-                "oink_warm_hit_rate=%.3f pool_high_water=%llu "
-                "peak_agg_buffered=%llu peak_daemon_queue=%llu quiescent=%s",
+                "oink_warm_hit_rate=%.3f peak_agg_buffered=%llu "
+                "peak_daemon_queue=%llu quiescent=%s",
                 p99_broker_e2e_ms, p99_hour_slide_ms, oink_warm_hit_rate,
-                static_cast<unsigned long long>(pool_high_water),
                 static_cast<unsigned long long>(peak_agg_buffered_entries),
                 static_cast<unsigned long long>(peak_daemon_queue_entries),
                 audit_quiescent ? "yes" : "NO");
@@ -40,8 +39,6 @@ Json SloReport::ToJson() const {
   observed.Set("p99_broker_e2e_ms", Json::Number(p99_broker_e2e_ms));
   observed.Set("p99_hour_slide_ms", Json::Number(p99_hour_slide_ms));
   observed.Set("oink_warm_hit_rate", Json::Number(oink_warm_hit_rate));
-  observed.Set("pool_high_water",
-               Json::Int(static_cast<int64_t>(pool_high_water)));
   observed.Set("peak_agg_buffered_entries",
                Json::Int(static_cast<int64_t>(peak_agg_buffered_entries)));
   observed.Set("peak_daemon_queue_entries",
@@ -139,12 +136,6 @@ SloReport SloChecker::Finalize(double oink_warm_hit_rate) {
   }
 
   // --- Memory ceilings.
-  report.pool_high_water = static_cast<uint64_t>(
-      std::max<int64_t>(0, metrics->GaugeTotal("scribe.ingest.pool_high_water")));
-  if (report.pool_high_water > thresholds_.max_pool_high_water) {
-    violate("pool_high_water", static_cast<double>(report.pool_high_water),
-            static_cast<double>(thresholds_.max_pool_high_water));
-  }
   report.peak_agg_buffered_entries =
       static_cast<uint64_t>(std::max<int64_t>(0, peak_agg_buffered_));
   if (report.peak_agg_buffered_entries >

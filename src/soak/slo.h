@@ -28,10 +28,6 @@ struct SloThresholds {
   /// Floor on the Oink warm-pass cache hit rate (hits / (hits+misses))
   /// when the harness runs its post-drain cold+warm workflow passes.
   double min_oink_warm_hit_rate = 0.9;
-  /// Ceiling on the fleet-wide ingest buffer-pool lease high-water mark
-  /// (sum of scribe.ingest.pool_high_water across instances) — the
-  /// memory-leak tripwire for the pooled roll/move hot path.
-  uint64_t max_pool_high_water = 256;
   /// Ceiling on the peak of agg.buffered_entries summed across the fleet,
   /// sampled periodically — catches an aggregator that buffers without
   /// bound instead of rolling or dropping.
@@ -57,7 +53,6 @@ struct SloReport {
   double p99_broker_e2e_ms = 0;
   double p99_hour_slide_ms = 0;
   double oink_warm_hit_rate = -1;  // -1 = oink pass not run
-  uint64_t pool_high_water = 0;
   uint64_t peak_agg_buffered_entries = 0;
   uint64_t peak_daemon_queue_entries = 0;
   bool audit_quiescent = false;

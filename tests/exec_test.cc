@@ -352,10 +352,7 @@ TEST(MorselTest, StatsMetricsAndTotalsAccumulate) {
   obs::Labels labels{{"stage", "morsel_stage"}};
   EXPECT_EQ(metrics.GetHistogram("exec.morsel_size_bytes", labels)->count(),
             stats.morsels);
-  // Steal traffic is nondeterministic but the counter must exist and the
-  // cumulative totals must cover this region.
-  EXPECT_EQ(metrics.GetCounter("exec.morsel_steals", labels)->value(),
-            stats.steals);
+  // The cumulative totals must cover this region.
   exec::MorselStats totals = executor.morsel_totals();
   EXPECT_GE(totals.morsels, stats.morsels);
   EXPECT_GE(totals.total_bytes, stats.total_bytes);

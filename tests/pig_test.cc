@@ -286,6 +286,38 @@ TEST_F(PigStdlibTest, EventCountAndDemographicJoin) {
   EXPECT_EQ(pig_.output()[0], "(1, 3)");
 }
 
+TEST_F(PigStdlibTest, HiddenSubdirectoryOfAPartitionIsReadByNeither) {
+  // A well-formed part under a '_'-prefixed subdirectory (a job's scratch)
+  // is hidden: SequenceStore::LoadDaily and SessionSequencesLoader both
+  // read the partition's three sessions and nothing else.
+  sessions::SessionSequence extra;
+  extra.user_id = 99;
+  extra.session_id = "s99";
+  extra.ip = "10.0.0.9";
+  extra.sequence = dict_.EncodeNames({"web:home:::tweet:click"}).value();
+  std::string body;
+  sessions::AppendSequenceRecord(&body, extra);
+  ASSERT_TRUE(warehouse_
+                  .WriteFile("/session_sequences/2012-08-21/_tmp/part-00000",
+                             Lz::Compress(body))
+                  .ok());
+
+  auto loaded = sessions::SequenceStore::LoadDaily(warehouse_, kDay);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 3u);
+  for (const auto& seq : *loaded) EXPECT_NE(seq.user_id, 99);
+
+  std::string script = R"(
+    raw = load '/session_sequences/$DATE' using SessionSequencesLoader();
+    grouped = group raw all;
+    n = foreach grouped generate COUNT(*);
+    dump n;
+  )";
+  ASSERT_TRUE(pig_.Run(script).ok());
+  ASSERT_EQ(pig_.output().size(), 1u);
+  EXPECT_EQ(pig_.output()[0], "(3)");
+}
+
 TEST_F(PigStdlibTest, ClientEventsLoaderReadsRawLogs) {
   // Write one raw hour and load it.
   events::ClientEvent ev;

@@ -2132,7 +2132,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedPipelinePropertyTest,
                          ::testing::Values(29u, 229u, 2229u));
 
 // ---------------------------------------------------------------------------
-// Morsel-driven scans: the byte-weighted work-stealing scheduler must
+// Morsel-driven scans: the byte-weighted morsel scheduler must
 // reproduce the row-engine reference scan byte-for-byte on random
 // warehouses serially, at any thread count and any morsel granularity,
 // rows and batches alike.

@@ -5,14 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "columnar/rcfile.h"
@@ -24,7 +22,6 @@
 #include "hdfs/mini_hdfs.h"
 #include "lz_reference.h"
 #include "scribe/aggregator.h"
-#include "scribe/buffer_pool.h"
 #include "scribe/cluster.h"
 #include "scribe/daemon.h"
 #include "scribe/log_mover.h"
@@ -1159,172 +1156,11 @@ TEST(ScribeClusterTest, StagingOutageDelaysButDoesNotLose) {
   EXPECT_EQ(stats.messages_in_warehouse, static_cast<uint64_t>(kMessages));
 }
 
-// ---------------------------------------------------------------------------
-// Ingest buffer pool
-
-TEST(BufferPoolTest, HitMissHighWaterAccounting) {
-  BufferPool pool;
-  {
-    BufferPool::Lease a = pool.Acquire();
-    BufferPool::Lease b = pool.Acquire();
-    BufferPoolStats s = pool.stats();
-    EXPECT_EQ(s.misses, 2u);
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.outstanding, 2u);
-    EXPECT_EQ(s.high_water, 2u);
-  }
-  BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.outstanding, 0u);
-  EXPECT_EQ(s.pooled, 2u);
-  BufferPool::Lease c = pool.Acquire();
-  s = pool.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.high_water, 2u);  // never exceeded two simultaneous leases
-}
-
-TEST(BufferPoolTest, AcquireClearsButKeepsCapacity) {
-  BufferPool pool;
-  const std::string* addr;
-  size_t cap;
-  {
-    BufferPool::Lease l = pool.Acquire();
-    l->assign(100000, 'x');
-    addr = l.get();
-    cap = l->capacity();
-  }
-  BufferPool::Lease l = pool.Acquire();
-  EXPECT_EQ(l.get(), addr);  // same buffer came back
-  EXPECT_TRUE(l->empty());
-  EXPECT_GE(l->capacity(), cap);
-}
-
-TEST(BufferPoolTest, FreelistBoundedByMaxPooled) {
-  BufferPool pool(/*max_pooled=*/2);
-  {
-    std::vector<BufferPool::Lease> leases;
-    for (int i = 0; i < 5; ++i) leases.push_back(pool.Acquire());
-    EXPECT_EQ(pool.stats().high_water, 5u);
-  }
-  EXPECT_EQ(pool.stats().pooled, 2u);  // three extra buffers were freed
-}
-
-TEST(BufferPoolTest, OutstandingLeaseIsolatedFromOverflowChurn) {
-  // The drop-oldest-overflow safety invariant: while a lease is held (an
-  // in-flight flush framing/compressing into it), arbitrary pool churn —
-  // including releases past max_pooled — must never hand the same buffer
-  // to anyone else or disturb its contents.
-  BufferPool pool(/*max_pooled=*/1);
-  BufferPool::Lease held = pool.Acquire();
-  held->assign("in-flight flush bytes");
-  const std::string* held_addr = held.get();
-  for (int round = 0; round < 20; ++round) {
-    std::vector<BufferPool::Lease> churn;
-    for (int i = 0; i < 4; ++i) {
-      churn.push_back(pool.Acquire());
-      EXPECT_NE(churn.back().get(), held_addr);
-      churn.back()->assign(100, static_cast<char>('a' + i));
-    }
-  }
-  EXPECT_EQ(*held, "in-flight flush bytes");
-  EXPECT_EQ(held.get(), held_addr);
-}
-
-TEST(BufferPoolTest, LeaseMoveAndEarlyRelease) {
-  BufferPool pool;
-  BufferPool::Lease a = pool.Acquire();
-  a->assign("payload");
-  BufferPool::Lease b = std::move(a);
-  EXPECT_FALSE(a.valid());
-  ASSERT_TRUE(b.valid());
-  EXPECT_EQ(*b, "payload");
-  EXPECT_EQ(pool.stats().outstanding, 1u);
-  b.Release();
-  EXPECT_FALSE(b.valid());
-  EXPECT_EQ(pool.stats().outstanding, 0u);
-  b.Release();  // idempotent
-  EXPECT_EQ(pool.stats().pooled, 1u);
-}
-
-TEST(BufferPoolTest, ConcurrentAcquireReleaseStress) {
-  // Hammer the pool from several real threads (the log-mover workers do
-  // exactly this); run under -DUNILOG_SANITIZE_THREAD=ON to prove the
-  // freelist and counters are race-free. Each thread checks its leases are
-  // private by stamping and re-reading a thread-unique pattern.
-  BufferPool pool(/*max_pooled=*/4);
-  std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool, &ok, t]() {
-      for (int iter = 0; iter < 500; ++iter) {
-        BufferPool::Lease a = pool.Acquire();
-        BufferPool::Lease b = pool.Acquire();
-        a->assign(64 + iter % 64, static_cast<char>('A' + t));
-        b->assign(32, static_cast<char>('a' + t));
-        if ((*a)[0] != static_cast<char>('A' + t) ||
-            (*b)[0] != static_cast<char>('a' + t) || a.get() == b.get()) {
-          ok = false;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_TRUE(ok);
-  BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.outstanding, 0u);
-  EXPECT_EQ(s.hits + s.misses, 4u * 500u * 2u);
-  EXPECT_LE(s.pooled, 4u);
-}
-
-TEST(BufferPoolTest, PublishMetricsWritesLabeledRegistryEntries) {
-  Simulator sim(kT0);
-  obs::MetricsRegistry metrics(&sim);
-  BufferPool pool;
-  { BufferPool::Lease a = pool.Acquire(); }
-  { BufferPool::Lease b = pool.Acquire(); }  // hit
-  pool.PublishMetrics(&metrics, {{"component", "test"}});
-  obs::Labels labels{{"component", "test"}};
-  EXPECT_EQ(metrics.GetCounter("scribe.ingest.pool_hits", labels)->value(),
-            1u);
-  EXPECT_EQ(metrics.GetCounter("scribe.ingest.pool_misses", labels)->value(),
-            1u);
-  EXPECT_EQ(metrics.GetGauge("scribe.ingest.pool_free", labels)->value(), 1);
-  // Publishing twice must not double-count (set-by-delta).
-  pool.PublishMetrics(&metrics, {{"component", "test"}});
-  EXPECT_EQ(metrics.GetCounter("scribe.ingest.pool_hits", labels)->value(),
-            1u);
-}
-
-TEST(BufferPoolTest, DoubleReleaseRejectedNotRecycled) {
-  // A buffer the pool never leased (or one returned twice) must not reach
-  // the freelist: recycling it would alias two future leases onto the same
-  // bytes. The owner-tag check drops it and counts the incident.
-#ifdef UNILOG_SANITIZE
-  BufferPool pool;
-  EXPECT_DEATH(
-      BufferPoolTestPeer::Return(&pool, std::make_unique<std::string>("x")),
-      "double release");
-#else
-  BufferPool pool;
-  {
-    BufferPool::Lease lease = pool.Acquire();
-    lease->assign("legit");
-  }  // one legitimate buffer in the freelist
-  BufferPoolStats before = pool.stats();
-  ASSERT_EQ(before.pooled, 1u);
-  BufferPoolTestPeer::Return(&pool, std::make_unique<std::string>("foreign"));
-  BufferPoolStats after = pool.stats();
-  EXPECT_EQ(after.double_releases, before.double_releases + 1);
-  EXPECT_EQ(after.pooled, before.pooled);  // rejected, not pooled
-  EXPECT_EQ(after.outstanding, before.outstanding);  // accounting untouched
-#endif
-}
-
 TEST_F(AggregatorTest, OverflowDuringOutageDoesNotCorruptPooledRolls) {
   // Drop-oldest overflow during an outage interleaves with failed rolls
-  // whose pooled buffers go back to the freelist; the eventual successful
-  // roll must stage exactly the surviving messages, byte-identical to a
-  // fresh staging compressor's block of them.
+  // that leave their bytes in the aggregator's roll scratch; the eventual
+  // successful roll must stage exactly the surviving messages,
+  // byte-identical to a fresh staging compressor's block of them.
   options_.aggregator_buffer_limit_bytes = 64;
   Aggregator agg(&sim_, &zk_, &staging_, "dc1", "agg0", options_);
   ASSERT_TRUE(agg.Start().ok());
@@ -1352,7 +1188,6 @@ TEST_F(AggregatorTest, OverflowDuringOutageDoesNotCorruptPooledRolls) {
   auto msgs = UnframeMessages(*raw);
   ASSERT_TRUE(msgs.ok());
   EXPECT_EQ(*msgs, survivors);
-  EXPECT_GT(agg.ingest_pool_stats().hits, 0u);  // freelist actually reused
 }
 
 // ---------------------------------------------------------------------------
@@ -1402,9 +1237,6 @@ std::map<std::string, std::string> RunMoverOverWorkload(
   sim.RunUntil(kT0 + kMillisPerHour + 3 * kMillisPerMinute);
   EXPECT_EQ(mover.stats().corrupt_files_skipped, 1u);
   EXPECT_EQ(mover.stats().messages_moved, 24u * 8u);
-  if (executor != nullptr && executor->parallel()) {
-    EXPECT_GT(mover.ingest_pool_stats().hits, 0u);
-  }
   std::map<std::string, std::string> out;
   auto files = warehouse.ListRecursive("/logs/cat/2012/08/21/00");
   EXPECT_TRUE(files.ok());
@@ -1468,7 +1300,6 @@ TEST_F(LogMoverTest, ParallelMoverCountsWorkItems) {
   };
   EXPECT_EQ(tasks("mover.unstage"), 25u);
   EXPECT_GT(tasks("mover.build_parts"), 1u);
-  EXPECT_GT(metrics.CounterTotal("scribe.ingest.pool_hits"), 0u);
 }
 
 TEST(ScribeClusterTest, DeterministicAcrossRuns) {

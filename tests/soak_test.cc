@@ -137,7 +137,7 @@ TEST(SoakHarnessTest, SeedFortyTwoReportIsPinned) {
   auto result = SoakHarness(SmallOptions()).Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const std::string report = result->ToString();
-  EXPECT_EQ(broker::StableHash(report), 0xbe6eb5df543cca59ull) << report;
+  EXPECT_EQ(broker::StableHash(report), 0x943cd5a3d7ff6473ull) << report;
 }
 
 // An idle fleet shaped like the log_to_query bench (8 daemons, 4 brokers,
@@ -192,14 +192,16 @@ TEST(SoakHarnessTest, InjectedUnrecoveredLossFailsTheRun) {
 
 TEST(SoakHarnessTest, TightenedThresholdTripsAnSloViolation) {
   SoakOptions options = SmallOptions();
-  options.slo.max_pool_high_water = 0;  // any pooled lease trips it
+  // Aggregators buffer between rolls, so any healthy run trips a zero
+  // ceiling on the fleet's buffered entries.
+  options.slo.max_agg_buffered_entries = 0;
   auto result = SoakHarness(options).Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_FALSE(result->passed);
   bool flagged = false;
   for (const SloViolation& v : result->slo.violations) {
-    if (v.name == "pool_high_water") {
+    if (v.name == "peak_agg_buffered_entries") {
       flagged = true;
       EXPECT_GT(v.observed, v.bound);
     }
