@@ -844,6 +844,10 @@ void ScheduleWorkload(Simulator* sim, scribe::ScribeCluster* cluster,
 }
 
 // Samples consumer-group offsets every 30 s and records any regression.
+// Each sample also checks the batches that ConsumerFetch and ReplicaFetch
+// return against the traffic daemons produce: a batch carries one append
+// time, and its included frames run to the body's last frame, so no read
+// stops inside a batch.
 class OffsetMonotonicityProbe {
  public:
   OffsetMonotonicityProbe(Simulator* sim, scribe::ScribeCluster* cluster,
@@ -853,6 +857,11 @@ class OffsetMonotonicityProbe {
   }
 
   bool violated() const { return violated_; }
+  /// The first fetched batch that broke a batch check, or "".
+  const std::string& batch_fault() const { return batch_fault_; }
+  uint64_t batches_checked() const { return batches_checked_; }
+  /// Lz::Decompress calls the probe made itself.
+  uint64_t decompressions() const { return decompressions_; }
 
  private:
   void Schedule(TimeMs until) {
@@ -870,8 +879,69 @@ class OffsetMonotonicityProbe {
         uint64_t& prev = last_[{category, p}];
         if (off < prev) violated_ = true;
         prev = off;
+        CheckFetches(category, p, off);
       }
     }
+  }
+
+  // Reads as the log mover does (from the committed offset, up to the
+  // last closed hour, or without a time limit) and as a follower does.
+  void CheckFetches(const std::string& category, int p, uint64_t from) {
+    if (BrokerNode* leader = cluster_->fleet(0)->FindLeader(category, p)) {
+      const TimeMs hour = sim_->Now() / kMillisPerHour * kMillisPerHour;
+      for (TimeMs ts_limit : {hour, kFarFuture}) {
+        auto read = leader->ConsumerFetch(category, p, from, ts_limit);
+        if (read.ok()) CheckBatches(*read);
+      }
+    }
+    for (size_t b = 0; b < cluster_->broker_count(0); ++b) {
+      auto read =
+          cluster_->broker(0, b)->ReplicaFetch(category, p, 0, nullptr);
+      if (read.ok()) CheckBatches(*read);
+    }
+  }
+
+  void CheckBatches(const PartitionLog::ReadResult& read) {
+    for (const Batch& b : read.batches) {
+      ++batches_checked_;
+      if (b.min_appended_at != b.max_appended_at) Fault(b, "two append times");
+      std::string_view body;
+      if (b.body != nullptr) body = *b.body;
+      std::string inflated;
+      if (b.compressed) {
+        const uint64_t before = Lz::DecompressCallCount();
+        auto whole = Lz::Decompress(body);
+        decompressions_ += Lz::DecompressCallCount() - before;
+        if (!whole.ok()) {
+          Fault(b, whole.status().ToString());
+          continue;
+        }
+        inflated = std::move(*whole);
+        body = inflated;
+      }
+      Decoder dec(body);
+      uint64_t frames = 0;
+      uint64_t logged_at = 0;
+      std::string_view payload;
+      while (!dec.AtEnd()) {
+        if (!dec.GetVarint64(&logged_at).ok() ||
+            !dec.GetLengthPrefixed(&payload).ok()) {
+          Fault(b, "malformed frame");
+          break;
+        }
+        ++frames;
+      }
+      if (frames != uint64_t{b.skip_frames} + b.count) {
+        Fault(b, "body holds " + std::to_string(frames) + " frames");
+      }
+    }
+  }
+
+  void Fault(const Batch& b, const std::string& what) {
+    if (!batch_fault_.empty()) return;
+    batch_fault_ = "batch at " + std::to_string(b.base_offset) + " (skip " +
+                   std::to_string(b.skip_frames) + ", count " +
+                   std::to_string(b.count) + "): " + what;
   }
 
   Simulator* sim_;
@@ -879,6 +949,9 @@ class OffsetMonotonicityProbe {
   int num_partitions_;
   std::map<std::pair<std::string, int>, uint64_t> last_;
   bool violated_ = false;
+  std::string batch_fault_;
+  uint64_t batches_checked_ = 0;
+  uint64_t decompressions_ = 0;
 };
 
 // Every live-replica partition must have exactly one leader at quiescence.
@@ -958,6 +1031,8 @@ TEST(BrokerChaosTest, LeaderKillMidProduceKeepsAuditBalanced) {
   EXPECT_GT(totals.entries_dup_resends, 0u);
   EXPECT_GT(totals.broker_elections, 0u);
   EXPECT_FALSE(probe.violated());
+  EXPECT_EQ(probe.batch_fault(), "");
+  EXPECT_GT(probe.batches_checked(), 0u);
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 }
 
@@ -1017,15 +1092,19 @@ TEST(BrokerChaosTest, LeaderFailoverMidBatchDecompressesOnlyAtLanding) {
   const scribe::ClusterStats totals = cluster.TotalStats();
   EXPECT_GT(totals.entries_dup_resends, 0u);
   EXPECT_FALSE(probe.violated());
+  EXPECT_EQ(probe.batch_fault(), "");
+  EXPECT_GT(probe.batches_checked(), 0u);
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 
   // The decompress-count probe: a broker-tier datacenter stages nothing,
   // so the only legal decompressions in the whole run are the mover's
   // batch decodes at warehouse landing — append, replication, failover
-  // recovery, and fetch never opened a blob.
+  // recovery, and fetch never opened a blob. The offset probe's own
+  // batch checks are left out of the count.
   const scribe::LogMoverStats mstats = cluster.mover()->stats();
   EXPECT_GT(mstats.broker_batches_decoded, 0u);
-  EXPECT_EQ(Lz::DecompressCallCount(), mstats.broker_batches_decoded);
+  EXPECT_EQ(Lz::DecompressCallCount() - probe.decompressions(),
+            mstats.broker_batches_decoded);
 }
 
 TEST(BrokerChaosTest, SessionExpiryDuringElectionLosesNothing) {
@@ -1071,6 +1150,8 @@ TEST(BrokerChaosTest, SessionExpiryDuringElectionLosesNothing) {
   EXPECT_EQ(snap.lost_unreplicated, 0u) << snap.ToString();
   EXPECT_EQ(snap.logged, snap.warehoused + snap.dropped_at_daemons);
   EXPECT_FALSE(probe.violated());
+  EXPECT_EQ(probe.batch_fault(), "");
+  EXPECT_GT(probe.batches_checked(), 0u);
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 }
 
@@ -1114,6 +1195,8 @@ TEST(BrokerChaosTest, AcksAllWithReplicaDownLosesNoAckedEntry) {
   const scribe::ClusterStats totals = cluster.TotalStats();
   EXPECT_GT(totals.produce_throttled, 0u);
   EXPECT_FALSE(probe.violated());
+  EXPECT_EQ(probe.batch_fault(), "");
+  EXPECT_GT(probe.batches_checked(), 0u);
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 }
 
@@ -1286,6 +1369,8 @@ TEST(BrokerChaosTest, SessionExpiryStormAtScaleConvergesBounded) {
   EXPECT_EQ(snap.logged, snap.warehoused + snap.dropped_at_daemons)
       << snap.ToString();
   EXPECT_FALSE(probe.violated());
+  EXPECT_EQ(probe.batch_fault(), "");
+  EXPECT_GT(probe.batches_checked(), 0u);
   ExpectExactlyOneLeader(&cluster, options.num_partitions);
 
   const scribe::ClusterStats totals = cluster.TotalStats();
