@@ -105,8 +105,9 @@ class MapReduceJob {
   MapReduceJob(const hdfs::MiniHdfs* fs, JobCostModel cost_model)
       : fs_(fs), cost_model_(cost_model) {}
 
-  /// Adds every file under `dir` (recursively) as input; skips files whose
-  /// basename starts with '_' (markers). NotFound directories are an
+  /// Adds every file under `dir` (recursively) as input; skips hidden
+  /// paths, those with a '_'-prefixed component below `dir` (markers,
+  /// caches; hdfs::IsHiddenWarehousePath). NotFound directories are an
   /// error.
   Status AddInputDir(const std::string& dir);
   size_t input_file_count() const { return inputs_.size(); }

@@ -17,8 +17,8 @@ Status EventNameIndex::BuildForDir(hdfs::MiniHdfs* fs, const std::string& dir,
   events::ClientEventView event;
   std::vector<events::DetailView> details;
   for (const auto& file : files) {
-    size_t slash = file.path.rfind('/');
-    if (file.path[slash + 1] == '_') continue;  // markers, old index
+    // Markers, the old index and anything under a hidden subtree.
+    if (hdfs::IsHiddenWarehousePath(dir, file.path)) continue;
     uint32_t file_id = static_cast<uint32_t>(index.file_names_.size());
     index.file_names_.push_back(
         renamed_to.empty() ? file.path

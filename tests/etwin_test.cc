@@ -125,6 +125,18 @@ TEST_F(EtwinTest, RebuildOverwritesOldIndex) {
   EXPECT_EQ(index.FilesMatching(events::EventPattern("android:*")).size(), 1u);
 }
 
+// The index skips hidden paths as every other warehouse reader does: a
+// part under a '_'-prefixed subdirectory is not indexed, even though its
+// own basename is not hidden.
+TEST_F(EtwinTest, FilesUnderHiddenSubdirectoriesAreNotIndexed) {
+  const std::string dir = "/logs/ce/2012/08/21/00";
+  WriteEventFile(&fs_, dir + "/_cache/part-9", {"android:home:::tweet:click"});
+  ASSERT_TRUE(EventNameIndex::BuildForDir(&fs_, dir).ok());
+  auto index = *EventNameIndex::Load(fs_, dir);
+  EXPECT_EQ(index.indexed_files(), 3u);
+  EXPECT_TRUE(index.FilesMatching(events::EventPattern("android:*")).empty());
+}
+
 TEST_F(EtwinTest, SerializationRoundTrip) {
   ASSERT_TRUE(EventNameIndex::BuildForDir(&fs_, "/logs/ce/2012/08/21/00").ok());
   auto index = *EventNameIndex::Load(fs_, "/logs/ce/2012/08/21/00");
