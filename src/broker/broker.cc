@@ -551,8 +551,7 @@ Status BrokerNode::ProduceBatch(const std::string& category, int partition,
     b.count = req.count - static_cast<uint32_t>(skip_n);
     b.producer = producer;
     b.first_seq = req.first_seq + skip_n;
-    b.min_appended_at = sim_->Now();
-    b.max_appended_at = b.min_appended_at;
+    b.appended_at = sim_->Now();
     b.skip_frames = static_cast<uint32_t>(skip_n);
     b.compressed = req.compressed;
     // The request's size index and body become the stored entry's own.

@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "common/sim_time.h"
 #include "common/status.h"
 
@@ -33,10 +32,10 @@ struct Record {
 };
 
 /// The storage, replication, and fetch unit of the broker tier: one
-/// producer batch, framed and (normally) compressed once at the daemon and
-/// carried as an opaque blob from there to warehouse landing. A batch
-/// covers the dense offset range [base_offset, base_offset + count) and
-/// the dense seq range [first_seq, first_seq + count) of one producer.
+/// producer batch, framed and compressed once at the daemon and carried
+/// as an opaque blob from there to warehouse landing. A batch covers the
+/// dense offset range [base_offset, base_offset + count) and the dense seq
+/// range [first_seq, first_seq + count) of one producer.
 ///
 /// Body format (after decompression when `compressed`): one frame per
 /// record, each `varint logged_at, varint payload_len, payload bytes`.
@@ -46,11 +45,12 @@ struct Record {
 /// blob is opaque to the broker. Slices taken by ReadFrom() grow
 /// skip_frames the same way instead of rewriting the blob.
 ///
-/// `record_sizes` (uncompressed payload bytes per included record) and the
-/// zone-map-style [min_appended_at, max_appended_at] let the broker do
-/// byte accounting, dedup trims, and hour-boundary reads without ever
-/// decompressing. The body is shared: replication and fetch copy batch
-/// metadata, never payload bytes.
+/// Every record of a batch was appended at one leader instant,
+/// `appended_at`, so a batch lies wholly before or wholly past an hour
+/// boundary. `record_sizes` (uncompressed payload bytes per included
+/// record) and `appended_at` let the broker do byte accounting, dedup
+/// trims, and hour-boundary reads without ever decompressing. The body is
+/// shared: replication and fetch copy batch metadata, never payload bytes.
 struct Batch {
   uint64_t base_offset = 0;
   /// Included records; offsets [base_offset, base_offset + count).
@@ -58,8 +58,8 @@ struct Batch {
   std::string producer;
   /// Seq of the record at base_offset.
   uint64_t first_seq = 0;
-  TimeMs min_appended_at = 0;
-  TimeMs max_appended_at = 0;
+  /// The leader-append sim time of every record in the batch.
+  TimeMs appended_at = 0;
   /// Leading body frames to discard at decode (dedup head trim / slice).
   uint32_t skip_frames = 0;
   /// Framed body (compressed as one Lz block iff `compressed`). Holds
@@ -68,12 +68,6 @@ struct Batch {
   bool compressed = false;
   /// Uncompressed payload bytes of each included record, in offset order.
   std::vector<uint32_t> record_sizes;
-  /// Per-record appended_at when the batch is non-uniform (then size ==
-  /// count, non-decreasing); empty means every record carries
-  /// min_appended_at. Daemon-produced batches are always uniform (one
-  /// leader-append instant); non-uniform batches arise only from tests
-  /// that hand-build them.
-  std::vector<TimeMs> record_times;
   /// Sum of record_sizes, cached by builders and slicers.
   uint64_t payload_bytes = 0;
 
@@ -81,10 +75,6 @@ struct Batch {
   uint64_t last_seq() const { return first_seq + count - 1; }
   /// Bytes the blob occupies in the log / on the wire.
   uint64_t stored_bytes() const { return body ? body->size() : 0; }
-  /// appended_at of included record `i` (0-based).
-  TimeMs appended_at(uint32_t i) const {
-    return record_times.empty() ? min_appended_at : record_times[i];
-  }
 };
 
 /// Appends one record frame to an (uncompressed) batch body.
@@ -100,21 +90,17 @@ struct FrameView {
 /// The one batch frame walker. Appends a FrameView per included record to
 /// *frames, in offset order: it skips the skip_frames head frames, stops
 /// after `count` frames and checks every included frame against
-/// record_sizes. A compressed body is decompressed into *body only as far
-/// as the last included frame (token-granular; the tail stays
-/// compressed) and the views point into *body; an uncompressed body is
-/// not copied, and the views point into the batch's own body, which must
-/// outlive them. Returns the number of uncompressed body bytes actually
-/// materialized — the probe hour-boundary tests use to assert the
-/// excluded tail stayed compressed. Corruption on malformed bodies, with
-/// *frames left as it was.
-Result<size_t> DecodeBatchFrames(const Batch& batch, std::string* body,
-                                 std::vector<FrameView>* frames);
+/// record_sizes. A compressed body is decompressed whole into *body and
+/// the views point into *body; an uncompressed body is not copied, and
+/// the views point into the batch's own body, which must outlive them.
+/// Corruption on malformed bodies, with *frames left as it was.
+Status DecodeBatchFrames(const Batch& batch, std::string* body,
+                         std::vector<FrameView>* frames);
 
 /// DecodeBatchFrames, materialized: replaces *out with the included
-/// records, assigning offsets, seqs and appended times from the batch
-/// metadata. Returns the bytes materialized, as DecodeBatchFrames does.
-Result<size_t> DecodeBatch(const Batch& batch, std::vector<Record>* out);
+/// records, assigning offsets, seqs and the append time from the batch
+/// metadata.
+Status DecodeBatch(const Batch& batch, std::vector<Record>* out);
 
 /// An offset-addressed in-memory commit log of batch entries for one
 /// (category, partition) replica — the Kafka-style storage unit under the
@@ -174,11 +160,9 @@ class PartitionLog {
   };
 
   /// Records with offset in [from, limit_offset) and appended_at <
-  /// ts_limit, as batches. The scan stops at the first record at or past
-  /// ts_limit — consumption never skips over an hour boundary, so
-  /// next_offset always marks a clean resumption point, even mid-batch
-  /// (the batch zone map locates the boundary; non-uniform batches are
-  /// cut by their per-record times without touching the blob).
+  /// ts_limit, as batches. The scan stops at the first batch appended at
+  /// or past ts_limit — consumption never skips over an hour boundary, so
+  /// next_offset always marks a clean resumption point.
   ReadResult ReadFrom(uint64_t from, uint64_t limit_offset,
                       TimeMs ts_limit) const;
   /// ReadFrom into `out`, reusing the capacity of its batch vector.

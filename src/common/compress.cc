@@ -26,7 +26,7 @@ constexpr size_t kFastHashSize = 1u << kFastHashBits;
 // 1 + (r >> kFastSkipShift) positions.
 constexpr size_t kFastSkipShift = 5;
 
-// Largest up-front reservation a decoder makes from a block's declared
+// Largest up-front reservation Decompress makes from a block's declared
 // length; a hostile header must not drive a huge allocation.
 constexpr uint64_t kMaxReserve = 1u << 20;
 
@@ -130,17 +130,15 @@ void AppendMatch(std::string* out, size_t dist, size_t len) {
   }
 }
 
-// The token decoder both decompressors share. Decodes whole tokens from
-// the front of *rest onto *out until out holds at least `target` bytes or
-// *rest is empty, and drops what it decoded from *rest. Every token is
-// checked against the bytes already decoded and against the room left
-// under `expected` before any of its bytes is written, so a hostile block
-// fails with Corruption instead of allocating.
-Status DecodeTokens(std::string_view* rest, uint64_t expected, size_t target,
+// Decompress's token decoder. Decodes every token of `tokens` onto *out.
+// Every token is checked against the bytes already decoded and against
+// the room left under `expected` before any of its bytes is written, so a
+// hostile block fails with Corruption instead of allocating.
+Status DecodeTokens(std::string_view tokens, uint64_t expected,
                     std::string* out) {
-  const char* p = rest->data();
-  const char* const end = p + rest->size();
-  while (out->size() < target && p < end) {
+  const char* p = tokens.data();
+  const char* const end = p + tokens.size();
+  while (p < end) {
     const char tag = *p++;
     uint64_t len = 0;
     if (tag == '\x00') {
@@ -170,7 +168,6 @@ Status DecodeTokens(std::string_view* rest, uint64_t expected, size_t target,
     } else {
       return Status::Corruption("lz: bad token tag");
     }
-    *rest = std::string_view(p, end - p);
   }
   return Status::OK();
 }
@@ -322,35 +319,12 @@ Result<std::string> Lz::Decompress(std::string_view block) {
   UNILOG_RETURN_NOT_OK(dec.GetVarint64(&expected_len));
   std::string out;
   out.reserve(static_cast<size_t>(std::min(expected_len, kMaxReserve)));
-  std::string_view rest = block.substr(dec.position());
-  UNILOG_RETURN_NOT_OK(DecodeTokens(&rest, expected_len,
-                                    std::numeric_limits<size_t>::max(), &out));
+  UNILOG_RETURN_NOT_OK(
+      DecodeTokens(block.substr(dec.position()), expected_len, &out));
   if (out.size() != expected_len) {
     return Status::Corruption("lz: length mismatch");
   }
   return out;
-}
-
-Lz::IncrementalDecompressor::IncrementalDecompressor(std::string_view block) {
-  g_decompress_calls.fetch_add(1, std::memory_order_relaxed);
-  Decoder dec(block);
-  Status st = dec.GetVarint64(&expected_);
-  if (!st.ok()) {
-    status_ = st;
-    return;
-  }
-  rest_ = block.substr(dec.position());
-  out_.reserve(static_cast<size_t>(std::min(expected_, kMaxReserve)));
-}
-
-Status Lz::IncrementalDecompressor::DecodeUntil(size_t target) {
-  if (!status_.ok()) return status_;
-  status_ = DecodeTokens(&rest_, expected_, target, &out_);
-  if (status_.ok() && out_.size() < target && out_.size() != expected_) {
-    // True end of block short of the length header.
-    status_ = Status::Corruption("lz: truncated block");
-  }
-  return status_;
 }
 
 uint64_t Lz::DecompressCallCount() {

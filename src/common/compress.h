@@ -23,7 +23,7 @@ namespace unilog {
 /// into the previously decoded output. 4-byte minimum match; 64 KiB window.
 ///
 /// Two parses write that format, each for fixed callers; any block of
-/// either decodes with Decompress and IncrementalDecompressor:
+/// either decodes with the one decoder, Decompress:
 ///
 ///   Compressor      greedy, 32-step hash chains. Every byte that is kept
 ///                   or pinned: warehouse parts, the columnar fallback
@@ -126,52 +126,9 @@ class Lz {
   /// bytes actually decoded, never with the declared length alone.
   static Result<std::string> Decompress(std::string_view block);
 
-  /// Cursor-style decompressor that decodes a block token by token, on
-  /// demand. The broker tier stores produce batches as opaque compressed
-  /// blobs whose record frames are parsed front to back; a reader that
-  /// only needs the leading frames (hour-boundary reads, dedup head
-  /// trims) decodes just enough output to cover them and leaves the tail
-  /// tokens untouched.
-  ///
-  /// The caller owns the input block and must keep it alive for the
-  /// decompressor's lifetime. Decoding stops on whole-token boundaries,
-  /// so output() may run slightly past the requested target.
-  class IncrementalDecompressor {
-   public:
-    explicit IncrementalDecompressor(std::string_view block);
-
-    IncrementalDecompressor(const IncrementalDecompressor&) = delete;
-    IncrementalDecompressor& operator=(const IncrementalDecompressor&) =
-        delete;
-
-    /// Decodes tokens until output() holds at least `target` bytes or the
-    /// block is exhausted. Reaching the true end of the block before
-    /// `target` is not an error as long as the block's length header
-    /// agrees; malformed input returns Corruption (sticky).
-    Status DecodeUntil(size_t target);
-
-    /// Bytes decoded so far. Grows monotonically across DecodeUntil calls.
-    const std::string& output() const { return out_; }
-
-    /// Moves the decoded bytes out; the decompressor is spent afterwards.
-    std::string TakeOutput() { return std::move(out_); }
-
-    /// The block's declared uncompressed size.
-    uint64_t expected_size() const { return expected_; }
-
-    /// True once every token has been decoded.
-    bool done() const { return rest_.empty(); }
-
-   private:
-    std::string_view rest_;  // undecoded token stream
-    std::string out_;
-    uint64_t expected_ = 0;
-    Status status_ = Status::OK();
-  };
-
-  /// Process-wide count of decompression calls (Decompress plus every
-  /// IncrementalDecompressor constructed). Tests use this probe to assert
-  /// the batched delivery path decompresses payload bytes only at landing.
+  /// Process-wide count of Decompress calls. Tests use this probe to
+  /// assert the batched delivery path decompresses payload bytes only at
+  /// landing.
   static uint64_t DecompressCallCount();
 
   /// Resets the probe counter to zero.

@@ -49,33 +49,30 @@ std::vector<Record> Flatten(const PartitionLog::ReadResult& read) {
   std::vector<Record> records;
   for (const Batch& b : read.batches) {
     std::vector<Record> decoded;
-    auto n = DecodeBatch(b, &decoded);
-    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    Status st = DecodeBatch(b, &decoded);
+    EXPECT_TRUE(st.ok()) << st.ToString();
     for (auto& r : decoded) records.push_back(std::move(r));
   }
   return records;
 }
 
 // Frames `payloads` the way a daemon does and hand-builds a batch around
-// the (optionally compressed) body. A non-empty `times` gives each record
-// its own appended_at (and logged_at), for batches that straddle an hour.
+// the (optionally compressed) body, every record logged and appended at
+// `appended_at`.
 Batch MakeBatch(std::string producer, uint64_t first_seq,
                 const std::vector<std::string>& payloads, TimeMs appended_at,
-                std::vector<TimeMs> times = {}, bool compressed = true) {
+                bool compressed = true) {
   Batch b;
   b.count = static_cast<uint32_t>(payloads.size());
   b.producer = std::move(producer);
   b.first_seq = first_seq;
   std::string body;
   for (size_t i = 0; i < payloads.size(); ++i) {
-    AppendBatchFrame(&body, times.empty() ? appended_at : times[i],
-                     payloads[i]);
+    AppendBatchFrame(&body, appended_at, payloads[i]);
     b.record_sizes.push_back(static_cast<uint32_t>(payloads[i].size()));
     b.payload_bytes += payloads[i].size();
   }
-  b.min_appended_at = times.empty() ? appended_at : times.front();
-  b.max_appended_at = times.empty() ? appended_at : times.back();
-  b.record_times = std::move(times);
+  b.appended_at = appended_at;
   b.compressed = compressed;
   b.body = std::make_shared<const std::string>(
       compressed ? Lz::Compress(body) : std::move(body));
@@ -207,51 +204,6 @@ TEST(PartitionLogTest, ReadFromStopsAtTimestampLimit) {
   EXPECT_EQ(read.next_offset, 2u);
 }
 
-TEST(PartitionLogTest, HourBoundaryMidBatchSlicesWithoutDecompressingTail) {
-  PartitionLog log;
-  std::vector<std::string> payloads;
-  for (int i = 0; i < 4; ++i) {
-    payloads.push_back(std::string(120, static_cast<char>('a' + i)));
-  }
-  // Two records inside the hour, two past it — one compressed blob.
-  std::vector<TimeMs> times{kT0 + 10, kT0 + 20, kT0 + kMillisPerHour + 5,
-                            kT0 + kMillisPerHour + 6};
-  log.AppendBatch(MakeBatch("h", 1, payloads, kT0, times));
-  const uint64_t full_payload = log.byte_size();  // 480
-
-  auto read = log.ReadFrom(0, log.end_offset(), kT0 + kMillisPerHour);
-  ASSERT_EQ(read.batches.size(), 1u);
-  EXPECT_EQ(read.record_count, 2u);
-  // Clean mid-batch resumption point at the hour boundary.
-  EXPECT_EQ(read.next_offset, 2u);
-
-  std::vector<Record> head;
-  auto materialized = DecodeBatch(read.batches[0], &head);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  ASSERT_EQ(head.size(), 2u);
-  EXPECT_EQ(head[0].payload, payloads[0]);
-  EXPECT_EQ(head[1].payload, payloads[1]);
-  EXPECT_EQ(head[1].appended_at, kT0 + 20);
-  // Token-granular incremental decode: the hour's two records materialize
-  // but the blob's tail frames stay compressed.
-  EXPECT_GE(*materialized, 240u);
-  EXPECT_LT(*materialized, full_payload);
-
-  // Resuming at the boundary decodes exactly the tail records via the
-  // slice's grown skip_frames — same shared blob, no rewrite.
-  auto rest = log.ReadFrom(read.next_offset, log.end_offset(), kFarFuture);
-  ASSERT_EQ(rest.batches.size(), 1u);
-  EXPECT_EQ(rest.batches[0].skip_frames, 2u);
-  EXPECT_EQ(rest.batches[0].body, read.batches[0].body);
-  std::vector<Record> tail;
-  ASSERT_TRUE(DecodeBatch(rest.batches[0], &tail).ok());
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].offset, 2u);
-  EXPECT_EQ(tail[0].seq, 3u);
-  EXPECT_EQ(tail[0].payload, payloads[2]);
-  EXPECT_EQ(tail[1].payload, payloads[3]);
-}
-
 // A frame whose length varint claims 2^64 - 1 bytes: the bounds check
 // must not wrap (there is no size index to catch it first).
 TEST(PartitionLogTest, DecodeRejectsFrameLengthThatWouldWrap) {
@@ -267,12 +219,11 @@ TEST(PartitionLogTest, DecodeRejectsFrameLengthThatWouldWrap) {
     b.body = std::make_shared<const std::string>(
         compressed ? Lz::Compress(body) : body);
     std::vector<Record> out;
-    auto n = DecodeBatch(b, &out);
-    ASSERT_FALSE(n.ok()) << compressed;
-    EXPECT_TRUE(n.status().IsCorruption()) << n.status().ToString();
+    Status st = DecodeBatch(b, &out);
+    EXPECT_TRUE(st.IsCorruption()) << compressed << " " << st.ToString();
     std::string decoded;
     std::vector<FrameView> frames(1);
-    EXPECT_TRUE(DecodeBatchFrames(b, &decoded, &frames).status().IsCorruption());
+    EXPECT_TRUE(DecodeBatchFrames(b, &decoded, &frames).IsCorruption());
     EXPECT_EQ(frames.size(), 1u);  // left as it was
   }
 }
@@ -280,16 +231,15 @@ TEST(PartitionLogTest, DecodeRejectsFrameLengthThatWouldWrap) {
 // Uncompressed bodies are walked in place: the views point into the
 // batch's own blob, with no copy.
 TEST(PartitionLogTest, FrameViewsOfUncompressedBatchPointIntoItsBody) {
-  Batch b = MakeBatch("h", 1, {"first", "second", "third"}, kT0, {},
+  Batch b = MakeBatch("h", 1, {"first", "second", "third"}, kT0,
                       /*compressed=*/false);
   b.skip_frames = 1;
   b.count = 2;
   b.record_sizes = {6, 5};
   std::string unused;
   std::vector<FrameView> frames;
-  auto n = DecodeBatchFrames(b, &unused, &frames);
-  ASSERT_TRUE(n.ok()) << n.status().ToString();
-  EXPECT_EQ(*n, b.body->size());
+  Status st = DecodeBatchFrames(b, &unused, &frames);
+  ASSERT_TRUE(st.ok()) << st.ToString();
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].payload, "second");
   EXPECT_EQ(frames[1].payload, "third");
@@ -343,12 +293,9 @@ std::string Describe(const PartitionLog::ReadResult& read) {
            " count=" + std::to_string(b.count) + " producer=" + b.producer +
            " seq=" + std::to_string(b.first_seq) +
            " skip=" + std::to_string(b.skip_frames) +
-           " t=" + std::to_string(b.min_appended_at) + ".." +
-           std::to_string(b.max_appended_at) +
+           " t=" + std::to_string(b.appended_at) +
            " payload=" + std::to_string(b.payload_bytes) + " sizes=";
     for (uint32_t sz : b.record_sizes) out += std::to_string(sz) + ",";
-    out += " times=";
-    for (TimeMs t : b.record_times) out += std::to_string(t) + ",";
     out += b.compressed ? " z" : " raw";
     out += " body=" + std::to_string(reinterpret_cast<uintptr_t>(
                           b.body.get())) + "]";
@@ -358,7 +305,7 @@ std::string Describe(const PartitionLog::ReadResult& read) {
 
 // ReadFrom checks the tail batch before it binary-searches; a linear scan
 // over every retained batch must agree on every field, for every start
-// offset, across gaps, mirrors, trims and per-record times.
+// offset, across gaps, mirrors, trims and time limits.
 TEST(PartitionLogTest, ReadFromMatchesLinearReference) {
   Rng rng(17);
   for (int trial = 0; trial < 60; ++trial) {
@@ -379,14 +326,11 @@ TEST(PartitionLogTest, ReadFromMatchesLinearReference) {
       }
       const size_t n = 1 + rng.Uniform(4);
       std::vector<std::string> payloads;
-      std::vector<TimeMs> times;
-      const bool per_record = rng.Uniform(2) == 0;
       for (size_t i = 0; i < n; ++i) {
         payloads.push_back(std::string(1 + rng.Uniform(5), 'a' + i));
-        if (per_record) times.push_back(now + static_cast<TimeMs>(i));
       }
       Batch b = MakeBatch("h" + std::to_string(rng.Uniform(3)), seq + 1,
-                          payloads, now, times, rng.Uniform(2) == 0);
+                          payloads, now, rng.Uniform(2) == 0);
       seq += n;
       if (kind <= 4) {
         // Mirrored: at the end, past a leader gap, or a covered resend.
@@ -845,9 +789,9 @@ void ScheduleWorkload(Simulator* sim, scribe::ScribeCluster* cluster,
 
 // Samples consumer-group offsets every 30 s and records any regression.
 // Each sample also checks the batches that ConsumerFetch and ReplicaFetch
-// return against the traffic daemons produce: a batch carries one append
-// time, and its included frames run to the body's last frame, so no read
-// stops inside a batch.
+// return against the traffic daemons produce: append times never fall in
+// offset order nor lie in the future, and a batch's included frames run
+// to its body's last frame, so no read stops inside a batch.
 class OffsetMonotonicityProbe {
  public:
   OffsetMonotonicityProbe(Simulator* sim, scribe::ScribeCluster* cluster,
@@ -902,9 +846,13 @@ class OffsetMonotonicityProbe {
   }
 
   void CheckBatches(const PartitionLog::ReadResult& read) {
+    TimeMs prev_appended_at = 0;
     for (const Batch& b : read.batches) {
       ++batches_checked_;
-      if (b.min_appended_at != b.max_appended_at) Fault(b, "two append times");
+      if (b.appended_at < prev_appended_at || b.appended_at > sim_->Now()) {
+        Fault(b, "appended at " + std::to_string(b.appended_at));
+      }
+      prev_appended_at = b.appended_at;
       std::string_view body;
       if (b.body != nullptr) body = *b.body;
       std::string inflated;

@@ -608,31 +608,22 @@ TEST(LzTest, CompressToReusesCapacity) {
   EXPECT_EQ(out, lz_reference::Compress("tiny tiny tiny tiny"));
 }
 
-// Decodes `block` whole and with an IncrementalDecompressor advanced
-// `step` bytes at a time; both must reproduce `data`.
-void ExpectBothDecodersReproduce(const std::string& block,
-                                 const std::string& data, size_t step) {
+// Decompress must reproduce `data` from `block`.
+void ExpectDecodes(const std::string& block, const std::string& data) {
   auto whole = Lz::Decompress(block);
   ASSERT_TRUE(whole.ok()) << whole.status().ToString();
   EXPECT_EQ(*whole, data);
-  Lz::IncrementalDecompressor inc(block);
-  for (size_t target = step; !inc.done(); target += step) {
-    ASSERT_TRUE(inc.DecodeUntil(target).ok());
-    ASSERT_EQ(inc.output(), data.substr(0, inc.output().size()));
-  }
-  ASSERT_TRUE(inc.DecodeUntil(data.size() + 1).ok());
-  EXPECT_EQ(inc.output(), data);
 }
 
 TEST(LzTest, FastCompressorMatchesReferenceOnGoldenCorpus) {
   // One reused FastCompressor over every shape of the golden corpus: the
-  // frozen single-probe reference's bytes, decodable by both decoders.
+  // frozen single-probe reference's bytes, decodable by Decompress.
   Lz::FastCompressor compressor;
   std::string out;
   for (const std::string& data : lz_corpus::GoldenCorpus()) {
     compressor.CompressTo(data, &out);
     ASSERT_EQ(out, lz_reference::FastCompress(data)) << "size=" << data.size();
-    ExpectBothDecodersReproduce(out, data, 1 + data.size() / 7);
+    ExpectDecodes(out, data);
   }
 }
 
@@ -649,7 +640,7 @@ TEST(LzTest, FastCompressorReuseAcrossDecreasingSizes) {
     Lz::FastCompressor fresh;
     ASSERT_EQ(out, fresh.Compress(data)) << "size=" << size;
     ASSERT_EQ(out, lz_reference::FastCompress(data)) << "size=" << size;
-    ExpectBothDecodersReproduce(out, data, 97);
+    ExpectDecodes(out, data);
   }
 }
 
@@ -661,7 +652,7 @@ TEST(LzTest, FastCompressorSkimsIncompressibleInput) {
   const std::string block = Lz::FastCompressor().Compress(data);
   EXPECT_EQ(block, lz_reference::FastCompress(data));
   EXPECT_LE(block.size(), data.size() + 8);
-  ExpectBothDecodersReproduce(block, data, 4096);
+  ExpectDecodes(block, data);
 }
 
 TEST(LzTest, FastCompressorExtendsMatchesBackward) {
@@ -689,18 +680,14 @@ TEST(LzTest, FastCompressorExtendsMatchesBackward) {
   PutVarint64(&expected, phrase.size() + noise.size());
   PutVarint64(&expected, phrase.size());
   EXPECT_EQ(block, expected);
-  ExpectBothDecodersReproduce(block, data, 64);
+  ExpectDecodes(block, data);
 }
 
-// Decodes `block` with both decoders; each must fail with Corruption.
-void ExpectBothDecodersReject(const std::string& block) {
+// Decompress must fail on `block` with Corruption.
+void ExpectRejected(const std::string& block) {
   auto whole = Lz::Decompress(block);
   ASSERT_FALSE(whole.ok());
   EXPECT_TRUE(whole.status().IsCorruption()) << whole.status().ToString();
-  Lz::IncrementalDecompressor inc(block);
-  Status st = inc.DecodeUntil(std::numeric_limits<size_t>::max());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_LE(inc.output().capacity(), size_t{1} << 20);
 }
 
 TEST(LzTest, HostileDeclaredLengthIsCorruptionNotAllocation) {
@@ -710,12 +697,12 @@ TEST(LzTest, HostileDeclaredLengthIsCorruptionNotAllocation) {
   std::string huge;
   PutVarint64(&huge, uint64_t{1} << 48);
   ASSERT_EQ(huge.size(), 7u);
-  ExpectBothDecodersReject(huge);
+  ExpectRejected(huge);
   std::string huger;
   PutVarint64(&huger, uint64_t{1} << 63);
   huger.push_back('\x00');  // literal of length 0
   huger.push_back('\x00');
-  ExpectBothDecodersReject(huger);
+  ExpectRejected(huger);
 }
 
 TEST(LzTest, HostileMatchLengthIsCorruptionNotAllocation) {
@@ -730,18 +717,18 @@ TEST(LzTest, HostileMatchLengthIsCorruptionNotAllocation) {
   PutVarint64(&block, 1);
   PutVarint64(&block, uint64_t{1} << 34);
   ASSERT_EQ(block.size(), 13u);
-  ExpectBothDecodersReject(block);
+  ExpectRejected(block);
 }
 
 TEST(LzTest, TokenPastDeclaredLengthIsRejectedBeforeWriting) {
   // A literal one byte longer than the declared length fails the same way
-  // as an oversized match, in both decoders.
+  // as an oversized match.
   std::string block;
   PutVarint64(&block, 3);
   block.push_back('\x00');
   PutVarint64(&block, 4);
   block += "abcd";
-  ExpectBothDecodersReject(block);
+  ExpectRejected(block);
 }
 
 TEST(LzTest, MixedContentRoundTrip) {

@@ -27,18 +27,6 @@ inline Batch ReferenceSlice(const Batch& b, uint64_t start, uint32_t take) {
     s.record_sizes.push_back(b.record_sizes[i]);
     s.payload_bytes += b.record_sizes[i];
   }
-  if (!b.record_times.empty()) {
-    s.record_times.clear();
-    for (uint32_t i = drop; i < drop + take; ++i) {
-      s.record_times.push_back(b.record_times[i]);
-    }
-    s.min_appended_at = s.record_times.front();
-    s.max_appended_at = s.record_times.front();
-    for (TimeMs t : s.record_times) {
-      s.min_appended_at = std::min(s.min_appended_at, t);
-      s.max_appended_at = std::max(s.max_appended_at, t);
-    }
-  }
   return s;
 }
 
@@ -55,29 +43,18 @@ inline PartitionLog::ReadResult ReferenceReadFrom(const PartitionLog& log,
       stopped_at_limit = true;
       break;
     }
+    // A batch appended at or past ts_limit ends the read.
+    if (b.appended_at >= ts_limit) return out;
     const uint64_t start = std::max(from, b.base_offset);
     const uint64_t stop = std::min(b.end_offset(), limit_offset);
-    // Records in [start, stop) before the first one at or past ts_limit.
-    uint32_t take = 0;
-    bool ts_stopped = false;
-    for (uint64_t off = start; off < stop; ++off) {
-      if (b.appended_at(static_cast<uint32_t>(off - b.base_offset)) >=
-          ts_limit) {
-        ts_stopped = true;
-        break;
-      }
-      ++take;
-    }
-    // A batch whose zone map reaches ts_limit ends the read even when the
-    // excluded records lie past limit_offset.
-    if (b.max_appended_at >= ts_limit) ts_stopped = true;
+    const uint32_t take =
+        start < stop ? static_cast<uint32_t>(stop - start) : 0;
     if (take > 0) {
       out.batches.push_back(ReferenceSlice(b, start, take));
       out.record_count += take;
       out.stored_bytes += b.stored_bytes();
       out.next_offset = start + take;
     }
-    if (ts_stopped) return out;
   }
   if (!stopped_at_limit) {
     out.next_offset = std::max(

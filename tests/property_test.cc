@@ -1,6 +1,7 @@
 // Property-based sweeps over the codecs and core invariants: randomized
-// LZ round-trips, random Thrift value round-trips, sessionizer partition
-// invariants, glob-matching properties, and dictionary coding laws.
+// LZ round-trips, broker batch decodes against a whole-decode reference,
+// random Thrift value round-trips, sessionizer partition invariants,
+// glob-matching properties, and dictionary coding laws.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/utf8.h"
+#include "broker/partition_log.h"
 #include "catalog/catalog.h"
 #include "dataflow/mapreduce.h"
 #include "columnar/rcfile.h"
@@ -321,35 +323,16 @@ std::string OverlappingMatchBlock(Rng& rng, std::string* expected) {
   return block + tokens;
 }
 
-TEST_P(LzPropertyTest, IncrementalMatchesWholeDecodeAtRandomTargets) {
-  // Decompress and IncrementalDecompressor share one token decoder; at
-  // any sequence of DecodeUntil targets the incremental output must be a
-  // prefix of the whole decode that covers the target.
+TEST_P(LzPropertyTest, OverlappingMatchesDecodeByteForByte) {
+  // Matches at dist 1 and dist len - 1 repeat their own output; Decompress
+  // must agree with the byte-at-a-time expansion.
   Rng rng(GetParam() * 53 + 23);
-  for (int iter = 0; iter < 12; ++iter) {
+  for (int iter = 0; iter < 6; ++iter) {
     std::string expected;
-    std::string block;
-    if (iter % 2 == 0) {
-      block = OverlappingMatchBlock(rng, &expected);
-    } else {
-      expected = RandomBuffer(rng);
-      block = Lz::Compress(expected);
-    }
+    const std::string block = OverlappingMatchBlock(rng, &expected);
     auto whole = Lz::Decompress(block);
     ASSERT_TRUE(whole.ok()) << "iter=" << iter;
     ASSERT_EQ(*whole, expected) << "iter=" << iter;
-
-    Lz::IncrementalDecompressor inc(block);
-    size_t target = 0;
-    while (!inc.done()) {
-      target += rng.Uniform(expected.size() / 4 + 2);
-      ASSERT_TRUE(inc.DecodeUntil(target).ok()) << "iter=" << iter;
-      const std::string& out = inc.output();
-      ASSERT_GE(out.size(), std::min(target, expected.size()));
-      ASSERT_EQ(out, expected.substr(0, out.size())) << "iter=" << iter;
-    }
-    ASSERT_TRUE(inc.DecodeUntil(expected.size() + 1).ok());
-    EXPECT_EQ(inc.output(), expected) << "iter=" << iter;
   }
 }
 
@@ -357,8 +340,7 @@ TEST_P(LzPropertyTest, FastParseMatchesReferenceAndRoundTrips) {
   // One reused FastCompressor over seeded random bytes, event text, the
   // structured and window-boundary buffers, 0-16-byte inputs and phrases
   // repeated at kWindow - 1, kWindow and kWindow + 1: every block is the
-  // frozen single-probe reference's, and both decoders reproduce the
-  // input, the incremental one in small steps.
+  // frozen single-probe reference's, and Decompress reproduces the input.
   Rng rng(GetParam() * 104729 + 7);
   std::vector<std::string> inputs;
   for (size_t n = 0; n <= 16; ++n) {
@@ -389,20 +371,192 @@ TEST_P(LzPropertyTest, FastParseMatchesReferenceAndRoundTrips) {
     auto whole = Lz::Decompress(block);
     ASSERT_TRUE(whole.ok()) << "input=" << k;
     ASSERT_EQ(*whole, data) << "input=" << k;
-    Lz::IncrementalDecompressor inc(block);
-    size_t target = 0;
-    while (!inc.done()) {
-      target += 1 + rng.Uniform(64);
-      ASSERT_TRUE(inc.DecodeUntil(target).ok()) << "input=" << k;
-      ASSERT_EQ(inc.output(), data.substr(0, inc.output().size()))
-          << "input=" << k;
-    }
-    ASSERT_TRUE(inc.DecodeUntil(data.size() + 1).ok()) << "input=" << k;
-    ASSERT_EQ(inc.output(), data) << "input=" << k;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LzPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+// ---------------------------------------------------------------------------
+// Broker batch decode: DecodeBatchFrames against a reference that
+// decompresses the whole body with Lz::Decompress and walks its frames one
+// byte at a time.
+
+// One reference frame: its logged_at and the payload's position in the
+// walked body.
+struct RefFrame {
+  TimeMs logged_at = 0;
+  size_t pos = 0;
+  size_t len = 0;
+};
+
+// Reads a varint one byte at a time; false when truncated or too long.
+bool RefVarint(std::string_view buf, size_t* pos, uint64_t* v) {
+  *v = 0;
+  for (int shift = 0; shift < 70 && *pos < buf.size(); shift += 7) {
+    const uint8_t byte = static_cast<uint8_t>(buf[(*pos)++]);
+    if (shift == 63 && byte > 1) return false;
+    *v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return true;
+  }
+  return false;
+}
+
+// The included frames of `b`, walked in *walked (the decompressed body, or
+// the batch's own); false where DecodeBatchFrames must report Corruption.
+bool ReferenceDecode(const broker::Batch& b, std::string* walked,
+                     std::vector<RefFrame>* out) {
+  if (b.body == nullptr) return b.count == 0;
+  if (b.compressed) {
+    auto whole = Lz::Decompress(*b.body);
+    if (!whole.ok()) return false;
+    *walked = std::move(*whole);
+  } else {
+    *walked = *b.body;
+  }
+  size_t pos = 0;
+  for (uint64_t f = 0; f < uint64_t{b.skip_frames} + b.count; ++f) {
+    uint64_t logged_at = 0;
+    uint64_t len = 0;
+    if (!RefVarint(*walked, &pos, &logged_at) ||
+        !RefVarint(*walked, &pos, &len) || len > walked->size() - pos) {
+      return false;
+    }
+    if (f >= b.skip_frames) {
+      const uint64_t i = f - b.skip_frames;
+      if (i < b.record_sizes.size() && b.record_sizes[i] != len) return false;
+      out->push_back(RefFrame{static_cast<TimeMs>(logged_at), pos, len});
+    }
+    pos += len;
+  }
+  return true;
+}
+
+// A seeded batch: `frames` records, a random included slice, sometimes a
+// wrong size index, and compressed about half the time.
+broker::Batch RandomBatch(Rng& rng) {
+  broker::Batch b;
+  const uint32_t frames = static_cast<uint32_t>(rng.Uniform(10));
+  std::string body;
+  std::vector<uint32_t> sizes;
+  for (uint32_t f = 0; f < frames; ++f) {
+    const size_t len = rng.Bernoulli(0.2) ? rng.Uniform(400) : rng.Uniform(24);
+    const std::string payload =
+        lz_corpus::RandomBytes(rng, len, 1 + rng.Uniform(8));
+    broker::AppendBatchFrame(&body, static_cast<TimeMs>(rng.Next64() >> 20),
+                             payload);
+    sizes.push_back(static_cast<uint32_t>(len));
+  }
+  b.skip_frames = static_cast<uint32_t>(rng.Uniform(frames + 1));
+  b.count = static_cast<uint32_t>(rng.Uniform(frames - b.skip_frames + 1));
+  if (rng.Bernoulli(0.1)) ++b.count;  // claims a frame the body lacks
+  for (uint32_t i = 0; i < b.count && b.skip_frames + i < frames; ++i) {
+    b.record_sizes.push_back(sizes[b.skip_frames + i]);
+  }
+  if (!b.record_sizes.empty() && rng.Bernoulli(0.1)) {
+    b.record_sizes[rng.Uniform(b.record_sizes.size())] += 1;
+  }
+  b.compressed = rng.Bernoulli(0.5);
+  b.body = std::make_shared<const std::string>(
+      b.compressed ? Lz::Compress(body) : body);
+  return b;
+}
+
+// Flips a bit of one byte and/or cuts the body short.
+void DamageBody(Rng& rng, broker::Batch* b) {
+  std::string damaged = *b->body;
+  if (!damaged.empty() && rng.Bernoulli(0.5)) {
+    damaged[rng.Uniform(damaged.size())] ^=
+        static_cast<char>(1u << rng.Uniform(8));
+  }
+  if (rng.Bernoulli(0.5)) damaged.resize(rng.Uniform(damaged.size() + 1));
+  b->body = std::make_shared<const std::string>(std::move(damaged));
+}
+
+class BatchDecodePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BatchDecodePropertyTest, DecodeBatchFramesMatchesWholeDecodeAndWalk) {
+  // The same views as the reference, or Corruption with *frames left as
+  // it was.
+  Rng rng(GetParam() * 7919 + 11);
+  int ok = 0;
+  int corrupt = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    broker::Batch b = RandomBatch(rng);
+    if (rng.Bernoulli(0.4)) DamageBody(rng, &b);
+    if (rng.Bernoulli(0.02)) b.body = nullptr;
+
+    std::string walked;
+    std::vector<RefFrame> want;
+    const bool want_ok = ReferenceDecode(b, &walked, &want);
+
+    std::string body;
+    const broker::FrameView sentinel{-7, "kept"};
+    std::vector<broker::FrameView> got{sentinel};
+    Status st = broker::DecodeBatchFrames(b, &body, &got);
+    const std::string where = "seed=" + std::to_string(GetParam()) +
+                              " iter=" + std::to_string(iter);
+    ASSERT_EQ(st.ok(), want_ok) << where << " " << st.ToString();
+    ASSERT_GE(got.size(), 1u) << where;
+    EXPECT_EQ(got[0].logged_at, sentinel.logged_at) << where;
+    EXPECT_EQ(got[0].payload.data(), sentinel.payload.data()) << where;
+    if (!st.ok()) {
+      ASSERT_TRUE(st.IsCorruption()) << where << " " << st.ToString();
+      ASSERT_EQ(got.size(), 1u) << where;
+      ++corrupt;
+      continue;
+    }
+    ++ok;
+    if (b.body == nullptr) {  // an empty batch needs no body
+      ASSERT_EQ(got.size(), 1u) << where;
+      continue;
+    }
+    // Views point into the decompressed body, or into the batch's own.
+    const char* base = b.compressed ? body.data() : b.body->data();
+    if (b.compressed) ASSERT_EQ(body, walked) << where;
+    ASSERT_EQ(got.size(), want.size() + 1) << where;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i + 1].logged_at, want[i].logged_at) << where;
+      EXPECT_EQ(got[i + 1].payload.data(), base + want[i].pos) << where;
+      EXPECT_EQ(got[i + 1].payload.size(), want[i].len) << where;
+    }
+  }
+  // Both outcomes are exercised at every seed.
+  EXPECT_GT(ok, 50);
+  EXPECT_GT(corrupt, 50);
+}
+
+TEST_P(BatchDecodePropertyTest, CorruptTokenPastIncludedFramesIsCorruption) {
+  // The body is decompressed whole, so a bad Lz token past the last
+  // included frame fails the decode even though no included frame needs
+  // it (an incremental decoder never read that token).
+  Rng rng(GetParam() * 31 + 5);
+  std::string body;
+  // At least 20 payload bytes: the frame header's varint headroom then
+  // lies inside the first token.
+  const std::string head = lz_corpus::RandomBytes(rng, 20 + rng.Uniform(40));
+  const std::string tail = lz_corpus::RandomBytes(rng, 1 + rng.Uniform(40));
+  broker::AppendBatchFrame(&body, 1, head);
+  const size_t head_size = body.size();
+  broker::AppendBatchFrame(&body, 2, tail);
+  // One literal token covering the head frame, then a bad tag.
+  std::string block;
+  PutVarint64(&block, body.size());
+  block.push_back('\x00');
+  PutLengthPrefixed(&block, std::string_view(body).substr(0, head_size));
+  block.push_back('\x07');
+  broker::Batch b;
+  b.count = 1;
+  b.record_sizes = {static_cast<uint32_t>(head.size())};
+  b.compressed = true;
+  b.body = std::make_shared<const std::string>(block);
+  std::string decoded;
+  std::vector<broker::FrameView> frames;
+  EXPECT_TRUE(broker::DecodeBatchFrames(b, &decoded, &frames).IsCorruption());
+  EXPECT_TRUE(frames.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchDecodePropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 // ---------------------------------------------------------------------------
