@@ -513,7 +513,9 @@ TEST_P(BatchDecodePropertyTest, DecodeBatchFramesMatchesWholeDecodeAndWalk) {
     }
     // Views point into the decompressed body, or into the batch's own.
     const char* base = b.compressed ? body.data() : b.body->data();
-    if (b.compressed) ASSERT_EQ(body, walked) << where;
+    if (b.compressed) {
+      ASSERT_EQ(body, walked) << where;
+    }
     ASSERT_EQ(got.size(), want.size() + 1) << where;
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i + 1].logged_at, want[i].logged_at) << where;
