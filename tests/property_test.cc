@@ -390,12 +390,12 @@ struct RefFrame {
   size_t len = 0;
 };
 
-// Reads a varint one byte at a time; false when truncated or too long.
+// Reads a LEB128 varint of at most ten bytes one byte at a time; false
+// when truncated or longer.
 bool RefVarint(std::string_view buf, size_t* pos, uint64_t* v) {
   *v = 0;
-  for (int shift = 0; shift < 70 && *pos < buf.size(); shift += 7) {
+  for (int shift = 0; shift <= 63 && *pos < buf.size(); shift += 7) {
     const uint8_t byte = static_cast<uint8_t>(buf[(*pos)++]);
-    if (shift == 63 && byte > 1) return false;
     *v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return true;
   }
@@ -432,7 +432,7 @@ bool ReferenceDecode(const broker::Batch& b, std::string* walked,
   return true;
 }
 
-// A seeded batch: `frames` records, a random included slice, sometimes a
+// A seeded batch: up to nine frames, a random included slice, sometimes a
 // wrong size index, and compressed about half the time.
 broker::Batch RandomBatch(Rng& rng) {
   broker::Batch b;
