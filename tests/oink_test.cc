@@ -419,6 +419,75 @@ TEST_F(WorkflowEngineTest, AddWorkflowValidation) {
   EXPECT_TRUE(engine.AddWorkflow(ok).ok());
 }
 
+// Canonical plans are the plan half of every cache key, so their text is
+// pinned byte for byte: residual literals of each type (the real one by its
+// bit pattern, so -0.0 is not 0.0), residuals in canonical order whatever
+// the registration order, late projection, and a plan whose every clause
+// and projection pushed into the scan.
+TEST_F(WorkflowEngineTest, CanonicalPlanTextIsPinned) {
+  using dataflow::Value;
+  WorkflowEngine engine(&fs_);
+  WorkflowSpec residuals = ClickCounts("residuals");
+  residuals.filters = {
+      {"timestamp", "!=", Value::Real(-0.0)},
+      {"session_id", "==", Value::Bool(true)},
+      {"user_id", ">", Value::Int(7)},
+      {"event_name", "==", Value::Str("web:home:::tweet:click")},
+      {"ip", "==", Value::Str("10.0.0.2")},
+      {"user_id", "!=", Value::Int(-3)},
+      {"timestamp", "<", Value::Real(1.5)},
+  };
+  ASSERT_TRUE(engine.AddWorkflow(residuals).ok());
+  WorkflowSpec pushed = ClickCounts("pushed");
+  pushed.filters = {{"event_name", "matches", Value::Str("web:*:click")},
+                    {"timestamp", ">=", Value::Int(kT0)},
+                    {"timestamp", "<", Value::Int(kT0 + kHour)},
+                    {"user_id", "==", Value::Int(101)}};
+  ASSERT_TRUE(engine.AddWorkflow(pushed).ok());
+
+  EXPECT_EQ(engine.CanonicalPlanFor("residuals").value(),
+            "spec=scanspec-v1{cols=3f;min_ts=-;max_ts=-;"
+            "names=(web:home:::tweet:click);patterns=();uids=-}\n"
+            "visible=initiator:0,event_name:1,user_id:2,session_id:3,ip:4,"
+            "timestamp:5,\n"
+            "residuals=ip == s:8:10.0.0.2;session_id == b:1;"
+            "timestamp != r:8000000000000000;"
+            "timestamp < r:3ff8000000000000;user_id != i:-3;user_id > i:7;\n"
+            "late_project=user_id->uid,\n"
+            "stage=click-counts-v1");
+  EXPECT_EQ(engine.CanonicalPlanFor("pushed").value(),
+            "spec=scanspec-v1{cols=4;min_ts=1345507200000;"
+            "max_ts=1345510799999;names=-;patterns=(web:*:click);"
+            "uids=(101)}\n"
+            "visible=uid:2,\n"
+            "residuals=-\n"
+            "late_project=-\n"
+            "stage=click-counts-v1");
+}
+
+// Manifest content tokens (`rcfp:` for RCFile parts, `fnv:` for any other
+// file) and the content-addressed artifact name are pinned too: a change
+// to either would orphan every artifact already in a cache.
+TEST_F(WorkflowEngineTest, ManifestTokensAndArtifactNamesArePinned) {
+  WriteHour(0);
+  ASSERT_TRUE(fs_.WriteFile(HourDir(1) + "/part-opaque", "opaque").ok());
+  WorkflowEngine engine(&fs_);
+  EXPECT_EQ(engine.DirManifest(HourDir(0)).value(),
+            "manifest-v1\n/warehouse/client_events/hour-0/part-00000 "
+            "rcfp:42242cc2b2b8202d\n");
+  EXPECT_EQ(engine.DirManifest(HourDir(1)).value(),
+            "manifest-v1\n/warehouse/client_events/hour-1/part-opaque "
+            "fnv:47233efd4b05df50\n");
+  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
+  ASSERT_TRUE(engine.RunTick(0).ok());
+  auto artifacts = fs_.ListRecursive("/warehouse/_cache");
+  ASSERT_TRUE(artifacts.ok());
+  std::vector<std::string> names;
+  for (const auto& a : *artifacts) names.push_back(a.path);
+  EXPECT_EQ(names, std::vector<std::string>{
+                       "/warehouse/_cache/077469cdaf74c1cf.okc"});
+}
+
 TEST_F(WorkflowEngineTest, ColdThenWarmTickIsByteIdenticalAndScanFree) {
   WriteHour(0);
   WorkflowEngine engine(&fs_);
