@@ -256,7 +256,7 @@ inline long long ParseIntFlag(int* argc, char** argv, const char* name,
 }
 
 /// Extracts a boolean `--<name>` switch from argv (removing it). Returns
-/// true when present; CI's verified-cache job passes `--verify-cache`.
+/// true when present (e.g. bench_soak_slo's `--inject-loss`).
 inline bool ParseSwitchFlag(int* argc, char** argv, const char* name) {
   bool found = false;
   int out = 1;

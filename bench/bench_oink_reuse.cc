@@ -6,8 +6,9 @@
 // four recurring workflows over the same hours, and measures three ways
 // of running every (hour × workflow) tick:
 //
-//   baseline — memoization off, one engine per workflow: every workflow
-//              scans its input alone (the pre-Oink status quo);
+//   baseline — one engine per workflow, with a cache root of its own that
+//              no later pass reads: every workflow scans its input alone
+//              (the pre-Oink status quo);
 //   cold     — cache on + shared scans on, empty cache: same-directory
 //              workflows ride one union scan, results are written to the
 //              content-addressed cache under /warehouse/_cache;
@@ -27,11 +28,9 @@
 // diverges, the warm pass scans more than half the cold pass's bytes
 // (the ≥2x acceptance floor; in practice warm scans zero bytes), the
 // warm or re-tick pass misses, the re-tick round reads a warehouse byte,
-// or the late part invalidates more than one hour. With --verify-cache
-// every warm hit is also recomputed and compared
-// (OinkOptions::verify_cache), so an under-keyed plan fails the run; the
-// re-tick round's recomputations read the parts, so its zero-read check
-// is waived.
+// or the late part invalidates more than one hour. The baseline digest
+// is the cold recomputation every hit is compared against, so an
+// under-keyed plan fails the run.
 // Results land in BENCH_oink.json section "oink_reuse".
 
 #include <cstdio>
@@ -126,7 +125,6 @@ struct PassResult {
   uint64_t shared_groups = 0;
   uint64_t shared_fanout = 0;
   uint64_t bytes_saved = 0;
-  uint64_t verified_hits = 0;
   /// Warehouse bytes read (MiniHdfs::bytes_read) during the pass.
   uint64_t bytes_read = 0;
   uint64_t digest = kFnvOffset;
@@ -186,7 +184,6 @@ PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
       r.shared_groups += t.shared_scan_groups;
       r.shared_fanout += t.shared_scan_fanout;
       r.bytes_saved += t.bytes_saved;
-      r.verified_hits += t.verified_hits;
     }
     for (size_t i = 0; i < names.size(); ++i) {
       auto rel = owners[i]->ResultFor(names[i]);
@@ -204,9 +201,9 @@ PassResult RunPass(hdfs::MiniHdfs* fs, const std::vector<int64_t>& ticks,
   return r;
 }
 
-bool ClearCache(hdfs::MiniHdfs* fs) {
-  if (!fs->Exists("/warehouse/_cache")) return true;
-  return fs->Delete("/warehouse/_cache", true).ok();
+bool ClearCache(hdfs::MiniHdfs* fs, const std::string& root) {
+  if (!fs->Exists(root)) return true;
+  return fs->Delete(root, true).ok();
 }
 
 }  // namespace
@@ -215,11 +212,9 @@ bool ClearCache(hdfs::MiniHdfs* fs) {
 int main(int argc, char** argv) {
   using namespace unilog;
   int users = bench::ParseUsersFlag(&argc, argv, 250);
-  bool verify_cache = bench::ParseSwitchFlag(&argc, argv, "--verify-cache");
 
   std::printf("=== E19 / §3: Oink memoization + shared warehouse scans ===\n");
-  std::printf("(7-day synthetic workload, %d users%s)\n\n", users,
-              verify_cache ? ", --verify-cache" : "");
+  std::printf("(7-day synthetic workload, %d users)\n\n", users);
 
   // Seven days of hourly RCFile partitions.
   workload::WorkloadOptions wopts;
@@ -250,10 +245,8 @@ int main(int argc, char** argv) {
               MakeWorkflows().size(), ticks.size());
 
   oink::OinkOptions baseline_opts;
-  baseline_opts.enable_cache = false;
-  oink::OinkOptions oink_opts;  // defaults: cache on
-  oink::OinkOptions warm_opts = oink_opts;
-  warm_opts.verify_cache = verify_cache;
+  baseline_opts.cache_root = "/warehouse/_baseline_cache";
+  oink::OinkOptions oink_opts;
 
   // Serial results feed the report; 2- and 8-thread repeats must match
   // their digests bit for bit.
@@ -266,12 +259,15 @@ int main(int argc, char** argv) {
     exec::ExecOptions eopts;
     eopts.threads = threads;
     exec::Executor executor(eopts);
-    if (!ClearCache(&fs)) return 1;
+    if (!ClearCache(&fs, baseline_opts.cache_root) ||
+        !ClearCache(&fs, oink_opts.cache_root)) {
+      return 1;
+    }
     PassResult b = RunPass(&fs, ticks, baseline_opts, &executor,
                            /*engine_per_workflow=*/true);
     PassResult c = RunPass(&fs, ticks, oink_opts, &executor);
-    PassResult w = RunPass(&fs, ticks, warm_opts, &executor);
-    PassResult t = RunPass(&fs, ticks, warm_opts, &executor,
+    PassResult w = RunPass(&fs, ticks, oink_opts, &executor);
+    PassResult t = RunPass(&fs, ticks, oink_opts, &executor,
                            /*engine_per_workflow=*/false, /*primed=*/true);
     if (!b.ok || !c.ok || !w.ok || !t.ok) return 1;
     bool same = b.digest == c.digest && c.digest == w.digest &&
@@ -287,7 +283,7 @@ int main(int argc, char** argv) {
     digests_identical = digests_identical && same;
     reticks_ok = reticks_ok && t.misses == 0 &&
                  t.hits == ticks.size() * MakeWorkflows().size() &&
-                 (verify_cache || t.bytes_read == 0);
+                 t.bytes_read == 0;
     std::printf("%8d %12.2f %12.2f %12.2f %12.2f  %s\n", threads, b.wall_ms,
                 c.wall_ms, w.wall_ms, t.wall_ms,
                 same ? "identical" : "MISMATCH!");
@@ -313,18 +309,15 @@ int main(int argc, char** argv) {
                   : 0.0,
               HumanBytes(warm.scan_bytes).c_str());
   std::printf("warm pass: %llu/%llu hits (%.0f%%), %s of cold scan work "
-              "avoided, %llu verified recomputations\n",
+              "avoided\n",
               static_cast<unsigned long long>(warm.hits),
               static_cast<unsigned long long>(total_jobs), hit_rate * 100.0,
-              HumanBytes(warm.bytes_saved).c_str(),
-              static_cast<unsigned long long>(warm.verified_hits));
+              HumanBytes(warm.bytes_saved).c_str());
   std::printf("same-engine re-tick: %llu/%llu hits, %s of warehouse read "
-              "(want 0%s), %.2f ms\n",
+              "(want 0), %.2f ms\n",
               static_cast<unsigned long long>(retick.hits),
               static_cast<unsigned long long>(total_jobs),
-              HumanBytes(retick.bytes_read).c_str(),
-              verify_cache ? ", waived: hits recomputed for verification" : "",
-              retick.wall_ms);
+              HumanBytes(retick.bytes_read).c_str(), retick.wall_ms);
 
   // Late data: one extra part lands in a single mid-range hour. Only that
   // hour's four readers may miss on the next pass.
@@ -352,7 +345,7 @@ int main(int argc, char** argv) {
   exec::ExecOptions eopts;
   eopts.threads = 2;
   exec::Executor executor(eopts);
-  PassResult incremental = RunPass(&fs, ticks, warm_opts, &executor);
+  PassResult incremental = RunPass(&fs, ticks, oink_opts, &executor);
   if (!incremental.ok) return 1;
   size_t per_tick = MakeWorkflows().size();
   bool invalidation_ok = incremental.misses == per_tick &&
@@ -365,18 +358,12 @@ int main(int argc, char** argv) {
               HumanBytes(incremental.scan_bytes).c_str(),
               HumanBytes(cold.scan_bytes).c_str());
 
-  // Under --verify-cache every hit is recomputed on purpose, so the warm
-  // pass scans cold-sized bytes; the floor only applies to plain warm runs.
   bool reduction_ok =
-      verify_cache ||
-      (warm.scan_bytes * 2 <= cold.scan_bytes && cold.scan_bytes > 0);
+      warm.scan_bytes * 2 <= cold.scan_bytes && cold.scan_bytes > 0;
   bool pass = digests_identical && reduction_ok && warm.hits == total_jobs &&
-              warm.misses == 0 && reticks_ok && invalidation_ok &&
-              (!verify_cache || warm.verified_hits == warm.hits);
-  std::printf("\nbytes-scanned reduction cold->warm: %.1fx (floor 2.0x%s)\n",
-              bytes_reduction,
-              verify_cache ? ", waived: hits recomputed for verification"
-                           : "");
+              warm.misses == 0 && reticks_ok && invalidation_ok;
+  std::printf("\nbytes-scanned reduction cold->warm: %.1fx (floor 2.0x)\n",
+              bytes_reduction);
   std::printf("baseline == cold == warm == re-tick at 1/2/8 threads: %s\n",
               digests_identical ? "YES" : "NO");
   std::printf("verdict: %s\n", pass ? "PASS" : "FAIL");
@@ -404,15 +391,12 @@ int main(int argc, char** argv) {
   section.Set("warm_hit_rate", Json::Number(hit_rate));
   section.Set("warm_bytes_saved",
               Json::Int(static_cast<int64_t>(warm.bytes_saved)));
-  section.Set("verified_hits",
-              Json::Int(static_cast<int64_t>(warm.verified_hits)));
   section.Set("late_part_misses",
               Json::Int(static_cast<int64_t>(incremental.misses)));
   section.Set("late_part_bytes_rescanned",
               Json::Int(static_cast<int64_t>(incremental.scan_bytes)));
   section.Set("digests_identical_threads_1_2_8",
               Json::Bool(digests_identical));
-  section.Set("verify_cache", Json::Bool(verify_cache));
   section.Set("pass", Json::Bool(pass));
   Status js =
       bench::MergeBenchJsonSection("BENCH_oink.json", "oink_reuse", section);

@@ -18,8 +18,8 @@
 // batches). The row answer is therefore checked, untimed, against
 // relation_oracle::GroupBy (tests/relation_oracle.h) over the row-filtered
 // input, and every other answer must be byte-identical to it (FNV digest
-// of SerializeRelation) across engines, planner filter orders, morsel
-// sizes, and thread counts; the parallel sweeps run on the morsel-driven
+// of SerializeRelation) across engines, conjunct orders, morsel sizes,
+// and thread counts; the parallel sweeps run on the morsel-driven
 // scheduler. Exits nonzero on any divergence, if the unfused
 // batch engine misses its 3x floor, or if the fused pipeline misses its
 // 10x-vs-row floor. Results merge into BENCH_scan.json under
@@ -32,7 +32,7 @@
 
 #include "bench_common.h"
 #include "dataflow/columnar_scan.h"
-#include "dataflow/planner.h"
+#include "dataflow/plan_fingerprint.h"
 #include "dataflow/relation_serde.h"
 #include "dataflow/vector_engine.h"
 #include "relation_oracle.h"
@@ -47,12 +47,6 @@ uint64_t Fnv64(const std::string& bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-std::string HexU64(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -88,8 +82,7 @@ int main(int argc, char** argv) {
   auto batch_scan =
       std::static_pointer_cast<dataflow::ColumnarEventScan>(scan->Clone());
   auto batch_in = batch_scan->MaterializeBatches(nullptr);
-  auto stats = scan->Stats();
-  if (!rows_in.ok() || !batch_in.ok() || !stats.ok()) {
+  if (!rows_in.ok() || !batch_in.ok()) {
     std::fprintf(stderr, "scan failed\n");
     return 1;
   }
@@ -203,23 +196,24 @@ int main(int argc, char** argv) {
     kernel_stats = ks;
   }
 
-  // Planner-ordered filters must not move any engine's answer by a byte.
+  // Conjunct order must not move any engine's answer by a byte.
   bool digests_identical =
       batch_digest == row_digest && fused_digest == row_digest;
-  auto ordered = dataflow::OrderFilters(*stats, exprs);
   {
-    auto out = batch_pass(ordered, nullptr);
+    const std::vector<dataflow::FilterExpr> reversed(exprs.rbegin(),
+                                                     exprs.rend());
+    auto out = batch_pass(reversed, nullptr);
     if (!out.ok() ||
         Fnv64(dataflow::SerializeRelation(*out)) != row_digest) {
       digests_identical = false;
-      std::fprintf(stderr, "ordered-filter batch divergence\n");
+      std::fprintf(stderr, "reversed-filter batch divergence\n");
     }
     dataflow::KernelStats ks;
-    auto fout = fused_pass(ordered, nullptr, &ks);
+    auto fout = fused_pass(reversed, nullptr, &ks);
     if (!fout.ok() ||
         Fnv64(dataflow::SerializeRelation(*fout)) != row_digest) {
       digests_identical = false;
-      std::fprintf(stderr, "ordered-filter fused divergence\n");
+      std::fprintf(stderr, "reversed-filter fused divergence\n");
     }
   }
 
@@ -285,7 +279,7 @@ int main(int argc, char** argv) {
     morsel_totals.MergeFrom(executor.morsel_totals());
     std::printf("%8d %12.2f %14.0f %9.2fx  %s\n", threads, t_ms,
                 input_rows / (t_ms / 1000.0), row_ms / t_ms,
-                HexU64(t_digest).c_str());
+                dataflow::HexU64(t_digest).c_str());
   }
 
   double rows_per_sec_row = input_rows / (row_ms / 1000.0);
@@ -298,13 +292,13 @@ int main(int argc, char** argv) {
   std::printf("\n%12s %12s %14s  %s\n", "engine", "best_ms", "rows_per_sec",
               "digest");
   std::printf("%12s %12.2f %14.0f  %s\n", "row", row_ms, rows_per_sec_row,
-              HexU64(row_digest).c_str());
+              dataflow::HexU64(row_digest).c_str());
   std::printf("%12s %12.2f %14.0f  %s\n", "batch", batch_ms,
-              rows_per_sec_batch, HexU64(batch_digest).c_str());
+              rows_per_sec_batch, dataflow::HexU64(batch_digest).c_str());
   std::printf("%12s %12.2f %14.0f  %s\n", "fused", fused_ms,
-              rows_per_sec_fused, HexU64(fused_digest).c_str());
+              rows_per_sec_fused, dataflow::HexU64(fused_digest).c_str());
   std::printf("%12s %12s %14s  %s\n", "oracle", "-", "-",
-              HexU64(oracle_digest).c_str());
+              dataflow::HexU64(oracle_digest).c_str());
   std::printf(
       "\ninput_rows=%zu batch=%.2fx fused=%.2fx (vs batch %.2fx) "
       "dict_pruned=%llu digests=%s\n",
@@ -328,10 +322,11 @@ int main(int argc, char** argv) {
               Json::Int(static_cast<int64_t>(morsel_totals.morsels)));
   section.Set("morsel_max_bytes",
               Json::Int(static_cast<int64_t>(morsel_totals.max_morsel_bytes)));
-  section.Set("answer_digest_row", Json::Str(HexU64(row_digest)));
-  section.Set("answer_digest_batch", Json::Str(HexU64(batch_digest)));
-  section.Set("answer_digest_fused", Json::Str(HexU64(fused_digest)));
-  section.Set("answer_digest_oracle", Json::Str(HexU64(oracle_digest)));
+  section.Set("answer_digest_row", Json::Str(dataflow::HexU64(row_digest)));
+  section.Set("answer_digest_batch", Json::Str(dataflow::HexU64(batch_digest)));
+  section.Set("answer_digest_fused", Json::Str(dataflow::HexU64(fused_digest)));
+  section.Set("answer_digest_oracle",
+              Json::Str(dataflow::HexU64(oracle_digest)));
   section.Set("digests_identical", Json::Bool(digests_identical));
   Status merged =
       bench::MergeBenchJsonSection("BENCH_scan.json", "vectorized_exec",

@@ -21,13 +21,14 @@
 namespace unilog::broker {
 
 /// Producer acknowledgement levels, as in Kafka.
-inline constexpr int kAcksNone = 0;    // fire-and-forget
 inline constexpr int kAcksLeader = 1;  // leader append suffices
 inline constexpr int kAcksAll = -1;    // every live assigned replica
 
 struct BrokerOptions {
   int num_partitions = 4;
   int replication_factor = 2;
+  /// kAcksAll or kAcksLeader. Only kAcksAll is tested for, so any other
+  /// value, 0 included, acts as leader acks: there is no fire-and-forget.
   int acks = kAcksLeader;
 
   /// acks=all produces are rejected (Unavailable) when fewer than this

@@ -546,6 +546,35 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
   return out;
 }
 
+void TableStats::Merge(const TableStats& other) {
+  if (other.total_rows == 0 && other.row_groups == 0 &&
+      other.data_bytes == 0) {
+    return;
+  }
+  const bool was_empty = total_rows == 0 && row_groups == 0 && data_bytes == 0;
+  total_rows += other.total_rows;
+  row_groups += other.row_groups;
+  data_bytes += other.data_bytes;
+  auto merge_bound = [](std::optional<int64_t>* mine,
+                        const std::optional<int64_t>& theirs, bool lower) {
+    if (!theirs.has_value()) return;
+    if (!mine->has_value()) {
+      *mine = theirs;
+    } else {
+      *mine = lower ? std::min(**mine, *theirs) : std::max(**mine, *theirs);
+    }
+  };
+  merge_bound(&min_timestamp, other.min_timestamp, true);
+  merge_bound(&max_timestamp, other.max_timestamp, false);
+  merge_bound(&min_user_id, other.min_user_id, true);
+  merge_bound(&max_user_id, other.max_user_id, false);
+  for (const auto& [name, rows] : other.name_rows) name_rows[name] += rows;
+  for (const auto& [name, rows] : other.initiator_rows) {
+    initiator_rows[name] += rows;
+  }
+  has_zone_maps = (was_empty || has_zone_maps) && other.has_zone_maps;
+}
+
 Result<TableStats> ColumnarEventScan::Stats() const {
   TableStats total;
   for (const auto& file : *files_) {

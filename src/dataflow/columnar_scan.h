@@ -1,6 +1,8 @@
 #ifndef UNILOG_DATAFLOW_COLUMNAR_SCAN_H_
 #define UNILOG_DATAFLOW_COLUMNAR_SCAN_H_
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,7 +12,6 @@
 #include "columnar/rcfile.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "dataflow/planner.h"
 #include "dataflow/relation.h"
 #include "dataflow/vector_engine.h"
 #include "hdfs/mini_hdfs.h"
@@ -18,6 +19,30 @@
 namespace unilog::dataflow {
 
 using hdfs::IsHiddenWarehousePath;
+
+/// Header-only statistics of a scan's file set: zone maps and event-name
+/// and initiator dictionaries aggregated from RCFile rowgroup headers (no
+/// column is decoded to collect them). Legacy framed files contribute
+/// byte totals only, with `has_zone_maps` false.
+struct TableStats {
+  uint64_t total_rows = 0;
+  uint64_t row_groups = 0;
+  /// On-disk bytes of the scanned files.
+  uint64_t data_bytes = 0;
+  std::optional<int64_t> min_timestamp, max_timestamp;
+  std::optional<int64_t> min_user_id, max_user_id;
+  /// Upper bound on rows per event name: the sum of row counts of the
+  /// groups whose dictionary contains the name. Absent name => 0 rows.
+  std::map<std::string, uint64_t> name_rows;
+  /// Same bound per initiator display name (EventInitiatorName), from the
+  /// initiator dictionaries. Absent initiator => 0 rows.
+  std::map<std::string, uint64_t> initiator_rows;
+  /// True when every contributing file was an RCFile, so every row is
+  /// covered by a group zone map.
+  bool has_zone_maps = false;
+
+  void Merge(const TableStats& other);
+};
 
 /// A deferred table scan over a warehouse directory of client-event files,
 /// in either format: columnar RCFile parts get zone-map/dictionary group
@@ -98,8 +123,8 @@ class ColumnarEventScan
       const std::vector<std::shared_ptr<ColumnarEventScan>>& members,
       exec::Executor* exec, columnar::ScanStats* stats_out = nullptr);
 
-  /// Header-only planner statistics over the file set: RCFile rowgroup
-  /// zone maps and dictionaries aggregated via
+  /// Header-only statistics over the file set: RCFile rowgroup zone maps
+  /// and dictionaries aggregated via
   /// RcFileReader::CollectGroupStats (no column decoded); legacy files
   /// contribute bytes only.
   Result<TableStats> Stats() const;

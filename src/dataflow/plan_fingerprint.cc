@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace unilog::dataflow {
+
+std::string HexU64(uint64_t v) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kDigits[v & 0xf];
+    v >>= 4;
+  }
+  return out;
+}
 
 void Fingerprint::Mix(std::string_view bytes) {
   for (unsigned char c : bytes) {
@@ -17,13 +28,6 @@ void Fingerprint::MixU64(uint64_t v) {
     h_ ^= static_cast<unsigned char>(v >> (i * 8));
     h_ *= 1099511628211ull;
   }
-}
-
-std::string Fingerprint::Hex() const {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h_));
-  return buf;
 }
 
 uint64_t Fingerprint::OfBytes(std::string_view bytes) {
@@ -94,6 +98,22 @@ std::string CanonicalScanSpec(const columnar::ScanSpec& spec) {
   }
   out += "}";
   return out;
+}
+
+std::string CanonicalFilterClause(const FilterExpr& e) {
+  std::string out = e.column + " " + e.op + " ";
+  const Value& v = e.literal;
+  if (v.is_int()) return out + "i:" + std::to_string(v.int_value());
+  if (v.is_bool()) return out + "b:" + (v.bool_value() ? "1" : "0");
+  if (v.is_real()) {
+    uint64_t bits = 0;
+    double d = v.real_value();
+    static_assert(sizeof(bits) == sizeof(d));
+    std::memcpy(&bits, &d, sizeof(bits));
+    return out + "r:" + HexU64(bits);
+  }
+  const std::string& s = v.str_value();
+  return out + "s:" + std::to_string(s.size()) + ":" + s;
 }
 
 columnar::ScanSpec MergeScanSpecs(

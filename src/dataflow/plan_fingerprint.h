@@ -7,8 +7,13 @@
 #include <vector>
 
 #include "columnar/rcfile.h"
+#include "dataflow/vector_engine.h"
 
 namespace unilog::dataflow {
+
+/// `v` as 16 lowercase hex digits: artifact names, manifest content tokens
+/// and real-literal bit patterns in canonical plans.
+std::string HexU64(uint64_t v);
 
 /// 64-bit FNV-1a accumulator used for plan and input fingerprints in the
 /// Oink memoization layer. Deterministic across platforms and runs: the
@@ -22,7 +27,7 @@ class Fingerprint {
 
   uint64_t value() const { return h_; }
   /// 16 lowercase hex digits — the content-addressed artifact name.
-  std::string Hex() const;
+  std::string Hex() const { return HexU64(h_); }
 
   static uint64_t OfBytes(std::string_view bytes);
 
@@ -36,6 +41,13 @@ class Fingerprint {
 /// deduplicated since they are conjunctive). The plan half of an Oink
 /// cache key is built from this, so a key changes iff the plan changes.
 std::string CanonicalScanSpec(const columnar::ScanSpec& spec);
+
+/// Canonical `column op literal-token` text of one residual clause. The
+/// literal token is type-tagged (`i:`, `b:`, `r:` + the real's bit pattern
+/// in hex, `s:` + length + bytes), so no literal collides with another's
+/// serialization. The Oink canonical plan lists its residuals sorted by
+/// this text.
+std::string CanonicalFilterClause(const FilterExpr& e);
 
 /// Union-merges per-workflow ScanSpecs into the single spec a shared scan
 /// runs with. The merged spec is *weaker* than every input: any row some

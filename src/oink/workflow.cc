@@ -11,32 +11,6 @@ namespace unilog::oink {
 
 namespace {
 
-std::string HexU64(uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[i] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
-/// Type-tagged literal token for the canonical plan text; strings are
-/// length-prefixed so no literal can collide with another's serialization.
-std::string LiteralToken(const dataflow::Value& v) {
-  if (v.is_int()) return "i:" + std::to_string(v.int_value());
-  if (v.is_bool()) return std::string("b:") + (v.bool_value() ? "1" : "0");
-  if (v.is_real()) {
-    uint64_t bits = 0;
-    double d = v.real_value();
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    return "r:" + HexU64(bits);
-  }
-  const std::string& s = v.str_value();
-  return "s:" + std::to_string(s.size()) + ":" + s;
-}
-
 bool IsResidualOp(const std::string& op) {
   return op == "==" || op == "!=" || op == "<" || op == "<=" || op == ">" ||
          op == ">=";
@@ -63,7 +37,6 @@ WorkflowEngine::WorkflowEngine(hdfs::MiniHdfs* fs, OinkOptions options,
   shared_scans_ = metrics_->GetCounter("oink.shared_scans");
   shared_scan_fanout_ = metrics_->GetCounter("oink.shared_scan_fanout");
   scan_bytes_ = metrics_->GetCounter("oink.scan_bytes_decompressed");
-  verified_hits_ = metrics_->GetCounter("oink.verified_hits");
 }
 
 Status WorkflowEngine::AddWorkflow(WorkflowSpec spec) {
@@ -114,14 +87,11 @@ Status WorkflowEngine::AddWorkflow(WorkflowSpec spec) {
   // Residual clauses are conjunctive, so their order never affects
   // results; sort them canonically so two workflows differing only in
   // filter registration order share one canonical plan (and one cache
-  // key), and planner reorderings at execution time can never leak into
-  // the fingerprint.
+  // key). The tick filters in this order.
   std::stable_sort(planned.residuals.begin(), planned.residuals.end(),
                    [](const FilterClause& a, const FilterClause& b) {
-                     return a.column + " " + a.op + " " +
-                                LiteralToken(a.literal) <
-                            b.column + " " + b.op + " " +
-                                LiteralToken(b.literal);
+                     return dataflow::CanonicalFilterClause(a) <
+                            dataflow::CanonicalFilterClause(b);
                    });
   if (!wf.project_cols.empty()) {
     for (const auto& col : wf.project_cols) {
@@ -153,8 +123,7 @@ Status WorkflowEngine::AddWorkflow(WorkflowSpec spec) {
     plan += "-";
   } else {
     for (const auto& clause : planned.residuals) {
-      plan += clause.column + " " + clause.op + " " +
-              LiteralToken(clause.literal) + ";";
+      plan += dataflow::CanonicalFilterClause(clause) + ";";
     }
   }
   plan += "\nlate_project=";
@@ -189,13 +158,8 @@ std::shared_ptr<dataflow::ColumnarEventScan> WorkflowEngine::BuildScan(
 }
 
 Result<dataflow::Relation> WorkflowEngine::FinishPlanBatch(
-    const Planned& plan, dataflow::BatchRelation batch,
-    const dataflow::TableStats& stats) const {
-  if (plan.residuals.size() > 1) {
-    UNILOG_ASSIGN_OR_RETURN(
-        batch, batch.Filter(dataflow::OrderFilters(stats, plan.residuals),
-                            exec_));
-  } else if (!plan.residuals.empty()) {
+    const Planned& plan, dataflow::BatchRelation batch) const {
+  if (!plan.residuals.empty()) {
     UNILOG_ASSIGN_OR_RETURN(batch, batch.Filter(plan.residuals, exec_));
   }
   if (!plan.projection_pushed && !plan.spec.project_cols.empty()) {
@@ -224,10 +188,10 @@ Result<std::string> WorkflowEngine::DirManifest(const std::string& dir) {
         // A fingerprint failure is corruption the scan would also hit.
         columnar::RcFileReader reader(body);
         UNILOG_ASSIGN_OR_RETURN(uint64_t fp, reader.ContentFingerprint());
-        token = "rcfp:" + HexU64(fp);
+        token = "rcfp:" + dataflow::HexU64(fp);
       } else {
         // Framed parts carry no checksums: hash their bytes.
-        token = "fnv:" + HexU64(dataflow::Fingerprint::OfBytes(body));
+        token = "fnv:" + dataflow::HexU64(dataflow::Fingerprint::OfBytes(body));
       }
       memo = manifest_tokens_
                  .insert_or_assign(entry.path,
@@ -257,7 +221,8 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     if (options_.explain) {
       explain_.push_back("[oink t=" + std::to_string(period_index) + "] dir=" +
                          dir + " manifest_fp=" +
-                         HexU64(dataflow::Fingerprint::OfBytes(manifest)) +
+                         dataflow::HexU64(
+                             dataflow::Fingerprint::OfBytes(manifest)) +
                          " workflows=" + std::to_string(idxs.size()));
     }
 
@@ -276,19 +241,12 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     struct Pending {
       std::string key;
       std::vector<size_t> members;
-      /// Set when this is a verify_cache recomputation of a hit: the
-      /// cached serialized bytes the recomputation must reproduce.
-      std::shared_ptr<const std::string> verify_against;
     };
     std::vector<Pending> pending;
 
     for (const auto& [key, members] : by_key) {
       last_tick_.workflows += members.size();
       workflows_run_->Increment(members.size());
-      if (!options_.enable_cache) {
-        pending.push_back({key, members, nullptr});
-        continue;
-      }
       Result<CacheHit> got = cache_.Get(key, manifest);
       if (got.ok()) {
         last_tick_.cache_hits++;
@@ -302,9 +260,6 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
                                std::to_string(got->cold_cost_bytes));
           }
         }
-        if (options_.verify_cache) {
-          pending.push_back({key, members, std::move(got->payload)});
-        }
         continue;
       }
       if (!got.status().IsNotFound()) return got.status();
@@ -315,7 +270,7 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
                              key + " MISS");
         }
       }
-      pending.push_back({key, members, nullptr});
+      pending.push_back({key, members});
     }
     if (pending.empty()) continue;
 
@@ -356,50 +311,19 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
     last_tick_.scan_bytes_decompressed += scan_stats.bytes_decompressed;
     scan_bytes_->Increment(scan_stats.bytes_decompressed);
 
-    // Planner statistics only order residual filters, so they are
-    // collected (header-only: zone maps + dictionaries, no column
-    // decoded) once per directory, and only when some plan has two
-    // or more residuals to order.
-    dataflow::TableStats table_stats;
-    if (std::any_of(pending.begin(), pending.end(), [&](const Pending& p) {
-          return workflows_[p.members[0]].residuals.size() >= 2;
-        })) {
-      UNILOG_ASSIGN_OR_RETURN(table_stats, base->Stats());
-    }
-
     for (size_t pi = 0; pi < pending.size(); ++pi) {
-      Pending& p = pending[pi];
-      const Planned& plan = workflows_[p.members[0]];
+      const Pending& p = pending[pi];
       UNILOG_ASSIGN_OR_RETURN(
           dataflow::Relation rel,
-          FinishPlanBatch(plan, std::move(scanned[pi]), table_stats));
-      std::string serialized = dataflow::SerializeRelation(rel);
-      if (p.verify_against != nullptr) {
-        if (serialized != *p.verify_against) {
-          return Status::Internal(
-              "oink verify_cache: cached result for '" + plan.spec.name +
-              "' (key " + p.key +
-              ") diverges from recomputation — plan under-keyed or cache "
-              "corrupt");
-        }
-        last_tick_.verified_hits++;
-        verified_hits_->Increment();
-        if (options_.explain) {
-          explain_.push_back("[oink] " + plan.spec.name + " key=" + p.key +
-                             " VERIFIED");
-        }
-        continue;
-      }
+          FinishPlanBatch(workflows_[p.members[0]], std::move(scanned[pi])));
       for (size_t m : p.members) {
         results_[workflows_[m].spec.name] = rel;
       }
-      if (options_.enable_cache) {
-        CacheArtifact artifact;
-        artifact.manifest = manifest;
-        artifact.cold_cost_bytes = costs[pi];
-        artifact.payload = std::move(serialized);
-        UNILOG_RETURN_NOT_OK(cache_.Put(p.key, std::move(artifact)));
-      }
+      CacheArtifact artifact;
+      artifact.manifest = manifest;
+      artifact.cold_cost_bytes = costs[pi];
+      artifact.payload = dataflow::SerializeRelation(rel);
+      UNILOG_RETURN_NOT_OK(cache_.Put(p.key, std::move(artifact)));
     }
   }
   return Status::OK();

@@ -54,12 +54,6 @@ struct WorkflowSpec {
 
 /// Tuning knobs for the memoizing engine.
 struct OinkOptions {
-  /// Probe/fill the artifact cache.
-  bool enable_cache = true;
-  /// Paranoia mode for CI: every cache hit is *also* recomputed and the
-  /// serialized bytes compared; divergence fails the tick with Internal.
-  /// Catches under-keyed plans (e.g. a stage whose stage_id went stale).
-  bool verify_cache = false;
   /// Record an EXPLAIN-style trace of every tick in explain_log().
   bool explain = false;
   uint64_t cache_byte_budget = 64ull * 1024 * 1024;
@@ -80,8 +74,6 @@ struct TickStats {
   uint64_t shared_scan_fanout = 0;
   /// Sum of the cold costs of the artifacts that hit.
   uint64_t bytes_saved = 0;
-  /// Hits recomputed and byte-compared under verify_cache.
-  uint64_t verified_hits = 0;
 };
 
 /// The memoizing, shared-scan Oink execution layer (§3's "Oink manages
@@ -158,15 +150,11 @@ class WorkflowEngine {
       const std::shared_ptr<dataflow::ColumnarEventScan>& base,
       const Planned& plan) const;
 
-  /// The miss path's tail, shared by the cold path and verify_cache
-  /// recomputation: the plan's residuals run through the batch Filter
-  /// kernel (two or more ordered most-selective-first under `stats`),
-  /// then late projection via ProjectAs before the boxed stage. Filter
-  /// order is pure execution strategy: it never changes results,
-  /// canonical plans, or cache keys.
+  /// The miss path's tail: the plan's residuals, in canonical order, run
+  /// through the batch Filter kernel, then late projection via ProjectAs
+  /// before the boxed stage.
   Result<dataflow::Relation> FinishPlanBatch(
-      const Planned& plan, dataflow::BatchRelation batch,
-      const dataflow::TableStats& stats) const;
+      const Planned& plan, dataflow::BatchRelation batch) const;
 
   hdfs::MiniHdfs* fs_;
   OinkOptions options_;
@@ -196,7 +184,6 @@ class WorkflowEngine {
   obs::Counter* shared_scans_;
   obs::Counter* shared_scan_fanout_;
   obs::Counter* scan_bytes_;
-  obs::Counter* verified_hits_;
 };
 
 /// Hooks a WorkflowEngine into the classic Oink scheduler: registers

@@ -16,6 +16,7 @@
 #include "oink/artifact_cache.h"
 #include "oink/oink.h"
 #include "oink/workflow.h"
+#include "oink_oracle.h"
 #include "sim/simulator.h"
 
 namespace unilog::oink {
@@ -324,7 +325,8 @@ TEST_F(ArtifactCacheTest, RebuildsIndexFromPersistedFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkflowEngine: memoization, shared scans, invalidation, verify mode.
+// WorkflowEngine: memoization, shared scans, invalidation, and cache hits
+// checked against the cold-recompute oracle.
 
 class WorkflowEngineTest : public ::testing::Test {
  protected:
@@ -570,22 +572,19 @@ TEST_F(WorkflowEngineTest, SharedScanMatchesIndependentAndScansLess) {
   specs[2].project_cols = {"event_name", "timestamp"};
   specs[2].project_names = {"n", "t"};
 
-  OinkOptions options;
-  options.enable_cache = false;
-  // Reference: one single-workflow engine per workflow, so no scan is
+  // Reference: each workflow recomputed cold on its own, so no scan is
   // shared.
   uint64_t independent_bytes = 0;
   std::vector<std::string> want;
   for (const WorkflowSpec& spec : specs) {
-    WorkflowEngine ref(&fs_, options);
-    ASSERT_TRUE(ref.AddWorkflow(spec).ok());
-    ASSERT_TRUE(ref.RunTick(0).ok());
-    EXPECT_EQ(ref.last_tick().shared_scan_groups, 0u);
-    independent_bytes += ref.last_tick().scan_bytes_decompressed;
-    want.push_back(ResultBytes(ref, spec.name));
+    uint64_t scan_bytes = 0;
+    auto bytes = oink_oracle::ColdBytes(&fs_, spec, 0, &scan_bytes);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    independent_bytes += scan_bytes;
+    want.push_back(*bytes);
   }
 
-  WorkflowEngine eng(&fs_, options);
+  WorkflowEngine eng(&fs_);
   for (const WorkflowSpec& spec : specs) {
     ASSERT_TRUE(eng.AddWorkflow(spec).ok());
   }
@@ -620,31 +619,32 @@ TEST_F(WorkflowEngineTest, SharedScanColdCostsSumToScanBytes) {
   EXPECT_EQ(engine.last_tick().bytes_saved, cold);
 }
 
+// A warm hit serves exactly the bytes a cold recomputation produces.
 TEST_F(WorkflowEngineTest, VerifyCacheModePassesOnHonestCache) {
   WriteHour(0);
-  OinkOptions options;
-  options.verify_cache = true;
-  WorkflowEngine engine(&fs_, options);
+  WorkflowEngine engine(&fs_);
   ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
   ASSERT_TRUE(engine.RunTick(0).ok());
-  EXPECT_EQ(engine.last_tick().verified_hits, 0u);
   ASSERT_TRUE(engine.RunTick(0).ok());
-  EXPECT_EQ(engine.last_tick().cache_hits, 1u);
-  EXPECT_EQ(engine.last_tick().verified_hits, 1u);
+  ASSERT_EQ(engine.last_tick().cache_hits, 1u);
+  auto want = oink_oracle::ColdBytes(&fs_, ClickCounts("clicks"));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(ResultBytes(engine, "clicks"), *want);
 }
 
+// Same stage_id, different logic: an under-keyed plan change. The engine
+// hits the artifact the old logic wrote and serves its bytes; only the
+// cold recomputation shows they are not this plan's answer.
 TEST_F(WorkflowEngineTest, VerifyCacheFailsLoudlyOnDivergence) {
   WriteHour(0);
+  std::string old_bytes;
   {
     WorkflowEngine engine(&fs_);
     ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
     ASSERT_TRUE(engine.RunTick(0).ok());
+    old_bytes = ResultBytes(engine, "clicks");
   }
-  // Same stage_id, different logic: an under-keyed plan change — exactly
-  // the bug class verify_cache exists to catch.
-  OinkOptions options;
-  options.verify_cache = true;
-  WorkflowEngine engine(&fs_, options);
+  WorkflowEngine engine(&fs_);
   WorkflowSpec wf = ClickCounts("clicks");
   wf.stage = [](const dataflow::Relation& r) {
     return r.GroupBy({"uid"},
@@ -652,22 +652,13 @@ TEST_F(WorkflowEngineTest, VerifyCacheFailsLoudlyOnDivergence) {
                                           "n_renamed"}});
   };
   ASSERT_TRUE(engine.AddWorkflow(wf).ok());
-  Status st = engine.RunTick(0);
-  EXPECT_TRUE(st.IsInternal()) << st.ToString();
-}
-
-TEST_F(WorkflowEngineTest, CacheDisabledAlwaysRecomputes) {
-  WriteHour(0);
-  OinkOptions options;
-  options.enable_cache = false;
-  WorkflowEngine engine(&fs_, options);
-  ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
   ASSERT_TRUE(engine.RunTick(0).ok());
-  uint64_t first = engine.last_tick().scan_bytes_decompressed;
-  EXPECT_GT(first, 0u);
-  ASSERT_TRUE(engine.RunTick(0).ok());
-  EXPECT_EQ(engine.last_tick().scan_bytes_decompressed, first);
-  EXPECT_FALSE(fs_.Exists("/warehouse/_cache"));
+  EXPECT_EQ(engine.last_tick().cache_hits, 1u);
+  const std::string served = ResultBytes(engine, "clicks");
+  EXPECT_EQ(served, old_bytes);
+  auto want = oink_oracle::ColdBytes(&fs_, wf);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_NE(*want, served);
 }
 
 TEST_F(WorkflowEngineTest, ExplainModeTracesDecisions) {
@@ -803,11 +794,10 @@ TEST_F(WorkflowEngineTest, RcFilePartRewrittenAtSameMsMisses) {
   EXPECT_EQ(engine.last_tick().cache_misses, 1u);
   const std::string after = ResultBytes(engine, "clicks");
   EXPECT_NE(after, before);
-  // What a fresh engine with no memo computes from the new bytes.
-  WorkflowEngine fresh(&fs_, OinkOptions{.enable_cache = false});
-  ASSERT_TRUE(fresh.AddWorkflow(ClickCounts("clicks")).ok());
-  ASSERT_TRUE(fresh.RunTick(0).ok());
-  EXPECT_EQ(after, ResultBytes(fresh, "clicks"));
+  // What a cold recomputation with no memo computes from the new bytes.
+  auto want = oink_oracle::ColdBytes(&fs_, ClickCounts("clicks"));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(after, *want);
 }
 
 // A memoized part token is no excuse to skip a corrupted part: a flip in

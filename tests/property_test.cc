@@ -38,6 +38,7 @@
 #include "sessions/sessionizer.h"
 #include "lz_corpus.h"
 #include "lz_reference.h"
+#include "oink_oracle.h"
 #include "relation_oracle.h"
 #include "scan_oracle.h"
 #include "thrift_oracle.h"
@@ -1889,18 +1890,13 @@ TEST_P(OinkMemoPropertyTest, ColdWarmSharedAndParallelAllAgree) {
       wfs.push_back(RandomWorkflow(rng, "wf" + std::to_string(w), dir));
     }
 
-    // Reference: serial, no cache, one single-workflow engine per
-    // workflow, so no scan is shared.
+    // Reference: each workflow recomputed cold and serially on its own,
+    // so no scan is shared.
     std::vector<std::string> want(nwf);
     for (size_t w = 0; w < nwf; ++w) {
-      oink::OinkOptions options;
-      options.enable_cache = false;
-      oink::WorkflowEngine ref(&fs, options);
-      ASSERT_TRUE(ref.AddWorkflow(wfs[w]).ok());
-      ASSERT_TRUE(ref.RunTick(0).ok());
-      auto rel = ref.ResultFor(wfs[w].name);
-      ASSERT_TRUE(rel.ok());
-      want[w] = dataflow::SerializeRelation(*rel);
+      auto bytes = oink_oracle::ColdBytes(&fs, wfs[w]);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      want[w] = *bytes;
     }
 
     auto check = [&](oink::WorkflowEngine& engine, const std::string& what) {
@@ -2371,10 +2367,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MorselScanPropertyTest,
                          ::testing::Values(31u, 231u, 2231u));
 
 // ---------------------------------------------------------------------------
-// Planner neutrality: permuting a workflow's filter clauses never changes
-// its canonical plan (so fingerprint-keyed cache entries written under one
-// ordering HIT under any other) nor its answers, which match a row-engine
-// evaluation of the same clauses over the whole part.
+// Filter-order neutrality: permuting a workflow's filter clauses never
+// changes its canonical plan (so fingerprint-keyed cache entries written
+// under one ordering HIT under any other) nor its answers, which match a
+// row-engine evaluation of the same clauses over the whole part.
 
 class PlannerReorderPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
@@ -2424,13 +2420,10 @@ TEST_P(PlannerReorderPropertyTest, FilterPermutationsShareFingerprintAndHits) {
     EXPECT_EQ(b.last_tick().scan_bytes_decompressed, 0u);
     EXPECT_EQ(dataflow::SerializeRelation(b.ResultFor("wf").value()), want);
 
-    // Cache off: the permutation recomputed cold gives the same bytes.
-    oink::OinkOptions raw;
-    raw.enable_cache = false;
-    oink::WorkflowEngine c(&fs, raw);
-    ASSERT_TRUE(c.AddWorkflow(permuted).ok());
-    ASSERT_TRUE(c.RunTick(0).ok());
-    EXPECT_EQ(dataflow::SerializeRelation(c.ResultFor("wf").value()), want);
+    // The permutation recomputed cold gives the same bytes.
+    auto cold = oink_oracle::ColdBytes(&fs, permuted);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(*cold, want);
 
     // Row-engine reference: decode the part whole, run every clause as a
     // row filter in the permuted order, then project and stage.

@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "dataflow/column_batch.h"
 #include "dataflow/columnar_scan.h"
-#include "dataflow/planner.h"
 #include "dataflow/relation.h"
 #include "dataflow/relation_serde.h"
 #include "dataflow/vector_engine.h"
@@ -722,7 +721,8 @@ TEST(ScanBatchTest, SharedBatchesEqualPerMemberMaterialize) {
 }
 
 // ---------------------------------------------------------------------------
-// Planner statistics and decisions.
+// Header-only scan statistics (ColumnarEventScan::Stats), and conjunct
+// order, which never changes a filter's answer.
 
 TEST(PlannerTest, StatsAggregateZoneMapsHeaderOnly) {
   auto fs = ScanWarehouse(53, kScanBase, 180);
@@ -743,44 +743,6 @@ TEST(PlannerTest, StatsAggregateZoneMapsHeaderOnly) {
   EXPECT_GT(stats->name_rows.count("web:home:::tweet:click"), 0u);
 }
 
-TEST(PlannerTest, OrderFiltersIsDeterministicAndSelectivityDriven) {
-  dataflow::TableStats stats;
-  stats.total_rows = 100000;
-  stats.row_groups = 100;
-  stats.data_bytes = 1 << 20;
-  stats.min_timestamp = 0;
-  stats.max_timestamp = 99999;
-  stats.name_rows["rare"] = 100;
-  stats.name_rows["common"] = 90000;
-  stats.has_zone_maps = true;
-
-  std::vector<FilterExpr> exprs = {
-      {"timestamp", ">=", Value::Int(0)},          // selects ~everything
-      {"event_name", "==", Value::Str("rare")},    // ~0.1% of rows
-      {"timestamp", "<", Value::Int(50000)},       // ~half
-      {"event_name", "==", Value::Str("common")},  // ~90%
-  };
-  auto ordered = dataflow::OrderFilters(stats, exprs);
-  ASSERT_EQ(ordered.size(), exprs.size());
-  // Most selective first: the rare-name equality leads; the all-pass
-  // timestamp bound goes last.
-  EXPECT_EQ(ordered[0].literal, Value::Str("rare"));
-  EXPECT_EQ(ordered.back().op, ">=");
-
-  // Any input permutation yields the same sequence.
-  std::vector<std::string> want;
-  for (const auto& e : ordered) want.push_back(dataflow::CanonicalFilterClause(e));
-  std::sort(exprs.begin(), exprs.end(),
-            [](const FilterExpr& a, const FilterExpr& b) {
-              return dataflow::CanonicalFilterClause(a) >
-                     dataflow::CanonicalFilterClause(b);
-            });
-  auto reordered = dataflow::OrderFilters(stats, exprs);
-  for (size_t i = 0; i < reordered.size(); ++i) {
-    EXPECT_EQ(dataflow::CanonicalFilterClause(reordered[i]), want[i]);
-  }
-}
-
 TEST(PlannerTest, OrderingNeverChangesFilterAnswers) {
   Relation rel = MixedRelation(300, 59);
   auto batch = BatchRelation::FromRelation(rel, 64).value();
@@ -788,38 +750,8 @@ TEST(PlannerTest, OrderingNeverChangesFilterAnswers) {
                                    {"tag", "==", Value::Str("t1")},
                                    {"score", ">", Value::Real(-20.0)}};
   std::string want = BatchBytes(batch.Filter(exprs).value());
-  dataflow::TableStats stats;  // empty: priors only
-  auto ordered = dataflow::OrderFilters(stats, exprs);
-  EXPECT_EQ(BatchBytes(batch.Filter(ordered).value()), want);
   std::reverse(exprs.begin(), exprs.end());
   EXPECT_EQ(BatchBytes(batch.Filter(exprs).value()), want);
-}
-
-TEST(PlannerTest, InitiatorSelectivityUsesCodeDomainStats) {
-  dataflow::TableStats stats;
-  stats.total_rows = 10000;
-  stats.row_groups = 10;
-  stats.data_bytes = 1 << 20;
-  stats.initiator_rows["user"] = 1000;
-  stats.initiator_rows["page"] = 8000;
-  stats.has_zone_maps = true;
-
-  EXPECT_DOUBLE_EQ(dataflow::EstimateClauseSelectivity(
-                       stats, {"initiator", "==", Value::Str("user")}),
-                   0.1);
-  EXPECT_DOUBLE_EQ(dataflow::EstimateClauseSelectivity(
-                       stats, {"initiator", "!=", Value::Str("page")}),
-                   1.0 - 0.8);
-  // An initiator absent from every group dictionary selects nothing.
-  EXPECT_DOUBLE_EQ(dataflow::EstimateClauseSelectivity(
-                       stats, {"initiator", "==", Value::Str("robot")}),
-                   0.0);
-  // Without initiator stats the clause falls back to the equality prior.
-  dataflow::TableStats empty;
-  empty.total_rows = 10000;
-  EXPECT_DOUBLE_EQ(dataflow::EstimateClauseSelectivity(
-                       empty, {"initiator", "==", Value::Str("user")}),
-                   0.1);
 }
 
 TEST(PlannerTest, StatsMatchMergedPerPartStats) {
