@@ -11,6 +11,7 @@
 #include "columnar/rcfile.h"
 #include "common/compress.h"
 #include "dataflow/pig.h"
+#include "dataflow/plan_fingerprint.h"
 #include "events/client_event.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/metrics.h"
@@ -487,6 +488,108 @@ TEST_F(PigStdlibTest, UdfBeforeLoadFailsGracefully) {
                    .Run("x = load 'm' using Mem();"
                         "y = foreach x generate CountClientEvents(sequence);")
                    .ok());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned scripts: the FNV-64 of every DUMP line (each followed by '\n'),
+// recorded when FILTER, FOREACH, DISTINCT and ORDER still had parallel
+// bodies, so the inline interpreter prints the same bytes.
+
+uint64_t DumpDigest(const std::vector<std::string>& lines) {
+  Fingerprint fp;
+  for (const std::string& line : lines) {
+    fp.Mix(line);
+    fp.Mix("\n");
+  }
+  return fp.value();
+}
+
+// FILTER, a row-level FOREACH with a UDF, GROUP with a floating-point
+// SUM, JOIN, ORDER BY DESC and LIMIT.
+TEST(PigPinnedTest, FilterGroupJoinScriptDumpIsPinned) {
+  PigInterpreter pig;
+  pig.RegisterLoader(
+      "rows", [](const std::string& path,
+                 const std::vector<std::string>&) -> Result<Relation> {
+        Relation rel({"id", "user", "score"});
+        const int n = path == "big" ? 500 : 40;
+        for (int i = 0; i < n; ++i) {
+          UNILOG_RETURN_NOT_OK(
+              rel.AddRow({Value::Int(i), Value::Int(i % 13),
+                          Value::Real(0.1 * ((i * 37) % 101))}));
+        }
+        return rel;
+      });
+  pig.RegisterUdfFactory(
+      "double",
+      [](const std::vector<std::string>&) -> Result<PigInterpreter::ScalarUdf> {
+        return PigInterpreter::ScalarUdf(
+            [](const std::vector<Value>& args) -> Result<Value> {
+              return Value::Real(2.0 * args[0].AsNumber());
+            });
+      });
+  Status st = pig.Run(R"(
+    big = LOAD 'big' USING rows();
+    small = LOAD 'small' USING rows();
+    kept = FILTER big BY id >= 25;
+    scored = FOREACH kept GENERATE user, Double(score) AS dscore;
+    g = GROUP scored BY user;
+    sums = FOREACH g GENERATE user, SUM(dscore) AS total, COUNT(*) AS n;
+    j = JOIN sums BY user, small BY user;
+    sorted = ORDER j BY total DESC;
+    top = LIMIT sorted 10;
+    DUMP sums;
+    DUMP top;
+  )");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(pig.output().size(), 23u);
+  EXPECT_EQ(DumpDigest(pig.output()), 0x92152b5997328e5eull);
+}
+
+// DISTINCT keeps each row's first occurrence (Real(-0.0) and Real(0.0)
+// are one value, so the first one's sign prints), and ORDER BY is stable
+// on tied keys, ascending and descending, over a column whose values mix
+// ints, reals and strings (ordered by type, then value).
+TEST(PigPinnedTest, DistinctOrderMixedValuesDumpIsPinned) {
+  PigInterpreter pig;
+  pig.RegisterLoader(
+      "mixed", [](const std::string&,
+                  const std::vector<std::string>&) -> Result<Relation> {
+        Relation rel({"k", "v", "tag"});
+        for (int i = 0; i < 40; ++i) {
+          Value v;
+          switch (i % 4) {
+            case 0:
+              v = Value::Int(i % 3 - 1);
+              break;
+            case 1:
+              v = Value::Real((i / 12) % 2 == 0 ? -0.0 : 0.0);
+              break;
+            case 2:
+              v = Value::Str(i % 3 == 0 ? "a" : "b");
+              break;
+            default:
+              v = Value::Real(0.5 * (i % 3) - 0.5);
+              break;
+          }
+          UNILOG_RETURN_NOT_OK(rel.AddRow(
+              {Value::Int(i % 3), v, Value::Str(i % 2 == 0 ? "x" : "y")}));
+        }
+        return rel;
+      });
+  Status st = pig.Run(R"(
+    rows = LOAD 'm' USING mixed();
+    d = DISTINCT rows;
+    by_v = ORDER d BY v ASC;
+    by_k = ORDER d BY k DESC;
+    all_v = ORDER rows BY v DESC;
+    DUMP d;
+    DUMP by_v;
+    DUMP by_k;
+    DUMP all_v;
+  )");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(DumpDigest(pig.output()), 0xead54242a2a4aa42ull);
 }
 
 }  // namespace
