@@ -5,16 +5,11 @@
 #include <limits>
 #include <string_view>
 
+#include "common/fnv.h"
+
 namespace unilog::broker {
 
-uint64_t StableHash(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
+uint64_t StableHash(const std::string& s) { return Fnv1a64::OfBytes(s); }
 
 std::string BrokerRootPath(const std::string& dc) { return "/broker/" + dc; }
 
@@ -208,8 +203,7 @@ Status BrokerNode::Start() {
                          zk::CreateMode::kEphemeral);
   if (!reg.ok()) return reg.status();
 
-  tokens_ = static_cast<double>(options_.node_service_bytes_per_sec);
-  last_refill_ = sim_->Now();
+  tokens_.Reset(options_.node_service_bytes_per_sec, sim_->Now());
 
   // Re-adopt assigned replicas of every topic that already exists (restart
   // after a crash starts from an empty log and catches up via fetch).
@@ -474,8 +468,7 @@ Status BrokerNode::AdmitProduce(Replica* r, uint64_t wire_cost) {
     }
   }
   if (options_.node_service_bytes_per_sec > 0) {
-    RefillTokens();
-    if (tokens_ < static_cast<double>(wire_cost)) {
+    if (!tokens_.Admits(wire_cost, sim_->Now())) {
       throttled_rate_->Increment();
       return Status::Unavailable("produce rate throttled on " + id_);
     }
@@ -488,9 +481,7 @@ Status BrokerNode::AdmitProduce(Replica* r, uint64_t wire_cost) {
     throttled_backpressure_->Increment();
     return Status::Unavailable("partition in-flight window full");
   }
-  if (options_.node_service_bytes_per_sec > 0) {
-    tokens_ -= static_cast<double>(wire_cost);
-  }
+  if (options_.node_service_bytes_per_sec > 0) tokens_.Charge(wire_cost);
   return Status::OK();
 }
 
@@ -695,14 +686,6 @@ void BrokerNode::FetchFromLeaders() {
   // Every other path that changes a log updates the gauges itself, so a
   // tick that fetched nothing leaves them as they are.
   if (fetched_any) UpdateGauges();
-}
-
-void BrokerNode::RefillTokens() {
-  TimeMs now = sim_->Now();
-  double cap = static_cast<double>(options_.node_service_bytes_per_sec);
-  tokens_ = std::min(
-      cap, tokens_ + cap * static_cast<double>(now - last_refill_) / 1000.0);
-  last_refill_ = now;
 }
 
 void BrokerNode::UpdateGauges() {

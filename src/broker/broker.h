@@ -327,7 +327,6 @@ class BrokerNode {
   /// its first tick after the incarnation moves.
   void StartReplicaFetch();
   void FetchFromLeaders();
-  void RefillTokens();
   void UpdateGauges();
 
   Simulator* sim_;
@@ -349,8 +348,7 @@ class BrokerNode {
   // The window of one replication round, kept for its capacity.
   PartitionLog::ReadResult replication_window_;
 
-  double tokens_ = 0;
-  TimeMs last_refill_ = 0;
+  TokenBucket tokens_;
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::Counter* produced_;

@@ -6,6 +6,7 @@
 #include <iterator>
 
 #include "common/coding.h"
+#include "common/fnv.h"
 #include "events/event_name.h"
 #include "obs/metrics.h"
 
@@ -1002,20 +1003,14 @@ RcFileReader::CollectGroupStats() const {
 Result<uint64_t> RcFileReader::ContentFingerprint() const {
   // FNV-1a over (row_count, header checksum, blob checksum) per group, in
   // file order. Header-only: no column blob is decoded.
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<unsigned char>(v >> (i * 8));
-      h *= 1099511628211ull;
-    }
-  };
+  Fnv1a64 h;
   UNILOG_RETURN_NOT_OK(WalkGroups(
-      data_, [&mix](const GroupHeader& hdr, size_t, uint64_t, uint64_t) {
-        mix(hdr.row_count);
-        mix(hdr.header_checksum);
-        mix(hdr.blobs_checksum);
+      data_, [&h](const GroupHeader& hdr, size_t, uint64_t, uint64_t) {
+        h.MixU64(hdr.row_count);
+        h.MixU64(hdr.header_checksum);
+        h.MixU64(hdr.blobs_checksum);
       }));
-  return h;
+  return h.value();
 }
 
 }  // namespace unilog::columnar

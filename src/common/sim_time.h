@@ -1,6 +1,7 @@
 #ifndef UNILOG_COMMON_SIM_TIME_H_
 #define UNILOG_COMMON_SIM_TIME_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -53,6 +54,33 @@ std::string DateString(TimeMs t);
 
 /// "YYYY-MM-DD HH:MM:SS.mmm" for human-readable traces.
 std::string TimestampString(TimeMs t);
+
+/// A byte-rate limiter on simulated time holding at most one second of
+/// burst: the broker's produce bound and the aggregator's receive bound.
+/// Admits() refills and checks; callers Charge() only what they admit.
+class TokenBucket {
+ public:
+  /// Starts full at `now`.
+  void Reset(uint64_t bytes_per_sec, TimeMs now) {
+    rate_ = static_cast<double>(bytes_per_sec);
+    tokens_ = rate_;
+    last_refill_ = now;
+  }
+  /// Refills for the time since the last call, then reports whether
+  /// `cost` bytes fit.
+  bool Admits(uint64_t cost, TimeMs now) {
+    const double elapsed_ms = static_cast<double>(now - last_refill_);
+    tokens_ = std::min(rate_, tokens_ + rate_ * elapsed_ms / 1000.0);
+    last_refill_ = now;
+    return tokens_ >= static_cast<double>(cost);
+  }
+  void Charge(uint64_t cost) { tokens_ -= static_cast<double>(cost); }
+
+ private:
+  double rate_ = 0;
+  double tokens_ = 0;
+  TimeMs last_refill_ = 0;
+};
 
 }  // namespace unilog
 

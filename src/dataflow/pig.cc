@@ -322,7 +322,7 @@ Result<Relation> PigInterpreter::Lookup(const std::string& alias) const {
 Result<Relation> PigInterpreter::Materialized(
     const GroupedRelation& rel) const {
   if (rel.scan == nullptr) return rel.data;
-  return rel.scan->Materialize(exec_);
+  return rel.scan->Materialize(nullptr);
 }
 
 Status PigInterpreter::Run(const std::string& script) {
@@ -521,7 +521,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
                GlobMatch(b.str_value(), a.str_value());
       }
       return CompareValues(a, op, b);
-    }, exec_);
+    });
     return out;
   }
 
@@ -646,7 +646,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
         }
       }
       UNILOG_ASSIGN_OR_RETURN(Relation grouped,
-                              rel.data.GroupBy(rel.keys, aggs, exec_));
+                              rel.data.GroupBy(rel.keys, aggs));
       // Rename key columns if AS was used, then project requested order.
       // GroupBy output = keys..., aggs...; map names.
       std::vector<std::string> project;
@@ -733,13 +733,12 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
       }
       return Status::OK();
     };
-    // Each row writes its own output slot; row order is preserved by
-    // construction.
+    // Row order is preserved; the first failing row's error is returned.
     const std::vector<Row>& in_rows = rel.data.rows();
     std::vector<Row> out_rows(in_rows.size());
-    UNILOG_RETURN_NOT_OK(exec::OrInline(exec_)->ParallelForStatus(
-        "foreach", in_rows.size(),
-        [&](size_t i) { return generate_one(in_rows[i], &out_rows[i]); }));
+    for (size_t i = 0; i < in_rows.size(); ++i) {
+      UNILOG_RETURN_NOT_OK(generate_one(in_rows[i], &out_rows[i]));
+    }
     UNILOG_ASSIGN_OR_RETURN(out.data,
                             Relation::FromRows(out_cols, std::move(out_rows)));
     return out;
@@ -772,7 +771,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
     UNILOG_ASSIGN_OR_RETURN(std::string src, t->ExpectIdent("alias"));
     UNILOG_ASSIGN_OR_RETURN(GroupedRelation rel, LookupRel(src));
     UNILOG_ASSIGN_OR_RETURN(Relation input, Materialized(rel));
-    out.data = input.Distinct(exec_);
+    out.data = input.Distinct();
     return out;
   }
 
@@ -790,7 +789,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
       t->ConsumeKeyword("asc");
     }
     UNILOG_ASSIGN_OR_RETURN(Relation input, Materialized(rel));
-    UNILOG_ASSIGN_OR_RETURN(out.data, input.OrderBy(col, descending, exec_));
+    UNILOG_ASSIGN_OR_RETURN(out.data, input.OrderBy(col, descending));
     return out;
   }
 
@@ -822,7 +821,7 @@ Result<PigInterpreter::GroupedRelation> PigInterpreter::EvalExpression(
     UNILOG_ASSIGN_OR_RETURN(std::string rcol, t->ExpectIdent("join column"));
     UNILOG_ASSIGN_OR_RETURN(Relation linput, Materialized(lrel));
     UNILOG_ASSIGN_OR_RETURN(Relation rinput, Materialized(rrel));
-    UNILOG_ASSIGN_OR_RETURN(out.data, linput.Join(rinput, lcol, rcol, exec_));
+    UNILOG_ASSIGN_OR_RETURN(out.data, linput.Join(rinput, lcol, rcol));
     return out;
   }
 

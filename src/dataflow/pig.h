@@ -60,13 +60,6 @@ class PigInterpreter {
 
   PigInterpreter() = default;
 
-  /// Attaches the unilog::exec engine: FILTER, row-level FOREACH, grouped
-  /// FOREACH (GroupBy) and JOIN then fan rows out across worker threads,
-  /// with outputs merged deterministically — script output is
-  /// byte-identical at any thread count. nullptr (the default) runs every
-  /// operator inline. Registered UDFs must be safe to call concurrently.
-  void set_executor(exec::Executor* exec) { exec_ = exec; }
-
   /// Registers a loader usable in LOAD ... USING <name>(...).
   void RegisterLoader(const std::string& name, Loader loader);
 
@@ -111,7 +104,6 @@ class PigInterpreter {
   /// its cache.
   Result<Relation> Materialized(const GroupedRelation& rel) const;
 
-  exec::Executor* exec_ = nullptr;
   std::map<std::string, Loader> loaders_;
   std::map<std::string, ScanLoader> scan_loaders_;
   std::map<std::string, UdfFactory> factories_;

@@ -16,26 +16,6 @@ std::string HexU64(uint64_t v) {
   return out;
 }
 
-void Fingerprint::Mix(std::string_view bytes) {
-  for (unsigned char c : bytes) {
-    h_ ^= c;
-    h_ *= 1099511628211ull;
-  }
-}
-
-void Fingerprint::MixU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h_ ^= static_cast<unsigned char>(v >> (i * 8));
-    h_ *= 1099511628211ull;
-  }
-}
-
-uint64_t Fingerprint::OfBytes(std::string_view bytes) {
-  Fingerprint fp;
-  fp.Mix(bytes);
-  return fp.value();
-}
-
 std::string CanonicalScanSpec(const columnar::ScanSpec& spec) {
   std::string out = "scanspec-v1{cols=";
   char buf[32];

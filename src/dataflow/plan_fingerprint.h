@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "columnar/rcfile.h"
+#include "common/fnv.h"
 #include "dataflow/vector_engine.h"
 
 namespace unilog::dataflow {
@@ -15,24 +15,13 @@ namespace unilog::dataflow {
 /// and real-literal bit patterns in canonical plans.
 std::string HexU64(uint64_t v);
 
-/// 64-bit FNV-1a accumulator used for plan and input fingerprints in the
-/// Oink memoization layer. Deterministic across platforms and runs: the
-/// digest depends only on the bytes mixed in, never on addresses or
-/// iteration order of unordered containers (callers mix canonical,
-/// pre-sorted serializations).
-class Fingerprint {
+/// The plan and input fingerprint of the Oink memoization layer: FNV-1a
+/// 64 over canonical, pre-sorted serializations, never over addresses or
+/// the iteration order of unordered containers.
+class Fingerprint : public Fnv1a64 {
  public:
-  void Mix(std::string_view bytes);
-  void MixU64(uint64_t v);
-
-  uint64_t value() const { return h_; }
   /// 16 lowercase hex digits — the content-addressed artifact name.
-  std::string Hex() const { return HexU64(h_); }
-
-  static uint64_t OfBytes(std::string_view bytes);
-
- private:
-  uint64_t h_ = 1469598103934665603ull;
+  std::string Hex() const { return HexU64(value()); }
 };
 
 /// Canonical text serialization of a ScanSpec: two specs that constrain

@@ -70,88 +70,29 @@ Result<Value> Relation::Get(const Row& row, const std::string& column) const {
   return row[idx];
 }
 
-Relation Relation::Filter(const Predicate& predicate,
-                          exec::Executor* exec) const {
-  exec = exec::OrInline(exec);
-  std::vector<std::vector<Row>> kept(exec->ChunksFor(rows_.size()));
-  exec->ParallelForChunked(
-      "filter", rows_.size(), [&](size_t chunk, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          if (predicate(rows_[i])) kept[chunk].push_back(rows_[i]);
-        }
-      });
+Relation Relation::Filter(const Predicate& predicate) const {
   Relation out(columns_);
-  out.rows_ = exec::ConcatChunks(&kept);
+  for (const Row& row : rows_) {
+    if (predicate(row)) out.rows_.push_back(row);
+  }
   return out;
 }
 
-Result<Relation> Relation::Project(const std::vector<std::string>& cols,
-                                   exec::Executor* exec) const {
+Result<Relation> Relation::Project(const std::vector<std::string>& cols) const {
   std::vector<size_t> indices;
   for (const auto& col : cols) {
     UNILOG_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(col));
     indices.push_back(idx);
   }
   Relation out(cols);
-  out.rows_.resize(rows_.size());
-  exec::OrInline(exec)->ParallelForChunked(
-      "project", rows_.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          Row& projected = out.rows_[i];
-          projected.reserve(indices.size());
-          for (size_t idx : indices) projected.push_back(rows_[i][idx]);
-        }
-      });
+  out.rows_.reserve(rows_.size());
+  for (const Row& row : rows_) {
+    Row& projected = out.rows_.emplace_back();
+    projected.reserve(indices.size());
+    for (size_t idx : indices) projected.push_back(row[idx]);
+  }
   return out;
 }
-
-Result<Relation> Relation::WithColumn(const std::string& name,
-                                      std::function<Value(const Row&)> fn,
-                                      exec::Executor* exec) const {
-  if (ColumnIndex(name).ok()) {
-    return Status::AlreadyExists("column exists: " + name);
-  }
-  std::vector<std::string> cols = columns_;
-  cols.push_back(name);
-  Relation out(cols);
-  out.rows_.resize(rows_.size());
-  exec::OrInline(exec)->ParallelForChunked(
-      "with_column", rows_.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          Row extended = rows_[i];
-          extended.push_back(fn(rows_[i]));
-          out.rows_[i] = std::move(extended);
-        }
-      });
-  return out;
-}
-
-namespace {
-
-/// Hash of a row, used only to assign rows to Distinct's shards —
-/// survivors merge by first-occurrence index, so the shard assignment
-/// never shows up in the output. Rows equal under the Value order must
-/// hash alike, so -0.0 hashes as 0.0 (as group keys encode it).
-size_t HashKey(const Row& row) {
-  size_t h = 0;
-  for (const Value& v : row) {
-    size_t hv = 0;
-    if (v.is_int()) {
-      hv = std::hash<int64_t>{}(v.int_value());
-    } else if (v.is_real()) {
-      const double d = v.real_value();
-      hv = std::hash<double>{}(d == 0.0 ? 0.0 : d);
-    } else if (v.is_str()) {
-      hv = std::hash<std::string>{}(v.str_value());
-    } else {
-      hv = v.bool_value();
-    }
-    h = h * 1099511628211ull + hv;
-  }
-  return h;
-}
-
-}  // namespace
 
 Result<Relation> Relation::GroupBy(const std::vector<std::string>& keys,
                                    const std::vector<Aggregate>& aggs,
@@ -175,82 +116,28 @@ Result<Relation> Relation::Join(const Relation& right,
   return joined.ToRelation();
 }
 
-Relation Relation::Distinct(exec::Executor* exec) const {
-  // Hash-partition rows so every distinct row is owned by exactly one
-  // shard; each shard records the index of the row's first occurrence.
-  // Emitting survivors by ascending first index keeps first-occurrence
-  // order, whatever the shard count. One shard dedups without hashing.
-  exec = exec::OrInline(exec);
-  const size_t num_shards = exec->Shards();
-  std::vector<uint32_t> shard_of;
-  if (num_shards > 1) {
-    shard_of.resize(rows_.size());
-    exec->ParallelForChunked(
-        "distinct-hash", rows_.size(), [&](size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            shard_of[i] = static_cast<uint32_t>(HashKey(rows_[i]) % num_shards);
-          }
-        });
-  }
-  std::vector<std::vector<size_t>> firsts(num_shards);
-  exec->ParallelFor("distinct-dedup", num_shards, [&](size_t s) {
-    std::set<Row> seen;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (num_shards > 1 && shard_of[i] != s) continue;
-      if (seen.insert(rows_[i]).second) firsts[s].push_back(i);
-    }
-  });
-  std::vector<size_t> order = exec::ConcatChunks(&firsts);
-  if (num_shards > 1) std::sort(order.begin(), order.end());
+Relation Relation::Distinct() const {
+  std::set<Row> seen;
   Relation out(columns_);
-  out.rows_.reserve(order.size());
-  for (size_t i : order) out.rows_.push_back(rows_[i]);
+  for (const Row& row : rows_) {
+    if (seen.insert(row).second) out.rows_.push_back(row);
+  }
   return out;
 }
 
-Result<Relation> Relation::OrderBy(const std::string& column, bool descending,
-                                   exec::Executor* exec) const {
+Result<Relation> Relation::OrderBy(const std::string& column,
+                                   bool descending) const {
   UNILOG_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(column));
-  // Sort per-chunk index ranges under the (sort key, original index)
-  // total order — the exact order stable_sort produces — then k-way merge
-  // the chunks. Identical output at any thread count.
-  exec = exec::OrInline(exec);
-  auto less = [this, idx, descending](size_t a, size_t b) {
+  std::vector<size_t> order(rows_.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     const Value& va = rows_[a][idx];
     const Value& vb = rows_[b][idx];
-    if (descending) {
-      if (vb < va) return true;
-      if (va < vb) return false;
-    } else {
-      if (va < vb) return true;
-      if (vb < va) return false;
-    }
-    return a < b;
-  };
-  const size_t n = rows_.size();
-  std::vector<std::vector<size_t>> chunks(exec->ChunksFor(n));
-  exec->ParallelForChunked(
-      "orderby-sort", n, [&](size_t c, size_t begin, size_t end) {
-        std::vector<size_t>& v = chunks[c];
-        v.resize(end - begin);
-        for (size_t i = begin; i < end; ++i) v[i - begin] = i;
-        std::sort(v.begin(), v.end(), less);
-      });
+    return descending ? vb < va : va < vb;
+  });
   Relation out(columns_);
-  out.rows_.reserve(n);
-  std::vector<size_t> heads(chunks.size(), 0);
-  for (size_t emitted = 0; emitted < n; ++emitted) {
-    size_t best = chunks.size();
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      if (heads[c] >= chunks[c].size()) continue;
-      if (best == chunks.size() ||
-          less(chunks[c][heads[c]], chunks[best][heads[best]])) {
-        best = c;
-      }
-    }
-    out.rows_.push_back(rows_[chunks[best][heads[best]]]);
-    ++heads[best];
-  }
+  out.rows_.reserve(order.size());
+  for (size_t i : order) out.rows_.push_back(rows_[i]);
   return out;
 }
 

@@ -62,19 +62,16 @@ struct Aggregate {
 };
 
 /// An in-memory relation (named columns + rows): the data model of the
-/// Pig-like layer. Operators are purely functional (return new relations)
-/// and Status-checked, so a misspelled column is an error, not garbage
-/// output — one of §3.1's complaints about the legacy world.
+/// Pig-like layer and the interchange type of UDFs and bags. Operators are
+/// purely functional (return new relations) and Status-checked, so a
+/// misspelled column is an error, not garbage output — one of §3.1's
+/// complaints about the legacy world.
 ///
-/// Operators accept an optional exec::Executor (nullptr runs inline; see
-/// exec::OrInline) and have one body at every thread count: rows fan out
-/// across the executor's workers and results are merged in row (or key)
-/// order, so output is byte-identical at any thread count — including
-/// floating-point aggregates, because per-group accumulation order is
-/// preserved, never reassociated. GroupBy and Join convert to a
-/// BatchRelation and run its kernels, the only hash aggregation and hash
-/// join; the other operators work on rows. Caller-supplied
-/// predicates/functions must be reentrant when the executor is parallel.
+/// Filter, Project, Distinct and OrderBy are plain loops over the rows.
+/// GroupBy and Join convert to a BatchRelation and run its kernels, the
+/// only hash aggregation and hash join; they take an optional
+/// exec::Executor (nullptr runs inline) and produce byte-identical output
+/// at any thread count, floating-point aggregates included.
 class Relation {
  public:
   Relation() = default;
@@ -100,20 +97,12 @@ class Relation {
 
   // --- Operators ---
 
-  /// Keeps rows where `predicate` returns true. The predicate receives the
-  /// row and a bound accessor for column lookups.
+  /// Keeps rows where `predicate` returns true, in row order.
   using Predicate = std::function<bool(const Row& row)>;
-  Relation Filter(const Predicate& predicate,
-                  exec::Executor* exec = nullptr) const;
+  Relation Filter(const Predicate& predicate) const;
 
   /// Keeps only the named columns, in the given order.
-  Result<Relation> Project(const std::vector<std::string>& cols,
-                           exec::Executor* exec = nullptr) const;
-
-  /// Adds a computed column.
-  Result<Relation> WithColumn(const std::string& name,
-                              std::function<Value(const Row&)> fn,
-                              exec::Executor* exec = nullptr) const;
+  Result<Relation> Project(const std::vector<std::string>& cols) const;
 
   /// Groups by key columns and applies aggregates: BatchRelation::GroupBy
   /// over FromRelation(*this). Output columns: keys then aggregate
@@ -129,17 +118,13 @@ class Relation {
                         const std::string& right_col,
                         exec::Executor* exec = nullptr) const;
 
-  /// Distinct full rows, keeping the first occurrence of each. Dedup
-  /// hash-partitions rows so each distinct row is owned by one shard;
-  /// survivors merge by first-occurrence index, so the output is the
-  /// same at any thread count.
-  Relation Distinct(exec::Executor* exec = nullptr) const;
+  /// Distinct full rows, keeping the first occurrence of each, in row
+  /// order. Rows are equal under the Value order, so Real(-0.0) and
+  /// Real(0.0) are one value.
+  Relation Distinct() const;
 
-  /// Sorts by one column (stable). Chunks are sorted under the (key,
-  /// original index) total order and k-way merged — the exact stable_sort
-  /// output at any thread count.
-  Result<Relation> OrderBy(const std::string& column, bool descending,
-                           exec::Executor* exec = nullptr) const;
+  /// Sorts by one column (stable: rows with equal keys keep their order).
+  Result<Relation> OrderBy(const std::string& column, bool descending) const;
 
   Relation Limit(size_t n) const;
 

@@ -9,6 +9,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "common/fnv.h"
 #include "events/event_name.h"
 
 namespace unilog::dataflow {
@@ -570,58 +571,26 @@ std::vector<AggAccess> PlanAggAccess(const std::vector<Aggregate>& aggs,
   return acc;
 }
 
-Status AccumulateRow(const std::vector<AggAccess>& acc, size_t row,
-                     std::vector<AggState>* states) {
-  for (size_t i = 0; i < acc.size(); ++i) {
-    AggState& st = (*states)[i];
-    const AggAccess& a = acc[i];
-    switch (a.op) {
-      case Aggregate::Op::kCount:
-        ++st.count;
-        break;
-      case Aggregate::Op::kSum: {
-        switch (a.kind) {
-          case ColumnKind::kInt64:
-            st.sum += static_cast<double>(a.col->i64[row]);
-            break;
-          case ColumnKind::kDouble:
-            st.sum += a.col->f64[row];
-            break;
-          case ColumnKind::kValue: {
-            const Value& v = a.col->vals[row];
-            if (v.is_int()) {
-              st.sum += static_cast<double>(v.int_value());
-            } else if (v.is_real()) {
-              st.sum += v.real_value();
-            } else {
-              return Status::InvalidArgument(
-                  "SUM over non-numeric value in column '" + *a.err_col + "'");
-            }
-            break;
-          }
-          case ColumnKind::kBool:
-          case ColumnKind::kString:
-          case ColumnKind::kDict:
-            return Status::InvalidArgument(
-                "SUM over non-numeric value in column '" + *a.err_col + "'");
-        }
-        break;
+/// The error a row-major walk of `sel` would raise first: in row order,
+/// the first row holding a value some SUM cannot add, and within that row
+/// the first such SUM in aggregate order. SUM over an int64 or double
+/// column never fails; over a boxed column it fails on a non-number.
+Status CheckSumsAddable(const std::vector<AggAccess>& acc,
+                        const std::vector<uint32_t>& sel) {
+  auto fallible = [](const AggAccess& a) {
+    return a.op == Aggregate::Op::kSum && a.kind != ColumnKind::kInt64 &&
+           a.kind != ColumnKind::kDouble;
+  };
+  if (std::none_of(acc.begin(), acc.end(), fallible)) return Status::OK();
+  for (uint32_t row : sel) {
+    for (const AggAccess& a : acc) {
+      if (!fallible(a)) continue;
+      if (a.kind == ColumnKind::kValue &&
+          (a.col->vals[row].is_int() || a.col->vals[row].is_real())) {
+        continue;
       }
-      case Aggregate::Op::kMin:
-      case Aggregate::Op::kMax: {
-        Value v = a.col->ValueAt(row);
-        if (!st.has_minmax) {
-          st.min = st.max = v;
-          st.has_minmax = true;
-        } else {
-          if (v < st.min) st.min = v;
-          if (st.max < v) st.max = v;
-        }
-        break;
-      }
-      case Aggregate::Op::kCountDistinct:
-        InsertDistinct(&st, *a.col, row);
-        break;
+      return Status::InvalidArgument(
+          "SUM over non-numeric value in column '" + *a.err_col + "'");
     }
   }
   return Status::OK();
@@ -717,15 +686,6 @@ void MapKeys(const ColumnBatch& b, const std::vector<size_t>& key_idx,
   }
 }
 
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// One shard's aggregation hash table: encoded key -> group ordinal, plus
 /// the boxed key row and per-aggregate states.
 struct GroupSet {
@@ -750,25 +710,12 @@ size_t ResolveGroup(GroupSet* gs, const ColumnBatch& b,
   return it->second;
 }
 
-/// True when no aggregate in the plan can return an error for any row —
-/// the condition for accumulating column-at-a-time. SUM is fallible
-/// unless its column is statically numeric; everything else never fails.
-bool AggsAreInfallible(const std::vector<AggAccess>& acc) {
-  for (const AggAccess& a : acc) {
-    if (a.op == Aggregate::Op::kSum && a.kind != ColumnKind::kInt64 &&
-        a.kind != ColumnKind::kDouble) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Column-at-a-time accumulation of `sel`'s rows (group ordinal of
 /// sel[j] in g_of[j]): one typed pass per aggregate, op and column kind
-/// dispatched once. Per-group accumulation order equals the row-major
-/// path — j ascends in row order in every pass and aggregate states are
-/// independent — so double SUMs and min/max stay bit-exact. Only valid
-/// under AggsAreInfallible (no per-row error can interleave).
+/// dispatched once. Per-group accumulation order is row order — j ascends
+/// in every pass and aggregate states are independent — so double SUMs
+/// and min/max are bit-exact. Every SUM value must be addable
+/// (CheckSumsAddable).
 void AccumulateColumnar(const std::vector<AggAccess>& acc,
                         const std::vector<uint32_t>& sel,
                         const std::vector<uint32_t>& g_of, GroupSet* gs) {
@@ -786,10 +733,18 @@ void AccumulateColumnar(const std::vector<AggAccess>& acc,
           for (size_t j = 0; j < m; ++j) {
             states[g_of[j]][i].sum += static_cast<double>(col[sel[j]]);
           }
-        } else {
+        } else if (a.kind == ColumnKind::kDouble) {
           const double* col = a.col->f64.data();
           for (size_t j = 0; j < m; ++j) {
             states[g_of[j]][i].sum += col[sel[j]];
+          }
+        } else {
+          const Value* col = a.col->vals.data();
+          for (size_t j = 0; j < m; ++j) {
+            const Value& v = col[sel[j]];
+            states[g_of[j]][i].sum += v.is_int()
+                                          ? static_cast<double>(v.int_value())
+                                          : v.real_value();
           }
         }
         break;
@@ -1120,7 +1075,7 @@ Result<Relation> BatchRelation::FilterGroupBy(
   // Per batch, on morsels as Filter schedules them: run the compiled
   // program into a selection (with no filter, the batch's own) and split
   // the survivors, in row order, by the shard that owns their group:
-  // Fnv1a64 of the encoded key, so a group has one owner whatever its
+  // the FNV-1a 64 of the encoded key, so a group has one owner whatever its
   // batches' column kinds. One shard owns every survivor, so an inline
   // run neither hashes keys nor rescans rows. Byte weights only steer how
   // a pool packs morsels; inline, packing changes nothing, so the
@@ -1152,7 +1107,8 @@ Result<Relation> BatchRelation::FilterGroupBy(
           }
           MapKeys(b, key_idx, sel, &shard_of,
                   [&](const std::string& key, uint32_t) {
-                    return static_cast<uint32_t>(Fnv1a64(key) % num_shards);
+                    return static_cast<uint32_t>(Fnv1a64::OfBytes(key) %
+                                                 num_shards);
                   });
           for (size_t j = 0; j < sel.size(); ++j) {
             parts[shard_of[j]].push_back(sel[j]);
@@ -1182,16 +1138,8 @@ Result<Relation> BatchRelation::FilterGroupBy(
                         &gs, b, key_idx, raw, key, aggs.size()));
                   });
           const std::vector<AggAccess> acc = PlanAggAccess(aggs, agg_idx, b);
-          if (AggsAreInfallible(acc)) {
-            AccumulateColumnar(acc, sel, g_of, &gs);
-            continue;
-          }
-          // A SUM that can fail walks row-major, so the error raised is
-          // the first failing row's (first failing aggregate's).
-          for (size_t j = 0; j < sel.size(); ++j) {
-            UNILOG_RETURN_NOT_OK(
-                AccumulateRow(acc, sel[j], &gs.states[g_of[j]]));
-          }
+          UNILOG_RETURN_NOT_OK(CheckSumsAddable(acc, sel));
+          AccumulateColumnar(acc, sel, g_of, &gs);
         }
         return Status::OK();
       }));

@@ -209,7 +209,6 @@ Result<std::string> WorkflowEngine::DirManifest(const std::string& dir) {
 
 Status WorkflowEngine::RunTick(int64_t period_index) {
   last_tick_ = TickStats{};
-  explain_.clear();
 
   std::map<std::string, std::vector<size_t>> by_dir;
   for (size_t i = 0; i < workflows_.size(); ++i) {
@@ -218,13 +217,6 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
 
   for (const auto& [dir, idxs] : by_dir) {
     UNILOG_ASSIGN_OR_RETURN(std::string manifest, DirManifest(dir));
-    if (options_.explain) {
-      explain_.push_back("[oink t=" + std::to_string(period_index) + "] dir=" +
-                         dir + " manifest_fp=" +
-                         dataflow::HexU64(
-                             dataflow::Fingerprint::OfBytes(manifest)) +
-                         " workflows=" + std::to_string(idxs.size()));
-    }
 
     // Identical (plan, inputs) fingerprints collapse to one computation;
     // sorted by key, so tick order is deterministic.
@@ -254,22 +246,11 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
         bytes_saved_->Increment(got->cold_cost_bytes);
         for (size_t m : members) {
           results_[workflows_[m].spec.name] = got->payload;
-          if (options_.explain) {
-            explain_.push_back("[oink] " + workflows_[m].spec.name + " key=" +
-                               key + " HIT saved=" +
-                               std::to_string(got->cold_cost_bytes));
-          }
         }
         continue;
       }
       if (!got.status().IsNotFound()) return got.status();
       last_tick_.cache_misses++;
-      if (options_.explain) {
-        for (size_t m : members) {
-          explain_.push_back("[oink] " + workflows_[m].spec.name + " key=" +
-                             key + " MISS");
-        }
-      }
       pending.push_back({key, members});
     }
     if (pending.empty()) continue;
@@ -301,12 +282,6 @@ Status WorkflowEngine::RunTick(int64_t period_index) {
       last_tick_.shared_scan_fanout += scans.size();
       shared_scans_->Increment();
       shared_scan_fanout_->Increment(scans.size());
-      if (options_.explain) {
-        explain_.push_back(
-            "[oink] shared-scan dir=" + dir + " fanout=" +
-            std::to_string(scans.size()) + " bytes_decompressed=" +
-            std::to_string(scan_stats.bytes_decompressed));
-      }
     }
     last_tick_.scan_bytes_decompressed += scan_stats.bytes_decompressed;
     scan_bytes_->Increment(scan_stats.bytes_decompressed);

@@ -54,8 +54,6 @@ struct WorkflowSpec {
 
 /// Tuning knobs for the memoizing engine.
 struct OinkOptions {
-  /// Record an EXPLAIN-style trace of every tick in explain_log().
-  bool explain = false;
   uint64_t cache_byte_budget = 64ull * 1024 * 1024;
   std::string cache_root = "/warehouse/_cache";
 };
@@ -112,13 +110,11 @@ class WorkflowEngine {
   /// verified REL1 bytes and deserialized here, on each call.
   Result<dataflow::Relation> ResultFor(const std::string& name) const;
 
-  /// The canonical plan serialization (stable across runs; for tests and
-  /// EXPLAIN output).
+  /// The canonical plan serialization (stable across runs; the plan half
+  /// of every cache key).
   Result<std::string> CanonicalPlanFor(const std::string& name) const;
 
   const TickStats& last_tick() const { return last_tick_; }
-  /// EXPLAIN trace of the last tick (empty unless options.explain).
-  const std::vector<std::string>& explain_log() const { return explain_; }
   ArtifactCache* cache() { return &cache_; }
   obs::MetricsRegistry* metrics() { return metrics_; }
 
@@ -177,7 +173,6 @@ class WorkflowEngine {
       std::variant<std::shared_ptr<const std::string>, dataflow::Relation>;
   std::map<std::string, StoredResult> results_;
   TickStats last_tick_;
-  std::vector<std::string> explain_;
 
   obs::Counter* workflows_run_;
   obs::Counter* bytes_saved_;

@@ -74,9 +74,8 @@ Status Aggregator::Start() {
                            .status());
   alive_ = true;
   ++incarnation_;
-  receive_tokens_ =
-      static_cast<double>(options_.aggregator_service_bytes_per_sec);
-  last_token_refill_ = sim_->Now();
+  receive_tokens_.Reset(options_.aggregator_service_bytes_per_sec,
+                        sim_->Now());
   sim_->Every(options_.roll_interval_ms, [this, inc = incarnation_] {
     if (!alive_ || incarnation_ != inc) return false;
     RollAll();
@@ -101,29 +100,19 @@ void Aggregator::Crash() {
   buffered_entries_gauge_->Set(0);
 }
 
-void Aggregator::RefillReceiveTokens() {
-  TimeMs now = sim_->Now();
-  double cap = static_cast<double>(options_.aggregator_service_bytes_per_sec);
-  receive_tokens_ = std::min(
-      cap, receive_tokens_ +
-               cap * static_cast<double>(now - last_token_refill_) / 1000.0);
-  last_token_refill_ = now;
-}
-
 Status Aggregator::Receive(const std::vector<LogEntry>& entries) {
   if (!alive_) return Status::Unavailable("aggregator down: " + id_);
   if (options_.aggregator_service_bytes_per_sec > 0) {
     // Token bucket modeling the single daemon→aggregator chain's service
     // bound: the batch is accepted whole or not at all, and a rejected
     // daemon keeps its queue and backs off.
-    RefillReceiveTokens();
     uint64_t cost = 0;
     for (const auto& entry : entries) cost += entry.message.size();
-    if (receive_tokens_ < static_cast<double>(cost)) {
+    if (!receive_tokens_.Admits(cost, sim_->Now())) {
       receive_throttled_->Increment();
       return Status::Unavailable("aggregator throttled: " + id_);
     }
-    receive_tokens_ -= static_cast<double>(cost);
+    receive_tokens_.Charge(cost);
   }
   TimeMs hour = TruncateToHour(sim_->Now() + clock_skew_ms_);
   for (const auto& entry : entries) {

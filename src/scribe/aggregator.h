@@ -148,7 +148,6 @@ class Aggregator {
   bool RollBuffer(const BufferKey& key, HourBuffer* buffer);
   /// Drops the oldest buffered messages until under the buffer limit.
   void EnforceBufferLimit();
-  void RefillReceiveTokens();
 
   Simulator* sim_;
   zk::ZooKeeper* zk_;
@@ -185,8 +184,7 @@ class Aggregator {
   std::map<BufferKey, HourBuffer> buffers_;
   uint64_t buffered_bytes_ = 0;  // sum of HourBuffer::bytes
   uint64_t file_seq_ = 0;
-  double receive_tokens_ = 0;
-  TimeMs last_token_refill_ = 0;
+  TokenBucket receive_tokens_;
 };
 
 }  // namespace unilog::scribe

@@ -333,19 +333,6 @@ TEST(RelationTest, DistinctOrderByLimit) {
   EXPECT_EQ(sorted->Limit(99).size(), 3u);
 }
 
-TEST(RelationTest, WithColumnComputes) {
-  Relation r = SampleEvents();
-  size_t count_idx = r.ColumnIndex("count").value();
-  auto extended = r.WithColumn("doubled", [count_idx](const Row& row) {
-    return Value::Int(row[count_idx].int_value() * 2);
-  });
-  ASSERT_TRUE(extended.ok());
-  EXPECT_EQ(extended->Get(extended->rows()[0], "doubled")->int_value(), 20);
-  EXPECT_TRUE(r.WithColumn("count", [](const Row&) {
-                   return Value::Int(0);
-                 }).status().IsAlreadyExists());
-}
-
 TEST(RelationTest, ValueOrderingAcrossTypes) {
   EXPECT_TRUE(Value::Int(1) < Value::Int(2));
   EXPECT_TRUE(Value::Str("a") < Value::Str("b"));

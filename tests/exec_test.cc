@@ -17,7 +17,6 @@
 #include "analytics/udfs.h"
 #include "bench_common.h"
 #include "dataflow/mapreduce.h"
-#include "dataflow/pig.h"
 #include "dataflow/relation.h"
 #include "dataflow/relation_serde.h"
 #include "dataflow/vector_engine.h"
@@ -532,63 +531,6 @@ TEST(DailyPipelineDeterminismTest, ResultIdenticalAcrossThreadCounts) {
       EXPECT_GT(result->sequences.size(), 0u);
     } else {
       EXPECT_EQ(print, serial_print) << "threads=" << threads;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end determinism: Pig scripts
-
-TEST(PigDeterminismTest, ScriptOutputIdenticalAcrossThreadCounts) {
-  // A deterministic loader (no warehouse needed) exercising FILTER,
-  // row-level FOREACH with a UDF, GROUP/aggregate FOREACH (incl. a
-  // floating-point SUM), and JOIN.
-  auto loader = [](const std::string& path,
-                   const std::vector<std::string>&) -> Result<dataflow::Relation> {
-    dataflow::Relation rel({"id", "user", "score"});
-    int n = path == "big" ? 500 : 40;
-    for (int i = 0; i < n; ++i) {
-      UNILOG_RETURN_NOT_OK(rel.AddRow(
-          {dataflow::Value::Int(i), dataflow::Value::Int(i % 13),
-           dataflow::Value::Real(0.1 * ((i * 37) % 101))}));
-    }
-    return rel;
-  };
-  const std::string script = R"(
-    big = LOAD 'big' USING rows();
-    small = LOAD 'small' USING rows();
-    kept = FILTER big BY id >= 25;
-    scored = FOREACH kept GENERATE user, Double(score) AS dscore;
-    g = GROUP scored BY user;
-    sums = FOREACH g GENERATE user, SUM(dscore) AS total, COUNT(*) AS n;
-    j = JOIN sums BY user, small BY user;
-    sorted = ORDER j BY total DESC;
-    top = LIMIT sorted 10;
-    DUMP sums;
-    DUMP top;
-  )";
-  std::vector<std::string> serial_output;
-  for (int threads : {1, 2, 8}) {
-    exec::Executor executor = MakeExecutor(threads);
-    dataflow::PigInterpreter interp;
-    if (threads > 1) interp.set_executor(&executor);
-    interp.RegisterLoader("rows", loader);
-    interp.RegisterUdfFactory(
-        "double", [](const std::vector<std::string>&)
-                      -> Result<dataflow::PigInterpreter::ScalarUdf> {
-          return dataflow::PigInterpreter::ScalarUdf(
-              [](const std::vector<dataflow::Value>& args)
-                  -> Result<dataflow::Value> {
-                return dataflow::Value::Real(2.0 * args[0].AsNumber());
-              });
-        });
-    Status st = interp.Run(script);
-    ASSERT_TRUE(st.ok()) << "threads=" << threads << ": " << st.ToString();
-    if (threads == 1) {
-      serial_output = interp.output();
-      EXPECT_FALSE(serial_output.empty());
-    } else {
-      EXPECT_EQ(interp.output(), serial_output) << "threads=" << threads;
     }
   }
 }

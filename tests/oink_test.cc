@@ -661,29 +661,27 @@ TEST_F(WorkflowEngineTest, VerifyCacheFailsLoudlyOnDivergence) {
   EXPECT_NE(*want, served);
 }
 
+// A tick's decisions are read from its TickStats: two misses answered by
+// one shared scan, then two hits that scan nothing.
 TEST_F(WorkflowEngineTest, ExplainModeTracesDecisions) {
   WriteHour(0);
-  OinkOptions options;
-  options.explain = true;
-  WorkflowEngine engine(&fs_, options);
+  WorkflowEngine engine(&fs_);
   ASSERT_TRUE(engine.AddWorkflow(ClickCounts("clicks")).ok());
   ASSERT_TRUE(engine.AddWorkflow(Window("early", 0, 20)).ok());
   ASSERT_TRUE(engine.RunTick(0).ok());
-  bool saw_miss = false, saw_shared = false;
-  for (const auto& line : engine.explain_log()) {
-    if (line.find("MISS") != std::string::npos) saw_miss = true;
-    if (line.find("shared-scan") != std::string::npos) saw_shared = true;
-  }
-  EXPECT_TRUE(saw_miss);
-  EXPECT_TRUE(saw_shared);
+  EXPECT_EQ(engine.last_tick().workflows, 2u);
+  EXPECT_EQ(engine.last_tick().cache_misses, 2u);
+  EXPECT_EQ(engine.last_tick().cache_hits, 0u);
+  EXPECT_EQ(engine.last_tick().shared_scan_groups, 1u);
+  EXPECT_EQ(engine.last_tick().shared_scan_fanout, 2u);
+  EXPECT_GT(engine.last_tick().scan_bytes_decompressed, 0u);
 
   ASSERT_TRUE(engine.RunTick(0).ok());
-  bool saw_hit = false;
-  for (const auto& line : engine.explain_log()) {
-    if (line.find("HIT") != std::string::npos) saw_hit = true;
-  }
-  EXPECT_TRUE(saw_hit);
-  // Canonical plans are exposed for EXPLAIN-style tooling.
+  EXPECT_EQ(engine.last_tick().cache_hits, 2u);
+  EXPECT_EQ(engine.last_tick().cache_misses, 0u);
+  EXPECT_EQ(engine.last_tick().shared_scan_groups, 0u);
+  EXPECT_EQ(engine.last_tick().scan_bytes_decompressed, 0u);
+  // Canonical plans are exposed for plan tooling.
   auto plan = engine.CanonicalPlanFor("clicks");
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("stage=click-counts-v1"), std::string::npos);

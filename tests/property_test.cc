@@ -1162,18 +1162,14 @@ dataflow::Relation RandomRelation(Rng& rng, size_t rows) {
   return rel;
 }
 
+// GroupBy and Join are the Relation operators that take an executor
+// (they run the batch kernels); the row operators run inline.
 TEST_P(RelationPropertyTest, OperatorsMatchSerialAtAnyThreadCount) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 5; ++iter) {
     dataflow::Relation rel = RandomRelation(rng, 50 + rng.Uniform(300));
     dataflow::Relation right = RandomRelation(rng, 30);
 
-    auto serial_filter =
-        rel.Filter([](const dataflow::Row& r) { return r[1].int_value() < 5; });
-    auto serial_project = rel.Project({"grp", "score"}).value();
-    auto serial_with = rel.WithColumn("doubled", [](const dataflow::Row& r) {
-                            return dataflow::Value::Real(r[2].AsNumber() * 2);
-                          }).value();
     std::vector<dataflow::Aggregate> aggs{
         {dataflow::Aggregate::Op::kCount, "", "n"},
         {dataflow::Aggregate::Op::kSum, "score", "total"},
@@ -1188,16 +1184,6 @@ TEST_P(RelationPropertyTest, OperatorsMatchSerialAtAnyThreadCount) {
       opts.threads = threads;
       opts.min_items_per_chunk = 8;
       exec::Executor executor(opts);
-      EXPECT_EQ(rel.Filter([](const dataflow::Row& r) {
-                     return r[1].int_value() < 5;
-                   }, &executor).rows(),
-                serial_filter.rows());
-      EXPECT_EQ(rel.Project({"grp", "score"}, &executor).value().rows(),
-                serial_project.rows());
-      EXPECT_EQ(rel.WithColumn("doubled", [](const dataflow::Row& r) {
-                     return dataflow::Value::Real(r[2].AsNumber() * 2);
-                   }, &executor).value().rows(),
-                serial_with.rows());
       auto par_group = rel.GroupBy({"grp"}, aggs, &executor).value();
       ASSERT_EQ(par_group.rows().size(), serial_group.rows().size());
       for (size_t i = 0; i < par_group.rows().size(); ++i) {
@@ -1291,6 +1277,10 @@ TEST_P(OracleSweepPropertyTest, RelationOperatorsMatchFrozenSerialBodies) {
     auto batch =
         dataflow::BatchRelation::FromRelation(rel, 1 + rng.Uniform(64));
     ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(dataflow::SerializeRelation(narrow.Distinct()), want_distinct);
+    EXPECT_EQ(
+        dataflow::SerializeRelation(rel.OrderBy("v", descending).value()),
+        want_order);
 
     for (const auto& executor : executors) {
       const std::string label = "seed=" + std::to_string(GetParam()) +
@@ -1303,13 +1293,6 @@ TEST_P(OracleSweepPropertyTest, RelationOperatorsMatchFrozenSerialBodies) {
       EXPECT_EQ(dataflow::SerializeRelation(
                     batch->GroupBy(keys, aggs, executor.get()).value()),
                 want_group)
-          << label;
-      EXPECT_EQ(dataflow::SerializeRelation(narrow.Distinct(executor.get())),
-                want_distinct)
-          << label;
-      EXPECT_EQ(dataflow::SerializeRelation(
-                    rel.OrderBy("v", descending, executor.get()).value()),
-                want_order)
           << label;
     }
   }
@@ -1551,10 +1534,9 @@ TEST_P(OracleSweepPropertyTest, MapReduceMatchesFrozenShuffle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweepPropertyTest,
                          ::testing::Values(8u, 88u, 888u, 8888u));
 
-// Distinct's shards must agree with its seen-set on which rows are equal:
 // Real(-0.0) and Real(0.0) are one value under the Value order, so 32 keys
-// each carrying both zeros are 32 distinct rows at every shard count.
-TEST(OracleSweepTest, DistinctTreatsSignedZerosAsOneRowAtAnyThreadCount) {
+// each carrying both zeros are 32 distinct rows.
+TEST(OracleSweepTest, DistinctTreatsSignedZerosAsOneRow) {
   dataflow::Relation rel({"k", "x"});
   for (double zero : {0.0, -0.0}) {
     for (int64_t k = 0; k < 32; ++k) {
@@ -1565,15 +1547,8 @@ TEST(OracleSweepTest, DistinctTreatsSignedZerosAsOneRowAtAnyThreadCount) {
   }
   const dataflow::Relation want = relation_oracle::Distinct(rel);
   ASSERT_EQ(want.size(), 32u);
-  for (int threads : {1, 3, 5, 8}) {
-    exec::ExecOptions opts;
-    opts.threads = threads;
-    opts.min_items_per_chunk = 4;
-    exec::Executor executor(opts);
-    EXPECT_EQ(dataflow::SerializeRelation(rel.Distinct(&executor)),
-              dataflow::SerializeRelation(want))
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(dataflow::SerializeRelation(rel.Distinct()),
+            dataflow::SerializeRelation(want));
 }
 
 // ---------------------------------------------------------------------------

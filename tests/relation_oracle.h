@@ -4,13 +4,14 @@
 // Single-threaded reference bodies for the hash-partitioned operators, and
 // the row engine's filter clause (EvalFilterOp). GroupBy and Join
 // (BatchRelation's kernels, which Relation::GroupBy and Relation::Join
-// run), Relation::Distinct, Relation::OrderBy and the MapReduce shuffle
-// each have one body that runs on an exec::Executor at every thread
-// count. These are the plain loops those bodies replaced — one ordered
-// map, one row-at-a-time hash join, one seen-set, one stable_sort, one
+// run) and the MapReduce shuffle each have one body that runs on an
+// exec::Executor at every thread count. These are the plain loops those
+// bodies replaced — one ordered map, one row-at-a-time hash join, one
 // concatenate-then-group shuffle — frozen here (as lz_reference.h freezes
 // the old codec) so the property suites check every thread count and
-// batch layout against an answer the engine did not compute.
+// batch layout against an answer the engine did not compute. Distinct (one
+// seen-set) and OrderBy (one stable_sort) are the frozen references of
+// Relation's row operators, which run inline.
 
 #include <algorithm>
 #include <cmath>

@@ -328,6 +328,52 @@ TEST(VectorKernelTest, FusedSumOverNonNumericFailsLikeRowEngine) {
   EXPECT_EQ(fused.status().ToString(), row.status().ToString());
 }
 
+// With two SUMs over boxed columns, the error names the first row (in row
+// order) holding a non-number, and within that row the first such SUM in
+// aggregate order — what a row-at-a-time walk hits first. One group, so
+// one shard sees every row at any thread count.
+TEST(VectorKernelTest, SumErrorIsFirstFailingRowThenAggregate) {
+  auto make = [](bool with_row1) {
+    Relation rel({"k", "a", "b"});
+    EXPECT_TRUE(
+        rel.AddRow({Value::Int(1), Value::Int(1), Value::Real(2.0)}).ok());
+    if (with_row1) {
+      EXPECT_TRUE(
+          rel.AddRow({Value::Int(1), Value::Real(0.5), Value::Str("x")}).ok());
+    }
+    EXPECT_TRUE(
+        rel.AddRow({Value::Int(1), Value::Str("y"), Value::Str("z")}).ok());
+    return rel;
+  };
+  const std::vector<Aggregate> ab{{Aggregate::Op::kSum, "a", "sa"},
+                                  {Aggregate::Op::kSum, "b", "sb"}};
+  const std::vector<Aggregate> ba{ab[1], ab[0]};
+  struct Case {
+    bool with_row1;
+    const std::vector<Aggregate>* aggs;
+    const char* column;
+  };
+  for (const Case& c : {Case{true, &ab, "'b'"}, Case{true, &ba, "'b'"},
+                        Case{false, &ab, "'a'"}, Case{false, &ba, "'b'"}}) {
+    const Relation rel = make(c.with_row1);
+    auto want = relation_oracle::GroupBy(rel, {"k"}, *c.aggs);
+    ASSERT_FALSE(want.ok());
+    EXPECT_NE(want.status().ToString().find(c.column), std::string::npos)
+        << want.status().ToString();
+    for (size_t batch_rows : {1, 2, 64}) {
+      const BatchRelation batch =
+          BatchRelation::FromRelation(rel, batch_rows).value();
+      for (int threads : {1, 4}) {
+        exec::Executor executor = MakeExecutor(threads);
+        auto got = batch.GroupBy({"k"}, *c.aggs, &executor);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().ToString(), want.status().ToString())
+            << "batch_rows=" << batch_rows << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(VectorKernelTest, KeyColumnMixingDictionaryAndPlainBatches) {
   // Three 300-row batches keyed by `key`: the outer two draw from eight
   // strings (dictionary columns); the middle one holds 300 distinct
@@ -545,31 +591,21 @@ TEST(VectorKernelTest, CountDistinctUsesGroupKeyIdentity) {
 }
 
 // ---------------------------------------------------------------------------
-// Distinct / OrderBy executor determinism (satellite: they used to ignore
-// the executor entirely).
-
-TEST(RelationParallelTest, DistinctMatchesSerialAtAnyThreadCount) {
-  Relation rel = MixedRelation(500, 31);
-  // Project to a few columns so real duplicates exist.
-  Relation narrowed = rel.Project({"grp", "flag", "tag"}).value();
-  std::string want = Bytes(narrowed.Distinct());
-  for (int threads : {1, 2, 8}) {
-    exec::Executor executor = MakeExecutor(threads);
-    EXPECT_EQ(Bytes(narrowed.Distinct(&executor)), want)
-        << "threads=" << threads;
-  }
-}
+// OrderBy against a stable sort of the rows themselves.
 
 TEST(RelationParallelTest, OrderByMatchesSerialStableSort) {
   Relation rel = MixedRelation(500, 37);
+  const size_t grp = rel.ColumnIndex("grp").value();
   for (bool descending : {false, true}) {
     // "grp" has heavy duplication, so stability is actually observable.
-    std::string want = Bytes(rel.OrderBy("grp", descending).value());
-    for (int threads : {1, 2, 8}) {
-      exec::Executor executor = MakeExecutor(threads);
-      EXPECT_EQ(Bytes(rel.OrderBy("grp", descending, &executor).value()), want)
-          << "threads=" << threads << " desc=" << descending;
-    }
+    std::vector<Row> rows = rel.rows();
+    std::stable_sort(rows.begin(), rows.end(),
+                     [grp, descending](const Row& a, const Row& b) {
+                       return descending ? b[grp] < a[grp] : a[grp] < b[grp];
+                     });
+    EXPECT_EQ(Bytes(rel.OrderBy("grp", descending).value()),
+              Bytes(Relation::FromRows(rel.columns(), rows).value()))
+        << "desc=" << descending;
   }
 }
 
