@@ -1100,6 +1100,11 @@ Result<Relation> BatchRelation::FilterGroupBy(
           if (prog.const_false) continue;
           RunProgramColumnar(prog, b, &sel, &ks.dict_domain_rows_pruned);
           ks.rows_out += sel.size();
+          // Checked per batch before sharding: morsels report their
+          // smallest-index failure, so the error is the first failing
+          // row's at any thread count.
+          UNILOG_RETURN_NOT_OK(
+              CheckSumsAddable(PlanAggAccess(aggs, agg_idx, b), sel));
           std::vector<uint32_t>* parts = &owned[bi * num_shards];
           if (num_shards == 1) {
             parts[0] = std::move(sel);
@@ -1124,25 +1129,21 @@ Result<Relation> BatchRelation::FilterGroupBy(
   // every group accumulates in global row order and double SUMs are
   // bit-exact at any shard count.
   std::vector<GroupSet> shards(num_shards);
-  UNILOG_RETURN_NOT_OK(exec->ParallelForStatus(
-      "batch_groupby_agg", num_shards, [&](size_t s) -> Status {
-        GroupSet& gs = shards[s];
-        std::vector<uint32_t> g_of;
-        for (size_t bi = 0; bi < num_batches; ++bi) {
-          const std::vector<uint32_t>& sel = owned[bi * num_shards + s];
-          if (sel.empty()) continue;
-          const ColumnBatch& b = batches_[bi];
-          MapKeys(b, key_idx, sel, &g_of,
-                  [&](const std::string& key, uint32_t raw) {
-                    return static_cast<uint32_t>(ResolveGroup(
-                        &gs, b, key_idx, raw, key, aggs.size()));
-                  });
-          const std::vector<AggAccess> acc = PlanAggAccess(aggs, agg_idx, b);
-          UNILOG_RETURN_NOT_OK(CheckSumsAddable(acc, sel));
-          AccumulateColumnar(acc, sel, g_of, &gs);
-        }
-        return Status::OK();
-      }));
+  exec->ParallelFor("batch_groupby_agg", num_shards, [&](size_t s) {
+    GroupSet& gs = shards[s];
+    std::vector<uint32_t> g_of;
+    for (size_t bi = 0; bi < num_batches; ++bi) {
+      const std::vector<uint32_t>& sel = owned[bi * num_shards + s];
+      if (sel.empty()) continue;
+      const ColumnBatch& b = batches_[bi];
+      MapKeys(b, key_idx, sel, &g_of,
+              [&](const std::string& key, uint32_t raw) {
+                return static_cast<uint32_t>(ResolveGroup(
+                    &gs, b, key_idx, raw, key, aggs.size()));
+              });
+      AccumulateColumnar(PlanAggAccess(aggs, agg_idx, b), sel, g_of, &gs);
+    }
+  });
   return MergeAndFinalize(aggs, out_cols, shards, exec);
 }
 

@@ -491,9 +491,8 @@ TEST_F(PigStdlibTest, UdfBeforeLoadFailsGracefully) {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned scripts: the FNV-64 of every DUMP line (each followed by '\n'),
-// recorded when FILTER, FOREACH, DISTINCT and ORDER still had parallel
-// bodies, so the inline interpreter prints the same bytes.
+// Pinned scripts: the FNV-64 of every DUMP line (each followed by '\n').
+// A change that moves one of these digests changes what Pig prints.
 
 uint64_t DumpDigest(const std::vector<std::string>& lines) {
   Fingerprint fp;

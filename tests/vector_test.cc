@@ -330,42 +330,41 @@ TEST(VectorKernelTest, FusedSumOverNonNumericFailsLikeRowEngine) {
 
 // With two SUMs over boxed columns, the error names the first row (in row
 // order) holding a non-number, and within that row the first such SUM in
-// aggregate order — what a row-at-a-time walk hits first. One group, so
-// one shard sees every row at any thread count.
+// aggregate order — what a row-at-a-time walk hits first — at any thread
+// count, also when the failing rows' groups have different owning shards.
 TEST(VectorKernelTest, SumErrorIsFirstFailingRowThenAggregate) {
-  auto make = [](bool with_row1) {
-    Relation rel({"k", "a", "b"});
-    EXPECT_TRUE(
-        rel.AddRow({Value::Int(1), Value::Int(1), Value::Real(2.0)}).ok());
-    if (with_row1) {
-      EXPECT_TRUE(
-          rel.AddRow({Value::Int(1), Value::Real(0.5), Value::Str("x")}).ok());
-    }
-    EXPECT_TRUE(
-        rel.AddRow({Value::Int(1), Value::Str("y"), Value::Str("z")}).ok());
-    return rel;
-  };
-  const std::vector<Aggregate> ab{{Aggregate::Op::kSum, "a", "sa"},
-                                  {Aggregate::Op::kSum, "b", "sb"}};
-  const std::vector<Aggregate> ba{ab[1], ab[0]};
   struct Case {
-    bool with_row1;
-    const std::vector<Aggregate>* aggs;
-    const char* column;
+    std::vector<Row> rows;  // (k, a, b)
+    bool b_first;           // aggregate order: SUM(b) before SUM(a)
+    const char* column;     // the column the error must name
   };
-  for (const Case& c : {Case{true, &ab, "'b'"}, Case{true, &ba, "'b'"},
-                        Case{false, &ab, "'a'"}, Case{false, &ba, "'b'"}}) {
-    const Relation rel = make(c.with_row1);
-    auto want = relation_oracle::GroupBy(rel, {"k"}, *c.aggs);
+  const Value i1 = Value::Int(1), x = Value::Str("x"), y = Value::Str("y");
+  const Row ok{i1, i1, Value::Real(2.0)};
+  const Row b_fails{i1, Value::Real(0.5), x};
+  const Row both_fail{i1, y, x};
+  const std::vector<Case> cases = {
+      {{ok, b_fails, both_fail}, false, "'b'"},
+      {{ok, b_fails, both_fail}, true, "'b'"},
+      {{ok, both_fail}, false, "'a'"},
+      {{ok, both_fail}, true, "'b'"},
+      // Keys 0 and 1 hash to different shards at four threads.
+      {{{Value::Int(0), i1, x}, {i1, y, i1}}, false, "'b'"},
+  };
+  for (const Case& c : cases) {
+    const Relation rel = Relation::FromRows({"k", "a", "b"}, c.rows).value();
+    std::vector<Aggregate> aggs{{Aggregate::Op::kSum, "a", "sa"},
+                                {Aggregate::Op::kSum, "b", "sb"}};
+    if (c.b_first) std::swap(aggs[0], aggs[1]);
+    auto want = relation_oracle::GroupBy(rel, {"k"}, aggs);
     ASSERT_FALSE(want.ok());
     EXPECT_NE(want.status().ToString().find(c.column), std::string::npos)
         << want.status().ToString();
     for (size_t batch_rows : {1, 2, 64}) {
       const BatchRelation batch =
           BatchRelation::FromRelation(rel, batch_rows).value();
-      for (int threads : {1, 4}) {
+      for (int threads : {1, 2, 4, 8}) {
         exec::Executor executor = MakeExecutor(threads);
-        auto got = batch.GroupBy({"k"}, *c.aggs, &executor);
+        auto got = batch.GroupBy({"k"}, aggs, &executor);
         ASSERT_FALSE(got.ok());
         EXPECT_EQ(got.status().ToString(), want.status().ToString())
             << "batch_rows=" << batch_rows << " threads=" << threads;
