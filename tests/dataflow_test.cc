@@ -574,7 +574,23 @@ class SharedScanTest : public ::testing::Test {
     auto user = std::static_pointer_cast<ColumnarEventScan>(base->Clone());
     EXPECT_TRUE(user->PushFilter("user_id", "==", Value::Int(103)));
     EXPECT_TRUE(user->PushProject({"event_name", "timestamp"}, {"n", "t"}));
-    return {clicks, window, user};
+
+    // A glob no other member imposes, so the union scan drops it and every
+    // part's rows, framed ones included, meet it in this member's residual.
+    auto views = std::static_pointer_cast<ColumnarEventScan>(base->Clone());
+    EXPECT_TRUE(views->PushFilter("event_name", "matches",
+                                  Value::Str("*:impression")));
+    EXPECT_TRUE(views->PushFilter("timestamp", "<=",
+                                  Value::Int(1345507200000 + 120 * 60000)));
+    EXPECT_TRUE(views->PushProject({"session_id", "initiator"}, {"s", "i"}));
+    return {clicks, window, user, views};
+  }
+
+  static std::unique_ptr<exec::Executor> MakeExecutor(int threads) {
+    if (threads == 0) return nullptr;
+    exec::ExecOptions eo;
+    eo.threads = threads;
+    return std::make_unique<exec::Executor>(eo);
   }
 
   hdfs::MiniHdfs fs_;
@@ -590,23 +606,18 @@ TEST_F(SharedScanTest, SharedEqualsIndependentAtEveryThreadCount) {
     ASSERT_TRUE(rel.ok()) << rel.status().ToString();
     want.push_back(SerializeRelation(*rel));
   }
-  ASSERT_EQ(want.size(), 3u);
+  ASSERT_EQ(want.size(), 4u);
 
   for (int threads : {0, 1, 2, 8}) {
     auto fresh = ColumnarEventScan::Open(&fs_, kDir);
     ASSERT_TRUE(fresh.ok());
     auto members = MakeMembers(*fresh);
-    std::unique_ptr<exec::Executor> executor;
-    if (threads > 0) {
-      exec::ExecOptions eo;
-      eo.threads = threads;
-      executor = std::make_unique<exec::Executor>(eo);
-    }
+    std::unique_ptr<exec::Executor> executor = MakeExecutor(threads);
     columnar::ScanStats stats;
     auto batches = ColumnarEventScan::MaterializeSharedBatches(
         members, executor.get(), &stats);
     ASSERT_TRUE(batches.ok()) << batches.status().ToString();
-    ASSERT_EQ(batches->size(), 3u);
+    ASSERT_EQ(batches->size(), 4u);
     for (size_t i = 0; i < batches->size(); ++i) {
       auto rel = (*batches)[i].ToRelation();
       ASSERT_TRUE(rel.ok()) << rel.status().ToString();
@@ -621,6 +632,44 @@ TEST_F(SharedScanTest, SharedEqualsIndependentAtEveryThreadCount) {
     EXPECT_EQ(SerializeRelation(*again), want[0]);
     EXPECT_EQ(members[0]->last_stats().bytes_decompressed,
               stats.bytes_decompressed);
+  }
+}
+
+// The union scan's accounting and each member's REL1 digest, pinned at
+// every thread count. Residuals count dictionary-domain prunes on RCFile
+// groups only: the framed part's rows never count one.
+TEST_F(SharedScanTest, UnionStatsAndMemberDigestsArePinned) {
+  const columnar::ScanStats want = {8, 8, 0, 1453, 150, 0, 150, 100};
+  const std::vector<std::string> digests = {
+      "4f7c05b3cdb913a1", "f77d9713ba42cabf", "5e45a8978bf6daaa",
+      "ddf998e2968ddc99"};
+  for (int threads : {0, 2, 8}) {
+    auto base = ColumnarEventScan::Open(&fs_, kDir);
+    ASSERT_TRUE(base.ok());
+    auto members = MakeMembers(*base);
+    std::unique_ptr<exec::Executor> executor = MakeExecutor(threads);
+    columnar::ScanStats got;
+    auto batches = ColumnarEventScan::MaterializeSharedBatches(
+        members, executor.get(), &got);
+    ASSERT_TRUE(batches.ok()) << batches.status().ToString();
+    ASSERT_EQ(batches->size(), digests.size());
+    for (size_t i = 0; i < digests.size(); ++i) {
+      auto rel = (*batches)[i].ToRelation();
+      ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+      Fingerprint fp;
+      fp.Mix(SerializeRelation(*rel));
+      EXPECT_EQ(fp.Hex(), digests[i])
+          << "threads=" << threads << " member=" << i;
+    }
+    EXPECT_EQ(got.groups_total, want.groups_total) << threads;
+    EXPECT_EQ(got.groups_scanned, want.groups_scanned) << threads;
+    EXPECT_EQ(got.groups_skipped, want.groups_skipped) << threads;
+    EXPECT_EQ(got.bytes_decompressed, want.bytes_decompressed) << threads;
+    EXPECT_EQ(got.rows_scanned, want.rows_scanned) << threads;
+    EXPECT_EQ(got.rows_pruned, want.rows_pruned) << threads;
+    EXPECT_EQ(got.rows_returned, want.rows_returned) << threads;
+    EXPECT_EQ(got.dict_domain_rows_pruned, want.dict_domain_rows_pruned)
+        << threads;
   }
 }
 
