@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/fnv.h"
 #include "dataflow/relation.h"
 #include "dataflow/relation_serde.h"
 #include "oink/workflow.h"
@@ -46,17 +47,11 @@
 namespace unilog {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void FnvMix(uint64_t* h, const std::string& bytes) {
+void FnvMix(Fnv1a64* h, const std::string& bytes) {
   std::string framed;
   PutVarint64(&framed, bytes.size());
   framed += bytes;
-  for (unsigned char c : framed) {
-    *h ^= c;
-    *h *= kFnvPrime;
-  }
+  h->Mix(framed);
 }
 
 std::string HourInputDir(int64_t hour_index) {
@@ -127,7 +122,7 @@ struct PassResult {
   uint64_t bytes_saved = 0;
   /// Warehouse bytes read (MiniHdfs::bytes_read) during the pass.
   uint64_t bytes_read = 0;
-  uint64_t digest = kFnvOffset;
+  Fnv1a64 digest;
   bool ok = false;
 };
 
@@ -270,15 +265,16 @@ int main(int argc, char** argv) {
     PassResult t = RunPass(&fs, ticks, oink_opts, &executor,
                            /*engine_per_workflow=*/false, /*primed=*/true);
     if (!b.ok || !c.ok || !w.ok || !t.ok) return 1;
-    bool same = b.digest == c.digest && c.digest == w.digest &&
-                w.digest == t.digest;
+    bool same = b.digest.value() == c.digest.value() &&
+                c.digest.value() == w.digest.value() &&
+                w.digest.value() == t.digest.value();
     if (threads == 1) {
       baseline = b;
       cold = c;
       warm = w;
       retick = t;
     } else {
-      same = same && b.digest == baseline.digest;
+      same = same && b.digest.value() == baseline.digest.value();
     }
     digests_identical = digests_identical && same;
     reticks_ok = reticks_ok && t.misses == 0 &&

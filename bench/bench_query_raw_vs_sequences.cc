@@ -22,6 +22,7 @@
 #include "analytics/udfs.h"
 #include "bench_common.h"
 #include "columnar/rcfile.h"
+#include "common/fnv.h"
 #include "dataflow/columnar_scan.h"
 #include "dataflow/mapreduce.h"
 #include "events/client_event.h"
@@ -162,19 +163,14 @@ Status MaterializeColumnarDay(bench::DayFixture* fx,
 
 // Order-sensitive digest over a relation's rows.
 uint64_t RelationDigest(const dataflow::Relation& rel) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::string_view s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    h ^= 0xffu;
-    h *= 1099511628211ull;
-  };
+  Fnv1a64 h;
   for (const auto& row : rel.rows()) {
-    for (const auto& v : row) mix(v.ToString());
+    for (const auto& v : row) {
+      h.Mix(v.ToString());
+      h.Mix("\xff");
+    }
   }
-  return h;
+  return h.value();
 }
 
 struct PushdownRun {

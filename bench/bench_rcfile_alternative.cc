@@ -35,6 +35,7 @@
 #include "analytics/udfs.h"
 #include "bench_common.h"
 #include "columnar/rcfile.h"
+#include "common/fnv.h"
 #include "events/client_event.h"
 #include "events/event_name.h"
 #include "landing_oracle.h"
@@ -75,16 +76,13 @@ uint64_t CountMatchingNames(const std::string& body,
 }
 
 uint64_t EventsDigest(const std::vector<events::ClientEvent>& events) {
-  uint64_t h = 1469598103934665603ull;
+  Fnv1a64 h;
   for (const auto& ev : events) {
     std::string record = ev.Serialize();
     PutVarint64(&record, record.size());
-    for (unsigned char c : record) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
+    h.Mix(record);
   }
-  return h;
+  return h.value();
 }
 
 // E18: pushdown scan vs ReadAll-then-filter on the same file. Returns

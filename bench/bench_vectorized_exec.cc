@@ -31,26 +31,12 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/fnv.h"
 #include "dataflow/columnar_scan.h"
 #include "dataflow/plan_fingerprint.h"
 #include "dataflow/relation_serde.h"
 #include "dataflow/vector_engine.h"
 #include "relation_oracle.h"
-
-namespace unilog {
-namespace {
-
-uint64_t Fnv64(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-}  // namespace unilog
 
 int main(int argc, char** argv) {
   using namespace unilog;
@@ -147,7 +133,7 @@ int main(int argc, char** argv) {
                    out.status().ToString().c_str());
       return 1;
     }
-    row_digest = Fnv64(dataflow::SerializeRelation(*out));
+    row_digest = Fnv1a64::OfBytes(dataflow::SerializeRelation(*out));
     if (rep == 0 || ms < row_ms) row_ms = ms;
   }
 
@@ -161,7 +147,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint64_t oracle_digest =
-      Fnv64(dataflow::SerializeRelation(*oracle_out));
+      Fnv1a64::OfBytes(dataflow::SerializeRelation(*oracle_out));
 
   double batch_ms = 0;
   uint64_t batch_digest = 0;
@@ -174,7 +160,7 @@ int main(int argc, char** argv) {
                    out.status().ToString().c_str());
       return 1;
     }
-    batch_digest = Fnv64(dataflow::SerializeRelation(*out));
+    batch_digest = Fnv1a64::OfBytes(dataflow::SerializeRelation(*out));
     if (rep == 0 || ms < batch_ms) batch_ms = ms;
   }
 
@@ -191,7 +177,7 @@ int main(int argc, char** argv) {
                    out.status().ToString().c_str());
       return 1;
     }
-    fused_digest = Fnv64(dataflow::SerializeRelation(*out));
+    fused_digest = Fnv1a64::OfBytes(dataflow::SerializeRelation(*out));
     if (rep == 0 || ms < fused_ms) fused_ms = ms;
     kernel_stats = ks;
   }
@@ -204,14 +190,14 @@ int main(int argc, char** argv) {
                                                      exprs.rend());
     auto out = batch_pass(reversed, nullptr);
     if (!out.ok() ||
-        Fnv64(dataflow::SerializeRelation(*out)) != row_digest) {
+        Fnv1a64::OfBytes(dataflow::SerializeRelation(*out)) != row_digest) {
       digests_identical = false;
       std::fprintf(stderr, "reversed-filter batch divergence\n");
     }
     dataflow::KernelStats ks;
     auto fout = fused_pass(reversed, nullptr, &ks);
     if (!fout.ok() ||
-        Fnv64(dataflow::SerializeRelation(*fout)) != row_digest) {
+        Fnv1a64::OfBytes(dataflow::SerializeRelation(*fout)) != row_digest) {
       digests_identical = false;
       std::fprintf(stderr, "reversed-filter fused divergence\n");
     }
@@ -229,7 +215,7 @@ int main(int argc, char** argv) {
     dataflow::KernelStats ks;
     auto out = fused_pass(exprs, &executor, &ks, mopts);
     if (!out.ok() ||
-        Fnv64(dataflow::SerializeRelation(*out)) != row_digest) {
+        Fnv1a64::OfBytes(dataflow::SerializeRelation(*out)) != row_digest) {
       digests_identical = false;
       std::fprintf(stderr, "morsel divergence at morsel_bytes=%llu\n",
                    static_cast<unsigned long long>(morsel_bytes));
@@ -250,7 +236,7 @@ int main(int argc, char** argv) {
     exec::Executor executor(eopts);
     auto out = batch_pass(exprs, &executor);
     if (!out.ok() ||
-        Fnv64(dataflow::SerializeRelation(*out)) != row_digest) {
+        Fnv1a64::OfBytes(dataflow::SerializeRelation(*out)) != row_digest) {
       digests_identical = false;
       std::fprintf(stderr, "parallel batch divergence at %d threads\n",
                    threads);
@@ -267,7 +253,7 @@ int main(int argc, char** argv) {
         t_ok = false;
         break;
       }
-      t_digest = Fnv64(dataflow::SerializeRelation(*fout));
+      t_digest = Fnv1a64::OfBytes(dataflow::SerializeRelation(*fout));
       if (rep == 0 || ms < t_ms) t_ms = ms;
     }
     if (!t_ok || t_digest != row_digest) {

@@ -36,7 +36,11 @@ class Fnv1a64 {
     h_ *= 1099511628211ull;  // FNV prime
   }
 
-  uint64_t h_ = 1469598103934665603ull;  // FNV offset basis
+  // Not the standard FNV offset basis 14695981039346656037
+  // (0xcbf29ce484222325) but that number with its last digit dropped,
+  // 1469598103934665603 (0x14650fb0739d0383). It stays: partition
+  // assignment and every pinned digest depend on it.
+  uint64_t h_ = 1469598103934665603ull;
 };
 
 }  // namespace unilog

@@ -27,6 +27,7 @@
 #include "broker/partition_log.h"
 #include "common/coding.h"
 #include "common/compress.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "hdfs/mini_hdfs.h"
 #include "obs/delivery_audit.h"
@@ -1787,15 +1788,10 @@ TEST(DaemonLingerTest, DropOldestRestartsTheCategorysLinger) {
 // sorted (a multiset), and a digest of every part's path and bytes.
 struct LandedHours {
   std::map<std::string, std::vector<std::string>> by_hour;
-  uint64_t bytes_digest = 1469598103934665603ull;
+  Fnv1a64 bytes_digest;
   uint64_t logged = 0;
   uint64_t produce_calls = 0;
 };
-
-uint64_t Fnv64(std::string_view bytes, uint64_t h) {
-  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
-  return h;
-}
 
 // Three hours of two-category traffic through 4 daemons and 2 brokers:
 // a steady trickle, and a burst in the last 15 s of every hour, which is
@@ -1841,7 +1837,8 @@ LandedHours RunHourlyBrokerCluster(const scribe::ScribeOptions& options) {
     auto body = wh->ReadFile(f.path);
     EXPECT_TRUE(body.ok()) << f.path;
     if (!body.ok()) continue;
-    out.bytes_digest = Fnv64(*body, Fnv64(f.path, out.bytes_digest));
+    out.bytes_digest.Mix(f.path);
+    out.bytes_digest.Mix(*body);
     auto raw = Lz::Decompress(*body);
     EXPECT_TRUE(raw.ok()) << f.path;
     if (!raw.ok()) continue;
@@ -1880,7 +1877,8 @@ TEST(DaemonLingerTest, HourCloseLandsEveryEntryInItsLingerZeroHour) {
 TEST(DaemonLingerTest, LingerZeroWarehouseBytesArePinned) {
   scribe::ScribeOptions eager;
   eager.daemon_linger_ms = 0;
-  EXPECT_EQ(RunHourlyBrokerCluster(eager).bytes_digest, 537583035641785284ull);
+  EXPECT_EQ(RunHourlyBrokerCluster(eager).bytes_digest.value(),
+            537583035641785284ull);
 }
 
 }  // namespace

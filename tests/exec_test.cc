@@ -16,6 +16,7 @@
 #include "analytics/summary.h"
 #include "analytics/udfs.h"
 #include "bench_common.h"
+#include "common/fnv.h"
 #include "dataflow/mapreduce.h"
 #include "dataflow/relation.h"
 #include "dataflow/relation_serde.h"
@@ -33,14 +34,6 @@ exec::Executor MakeExecutor(int threads) {
   exec::ExecOptions opts;
   opts.threads = threads;
   return exec::Executor(opts);
-}
-
-uint64_t Fnv1a(std::string_view data, uint64_t h = 1469598103934665603ull) {
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +227,7 @@ TEST(ExecutorTest, SharedInlineExecutorServesConcurrentOperators) {
   pool.ParallelFor("concurrent-inline", got.size(),
                    [&](size_t i) { got[i] = run_all(); });
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(Fnv1a(got[i]), Fnv1a(want)) << "task " << i;
+    EXPECT_EQ(Fnv1a64::OfBytes(got[i]), Fnv1a64::OfBytes(want)) << "task " << i;
   }
 }
 
@@ -505,7 +498,8 @@ std::string FingerprintDaily(const pipeline::DailyJobResult& daily) {
       blob += row + "\n";
     }
   }
-  return std::to_string(Fnv1a(blob)) + "/" + std::to_string(blob.size());
+  return std::to_string(Fnv1a64::OfBytes(blob)) + "/" +
+         std::to_string(blob.size());
 }
 
 TEST(DailyPipelineDeterminismTest, ResultIdenticalAcrossThreadCounts) {

@@ -15,6 +15,7 @@
 
 #include "columnar/rcfile.h"
 #include "common/compress.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "events/client_event.h"
@@ -965,12 +966,6 @@ TEST_F(LogMoverTest, BarrierStallAndMoveRetryCountedSeparately) {
   EXPECT_TRUE(warehouse_.Exists("/logs/cat/2012/08/21/00"));
 }
 
-// FNV-1a over `bytes`, continuing from `h`.
-uint64_t Fnv64(std::string_view bytes, uint64_t h) {
-  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
-  return h;
-}
-
 // Two datacenters of aggregator chains landing framed parts. The
 // aggregators stage with the single-probe parse and the mover compresses
 // each merged hour again with the chain search, so staging's parse must
@@ -1032,7 +1027,7 @@ TEST_F(LogMoverTest, AggregatorChainWarehouseBytesArePinned) {
   EXPECT_EQ(stats.messages_in_warehouse, static_cast<uint64_t>(kMessages));
   auto parts = cluster.warehouse()->ListRecursive("/logs");
   ASSERT_TRUE(parts.ok());
-  uint64_t digest = 1469598103934665603ull;
+  Fnv1a64 digest;
   size_t part_count = 0;
   for (const auto& f : *parts) {
     if (f.is_dir) continue;
@@ -1041,11 +1036,12 @@ TEST_F(LogMoverTest, AggregatorChainWarehouseBytesArePinned) {
     auto raw = Lz::Decompress(*body);
     ASSERT_TRUE(raw.ok()) << f.path;
     EXPECT_EQ(*body, lz_reference::Compress(*raw)) << f.path;
-    digest = Fnv64(*body, Fnv64(f.path, digest));
+    digest.Mix(f.path);
+    digest.Mix(*body);
     ++part_count;
   }
   EXPECT_EQ(part_count, 4u);
-  EXPECT_EQ(digest, 4377834501800413288ull);
+  EXPECT_EQ(digest.value(), 4377834501800413288ull);
 }
 
 // ---------------------------------------------------------------------------
