@@ -50,6 +50,38 @@ Result<Relation> LoadSequences(std::shared_ptr<Stdlib> lib,
   return rel;
 }
 
+/// The factory of a one-pattern UDF over a sequence column: `name(pattern)`
+/// counts the pattern's events in each sequence and returns
+/// `result(count)`. The counter binds the dictionary at first evaluation
+/// (DEFINE may run before LOAD in a script).
+PigInterpreter::UdfFactory PatternUdf(std::shared_ptr<Stdlib> lib,
+                                      std::string name,
+                                      int64_t (*result)(uint64_t count)) {
+  return [lib, name, result](const std::vector<std::string>& args)
+             -> Result<PigInterpreter::ScalarUdf> {
+    if (args.size() != 1) {
+      return Status::InvalidArgument(name + " takes one pattern argument");
+    }
+    std::string pattern = args[0];
+    auto counter = std::make_shared<std::unique_ptr<CountClientEvents>>();
+    return PigInterpreter::ScalarUdf(
+        [lib, name, result, pattern,
+         counter](const std::vector<Value>& call_args) -> Result<Value> {
+          if (call_args.size() != 1 || !call_args[0].is_str()) {
+            return Status::InvalidArgument(
+                name + "(sequence) expects one string column");
+          }
+          if (*counter == nullptr) {
+            UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
+            *counter = std::make_unique<CountClientEvents>(
+                *dict, events::EventPattern(pattern));
+          }
+          return Value::Int(
+              result((*counter)->Count(call_args[0].str_value())));
+        });
+  };
+}
+
 }  // namespace
 
 void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
@@ -71,60 +103,12 @@ void InstallPigStdlib(PigInterpreter* pig, const hdfs::MiniHdfs* warehouse,
 
   pig->RegisterUdfFactory(
       "CountClientEvents",
-      [lib](const std::vector<std::string>& args)
-          -> Result<PigInterpreter::ScalarUdf> {
-        if (args.size() != 1) {
-          return Status::InvalidArgument(
-              "CountClientEvents takes one pattern argument");
-        }
-        std::string pattern = args[0];
-        // Lazily bind the dictionary at first evaluation (DEFINE may run
-        // before LOAD in a script).
-        auto counter = std::make_shared<std::unique_ptr<CountClientEvents>>();
-        return PigInterpreter::ScalarUdf(
-            [lib, pattern, counter](const std::vector<Value>& call_args)
-                -> Result<Value> {
-              if (call_args.size() != 1 || !call_args[0].is_str()) {
-                return Status::InvalidArgument(
-                    "CountClientEvents(sequence) expects one string column");
-              }
-              if (*counter == nullptr) {
-                UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
-                *counter = std::make_unique<CountClientEvents>(
-                    *dict, events::EventPattern(pattern));
-              }
-              return Value::Int(static_cast<int64_t>(
-                  (*counter)->Count(call_args[0].str_value())));
-            });
-      });
-
+      PatternUdf(lib, "CountClientEvents",
+                 [](uint64_t n) { return static_cast<int64_t>(n); }));
   pig->RegisterUdfFactory(
       "ContainsClientEvents",
-      [lib](const std::vector<std::string>& args)
-          -> Result<PigInterpreter::ScalarUdf> {
-        if (args.size() != 1) {
-          return Status::InvalidArgument(
-              "ContainsClientEvents takes one pattern argument");
-        }
-        std::string pattern = args[0];
-        auto counter = std::make_shared<std::unique_ptr<CountClientEvents>>();
-        return PigInterpreter::ScalarUdf(
-            [lib, pattern, counter](const std::vector<Value>& call_args)
-                -> Result<Value> {
-              if (call_args.size() != 1 || !call_args[0].is_str()) {
-                return Status::InvalidArgument(
-                    "ContainsClientEvents(sequence) expects one string "
-                    "column");
-              }
-              if (*counter == nullptr) {
-                UNILOG_ASSIGN_OR_RETURN(auto dict, lib->Dictionary());
-                *counter = std::make_unique<CountClientEvents>(
-                    *dict, events::EventPattern(pattern));
-              }
-              return Value::Int(
-                  (*counter)->Count(call_args[0].str_value()) > 0 ? 1 : 0);
-            });
-      });
+      PatternUdf(lib, "ContainsClientEvents",
+                 [](uint64_t n) -> int64_t { return n > 0 ? 1 : 0; }));
 
   pig->RegisterUdfFactory(
       "ClientEventsFunnel",
