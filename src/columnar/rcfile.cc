@@ -441,15 +441,13 @@ Status SelectGroupRows(Decoder* dec, const ScanSpec& spec,
     if (it == spec.user_ids->end() || *it > hdr.max_uid) skip = true;
   }
   bool dict_skip = false;
-  std::vector<uint8_t> name_flags;
+  std::vector<uint8_t> name_verdicts;
   if (!skip && spec.has_name_predicate()) {
-    name_flags.resize(hdr.name_dict.size());
-    bool any = false;
-    for (size_t i = 0; i < hdr.name_dict.size(); ++i) {
-      name_flags[i] = matcher.NameMatches(hdr.name_dict[i]) ? 1 : 0;
-      any = any || name_flags[i] != 0;
+    name_verdicts = matcher.NameVerdicts(hdr.name_dict);
+    if (std::find(name_verdicts.begin(), name_verdicts.end(), 1) ==
+        name_verdicts.end()) {
+      skip = dict_skip = true;
     }
-    if (!any) skip = dict_skip = true;
   }
   if (skip) {
     UNILOG_RETURN_NOT_OK(SkipBlobs(dec));
@@ -480,40 +478,23 @@ Status SelectGroupRows(Decoder* dec, const ScanSpec& spec,
   stats->rows_scanned += hdr.row_count;
 
   // Row selection on encoded / cheap columns, before materialization.
-  std::vector<uint8_t>& sel = g->sel;
-  sel.assign(hdr.row_count, 1);
   if (spec.has_name_predicate()) {
     UNILOG_RETURN_NOT_OK(
         DecodeCodes(blobs.Use(EventColumn::kEventName, stats), hdr.row_count,
                     hdr.name_dict.size(), &g->name_ids));
-    for (uint64_t r = 0; r < hdr.row_count; ++r) {
-      if (name_flags[g->name_ids[r]] == 0) {
-        sel[r] = 0;
-        ++stats->dict_domain_rows_pruned;
-      }
-    }
   }
   if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
     UNILOG_RETURN_NOT_OK(DecodeTimestamps(
         blobs.Use(EventColumn::kTimestamp, stats), hdr, &g->ts_vals));
-    for (uint64_t r = 0; r < hdr.row_count; ++r) {
-      if (spec.min_timestamp.has_value() &&
-          g->ts_vals[r] < *spec.min_timestamp) {
-        sel[r] = 0;
-      }
-      if (spec.max_timestamp.has_value() &&
-          g->ts_vals[r] > *spec.max_timestamp) {
-        sel[r] = 0;
-      }
-    }
   }
   if (spec.user_ids.has_value()) {
     UNILOG_RETURN_NOT_OK(DecodeUserIds(blobs.Use(EventColumn::kUserId, stats),
                                        hdr, &g->uid_vals));
-    for (uint64_t r = 0; r < hdr.row_count; ++r) {
-      if (spec.user_ids->count(g->uid_vals[r]) == 0) sel[r] = 0;
-    }
   }
+  std::vector<uint8_t>& sel = g->sel;
+  sel.assign(hdr.row_count, 1);
+  stats->dict_domain_rows_pruned += SelectRows(
+      spec, {g->name_ids, name_verdicts, g->ts_vals, g->uid_vals}, sel);
 
   size_t selected = 0;
   for (uint64_t r = 0; r < hdr.row_count; ++r) selected += sel[r];
@@ -681,17 +662,30 @@ RowMatcher::RowMatcher(const ScanSpec& spec) : spec_(&spec) {
   }
 }
 
-bool RowMatcher::Matches(const events::ClientEvent& event) const {
-  if (spec_->min_timestamp && event.timestamp < *spec_->min_timestamp) {
-    return false;
+uint64_t SelectRows(const ScanSpec& spec, const PredicateColumns& columns,
+                    std::span<uint8_t> keep) {
+  uint64_t name_cut = 0;
+  if (spec.has_name_predicate()) {
+    for (size_t r = 0; r < keep.size(); ++r) {
+      if (columns.name_verdicts[columns.name_codes[r]] == 0) {
+        keep[r] = 0;
+        ++name_cut;
+      }
+    }
   }
-  if (spec_->max_timestamp && event.timestamp > *spec_->max_timestamp) {
-    return false;
+  if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
+    const int64_t lo = spec.min_timestamp.value_or(INT64_MIN);
+    const int64_t hi = spec.max_timestamp.value_or(INT64_MAX);
+    for (size_t r = 0; r < keep.size(); ++r) {
+      if (columns.timestamps[r] < lo || columns.timestamps[r] > hi) keep[r] = 0;
+    }
   }
-  if (spec_->user_ids && !spec_->user_ids->count(event.user_id)) {
-    return false;
+  if (spec.user_ids.has_value()) {
+    for (size_t r = 0; r < keep.size(); ++r) {
+      if (spec.user_ids->count(columns.user_ids[r]) == 0) keep[r] = 0;
+    }
   }
-  return NameMatches(event.event_name);
+  return name_cut;
 }
 
 bool RowMatcher::NameMatches(std::string_view name) const {

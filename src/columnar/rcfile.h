@@ -160,24 +160,52 @@ struct ScanStats {
 void ReportScanStats(const ScanStats& stats, obs::MetricsRegistry* metrics,
                      const std::string& source);
 
-/// Evaluation of a ScanSpec's predicates, with the glob patterns compiled
-/// once at construction. Every scan path selects through it: RCFile
-/// groups test dictionary entries with NameMatches,
-/// legacy (framed) parts are filtered row-wise with Matches, and shared
-/// scans use it as the per-workflow residual filter over union-scanned
-/// rows. Borrows `spec`; the spec must outlive the matcher.
+/// A ScanSpec's event-name predicates, with the glob patterns compiled
+/// once at construction. Callers evaluate it once per dictionary entry
+/// (NameVerdicts) and feed the verdicts to SelectRows, which compares
+/// each row's code: RCFile groups over their header dictionary, framed
+/// parts over the dictionary the scan builds per part, and a shared
+/// scan's member residuals over the union scan's arrays. Borrows `spec`;
+/// the spec must outlive the matcher.
 class RowMatcher {
  public:
   explicit RowMatcher(const ScanSpec& spec);
-  bool Matches(const events::ClientEvent& event) const;
   /// The spec's event-name predicates alone: allowlist membership and
   /// every glob.
   bool NameMatches(std::string_view name) const;
+  /// NameMatches of each dictionary entry, 1 for a match. Empty when the
+  /// spec has no name predicate.
+  template <typename Strings>
+  std::vector<uint8_t> NameVerdicts(const Strings& dict) const {
+    std::vector<uint8_t> verdicts;
+    if (!spec_->has_name_predicate()) return verdicts;
+    verdicts.reserve(dict.size());
+    for (const auto& name : dict) verdicts.push_back(NameMatches(name));
+    return verdicts;
+  }
 
  private:
   const ScanSpec* spec_;
   std::vector<events::EventPattern> patterns_;
 };
+
+/// One group's predicate columns, one entry per row (the name verdicts
+/// one per dictionary entry). SelectRows reads an array only when the
+/// spec constrains its column, so the others may be empty.
+struct PredicateColumns {
+  std::span<const uint32_t> name_codes;
+  std::span<const uint8_t> name_verdicts;
+  std::span<const int64_t> timestamps;
+  std::span<const int64_t> user_ids;
+};
+
+/// The one evaluator of a ScanSpec's row predicates. Clears keep[r] for
+/// every row r that `spec` rejects: a name code whose verdict is 0, a
+/// timestamp outside [min_timestamp, max_timestamp], a user id outside
+/// the allowlist. Returns how many rows the name verdicts rejected,
+/// whatever else rejects them too.
+uint64_t SelectRows(const ScanSpec& spec, const PredicateColumns& columns,
+                    std::span<uint8_t> keep);
 
 /// The file magic: a file is the magic followed by its row groups, each as
 /// RowGroupEncoder::FinishGroup emits it.
@@ -353,10 +381,11 @@ class RcFileReader {
   Status ScanGroupColumnar(const RowGroupHandle& group, const ScanSpec& spec,
                            ColumnarGroup* out, ScanStats* stats) const;
 
-  /// Header-only statistics of one row group, for the cost-based planner:
-  /// zone maps and dictionary names come straight from the header
-  /// (nothing is decoded); `blob_bytes` is the stored size of the group's
-  /// column blobs.
+  /// Header-only statistics of one row group: zone maps and dictionary
+  /// names come straight from the header (nothing is decoded);
+  /// `blob_bytes` is the stored size of the group's column blobs. Outside
+  /// the tests, only bench/e2e's stats replay reads them, through
+  /// ColumnarEventScan::Stats(); no Oink tick does.
   struct RowGroupStats {
     uint64_t row_count = 0;
     uint64_t blob_bytes = 0;

@@ -1,8 +1,10 @@
 #include "dataflow/columnar_scan.h"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
+#include "common/coding.h"
 #include "common/compress.h"
 #include "dataflow/plan_fingerprint.h"
 #include "events/client_event.h"
@@ -25,49 +27,6 @@ const std::vector<std::pair<std::string, EventColumn>> kDefaultVisible = {
     {"timestamp", EventColumn::kTimestamp},
 };
 
-Value ColumnValue(const events::ClientEvent& ev, EventColumn col) {
-  switch (col) {
-    case EventColumn::kInitiator:
-      return Value::Str(events::EventInitiatorName(ev.initiator));
-    case EventColumn::kEventName:
-      return Value::Str(ev.event_name);
-    case EventColumn::kUserId:
-      return Value::Int(ev.user_id);
-    case EventColumn::kSessionId:
-      return Value::Str(ev.session_id);
-    case EventColumn::kIp:
-      return Value::Str(ev.ip);
-    case EventColumn::kTimestamp:
-      return Value::Int(ev.timestamp);
-    case EventColumn::kDetails:
-      break;
-  }
-  return Value();
-}
-
-ColumnPtr MakeInt64Column(std::vector<int64_t> v) {
-  auto col = std::make_shared<ColumnData>();
-  col->kind = ColumnKind::kInt64;
-  col->i64 = std::move(v);
-  return col;
-}
-
-ColumnPtr MakeStringColumn(std::vector<std::string> v) {
-  auto col = std::make_shared<ColumnData>();
-  col->kind = ColumnKind::kString;
-  col->str = std::move(v);
-  return col;
-}
-
-ColumnPtr MakeDictColumn(std::vector<uint32_t> codes,
-                         std::shared_ptr<const std::vector<std::string>> dict) {
-  auto col = std::make_shared<ColumnData>();
-  col->kind = ColumnKind::kDict;
-  col->codes = std::move(codes);
-  col->dict = std::move(dict);
-  return col;
-}
-
 /// Typed columns of one scanned columnar group, indexed by source event
 /// column. Builds lazily and moves the group's arrays, so each source is
 /// converted at most once and shared by every consumer referencing it.
@@ -76,34 +35,41 @@ class GroupColumnSource {
   explicit GroupColumnSource(columnar::RcFileReader::ColumnarGroup cg)
       : cg_(std::move(cg)) {}
 
-  size_t rows() const { return cg_.rows; }
-
   const ColumnPtr& Get(EventColumn source) {
     ColumnPtr& slot = by_source_[static_cast<int>(source)];
     if (slot != nullptr) return slot;
+    auto col = std::make_shared<ColumnData>();
     switch (source) {
       case EventColumn::kInitiator:
-        slot = MakeDictColumn(std::move(cg_.init_codes), cg_.init_dict);
+        col->kind = ColumnKind::kDict;
+        col->codes = std::move(cg_.init_codes);
+        col->dict = cg_.init_dict;
         break;
       case EventColumn::kEventName:
-        slot = MakeDictColumn(std::move(cg_.name_codes), cg_.name_dict);
+        col->kind = ColumnKind::kDict;
+        col->codes = std::move(cg_.name_codes);
+        col->dict = cg_.name_dict;
         break;
       case EventColumn::kUserId:
-        slot = MakeInt64Column(std::move(cg_.user_ids));
+        col->kind = ColumnKind::kInt64;
+        col->i64 = std::move(cg_.user_ids);
         break;
       case EventColumn::kSessionId:
-        slot = MakeStringColumn(std::move(cg_.session_ids));
+        col->kind = ColumnKind::kString;
+        col->str = std::move(cg_.session_ids);
         break;
       case EventColumn::kIp:
-        slot = MakeStringColumn(std::move(cg_.ips));
+        col->kind = ColumnKind::kString;
+        col->str = std::move(cg_.ips);
         break;
       case EventColumn::kTimestamp:
-        slot = MakeInt64Column(std::move(cg_.timestamps));
+        col->kind = ColumnKind::kInt64;
+        col->i64 = std::move(cg_.timestamps);
         break;
       case EventColumn::kDetails:
-        slot = std::make_shared<ColumnData>();
         break;
     }
+    slot = std::move(col);
     return slot;
   }
 
@@ -116,93 +82,131 @@ class GroupColumnSource {
     return ColumnBatch(std::move(cols), cg_.rows);
   }
 
+  /// The rows `spec` (compiled as `matcher`) keeps, as a selection vector:
+  /// a member's residual over the union scan's shared arrays, through
+  /// columnar::SelectRows. The rows its name verdicts cut are added to
+  /// *name_cut unless it is null.
+  std::vector<uint32_t> Select(const columnar::ScanSpec& spec,
+                               const columnar::RowMatcher& matcher,
+                               uint64_t* name_cut) {
+    if (cg_.rows == 0) return {};  // a skipped group decoded no column
+    columnar::PredicateColumns columns;
+    std::vector<uint8_t> verdicts;
+    if (spec.has_name_predicate()) {
+      const ColumnData& names = *Get(EventColumn::kEventName);
+      columns.name_codes = names.codes;
+      verdicts = matcher.NameVerdicts(*names.dict);
+      columns.name_verdicts = verdicts;
+    }
+    if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
+      columns.timestamps = Get(EventColumn::kTimestamp)->i64;
+    }
+    if (spec.user_ids.has_value()) {
+      columns.user_ids = Get(EventColumn::kUserId)->i64;
+    }
+    std::vector<uint8_t> keep(cg_.rows, 1);
+    const uint64_t cut = columnar::SelectRows(spec, columns, keep);
+    if (name_cut != nullptr) *name_cut += cut;
+    std::vector<uint32_t> sel;
+    sel.reserve(cg_.rows);
+    for (size_t r = 0; r < keep.size(); ++r) {
+      if (keep[r]) sel.push_back(static_cast<uint32_t>(r));
+    }
+    return sel;
+  }
+
  private:
   columnar::RcFileReader::ColumnarGroup cg_;
   ColumnPtr by_source_[columnar::kEventColumns];
 };
 
-/// Batch for a legacy (row-decoded) unit: boxed values through
-/// BuildColumn, per visible column.
-ColumnBatch BatchFromEvents(
-    const std::vector<events::ClientEvent>& events,
-    const std::vector<std::pair<std::string, EventColumn>>& visible) {
-  std::vector<ColumnPtr> cols;
-  cols.reserve(visible.size());
-  std::vector<Value> vals(events.size());
-  for (const auto& [name, source] : visible) {
-    for (size_t i = 0; i < events.size(); ++i) {
-      vals[i] = ColumnValue(events[i], source);
-    }
-    cols.push_back(ColumnBatch::BuildColumn(vals));
+/// A framed-compressed part as one scan unit, yielding the ColumnarGroup a
+/// row group yields: every record is parsed, names and initiators get
+/// per-part dictionary codes in first-appearance order, columnar::
+/// SelectRows selects the rows `spec` admits, and the selected rows'
+/// masked columns are kept. The part has no zone map or stored
+/// dictionary, so it is always scanned whole.
+Status ScanFramedPart(std::string_view part, const columnar::ScanSpec& spec,
+                      columnar::RcFileReader::ColumnarGroup* out,
+                      columnar::ScanStats* stats) {
+  ++stats->groups_total;
+  ++stats->groups_scanned;
+  stats->bytes_decompressed += part.size();
+  UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(part));
+  std::vector<events::ClientEventView> rows;
+  std::vector<events::DetailView> details;
+  for (Decoder dec(body); !dec.AtEnd();) {
+    std::string_view record;
+    UNILOG_RETURN_NOT_OK(dec.GetLengthPrefixed(&record));
+    UNILOG_RETURN_NOT_OK(
+        events::ReadClientEventBody(record, &rows.emplace_back(), &details));
   }
-  return ColumnBatch(std::move(cols), events.size());
-}
 
-/// RowMatcher::Matches over typed group columns: selects the rows of
-/// [0, rows) that `spec` (compiled as `matcher`) admits. The name
-/// predicate is evaluated once per dictionary entry; rows it rejects are
-/// counted into `dict_pruned` (their strings were never touched).
-std::vector<uint32_t> ResidualSelect(
-    const columnar::ScanSpec& spec, const columnar::RowMatcher& matcher,
-    GroupColumnSource* source, uint64_t* dict_pruned) {
-  const size_t rows = source->rows();
-  if (rows == 0) return {};  // a skipped group decoded no column
-  std::vector<uint8_t> keep(rows, 1);
-  if (spec.min_timestamp.has_value() || spec.max_timestamp.has_value()) {
-    const ColumnData& ts = *source->Get(EventColumn::kTimestamp);
-    for (size_t r = 0; r < rows; ++r) {
-      if (spec.min_timestamp.has_value() && ts.i64[r] < *spec.min_timestamp) {
-        keep[r] = 0;
-      }
-      if (spec.max_timestamp.has_value() && ts.i64[r] > *spec.max_timestamp) {
-        keep[r] = 0;
-      }
+  const size_t n = rows.size();
+  auto name_dict = std::make_shared<std::vector<std::string>>();
+  std::unordered_map<std::string_view, uint32_t> name_index;
+  std::vector<events::EventInitiator> inits;
+  uint32_t init_code[4] = {};  // code + 1, 0 when not seen in the part
+  std::vector<uint32_t> name_codes(n), init_codes(n);
+  std::vector<int64_t> user_ids(n), timestamps(n);
+  for (size_t r = 0; r < n; ++r) {
+    const events::ClientEventView& row = rows[r];
+    auto [it, fresh] = name_index.try_emplace(
+        row.event_name, static_cast<uint32_t>(name_dict->size()));
+    if (fresh) name_dict->emplace_back(row.event_name);
+    name_codes[r] = it->second;
+    uint32_t& code = init_code[static_cast<int>(row.initiator)];
+    if (code == 0) {
+      inits.push_back(row.initiator);
+      code = static_cast<uint32_t>(inits.size());
     }
+    init_codes[r] = code - 1;
+    user_ids[r] = row.user_id;
+    timestamps[r] = row.timestamp;
   }
-  if (spec.has_name_predicate()) {
-    const ColumnData& names = *source->Get(EventColumn::kEventName);
-    std::vector<uint8_t> verdict(names.dict->size());
-    for (size_t d = 0; d < names.dict->size(); ++d) {
-      verdict[d] = matcher.NameMatches((*names.dict)[d]) ? 1 : 0;
-    }
-    for (size_t r = 0; r < rows; ++r) {
-      if (verdict[names.codes[r]] == 0) {
-        keep[r] = 0;
-        ++*dict_pruned;
-      }
-    }
-  }
-  if (spec.user_ids.has_value()) {
-    const ColumnData& uids = *source->Get(EventColumn::kUserId);
-    for (size_t r = 0; r < rows; ++r) {
-      if (spec.user_ids->count(uids.i64[r]) == 0) keep[r] = 0;
-    }
-  }
-  std::vector<uint32_t> sel;
-  sel.reserve(rows);
-  for (size_t r = 0; r < rows; ++r) {
-    if (keep[r]) sel.push_back(static_cast<uint32_t>(r));
-  }
-  return sel;
-}
+  const std::vector<uint8_t> verdicts =
+      columnar::RowMatcher(spec).NameVerdicts(*name_dict);
+  std::vector<uint8_t> keep(n, 1);
+  columnar::SelectRows(spec, {name_codes, verdicts, timestamps, user_ids},
+                       keep);
 
-/// Byte weights for morsel-driven scan scheduling: a columnar unit weighs
-/// its row group's full extent (header + blobs), a legacy unit
-/// its whole file body. Templated so the private ScanUnit type never
-/// needs naming here.
-template <typename UnitVec>
-std::vector<uint64_t> UnitWeights(const UnitVec& units) {
-  std::vector<uint64_t> weights(units.size());
-  for (size_t i = 0; i < units.size(); ++i) {
-    weights[i] = units[i].is_columnar
-                     ? units[i].group.byte_length
-                     : static_cast<uint64_t>(units[i].file->body.size());
+  auto has = [&spec](EventColumn c) {
+    return (spec.columns & columnar::ColumnBit(c)) != 0;
+  };
+  for (size_t r = 0; r < n; ++r) {
+    if (!keep[r]) continue;
+    ++out->rows;
+    const events::ClientEventView& row = rows[r];
+    if (has(EventColumn::kInitiator)) out->init_codes.push_back(init_codes[r]);
+    if (has(EventColumn::kEventName)) out->name_codes.push_back(name_codes[r]);
+    if (has(EventColumn::kUserId)) out->user_ids.push_back(row.user_id);
+    if (has(EventColumn::kSessionId)) {
+      out->session_ids.emplace_back(row.session_id);
+    }
+    if (has(EventColumn::kIp)) out->ips.emplace_back(row.ip);
+    if (has(EventColumn::kTimestamp)) out->timestamps.push_back(row.timestamp);
+    if (has(EventColumn::kDetails)) {
+      auto& pairs = out->details.emplace_back();
+      for (const auto& [k, v] : row.details(details)) pairs.emplace_back(k, v);
+    }
   }
-  return weights;
+  stats->rows_scanned += n;
+  stats->rows_returned += out->rows;
+  stats->rows_pruned += n - out->rows;
+  if (has(EventColumn::kEventName)) out->name_dict = std::move(name_dict);
+  if (has(EventColumn::kInitiator)) {
+    auto dict = std::make_shared<std::vector<std::string>>();
+    for (events::EventInitiator init : inits) {
+      dict->emplace_back(events::EventInitiatorName(init));
+    }
+    out->init_dict = std::move(dict);
+    out->init_values = std::move(inits);
+  }
+  return Status::OK();
 }
 
 /// Header-only TableStats of one file body: rowgroup zone maps and
-/// dictionaries via CollectGroupStats, legacy bodies contribute bytes only.
+/// dictionaries via CollectGroupStats; framed parts contribute bytes only.
 Result<TableStats> FileTableStats(const std::string& body) {
   TableStats total;
   if (columnar::IsRcFile(body)) {
@@ -395,36 +399,10 @@ Result<std::vector<ColumnarEventScan::ScanUnit>> ColumnarEventScan::PlanUnits(
         units.push_back({&file, true, group});
       }
     } else {
-      units.push_back({&file, false, {}});
+      units.push_back({&file, false, {0, 0, file.body.size()}});
     }
   }
   return units;
-}
-
-Status ColumnarEventScan::ScanLegacyFile(
-    const LoadedFile& file, const columnar::RowMatcher& matcher,
-    std::vector<events::ClientEvent>* events, columnar::ScanStats* stats) {
-  // Legacy framed-compressed part: no zone maps, so the whole file is
-  // one always-scanned group filtered row-wise.
-  stats->groups_total++;
-  stats->groups_scanned++;
-  stats->bytes_decompressed += file.body.size();
-  UNILOG_ASSIGN_OR_RETURN(std::string body, Lz::Decompress(file.body));
-  events::ClientEventReader reader(body);
-  events::ClientEvent ev;
-  while (true) {
-    Status st = reader.Next(&ev);
-    if (st.IsNotFound()) break;
-    UNILOG_RETURN_NOT_OK(st);
-    stats->rows_scanned++;
-    if (matcher.Matches(ev)) {
-      stats->rows_returned++;
-      events->push_back(ev);
-    } else {
-      stats->rows_pruned++;
-    }
-  }
-  return Status::OK();
 }
 
 Result<Relation> ColumnarEventScan::Materialize(exec::Executor* exec) {
@@ -465,56 +443,48 @@ Result<std::vector<BatchRelation>> ColumnarEventScan::MaterializeSharedBatches(
     for (const auto& member : members) residual.emplace_back(member->spec_);
   }
   const columnar::ScanSpec& spec = merged ? *merged : members[0]->spec_;
-  const columnar::RowMatcher matcher(spec);
 
   UNILOG_ASSIGN_OR_RETURN(std::vector<ScanUnit> units,
                           PlanUnits(*members[0]->files_));
 
-  // batch_slots[m][u]: member m's batch from unit u. Columnar units decode
-  // once and every member's batch references the same column arrays, with
-  // only the selection vector (and projection) per member.
+  // batch_slots[m][u]: member m's batch from unit u. Each unit decodes
+  // once into typed arrays, and every member's batch references the same
+  // arrays, with only the selection vector (and projection) per member.
   std::vector<std::vector<ColumnBatch>> batch_slots(
       members.size(), std::vector<ColumnBatch>(units.size()));
   std::vector<columnar::ScanStats> stat_slots(units.size());
 
   auto run_unit = [&](size_t u) -> Status {
-    if (units[u].is_columnar) {
-      columnar::RcFileReader reader(units[u].file->body);
-      columnar::RcFileReader::ColumnarGroup cg;
-      UNILOG_RETURN_NOT_OK(
-          reader.ScanGroupColumnar(units[u].group, spec, &cg, &stat_slots[u]));
-      GroupColumnSource source(std::move(cg));
-      for (size_t m = 0; m < members.size(); ++m) {
-        ColumnBatch b = source.BatchFor(members[m]->visible_);
-        if (!residual.empty() && members[m]->spec_.has_predicates()) {
-          b.SetSelection(ResidualSelect(
-              members[m]->spec_, residual[m], &source,
-              &stat_slots[u].dict_domain_rows_pruned));
-        }
-        batch_slots[m][u] = std::move(b);
-      }
+    const ScanUnit& unit = units[u];
+    columnar::RcFileReader::ColumnarGroup cg;
+    if (unit.is_columnar) {
+      UNILOG_RETURN_NOT_OK(columnar::RcFileReader(unit.file->body)
+                               .ScanGroupColumnar(unit.group, spec, &cg,
+                                                  &stat_slots[u]));
     } else {
-      std::vector<events::ClientEvent> events;
       UNILOG_RETURN_NOT_OK(
-          ScanLegacyFile(*units[u].file, matcher, &events, &stat_slots[u]));
-      if (residual.empty()) {
-        batch_slots[0][u] = BatchFromEvents(events, members[0]->visible_);
-        return Status::OK();
+          ScanFramedPart(unit.file->body, spec, &cg, &stat_slots[u]));
+    }
+    // A dictionary-domain prune is a row whose string was never decoded;
+    // a framed part decodes every string, so its residual cuts count none.
+    uint64_t* name_cut =
+        unit.is_columnar ? &stat_slots[u].dict_domain_rows_pruned : nullptr;
+    GroupColumnSource source(std::move(cg));
+    for (size_t m = 0; m < members.size(); ++m) {
+      ColumnBatch b = source.BatchFor(members[m]->visible_);
+      if (!residual.empty() && members[m]->spec_.has_predicates()) {
+        b.SetSelection(source.Select(members[m]->spec_, residual[m], name_cut));
       }
-      for (size_t m = 0; m < members.size(); ++m) {
-        std::vector<events::ClientEvent> kept;
-        kept.reserve(events.size());
-        for (const auto& event : events) {
-          if (residual[m].Matches(event)) kept.push_back(event);
-        }
-        batch_slots[m][u] = BatchFromEvents(kept, members[m]->visible_);
-      }
+      batch_slots[m][u] = std::move(b);
     }
     return Status::OK();
   };
 
+  std::vector<uint64_t> weights;
+  weights.reserve(units.size());
+  for (const ScanUnit& unit : units) weights.push_back(unit.group.byte_length);
   UNILOG_RETURN_NOT_OK(exec::OrInline(exec)->ParallelForMorsels(
-      "columnar_scan_batch", UnitWeights(units), members[0]->morsel_options_,
+      "columnar_scan_batch", weights, members[0]->morsel_options_,
       [&](size_t, size_t begin, size_t end) -> Status {
         for (size_t u = begin; u < end; ++u) {
           UNILOG_RETURN_NOT_OK(run_unit(u));

@@ -22,7 +22,7 @@ using hdfs::IsHiddenWarehousePath;
 
 /// Header-only statistics of a scan's file set: zone maps and event-name
 /// and initiator dictionaries aggregated from RCFile rowgroup headers (no
-/// column is decoded to collect them). Legacy framed files contribute
+/// column is decoded to collect them). Framed-compressed parts contribute
 /// byte totals only, with `has_zone_maps` false.
 struct TableStats {
   uint64_t total_rows = 0;
@@ -45,11 +45,12 @@ struct TableStats {
 };
 
 /// A deferred table scan over a warehouse directory of client-event files,
-/// in either format: columnar RCFile parts get zone-map/dictionary group
-/// skipping and encoded-id predicate pruning; legacy framed-compressed
-/// parts are decoded and filtered row-wise (correct everywhere, fast on
-/// columnar data). Visible columns: {initiator, event_name, user_id,
-/// session_id, ip, timestamp}.
+/// in either format, through one body: every scan unit yields an
+/// RcFileReader::ColumnarGroup of typed arrays. An RCFile row group gets
+/// zone-map/dictionary group skipping and encoded-id predicate pruning; a
+/// framed-compressed part is parsed whole and dictionary-coded per part,
+/// keeping the rows its spec selects. Visible columns: {initiator,
+/// event_name, user_id, session_id, ip, timestamp}.
 ///
 /// Pig's LOAD with a scan loader binds one of these instead of
 /// materializing a Relation; an immediately-following FILTER (column op
@@ -106,17 +107,18 @@ class ColumnarEventScan
   /// Runs one scan for every member, each getting its own output — the
   /// Oink shared-scan fast path. Every member must be a Clone() of the
   /// same opened scan (they share one immutable file set). Output i holds
-  /// one batch per scan unit (a row group or a legacy file) that kept a
+  /// one batch per scan unit (a row group or a framed part) that kept a
   /// row, merged in unit order, so it is byte-identical at any thread
-  /// count. RCFile group dictionaries pass through as dictionary
-  /// columns: event-name/initiator strings are materialized once per
-  /// distinct value per group, never per row.
+  /// count. Unit dictionaries pass through as dictionary columns:
+  /// event-name/initiator strings are materialized once per distinct
+  /// value per unit, never per row.
   ///
   /// A lone member decodes under its own spec. Two or more decode each
   /// unit once under the MergeScanSpecs union of their specs; each member
   /// then re-tightens with its own predicates as a selection vector over
   /// *shared* column arrays (no per-member copy) and projects its visible
-  /// columns. The scan's accounting lands in `stats_out` (may be null) and
+  /// columns; its name cuts count as dict_domain_rows_pruned on RCFile
+  /// groups only. The scan's accounting lands in `stats_out` (may be null) and
   /// in each member's last_stats(); members' batch caches are filled so
   /// later Materialize calls decode nothing.
   static Result<std::vector<BatchRelation>> MaterializeSharedBatches(
@@ -125,12 +127,12 @@ class ColumnarEventScan
 
   /// Header-only statistics over the file set: RCFile rowgroup zone maps
   /// and dictionaries aggregated via
-  /// RcFileReader::CollectGroupStats (no column decoded); legacy files
+  /// RcFileReader::CollectGroupStats (no column decoded); framed parts
   /// contribute bytes only.
   Result<TableStats> Stats() const;
 
   /// Morsel packing knobs for the parallel scan (scan units weighted by
-  /// row-group byte length; legacy files by body size).
+  /// row-group byte length; framed parts by body size).
   void set_morsel_options(const exec::MorselOptions& options) {
     morsel_options_ = options;
   }
@@ -153,7 +155,9 @@ class ColumnarEventScan
   };
 
   /// One independently scannable work item: a columnar row group or a
-  /// whole legacy file.
+  /// whole framed-compressed part. Both yield one ColumnarGroup. A framed
+  /// unit's `group` holds only its byte length, the part's size, which
+  /// morsel packing weighs like a row group's extent.
   struct ScanUnit {
     const LoadedFile* file = nullptr;
     bool is_columnar = false;
@@ -162,17 +166,10 @@ class ColumnarEventScan
 
   ColumnarEventScan() = default;
 
-  /// One unit per (columnar file, row group); one unit per legacy file,
+  /// One unit per (columnar file, row group); one unit per framed part,
   /// in file order (sorted listing) x group order.
   static Result<std::vector<ScanUnit>> PlanUnits(
       const std::vector<LoadedFile>& files);
-
-  /// Decodes a legacy framed-compressed file and keeps the events
-  /// `matcher` admits, accounting into `stats`.
-  static Status ScanLegacyFile(const LoadedFile& file,
-                               const columnar::RowMatcher& matcher,
-                               std::vector<events::ClientEvent>* events,
-                               columnar::ScanStats* stats);
 
   /// Resolves a visible column name to its source event column.
   std::optional<columnar::EventColumn> Resolve(const std::string& name) const;

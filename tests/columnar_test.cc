@@ -20,6 +20,7 @@
 #include "landing_oracle.h"
 #include "obs/metrics.h"
 #include "rcfile_hostile.h"
+#include "scan_oracle.h"
 
 namespace unilog::columnar {
 namespace {
@@ -696,8 +697,8 @@ TEST(ContentFingerprintTest, TruncatedBodyIsAnError) {
 }
 
 // ---------------------------------------------------------------------------
-// RowMatcher: the row-level view of a ScanSpec, used for legacy parts and
-// shared-scan residual filtering. Must agree exactly with Scan().
+// scan_oracle::Matches, the row-at-a-time reference of a ScanSpec, must
+// agree exactly with Scan(), whose groups select through SelectRows.
 
 TEST(RowMatcherTest, AgreesWithScanOnEveryPredicateKind) {
   auto events = MakeEvents(120);
@@ -735,10 +736,9 @@ TEST(RowMatcherTest, AgreesWithScanOnEveryPredicateKind) {
   for (size_t i = 0; i < specs.size(); ++i) {
     ScanSpec spec = specs[i];
     spec.columns = kAllColumns;
-    RowMatcher matcher(spec);
     std::vector<events::ClientEvent> want;
     for (const auto& ev : events) {
-      if (matcher.Matches(ev)) want.push_back(ev);
+      if (scan_oracle::Matches(spec, ev)) want.push_back(ev);
     }
     RcFileReader reader(body);
     std::vector<events::ClientEvent> got;

@@ -2,16 +2,17 @@
 #define UNILOG_TESTS_SCAN_ORACLE_H_
 
 // Row-engine reference for ColumnarEventScan. Every part is decoded whole
-// (RcFileReader::ReadAll for RCFile parts, the framed reader for legacy
-// parts), filtered event by event with RowMatcher::Matches, and shaped
-// through the row Relation engine. It shares the RCFile column decoder with
-// the scan under test: ReadAll unpacks the same ScanGroupColumnar arrays
-// into events. What it stays independent of is everything the scan adds on
-// top — pushdown (zone-map and dictionary skips, encoded-id pruning),
-// shared-scan residual selection, and batch assembly — so no scan test
-// checks those against themselves. The decoder itself is pinned by the
-// writer round-trip tests in columnar_test.cc (every column alone and
-// together, details included).
+// (RcFileReader::ReadAll for RCFile parts, the framed reader for framed
+// parts), filtered event by event with Matches below, and shaped through
+// the row Relation engine. It shares the RCFile column decoder with the
+// scan under test: ReadAll unpacks the same ScanGroupColumnar arrays into
+// events. What it stays independent of is everything the scan adds on top
+// — pushdown (zone-map and dictionary skips, encoded-id pruning), the one
+// typed selection (columnar::SelectRows) under row groups, framed parts
+// and shared-scan residuals, the per-part dictionaries of framed parts,
+// and batch assembly — so no scan test checks those against themselves.
+// The decoder itself is pinned by the writer round-trip tests in
+// columnar_test.cc (every column alone and together, details included).
 
 #include <string>
 #include <utility>
@@ -27,6 +28,21 @@
 #include "hdfs/mini_hdfs.h"
 
 namespace unilog::scan_oracle {
+
+/// The row-at-a-time reference of a ScanSpec's predicates: true when
+/// `event` lies in the timestamp range, its user id is allowed, and its
+/// name passes RowMatcher::NameMatches.
+inline bool Matches(const columnar::ScanSpec& spec,
+                    const events::ClientEvent& event) {
+  if (spec.min_timestamp && event.timestamp < *spec.min_timestamp) {
+    return false;
+  }
+  if (spec.max_timestamp && event.timestamp > *spec.max_timestamp) {
+    return false;
+  }
+  if (spec.user_ids && !spec.user_ids->count(event.user_id)) return false;
+  return columnar::RowMatcher(spec).NameMatches(event.event_name);
+}
 
 /// The six relational columns a client-event scan exposes, in the order
 /// of columnar::EventColumn.
@@ -96,10 +112,9 @@ inline Result<dataflow::Relation> ReferenceMaterialize(
     const dataflow::ColumnarEventScan& scan) {
   UNILOG_ASSIGN_OR_RETURN(std::vector<events::ClientEvent> all,
                           ReadAllEvents(fs, dir));
-  columnar::RowMatcher matcher(scan.spec());
   std::vector<events::ClientEvent> kept;
   for (const auto& ev : all) {
-    if (matcher.Matches(ev)) kept.push_back(ev);
+    if (Matches(scan.spec(), ev)) kept.push_back(ev);
   }
   UNILOG_ASSIGN_OR_RETURN(dataflow::Relation rel, EventRelation(kept));
   std::vector<std::string> cols, names;
